@@ -30,12 +30,10 @@ from .certificates import (
 from .engine import (
     DivergenceError,
     InequalityReport,
-    IterateState,
     RunResult,
     Schedule,
     StoppingRule,
     TraceRow,
-    km_step,
     picard,
     run,
     small_o_check,

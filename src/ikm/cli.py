@@ -17,10 +17,8 @@ the fully resolved configuration is embedded as a '# config:' comment.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import certificates as cert
 from . import engine, problems
@@ -169,6 +167,32 @@ def _collect_steps(view: ConfigView, scheme: str) -> Dict[str, Optional[float]]:
     return steps
 
 
+def build_problem(config_path: str) -> Tuple[
+        ConfigView, problems.BenchmarkInstance, str, Dict[str, float], OperatorHandle,
+        Optional[Callable]]:
+    """Config file -> (view, instance, scheme, resolved steps, operator, objective).
+
+    The objective closure maps an iterate to the instance objective at its
+    extracted solution; it is None when the instance or scheme lacks one.
+    """
+    view = ConfigView(load_config(config_path))
+    instance = build_instance(view)
+    scheme = view.get_str("algorithm.scheme")
+    if scheme not in instance.schemes:
+        raise ConfigError(
+            f"problem kind {instance.kind!r} supports schemes {instance.schemes}, "
+            f"not {scheme!r}"
+        )
+    steps = instance.resolve_steps(scheme, **_collect_steps(view, scheme))
+    op = instance.operator(scheme, **steps)
+    objective = None
+    if instance.objective is not None and op.extract_solution is not None:
+        extract = op.extract_solution
+        inst_obj = instance.objective
+        objective = lambda x: inst_obj(extract(x))  # noqa: E731
+    return view, instance, scheme, steps, op, objective
+
+
 # --------------------------------------------------------------------------
 # feasibility precheck
 
@@ -287,17 +311,7 @@ def monotone_prefix(values: List[float], slack: float = 1e-12) -> int:
 
 
 def cmd_run(config_path: str, out=sys.stdout) -> int:
-    view = ConfigView(load_config(config_path))
-    instance = build_instance(view)
-    scheme = view.get_str("algorithm.scheme")
-    if scheme not in instance.schemes:
-        raise ConfigError(
-            f"problem kind {instance.kind!r} supports schemes {instance.schemes}, "
-            f"not {scheme!r}"
-        )
-    user_steps = _collect_steps(view, scheme)
-    steps = instance.resolve_steps(scheme, **user_steps)
-    op = instance.operator(scheme, **steps)
+    view, instance, scheme, steps, op, objective = build_problem(config_path)
     schedule, resolved_sched = build_schedule(view)
     xi = float(resolved_sched["schedule.xi"])
     stop = StoppingRule(
@@ -322,12 +336,6 @@ def cmd_run(config_path: str, out=sys.stdout) -> int:
     feasible, _ = feasibility_summary(schedule, resolved_sched, op, xi, stop.max_iters, out)
     if not feasible:
         print("warning: schedule fails the feasibility certificates; running anyway", file=out)
-
-    objective = None
-    if instance.objective is not None and op.extract_solution is not None:
-        extract = op.extract_solution
-        inst_obj = instance.objective
-        objective = lambda x: inst_obj(extract(x))  # noqa: E731
 
     exit_code = EXIT_OK
     try:
@@ -382,39 +390,46 @@ def cmd_run(config_path: str, out=sys.stdout) -> int:
           f"final_residual={_fmt(rows[-1].residual if rows else None)}", file=out)
     print(f"trace written to {trace_path}", file=out)
 
+    failed = False
     for name in checks:
-        line = _run_check(name, result, schedule, q, xi)
+        line, bad = _run_check(name, result, schedule, q, xi)
+        failed |= bad
         print(line, file=out)
+    if failed and exit_code == EXIT_OK:
+        exit_code = EXIT_CHECK_FAILED
     return exit_code
 
 
-def _run_check(name: str, trace, schedule: Schedule, q: Optional[float], xi: float) -> str:
+def _run_check(name: str, trace, schedule: Schedule, q: Optional[float],
+               xi: float) -> Tuple[str, bool]:
+    """One ``check <name>: ...`` line and whether it reports a FAIL."""
     rows = trace.rows if isinstance(trace, engine.RunResult) else trace
     if name == "ck":
         try:
             bad = engine.verify_Ck_monotone(rows)
         except ValueError as exc:
-            return f"check ck: SKIPPED ({exc})"
-        return "check ck: PASS" if bad is None else f"check ck: FAIL at k={bad}"
+            return f"check ck: SKIPPED ({exc})", False
+        return ("check ck: PASS", False) if bad is None else (f"check ck: FAIL at k={bad}", True)
     if name == "descent":
         try:
             rep = engine.verify_descent(trace, schedule=schedule)
         except ValueError as exc:
-            return f"check descent: SKIPPED ({exc})"
+            return f"check descent: SKIPPED ({exc})", False
         return (f"check descent: PASS ({rep.checked} indices)" if rep.ok
-                else f"check descent: FAIL at k={rep.violations[:5]}")
+                else f"check descent: FAIL at k={rep.violations[:5]}"), not rep.ok
     if name in ("contraction", "product"):
         if q is None:
-            return f"check {name}: SKIPPED (no certified q)"
+            return f"check {name}: SKIPPED (no certified q)", False
         fn = engine.verify_contraction if name == "contraction" else engine.verify_product_bound
         try:
             rep = fn(trace, q, xi, schedule=schedule)
         except ValueError as exc:
-            return f"check {name}: SKIPPED ({exc})"
+            return f"check {name}: SKIPPED ({exc})", False
         return (f"check {name}: PASS ({rep.checked} indices)" if rep.ok
-                else f"check {name}: FAIL at k={rep.violations[:5]}")
+                else f"check {name}: FAIL at k={rep.violations[:5]}"), not rep.ok
     if name == "small_o":
         parts = []
+        failed = False
         for label, vals in (
             ("res^2", [r.residual ** 2 for r in rows]),
             ("step^2", [r.step ** 2 for r in rows[1:]]),
@@ -424,9 +439,10 @@ def _run_check(name: str, trace, schedule: Schedule, q: Optional[float], xi: flo
                 parts.append(f"{label}: SKIPPED (prefix too short)")
                 continue
             ok = engine.small_o_check(vals[:n])
+            failed |= not ok
             parts.append(f"{label}[:{n}]: {'PASS' if ok else 'FAIL'}")
-        return "check small_o: " + "; ".join(parts)
-    return f"check {name}: SKIPPED (unknown check)"
+        return "check small_o: " + "; ".join(parts), failed
+    return f"check {name}: SKIPPED (unknown check)", False
 
 
 def cmd_check_params(alpha: float, lam: float, q: Optional[float], xi: Optional[float],
@@ -479,14 +495,7 @@ def cmd_lambda_grid(alpha_steps: int, q_steps: int, out_path: str, out=sys.stdou
 
 
 def cmd_sweep(config_path: str, out=sys.stdout) -> int:
-    view = ConfigView(load_config(config_path))
-    instance = build_instance(view)
-    scheme = view.get_str("algorithm.scheme")
-    if scheme not in instance.schemes:
-        raise ConfigError(f"problem kind {instance.kind!r} does not support {scheme!r}")
-    user_steps = _collect_steps(view, scheme)
-    steps = instance.resolve_steps(scheme, **user_steps)
-    op = instance.operator(scheme, **steps)
+    view, instance, scheme, steps, op, objective = build_problem(config_path)
     stop = StoppingRule(
         max_iters=view.get_int("stopping.max_iters", 100_000),
         residual_tol=view.get_float("stopping.residual_tol", 1e-6),
@@ -519,11 +528,6 @@ def cmd_sweep(config_path: str, out=sys.stdout) -> int:
             })
 
     p_ref = instance.fixed_point(scheme, **steps)
-    objective = None
-    if instance.objective is not None and op.extract_solution is not None:
-        extract = op.extract_solution
-        inst_obj = instance.objective
-        objective = lambda x: inst_obj(extract(x))  # noqa: E731
 
     def run_entry(entry) -> List[str]:
         schedule = Schedule.constant(entry["alpha"], entry["lambda"])
@@ -549,12 +553,7 @@ def cmd_sweep(config_path: str, out=sys.stdout) -> int:
             _fmt(final_obj), _fmt(h1.margin), _fmt(contraction_margin), warning,
         ]
 
-    threads = int(os.environ.get("IKM_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_entry, entries))
-    else:
-        results = [run_entry(e) for e in entries]
+    results = [run_entry(e) for e in entries]
 
     resolved = {
         "problem.kind": instance.kind,

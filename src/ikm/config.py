@@ -105,7 +105,3 @@ class ConfigView:
             return [float(tok) for tok in raw.split(",") if tok.strip()]
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: not a number list: {raw!r}") from exc
-
-    def section(self, name: str) -> Dict[str, str]:
-        prefix = name + "."
-        return {k[len(prefix):]: v for k, v in self.data.items() if k.startswith(prefix)}

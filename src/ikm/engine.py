@@ -16,10 +16,11 @@ Lyapunov quantities
     C_k      = ||x_k - p||^2 - alpha_{k-1} ||x_{k-1} - p||^2 + delta_k
                                                            (C_1 = ||x_1 - p||^2)
 
-The verify_* functions replay the per-iteration inequalities of the
-convergence analysis along a finished run; they accept either a
-:class:`RunResult` (exact, uses the stored iterates) or a bare list of trace
-rows (used when re-analyzing an exported CSV), in which case cross terms are
+A run keeps only the last two iterates and the last inertial point; the
+trace rows are its record.  The verify_* functions replay the per-iteration
+inequalities of the convergence analysis from those rows alone, whether they
+come from a :class:`RunResult` or from an exported CSV.  Distances to ``p``
+and steps are columns; the cross terms the inequalities need are
 reconstructed through the identity
 
     lambda_k^2 ||y_k - T_k y_k||^2 = ||x_{k+1} - x_k||^2
@@ -43,12 +44,10 @@ from .operators import OperatorHandle, residual as op_residual
 __all__ = [
     "DivergenceError",
     "InequalityReport",
-    "IterateState",
     "RunResult",
     "Schedule",
     "StoppingRule",
     "TraceRow",
-    "km_step",
     "picard",
     "run",
     "small_o_check",
@@ -76,11 +75,10 @@ class Schedule:
     constructors.
     """
 
-    def __init__(self, alpha_fn, lambda_fn, kind: str, lambda_inf_positive: bool = True):
+    def __init__(self, alpha_fn, lambda_fn, kind: str):
         self._alpha_fn = alpha_fn
         self._lambda_fn = lambda_fn
         self.kind = kind
-        self.lambda_inf_positive = lambda_inf_positive
 
     @classmethod
     def constant(cls, alpha: float, lam: float) -> "Schedule":
@@ -128,8 +126,7 @@ class Schedule:
                 return table[min(k - 1, len(table) - 1)]
             return at
 
-        return cls(pick(alphas), pick(lambdas), "custom-table",
-                   lambda_inf_positive=min(lambdas) > 0.0)
+        return cls(pick(alphas), pick(lambdas), "custom-table")
 
     def alpha_at(self, k: int) -> float:
         if k < 1:
@@ -158,21 +155,7 @@ class StoppingRule:
 
 
 # --------------------------------------------------------------------------
-# iteration state and trace
-
-
-@dataclass
-class IterateState:
-    """State between steps: index k, the two latest iterates, last y."""
-
-    k: int
-    x_prev: Point
-    x_curr: Point
-    y_curr: Optional[Point] = None
-
-    @classmethod
-    def initial(cls, x1: Point) -> "IterateState":
-        return cls(k=1, x_prev=x1, x_curr=x1)
+# trace
 
 
 @dataclass
@@ -204,7 +187,12 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class RunResult:
-    """Finished (or aborted) run: trace rows plus the exact iterate history."""
+    """Finished (or aborted) run: trace rows plus the final iterates.
+
+    ``xs`` holds the last two iterates ``[x_prev, x_curr]``, ``x_curr`` being
+    the newest one computed, and ``ys`` the last inertial point (empty when no
+    step was taken); :func:`picard` returns ``xs = [x]``.
+    """
 
     rows: List[TraceRow]
     xs: List[Point]
@@ -227,20 +215,6 @@ class RunResult:
 # stepping
 
 
-def km_step(state: IterateState, T: OperatorHandle, alpha_k: float, lambda_k: float) -> IterateState:
-    """One inertial KM step; bit-identical to ``T.apply`` when alpha=0, lambda=1."""
-    if not 0.0 <= alpha_k < 1.0:
-        raise ValueError("alpha_k must lie in [0, 1)")
-    if lambda_k <= 0.0:
-        raise ValueError("lambda_k must be > 0")
-    y = state.x_curr if alpha_k == 0.0 else state.x_curr + alpha_k * (state.x_curr - state.x_prev)
-    ty = T.apply(y)
-    x_new = ty if lambda_k == 1.0 else (1.0 - lambda_k) * y + lambda_k * ty
-    if not is_finite(x_new):
-        raise DivergenceError(state.k, RunResult([], [], [], "diverged"))
-    return IterateState(k=state.k + 1, x_prev=state.x_curr, x_curr=x_new, y_curr=y)
-
-
 def run(
     T_family: Union[OperatorHandle, Callable[[int], OperatorHandle]],
     x1: Point,
@@ -251,10 +225,13 @@ def run(
 ) -> RunResult:
     """Drive the inertial KM iteration and return the full diagnostic trace.
 
-    ``T_family`` is a single operator handle or a map ``k -> handle``.  The
-    run is deterministic; divergence raises :class:`DivergenceError` with the
-    partial trace attached (intermediate overflow on the way to a detected
-    divergence is silenced, since non-finite iterates are handled explicitly).
+    ``T_family`` is a single operator handle or a map ``k -> handle``.  With
+    ``alpha_k = 0`` and ``lambda_k = 1`` a step is bit-identical to
+    ``T.apply``.  Memory stays bounded: only the last two iterates and the
+    last inertial point are kept.  The run is deterministic; divergence
+    raises :class:`DivergenceError` with the partial trace attached
+    (intermediate overflow on the way to a detected divergence is silenced,
+    since non-finite iterates are handled explicitly).
     """
     if isinstance(T_family, OperatorHandle):
         single = T_family
@@ -264,15 +241,15 @@ def run(
         fam = T_family
 
     x_prev = x_curr = x1
+    y_last: Optional[Point] = None
     d_prev = d_curr = norm(x1 - p_ref) if p_ref is not None else None
-    xs: List[Point] = [x1]
-    ys: List[Point] = []
     rows: List[TraceRow] = []
     status = "max_iters"
     last_alpha = 0.0
 
-    def partial() -> RunResult:
-        return RunResult(rows, xs, ys, "diverged", schedule, p_ref, single)
+    def result(status: str) -> RunResult:
+        ys = [] if y_last is None else [y_last]
+        return RunResult(rows, [x_prev, x_curr], ys, status, schedule, p_ref, single)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, stop.max_iters + 1):
@@ -290,7 +267,7 @@ def run(
             y = x_curr if a_k == 0.0 else x_curr + a_k * (x_curr - x_prev)
             ty = T.apply(y)
             if not (is_finite(y) and is_finite(ty)):
-                raise DivergenceError(k, partial())
+                raise DivergenceError(k, result("diverged"))
 
             res = norm(y - ty)
             step = norm(x_curr - x_prev)
@@ -323,7 +300,7 @@ def run(
                 k_res_sq=k * res * res,
                 objective=objective(x_curr) if objective is not None else None,
             ))
-            ys.append(y)
+            y_last = y
 
             if res <= stop.residual_tol:
                 status = "converged"
@@ -334,13 +311,12 @@ def run(
 
             x_new = ty if l_k == 1.0 else (1.0 - l_k) * y + l_k * ty
             if not is_finite(x_new):
-                raise DivergenceError(k, partial())
-            xs.append(x_new)
+                raise DivergenceError(k, result("diverged"))
             x_prev, x_curr = x_curr, x_new
             if p_ref is not None:
                 d_prev, d_curr = d_curr, norm(x_curr - p_ref)
 
-    return RunResult(rows, xs, ys, status, schedule, p_ref, single)
+    return result(status)
 
 
 def picard(T: OperatorHandle, x0: Point, tol: float, max_iters: int) -> RunResult:
@@ -384,24 +360,24 @@ class InequalityReport:
         return len(self.ks)
 
 
-def _unpack(trace, p_ref, schedule):
+def _unpack(trace, schedule):
+    """Rows and schedule of a RunResult or a row list, reference validated.
+
+    A RunResult's ``p_ref`` must be a fixed point of its operator (when it
+    carries one), and every row must have ``dist_to_ref``.
+    """
     if isinstance(trace, RunResult):
-        rows = trace.rows
-        xs = trace.xs
-        ys = trace.ys
+        rows, op, p_ref = trace.rows, trace.operator, trace.p_ref
         schedule = schedule or trace.schedule
-        p_ref = p_ref if p_ref is not None else trace.p_ref
-        op = trace.operator
     else:
-        rows, xs, ys, op = list(trace), None, None, None
+        rows, op, p_ref = list(trace), None, None
     if schedule is None:
         raise ValueError("a schedule is required")
-    return rows, xs, ys, op, p_ref, schedule
-
-
-def _require_ref(rows):
+    if p_ref is not None:
+        _check_ref_fixed(op, p_ref)
     if any(r.dist_to_ref is None for r in rows):
         raise ValueError("trace lacks dist_to_ref; rerun with p_ref")
+    return rows, schedule
 
 
 def _check_ref_fixed(op, p_ref):
@@ -409,19 +385,34 @@ def _check_ref_fixed(op, p_ref):
         raise ValueError("p_ref is not a fixed point (residual > 1e-10)")
 
 
-def _second_diff_sq_from_rows(rows, i, a_k, l_k):
-    """||x_{k+1} - 2 x_k + x_{k-1}||^2 reconstructed from scalar columns."""
+def _alpha_second_diff_sq_from_rows(rows, i, a_k, l_k):
+    """alpha_k ||x_{k+1} - 2 x_k + x_{k-1}||^2 reconstructed from scalar columns.
+
+    Eliminating the cross term with the identity in the module docstring gives
+
+        lambda_k^2 ||y_k - T_k y_k||^2 - (1 - alpha_k) ||x_{k+1} - x_k||^2
+            + alpha_k (1 - alpha_k) ||x_k - x_{k-1}||^2,
+
+    which never divides by alpha_k, so tiny alpha_k cannot overflow it.
+    """
     if a_k == 0.0:
         return 0.0
     step_k = rows[i].step
     step_next = rows[i + 1].step
     res_k = rows[i].residual
-    cross = (step_next ** 2 + a_k ** 2 * step_k ** 2 - l_k ** 2 * res_k ** 2) / (2.0 * a_k)
-    return max(step_next ** 2 + step_k ** 2 - 2.0 * cross, 0.0)
+    return max(l_k ** 2 * res_k ** 2 - (1.0 - a_k) * step_next ** 2
+               + a_k * (1.0 - a_k) * step_k ** 2, 0.0)
 
 
-def verify_descent(trace, p_ref: Optional[Point] = None, schedule: Optional[Schedule] = None,
-                  tol: float = DEFAULT_TOL) -> InequalityReport:
+def _y_dist_sq_from_rows(rows, i, a_k):
+    """||y_k - p||^2 from the distance and step columns (x_0 = x_1 at i = 0)."""
+    d_k = rows[i].dist_to_ref ** 2
+    d_prevsq = rows[i - 1].dist_to_ref ** 2 if i >= 1 else d_k
+    return (1.0 + a_k) * d_k - a_k * d_prevsq + a_k * (1.0 + a_k) * rows[i].step ** 2
+
+
+def verify_descent(trace, schedule: Optional[Schedule] = None,
+                   tol: float = DEFAULT_TOL) -> InequalityReport:
     """Replay the one-step descent inequality along the trace.
 
     At each k it checks
@@ -430,39 +421,12 @@ def verify_descent(trace, p_ref: Optional[Point] = None, schedule: Optional[Sche
             <= alpha_k Delta_k
                + [alpha_k (1 + alpha_k) + nu_k alpha_k (1 - alpha_k)] ||x_k - x_{k-1}||^2
 
-    with slack ``tol * (1 + |rhs|)``.  Requires a reference fixed point; when
-    the trace carries its operator, ``p_ref`` is validated against it.
+    with slack ``tol * (1 + |rhs|)`` for every pair of consecutive rows.  The
+    trace needs the ``dist_to_ref`` column; a :class:`RunResult` that carries
+    its operator has its ``p_ref`` validated as a fixed point first.
     """
-    rows, xs, _, op, p_ref, schedule = _unpack(trace, p_ref, schedule)
-    if p_ref is not None:
-        _check_ref_fixed(op, p_ref)
-
+    rows, schedule = _unpack(trace, schedule)
     report = InequalityReport("descent", [], [], [])
-    if xs is not None:
-        if p_ref is None:
-            raise ValueError("p_ref is required")
-        dists2 = [norm(x - p_ref) ** 2 for x in xs]
-        steps2 = [0.0] + [norm(xs[j] - xs[j - 1]) ** 2 for j in range(1, len(xs))]
-        for k in range(1, len(xs)):
-            a_k = schedule.alpha_at(k)
-            l_k = schedule.lambda_at(k)
-            nu_k = 1.0 / l_k - 1.0
-            x_prev = xs[k - 2] if k >= 2 else xs[0]
-            second = xs[k] - 2.0 * xs[k - 1] + x_prev
-            delta_next = nu_k * (1.0 - a_k) * steps2[k]
-            Delta_next = dists2[k] - dists2[k - 1]
-            Delta_k = 0.0 if k == 1 else dists2[k - 1] - dists2[k - 2]
-            step_k_sq = 0.0 if k == 1 else steps2[k - 1]
-            lhs = Delta_next + delta_next + nu_k * a_k * norm(second) ** 2
-            rhs = a_k * Delta_k + (a_k * (1.0 + a_k) + nu_k * a_k * (1.0 - a_k)) * step_k_sq
-            report.ks.append(k)
-            report.lhs.append(lhs)
-            report.rhs.append(rhs)
-            if lhs > rhs + tol * (1.0 + abs(rhs)):
-                report.violations.append(k)
-        return report
-
-    _require_ref(rows)
     for i in range(len(rows) - 1):
         k = rows[i].k
         a_k = schedule.alpha_at(k)
@@ -474,7 +438,7 @@ def verify_descent(trace, p_ref: Optional[Point] = None, schedule: Optional[Sche
         Delta_next = d_next - d_k
         Delta_k = 0.0 if k == 1 else d_k - d_prevsq
         lhs = Delta_next + rows[i + 1].delta_k \
-            + nu_k * a_k * _second_diff_sq_from_rows(rows, i, a_k, l_k)
+            + nu_k * _alpha_second_diff_sq_from_rows(rows, i, a_k, l_k)
         rhs = a_k * Delta_k + (a_k * (1.0 + a_k) + nu_k * a_k * (1.0 - a_k)) * rows[i].step ** 2
         report.ks.append(k)
         report.lhs.append(lhs)
@@ -497,47 +461,23 @@ def verify_Ck_monotone(trace, tol: float = DEFAULT_TOL) -> Optional[int]:
     return None
 
 
-def verify_contraction(trace, q: float, xi: float, p_ref: Optional[Point] = None,
-                       schedule: Optional[Schedule] = None,
+def verify_contraction(trace, q: float, xi: float, schedule: Optional[Schedule] = None,
                        tol: float = DEFAULT_TOL) -> InequalityReport:
     """Replay the per-step contraction bound for q-quasi-contractive runs:
 
         ||x_{k+1} - p||^2 <= Q(lambda_k, q, xi) ||y_k - p||^2
                              - xi lambda_k (1 - lambda_k) ||y_k - T y_k||^2.
     """
-    rows, xs, ys, op, p_ref, schedule = _unpack(trace, p_ref, schedule)
-    if p_ref is not None:
-        _check_ref_fixed(op, p_ref)
-
+    rows, schedule = _unpack(trace, schedule)
     report = InequalityReport("contraction", [], [], [])
-    if xs is not None and ys is not None:
-        if p_ref is None:
-            raise ValueError("p_ref is required")
-        n_steps = len(xs) - 1  # steps with a recorded x_{k+1}
-        for k in range(1, n_steps + 1):
-            l_k = schedule.lambda_at(k)
-            Qk = contraction_constant(l_k, q, xi)
-            lhs = norm(xs[k] - p_ref) ** 2
-            rhs = Qk * norm(ys[k - 1] - p_ref) ** 2 \
-                - xi * l_k * (1.0 - l_k) * rows[k - 1].residual ** 2
-            report.ks.append(k)
-            report.lhs.append(lhs)
-            report.rhs.append(rhs)
-            if lhs > rhs + tol * (1.0 + abs(rhs)):
-                report.violations.append(k)
-        return report
-
-    _require_ref(rows)
     for i in range(len(rows) - 1):
         k = rows[i].k
         a_k = schedule.alpha_at(k)
         l_k = schedule.lambda_at(k)
         Qk = contraction_constant(l_k, q, xi)
-        d_k = rows[i].dist_to_ref ** 2
-        d_prevsq = rows[i - 1].dist_to_ref ** 2 if i >= 1 else d_k
-        y_dist_sq = (1.0 + a_k) * d_k - a_k * d_prevsq + a_k * (1.0 + a_k) * rows[i].step ** 2
         lhs = rows[i + 1].dist_to_ref ** 2
-        rhs = Qk * y_dist_sq - xi * l_k * (1.0 - l_k) * rows[i].residual ** 2
+        rhs = Qk * _y_dist_sq_from_rows(rows, i, a_k) \
+            - xi * l_k * (1.0 - l_k) * rows[i].residual ** 2
         report.ks.append(k)
         report.lhs.append(lhs)
         report.rhs.append(rhs)
@@ -546,19 +486,14 @@ def verify_contraction(trace, q: float, xi: float, p_ref: Optional[Point] = None
     return report
 
 
-def verify_product_bound(trace, q: float, xi: float, p_ref: Optional[Point] = None,
-                         schedule: Optional[Schedule] = None,
+def verify_product_bound(trace, q: float, xi: float, schedule: Optional[Schedule] = None,
                          tol: float = DEFAULT_TOL) -> InequalityReport:
     """Replay the certificate product bound
 
         ||x_{k+1} - p||^2 - alpha_k ||x_k - p||^2 + xi delta_{k+1}
             <= prod_{j<=k} Q(lambda_j, q, xi) * ||x_1 - p||^2.
     """
-    rows, _, _, op, p_ref, schedule = _unpack(trace, p_ref, schedule)
-    if p_ref is not None:
-        _check_ref_fixed(op, p_ref)
-    _require_ref(rows)
-
+    rows, schedule = _unpack(trace, schedule)
     report = InequalityReport("product_bound", [], [], [])
     d1_sq = rows[0].dist_to_ref ** 2
     prod = 1.0

@@ -29,16 +29,6 @@ __all__ = [
 ]
 
 
-def as_vector(x) -> np.ndarray:
-    """Coerce to a finite 1-D float64 array (raises on NaN/Inf)."""
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector has non-finite coordinates")
-    return v
-
-
 @dataclass(frozen=True)
 class BlockVector:
     """Point (primal, dual) of a product space X x Y."""

@@ -114,7 +114,9 @@ def test_criterion_3_descent_inequality(lasso_run):
                     StoppingRule(max_iters=10_000, residual_tol=0.0),
                     p_ref=feas.fixed_point("dr"))
     rep_dr = verify_descent(dr_result, tol=1e-9)
-    assert rep_dr.checked == 10_000
+    # the trace has no row for x_{10001}, so the last pair checked is (9999, 10000)
+    assert dr_result.iterations == 10_000
+    assert rep_dr.checked == dr_result.iterations - 1
     assert rep_dr.ok, f"violations at {rep_dr.violations[:5]}"
     ok(3, f"zero violations over {rep.checked} FB and {rep_dr.checked} DR indices")
 

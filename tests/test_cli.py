@@ -1,5 +1,4 @@
 import io
-import os
 
 import pytest
 
@@ -187,6 +186,35 @@ def test_certify_flags_corrupted_trace(tmp_path):
     assert "FAIL" in buf.getvalue()
 
 
+INFEASIBLE_RUN = """
+problem.kind = quadratic
+problem.dim = 20
+problem.mu = 1
+problem.L = 10
+problem.seed = 3
+algorithm.scheme = proximal
+algorithm.rho = 1
+schedule.alpha = 0.9
+schedule.lambda = 0.99
+stopping.max_iters = 3000
+stopping.residual_tol = 1e-13
+output.trace = {trace}
+output.checks = ck,descent
+"""
+
+
+def test_run_failed_check_exits_1(tmp_path):
+    cfg = tmp_path / "infeasible.cfg"
+    trace = tmp_path / "infeasible.csv"
+    write(cfg, INFEASIBLE_RUN.format(trace=trace))
+    buf = io.StringIO()
+    assert cli.cmd_run(str(cfg), out=buf) == cli.EXIT_CHECK_FAILED
+    text = buf.getvalue()
+    assert "status=converged" in text
+    assert "check ck: FAIL at k=" in text
+    assert cli.cmd_certify(str(trace), out=io.StringIO()) == cli.EXIT_CHECK_FAILED
+
+
 def test_run_quasi_contractive_fills_rate_bound(tmp_path):
     cfg = tmp_path / "rate.cfg"
     trace = tmp_path / "rate.csv"
@@ -301,21 +329,13 @@ def test_sweep_requires_two_entries(tmp_path):
     assert cli.main(["sweep", str(cfg)]) == cli.EXIT_USAGE
 
 
-def test_sweep_threads_env_gives_same_rows(tmp_path):
+def test_sweep_reruns_give_identical_tables(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     t1, t2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
     write(cfg, SWEEP_CFG.format(table=t1))
     cli.cmd_sweep(str(cfg), out=io.StringIO())
     write(cfg, SWEEP_CFG.format(table=t2))
-    old = os.environ.get("IKM_THREADS")
-    os.environ["IKM_THREADS"] = "3"
-    try:
-        cli.cmd_sweep(str(cfg), out=io.StringIO())
-    finally:
-        if old is None:
-            os.environ.pop("IKM_THREADS", None)
-        else:
-            os.environ["IKM_THREADS"] = old
+    cli.cmd_sweep(str(cfg), out=io.StringIO())
     assert t1.read_bytes() == t2.read_bytes()
 
 

@@ -1,14 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ikm import problems
 from ikm.engine import (
     DivergenceError,
-    IterateState,
     RunResult,
     Schedule,
     StoppingRule,
-    km_step,
+    TraceRow,
+    _alpha_second_diff_sq_from_rows,
+    _y_dist_sq_from_rows,
     picard,
     run,
     small_o_check,
@@ -26,6 +32,28 @@ IDENTITY = douglas_rachford_op(zero(), zero(), 1.0)  # exact identity map
 
 def rand_vec(gen, n):
     return np.array([gen.normal() for _ in range(n)])
+
+
+def recording_family(T):
+    """``k -> T`` whose ``apply`` appends each ``(y_k, T y_k)`` to a list."""
+    calls = []
+
+    def apply(y):
+        ty = T.apply(y)
+        calls.append((y, ty))
+        return ty
+
+    handle = dataclasses.replace(T, apply=apply)
+    return (lambda k: handle), calls
+
+
+def rebuild_iterates(x1, sched, calls):
+    """x_1, ..., x_{K+1} from recorded (y_k, T y_k): x_{k+1} = (1-l) y_k + l T y_k."""
+    xs = [x1]
+    for k, (y, ty) in enumerate(calls, start=1):
+        lam = sched.lambda_at(k)
+        xs.append(ty if lam == 1.0 else (1.0 - lam) * y + lam * ty)
+    return xs
 
 
 # --------------------------------------------------------------------------
@@ -67,41 +95,43 @@ def test_stopping_rule_validation():
 
 
 # --------------------------------------------------------------------------
-# km_step
+# one KM step through run()
 
 
 def test_km_step_bit_identical_to_apply_when_unrelaxed(quad_50):
     T = quad_50.operator("gradient")
     gen = SplitMix64(1)
     x = rand_vec(gen, 50)
-    state = IterateState.initial(x)
-    out = km_step(state, T, 0.0, 1.0)
-    np.testing.assert_array_equal(out.x_curr, T.apply(x))
-    assert out.k == 2
-    np.testing.assert_array_equal(out.y_curr, x)
+    res = run(T, x, Schedule.constant(0.0, 1.0), StoppingRule(1, 0.0))
+    assert res.status == "max_iters" and res.iterations == 1
+    np.testing.assert_array_equal(res.xs[-1], T.apply(x))
+    np.testing.assert_array_equal(res.xs[0], x)
+    np.testing.assert_array_equal(res.ys[-1], x)
 
 
 def test_km_step_identity_operator_is_stationary():
     gen = SplitMix64(2)
     x = rand_vec(gen, 7)
-    out = km_step(IterateState.initial(x), IDENTITY, 0.0, 0.5)
-    np.testing.assert_allclose(out.x_curr, x, atol=1e-15)
+    res = run(IDENTITY, x, Schedule.constant(0.3, 0.5), StoppingRule(10, 0.0))
+    assert res.status == "converged"
+    assert all(r.residual == 0.0 for r in res.rows)
+    np.testing.assert_allclose(res.xs[-1], x, atol=1e-15)
 
 
 def test_km_step_fixed_point_absorption(quad_50):
     T = quad_50.operator("gradient")
     p = quad_50.reference_solution
-    state = IterateState(k=5, x_prev=p, x_curr=p)
-    out = km_step(state, T, 0.3, 0.8)
-    assert norm(out.x_curr - p) <= 1e-12
+    res = run(T, p, Schedule.constant(0.3, 0.8), StoppingRule(5, 0.0))
+    assert norm(res.xs[-1] - p) <= 1e-12
+    assert all(r.residual <= 1e-12 for r in res.rows)
 
 
 def test_km_step_parameter_validation():
     x = np.zeros(3)
     with pytest.raises(ValueError):
-        km_step(IterateState.initial(x), IDENTITY, 1.0, 0.5)
+        run(IDENTITY, x, Schedule(lambda k: 1.0, lambda k: 0.5, "custom"), StoppingRule(1, 0.0))
     with pytest.raises(ValueError):
-        km_step(IterateState.initial(x), IDENTITY, 0.0, 0.0)
+        run(IDENTITY, x, Schedule(lambda k: 0.0, lambda k: 0.0, "custom"), StoppingRule(1, 0.0))
 
 
 # --------------------------------------------------------------------------
@@ -194,8 +224,11 @@ def test_reconstruction_identity_along_trace(lasso_default):
     #                       - 2 a <x_{k+1}-x_k, x_k-x_{k-1}>
     inst = lasso_default
     sched = Schedule.constant(0.25, 0.6)
-    res = run(inst.operator("fb"), inst.start_point("fb"), sched, StoppingRule(400, 0.0))
-    xs = res.xs
+    fam, calls = recording_family(inst.operator("fb"))
+    x1 = inst.start_point("fb")
+    res = run(fam, x1, sched, StoppingRule(400, 0.0))
+    xs = rebuild_iterates(x1, sched, calls)
+    np.testing.assert_array_equal(xs[-1], res.xs[-1])
     for k in range(1, len(xs) - 1):
         a = sched.alpha_at(k)
         lam = sched.lambda_at(k)
@@ -204,6 +237,38 @@ def test_reconstruction_identity_along_trace(lasso_default):
         rhs = norm(d_next) ** 2 + a * a * norm(d_prev) ** 2 - 2 * a * dot(d_next, d_prev)
         lhs = lam ** 2 * res.rows[k - 1].residual ** 2
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-18)
+
+
+COORD = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    vecs=st.integers(1, 6).flatmap(lambda n: st.tuples(*[arrays(np.float64, n, elements=COORD)] * 4)),
+    a=st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                st.integers(1, 300).map(lambda e: 10.0 ** -e)),
+    lam=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
+)
+def test_row_reconstructions_match_direct_computation(vecs, a, lam):
+    # rows k-1, k, k+1 of one step from x_{k-1}, x_k, T y_k and p, checked
+    # against the same quantities computed from the vectors
+    x_prev, x_k, ty, p = vecs
+    y = x_k + a * (x_k - x_prev)
+    x_next = (1.0 - lam) * y + lam * ty
+    n = np.linalg.norm
+
+    def row(k, step, residual, dist):
+        return TraceRow(k=k, residual=residual, step=step, nu_k=0.0, delta_k=0.0,
+                        dist_to_ref=dist)
+
+    rows = [row(1, 0.0, 0.0, n(x_prev - p)),
+            row(2, n(x_k - x_prev), n(y - ty), n(x_k - p)),
+            row(3, n(x_next - x_k), 0.0, n(x_next - p))]
+    # rounding of the direct side scales with the vectors themselves
+    scale = sum(n(v) ** 2 for v in (x_prev, x_k, x_next, y, ty, p))
+    second = a * n(x_next - 2.0 * x_k + x_prev) ** 2
+    assert abs(_alpha_second_diff_sq_from_rows(rows, 1, a, lam) - second) <= 1e-10 * scale
+    assert abs(_y_dist_sq_from_rows(rows, 1, a) - n(y - p) ** 2) <= 1e-10 * scale
 
 
 # --------------------------------------------------------------------------
@@ -216,7 +281,7 @@ def test_descent_non_inertial_fb(lasso_default):
               StoppingRule(2000, 1e-11), p_ref=inst.fixed_point("fb"))
     rep = verify_descent(res)
     assert rep.ok
-    assert rep.checked == len(res.xs) - 1
+    assert rep.checked == res.iterations - 1
 
 
 def test_descent_inertial_dr_feasibility():
@@ -227,39 +292,75 @@ def test_descent_inertial_dr_feasibility():
     assert rep.ok
 
 
+def exact_descent(xs, p, sched):
+    """(lhs, rhs) of the descent inequality at k = 1..len(xs)-1 from iterates."""
+    dists2 = [norm(x - p) ** 2 for x in xs]
+    steps2 = [0.0] + [norm(xs[j] - xs[j - 1]) ** 2 for j in range(1, len(xs))]
+    out = []
+    for k in range(1, len(xs)):
+        a_k = sched.alpha_at(k)
+        nu_k = 1.0 / sched.lambda_at(k) - 1.0
+        second = xs[k] - 2.0 * xs[k - 1] + (xs[k - 2] if k >= 2 else xs[0])
+        Delta_k = 0.0 if k == 1 else dists2[k - 1] - dists2[k - 2]
+        step_k_sq = 0.0 if k == 1 else steps2[k - 1]
+        lhs = dists2[k] - dists2[k - 1] + nu_k * (1.0 - a_k) * steps2[k] \
+            + nu_k * a_k * norm(second) ** 2
+        rhs = a_k * Delta_k + (a_k * (1.0 + a_k) + nu_k * a_k * (1.0 - a_k)) * step_k_sq
+        out.append((lhs, rhs))
+    return out
+
+
 def test_descent_rows_path_matches_exact_path(lasso_default):
     inst = lasso_default
     sched = Schedule.constant(0.2, 0.5)
-    res = run(inst.operator("fb"), inst.start_point("fb"), sched,
-              StoppingRule(500, 0.0), p_ref=inst.fixed_point("fb"))
-    exact = verify_descent(res)
-    recon = verify_descent(res.rows, schedule=sched)
-    assert exact.ok and recon.ok
-    assert recon.checked == exact.checked - 1  # rows path lacks the final iterate
-    for l1v, l2v in zip(exact.lhs, recon.lhs):
+    p = inst.fixed_point("fb")
+    fam, calls = recording_family(inst.operator("fb"))
+    x1 = inst.start_point("fb")
+    res = run(fam, x1, sched, StoppingRule(500, 0.0), p_ref=p)
+    exact = exact_descent(rebuild_iterates(x1, sched, calls), p, sched)
+    recon = verify_descent(res)
+    assert all(lhs <= rhs + 1e-9 * (1.0 + abs(rhs)) for lhs, rhs in exact)
+    assert recon.ok
+    assert recon.checked == len(exact) - 1  # rows lack the final iterate
+    for (l1v, _), l2v in zip(exact, recon.lhs):
         assert l1v == pytest.approx(l2v, rel=1e-6, abs=1e-9)
+
+
+def corrupt_dist(res, i, by):
+    rows = [dataclasses.replace(r) for r in res.rows]
+    rows[i].dist_to_ref += by
+    return dataclasses.replace(res, rows=rows)
 
 
 def test_descent_flags_corrupted_state(lasso_default):
     inst = lasso_default
     res = run(inst.operator("fb"), inst.start_point("fb"), Schedule.constant(0.2, 0.5),
               StoppingRule(200, 0.0), p_ref=inst.fixed_point("fb"))
-    xs = [x.copy() for x in res.xs]
-    j = 100  # corrupt x_{101}
-    xs[j][0] += 1.0
-    corrupted = RunResult(res.rows, xs, res.ys, res.status, res.schedule, res.p_ref, res.operator)
-    rep = verify_descent(corrupted)
+    j = 100  # corrupt ||x_{101} - p||
+    rep = verify_descent(corrupt_dist(res, j, 1.0))
+    assert rep.violations
+    assert set(rep.violations) <= {j, j + 1, j + 2}
+
+
+def test_contraction_flags_corrupted_state(quad_50):
+    inst = quad_50
+    T = inst.operator("gradient")
+    res = run(T, inst.start_point("gradient"), Schedule.constant(0.05, 0.9),
+              StoppingRule(200, 0.0), p_ref=inst.reference_solution)
+    assert verify_contraction(res, T.q_factor, 1.0).ok
+    j = 100  # corrupt ||x_{101} - p||
+    rep = verify_contraction(corrupt_dist(res, j, 1.0), T.q_factor, 1.0)
     assert rep.violations
     assert set(rep.violations) <= {j, j + 1, j + 2}
 
 
 def test_descent_requires_fixed_point_reference(lasso_default):
     inst = lasso_default
-    res = run(inst.operator("fb"), inst.start_point("fb"), Schedule.constant(0.0, 0.5),
-              StoppingRule(50, 0.0), p_ref=inst.fixed_point("fb"))
     gen = SplitMix64(4)
+    res = run(inst.operator("fb"), inst.start_point("fb"), Schedule.constant(0.0, 0.5),
+              StoppingRule(50, 0.0), p_ref=rand_vec(gen, 100))
     with pytest.raises(ValueError, match="not a fixed point"):
-        verify_descent(res, p_ref=rand_vec(gen, 100))
+        verify_descent(res)
     res_no_ref = run(inst.operator("fb"), inst.start_point("fb"),
                      Schedule.constant(0.0, 0.5), StoppingRule(50, 0.0))
     with pytest.raises(ValueError, match="p_ref"):
@@ -297,9 +398,10 @@ def test_contraction_and_product_bound_rows_path(quad_50):
     sched = Schedule.constant(0.05, 0.9)
     res = run(T, inst.start_point("gradient"), sched, StoppingRule(500, 1e-12),
               p_ref=inst.reference_solution)
-    exact = verify_contraction(res, T.q_factor, 1.0)
-    recon = verify_contraction(res.rows, T.q_factor, 1.0, schedule=sched)
-    assert exact.ok and recon.ok
+    from_result = verify_contraction(res, T.q_factor, 1.0)
+    from_rows = verify_contraction(res.rows, T.q_factor, 1.0, schedule=sched)
+    assert from_result.ok and from_rows.ok
+    assert from_result.lhs == from_rows.lhs and from_result.rhs == from_rows.rhs
     prod = verify_product_bound(res, T.q_factor, 1.0)
     assert prod.ok
 
