@@ -20,6 +20,8 @@ import argparse
 import sys
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from . import certificates as cert
 from . import engine, problems
 from .config import ConfigError, ConfigView, deserialize_config, load_config, serialize_config
@@ -33,17 +35,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_MAX_ITERS = 2
 EXIT_DIVERGED = 3
 EXIT_USAGE = 64
-
-_SCHEME_STEPS = {
-    "gradient": ("rho",),
-    "proximal": ("rho",),
-    "fb": ("rho",),
-    "dr": ("r",),
-    "pd": ("tau", "sigma"),
-    "sdr": ("tau", "sigma"),
-    "dy": ("rho",),
-}
-
 
 class UsageError(Exception):
     pass
@@ -157,11 +148,10 @@ def _schedule_is_constant(resolved: Dict[str, str]) -> bool:
         resolved.get("schedule.lambda_kind") == "constant"
 
 
-def _collect_steps(view: ConfigView, scheme: str) -> Dict[str, Optional[float]]:
-    if scheme not in _SCHEME_STEPS:
-        raise ConfigError(f"unknown algorithm.scheme {scheme!r}")
+def _collect_steps(view: ConfigView, keys) -> Dict[str, Optional[float]]:
+    """Configured ``algorithm.<key>`` for each step key, None when unset."""
     steps: Dict[str, Optional[float]] = {}
-    for key in _SCHEME_STEPS[scheme]:
+    for key in keys:
         cfg_key = f"algorithm.{key}"
         steps[key] = view.get_float(cfg_key) if view.has(cfg_key) else None
     return steps
@@ -183,7 +173,8 @@ def build_problem(config_path: str) -> Tuple[
             f"problem kind {instance.kind!r} supports schemes {instance.schemes}, "
             f"not {scheme!r}"
         )
-    steps = instance.resolve_steps(scheme, **_collect_steps(view, scheme))
+    steps = instance.resolve_steps(
+        scheme, **_collect_steps(view, instance.default_steps[scheme]))
     op = instance.operator(scheme, **steps)
     objective = None
     if instance.objective is not None and op.extract_solution is not None:
@@ -538,15 +529,25 @@ def cmd_sweep(config_path: str, out=sys.stdout) -> int:
             contraction_margin = cert.check_contraction_condition(entry["alpha"], entry["lambda"],
                                       op.q_factor, entry["xi"]).margin
         warning = "" if h1.satisfied else "infeasible-relaxation"
+        # the table reports only the last row's objective: keep the iterate
+        # each row describes and evaluate the objective once, on the last one
+        last_x: List = [None]
+
+        def remember(x) -> None:
+            last_x[0] = x
+
         try:
             result = engine.run(op, instance.start_point(scheme), schedule, stop,
-                                p_ref=p_ref, objective=objective)
+                                p_ref=p_ref, objective=remember)
             status = result.status
             rows = result.rows
         except DivergenceError as exc:
             status = "diverged"
             rows = exc.partial.rows
-        final_obj = rows[-1].objective if rows and rows[-1].objective is not None else None
+        final_obj = None
+        if rows and objective is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                final_obj = objective(last_x[0])
         return [
             entry["label"], _fmt(entry["alpha"]), _fmt(entry["lambda"]), _fmt(entry["xi"]),
             status, str(len(rows)), _fmt(rows[-1].residual if rows else None),

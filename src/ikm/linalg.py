@@ -22,6 +22,7 @@ __all__ = [
     "Point",
     "combine",
     "dot",
+    "flush_subnormals",
     "norm",
     "operator_norm_estimate",
     "solve_spd",
@@ -84,6 +85,23 @@ def is_finite(a: Point) -> bool:
     if isinstance(a, BlockVector):
         return bool(np.all(np.isfinite(a.primal)) and np.all(np.isfinite(a.dual)))
     return bool(np.all(np.isfinite(a)))
+
+
+_TINY = np.finfo(float).tiny
+
+
+def flush_subnormals(a: Point) -> Point:
+    """Zero, in place, every entry of ``a`` with ``|a_i| < tiny`` and return ``a``.
+
+    Only for arrays the caller has just formed and owns: subnormal operands
+    make every later matvec on the point many times slower.
+    """
+    if isinstance(a, BlockVector):
+        flush_subnormals(a.primal)
+        flush_subnormals(a.dual)
+    else:
+        a[np.abs(a) < _TINY] = 0.0
+    return a
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from ikm import cli
+from ikm import cli, engine
 from ikm.config import (
     ConfigError,
     ConfigView,
@@ -10,6 +10,7 @@ from ikm.config import (
     parse_config,
     serialize_config,
 )
+from ikm.engine import DivergenceError, Schedule, StoppingRule
 
 
 # --------------------------------------------------------------------------
@@ -319,6 +320,32 @@ def test_sweep_adds_baselines_and_flags_infeasible(tmp_path):
     for row in body:
         if row[-1] == "":
             assert row[4] == "converged"
+
+
+@pytest.mark.parametrize("max_iters, statuses", [
+    (60000, {"converged", "diverged"}),  # the lambda=1.8 row diverges
+    (200, {"max_iters"}),
+])
+def test_sweep_final_objective_is_last_row_objective(tmp_path, max_iters, statuses):
+    cfg = tmp_path / "sweep.cfg"
+    table = tmp_path / "sweep.csv"
+    write(cfg, SWEEP_CFG.format(table=table).replace(
+        "stopping.max_iters = 60000", f"stopping.max_iters = {max_iters}"))
+    assert cli.cmd_sweep(str(cfg), out=io.StringIO()) == cli.EXIT_OK
+    body = [l.split(",") for l in table.read_text().splitlines()[3:]]
+    assert {row[4] for row in body} == statuses
+
+    _, instance, scheme, steps, op, objective = cli.build_problem(str(cfg))
+    stop = StoppingRule(max_iters, 1e-6)
+    for row in body:
+        schedule = Schedule.constant(float(row[1]), float(row[2]))
+        try:
+            rows = engine.run(op, instance.start_point(scheme), schedule, stop,
+                              p_ref=instance.fixed_point(scheme, **steps),
+                              objective=objective).rows
+        except DivergenceError as exc:
+            rows = exc.partial.rows
+        assert row[7] == cli._fmt(rows[-1].objective)
 
 
 def test_sweep_requires_two_entries(tmp_path):

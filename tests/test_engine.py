@@ -189,6 +189,79 @@ def test_run_divergence_carries_partial_trace():
     assert len(err.partial.rows) >= err.k - 1
 
 
+def _reference_divergence(T, x1, lam):
+    """First k at which y_k, T y_k or x_{k+1} turns non-finite (alpha = 0),
+    the number of rows the run has recorded by then, and x_k."""
+    x = x1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, 10_000):
+            ty = T.apply(x)
+            if not np.all(np.isfinite(ty)):
+                return k, k - 1, x
+            x_new = (1.0 - lam) * x + lam * ty
+            if not np.all(np.isfinite(x_new)):
+                return k, k, x
+            x = x_new
+    raise AssertionError("reference iteration did not diverge")
+
+
+@pytest.mark.parametrize("factor, lam, x1", [
+    # T y overflows first; x_{k+1} = 2 x_k
+    (3.0, 0.5, np.ones(4)),
+    # T y stays finite while 1.5 T y overflows in x_{k+1}; every residual
+    # norm overflows before that, so the exact test runs on each step
+    (2.0, 1.5, np.full(4, 7e307 / 2.5 ** 10)),
+])
+@pytest.mark.parametrize("with_ref", [False, True])
+def test_run_relaxed_divergence_k_and_partial_rows(factor, lam, x1, with_ref):
+    T = OperatorHandle(apply=lambda x: factor * x, name="scale")
+    k_ref, n_rows, x_last = _reference_divergence(T, x1, lam)
+    p_ref = np.zeros(4) if with_ref else None
+    with pytest.raises(DivergenceError) as exc:
+        run(T, x1, Schedule.constant(0.0, lam), StoppingRule(10_000, 0.0), p_ref=p_ref)
+    err = exc.value
+    assert err.k == k_ref > 10
+    assert [r.k for r in err.partial.rows] == list(range(1, n_rows + 1))
+    np.testing.assert_array_equal(err.partial.xs[-1], x_last)
+    x = x1
+    with np.errstate(over="ignore"):
+        for r in err.partial.rows:
+            assert r.residual == norm(x - T.apply(x))
+            assert (r.dist_to_ref is not None) == with_ref
+            x = (1.0 - lam) * x + lam * T.apply(x)
+
+
+def test_run_keeps_subnormals_out_of_operator_inputs(lasso_default):
+    # x_{k+1} = (1 - l) y_k + l T y_k decays as (1 - l)^k on coordinates the
+    # l1 prox sets to 0, and x1 starts with subnormal entries; without the
+    # flush 176 of these 692 inputs carry subnormal entries, and a matvec on
+    # them is many times slower
+    inst = lasso_default
+    T = inst.operator("fb")
+    tiny = np.finfo(float).tiny
+    x1 = inst.start_point("fb").copy()
+    x1[::7] = 1e-310
+    x1_copy = x1.copy()
+    inputs_with_subnormals = 0
+    outputs = []
+
+    def apply(y):
+        nonlocal inputs_with_subnormals
+        a = np.abs(y)
+        inputs_with_subnormals += bool(np.any((a > 0.0) & (a < tiny)))
+        ty = T.apply(y)
+        outputs.append((ty, ty.copy()))
+        return ty
+
+    res = run(dataclasses.replace(T, apply=apply), x1, Schedule.constant(0.2, 0.9),
+              StoppingRule(2000, 1e-10), p_ref=inst.fixed_point("fb"))
+    assert res.status == "converged" and len(outputs) == res.iterations
+    assert inputs_with_subnormals == 0
+    np.testing.assert_array_equal(x1, x1_copy)
+    for ty, ty_copy in outputs:
+        np.testing.assert_array_equal(ty, ty_copy)
+
+
 def test_run_stall_detection():
     halve = OperatorHandle(apply=lambda x: 0.5 * x, name="halve")
     res = run(halve, np.ones(3), Schedule.constant(0.0, 0.5),
