@@ -144,7 +144,7 @@ def operator_norm_estimate(L: LinearMap, iters: int = 200, seed: int = 0) -> flo
     if iters < 1:
         raise ValueError("iters must be >= 1")
     gen = SplitMix64(seed)
-    v = np.array([gen.normal() for _ in range(L.cols)])
+    v = gen.normals(L.cols)
     nv = norm(v)
     if nv == 0.0:  # astronomically unlikely; keep deterministic anyway
         v[0] = 1.0

@@ -2,9 +2,11 @@
 
 Every generator is a pure function of its parameters and seed (randomness
 comes from the SplitMix64 stream documented in :mod:`ikm.rng`), so instances
-are bit-reproducible.  References are produced by high-accuracy non-inertial
-self-runs; the fixed-point residual of the stored reference is the
-independent certificate of its quality.
+are bit-reproducible.  References are exact where the problem allows: the
+quadratic's is a Cholesky solve, tv1d's a direct (finite-step) solve of the
+denoising problem with its dual in closed form, and the feasibility one is
+known by construction.  The lasso and three-term references come from a
+non-inertial Picard run to residual 1e-12, which certifies them.
 """
 
 from __future__ import annotations
@@ -128,12 +130,8 @@ class BenchmarkInstance:
 # shared random pieces
 
 
-def _normal_vec(gen: SplitMix64, n: int) -> np.ndarray:
-    return np.array([gen.normal() for _ in range(n)])
-
-
 def _orthogonal(gen: SplitMix64, n: int) -> np.ndarray:
-    M = np.array([[gen.normal() for _ in range(n)] for _ in range(n)])
+    M = gen.normals(n * n).reshape(n, n)
     Q, R = np.linalg.qr(M)
     return Q * np.sign(np.diagonal(R))
 
@@ -141,17 +139,83 @@ def _orthogonal(gen: SplitMix64, n: int) -> np.ndarray:
 def _sensing_data(m: int, n: int, sparsity: float, seed: int):
     """Design matrix, planted sparse truth and noisy observations."""
     gen = SplitMix64(seed)
-    A = np.array([[gen.normal() for _ in range(n)] for _ in range(m)]) / math.sqrt(m)
+    A = gen.normals(m * n).reshape(m, n) / math.sqrt(m)
     k_nz = max(1, round(sparsity * n))
     idx = list(range(n))
     gen.shuffle(idx)
     truth = np.zeros(n)
-    for i in idx[:k_nz]:
-        truth[i] = gen.normal()
+    truth[idx[:k_nz]] = gen.normals(k_nz)
     clean = A @ truth
     level = 0.01 * (clean.max() - clean.min())  # 1% of signal range
-    b = clean + level * _normal_vec(gen, m)
+    b = clean + level * gen.normals(m)
     return A, b, truth
+
+
+def _tv1d_saddle(b: np.ndarray, mu: float) -> BlockVector:
+    """Exact saddle point ``(x*, y*)`` of ``0.5 ||x - b||^2 + mu ||D x||_1``.
+
+    The primal is Condat's direct algorithm (L. Condat, "A Direct Algorithm
+    for 1-D Total Variation Denoising", IEEE Signal Processing Letters
+    20(11), 2013).  One left-to-right scan grows the current constant
+    segment while the running dual stays inside ``[-mu, mu]``;
+    ``vmin``/``vmax`` bound the segment's value and ``umin``/``umax`` are the
+    dual values they imply at sample ``k``.  When a bound is violated the
+    segment is emitted up to the last position where that bound was tight
+    (``kminus``/``kplus``) and the scan restarts there.  Worst case O(n^2),
+    linear in practice.
+
+    ``D^T y = b - x*`` then has the unique solution
+    ``y_i = -sum_{j<=i} (b - x*)_j``; the clip only removes rounding beyond
+    the dual box ``|y| <= mu``.
+    """
+    obs = b.tolist()
+    n = len(obs)
+    x = [0.0] * n
+    k = k0 = kminus = kplus = 0
+    vmin, vmax = obs[0] - mu, obs[0] + mu
+    umin, umax = mu, -mu
+    while True:
+        while k == n - 1:  # right boundary: the dual must end at zero
+            if umin < 0.0:  # vmin too high, a negative jump ends the segment
+                x[k0:kminus + 1] = [vmin] * (kminus + 1 - k0)
+                k = k0 = kminus = kminus + 1
+                vmin, umin = obs[k], mu
+                umax = vmin + umin - vmax
+            elif umax > 0.0:  # vmax too low, a positive jump ends the segment
+                x[k0:kplus + 1] = [vmax] * (kplus + 1 - k0)
+                k = k0 = kplus = kplus + 1
+                vmax, umax = obs[k], -mu
+                umin = vmax + umax - vmin
+            else:
+                vmin += umin / (k - k0 + 1)
+                x[k0:] = [vmin] * (n - k0)
+                x_star = np.array(x)
+                return BlockVector(x_star, np.clip(np.cumsum(x_star - b)[:-1], -mu, mu))
+        umin += obs[k + 1] - vmin
+        if umin < -mu:  # negative jump
+            x[k0:kminus + 1] = [vmin] * (kminus + 1 - k0)
+            k = k0 = kminus = kplus = kminus + 1
+            vmin = obs[k]
+            vmax = vmin + 2.0 * mu
+            umin, umax = mu, -mu
+            continue
+        umax += obs[k + 1] - vmax
+        if umax > mu:  # positive jump
+            x[k0:kplus + 1] = [vmax] * (kplus + 1 - k0)
+            k = k0 = kminus = kplus = kplus + 1
+            vmax = obs[k]
+            vmin = vmax - 2.0 * mu
+            umin, umax = mu, -mu
+            continue
+        k += 1  # no jump: sample k joins the segment
+        if umin >= mu:
+            kminus = k
+            vmin += (umin - mu) / (k - k0 + 1)
+            umin = mu
+        if umax <= -mu:
+            kplus = k
+            vmax += (umax + mu) / (k - k0 + 1)
+            umax = -mu
 
 
 # --------------------------------------------------------------------------
@@ -174,8 +238,8 @@ def make_quadratic(dim: int, mu: float, L_smooth: float, seed: int) -> Benchmark
     Q = _orthogonal(gen, dim)
     A = Q @ np.diag(eigs) @ Q.T
     A = 0.5 * (A + A.T)
-    b = _normal_vec(gen, dim)
-    x0 = _normal_vec(gen, dim)
+    b = gen.normals(dim)
+    x0 = gen.normals(dim)
     A_map = LinearMap(A)
     ref = solve_spd(A_map, b)
 
@@ -259,7 +323,10 @@ def make_tv1d(n: int, mu_reg: float, seed: int) -> BenchmarkInstance:
     ``D`` is the (n-1) x n forward-difference map (norm below 2).  Both the
     primal-dual and the split Douglas-Rachford builders target the same
     saddle point, so the stored reference fixed point is valid for either
-    scheme at any admissible step sizes.
+    scheme at any admissible step sizes.  The saddle point is exact: the
+    primal by Condat's direct algorithm, the dual from ``D^T y = b - x*``,
+    which has one solution because ``D^T`` is injective.  It works at every
+    ``n``, and ``mu_reg = 0`` gives back ``(b, 0)``.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
@@ -274,7 +341,7 @@ def make_tv1d(n: int, mu_reg: float, seed: int) -> BenchmarkInstance:
         end = n if i == n_seg - 1 else (i + 1) * seg
         signal[i * seg:end] = levels[i]
     level = 0.01 * (signal.max() - signal.min())
-    b = signal + level * _normal_vec(gen, n)
+    b = signal + level * gen.normals(n)
 
     D = np.zeros((n - 1, n))
     for i in range(n - 1):
@@ -293,13 +360,7 @@ def make_tv1d(n: int, mu_reg: float, seed: int) -> BenchmarkInstance:
     start = BlockVector(np.zeros(n), np.zeros(n - 1))
     defaults = {"pd": {"tau": tau, "sigma": sigma}, "sdr": {"tau": tau, "sigma": sigma}}
 
-    if mu_reg == 0.0:
-        saddle: Optional[BlockVector] = BlockVector(b.copy(), np.zeros(n - 1))
-    else:
-        ref_run = picard(builders["pd"](**defaults["pd"]), start, REFERENCE_TOL, REFERENCE_CAP)
-        if ref_run.status != "converged":
-            raise RuntimeError(f"tv1d reference run did not reach {REFERENCE_TOL:g}")
-        saddle = ref_run.xs[0]
+    saddle = _tv1d_saddle(b, mu_reg)
 
     def objective(x: np.ndarray) -> float:
         r = x - b
@@ -310,7 +371,7 @@ def make_tv1d(n: int, mu_reg: float, seed: int) -> BenchmarkInstance:
         kind="tv1d",
         params={"n": n, "mu_reg": mu_reg, "seed": seed},
         initial_point=np.zeros(n),
-        reference_solution=saddle.primal if saddle is not None else None,
+        reference_solution=saddle.primal,
         objective=objective,
         spectral=SpectralData(mu=1.0, L_smooth=1.0, norm_L=norm_L),
         default_steps=defaults,
@@ -388,7 +449,7 @@ def make_feasibility(dim: int, seed: int) -> BenchmarkInstance:
     if dim < 2:
         raise ValueError("dim must be >= 2")
     gen = SplitMix64(seed)
-    c = _normal_vec(gen, dim)
+    c = gen.normals(dim)
     c *= 0.5 / max(norm(c), 1e-12)  # ||c||_inf <= 0.5, so 0 stays inside the box
     fB = l2_ball(0.8)
     fA = box(c - 1.0, c + 1.0)
@@ -396,7 +457,7 @@ def make_feasibility(dim: int, seed: int) -> BenchmarkInstance:
     def build_dr(r: float) -> OperatorHandle:
         return douglas_rachford_op(fA, fB, r)
 
-    z0 = 3.0 * _normal_vec(gen, dim)
+    z0 = 3.0 * gen.normals(dim)
     ref = np.zeros(dim)
     return BenchmarkInstance(
         name=f"feasibility(dim={dim},seed={seed})",

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ikm import problems
 from ikm.engine import Schedule, StoppingRule, picard, run
 from ikm.linalg import norm
 from ikm.operators import residual
-from ikm.problems import _sensing_data
+from ikm.problems import _sensing_data, _tv1d_saddle
 from ikm.rng import SplitMix64
 
 
@@ -144,7 +147,7 @@ def test_tv1d_huge_regularizer_flattens_to_mean():
     mu_big = 1e3 * (b.max() - b.min())
     flat = problems.make_tv1d(60, mu_big, 11)
     # limit oracle: minimizing over constant signals gives the mean
-    np.testing.assert_allclose(flat.reference_solution, np.full(60, b.mean()), atol=1e-4)
+    np.testing.assert_allclose(flat.reference_solution, np.full(60, b.mean()), atol=1e-9)
 
 
 def test_tv1d_norm_estimate_below_two(tv_200):
@@ -155,11 +158,40 @@ def test_tv1d_norm_estimate_below_two(tv_200):
 def test_tv1d_saddle_is_fixed_point_of_both_schemes(tv_200):
     inst = tv_200
     z = inst.fixed_point("pd")
-    assert residual(inst.operator("pd"), z) <= 1e-10
-    assert residual(inst.operator("sdr"), z) <= 1e-10
+    assert residual(inst.operator("pd"), z) <= 1e-12
+    assert residual(inst.operator("sdr"), z) <= 1e-12
     # and for non-default admissible steps
-    assert residual(inst.operator("pd", tau=0.3, sigma=0.7), z) <= 1e-10
-    assert residual(inst.operator("sdr", tau=0.3, sigma=0.7), z) <= 1e-10
+    assert residual(inst.operator("pd", tau=0.3, sigma=0.7), z) <= 1e-12
+    assert residual(inst.operator("sdr", tau=0.3, sigma=0.7), z) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    b=st.integers(3, 60).flatmap(
+        lambda n: arrays(np.float64, n, elements=st.floats(-10.0, 10.0))),
+    mu=st.floats(0.0, 2.0, exclude_min=True),
+)
+# x* is flat on the last five samples, the scan leaves a jump of -3e-27 there
+@example(b=np.array([0.0, 0.0, -1.0, 0.0, 0.0, 1e-10, 1.88685795e-267, 0.0]), mu=1e-10)
+def test_tv1d_saddle_meets_optimality_conditions(b, mu):
+    # optimality of (x, y) for 0.5 ||x - b||^2 + mu ||D x||_1, checked
+    # without reference to how the solver found it
+    z = _tv1d_saddle(b, mu)
+    x, y = z.primal, z.dual
+    D = np.diff(np.eye(b.size), axis=0)
+    assert np.all(np.abs(y) <= mu)
+    np.testing.assert_allclose(D.T @ y, b - x, rtol=0.0, atol=1e-12)
+    dx = D @ x
+    # a jump at rounding level is not a jump of x*, and has no sign to check
+    jumps = np.abs(dx) > 1e-12
+    np.testing.assert_allclose(y[jumps], mu * np.sign(dx[jumps]), rtol=0.0, atol=1e-12)
+
+
+def test_tv1d_builds_exact_reference_at_n_1000():
+    inst = problems.make_tv1d(1000, 0.5, 1)
+    z = inst.fixed_point("pd")
+    assert residual(inst.operator("pd"), z) <= 1e-12
+    assert residual(inst.operator("sdr"), z) <= 1e-12
 
 
 def test_tv1d_pd_and_sdr_agree(tv_200):

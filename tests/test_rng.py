@@ -58,3 +58,19 @@ def test_below_bounds_and_shuffle_determinism():
     SplitMix64(9).shuffle(items2)
     assert items1 == items2
     assert sorted(items1) == list(range(20))
+
+
+def test_normals_batch_matches_documented_box_muller():
+    # the batch reproduces scalar Box-Muller over the documented raw stream,
+    # with math's functions, and leaves the stream where scalar draws would
+    seed, count = 2**64 - 3, 5000  # more than one vectorized batch
+    raw = reference_stream(seed, 2 * count + 1)
+    u = [(r >> 11) * 2.0 ** -53 for r in raw]
+    expected = [math.sqrt(-2.0 * math.log(1.0 - u[2 * i])) * math.cos(2.0 * math.pi * u[2 * i + 1])
+                for i in range(count)]
+    gen = SplitMix64(seed)
+    assert gen.normals(count).tolist() == expected
+    assert gen.next_raw() == raw[-1]
+    gen = SplitMix64(seed)
+    assert gen.normals(0).tolist() == []
+    assert [gen.normal() for _ in range(3)] == expected[:3]
