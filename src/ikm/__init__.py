@@ -44,6 +44,7 @@ from .engine import (
 )
 from .linalg import (
     BlockVector,
+    DifferenceMap,
     LinearMap,
     combine,
     dot,
@@ -56,6 +57,7 @@ from .operators import (
     ProxFunction,
     box,
     davis_yin_op,
+    diagonal_quadratic,
     douglas_rachford_op,
     forward_backward_op,
     gradient_step_op,

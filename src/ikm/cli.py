@@ -215,13 +215,21 @@ def feasibility_summary(schedule: Schedule, resolved_sched: Dict[str, str],
                 f"margin={_fmt(h2.margin)} {verdict}"
             )
     else:
+        # the same effective relaxation as the constant check: eta_k = gamma * lambda_k
+        if gamma is None:
+            eta_schedule, eta = schedule, "lambda_k"
+        else:
+            eta_schedule = Schedule(schedule.alpha_at,
+                                    lambda k: gamma * schedule.lambda_at(k), schedule.kind)
+            eta = f"gamma*lambda_k, gamma={_fmt(gamma)}"
         ks = range(2, min(max_iters, 100_000) + 1)
-        rep = cert.check_relaxation_seq(schedule, ks)
+        rep = cert.check_relaxation_seq(eta_schedule, ks)
         verdict = "PASS" if rep.tail_satisfied else "FAIL"
         all_pass &= rep.tail_satisfied
         lines.append(
-            f"relaxation_seq(tail {rep.tail_window} of {len(rep.ks)}): sup={_fmt(rep.tail_sup)} "
-            f"first_nonstrict_k={rep.first_nonstrict_k} {verdict} (tail-satisfied, not proved)"
+            f"relaxation_seq(eta_k={eta}; tail {rep.tail_window} of {len(rep.ks)}): "
+            f"sup={_fmt(rep.tail_sup)} first_nonstrict_k={rep.first_nonstrict_k} {verdict} "
+            f"(tail-satisfied, not proved)"
         )
     for note in op.notes:
         lines.append(f"note: {note}")

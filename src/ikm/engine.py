@@ -277,7 +277,8 @@ def run(
                 raise ValueError(f"lambda_{k} = {l_k} must be > 0")
 
             T = fam(k)
-            y = x_curr if a_k == 0.0 else flush_subnormals(x_curr + a_k * (x_curr - x_prev))
+            diff = x_curr - x_prev
+            y = x_curr if a_k == 0.0 else flush_subnormals(x_curr + a_k * diff)
             ty = T.apply(y)
             res = norm(y - ty)
             # a finite residual implies finite y and T y; a merely overflowing
@@ -285,7 +286,7 @@ def run(
             if not math.isfinite(res) and not (is_finite(y) and is_finite(ty)):
                 raise DivergenceError(k, result("diverged"))
 
-            step = norm(x_curr - x_prev)
+            step = norm(diff)
             nu_k = 1.0 / l_k - 1.0
             delta = 0.0 if k == 1 else nu_prev * (1.0 - a_prev) * step * step
 

@@ -1,13 +1,19 @@
-"""Dense real linear algebra shared by every other module.
+"""Real linear algebra shared by every other module.
 
 Points of the base space are 1-D float64 numpy arrays; points of a product
-space (primal x dual) are :class:`BlockVector`. Everything here is a pure
-function of its inputs: reductions go through a single NumPy build in a fixed
-order, so repeated calls are bit-reproducible within one installation.
+space (primal x dual) are :class:`BlockVector`. Linear maps are either dense
+(:class:`LinearMap`, a stored matrix) or structured
+(:class:`DifferenceMap`, forward differences applied in O(n) with no
+matrix); both expose ``rows``, ``cols``, ``apply``, ``apply_adjoint`` and a
+certified upper bound ``norm_upper()`` on the operator norm. Everything here
+is a pure function of its inputs: reductions go through a single NumPy build
+in a fixed order, so repeated calls are bit-reproducible within one
+installation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -18,6 +24,7 @@ from .rng import SplitMix64
 
 __all__ = [
     "BlockVector",
+    "DifferenceMap",
     "LinearMap",
     "Point",
     "combine",
@@ -30,12 +37,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class BlockVector:
-    """Point (primal, dual) of a product space X x Y."""
+    """Point (primal, dual) of a product space X x Y.
 
-    primal: np.ndarray
-    dual: np.ndarray
+    Slotted with a plain constructor: the engine builds several per step, so
+    construction cost is part of every product-space iteration.
+    """
+
+    __slots__ = ("primal", "dual")
+
+    def __init__(self, primal: np.ndarray, dual: np.ndarray):
+        self.primal = primal
+        self.dual = dual
 
     def __add__(self, other: "BlockVector") -> "BlockVector":
         return BlockVector(self.primal + other.primal, self.dual + other.dual)
@@ -59,7 +72,7 @@ Point = Union[np.ndarray, BlockVector]
 def dot(a: Point, b: Point) -> float:
     """Euclidean inner product (block-wise for product-space points)."""
     if isinstance(a, BlockVector) or isinstance(b, BlockVector):
-        return dot(a.primal, b.primal) + dot(a.dual, b.dual)
+        return float(np.dot(a.primal, b.primal)) + float(np.dot(a.dual, b.dual))
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return float(np.dot(a, b))
@@ -88,6 +101,7 @@ def is_finite(a: Point) -> bool:
 
 
 _TINY = np.finfo(float).tiny
+_EPS = np.finfo(float).eps
 
 
 def flush_subnormals(a: Point) -> Point:
@@ -97,8 +111,8 @@ def flush_subnormals(a: Point) -> Point:
     make every later matvec on the point many times slower.
     """
     if isinstance(a, BlockVector):
-        flush_subnormals(a.primal)
-        flush_subnormals(a.dual)
+        a.primal[np.abs(a.primal) < _TINY] = 0.0
+        a.dual[np.abs(a.dual) < _TINY] = 0.0
     else:
         a[np.abs(a) < _TINY] = 0.0
     return a
@@ -132,8 +146,64 @@ class LinearMap:
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
         return self.matrix.T @ y
 
+    def norm_upper(self) -> float:
+        """Schur's bound ``sqrt(||L||_1 ||L||_inf)`` on the operator norm.
 
-def operator_norm_estimate(L: LinearMap, iters: int = 200, seed: int = 0) -> float:
+        The factor covers the rounding of the two absolute sums.
+        """
+        a = np.abs(self.matrix)
+        one, inf = float(a.sum(axis=0).max()), float(a.sum(axis=1).max())
+        return math.sqrt(one * inf) * (1.0 + (self.rows + self.cols) * _EPS)
+
+
+class DifferenceMap:
+    """Forward differences ``(D x)_i = x_{i+1} - x_i``, an (n-1) x n map.
+
+    Held without a matrix: ``apply`` and ``apply_adjoint`` cost O(n).  Each
+    output entry is one subtraction (or a negation), so both agree bit for
+    bit with the dense +-1 bidiagonal matrix times the same vector, up to the
+    sign of a zero.
+    """
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        if n < 2:
+            raise ValueError("DifferenceMap needs n >= 2")
+        self.n = n
+
+    @property
+    def rows(self) -> int:
+        return self.n - 1
+
+    @property
+    def cols(self) -> int:
+        return self.n
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return x[1:] - x[:-1]
+
+    def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
+        out = np.empty(self.n)
+        out[0] = -y[0]
+        out[1:-1] = y[:-1] - y[1:]
+        out[-1] = y[-1]
+        return out
+
+    def norm_upper(self) -> float:
+        """``||D|| = 2 cos(pi / (2n))``, rounded up.
+
+        ``D D^T`` is the (n-1) x (n-1) tridiagonal matrix with 2 on the
+        diagonal and -1 beside it, whose largest eigenvalue is
+        ``2 + 2 cos(pi / n) = 4 cos^2(pi / (2n))``.  The factor lifts the
+        few-ulp error of the rounded argument and of ``cos`` above the exact
+        value.
+        """
+        return 2.0 * math.cos(math.pi / (2 * self.n)) * (1.0 + 4.0 * _EPS)
+
+
+def operator_norm_estimate(L: Union[LinearMap, DifferenceMap], iters: int = 200,
+                           seed: int = 0) -> float:
     """Largest singular value of ``L`` by power iteration on ``L^T L``.
 
     The returned value is ``||L v||`` for a unit vector ``v``, hence a lower

@@ -12,17 +12,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .linalg import BlockVector, LinearMap, Point, norm, operator_norm_estimate, spd_solver
+from .linalg import BlockVector, DifferenceMap, LinearMap, Point, norm, spd_solver
+# re-exported: the benchmark harness wraps ``operators.operator_norm_estimate``
+from .linalg import operator_norm_estimate  # noqa: F401
 
 __all__ = [
     "OperatorHandle",
     "ProxFunction",
     "box",
     "davis_yin_op",
+    "diagonal_quadratic",
     "douglas_rachford_op",
     "evaluate",
     "forward_backward_op",
@@ -48,7 +51,8 @@ class ProxFunction:
     """Convex function with a closed-form (or one-solve) proximal map.
 
     ``kind`` is one of ``l1``, ``box``, ``quadratic``, ``l2_ball``, ``zero``;
-    the remaining fields are per-kind parameters.
+    the remaining fields are per-kind parameters.  A quadratic holds either a
+    matrix ``A`` or, when diagonal, only its diagonal ``diag``.
     """
 
     kind: str
@@ -58,6 +62,7 @@ class ProxFunction:
     A: Optional[LinearMap] = None
     b: Optional[np.ndarray] = None
     radius: float = 0.0
+    diag: Optional[np.ndarray] = None
 
 
 def l1(weight: float) -> ProxFunction:
@@ -78,6 +83,14 @@ def box(lo, hi) -> ProxFunction:
 def quadratic(A: LinearMap, b: np.ndarray) -> ProxFunction:
     """``0.5 x^T A x - b^T x`` with A symmetric positive semidefinite."""
     return ProxFunction("quadratic", A=A, b=np.asarray(b, dtype=float))
+
+
+def diagonal_quadratic(diag: np.ndarray, b: np.ndarray) -> ProxFunction:
+    """``0.5 x^T diag(d) x - b^T x`` with ``d >= 0``, held by ``d`` alone (no n x n matrix)."""
+    d = np.asarray(diag, dtype=float)
+    if np.any(d < 0.0):
+        raise ValueError("diagonal entries must be >= 0")
+    return ProxFunction("quadratic", diag=d, b=np.asarray(b, dtype=float))
 
 
 def l2_ball(radius: float) -> ProxFunction:
@@ -103,6 +116,8 @@ def evaluate(f: ProxFunction, x: np.ndarray) -> float:
     if f.kind == "l2_ball":
         return 0.0 if norm(x) <= f.radius * (1.0 + 1e-12) else math.inf
     if f.kind == "quadratic":
+        if f.A is None:
+            return 0.5 * float(x @ (f.diag * x)) - float(f.b @ x)
         return 0.5 * float(x @ f.A.matrix @ x) - float(f.b @ x)
     raise ValueError(f"unknown kind {f.kind!r}")
 
@@ -110,8 +125,8 @@ def evaluate(f: ProxFunction, x: np.ndarray) -> float:
 def make_prox(f: ProxFunction, rho: float) -> Callable[[np.ndarray], np.ndarray]:
     """Specialized closure for ``v -> prox_{rho f}(v)``.
 
-    The quadratic kind factors ``I + rho A`` once (diagonal A is solved
-    directly), which is what makes long resolvent iterations cheap.
+    The quadratic kind factors ``I + rho A`` once (a diagonal quadratic is
+    solved directly), which is what makes long resolvent iterations cheap.
     """
     if rho <= 0:
         raise ValueError("rho must be > 0")
@@ -132,14 +147,12 @@ def make_prox(f: ProxFunction, rho: float) -> Callable[[np.ndarray], np.ndarray]
 
         return project
     if f.kind == "quadratic":
-        A, b = f.A.matrix, f.b
-        n = A.shape[0]
-        diag = np.diagonal(A)
-        if np.count_nonzero(A - np.diag(diag)) == 0:
-            scale = 1.0 + rho * diag
-            return lambda v: (v + rho * b) / scale
-        solve = spd_solver(LinearMap(np.eye(n) + rho * A))
-        return lambda v: solve(v + rho * b)
+        rho_b = rho * f.b
+        if f.A is None:
+            scale = 1.0 + rho * f.diag
+            return lambda v: (v + rho_b) / scale
+        solve = spd_solver(LinearMap(np.eye(f.A.rows) + rho * f.A.matrix))
+        return lambda v: solve(v + rho_b)
     raise ValueError(f"unknown kind {f.kind!r}")
 
 
@@ -227,7 +240,7 @@ def proximal_op(f: ProxFunction, rho: float) -> OperatorHandle:
     p = make_prox(f, rho)
     q = None
     if f.kind == "quadratic":
-        mu, L = _spectrum_bounds(f.A)
+        mu = float(np.min(f.diag)) if f.A is None else _spectrum_bounds(f.A)[0]
         if mu > 0:
             q = 1.0 / (1.0 + rho * mu)
     return OperatorHandle(
@@ -298,21 +311,33 @@ def douglas_rachford_op(fA: ProxFunction, fB: ProxFunction, r: float) -> Operato
     )
 
 
+def _check_steps(L: Union[LinearMap, DifferenceMap], tau: float, sigma: float) -> None:
+    """Require ``tau * sigma * ||L||^2 <= 1`` against a certified upper bound on ``||L||``.
+
+    A power-iteration estimate approaches ``||L||`` from below, so steps set
+    from it can pass a check against it while violating the true bound.
+    """
+    if tau <= 0 or sigma <= 0:
+        raise ValueError("tau and sigma must be > 0")
+    upper = L.norm_upper()
+    if tau * sigma * upper * upper > 1.0 + 1e-12:
+        raise ValueError(f"step bound violated: tau*sigma*||L||^2 may reach "
+                         f"{tau * sigma * upper * upper:.6g} > 1 (||L|| <= {upper:.6g})")
+
+
 def primal_dual_op(
-    f: ProxFunction, g: ProxFunction, L: LinearMap, tau: float, sigma: float
+    f: ProxFunction, g: ProxFunction, L: Union[LinearMap, DifferenceMap], tau: float,
+    sigma: float
 ) -> OperatorHandle:
     """One sweep of primal-dual splitting for ``min f(x) + g(L x)``.
 
     Updates ``x+ = prox_{tau f}(x - tau L^T y)`` then ``y+ =
     prox_{sigma g*}(y + sigma L (2 x+ - x))``; requires
-    ``tau * sigma * ||L||^2 <= 1``.  The map is 1/2-averaged on the product
-    space and the primal block of a fixed point solves the problem.
+    ``tau * sigma * ||L||^2 <= 1``, checked against ``L.norm_upper()``.  The
+    map is 1/2-averaged on the product space and the primal block of a fixed
+    point solves the problem.
     """
-    if tau <= 0 or sigma <= 0:
-        raise ValueError("tau and sigma must be > 0")
-    est = operator_norm_estimate(L)
-    if tau * sigma * est * est > 1.0 + 1e-12:
-        raise ValueError(f"step bound violated: tau*sigma*||L||^2 = {tau * sigma * est * est:.6g} > 1")
+    _check_steps(L, tau, sigma)
     pf = make_prox(f, tau)
     pg = make_prox(g, 1.0 / sigma)
 
@@ -333,7 +358,8 @@ def primal_dual_op(
 
 
 def split_dr_op(
-    f: ProxFunction, g: ProxFunction, L: LinearMap, tau: float, sigma: float
+    f: ProxFunction, g: ProxFunction, L: Union[LinearMap, DifferenceMap], tau: float,
+    sigma: float
 ) -> OperatorHandle:
     """Split Douglas-Rachford sweep with scalar preconditioners.
 
@@ -344,13 +370,10 @@ def split_dr_op(
         y+ = sigma * L (x+ - x) + v
 
     Averagedness 1/2 is assumed in the preconditioned metric (flagged in
-    ``notes``); requires ``tau * sigma * ||L||^2 <= 1``.
+    ``notes``); requires ``tau * sigma * ||L||^2 <= 1``, checked against
+    ``L.norm_upper()``.
     """
-    if tau <= 0 or sigma <= 0:
-        raise ValueError("tau and sigma must be > 0")
-    est = operator_norm_estimate(L)
-    if tau * sigma * est * est > 1.0 + 1e-12:
-        raise ValueError(f"step bound violated: tau*sigma*||L||^2 = {tau * sigma * est * est:.6g} > 1")
+    _check_steps(L, tau, sigma)
     pf = make_prox(f, tau)
     pg = make_prox(g, 1.0 / sigma)
 

@@ -18,11 +18,13 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .engine import picard
-from .linalg import BlockVector, LinearMap, Point, norm, operator_norm_estimate, solve_spd
+from .linalg import (BlockVector, DifferenceMap, LinearMap, Point, norm, operator_norm_estimate,
+                     solve_spd)
 from .operators import (
     OperatorHandle,
     box,
     davis_yin_op,
+    diagonal_quadratic,
     douglas_rachford_op,
     forward_backward_op,
     gradient_step_op,
@@ -320,13 +322,19 @@ def make_lasso(m: int, n: int, sparsity: float, mu_reg: float, seed: int) -> Ben
 def make_tv1d(n: int, mu_reg: float, seed: int) -> BenchmarkInstance:
     """1-D total-variation denoising ``0.5 ||x - b||^2 + mu ||D x||_1``.
 
-    ``D`` is the (n-1) x n forward-difference map (norm below 2).  Both the
-    primal-dual and the split Douglas-Rachford builders target the same
-    saddle point, so the stored reference fixed point is valid for either
-    scheme at any admissible step sizes.  The saddle point is exact: the
-    primal by Condat's direct algorithm, the dual from ``D^T y = b - x*``,
-    which has one solution because ``D^T`` is injective.  It works at every
-    ``n``, and ``mu_reg = 0`` gives back ``(b, 0)``.
+    ``D`` is the (n-1) x n forward-difference map, held as a
+    :class:`DifferenceMap` (no matrix, O(n) applies, norm ``2 cos(pi/(2n))``),
+    and the data term is a diagonal quadratic held by its diagonal, so the
+    instance stores no n x n array and each operator apply costs O(n).  The
+    default steps are ``tau = sigma = 0.99 / est`` with ``est`` the power
+    estimate of ``||D||`` (``spectral.norm_L``); the operators check them
+    against the closed-form norm.  Both the primal-dual and the split
+    Douglas-Rachford builders target the same saddle point, so the stored
+    reference fixed point is valid for either scheme at any admissible step
+    sizes.  The saddle point is exact: the primal by Condat's direct
+    algorithm, the dual from ``D^T y = b - x*``, which has one solution
+    because ``D^T`` is injective.  It works at every ``n``, and
+    ``mu_reg = 0`` gives back ``(b, 0)``.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
@@ -343,13 +351,10 @@ def make_tv1d(n: int, mu_reg: float, seed: int) -> BenchmarkInstance:
     level = 0.01 * (signal.max() - signal.min())
     b = signal + level * gen.normals(n)
 
-    D = np.zeros((n - 1, n))
-    for i in range(n - 1):
-        D[i, i], D[i, i + 1] = -1.0, 1.0
-    D_map = LinearMap(D)
+    D_map = DifferenceMap(n)
     norm_L = operator_norm_estimate(D_map)
 
-    f = quadratic(LinearMap(np.eye(n)), b)
+    f = diagonal_quadratic(np.ones(n), b)
     g = l1(mu_reg)
     tau = sigma = 0.99 / norm_L
 
@@ -364,7 +369,7 @@ def make_tv1d(n: int, mu_reg: float, seed: int) -> BenchmarkInstance:
 
     def objective(x: np.ndarray) -> float:
         r = x - b
-        return 0.5 * float(r @ r) + mu_reg * float(np.sum(np.abs(D @ x)))
+        return 0.5 * float(r @ r) + mu_reg * float(np.abs(D_map.apply(x)).sum())
 
     return BenchmarkInstance(
         name=f"tv1d(n={n},mu={mu_reg:g},seed={seed})",

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ikm import certificates as cert
 from ikm.engine import Schedule
@@ -320,3 +322,83 @@ def test_param_point_validation():
         cert.ParamPoint(alpha=1.0, lam=0.5)
     with pytest.raises(ValueError):
         cert.ParamPoint(alpha=0.5, lam=0.5, gamma=1.5)
+
+
+# --------------------------------------------------------------------------
+# property tests of the closed forms
+
+EPS = 2.0 ** -52
+
+
+def _smaller_root(alpha, q):
+    """Smaller root of ``feasibility_poly`` by the cancellation-free quadratic formula."""
+    a, b, c = cert.feasibility_poly_coefficients(alpha, q)
+    return 2.0 * c / (b + math.sqrt(b * b - 4.0 * a * c))
+
+
+@settings(max_examples=500, deadline=None)
+@given(lam=st.floats(0.0, 1.0, exclude_min=True), q=st.floats(0.0, 1.0, exclude_min=True),
+       xi=st.floats(0.0, 1.0))
+def test_contraction_constant_forms_agree(lam, q, xi):
+    base = 1.0 - lam + lam * q
+    form1 = xi * (1.0 - lam + lam * q * q) + (1.0 - xi) * base * base
+    form2 = base * base + xi * lam * (1.0 - lam) * (1.0 - q) ** 2
+    # both lie in [0, 1] and take a handful of roundings each
+    assert abs(form1 - form2) <= 8 * EPS
+    assert cert.contraction_constant(lam, q, xi) == form2
+
+
+@settings(max_examples=500, deadline=None)
+@given(alpha=st.floats(0.01, 0.99), q=st.floats(0.05, 0.99))
+def test_lambda_alpha_q_is_the_unique_root_in_the_unit_interval(alpha, q):
+    lam = cert.lambda_alpha_q(alpha, q)
+    assert 0.0 < lam < 1.0
+    lo, hi = cert.lambda_bracket(alpha, q)
+    assert lo - 1e-12 <= lam <= hi + 1e-12
+    # bisection to 1e-12 against the closed form (itself good to ~1e-13 here)
+    assert abs(lam - _smaller_root(alpha, q)) <= 2e-12
+    # a > 0, so the other root is the larger one; it lies beyond 1
+    a, b, c = cert.feasibility_poly_coefficients(alpha, q)
+    assert a > 0.0
+    assert (b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a) > 1.0
+
+
+@settings(max_examples=500, deadline=None)
+@given(alpha=st.floats(0.01, 0.95), lam=st.floats(0.01, 0.99), q=st.floats(0.01, 1.0))
+def test_xi_threshold_lies_on_the_condition_boundary(alpha, lam, q):
+    def lhs(xi):
+        return cert.check_contraction_condition(alpha, lam, q, xi).lhs
+
+    nu = 1.0 / lam - 1.0
+    # size of the terms the condition's lhs cancels, to scale the rounding
+    scale = alpha * (1.0 + alpha) + nu * alpha * (1.0 - alpha) + nu * (1.0 - alpha)
+    tol = 1e-12 * scale
+    xi = cert.xi_threshold(alpha, lam, q)
+    if xi is None:
+        # lhs is concave in xi with lhs(0) > 0: no root in (0, 1] means
+        # the condition fails on all of it, at xi = 1 in particular
+        assert lhs(1.0) > -tol
+        return
+    assert 0.0 < xi <= 1.0 + 1e-12
+    assert abs(lhs(xi)) <= tol
+    assert lhs(xi * (1.0 - 1e-6)) > -tol
+    assert lhs(1.0) <= tol
+
+
+@settings(max_examples=500, deadline=None)
+@given(k=st.integers(0, 300), alpha=st.floats(0.0, 0.95), Q=st.floats(0.05, 0.99),
+       d1=st.floats(1e-3, 1e3))
+def test_rate_bound_equals_sum_form_for_constant_q(k, alpha, Q, d1):
+    # the quotient form cancels when Q is close to alpha
+    assume(abs(Q - alpha) >= 0.05)
+    assert cert.rate_bound(k, alpha, Q, d1) == pytest.approx(
+        cert.rate_bound_sum(k, alpha, Q, d1), rel=1e-12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(alpha=st.floats(0.0, 0.99), q=st.floats(0.05, 0.99))
+def test_lambda_bracket_encloses_the_root(alpha, q):
+    lo, hi = cert.lambda_bracket(alpha, q)
+    root = _smaller_root(alpha, q)
+    assert 0.0 < lo <= hi <= 1.0
+    assert lo * (1.0 - 1e-12) <= root <= hi * (1.0 + 1e-12)

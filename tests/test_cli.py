@@ -236,6 +236,51 @@ def test_run_quasi_contractive_fills_rate_bound(tmp_path):
     assert "product bound: PASS" in buf.getvalue()
 
 
+LASSO_SCHEDULE_RUN = """
+problem.kind = lasso
+problem.m = 20
+problem.n = 50
+problem.sparsity = 0.1
+problem.mu_reg = 0.05
+problem.seed = 1
+algorithm.scheme = fb
+{schedule}
+stopping.max_iters = 50
+output.trace = {trace}
+"""
+
+
+def _precheck(tmp_path, schedule):
+    cfg = tmp_path / "run.cfg"
+    write(cfg, LASSO_SCHEDULE_RUN.format(schedule=schedule, trace=tmp_path / "t.csv"))
+    buf = io.StringIO()
+    cli.cmd_run(str(cfg), out=buf)
+    return buf.getvalue()
+
+
+def test_sequence_precheck_uses_effective_relaxation(tmp_path):
+    # fb at rho = 1/L is 2/3-averaged: lambda = 1.2 is eta = 0.8, feasible
+    # at alpha = 0.1 in both forms
+    constant = _precheck(tmp_path, "schedule.alpha = 0.1\nschedule.lambda = 1.2")
+    assert "relaxation(eta=0.79999999999999993)" in constant
+    table = _precheck(tmp_path, "schedule.alpha_kind = table\nschedule.alpha_table = 0.1\n"
+                                "schedule.lambda_kind = table\nschedule.lambda_table = 1.2")
+    line = next(l for l in table.splitlines() if l.startswith("relaxation_seq("))
+    assert "eta_k=gamma*lambda_k, gamma=0.66666666666666663" in line
+    assert " PASS " in line
+    for out in (constant, table):
+        assert "FAIL" not in out and "warning" not in out
+
+
+def test_sequence_precheck_fails_infeasible_table(tmp_path):
+    # alpha = 0.3 at eta = 0.8 fails the relaxation bound in either form
+    out = _precheck(tmp_path, "schedule.alpha_kind = table\nschedule.alpha_table = 0.3\n"
+                              "schedule.lambda_kind = table\nschedule.lambda_table = 1.2")
+    line = next(l for l in out.splitlines() if l.startswith("relaxation_seq("))
+    assert " FAIL " in line
+    assert "warning: schedule fails the feasibility certificates" in out
+
+
 # --------------------------------------------------------------------------
 # check-params command
 

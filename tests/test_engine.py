@@ -23,8 +23,17 @@ from ikm.engine import (
     verify_descent,
     verify_product_bound,
 )
-from ikm.linalg import dot, norm
-from ikm.operators import OperatorHandle, douglas_rachford_op, zero
+from ikm.linalg import BlockVector, DifferenceMap, LinearMap, dot, norm, operator_norm_estimate
+from ikm.operators import (
+    OperatorHandle,
+    diagonal_quadratic,
+    douglas_rachford_op,
+    l1,
+    primal_dual_op,
+    split_dr_op,
+    zero,
+)
+from ikm.problems import _tv1d_saddle
 from ikm.rng import SplitMix64
 
 IDENTITY = douglas_rachford_op(zero(), zero(), 1.0)  # exact identity map
@@ -260,6 +269,39 @@ def test_run_keeps_subnormals_out_of_operator_inputs(lasso_default):
     np.testing.assert_array_equal(x1, x1_copy)
     for ty, ty_copy in outputs:
         np.testing.assert_array_equal(ty, ty_copy)
+
+
+@pytest.mark.parametrize("builder", [primal_dual_op, split_dr_op])
+@pytest.mark.parametrize("n", [3, 20, 200])
+def test_difference_map_runs_match_dense_runs_row_for_row(builder, n):
+    # the tv1d operators as make_tv1d builds them against the same operators
+    # on a dense D
+    b = SplitMix64(n).normals(n)
+    mu = 0.5
+    D = DifferenceMap(n)
+    D_dense = LinearMap(np.diff(np.eye(n), axis=0))
+    assert operator_norm_estimate(D) == operator_norm_estimate(D_dense)
+    # Schur's bound on the dense D is 2, above 2 cos(pi / 2n) at small n
+    tau = sigma = 0.99 / D_dense.norm_upper()
+    f = diagonal_quadratic(np.ones(n), b)
+    structured = builder(f, l1(mu), D, tau, sigma)
+    dense = builder(f, l1(mu), D_dense, tau, sigma)
+
+    def objective(L):
+        def value(z):
+            r = z.primal - b
+            return 0.5 * float(r @ r) + mu * float(np.sum(np.abs(L.apply(z.primal))))
+        return value
+
+    p = _tv1d_saddle(b, mu)
+    x1 = BlockVector(np.zeros(n), np.zeros(n - 1))
+    stop = StoppingRule(max_iters=2000)
+    for sched in (Schedule.constant(0.2, 1.0), Schedule.constant(0.3, 0.7)):
+        got = run(structured, x1, sched, stop, p_ref=p, objective=objective(D))
+        want = run(dense, x1, sched, stop, p_ref=p, objective=objective(D_dense))
+        assert got.rows == want.rows  # 2000 rows, or fewer on an exact fixed point
+        for a, c in zip(got.xs, want.xs):
+            assert np.array_equal(a.primal, c.primal) and np.array_equal(a.dual, c.dual)
 
 
 def test_run_stall_detection():

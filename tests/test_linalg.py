@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ikm.linalg import (
     BlockVector,
+    DifferenceMap,
     LinearMap,
     combine,
     dot,
@@ -137,3 +142,57 @@ def test_block_vector_arithmetic():
     assert dot(u, v) == pytest.approx(0.5 + 1.0 + 3.0)
     assert norm(BlockVector(np.array([3.0]), np.array([4.0]))) == 5.0
     assert u.dim == 3
+
+
+# --------------------------------------------------------------------------
+# structured forward differences
+
+
+def dense_difference(n):
+    return np.diff(np.eye(n), axis=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1),
+       zero_frac=st.floats(0.0, 1.0), spread=st.integers(0, 300))
+def test_difference_map_matches_dense_matrix_bitwise(n, seed, zero_frac, spread):
+    # signed zeros and magnitudes from 10^-spread to 10^spread in one vector
+    rng = np.random.default_rng(seed)
+
+    def draw(m):
+        v = rng.standard_normal(m) * 10.0 ** rng.integers(-spread, spread + 1, m)
+        zeros = rng.random(m) < zero_frac
+        v[zeros] = np.copysign(0.0, v[zeros])
+        return v
+
+    x, y = draw(n), draw(n - 1)
+    D = DifferenceMap(n)
+    dense = LinearMap(dense_difference(n))
+    assert (D.rows, D.cols) == (dense.rows, dense.cols)
+    assert np.array_equal(D.apply(x), dense.apply(x))
+    assert np.array_equal(D.apply_adjoint(y), dense.apply_adjoint(y))
+
+
+def test_difference_map_norm_estimate_matches_dense():
+    for n in (2, 3, 20, 200):
+        assert operator_norm_estimate(DifferenceMap(n)) == \
+            operator_norm_estimate(LinearMap(dense_difference(n)))
+
+
+def test_norm_upper_bounds_the_spectral_norm():
+    for n in (2, 3, 8, 50, 200):
+        exact = float(np.linalg.norm(dense_difference(n), 2))
+        upper = DifferenceMap(n).norm_upper()
+        assert exact <= upper <= exact * (1.0 + 1e-14)
+        assert upper == pytest.approx(2.0 * math.cos(math.pi / (2 * n)), rel=1e-15)
+        # a power estimate is a lower bound and may sit well below the norm
+        assert operator_norm_estimate(DifferenceMap(n)) <= upper
+    gen = SplitMix64(8)
+    for rows, cols in ((1, 1), (3, 5), (7, 4), (30, 30)):
+        M = gen.normals(rows * cols).reshape(rows, cols)
+        L = LinearMap(M)
+        a = np.abs(M)
+        schur = math.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max())
+        assert float(np.linalg.norm(M, 2)) <= L.norm_upper()
+        assert L.norm_upper() == pytest.approx(schur, rel=1e-13)
+    assert LinearMap(np.zeros((2, 3))).norm_upper() == 0.0

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from ikm.linalg import BlockVector, LinearMap, dot, norm
+from ikm.linalg import BlockVector, DifferenceMap, LinearMap, dot, norm, operator_norm_estimate
 from ikm.operators import (
     box,
     davis_yin_op,
+    diagonal_quadratic,
     douglas_rachford_op,
+    evaluate,
     forward_backward_op,
     gradient_step_op,
     l1,
@@ -50,6 +52,25 @@ def test_prox_quadratic_identity_matrix():
     v = rand_vec(gen, 6)
     f = quadratic(LinearMap(np.eye(6)), np.zeros(6))
     np.testing.assert_allclose(prox(f, 1.0, v), v / 2.0, atol=1e-14)
+
+
+def test_diagonal_quadratic_matches_dense_diagonal_quadratic():
+    gen = SplitMix64(3)
+    n = 40
+    d = np.abs(rand_vec(gen, n))
+    b = rand_vec(gen, n)
+    held, dense = diagonal_quadratic(d, b), quadratic(LinearMap(np.diag(d)), b)
+    for rho in (0.3, 0.99 / 1.9983, 2.0):
+        for _ in range(10):
+            v = rand_vec(gen, n)
+            # one division against the dense form's Cholesky solve
+            np.testing.assert_allclose(prox(held, rho, v), prox(dense, rho, v),
+                                       rtol=1e-15, atol=0.0)
+    x = rand_vec(gen, n)
+    assert evaluate(held, x) == pytest.approx(evaluate(dense, x), rel=1e-13)
+    assert proximal_op(held, 1.0).q_factor == proximal_op(dense, 1.0).q_factor
+    with pytest.raises(ValueError):
+        diagonal_quadratic(np.array([1.0, -1.0]), np.zeros(2))
 
 
 def test_prox_quadratic_dense_matches_direct_solve():
@@ -229,6 +250,23 @@ def test_primal_dual_step_bound_enforced():
     L = LinearMap(np.eye(3))
     with pytest.raises(ValueError):
         primal_dual_op(l1(1.0), l1(1.0), L, 2.0, 2.0)
+
+
+@pytest.mark.parametrize("builder", [primal_dual_op, split_dr_op])
+def test_steps_from_power_estimate_are_rejected(builder):
+    # the power estimate approaches ||D|| = 2 cos(pi / 400) from below, so
+    # tau = sigma = 1 / est passes a check against it while the true
+    # tau * sigma * ||D||^2 is 1.0016
+    n = 200
+    D = DifferenceMap(n)
+    est = operator_norm_estimate(D)
+    assert (D.norm_upper() / est) ** 2 > 1.0016
+    f, g = diagonal_quadratic(np.ones(n), np.zeros(n)), l1(0.5)
+    dense = LinearMap(np.diff(np.eye(n), axis=0))
+    for L in (D, dense):
+        with pytest.raises(ValueError, match="step bound"):
+            builder(f, g, L, 1.0 / est, 1.0 / est)
+        builder(f, g, L, 0.99 / est, 0.99 / est)  # make_tv1d's defaults
 
 
 def test_split_dr_reduces_without_coupling():

@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +194,23 @@ def test_tv1d_builds_exact_reference_at_n_1000():
     z = inst.fixed_point("pd")
     assert residual(inst.operator("pd"), z) <= 1e-12
     assert residual(inst.operator("sdr"), z) <= 1e-12
+
+
+def test_tv1d_builds_in_linear_time_and_memory():
+    # a dense D would be 128 MB at this size and its power estimate seconds long
+    start = time.perf_counter()
+    inst = problems.make_tv1d(4000, 0.5, 1)
+    op = inst.operator("pd")
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        problems.make_tv1d(4000, 0.5, 1).operator("pd")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5
+    assert peak < 5 * 2 ** 20
+    assert residual(op, inst.fixed_point("pd")) <= 1e-12
 
 
 def test_tv1d_pd_and_sdr_agree(tv_200):
