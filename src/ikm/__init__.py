@@ -33,6 +33,7 @@ from .engine import (
     RunResult,
     Schedule,
     StoppingRule,
+    Trace,
     TraceRow,
     picard,
     run,
@@ -46,7 +47,6 @@ from .linalg import (
     BlockVector,
     DifferenceMap,
     LinearMap,
-    combine,
     dot,
     norm,
     operator_norm_estimate,

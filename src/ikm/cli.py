@@ -17,6 +17,8 @@ the fully resolved configuration is embedded as a '# config:' comment.
 from __future__ import annotations
 
 import argparse
+import itertools
+import math
 import sys
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -25,10 +27,15 @@ import numpy as np
 from . import certificates as cert
 from . import engine, problems
 from .config import ConfigError, ConfigView, deserialize_config, load_config, serialize_config
-from .engine import DivergenceError, Schedule, StoppingRule, TraceRow
+from .engine import (COLUMNS, OPTIONAL_COLUMNS, DivergenceError, Schedule, StoppingRule, Trace,
+                     monotone_prefix, schedule_columns)
 from .operators import OperatorHandle, residual as op_residual
 
-TRACE_COLUMNS = "k,residual,step,nu_k,delta_k,Delta_k,C_k,dist_to_ref,k_step_sq,k_res_sq,objective,rate_bound"
+TRACE_COLUMNS = ",".join(COLUMNS)
+# rows per "%" format call when writing a trace and per split when reading
+# one: large enough to amortize the call, small enough that a chunk's string
+# or tokens stay well under a megabyte
+_CHUNK = 1024
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -242,67 +249,74 @@ def feasibility_summary(schedule: Schedule, resolved_sched: Dict[str, str],
 # trace I/O
 
 
-def write_trace(path: str, rows: List[TraceRow], resolved: Dict[str, str]) -> None:
+def write_trace(path: str, trace: Trace, resolved: Dict[str, str]) -> None:
+    """Write ``ikm-trace-v1``: two comment lines, the header, one line per row.
+
+    Each present float column is printed with ``%.17g`` and an absent one as
+    an empty field; rows are formatted a chunk at a time by one ``%``.
+    """
+    present = [getattr(trace, name) for name in COLUMNS if getattr(trace, name) is not None]
+    row_fmt = ",".join("%d" if name == "k" else "" if getattr(trace, name) is None else "%.17g"
+                       for name in COLUMNS) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# ikm-trace-v1\n")
         fh.write("# config: " + serialize_config(resolved) + "\n")
         fh.write(TRACE_COLUMNS + "\n")
-        for r in rows:
-            fh.write(",".join([
-                str(r.k), _fmt(r.residual), _fmt(r.step), _fmt(r.nu_k),
-                _fmt(r.delta_k), _fmt(r.Delta_k), _fmt(r.C_k), _fmt(r.dist_to_ref),
-                _fmt(r.k_step_sq), _fmt(r.k_res_sq), _fmt(r.objective),
-                _fmt(r.rate_bound),
-            ]) + "\n")
+        for lo in range(0, len(trace), _CHUNK):
+            chunk = [col[lo:lo + _CHUNK].tolist() for col in present]
+            values = tuple(itertools.chain.from_iterable(zip(*chunk)))
+            fh.write(row_fmt * len(chunk[0]) % values)
 
 
-def read_trace(path: str) -> Tuple[List[TraceRow], Dict[str, str]]:
-    rows: List[TraceRow] = []
+def _parse_column(path: str, name: str, tokens: List[str]) -> Optional[np.ndarray]:
+    """One column of a chunk of rows: an array, or None when every field is empty."""
+    if not any(tokens):
+        return None
+    if "" in tokens:
+        raise ConfigError(f"{path}: column {name} mixes empty and filled fields")
+    try:
+        return np.array(list(map(int if name == "k" else float, tokens)))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: column {name}: {exc}") from None
+
+
+def read_trace(path: str) -> Tuple[Trace, Dict[str, str]]:
+    """Parse an ``ikm-trace-v1`` file into a :class:`Trace` and its config.
+
+    Every row must have one field per column.  A column must be all numbers
+    or, for the optional columns, all empty.  Rows are split and parsed a
+    chunk at a time, column by column, so the parse holds no more than one
+    chunk of tokens.
+    """
     cfg: Dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    body: List[str] = []
     for line in lines:
         if line.startswith("# config: "):
             cfg = deserialize_config(line[len("# config: "):])
-        elif line.startswith("#") or not line.strip():
-            continue
-        else:
-            body.append(line)
+    body = [line for line in lines if line.strip() and not line.startswith("#")]
     if not body or body[0] != TRACE_COLUMNS:
         raise ConfigError(f"{path}: not an ikm trace (missing column header)")
-
-    def opt(tok: str) -> Optional[float]:
-        return float(tok) if tok else None
-
+    width = len(COLUMNS)
     for line in body[1:]:
-        toks = line.split(",")
-        if len(toks) != 12:
+        if line.count(",") != width - 1:
             raise ConfigError(f"{path}: malformed row {line!r}")
-        rows.append(TraceRow(
-            k=int(toks[0]), residual=float(toks[1]), step=float(toks[2]),
-            nu_k=float(toks[3]), delta_k=float(toks[4]), Delta_k=opt(toks[5]),
-            C_k=opt(toks[6]), dist_to_ref=opt(toks[7]), k_step_sq=float(toks[8]),
-            k_res_sq=float(toks[9]), objective=opt(toks[10]), rate_bound=opt(toks[11]),
-        ))
-    return rows, cfg
-
-
-def monotone_prefix(values: List[float], slack: float = 1e-12) -> int:
-    """Length of the maximal nonincreasing positive prefix.
-
-    Trace tails that have reached the floating-point floor jitter at rounding
-    level; the small-o diagnostic is applied to the prefix that still
-    measures the iteration rather than the noise.
-    """
-    n = 0
-    prev = None
-    for v in values:
-        if v <= 0.0 or (prev is not None and v > prev * (1.0 + slack)):
-            break
-        prev = v
-        n += 1
-    return n
+    chunks: Dict[str, list] = {name: [] for name in COLUMNS}
+    for lo in range(1, len(body), _CHUNK):
+        tokens = ",".join(body[lo:lo + _CHUNK]).split(",")
+        for j, name in enumerate(COLUMNS):
+            chunks[name].append(_parse_column(path, name, tokens[j::width]))
+    columns = {}
+    for name, parts in chunks.items():
+        filled = [part for part in parts if part is not None]
+        if not filled and name in OPTIONAL_COLUMNS:
+            columns[name] = None
+        elif len(filled) < len(parts):
+            raise ConfigError(f"{path}: column {name} "
+                              + ("mixes empty and filled fields" if filled else "is empty"))
+        else:
+            columns[name] = np.concatenate(filled) if filled else []
+    return Trace(**columns), cfg
 
 
 # --------------------------------------------------------------------------
@@ -341,26 +355,26 @@ def cmd_run(config_path: str, out=sys.stdout) -> int:
         result = engine.run(op, instance.start_point(scheme), schedule, stop,
                             p_ref=p_ref, objective=objective)
         status = result.status
-        rows = result.rows
         exit_code = EXIT_OK if status == "converged" else EXIT_MAX_ITERS
     except DivergenceError as exc:
         result = exc.partial
         status = "diverged"
-        rows = result.rows
         exit_code = EXIT_DIVERGED
+    trace = result.rows
 
     # rate-bound column for certified quasi-contractive constant-parameter runs
     q = op.q_factor
-    if (q is not None and p_ref is not None and rows
+    if (q is not None and p_ref is not None and len(trace)
             and _schedule_is_constant(resolved_sched)):
         alpha = float(resolved_sched["schedule.alpha"])
         lam = float(resolved_sched["schedule.lambda"])
         if 0.0 < lam <= 1.0:
             Q_const = cert.contraction_constant(lam, q, xi)
             if alpha < Q_const < 1.0:
-                d1 = rows[0].dist_to_ref ** 2
-                for r in rows:
-                    r.rate_bound = cert.rate_bound(r.k - 1, alpha, Q_const, d1)
+                # scalar calls: libm pow, not NumPy power, keeps the column's bits
+                d1 = trace[0].dist_to_ref ** 2
+                trace.rate_bound = np.array(
+                    [cert.rate_bound(k - 1, alpha, Q_const, d1) for k in trace.k.tolist()])
 
     resolved: Dict[str, str] = {}
     for key, value in instance.params.items():
@@ -384,9 +398,9 @@ def cmd_run(config_path: str, out=sys.stdout) -> int:
         resolved["derived.beta"] = _fmt(op.beta)
     resolved["derived.warning"] = "0" if feasible else "1"
 
-    write_trace(trace_path, rows, resolved)
-    print(f"status={status} iterations={len(rows)} "
-          f"final_residual={_fmt(rows[-1].residual if rows else None)}", file=out)
+    write_trace(trace_path, trace, resolved)
+    print(f"status={status} iterations={len(trace)} "
+          f"final_residual={_fmt(result.final_residual if len(trace) else None)}", file=out)
     print(f"trace written to {trace_path}", file=out)
 
     failed = False
@@ -399,13 +413,18 @@ def cmd_run(config_path: str, out=sys.stdout) -> int:
     return exit_code
 
 
+def _small_o_columns(trace: Trace):
+    """The squared residuals and the squared steps after the first row."""
+    with np.errstate(over="ignore"):
+        return trace.residual * trace.residual, trace.step[1:] * trace.step[1:]
+
+
 def _run_check(name: str, trace, schedule: Schedule, q: Optional[float],
                xi: float) -> Tuple[str, bool]:
     """One ``check <name>: ...`` line and whether it reports a FAIL."""
-    rows = trace.rows if isinstance(trace, engine.RunResult) else trace
     if name == "ck":
         try:
-            bad = engine.verify_Ck_monotone(rows)
+            bad = engine.verify_Ck_monotone(trace)
         except ValueError as exc:
             return f"check ck: SKIPPED ({exc})", False
         return ("check ck: PASS", False) if bad is None else (f"check ck: FAIL at k={bad}", True)
@@ -429,10 +448,7 @@ def _run_check(name: str, trace, schedule: Schedule, q: Optional[float],
     if name == "small_o":
         parts = []
         failed = False
-        for label, vals in (
-            ("res^2", [r.residual ** 2 for r in rows]),
-            ("step^2", [r.step ** 2 for r in rows[1:]]),
-        ):
+        for label, vals in zip(("res^2", "step^2"), _small_o_columns(engine.as_trace(trace))):
             n = monotone_prefix(vals)
             if n < 4:
                 parts.append(f"{label}: SKIPPED (prefix too short)")
@@ -539,10 +555,12 @@ def cmd_sweep(config_path: str, out=sys.stdout) -> int:
         warning = "" if h1.satisfied else "infeasible-relaxation"
         # the table reports only the last row's objective: keep the iterate
         # each row describes and evaluate the objective once, on the last one
+        # (the trace's objective column reads nan and is not used)
         last_x: List = [None]
 
-        def remember(x) -> None:
+        def remember(x) -> float:
             last_x[0] = x
+            return math.nan
 
         try:
             result = engine.run(op, instance.start_point(scheme), schedule, stop,
@@ -584,15 +602,15 @@ def cmd_sweep(config_path: str, out=sys.stdout) -> int:
 
 
 def cmd_certify(trace_path: str, out=sys.stdout) -> int:
-    rows, cfg = read_trace(trace_path)
-    if not rows:
+    trace, cfg = read_trace(trace_path)
+    if not len(trace):
         raise ConfigError(f"{trace_path}: empty trace")
     if not cfg:
         raise ConfigError(f"{trace_path}: missing embedded '# config:' line")
     schedule, resolved_sched = build_schedule(ConfigView(cfg))
     xi = float(resolved_sched["schedule.xi"])
     q = float(cfg["derived.q_factor"]) if "derived.q_factor" in cfg else None
-    has_ref = all(r.dist_to_ref is not None for r in rows)
+    has_ref = trace.dist_to_ref is not None
 
     failures = 0
 
@@ -601,33 +619,33 @@ def cmd_certify(trace_path: str, out=sys.stdout) -> int:
         failures += int(failed)
         print(line, file=out)
 
-    if all(r.C_k is not None for r in rows):
-        bad = engine.verify_Ck_monotone(rows)
+    if trace.C_k is not None:
+        bad = engine.verify_Ck_monotone(trace)
         emit("Ck monotone: PASS" if bad is None else f"Ck monotone: FAIL at k={bad}",
              failed=bad is not None)
     else:
         emit("Ck monotone: SKIPPED (no C_k column)")
 
     if has_ref:
-        rep = engine.verify_descent(rows, schedule=schedule)
+        rep = engine.verify_descent(trace, schedule=schedule)
         emit(f"descent: PASS ({rep.checked} indices)" if rep.ok
              else f"descent: FAIL at k={rep.violations[:5]}", failed=not rep.ok)
     else:
         emit("descent: SKIPPED (no dist_to_ref column)")
 
-    lam_ok = all(0.0 < schedule.lambda_at(r.k) <= 1.0 for r in rows)
+    _, lam = schedule_columns(schedule, trace.k)
+    lam_ok = bool(np.all((0.0 < lam) & (lam <= 1.0)))
     if q is not None and has_ref and lam_ok:
-        repc = engine.verify_contraction(rows, q, xi, schedule=schedule)
+        repc = engine.verify_contraction(trace, q, xi, schedule=schedule)
         emit(f"contraction: PASS ({repc.checked} indices)" if repc.ok
              else f"contraction: FAIL at k={repc.violations[:5]}", failed=not repc.ok)
-        repp = engine.verify_product_bound(rows, q, xi, schedule=schedule)
+        repp = engine.verify_product_bound(trace, q, xi, schedule=schedule)
         emit(f"product bound: PASS ({repp.checked} indices)" if repp.ok
              else f"product bound: FAIL at k={repp.violations[:5]}", failed=not repp.ok)
     else:
         emit("contraction: SKIPPED (needs certified q, dist column, lambda <= 1)")
 
-    for label, vals in (("k*res^2", [r.residual ** 2 for r in rows]),
-                        ("k*step^2", [r.step ** 2 for r in rows[1:]])):
+    for label, vals in zip(("k*res^2", "k*step^2"), _small_o_columns(trace)):
         n = monotone_prefix(vals)
         if n < 4:
             emit(f"small-o {label}: SKIPPED (monotone prefix too short)")

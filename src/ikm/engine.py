@@ -5,10 +5,15 @@ The iteration is
     y_k     = x_k + alpha_k (x_k - x_{k-1})
     x_{k+1} = (1 - lambda_k) y_k + lambda_k T_k(y_k)
 
-started from ``x_0 = x_1`` so the first inertial term vanishes.  Each step
-records a :class:`TraceRow` with the residual ``||y_k - T_k y_k||``, the speed
-``||x_k - x_{k-1}||`` and, when a reference fixed point is supplied, the
-Lyapunov quantities
+started from ``x_0 = x_1`` so the first inertial term vanishes.  A run's
+record is one :class:`Trace` of NumPy columns, one entry per step.  Each step
+appends only what it measures: the residual ``||y_k - T_k y_k||``, the speed
+``||x_k - x_{k-1}||``, ``alpha_k`` and ``lambda_k``, the distance
+``||x_k - p||`` when a reference fixed point is supplied and the objective
+when one is.  Once per run (also for the partial trace a
+:class:`DivergenceError` carries) the rest is derived from those columns:
+``k ||x_k - x_{k-1}||^2``, ``k ||y_k - T_k y_k||^2`` and the Lyapunov
+quantities
 
     nu_k     = 1/lambda_k - 1
     delta_k  = nu_{k-1} (1 - alpha_{k-1}) ||x_k - x_{k-1}||^2
@@ -26,12 +31,16 @@ entry squares to zero, so the norms a trace records do not see it; the
 traces and sweep tables of the benchmark workloads are byte-identical with
 and without the flush.
 
+The derived columns use the scalar products of the step in the same order
+(``a_{k-1} * d_{k-1} * d_{k-1}``, never ``a * d**2``), so they have the
+bits a per-step computation would give them.
+
 A run keeps only the last two iterates and the last inertial point; the
-trace rows are its record.  The verify_* functions replay the per-iteration
-inequalities of the convergence analysis from those rows alone, whether they
-come from a :class:`RunResult` or from an exported CSV.  Distances to ``p``
-and steps are columns; the cross terms the inequalities need are
-reconstructed through the identity
+trace is its record.  The verify_* functions replay the per-iteration
+inequalities of the convergence analysis as array expressions over the
+trace columns alone, whether they come from a :class:`RunResult` or from an
+exported CSV.  Distances to ``p`` and steps are columns; the cross terms the
+inequalities need are reconstructed through the identity
 
     lambda_k^2 ||y_k - T_k y_k||^2 = ||x_{k+1} - x_k||^2
         + alpha_k^2 ||x_k - x_{k-1}||^2
@@ -43,8 +52,8 @@ Runs are strictly sequential; independent runs share no mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from dataclasses import dataclass, field, fields
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,9 +67,13 @@ __all__ = [
     "RunResult",
     "Schedule",
     "StoppingRule",
+    "Trace",
     "TraceRow",
+    "as_trace",
+    "monotone_prefix",
     "picard",
     "run",
+    "schedule_columns",
     "small_o_check",
     "verify_Ck_monotone",
     "verify_contraction",
@@ -171,7 +184,11 @@ class StoppingRule:
 
 @dataclass
 class TraceRow:
-    """Diagnostics of one iteration (reference-dependent fields may be None)."""
+    """Diagnostics of one iteration (reference-dependent fields may be None).
+
+    The row view of a :class:`Trace`: ``Trace[i]`` returns one and
+    :meth:`Trace.from_rows` accepts a list of them.
+    """
 
     k: int
     residual: float
@@ -187,6 +204,112 @@ class TraceRow:
     rate_bound: Optional[float] = None
 
 
+# column order of the trace CSV; the optional columns are None when absent
+COLUMNS = tuple(f.name for f in fields(TraceRow))
+OPTIONAL_COLUMNS = ("Delta_k", "C_k", "dist_to_ref", "objective", "rate_bound")
+
+
+class Trace:
+    """The diagnostics of a run as NumPy columns, one entry per iteration.
+
+    ``k`` is an int64 column, every other column float64; an optional column
+    (see ``OPTIONAL_COLUMNS``) is either filled on every row or None.
+    Indexing with an int gives a :class:`TraceRow` of Python scalars,
+    slicing gives a Trace, and iteration yields rows.
+    """
+
+    __slots__ = COLUMNS
+
+    def __init__(self, **columns):
+        n = None
+        for name in COLUMNS:
+            col = columns.pop(name, None)
+            if col is not None:
+                col = np.asarray(col, dtype=np.int64 if name == "k" else np.float64)
+                if col.ndim != 1 or (n is not None and col.size != n):
+                    raise ValueError(f"trace column {name} has shape {col.shape}, "
+                                     f"expected ({n},)")
+                n = col.size
+            elif name not in OPTIONAL_COLUMNS:
+                raise ValueError(f"trace column {name} is required")
+            setattr(self, name, col)
+        if columns:
+            raise ValueError(f"unknown trace columns {sorted(columns)}")
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[TraceRow]) -> "Trace":
+        """Columns of a row list; an optional column must be all None or all set."""
+        rows = list(rows)
+        columns = {}
+        for name in COLUMNS:
+            values = [getattr(r, name) for r in rows]
+            empty = values.count(None)
+            if empty == len(values) and name in OPTIONAL_COLUMNS:
+                values = None
+            elif empty:
+                raise ValueError(f"trace column {name} mixes empty and filled rows")
+            columns[name] = values
+        return cls(**columns)
+
+    def __len__(self) -> int:
+        return self.k.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Trace(**{name: None if getattr(self, name) is None
+                            else getattr(self, name)[index] for name in COLUMNS})
+        return TraceRow(*(None if getattr(self, name) is None else getattr(self, name)[index].item()
+                          for name in COLUMNS))
+
+    def __iter__(self) -> Iterator[TraceRow]:
+        n = len(self)
+        cols = [[None] * n if getattr(self, name) is None else getattr(self, name).tolist()
+                for name in COLUMNS]
+        return (TraceRow(*values) for values in zip(*cols))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        for name in COLUMNS:
+            a, b = getattr(self, name), getattr(other, name)
+            if (a is None) != (b is None) or (a is not None and not np.array_equal(a, b)):
+                return False
+        return True
+
+    __hash__ = None
+
+
+def _derived_trace(res, step, alpha, lam, dist, objective) -> Trace:
+    """Trace from the measured columns of a run; the rest is derived here.
+
+    The products are the engine's per-step scalar products in the same
+    order, so every derived column has the bits the step would have given
+    it (see the module docstring for the definitions).
+    """
+    res = np.array(res, dtype=np.float64)
+    step = np.array(step, dtype=np.float64)
+    a = np.array(alpha, dtype=np.float64)
+    k = np.arange(1, res.size + 1, dtype=np.int64)
+    kf = k.astype(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        nu = 1.0 / np.array(lam, dtype=np.float64) - 1.0
+        delta = np.zeros_like(step)
+        delta[1:] = nu[:-1] * (1.0 - a[:-1]) * step[1:] * step[1:]
+        Delta = C = d = None
+        if dist is not None:
+            d = np.array(dist, dtype=np.float64)
+            dsq = d * d
+            Delta = np.zeros_like(d)
+            Delta[1:] = dsq[1:] - dsq[:-1]
+            C = dsq.copy()
+            C[1:] = dsq[1:] - a[:-1] * d[:-1] * d[:-1] + delta[1:]
+        k_step_sq = kf * step * step
+        k_res_sq = kf * res * res
+    return Trace(k=k, residual=res, step=step, nu_k=nu, delta_k=delta, Delta_k=Delta, C_k=C,
+                 dist_to_ref=d, k_step_sq=k_step_sq, k_res_sq=k_res_sq,
+                 objective=None if objective is None else np.array(objective, dtype=np.float64))
+
+
 class DivergenceError(RuntimeError):
     """Raised when an iterate turns non-finite; carries the partial trace."""
 
@@ -198,14 +321,15 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class RunResult:
-    """Finished (or aborted) run: trace rows plus the final iterates.
+    """Finished (or aborted) run: its trace plus the final iterates.
 
     ``xs`` holds the last two iterates ``[x_prev, x_curr]``, ``x_curr`` being
     the newest one computed, and ``ys`` the last inertial point (empty when no
-    step was taken); :func:`picard` returns ``xs = [x]``.
+    step was taken); :func:`picard` returns ``xs = [x]``.  ``rows`` is a
+    :class:`Trace`; a list of :class:`TraceRow` is converted on construction.
     """
 
-    rows: List[TraceRow]
+    rows: Trace
     xs: List[Point]
     ys: List[Point]
     status: str  # converged | max_iters | stalled | diverged
@@ -213,13 +337,17 @@ class RunResult:
     p_ref: Optional[Point] = None
     operator: Optional[OperatorHandle] = None
 
+    def __post_init__(self):
+        if not isinstance(self.rows, Trace):
+            self.rows = Trace.from_rows(self.rows)
+
     @property
     def iterations(self) -> int:
         return len(self.rows)
 
     @property
     def final_residual(self) -> float:
-        return self.rows[-1].residual if self.rows else float("nan")
+        return float(self.rows.residual[-1]) if len(self.rows) else float("nan")
 
 
 # --------------------------------------------------------------------------
@@ -256,16 +384,23 @@ def run(
 
     x_prev = x_curr = x1
     y_last: Optional[Point] = None
-    rows: List[TraceRow] = []
+    # measured columns; the rest of the trace is derived from them at the end
+    res_col: List[float] = []
+    step_col: List[float] = []
+    alpha_col: List[float] = []
+    lam_col: List[float] = []
+    dist_col: Optional[List[float]] = None if p_ref is None else []
+    obj_col: Optional[List[float]] = None if objective is None else []
     status = "max_iters"
-    a_prev = nu_prev = 0.0
+    a_prev = 0.0
 
     def result(status: str) -> RunResult:
         ys = [] if y_last is None else [y_last]
-        return RunResult(rows, [x_prev, x_curr], ys, status, schedule, p_ref, single)
+        trace = _derived_trace(res_col, step_col, alpha_col, lam_col, dist_col, obj_col)
+        return RunResult(trace, [x_prev, x_curr], ys, status, schedule, p_ref, single)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        d_prev = d_curr = norm(x1 - p_ref) if p_ref is not None else None
+        d_curr = norm(x1 - p_ref) if p_ref is not None else None
         for k in range(1, stop.max_iters + 1):
             a_k = schedule.alpha_at(k)
             l_k = schedule.lambda_at(k)
@@ -287,30 +422,14 @@ def run(
                 raise DivergenceError(k, result("diverged"))
 
             step = norm(diff)
-            nu_k = 1.0 / l_k - 1.0
-            delta = 0.0 if k == 1 else nu_prev * (1.0 - a_prev) * step * step
-
-            Delta_k = C_k = None
-            if d_curr is not None:
-                if k == 1:
-                    Delta_k, C_k = 0.0, d_curr * d_curr
-                else:
-                    Delta_k = d_curr * d_curr - d_prev * d_prev
-                    C_k = d_curr * d_curr - a_prev * d_prev * d_prev + delta
-
-            rows.append(TraceRow(
-                k=k,
-                residual=res,
-                step=step,
-                nu_k=nu_k,
-                delta_k=delta,
-                Delta_k=Delta_k,
-                C_k=C_k,
-                dist_to_ref=d_curr,
-                k_step_sq=k * step * step,
-                k_res_sq=k * res * res,
-                objective=objective(x_curr) if objective is not None else None,
-            ))
+            res_col.append(res)
+            step_col.append(step)
+            alpha_col.append(a_k)
+            lam_col.append(l_k)
+            if dist_col is not None:
+                dist_col.append(d_curr)
+            if obj_col is not None:
+                obj_col.append(objective(x_curr))
             y_last = y
 
             if res <= stop.residual_tol:
@@ -328,8 +447,8 @@ def run(
             if not known_finite and not is_finite(x_new):
                 raise DivergenceError(k, result("diverged"))
             x_prev, x_curr = x_curr, x_new
-            d_prev, d_curr = d_curr, d_new
-            a_prev, nu_prev = a_k, nu_k
+            d_curr = d_new
+            a_prev = a_k
 
     return result(status)
 
@@ -376,24 +495,27 @@ class InequalityReport:
         return len(self.ks)
 
 
-def _unpack(trace, schedule):
-    """Rows and schedule of a RunResult or a row list, reference validated.
+def as_trace(trace: Union[RunResult, Trace]) -> Trace:
+    """The :class:`Trace` of a RunResult, or the Trace itself."""
+    return trace.rows if isinstance(trace, RunResult) else trace
+
+
+def _unpack(trace, schedule) -> Tuple[Trace, Schedule]:
+    """Trace and schedule of a RunResult or Trace, reference validated.
 
     A RunResult's ``p_ref`` must be a fixed point of its operator (when it
-    carries one), and every row must have ``dist_to_ref``.
+    carries one), and the trace must have the ``dist_to_ref`` column.
     """
     if isinstance(trace, RunResult):
-        rows, op, p_ref = trace.rows, trace.operator, trace.p_ref
         schedule = schedule or trace.schedule
-    else:
-        rows, op, p_ref = list(trace), None, None
+        if trace.p_ref is not None:
+            _check_ref_fixed(trace.operator, trace.p_ref)
+    trace = as_trace(trace)
     if schedule is None:
         raise ValueError("a schedule is required")
-    if p_ref is not None:
-        _check_ref_fixed(op, p_ref)
-    if any(r.dist_to_ref is None for r in rows):
+    if trace.dist_to_ref is None:
         raise ValueError("trace lacks dist_to_ref; rerun with p_ref")
-    return rows, schedule
+    return trace, schedule
 
 
 def _check_ref_fixed(op, p_ref):
@@ -401,30 +523,74 @@ def _check_ref_fixed(op, p_ref):
         raise ValueError("p_ref is not a fixed point (residual > 1e-10)")
 
 
-def _alpha_second_diff_sq_from_rows(rows, i, a_k, l_k):
-    """alpha_k ||x_{k+1} - 2 x_k + x_{k-1}||^2 reconstructed from scalar columns.
+def schedule_columns(schedule: Schedule, ks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(alpha_k, lambda_k)`` as float64 arrays over the indices ``ks``."""
+    if ks.size and ks.min() < 1:
+        raise ValueError("k must be >= 1")
+    ks = ks.tolist()
+    alpha_fn, lambda_fn = schedule._alpha_fn, schedule._lambda_fn
+    return (np.array([alpha_fn(k) for k in ks], dtype=np.float64),
+            np.array([lambda_fn(k) for k in ks], dtype=np.float64))
+
+
+def _contraction_column(lam: np.ndarray, q: float, xi: float) -> np.ndarray:
+    """``Q(lambda_k, q, xi)`` per entry, one call per distinct lambda.
+
+    The calls run in order of first appearance, so an invalid lambda raises
+    the error the first offending index would.
+    """
+    values, first, inverse = np.unique(lam, return_index=True, return_inverse=True)
+    Q = np.empty(values.size, dtype=np.float64)
+    for j in np.argsort(first, kind="stable").tolist():
+        Q[j] = contraction_constant(float(values[j]), q, xi)
+    return Q[inverse]
+
+
+def _alpha_second_diff_sq(trace: Trace, a: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """alpha_k ||x_{k+1} - 2 x_k + x_{k-1}||^2 for every row but the last.
 
     Eliminating the cross term with the identity in the module docstring gives
 
         lambda_k^2 ||y_k - T_k y_k||^2 - (1 - alpha_k) ||x_{k+1} - x_k||^2
             + alpha_k (1 - alpha_k) ||x_k - x_{k-1}||^2,
 
-    which never divides by alpha_k, so tiny alpha_k cannot overflow it.
+    clipped at 0, which never divides by alpha_k, so tiny alpha_k cannot
+    overflow it; rows with ``alpha_k = 0`` give 0.
     """
-    if a_k == 0.0:
-        return 0.0
-    step_k = rows[i].step
-    step_next = rows[i + 1].step
-    res_k = rows[i].residual
-    return max(l_k ** 2 * res_k ** 2 - (1.0 - a_k) * step_next ** 2
-               + a_k * (1.0 - a_k) * step_k ** 2, 0.0)
+    step, res = trace.step, trace.residual[:-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = (lam * lam) * (res * res) - (1.0 - a) * (step[1:] * step[1:]) \
+            + a * (1.0 - a) * (step[:-1] * step[:-1])
+        return np.where(a == 0.0, 0.0, np.maximum(value, 0.0))
 
 
-def _y_dist_sq_from_rows(rows, i, a_k):
-    """||y_k - p||^2 from the distance and step columns (x_0 = x_1 at i = 0)."""
-    d_k = rows[i].dist_to_ref ** 2
-    d_prevsq = rows[i - 1].dist_to_ref ** 2 if i >= 1 else d_k
-    return (1.0 + a_k) * d_k - a_k * d_prevsq + a_k * (1.0 + a_k) * rows[i].step ** 2
+def _dist_sq(trace: Trace) -> Tuple[np.ndarray, np.ndarray]:
+    """``||x_k - p||^2`` for every row and ``||x_{k-1} - p||^2`` for every row
+    but the last (``x_0 = x_1`` on the first row)."""
+    d = trace.dist_to_ref
+    with np.errstate(over="ignore"):
+        dsq = d * d
+    prev = np.empty(max(dsq.size - 1, 0), dtype=np.float64)
+    if prev.size:
+        prev[0] = dsq[0]
+        prev[1:] = dsq[:-2]
+    return dsq, prev
+
+
+def _y_dist_sq(trace: Trace, a: np.ndarray) -> np.ndarray:
+    """||y_k - p||^2 from the distance and step columns, every row but the last."""
+    dsq, prev = _dist_sq(trace)
+    step = trace.step[:-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (1.0 + a) * dsq[:-1] - a * prev + a * (1.0 + a) * (step * step)
+
+
+def _report(name: str, ks: np.ndarray, lhs: np.ndarray, rhs: np.ndarray,
+            tol: float) -> InequalityReport:
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = lhs > rhs + tol * (1.0 + np.abs(rhs))
+    return InequalityReport(name, ks.tolist(), lhs.tolist(), rhs.tolist(),
+                            ks[bad].tolist())
 
 
 def verify_descent(trace, schedule: Optional[Schedule] = None,
@@ -441,40 +607,30 @@ def verify_descent(trace, schedule: Optional[Schedule] = None,
     trace needs the ``dist_to_ref`` column; a :class:`RunResult` that carries
     its operator has its ``p_ref`` validated as a fixed point first.
     """
-    rows, schedule = _unpack(trace, schedule)
-    report = InequalityReport("descent", [], [], [])
-    for i in range(len(rows) - 1):
-        k = rows[i].k
-        a_k = schedule.alpha_at(k)
-        l_k = schedule.lambda_at(k)
-        nu_k = 1.0 / l_k - 1.0
-        d_k = rows[i].dist_to_ref ** 2
-        d_next = rows[i + 1].dist_to_ref ** 2
-        d_prevsq = rows[i - 1].dist_to_ref ** 2 if i >= 1 else d_k
-        Delta_next = d_next - d_k
-        Delta_k = 0.0 if k == 1 else d_k - d_prevsq
-        lhs = Delta_next + rows[i + 1].delta_k \
-            + nu_k * _alpha_second_diff_sq_from_rows(rows, i, a_k, l_k)
-        rhs = a_k * Delta_k + (a_k * (1.0 + a_k) + nu_k * a_k * (1.0 - a_k)) * rows[i].step ** 2
-        report.ks.append(k)
-        report.lhs.append(lhs)
-        report.rhs.append(rhs)
-        if lhs > rhs + tol * (1.0 + abs(rhs)):
-            report.violations.append(k)
-    return report
+    trace, schedule = _unpack(trace, schedule)
+    ks = trace.k[:-1]
+    a, lam = schedule_columns(schedule, ks)
+    dsq, prev = _dist_sq(trace)
+    step = trace.step[:-1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        nu = 1.0 / lam - 1.0
+        Delta_k = np.where(ks == 1, 0.0, dsq[:-1] - prev)
+        second = _alpha_second_diff_sq(trace, a, lam)
+        lhs = (dsq[1:] - dsq[:-1]) + trace.delta_k[1:] + nu * second
+        rhs = a * Delta_k + (a * (1.0 + a) + nu * a * (1.0 - a)) * (step * step)
+    return _report("descent", ks, lhs, rhs, tol)
 
 
 def verify_Ck_monotone(trace, tol: float = DEFAULT_TOL) -> Optional[int]:
     """First k violating ``C_{k+1} <= C_k + tol (1 + C_k)`` / ``C_k >= -tol``, else None."""
-    rows = trace.rows if isinstance(trace, RunResult) else list(trace)
-    if any(r.C_k is None for r in rows):
+    trace = as_trace(trace)
+    C = trace.C_k
+    if C is None:
         raise ValueError("trace lacks C_k; rerun with p_ref")
-    for i, r in enumerate(rows):
-        if r.C_k < -tol:
-            return r.k
-        if i + 1 < len(rows) and rows[i + 1].C_k > r.C_k + tol * (1.0 + r.C_k):
-            return r.k
-    return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = C < -tol
+        bad[:-1] |= C[1:] > C[:-1] + tol * (1.0 + C[:-1])
+    return int(trace.k[np.argmax(bad)]) if bad.any() else None
 
 
 def verify_contraction(trace, q: float, xi: float, schedule: Optional[Schedule] = None,
@@ -484,22 +640,15 @@ def verify_contraction(trace, q: float, xi: float, schedule: Optional[Schedule] 
         ||x_{k+1} - p||^2 <= Q(lambda_k, q, xi) ||y_k - p||^2
                              - xi lambda_k (1 - lambda_k) ||y_k - T y_k||^2.
     """
-    rows, schedule = _unpack(trace, schedule)
-    report = InequalityReport("contraction", [], [], [])
-    for i in range(len(rows) - 1):
-        k = rows[i].k
-        a_k = schedule.alpha_at(k)
-        l_k = schedule.lambda_at(k)
-        Qk = contraction_constant(l_k, q, xi)
-        lhs = rows[i + 1].dist_to_ref ** 2
-        rhs = Qk * _y_dist_sq_from_rows(rows, i, a_k) \
-            - xi * l_k * (1.0 - l_k) * rows[i].residual ** 2
-        report.ks.append(k)
-        report.lhs.append(lhs)
-        report.rhs.append(rhs)
-        if lhs > rhs + tol * (1.0 + abs(rhs)):
-            report.violations.append(k)
-    return report
+    trace, schedule = _unpack(trace, schedule)
+    ks = trace.k[:-1]
+    a, lam = schedule_columns(schedule, ks)
+    Q = _contraction_column(lam, q, xi)
+    dsq, _ = _dist_sq(trace)
+    res = trace.residual[:-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = Q * _y_dist_sq(trace, a) - xi * lam * (1.0 - lam) * (res * res)
+    return _report("contraction", ks, dsq[1:], rhs, tol)
 
 
 def verify_product_bound(trace, q: float, xi: float, schedule: Optional[Schedule] = None,
@@ -508,24 +657,19 @@ def verify_product_bound(trace, q: float, xi: float, schedule: Optional[Schedule
 
         ||x_{k+1} - p||^2 - alpha_k ||x_k - p||^2 + xi delta_{k+1}
             <= prod_{j<=k} Q(lambda_j, q, xi) * ||x_1 - p||^2.
+
+    The product is the sequential ``np.cumprod``, the same rounding as a
+    running product.
     """
-    rows, schedule = _unpack(trace, schedule)
-    report = InequalityReport("product_bound", [], [], [])
-    d1_sq = rows[0].dist_to_ref ** 2
-    prod = 1.0
-    for i in range(len(rows) - 1):
-        k = rows[i].k
-        a_k = schedule.alpha_at(k)
-        prod *= contraction_constant(schedule.lambda_at(k), q, xi)
-        lhs = rows[i + 1].dist_to_ref ** 2 - a_k * rows[i].dist_to_ref ** 2 \
-            + xi * rows[i + 1].delta_k
-        rhs = prod * d1_sq
-        report.ks.append(k)
-        report.lhs.append(lhs)
-        report.rhs.append(rhs)
-        if lhs > rhs + tol * (1.0 + abs(rhs)):
-            report.violations.append(k)
-    return report
+    trace, schedule = _unpack(trace, schedule)
+    ks = trace.k[:-1]
+    a, lam = schedule_columns(schedule, ks)
+    prod = np.cumprod(_contraction_column(lam, q, xi))
+    dsq, _ = _dist_sq(trace)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = dsq[1:] - a * dsq[:-1] + xi * trace.delta_k[1:]
+        rhs = prod * dsq[:1]
+    return _report("product_bound", ks, lhs, rhs, tol)
 
 
 def small_o_check(zeta: Sequence[float]) -> bool:
@@ -536,14 +680,28 @@ def small_o_check(zeta: Sequence[float]) -> bool:
     of ``k * zeta_k`` over the last quartile is below 10% of its maximum over
     the first quartile.  A documented heuristic, not a limit statement.
     """
-    zs = [float(z) for z in zeta]
-    if len(zs) < 4:
+    zs = np.array(zeta, dtype=np.float64)
+    if zs.size < 4:
         raise ValueError("need at least 4 values")
-    if min(zs) <= 0.0:
+    if zs.min() <= 0.0:
         raise ValueError("values must be positive")
-    for a, b in zip(zs, zs[1:]):
-        if b > a * (1.0 + 1e-12):
+    with np.errstate(over="ignore"):
+        if np.any(zs[1:] > zs[:-1] * (1.0 + 1e-12)):
             raise ValueError("sequence is not nonincreasing")
-    kz = [(i + 1) * z for i, z in enumerate(zs)]
-    quart = max(1, len(zs) // 4)
-    return max(kz[-quart:]) < 0.1 * max(kz[:quart])
+        kz = np.arange(1, zs.size + 1, dtype=np.float64) * zs
+    quart = max(1, zs.size // 4)
+    return bool(kz[-quart:].max() < 0.1 * kz[:quart].max())
+
+
+def monotone_prefix(values: Sequence[float], slack: float = 1e-12) -> int:
+    """Length of the maximal nonincreasing positive prefix.
+
+    Trace tails that have reached the floating-point floor jitter at rounding
+    level; the small-o diagnostic is applied to the prefix that still
+    measures the iteration rather than the noise.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = v <= 0.0
+        bad[1:] |= v[1:] > v[:-1] * (1.0 + slack)
+    return int(np.argmax(bad)) if bad.any() else int(v.size)

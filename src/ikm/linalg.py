@@ -27,7 +27,6 @@ __all__ = [
     "DifferenceMap",
     "LinearMap",
     "Point",
-    "combine",
     "dot",
     "flush_subnormals",
     "norm",
@@ -79,19 +78,10 @@ def dot(a: Point, b: Point) -> float:
 
 
 def norm(a: Point) -> float:
-    """Euclidean norm, ``sqrt(dot(a, a))``."""
-    return dot(a, a) ** 0.5
-
-
-def combine(a: Point, s: float, b: Point, t: float) -> Point:
-    """Affine combination ``s*a + t*b``."""
+    """Euclidean norm, ``dot(a, a) ** 0.5``, without ``dot``'s shape check."""
     if isinstance(a, BlockVector):
-        return BlockVector(
-            combine(a.primal, s, b.primal, t), combine(a.dual, s, b.dual, t)
-        )
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return s * a + t * b
+        return (float(np.dot(a.primal, a.primal)) + float(np.dot(a.dual, a.dual))) ** 0.5
+    return float(np.dot(a, a)) ** 0.5
 
 
 def is_finite(a: Point) -> bool:

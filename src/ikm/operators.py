@@ -134,7 +134,8 @@ def make_prox(f: ProxFunction, rho: float) -> Callable[[np.ndarray], np.ndarray]
         return lambda v: v
     if f.kind == "l1":
         t = rho * f.weight
-        return lambda v: np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+        # soft threshold in two passes: v minus its clip to [-t, t]
+        return lambda v: v - np.minimum(np.maximum(v, -t), t)
     if f.kind == "box":
         lo, hi = f.lo, f.hi
         return lambda v: np.clip(v, lo, hi)

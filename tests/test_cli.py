@@ -1,5 +1,6 @@
 import io
 
+import numpy as np
 import pytest
 
 from ikm import cli, engine
@@ -10,7 +11,7 @@ from ikm.config import (
     parse_config,
     serialize_config,
 )
-from ikm.engine import DivergenceError, Schedule, StoppingRule
+from ikm.engine import COLUMNS, DivergenceError, Schedule, StoppingRule, Trace
 
 
 # --------------------------------------------------------------------------
@@ -185,6 +186,102 @@ def test_certify_flags_corrupted_trace(tmp_path):
     buf = io.StringIO()
     assert cli.cmd_certify(str(trace), out=buf) == cli.EXIT_CHECK_FAILED
     assert "FAIL" in buf.getvalue()
+
+
+# --------------------------------------------------------------------------
+# trace I/O
+
+
+def reference_trace_text(trace, resolved):
+    """ikm-trace-v1 written field by field, as the row writer did."""
+    def fmt(x):
+        return "" if x is None else "%.17g" % x
+
+    lines = ["# ikm-trace-v1", "# config: " + serialize_config(resolved), cli.TRACE_COLUMNS]
+    for r in trace:
+        lines.append(",".join([str(r.k)] + [fmt(getattr(r, name)) for name in COLUMNS[1:]]))
+    return "\n".join(lines) + "\n"
+
+
+EDGE_VALUES = [-0.0, 0.0, float("inf"), -float("inf"), float("nan"), 5e-324, -5e-324, 1e308,
+               -1e308, 2.2250738585072014e-308, 0.1, 1.0 / 3.0, 12345678901234567.0]
+
+
+def edge_trace(n):
+    gen = np.random.default_rng(7)
+    with np.errstate(invalid="ignore", over="ignore"):
+        draws = {name: gen.choice(EDGE_VALUES, n) * gen.choice([1.0, 1e-3, 7.5], n)
+                 for name in COLUMNS[1:]}
+    # C_k, objective and rate_bound stay absent, i.e. empty fields
+    for name in ("C_k", "objective", "rate_bound"):
+        draws[name] = None
+    return Trace(k=np.arange(1, n + 1), **draws)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 2500])
+def test_write_trace_matches_per_field_formatter(tmp_path, n):
+    trace = edge_trace(n)
+    resolved = {"a.x": "1", "run.status": "max_iters"}
+    path = tmp_path / "edge.csv"
+    cli.write_trace(str(path), trace, resolved)
+    assert path.read_text(encoding="utf-8") == reference_trace_text(trace, resolved)
+    back, cfg = cli.read_trace(str(path))
+    assert cfg == resolved and len(back) == n
+    for name in COLUMNS if n else ():  # a header-only file has no columns to compare
+        a, b = getattr(back, name), getattr(trace, name)
+        assert (a is None) == (b is None), name
+        if a is not None:  # bit for bit, the sign of zero and nan included
+            assert a.tobytes() == b.tobytes(), name
+    again = tmp_path / "again.csv"
+    cli.write_trace(str(again), back, cfg)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_read_trace_rejects_a_column_empty_in_one_chunk_only(tmp_path):
+    path = tmp_path / "edge.csv"
+    cli.write_trace(str(path), edge_trace(2500), {"a.x": "1"})
+    lines = path.read_text().splitlines()
+    for i in range(3, 3 + cli._CHUNK):  # dist_to_ref of every row the first chunk parses
+        row = lines[i].split(",")
+        row[7] = ""
+        lines[i] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match="dist_to_ref mixes empty and filled"):
+        cli.read_trace(str(path))
+
+
+def test_trace_write_read_write_is_byte_identical_on_a_run(tmp_path):
+    cfg = tmp_path / "rate.cfg"
+    trace = tmp_path / "rate.csv"
+    text = QUAD_RUN.format(trace=trace).replace("schedule.alpha = 0.0", "schedule.alpha = 0.05")
+    write(cfg, text.replace("schedule.lambda = 1.0", "schedule.lambda = 0.9"))
+    assert cli.cmd_run(str(cfg), out=io.StringIO()) == cli.EXIT_OK
+    rows, resolved = cli.read_trace(str(trace))
+    assert len(rows) > 100 and rows.rate_bound is not None and rows.objective is not None
+    assert trace.read_text(encoding="utf-8") == reference_trace_text(rows, resolved)
+    again = tmp_path / "again.csv"
+    cli.write_trace(str(again), rows, resolved)
+    assert again.read_bytes() == trace.read_bytes()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda row: row[:-1], "malformed row"),  # one field short
+    (lambda row: row + [""], "malformed row"),  # one field too many
+    (lambda row: row[:2] + ["0.5x"] + row[3:], "column step"),  # not a number
+    (lambda row: row[:7] + [""] + row[8:], "dist_to_ref mixes empty and filled"),
+    (lambda row: [""] + row[1:], "column k"),
+])
+def test_read_trace_rejects_malformed_rows(tmp_path, edit, message):
+    cfg = tmp_path / "lasso.cfg"
+    trace = tmp_path / "lasso.csv"
+    write(cfg, LASSO_RUN.format(trace=trace))
+    cli.cmd_run(str(cfg), out=io.StringIO())
+    lines = trace.read_text().splitlines()
+    lines[50] = ",".join(edit(lines[50].split(",")))
+    trace.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=message):
+        cli.read_trace(str(trace))
+    assert cli.main(["certify", str(trace)]) == cli.EXIT_USAGE
 
 
 INFEASIBLE_RUN = """

@@ -12,9 +12,12 @@ from ikm.engine import (
     RunResult,
     Schedule,
     StoppingRule,
+    Trace,
     TraceRow,
-    _alpha_second_diff_sq_from_rows,
-    _y_dist_sq_from_rows,
+    _alpha_second_diff_sq,
+    _y_dist_sq,
+    contraction_constant,
+    monotone_prefix,
     picard,
     run,
     small_o_check,
@@ -376,14 +379,232 @@ def test_row_reconstructions_match_direct_computation(vecs, a, lam):
         return TraceRow(k=k, residual=residual, step=step, nu_k=0.0, delta_k=0.0,
                         dist_to_ref=dist)
 
-    rows = [row(1, 0.0, 0.0, n(x_prev - p)),
-            row(2, n(x_k - x_prev), n(y - ty), n(x_k - p)),
-            row(3, n(x_next - x_k), 0.0, n(x_next - p))]
+    trace = Trace.from_rows([row(1, 0.0, 0.0, n(x_prev - p)),
+                             row(2, n(x_k - x_prev), n(y - ty), n(x_k - p)),
+                             row(3, n(x_next - x_k), 0.0, n(x_next - p))])
     # rounding of the direct side scales with the vectors themselves
     scale = sum(n(v) ** 2 for v in (x_prev, x_k, x_next, y, ty, p))
     second = a * n(x_next - 2.0 * x_k + x_prev) ** 2
-    assert abs(_alpha_second_diff_sq_from_rows(rows, 1, a, lam) - second) <= 1e-10 * scale
-    assert abs(_y_dist_sq_from_rows(rows, 1, a) - n(y - p) ** 2) <= 1e-10 * scale
+    alphas, lams = np.full(2, a), np.full(2, lam)
+    assert abs(_alpha_second_diff_sq(trace, alphas, lams)[1] - second) <= 1e-10 * scale
+    assert abs(_y_dist_sq(trace, alphas)[1] - n(y - p) ** 2) <= 1e-10 * scale
+
+
+# --------------------------------------------------------------------------
+# columnar trace
+
+
+def test_trace_rows_slices_and_equality(lasso_default):
+    inst = lasso_default
+    res = run(inst.operator("fb"), inst.start_point("fb"), Schedule.constant(0.2, 0.5),
+              StoppingRule(30, 0.0), p_ref=inst.fixed_point("fb"))
+    trace = res.rows
+    rows = list(trace)
+    assert len(rows) == len(trace) == 30
+    assert rows[7] == trace[7] == trace[-23]
+    assert type(trace[3].k) is int and type(trace[3].residual) is float
+    assert trace[0].objective is None and trace[0].rate_bound is None
+    assert list(trace[10:13]) == rows[10:13]
+    assert Trace.from_rows(rows) == trace
+    assert RunResult(rows, res.xs, res.ys, res.status).rows == trace
+    changed = list(rows)
+    changed[4] = dataclasses.replace(changed[4], step=changed[4].step * 2)
+    assert Trace.from_rows(changed) != trace
+    empty = Trace.from_rows([])
+    assert len(empty) == 0 and list(empty) == [] and empty.dist_to_ref is None
+
+
+def test_trace_from_rows_rejects_mixed_optional_column():
+    rows = [TraceRow(k=1, residual=1.0, step=0.0, nu_k=0.0, delta_k=0.0, dist_to_ref=1.0),
+            TraceRow(k=2, residual=0.5, step=0.5, nu_k=0.0, delta_k=0.0)]
+    with pytest.raises(ValueError, match="dist_to_ref mixes"):
+        Trace.from_rows(rows)
+    with pytest.raises(ValueError, match="residual"):
+        Trace(k=[1, 2], residual=[1.0], step=[0.0, 0.0], nu_k=[0.0, 0.0], delta_k=[0.0, 0.0],
+              k_step_sq=[0.0, 0.0], k_res_sq=[0.0, 0.0])
+
+
+def per_step_derivation(trace, sched):
+    """The derived columns as the engine computed them row by row with floats."""
+    out = {name: [] for name in ("nu_k", "delta_k", "Delta_k", "C_k", "k_step_sq", "k_res_sq")}
+    a_prev = nu_prev = 0.0
+    d_prev = None
+    for r in trace:
+        a_k, l_k = sched.alpha_at(r.k), sched.lambda_at(r.k)
+        nu_k = 1.0 / l_k - 1.0
+        delta = 0.0 if r.k == 1 else nu_prev * (1.0 - a_prev) * r.step * r.step
+        d = r.dist_to_ref
+        out["nu_k"].append(nu_k)
+        out["delta_k"].append(delta)
+        out["Delta_k"].append(0.0 if r.k == 1 else d * d - d_prev * d_prev)
+        out["C_k"].append(d * d if r.k == 1 else d * d - a_prev * d_prev * d_prev + delta)
+        out["k_step_sq"].append(r.k * r.step * r.step)
+        out["k_res_sq"].append(r.k * r.residual * r.residual)
+        a_prev, nu_prev, d_prev = a_k, nu_k, d
+    return out
+
+
+@pytest.mark.parametrize("sched", [Schedule.constant(0.2, 0.7),
+                                   Schedule.table([0.0, 0.1, 0.1, 0.3], [0.9, 0.4, 1.3])])
+def test_derived_columns_match_per_step_scalars_bitwise(quad_50, sched):
+    inst = quad_50
+    res = run(inst.operator("gradient"), inst.start_point("gradient"), sched,
+              StoppingRule(400, 0.0), p_ref=inst.reference_solution)
+    want = per_step_derivation(res.rows, sched)
+    for name, values in want.items():
+        got = getattr(res.rows, name)
+        assert got.tobytes() == np.array(values).tobytes(), name
+
+
+def test_divergence_partial_trace_has_derived_columns():
+    blow = OperatorHandle(apply=lambda x: 3.0 * x, name="blow")
+    sched = Schedule.constant(0.1, 0.8)
+    with pytest.raises(DivergenceError) as exc:
+        run(blow, np.ones(4), sched, StoppingRule(10_000, 0.0), p_ref=np.zeros(4))
+    trace = exc.value.partial.rows
+    assert len(trace) >= 10
+    want = per_step_derivation(trace, sched)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, values in want.items():
+            assert np.array_equal(getattr(trace, name), np.array(values), equal_nan=True), name
+
+
+# row-by-row replays as the engine ran them before the columns, with every
+# square written x * x; the column replays must give the same floats
+
+
+def rows_descent(rows, sched, tol):
+    out = ([], [], [], [])
+    for i in range(len(rows) - 1):
+        k = rows[i].k
+        a, lam = sched.alpha_at(k), sched.lambda_at(k)
+        nu = 1.0 / lam - 1.0
+        sq = lambda v: v * v  # noqa: E731
+        d_k, d_next = sq(rows[i].dist_to_ref), sq(rows[i + 1].dist_to_ref)
+        d_prev = sq(rows[i - 1].dist_to_ref) if i >= 1 else d_k
+        second = 0.0 if a == 0.0 else max(
+            lam * lam * sq(rows[i].residual) - (1.0 - a) * sq(rows[i + 1].step)
+            + a * (1.0 - a) * sq(rows[i].step), 0.0)
+        lhs = (d_next - d_k) + rows[i + 1].delta_k + nu * second
+        rhs = a * (0.0 if k == 1 else d_k - d_prev) \
+            + (a * (1.0 + a) + nu * a * (1.0 - a)) * sq(rows[i].step)
+        _append(out, k, lhs, rhs, tol)
+    return out
+
+
+def rows_contraction(rows, sched, q, xi, tol, product=False):
+    out = ([], [], [], [])
+    prod = 1.0
+    sq = lambda v: v * v  # noqa: E731
+    for i in range(len(rows) - 1):
+        k = rows[i].k
+        a, lam = sched.alpha_at(k), sched.lambda_at(k)
+        Q = contraction_constant(lam, q, xi)
+        d_k = sq(rows[i].dist_to_ref)
+        if product:
+            prod *= Q
+            lhs = sq(rows[i + 1].dist_to_ref) - a * d_k + xi * rows[i + 1].delta_k
+            rhs = prod * sq(rows[0].dist_to_ref)
+        else:
+            d_prev = sq(rows[i - 1].dist_to_ref) if i >= 1 else d_k
+            y = (1.0 + a) * d_k - a * d_prev + a * (1.0 + a) * sq(rows[i].step)
+            lhs = sq(rows[i + 1].dist_to_ref)
+            rhs = Q * y - xi * lam * (1.0 - lam) * sq(rows[i].residual)
+        _append(out, k, lhs, rhs, tol)
+    return out
+
+
+def _append(out, k, lhs, rhs, tol):
+    out[0].append(k)
+    out[1].append(lhs)
+    out[2].append(rhs)
+    if lhs > rhs + tol * (1.0 + abs(rhs)):
+        out[3].append(k)
+
+
+def rows_Ck(rows, tol):
+    for i, r in enumerate(rows):
+        if r.C_k < -tol or (i + 1 < len(rows) and rows[i + 1].C_k > r.C_k + tol * (1.0 + r.C_k)):
+            return r.k
+    return None
+
+
+def rows_monotone_prefix(values, slack=1e-12):
+    n, prev = 0, None
+    for v in values:
+        if v <= 0.0 or (prev is not None and v > prev * (1.0 + slack)):
+            break
+        prev, n = v, n + 1
+    return n
+
+
+def same_floats(a, b):
+    return np.array_equal(np.array(a, dtype=float), np.array(b, dtype=float), equal_nan=True)
+
+
+MAGNITUDE = st.one_of(st.floats(0.0, 10.0), st.floats(0.0, 1e-150), st.floats(0.0, 1e150))
+
+
+@st.composite
+def random_traces(draw):
+    n = draw(st.integers(1, 25))
+    cols = {name: draw(st.lists(MAGNITUDE, min_size=n, max_size=n))
+            for name in ("residual", "step", "dist_to_ref")}
+    cols["delta_k"] = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+    # C_k moves by small steps so that both verdicts occur
+    c0 = draw(st.floats(-1e-8, 5.0))
+    steps = draw(st.lists(st.floats(-1.0, 1e-9), min_size=n, max_size=n))
+    cols["C_k"] = list(np.cumsum([c0] + steps[1:]))
+    cols["step"][0] = 0.0
+    zeros = [0.0] * n
+    trace = Trace(k=list(range(1, n + 1)), nu_k=zeros, Delta_k=zeros, k_step_sq=zeros,
+                  k_res_sq=zeros, **cols)
+    alphas = sorted(draw(st.lists(st.floats(0.0, 0.99), min_size=1, max_size=4)))
+    lambdas = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4))
+    sched = Schedule.table(alphas, lambdas)
+    return trace, sched
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=random_traces(), q=st.floats(0.01, 1.0), xi=st.floats(0.0, 1.0),
+       tol=st.sampled_from([0.0, 1e-9]))
+def test_column_replays_match_row_formulas(case, q, xi, tol):
+    trace, sched = case
+    rows = list(trace)
+    for got, want in (
+        (verify_descent(trace, sched, tol=tol), rows_descent(rows, sched, tol)),
+        (verify_contraction(trace, q, xi, sched, tol=tol),
+         rows_contraction(rows, sched, q, xi, tol)),
+        (verify_product_bound(trace, q, xi, sched, tol=tol),
+         rows_contraction(rows, sched, q, xi, tol, product=True)),
+    ):
+        assert got.ks == want[0]
+        assert same_floats(got.lhs, want[1]) and same_floats(got.rhs, want[2])
+        assert got.violations == want[3]
+    assert verify_Ck_monotone(trace, tol=tol) == rows_Ck(rows, tol)
+    for values in (trace.residual * trace.residual, trace.step[1:] * trace.step[1:],
+                   trace.C_k):
+        n = monotone_prefix(values)
+        assert n == rows_monotone_prefix(values.tolist())
+        if n >= 4:
+            zs = values[:n].tolist()
+            kz = [(i + 1) * z for i, z in enumerate(zs)]
+            quart = max(1, n // 4)
+            assert small_o_check(values[:n]) == (max(kz[-quart:]) < 0.1 * max(kz[:quart]))
+
+
+def test_column_replays_match_row_formulas_on_a_run(quad_50):
+    T = quad_50.operator("gradient")
+    sched = Schedule.ramp(0.0, 0.1, 50, 0.9)
+    res = run(T, quad_50.start_point("gradient"), sched, StoppingRule(3000, 1e-12),
+              p_ref=quad_50.reference_solution)
+    rows = list(res.rows)
+    got = verify_contraction(res, T.q_factor, 1.0)
+    want = rows_contraction(rows, sched, T.q_factor, 1.0, 1e-9)
+    assert got.ok and got.lhs == want[1] and got.rhs == want[2]
+    got = verify_descent(res)
+    want = rows_descent(rows, sched, 1e-9)
+    assert got.ok and got.lhs == want[1] and got.rhs == want[2]
 
 
 # --------------------------------------------------------------------------

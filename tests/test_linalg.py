@@ -9,7 +9,6 @@ from ikm.linalg import (
     BlockVector,
     DifferenceMap,
     LinearMap,
-    combine,
     dot,
     norm,
     operator_norm_estimate,
@@ -47,14 +46,6 @@ def test_norm_examples_and_homogeneity():
         x = rand_vec(gen, 9)
         s = gen.uniform_in(-5.0, 5.0)
         assert norm(s * x) == pytest.approx(abs(s) * norm(x), rel=1e-12)
-
-
-def test_combine_identities():
-    gen = SplitMix64(3)
-    x, y = rand_vec(gen, 8), rand_vec(gen, 8)
-    np.testing.assert_array_equal(combine(x, 1.0, y, 0.0), x)
-    np.testing.assert_allclose(combine(x, 0.5, x, 0.5), x, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(combine(x, 1.0, y, -1.0) + y, x, rtol=0, atol=1e-12)
 
 
 def test_cauchy_schwarz():

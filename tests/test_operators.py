@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ikm.linalg import BlockVector, DifferenceMap, LinearMap, dot, norm, operator_norm_estimate
 from ikm.operators import (
@@ -40,6 +45,26 @@ def rand_spd(gen, n, shift=0.5):
 def test_prox_l1_soft_threshold():
     v = np.array([2.0, -0.5])
     np.testing.assert_array_equal(prox(l1(1.0), 1.0, v), np.array([1.0, 0.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    v=arrays(np.float64, st.integers(1, 40), elements=st.floats(allow_nan=True,
+                                                                allow_infinity=True,
+                                                                allow_subnormal=True)),
+    t=st.one_of(st.sampled_from([0.0, 5e-324, 1.0, math.inf]), st.floats(0.0, 1e300)),
+)
+@example(v=np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.5, -1.5,
+                     2.0, -2.0, np.nextafter(1.5, 0.0), np.nextafter(-1.5, 0.0)]), t=1.5)
+def test_prox_l1_matches_sign_formula(v, t):
+    # the soft threshold as sign(v) * max(|v| - t, 0), against the clip form
+    # the prox uses: the same bits up to the sign of zero (and nan where nan)
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+        got = prox(l1(t), 1.0, v)
+    assert np.array_equal(got, want, equal_nan=True)
+    numbers = (want != 0.0) & ~np.isnan(want)
+    assert got[numbers].tobytes() == want[numbers].tobytes()
 
 
 def test_prox_box_projection():
