@@ -17,8 +17,8 @@ the fully resolved configuration is embedded as a '# config:' comment.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
-import math
 import sys
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -28,7 +28,7 @@ from . import certificates as cert
 from . import engine, problems
 from .config import ConfigError, ConfigView, deserialize_config, load_config, serialize_config
 from .engine import (COLUMNS, OPTIONAL_COLUMNS, DivergenceError, Schedule, StoppingRule, Trace,
-                     monotone_prefix, schedule_columns)
+                     monotone_prefix)
 from .operators import OperatorHandle, residual as op_residual
 
 TRACE_COLUMNS = ",".join(COLUMNS)
@@ -97,8 +97,10 @@ def build_instance(view: ConfigView) -> problems.BenchmarkInstance:
     raise ConfigError(f"unknown problem.kind {kind!r}")
 
 
-def build_schedule(view: ConfigView) -> Tuple[Schedule, Dict[str, str]]:
-    """Schedule plus the resolved keys describing it."""
+def build_schedule(view: ConfigView) -> Tuple[
+        Schedule, Dict[str, str], float, Optional[Tuple[float, float]]]:
+    """(schedule, resolved keys describing it, xi, const); ``const`` is
+    ``(alpha, lambda)`` for a constant/constant schedule, else None."""
     resolved: Dict[str, str] = {}
     a_kind = view.get_str("schedule.alpha_kind", "constant")
     resolved["schedule.alpha_kind"] = a_kind
@@ -106,24 +108,20 @@ def build_schedule(view: ConfigView) -> Tuple[Schedule, Dict[str, str]]:
         alpha = view.get_float("schedule.alpha", 0.0)
         if not 0.0 <= alpha < 1.0:
             raise ConfigError("schedule.alpha must lie in [0, 1)")
-        alpha_fn = lambda k, a=alpha: a  # noqa: E731
+        alphas = [alpha]
         resolved["schedule.alpha"] = _fmt(alpha)
     elif a_kind == "ramp":
         a0 = view.get_float("schedule.alpha_start", 0.0)
         a1 = view.get_float("schedule.alpha_end")
         iters = view.get_int("schedule.alpha_ramp_iters")
-        probe = Schedule.ramp(a0, a1, iters, 1.0)
-        alpha_fn = probe.alpha_at
         resolved.update({
             "schedule.alpha_start": _fmt(a0),
             "schedule.alpha_end": _fmt(a1),
             "schedule.alpha_ramp_iters": str(iters),
         })
     elif a_kind == "table":
-        table = view.get_float_list("schedule.alpha_table")
-        probe = Schedule.table(table, [1.0])
-        alpha_fn = probe.alpha_at
-        resolved["schedule.alpha_table"] = ",".join(_fmt(a) for a in table)
+        alphas = view.get_float_list("schedule.alpha_table")
+        resolved["schedule.alpha_table"] = ",".join(_fmt(a) for a in alphas)
     else:
         raise ConfigError(f"unknown schedule.alpha_kind {a_kind!r}")
 
@@ -133,13 +131,11 @@ def build_schedule(view: ConfigView) -> Tuple[Schedule, Dict[str, str]]:
         lam = view.get_float("schedule.lambda", 1.0)
         if lam <= 0.0:
             raise ConfigError("schedule.lambda must be > 0")
-        lambda_fn = lambda k, l=lam: l  # noqa: E731
+        lambdas = [lam]
         resolved["schedule.lambda"] = _fmt(lam)
     elif l_kind == "table":
-        table = view.get_float_list("schedule.lambda_table")
-        probe = Schedule.table([0.0], table)
-        lambda_fn = probe.lambda_at
-        resolved["schedule.lambda_table"] = ",".join(_fmt(l) for l in table)
+        lambdas = view.get_float_list("schedule.lambda_table")
+        resolved["schedule.lambda_table"] = ",".join(_fmt(l) for l in lambdas)
     else:
         raise ConfigError(f"unknown schedule.lambda_kind {l_kind!r}")
 
@@ -147,12 +143,12 @@ def build_schedule(view: ConfigView) -> Tuple[Schedule, Dict[str, str]]:
     if not 0.0 <= xi <= 1.0:
         raise ConfigError("schedule.xi must lie in [0, 1]")
     resolved["schedule.xi"] = _fmt(xi)
-    return Schedule(alpha_fn, lambda_fn, f"{a_kind}/{l_kind}"), resolved
-
-
-def _schedule_is_constant(resolved: Dict[str, str]) -> bool:
-    return resolved.get("schedule.alpha_kind") == "constant" and \
-        resolved.get("schedule.lambda_kind") == "constant"
+    const = (alpha, lam) if a_kind == l_kind == "constant" else None
+    if a_kind == "ramp":
+        return Schedule.ramp(a0, a1, iters, lambdas), resolved, xi, const
+    if const is not None:
+        return Schedule.constant(alpha, lam), resolved, xi, const
+    return Schedule.table(alphas, lambdas), resolved, xi, const
 
 
 def _collect_steps(view: ConfigView, keys) -> Dict[str, Optional[float]]:
@@ -195,32 +191,34 @@ def build_problem(config_path: str) -> Tuple[
 # feasibility precheck
 
 
-def feasibility_summary(schedule: Schedule, resolved_sched: Dict[str, str],
-                        op: OperatorHandle, xi: float, max_iters: int,
-                        out) -> Tuple[bool, List[str]]:
-    """Print inequality evaluations; returns (all_pass, text_lines)."""
-    lines: List[str] = []
-    all_pass = True
+def constant_feasibility(alpha: float, lam: float, gamma: Optional[float], q: Optional[float],
+                         xi: float) -> List[cert.CheckResult]:
+    """Relaxation certificate at ``eta = gamma * lambda`` (``lambda`` without gamma),
+    plus the contraction condition when ``q`` is known and ``0 < lambda <= 1``;
+    each result is named by the label its printed line starts with."""
+    eta = gamma * lam if gamma is not None else lam
+    checks = [dataclasses.replace(cert.check_relaxation_constant(alpha, eta),
+                                  name=f"relaxation(eta={_fmt(eta)})")]
+    if q is not None and 0.0 < lam <= 1.0:
+        checks.append(dataclasses.replace(cert.check_contraction_condition(alpha, lam, q, xi),
+                                          name=f"contraction(q={_fmt(q)},xi={_fmt(xi)})"))
+    return checks
+
+
+def _feasibility_line(check: cert.CheckResult) -> str:
+    return (f"{check.name}: lhs={_fmt(check.lhs)} rhs={_fmt(check.rhs)} "
+            f"margin={_fmt(check.margin)} {'PASS' if check.satisfied else 'FAIL'}")
+
+
+def feasibility_summary(schedule: Schedule, const: Optional[Tuple[float, float]],
+                        op: OperatorHandle, xi: float, max_iters: int, out) -> bool:
+    """Print the schedule's feasibility certificates; True when all pass."""
     gamma = op.gamma
-    if _schedule_is_constant(resolved_sched):
-        alpha = float(resolved_sched["schedule.alpha"])
-        lam = float(resolved_sched["schedule.lambda"])
-        eta = gamma * lam if gamma is not None else lam
-        entry = cert.check_relaxation_constant(alpha, eta)
-        verdict = "PASS" if entry.satisfied else "FAIL"
-        all_pass &= entry.satisfied
-        lines.append(
-            f"relaxation(eta={_fmt(eta)}): lhs={_fmt(entry.lhs)} rhs={_fmt(entry.rhs)} "
-            f"margin={_fmt(entry.margin)} {verdict}"
-        )
-        if op.q_factor is not None and 0.0 < lam <= 1.0:
-            h2 = cert.check_contraction_condition(alpha, lam, op.q_factor, xi)
-            verdict = "PASS" if h2.satisfied else "FAIL"
-            all_pass &= h2.satisfied
-            lines.append(
-                f"contraction(q={_fmt(op.q_factor)},xi={_fmt(xi)}): lhs={_fmt(h2.lhs)} rhs=0 "
-                f"margin={_fmt(h2.margin)} {verdict}"
-            )
+    if const is not None:
+        checks = constant_feasibility(*const, gamma, op.q_factor, xi)
+        for check in checks:
+            print(_feasibility_line(check), file=out)
+        all_pass = all(check.satisfied for check in checks)
     else:
         # the same effective relaxation as the constant check: eta_k = gamma * lambda_k
         if gamma is None:
@@ -231,18 +229,13 @@ def feasibility_summary(schedule: Schedule, resolved_sched: Dict[str, str],
             eta = f"gamma*lambda_k, gamma={_fmt(gamma)}"
         ks = range(2, min(max_iters, 100_000) + 1)
         rep = cert.check_relaxation_seq(eta_schedule, ks)
-        verdict = "PASS" if rep.tail_satisfied else "FAIL"
-        all_pass &= rep.tail_satisfied
-        lines.append(
-            f"relaxation_seq(eta_k={eta}; tail {rep.tail_window} of {len(rep.ks)}): "
-            f"sup={_fmt(rep.tail_sup)} first_nonstrict_k={rep.first_nonstrict_k} {verdict} "
-            f"(tail-satisfied, not proved)"
-        )
+        all_pass = rep.tail_satisfied
+        print(f"relaxation_seq(eta_k={eta}; tail {rep.tail_window} of {len(rep.ks)}): "
+              f"sup={_fmt(rep.tail_sup)} first_nonstrict_k={rep.first_nonstrict_k} "
+              f"{'PASS' if all_pass else 'FAIL'} (tail-satisfied, not proved)", file=out)
     for note in op.notes:
-        lines.append(f"note: {note}")
-    for line in lines:
-        print(line, file=out)
-    return all_pass, lines
+        print(f"note: {note}", file=out)
+    return all_pass
 
 
 # --------------------------------------------------------------------------
@@ -316,6 +309,9 @@ def read_trace(path: str) -> Tuple[Trace, Dict[str, str]]:
                               + ("mixes empty and filled fields" if filled else "is empty"))
         else:
             columns[name] = np.concatenate(filled) if filled else []
+    # a k < 1 is a corrupt trace, not a replay to skip
+    if len(columns["k"]) and columns["k"].min() < 1:
+        raise ConfigError(f"{path}: column k must be >= 1")
     return Trace(**columns), cfg
 
 
@@ -323,10 +319,21 @@ def read_trace(path: str) -> Tuple[Trace, Dict[str, str]]:
 # subcommands
 
 
+CHECKS = ("ck", "descent", "contraction", "product", "small_o")
+SMALL_O_PARTS = ("res^2", "step^2")
+
+
+def _run(op, x1, schedule, stop, p_ref, objective) -> engine.RunResult:
+    """``engine.run``, or the partial result (status ``diverged``) of a divergence."""
+    try:
+        return engine.run(op, x1, schedule, stop, p_ref=p_ref, objective=objective)
+    except DivergenceError as exc:
+        return exc.partial
+
+
 def cmd_run(config_path: str, out=sys.stdout) -> int:
     view, instance, scheme, steps, op, objective = build_problem(config_path)
-    schedule, resolved_sched = build_schedule(view)
-    xi = float(resolved_sched["schedule.xi"])
+    schedule, resolved_sched, xi, const = build_schedule(view)
     stop = StoppingRule(
         max_iters=view.get_int("stopping.max_iters", 10_000),
         residual_tol=view.get_float("stopping.residual_tol", 1e-10),
@@ -335,6 +342,10 @@ def cmd_run(config_path: str, out=sys.stdout) -> int:
     trace_path = view.get_str("output.trace")
     checks = [c.strip() for c in view.get_str("output.checks", "none").split(",")
               if c.strip() and c.strip() != "none"]
+    unknown = [c for c in checks if c not in CHECKS]
+    if unknown:
+        raise ConfigError(f"unknown output.checks {', '.join(unknown)}; "
+                          f"choose from none, {', '.join(CHECKS)}")
 
     p_ref_mode = view.get_str("run.p_ref", "auto")
     p_ref = None
@@ -346,28 +357,18 @@ def cmd_run(config_path: str, out=sys.stdout) -> int:
     elif p_ref_mode != "none":
         raise ConfigError("run.p_ref must be 'auto' or 'none'")
 
-    feasible, _ = feasibility_summary(schedule, resolved_sched, op, xi, stop.max_iters, out)
+    feasible = feasibility_summary(schedule, const, op, xi, stop.max_iters, out)
     if not feasible:
         print("warning: schedule fails the feasibility certificates; running anyway", file=out)
 
-    exit_code = EXIT_OK
-    try:
-        result = engine.run(op, instance.start_point(scheme), schedule, stop,
-                            p_ref=p_ref, objective=objective)
-        status = result.status
-        exit_code = EXIT_OK if status == "converged" else EXIT_MAX_ITERS
-    except DivergenceError as exc:
-        result = exc.partial
-        status = "diverged"
-        exit_code = EXIT_DIVERGED
+    result = _run(op, instance.start_point(scheme), schedule, stop, p_ref, objective)
+    status = result.status
     trace = result.rows
 
     # rate-bound column for certified quasi-contractive constant-parameter runs
     q = op.q_factor
-    if (q is not None and p_ref is not None and len(trace)
-            and _schedule_is_constant(resolved_sched)):
-        alpha = float(resolved_sched["schedule.alpha"])
-        lam = float(resolved_sched["schedule.lambda"])
+    if q is not None and p_ref is not None and len(trace) and const is not None:
+        alpha, lam = const
         if 0.0 < lam <= 1.0:
             Q_const = cert.contraction_constant(lam, q, xi)
             if alpha < Q_const < 1.0:
@@ -403,61 +404,67 @@ def cmd_run(config_path: str, out=sys.stdout) -> int:
           f"final_residual={_fmt(result.final_residual if len(trace) else None)}", file=out)
     print(f"trace written to {trace_path}", file=out)
 
-    failed = False
+    verdicts = evaluate_checks(trace, checks, schedule, q, xi)
     for name in checks:
-        line, bad = _run_check(name, result, schedule, q, xi)
-        failed |= bad
-        print(line, file=out)
-    if failed and exit_code == EXIT_OK:
-        exit_code = EXIT_CHECK_FAILED
-    return exit_code
-
-
-def _small_o_columns(trace: Trace):
-    """The squared residuals and the squared steps after the first row."""
-    with np.errstate(over="ignore"):
-        return trace.residual * trace.residual, trace.step[1:] * trace.step[1:]
-
-
-def _run_check(name: str, trace, schedule: Schedule, q: Optional[float],
-               xi: float) -> Tuple[str, bool]:
-    """One ``check <name>: ...`` line and whether it reports a FAIL."""
-    if name == "ck":
-        try:
-            bad = engine.verify_Ck_monotone(trace)
-        except ValueError as exc:
-            return f"check ck: SKIPPED ({exc})", False
-        return ("check ck: PASS", False) if bad is None else (f"check ck: FAIL at k={bad}", True)
-    if name == "descent":
-        try:
-            rep = engine.verify_descent(trace, schedule=schedule)
-        except ValueError as exc:
-            return f"check descent: SKIPPED ({exc})", False
-        return (f"check descent: PASS ({rep.checked} indices)" if rep.ok
-                else f"check descent: FAIL at k={rep.violations[:5]}"), not rep.ok
-    if name in ("contraction", "product"):
-        if q is None:
-            return f"check {name}: SKIPPED (no certified q)", False
-        fn = engine.verify_contraction if name == "contraction" else engine.verify_product_bound
-        try:
-            rep = fn(trace, q, xi, schedule=schedule)
-        except ValueError as exc:
-            return f"check {name}: SKIPPED ({exc})", False
-        return (f"check {name}: PASS ({rep.checked} indices)" if rep.ok
-                else f"check {name}: FAIL at k={rep.violations[:5]}"), not rep.ok
-    if name == "small_o":
+        if name != "small_o":
+            print(f"check {name}: {_verdict(*verdicts[name])}", file=out)
+            continue
         parts = []
-        failed = False
-        for label, vals in zip(("res^2", "step^2"), _small_o_columns(engine.as_trace(trace))):
-            n = monotone_prefix(vals)
-            if n < 4:
-                parts.append(f"{label}: SKIPPED (prefix too short)")
+        for part in SMALL_O_PARTS:
+            verdict, n = verdicts[part]
+            parts.append(f"{part}: SKIPPED (prefix too short)" if verdict == "SKIPPED"
+                         else f"{part}[:{n}]: {verdict}")
+        print("check small_o: " + "; ".join(parts), file=out)
+    failed = any(verdict == "FAIL" for verdict, _ in verdicts.values())
+    if status == "converged":
+        return EXIT_CHECK_FAILED if failed else EXIT_OK
+    return EXIT_DIVERGED if status == "diverged" else EXIT_MAX_ITERS
+
+
+def evaluate_checks(trace: Trace, names, schedule: Schedule, q: Optional[float],
+                    xi: float) -> Dict[str, Tuple[str, object]]:
+    """``(status, detail)`` of each named check along a trace.
+
+    A PASS details the indices checked (None for ``ck``), a FAIL the first
+    failing k (``ck``) or up to five, a SKIPPED why the replay cannot run (a
+    missing column, no q, a lambda_k outside (0, 1]).  ``small_o`` gives its
+    two ``SMALL_O_PARTS``, each detailing the monotone prefix it judged.
+    """
+    verdicts: Dict[str, Tuple[str, object]] = {}
+    for name in names:
+        if name == "small_o":
+            with np.errstate(over="ignore"):
+                parts = trace.residual * trace.residual, trace.step[1:] * trace.step[1:]
+            for part, vals in zip(SMALL_O_PARTS, parts):
+                n = monotone_prefix(vals)
+                ok = n >= 4 and engine.small_o_check(vals[:n])
+                verdicts[part] = ("SKIPPED" if n < 4 else "PASS" if ok else "FAIL", n)
+        elif name in ("contraction", "product") and q is None:
+            verdicts[name] = ("SKIPPED", "no certified q")
+        else:
+            try:
+                if name == "ck":
+                    bad = engine.verify_Ck_monotone(trace)
+                    verdicts[name] = ("PASS", None) if bad is None else ("FAIL", bad)
+                    continue
+                if name == "descent":
+                    rep = engine.verify_descent(trace, schedule=schedule)
+                elif name == "contraction":
+                    rep = engine.verify_contraction(trace, q, xi, schedule=schedule)
+                else:
+                    rep = engine.verify_product_bound(trace, q, xi, schedule=schedule)
+            except ValueError as exc:
+                verdicts[name] = ("SKIPPED", str(exc))
                 continue
-            ok = engine.small_o_check(vals[:n])
-            failed |= not ok
-            parts.append(f"{label}[:{n}]: {'PASS' if ok else 'FAIL'}")
-        return "check small_o: " + "; ".join(parts), failed
-    return f"check {name}: SKIPPED (unknown check)", False
+            verdicts[name] = ("PASS", rep.checked) if rep.ok else ("FAIL", rep.violations[:5])
+    return verdicts
+
+
+def _verdict(status: str, detail) -> str:
+    """``PASS (N indices)`` (a bare PASS without N), ``FAIL at k=...`` or ``SKIPPED (...)``."""
+    if status == "PASS":
+        return "PASS" if detail is None else f"PASS ({detail} indices)"
+    return f"FAIL at k={detail}" if status == "FAIL" else f"SKIPPED ({detail})"
 
 
 def cmd_check_params(alpha: float, lam: float, q: Optional[float], xi: Optional[float],
@@ -474,26 +481,19 @@ def cmd_check_params(alpha: float, lam: float, q: Optional[float], xi: Optional[
     if not 0.0 <= xi_val <= 1.0:
         raise UsageError("xi must lie in [0, 1]")
 
-    eta = gamma * lam if gamma is not None else lam
-    all_pass = True
-    h1 = cert.check_relaxation_constant(alpha, eta)
-    all_pass &= h1.satisfied
-    print(f"relaxation(eta={_fmt(eta)}): lhs={_fmt(h1.lhs)} rhs={_fmt(h1.rhs)} "
-          f"margin={_fmt(h1.margin)} {'PASS' if h1.satisfied else 'FAIL'}", file=out)
+    checks = constant_feasibility(alpha, lam, gamma, q, xi_val)
+    for check in checks:
+        print(_feasibility_line(check), file=out)
     if q is not None:
         if lam > 1.0:
             raise UsageError("the quasi-contractive condition needs lambda <= 1")
-        h2 = cert.check_contraction_condition(alpha, lam, q, xi_val)
-        all_pass &= h2.satisfied
-        print(f"contraction(q={_fmt(q)},xi={_fmt(xi_val)}): lhs={_fmt(h2.lhs)} rhs=0 "
-              f"margin={_fmt(h2.margin)} {'PASS' if h2.satisfied else 'FAIL'}", file=out)
         if q < 1.0:
             print(f"feasibility_poly(lambda)={_fmt(cert.feasibility_poly(lam, alpha, q))} "
                   f"lambda_alpha_q={_fmt(cert.lambda_alpha_q(alpha, q))} "
                   f"lambda_alpha_1={_fmt(cert.lambda_alpha_1(alpha))}", file=out)
         thr = cert.xi_threshold(alpha, lam, q)
         print(f"xi_threshold={_fmt(thr) if thr is not None else 'none'}", file=out)
-    return EXIT_OK if all_pass else EXIT_CHECK_FAILED
+    return EXIT_OK if all(check.satisfied for check in checks) else EXIT_CHECK_FAILED
 
 
 def cmd_lambda_grid(alpha_steps: int, q_steps: int, out_path: str, out=sys.stdout) -> int:
@@ -546,38 +546,21 @@ def cmd_sweep(config_path: str, out=sys.stdout) -> int:
 
     def run_entry(entry) -> List[str]:
         schedule = Schedule.constant(entry["alpha"], entry["lambda"])
-        eta = op.gamma * entry["lambda"] if op.gamma is not None else entry["lambda"]
-        h1 = cert.check_relaxation_constant(entry["alpha"], eta)
-        contraction_margin = None
-        if op.q_factor is not None and 0.0 < entry["lambda"] <= 1.0:
-            contraction_margin = cert.check_contraction_condition(entry["alpha"], entry["lambda"],
-                                      op.q_factor, entry["xi"]).margin
-        warning = "" if h1.satisfied else "infeasible-relaxation"
-        # the table reports only the last row's objective: keep the iterate
-        # each row describes and evaluate the objective once, on the last one
-        # (the trace's objective column reads nan and is not used)
-        last_x: List = [None]
-
-        def remember(x) -> float:
-            last_x[0] = x
-            return math.nan
-
-        try:
-            result = engine.run(op, instance.start_point(scheme), schedule, stop,
-                                p_ref=p_ref, objective=remember)
-            status = result.status
-            rows = result.rows
-        except DivergenceError as exc:
-            status = "diverged"
-            rows = exc.partial.rows
+        relax, *contraction = constant_feasibility(entry["alpha"], entry["lambda"], op.gamma,
+                                                   op.q_factor, entry["xi"])
+        # the table reports only the last row's objective: evaluate it once
+        result = _run(op, instance.start_point(scheme), schedule, stop, p_ref, None)
+        rows = result.rows
         final_obj = None
         if rows and objective is not None:
             with np.errstate(over="ignore", invalid="ignore"):
-                final_obj = objective(last_x[0])
+                final_obj = objective(result.x_last)
         return [
             entry["label"], _fmt(entry["alpha"]), _fmt(entry["lambda"]), _fmt(entry["xi"]),
-            status, str(len(rows)), _fmt(rows[-1].residual if rows else None),
-            _fmt(final_obj), _fmt(h1.margin), _fmt(contraction_margin), warning,
+            result.status, str(len(rows)), _fmt(rows[-1].residual if rows else None),
+            _fmt(final_obj), _fmt(relax.margin),
+            _fmt(contraction[0].margin if contraction else None),
+            "" if relax.satisfied else "infeasible-relaxation",
         ]
 
     results = [run_entry(e) for e in entries]
@@ -607,53 +590,26 @@ def cmd_certify(trace_path: str, out=sys.stdout) -> int:
         raise ConfigError(f"{trace_path}: empty trace")
     if not cfg:
         raise ConfigError(f"{trace_path}: missing embedded '# config:' line")
-    schedule, resolved_sched = build_schedule(ConfigView(cfg))
-    xi = float(resolved_sched["schedule.xi"])
+    schedule, _, xi, _ = build_schedule(ConfigView(cfg))
     q = float(cfg["derived.q_factor"]) if "derived.q_factor" in cfg else None
-    has_ref = trace.dist_to_ref is not None
+    verdicts = evaluate_checks(trace, CHECKS, schedule, q, xi)
 
-    failures = 0
-
-    def emit(line: str, failed: bool = False) -> None:
-        nonlocal failures
-        failures += int(failed)
-        print(line, file=out)
-
-    if trace.C_k is not None:
-        bad = engine.verify_Ck_monotone(trace)
-        emit("Ck monotone: PASS" if bad is None else f"Ck monotone: FAIL at k={bad}",
-             failed=bad is not None)
+    for name, label, reason in (("ck", "Ck monotone", "no C_k column"),
+                                ("descent", "descent", "no dist_to_ref column")):
+        verdict, detail = verdicts[name]
+        print(f"{label}: {_verdict(verdict, reason if verdict == 'SKIPPED' else detail)}",
+              file=out)
+    if verdicts["contraction"][0] == "SKIPPED":
+        print("contraction: SKIPPED (needs certified q, dist column, lambda <= 1)", file=out)
     else:
-        emit("Ck monotone: SKIPPED (no C_k column)")
-
-    if has_ref:
-        rep = engine.verify_descent(trace, schedule=schedule)
-        emit(f"descent: PASS ({rep.checked} indices)" if rep.ok
-             else f"descent: FAIL at k={rep.violations[:5]}", failed=not rep.ok)
-    else:
-        emit("descent: SKIPPED (no dist_to_ref column)")
-
-    _, lam = schedule_columns(schedule, trace.k)
-    lam_ok = bool(np.all((0.0 < lam) & (lam <= 1.0)))
-    if q is not None and has_ref and lam_ok:
-        repc = engine.verify_contraction(trace, q, xi, schedule=schedule)
-        emit(f"contraction: PASS ({repc.checked} indices)" if repc.ok
-             else f"contraction: FAIL at k={repc.violations[:5]}", failed=not repc.ok)
-        repp = engine.verify_product_bound(trace, q, xi, schedule=schedule)
-        emit(f"product bound: PASS ({repp.checked} indices)" if repp.ok
-             else f"product bound: FAIL at k={repp.violations[:5]}", failed=not repp.ok)
-    else:
-        emit("contraction: SKIPPED (needs certified q, dist column, lambda <= 1)")
-
-    for label, vals in zip(("k*res^2", "k*step^2"), _small_o_columns(trace)):
-        n = monotone_prefix(vals)
-        if n < 4:
-            emit(f"small-o {label}: SKIPPED (monotone prefix too short)")
-            continue
-        ok = engine.small_o_check(vals[:n])
-        emit(f"small-o {label} (prefix {n}): {'PASS' if ok else 'FAIL'}", failed=not ok)
-
-    return EXIT_CHECK_FAILED if failures else EXIT_OK
+        print(f"contraction: {_verdict(*verdicts['contraction'])}", file=out)
+        print(f"product bound: {_verdict(*verdicts['product'])}", file=out)
+    for part in SMALL_O_PARTS:
+        verdict, n = verdicts[part]
+        print(f"small-o k*{part}: SKIPPED (monotone prefix too short)" if verdict == "SKIPPED"
+              else f"small-o k*{part} (prefix {n}): {verdict}", file=out)
+    failed = any(verdict == "FAIL" for verdict, _ in verdicts.values())
+    return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 # --------------------------------------------------------------------------

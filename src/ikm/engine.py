@@ -113,44 +113,34 @@ class Schedule:
         return cls(lambda k: alpha, lambda k: lam, "constant")
 
     @classmethod
-    def ramp(cls, alpha_start: float, alpha_end: float, ramp_iters: int, lam: float) -> "Schedule":
-        """Alpha climbs linearly over ``ramp_iters`` steps, then holds."""
+    def ramp(cls, alpha_start: float, alpha_end: float, ramp_iters: int,
+             lambdas: Sequence[float]) -> "Schedule":
+        """Alpha climbs linearly over ``ramp_iters`` steps, then holds;
+        ``lambdas`` is a table that holds its last entry, as in :meth:`table`."""
         if not (0.0 <= alpha_start <= alpha_end < 1.0):
             raise ValueError("need 0 <= alpha_start <= alpha_end < 1")
         if ramp_iters < 1:
             raise ValueError("ramp_iters must be >= 1")
-        if lam <= 0.0:
-            raise ValueError("lambda must be > 0")
 
         def alpha_fn(k: int) -> float:
             if k >= ramp_iters:
                 return alpha_end
-            return alpha_start + (alpha_end - alpha_start) * (k - 1) / (ramp_iters - 1) \
-                if ramp_iters > 1 else alpha_end
+            return alpha_start + (alpha_end - alpha_start) * (k - 1) / (ramp_iters - 1)
 
-        return cls(alpha_fn, lambda k: lam, "ramp-to-constant")
+        return cls(alpha_fn, _hold_last(_lambda_table(lambdas)), "ramp-to-constant")
 
     @classmethod
     def table(cls, alphas: Sequence[float], lambdas: Sequence[float]) -> "Schedule":
         """Explicit per-index values; both tables hold their last entry."""
         alphas = [float(a) for a in alphas]
-        lambdas = [float(l) for l in lambdas]
-        if not alphas or not lambdas:
+        if not alphas:
             raise ValueError("tables must be non-empty")
         for a in alphas:
             if not 0.0 <= a < 1.0:
                 raise ValueError("alpha values must lie in [0, 1)")
         if any(a2 < a1 for a1, a2 in zip(alphas, alphas[1:])):
             raise ValueError("alpha table must be nondecreasing")
-        if min(lambdas) <= 0.0:
-            raise ValueError("lambda values must be > 0")
-
-        def pick(table):
-            def at(k: int) -> float:
-                return table[min(k - 1, len(table) - 1)]
-            return at
-
-        return cls(pick(alphas), pick(lambdas), "custom-table")
+        return cls(_hold_last(alphas), _hold_last(_lambda_table(lambdas)), "custom-table")
 
     def alpha_at(self, k: int) -> float:
         if k < 1:
@@ -161,6 +151,19 @@ class Schedule:
         if k < 1:
             raise ValueError("k must be >= 1")
         return self._lambda_fn(k)
+
+
+def _lambda_table(lambdas: Sequence[float]) -> List[float]:
+    lambdas = [float(l) for l in lambdas]
+    if not lambdas:
+        raise ValueError("tables must be non-empty")
+    if min(lambdas) <= 0.0:
+        raise ValueError("lambda values must be > 0")
+    return lambdas
+
+
+def _hold_last(table: List[float]) -> Callable[[int], float]:
+    return lambda k: table[min(k - 1, len(table) - 1)]
 
 
 @dataclass(frozen=True)
@@ -325,8 +328,10 @@ class RunResult:
 
     ``xs`` holds the last two iterates ``[x_prev, x_curr]``, ``x_curr`` being
     the newest one computed, and ``ys`` the last inertial point (empty when no
-    step was taken); :func:`picard` returns ``xs = [x]``.  ``rows`` is a
-    :class:`Trace`; a list of :class:`TraceRow` is converted on construction.
+    step was taken); :func:`picard` returns ``xs = [x]``.  ``x_last`` is the
+    iterate ``x_k`` the last trace row describes, one of ``xs`` (None without
+    rows).  ``rows`` is a :class:`Trace`; a list of :class:`TraceRow` is
+    converted on construction.
     """
 
     rows: Trace
@@ -336,6 +341,7 @@ class RunResult:
     schedule: Optional[Schedule] = None
     p_ref: Optional[Point] = None
     operator: Optional[OperatorHandle] = None
+    x_last: Optional[Point] = None
 
     def __post_init__(self):
         if not isinstance(self.rows, Trace):
@@ -383,6 +389,7 @@ def run(
         fam = T_family
 
     x_prev = x_curr = x1
+    x_last: Optional[Point] = None
     y_last: Optional[Point] = None
     # measured columns; the rest of the trace is derived from them at the end
     res_col: List[float] = []
@@ -397,7 +404,7 @@ def run(
     def result(status: str) -> RunResult:
         ys = [] if y_last is None else [y_last]
         trace = _derived_trace(res_col, step_col, alpha_col, lam_col, dist_col, obj_col)
-        return RunResult(trace, [x_prev, x_curr], ys, status, schedule, p_ref, single)
+        return RunResult(trace, [x_prev, x_curr], ys, status, schedule, p_ref, single, x_last)
 
     with np.errstate(over="ignore", invalid="ignore"):
         d_curr = norm(x1 - p_ref) if p_ref is not None else None
@@ -430,6 +437,7 @@ def run(
                 dist_col.append(d_curr)
             if obj_col is not None:
                 obj_col.append(objective(x_curr))
+            x_last = x_curr
             y_last = y
 
             if res <= stop.residual_tol:

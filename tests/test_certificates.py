@@ -99,7 +99,7 @@ def test_relaxation_seq_constant_matches_constant_check():
 
 
 def test_relaxation_seq_ramp_tail_equals_constant_tail():
-    sched = Schedule.ramp(0.0, 0.3, 100, 0.4)
+    sched = Schedule.ramp(0.0, 0.3, 100, [0.4])
     rep = cert.check_relaxation_seq(sched, range(2, 1000))
     const_val = cert.check_relaxation_seq(Schedule.constant(0.3, 0.4), range(2, 10)).values[0]
     assert rep.tail_sup == pytest.approx(const_val, abs=1e-14)

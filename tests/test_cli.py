@@ -270,6 +270,7 @@ def test_trace_write_read_write_is_byte_identical_on_a_run(tmp_path):
     (lambda row: row[:2] + ["0.5x"] + row[3:], "column step"),  # not a number
     (lambda row: row[:7] + [""] + row[8:], "dist_to_ref mixes empty and filled"),
     (lambda row: [""] + row[1:], "column k"),
+    (lambda row: ["0"] + row[1:], "column k must be >= 1"),
 ])
 def test_read_trace_rejects_malformed_rows(tmp_path, edit, message):
     cfg = tmp_path / "lasso.cfg"
@@ -376,6 +377,132 @@ def test_sequence_precheck_fails_infeasible_table(tmp_path):
     line = next(l for l in out.splitlines() if l.startswith("relaxation_seq("))
     assert " FAIL " in line
     assert "warning: schedule fails the feasibility certificates" in out
+
+
+def test_run_rejects_unknown_check_before_running(tmp_path):
+    cfg = tmp_path / "typo.cfg"
+    trace = tmp_path / "typo.csv"
+    write(cfg, QUAD_RUN.format(trace=trace) + "output.checks = ck,decent\n")
+    with pytest.raises(ConfigError, match="decent; choose from none, " + ", ".join(cli.CHECKS)):
+        cli.cmd_run(str(cfg), out=io.StringIO())
+    assert cli.main(["run", str(cfg)]) == cli.EXIT_USAGE
+    assert not trace.exists()
+
+
+ALL_CHECKS = "output.checks = ck,descent,contraction,product,small_o\n"
+CERTIFIED = QUAD_RUN.replace("schedule.alpha = 0.0", "schedule.alpha = 0.05").replace(
+    "schedule.lambda = 1.0", "schedule.lambda = 0.9")
+RAMP_TABLE = QUAD_RUN.replace("schedule.alpha = 0.0", "schedule.alpha_kind = ramp\n"
+                              "schedule.alpha_end = 0.1\nschedule.alpha_ramp_iters = 30").replace(
+    "schedule.lambda = 1.0", "schedule.lambda_kind = table\nschedule.lambda_table = 0.5,0.7,0.9")
+
+
+def _run_verdicts(text):
+    """``ikm run`` check lines -> {check (small_o by part): PASS | FAIL | SKIPPED}."""
+    verdicts = {}
+    for line in text.splitlines():
+        if not line.startswith("check "):
+            continue
+        name, verdict = line[len("check "):].split(": ", 1)
+        if name == "small_o":
+            for part in verdict.split("; "):
+                label, part_verdict = part.split(": ", 1)
+                verdicts["small_o " + label.split("[")[0]] = part_verdict.split()[0]
+        else:
+            verdicts[name] = verdict.split()[0]
+    return verdicts
+
+
+def _certify_verdicts(text):
+    """The same map from ``ikm certify`` lines."""
+    names = {"Ck monotone": "ck", "descent": "descent", "contraction": "contraction",
+             "product bound": "product"}
+    verdicts = {}
+    for line in text.splitlines():
+        label, verdict = line.split(": ", 1)
+        if label.startswith("small-o k*"):
+            verdicts["small_o " + label[len("small-o k*"):].split()[0]] = verdict.split()[0]
+            continue
+        verdicts[names[label]] = verdict.split()[0]
+        if label == "contraction" and verdict.startswith("SKIPPED"):
+            verdicts["product"] = "SKIPPED"  # one line covers both replays
+    return verdicts
+
+
+@pytest.mark.parametrize("config, run_code, expect", [
+    (CERTIFIED, cli.EXIT_OK, {"PASS"}),
+    (CERTIFIED + "run.p_ref = none\n", cli.EXIT_OK, {"PASS", "SKIPPED"}),
+    (INFEASIBLE_RUN.replace("output.checks = ck,descent\n", ""), cli.EXIT_CHECK_FAILED,
+     {"PASS", "FAIL"}),
+    (RAMP_TABLE, cli.EXIT_OK, {"PASS"}),
+])
+def test_run_and_certify_agree_per_check(tmp_path, config, run_code, expect):
+    cfg = tmp_path / "run.cfg"
+    trace = tmp_path / "run.csv"
+    write(cfg, config.format(trace=trace) + ALL_CHECKS)
+    run_out, certify_out = io.StringIO(), io.StringIO()
+    assert cli.cmd_run(str(cfg), out=run_out) == run_code
+    certify_code = cli.cmd_certify(str(trace), out=certify_out)
+    run_verdicts = _run_verdicts(run_out.getvalue())
+    assert run_verdicts == _certify_verdicts(certify_out.getvalue())
+    assert len(run_verdicts) == 6 and set(run_verdicts.values()) == expect
+    assert certify_code == (cli.EXIT_CHECK_FAILED if "FAIL" in expect else cli.EXIT_OK)
+    if "SKIPPED" in expect:  # no reference point: every replay that needs it is skipped
+        assert {name for name, v in run_verdicts.items() if v == "SKIPPED"} == {
+            "ck", "descent", "contraction", "product"}
+
+
+SCHEDULE_KEYS = {
+    "constant": {"schedule.alpha": "0.15"},
+    "ramp": {"schedule.alpha_start": "0.05", "schedule.alpha_end": "0.3",
+             "schedule.alpha_ramp_iters": "7"},
+    "table": {"schedule.alpha_table": "0.1,0.2,0.25"},
+}
+LAMBDA_KEYS = {
+    "constant": {"schedule.lambda": "0.8"},
+    "table": {"schedule.lambda_table": "0.5,0.9,1.1,0.7"},
+}
+
+
+def _documented_alpha(kind, k):
+    if kind == "constant":
+        return 0.15
+    if kind == "ramp":  # linear over the first ramp_iters indices, then held
+        return 0.05 + (0.3 - 0.05) * (k - 1) / (7 - 1) if k < 7 else 0.3
+    return [0.1, 0.2, 0.25][min(k, 3) - 1]  # a table holds its last entry
+
+
+def _documented_lambda(kind, k):
+    return 0.8 if kind == "constant" else [0.5, 0.9, 1.1, 0.7][min(k, 4) - 1]
+
+
+@pytest.mark.parametrize("l_kind", ["constant", "table"])
+@pytest.mark.parametrize("a_kind", ["constant", "ramp", "table"])
+def test_build_schedule_every_kind(tmp_path, a_kind, l_kind):
+    keys = {"schedule.alpha_kind": a_kind, "schedule.lambda_kind": l_kind,
+            **SCHEDULE_KEYS[a_kind], **LAMBDA_KEYS[l_kind]}
+    schedule, resolved, xi, const = cli.build_schedule(ConfigView(keys))
+    assert set(resolved) == set(keys) | {"schedule.xi"} and xi == 1.0
+    assert const == ((0.15, 0.8) if a_kind == l_kind == "constant" else None)
+    ks = range(1, 7 + 3)  # past the longest ramp or table
+    alphas = [schedule.alpha_at(k) for k in ks]
+    lambdas = [schedule.lambda_at(k) for k in ks]
+    assert alphas == [_documented_alpha(a_kind, k) for k in ks]
+    assert lambdas == [_documented_lambda(l_kind, k) for k in ks]
+
+    # the schedule certify rebuilds from the trace's embedded config
+    cfg = tmp_path / "run.cfg"
+    trace = tmp_path / "run.csv"
+    text = QUAD_RUN.format(trace=trace).replace("stopping.max_iters = 5000",
+                                                "stopping.max_iters = 3")
+    lines = [line for line in text.splitlines() if not line.startswith("schedule.")]
+    write(cfg, "\n".join(lines + [f"{key} = {value}" for key, value in keys.items()]) + "\n")
+    assert cli.cmd_run(str(cfg), out=io.StringIO()) == cli.EXIT_MAX_ITERS
+    rebuilt, resolved_again, _, const_again = cli.build_schedule(
+        ConfigView(cli.read_trace(str(trace))[1]))
+    assert resolved_again == resolved and const_again == const
+    assert [rebuilt.alpha_at(k) for k in ks] == alphas
+    assert [rebuilt.lambda_at(k) for k in ks] == lambdas
 
 
 # --------------------------------------------------------------------------

@@ -83,7 +83,7 @@ def test_schedule_constant_validation():
 
 
 def test_schedule_ramp():
-    s = Schedule.ramp(0.0, 0.3, 4, 0.5)
+    s = Schedule.ramp(0.0, 0.3, 4, [0.5])
     vals = [s.alpha_at(k) for k in range(1, 7)]
     assert vals == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.3, 0.3])
     assert all(a <= b for a, b in zip(vals, vals[1:]))
@@ -203,17 +203,18 @@ def test_run_divergence_carries_partial_trace():
 
 def _reference_divergence(T, x1, lam):
     """First k at which y_k, T y_k or x_{k+1} turns non-finite (alpha = 0),
-    the number of rows the run has recorded by then, and x_k."""
-    x = x1
+    the number of rows the run has recorded by then, x_k, and the iterate
+    the last of those rows describes."""
+    x_prev = x = x1
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, 10_000):
             ty = T.apply(x)
             if not np.all(np.isfinite(ty)):
-                return k, k - 1, x
+                return k, k - 1, x, x_prev
             x_new = (1.0 - lam) * x + lam * ty
             if not np.all(np.isfinite(x_new)):
-                return k, k, x
-            x = x_new
+                return k, k, x, x
+            x_prev, x = x, x_new
     raise AssertionError("reference iteration did not diverge")
 
 
@@ -227,20 +228,40 @@ def _reference_divergence(T, x1, lam):
 @pytest.mark.parametrize("with_ref", [False, True])
 def test_run_relaxed_divergence_k_and_partial_rows(factor, lam, x1, with_ref):
     T = OperatorHandle(apply=lambda x: factor * x, name="scale")
-    k_ref, n_rows, x_last = _reference_divergence(T, x1, lam)
+    k_ref, n_rows, x_k, x_row = _reference_divergence(T, x1, lam)
     p_ref = np.zeros(4) if with_ref else None
     with pytest.raises(DivergenceError) as exc:
         run(T, x1, Schedule.constant(0.0, lam), StoppingRule(10_000, 0.0), p_ref=p_ref)
     err = exc.value
     assert err.k == k_ref > 10
     assert [r.k for r in err.partial.rows] == list(range(1, n_rows + 1))
-    np.testing.assert_array_equal(err.partial.xs[-1], x_last)
+    np.testing.assert_array_equal(err.partial.xs[-1], x_k)
+    # the last row describes x_{k-1} when T y_k overflows, x_k when x_{k+1} does
+    assert err.partial.x_last is err.partial.xs[1 if n_rows == k_ref else 0]
+    np.testing.assert_array_equal(err.partial.x_last, x_row)
     x = x1
     with np.errstate(over="ignore"):
         for r in err.partial.rows:
             assert r.residual == norm(x - T.apply(x))
             assert (r.dist_to_ref is not None) == with_ref
             x = (1.0 - lam) * x + lam * T.apply(x)
+
+
+@pytest.mark.parametrize("stop, status, index", [
+    (StoppingRule(10_000, 1e-8), "converged", 1),
+    (StoppingRule(10_000, 0.0, stall_tol=1e-6), "stalled", 1),
+    (StoppingRule(25, 0.0), "max_iters", 0),
+])
+def test_run_x_last_is_the_iterate_of_the_last_row(stop, status, index):
+    halve = OperatorHandle(apply=lambda x: 0.5 * x, name="halve")
+    p = np.zeros(3)
+    res = run(halve, np.arange(1.0, 4.0), Schedule.constant(0.2, 0.9), stop, p_ref=p,
+              objective=lambda x: float(x @ x))
+    assert res.status == status
+    assert res.x_last is res.xs[index]
+    last = res.rows[-1]
+    assert last.dist_to_ref == norm(res.x_last - p)
+    assert last.objective == float(res.x_last @ res.x_last)
 
 
 def test_run_keeps_subnormals_out_of_operator_inputs(lasso_default):
@@ -595,7 +616,7 @@ def test_column_replays_match_row_formulas(case, q, xi, tol):
 
 def test_column_replays_match_row_formulas_on_a_run(quad_50):
     T = quad_50.operator("gradient")
-    sched = Schedule.ramp(0.0, 0.1, 50, 0.9)
+    sched = Schedule.ramp(0.0, 0.1, 50, [0.9])
     res = run(T, quad_50.start_point("gradient"), sched, StoppingRule(3000, 1e-12),
               p_ref=quad_50.reference_solution)
     rows = list(res.rows)

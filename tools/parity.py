@@ -1,4 +1,4 @@
-"""Byte-for-byte output parity of the benchmark workloads between two source trees.
+"""Byte-for-byte output parity of the ikm CLI between two source trees.
 
 Usage::
 
@@ -13,8 +13,16 @@ the tool writes the workload's config files into a fresh directory per
 tree, runs the setup command and then each command there as
 ``python -m ikm.cli`` with that tree on ``PYTHONPATH``, and compares, byte
 for byte, the exit codes, stdout and stderr of each command and every file
-the directory holds afterwards.  It prints one line per case and exits 1
-when anything differs, 0 otherwise.
+the directory holds afterwards.
+
+Fixed cases outside the benchmark run beside the workloads, once per seed
+(the seed is their ``problem.seed``): ``ikm run`` and then ``ikm certify``
+on five small quadratic configs that take the check and schedule paths the
+workloads do not (every check on a certified run, ``run.p_ref = none``, an
+infeasible schedule, ramp alpha with a lambda table, table alpha with a
+constant lambda above 1), and four ``ikm check-params`` argument sets.  The
+tool prints one line per case and exits 1 when anything differs, 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -27,13 +35,45 @@ import subprocess
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import workloads  # noqa: E402
 
 TIMEOUT_S = 600
+
+QUADRATIC = """problem.kind = quadratic
+problem.dim = 20
+problem.mu = 1
+problem.L = 10
+problem.seed = {seed}
+stopping.max_iters = 5000
+stopping.residual_tol = 1e-11
+output.checks = ck,descent,contraction,product,small_o
+"""
+GRADIENT = "algorithm.scheme = gradient\n"
+FIXED_CONFIGS = {
+    "certified": GRADIENT + "schedule.alpha = 0.05\nschedule.lambda = 0.9\n",
+    "no-ref": GRADIENT + "schedule.alpha = 0.05\nschedule.lambda = 0.9\nrun.p_ref = none\n",
+    "infeasible": ("algorithm.scheme = proximal\nalgorithm.rho = 1\n"
+                   "schedule.alpha = 0.9\nschedule.lambda = 0.99\n"),
+    "ramp-table": GRADIENT + ("schedule.alpha_kind = ramp\nschedule.alpha_start = 0\n"
+                              "schedule.alpha_end = 0.1\nschedule.alpha_ramp_iters = 30\n"
+                              "schedule.lambda_kind = table\n"
+                              "schedule.lambda_table = 0.5,0.7,0.9\n"),
+    # lambda > 1 skips the contraction replays; the run stops at max_iters
+    "table-constant": GRADIENT + ("schedule.alpha_kind = table\n"
+                                  "schedule.alpha_table = 0,0.02,0.04,0.05\n"
+                                  "schedule.lambda = 1.05\nstopping.max_iters = 300\n"),
+}
+CHECK_PARAMS = [
+    ["--alpha", "0.2", "--lambda", "0.5"],
+    ["--alpha", "0.5", "--lambda", "0.9", "--q", "0.9", "--xi", "1"],
+    ["--alpha", "0", "--lambda", "1.4", "--gamma", "0.5"],
+    # prints the relaxation line, then fails on lambda > 1 with exit 64
+    ["--alpha", "0.2", "--lambda", "1.4", "--q", "0.9"],
+]
 
 
 def src_dir(path: str) -> str:
@@ -53,18 +93,38 @@ def seed_list(text: str) -> List[int]:
     return seeds
 
 
-def run_case(src: str, wl: workloads.Workload,
+def fixed_cases(seed: int) -> Iterator[Tuple[str, Dict[str, str], List[List[str]]]]:
+    """(name, files, argument lists) of each fixed case at one seed."""
+    for name, text in FIXED_CONFIGS.items():
+        config = QUADRATIC.format(seed=seed) + text + f"output.trace = {name}.csv\n"
+        yield name, {f"{name}.cfg": config}, [["run", f"{name}.cfg"], ["certify", f"{name}.csv"]]
+    yield "check-params", {}, [["check-params"] + args for args in CHECK_PARAMS]
+
+
+def cases(seeds: List[int]) -> Iterator[Tuple[str, Dict[str, str], List[List[str]]]]:
+    """(label, files, argument lists) of every workload and fixed case."""
+    for name, size, seed in itertools.product(sorted(workloads.WORKLOADS), ("full", "smoke"),
+                                              seeds):
+        wl = workloads.make(name, seed, smoke=size == "smoke")
+        yield (f"{name} seed={seed} {size}", wl.files,
+               [cmd.args for cmd in [wl.setup] + wl.commands])
+    for seed in seeds:
+        for name, files, argvs in fixed_cases(seed):
+            yield f"{name} seed={seed} fixed", files, argvs
+
+
+def run_case(src: str, files: Dict[str, str], argvs: List[List[str]],
              workdir: str) -> Tuple[List[tuple], Dict[str, bytes]]:
-    """Run the workload in ``workdir``; (per-command results, files written)."""
-    for name, text in wl.files.items():
+    """Run the commands in ``workdir``; (per-command results, files written)."""
+    for name, text in files.items():
         with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
             fh.write(text)
     env = dict(os.environ, PYTHONPATH=src)
     results = []
-    for cmd in [wl.setup] + wl.commands:
-        proc = subprocess.run([sys.executable, "-m", "ikm.cli"] + cmd.args, cwd=workdir, env=env,
+    for args in argvs:
+        proc = subprocess.run([sys.executable, "-m", "ikm.cli"] + args, cwd=workdir, env=env,
                               capture_output=True, timeout=TIMEOUT_S)
-        results.append((" ".join(cmd.args), proc.returncode, proc.stdout, proc.stderr))
+        results.append((" ".join(args), proc.returncode, proc.stdout, proc.stderr))
     files = {}
     for name in sorted(os.listdir(workdir)):
         with open(os.path.join(workdir, name), "rb") as fh:
@@ -107,22 +167,19 @@ def main(argv=None) -> int:
     trees = (src_dir(args.old), src_dir(args.new))
 
     differing = 0
-    cases = itertools.product(sorted(workloads.WORKLOADS), ("full", "smoke"),
-                              seed_list(args.seeds))
     # the two trees of one case run side by side, cases one after another
     with tempfile.TemporaryDirectory(prefix="ikm-parity-") as scratch, \
             ThreadPoolExecutor(max_workers=2) as pool:
-        for name, size, seed in cases:
-            wl = workloads.make(name, seed, smoke=size == "smoke")
+        for label, files, argvs in cases(seed_list(args.seeds)):
             dirs = [os.path.join(scratch, side) for side in ("old", "new")]
             for d in dirs:
                 os.mkdir(d)
-            old, new = pool.map(run_case, trees, (wl, wl), dirs)
+            old, new = pool.map(run_case, trees, (files, files), (argvs, argvs), dirs)
             for d in dirs:
                 shutil.rmtree(d)
             diffs = compare(old, new)
             differing += bool(diffs)
-            print(f"{name} seed={seed} {size}: {'DIFFERENT' if diffs else 'identical'} "
+            print(f"{label}: {'DIFFERENT' if diffs else 'identical'} "
                   f"({', '.join(sorted(new[1]))})", flush=True)
             for line in diffs:
                 print(f"    {line}", flush=True)
