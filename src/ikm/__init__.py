@@ -46,6 +46,7 @@ from .engine import (
 from .linalg import (
     BlockVector,
     DifferenceMap,
+    GramMap,
     LinearMap,
     dot,
     norm,

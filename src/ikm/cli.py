@@ -97,6 +97,20 @@ def build_instance(view: ConfigView) -> problems.BenchmarkInstance:
     raise ConfigError(f"unknown problem.kind {kind!r}")
 
 
+def _schedule_param(view: ConfigView, key: str, default: Optional[float] = None) -> float:
+    """Config ``key`` ending in ``alpha``, ``lambda`` or ``xi``, checked against its range:
+    ``alpha`` in [0, 1), ``lambda > 0``, ``xi`` in [0, 1]."""
+    value = view.get_float(key, default)
+    name = key.rsplit(".", 1)[-1]
+    if name == "alpha" and not 0.0 <= value < 1.0:
+        raise ConfigError(f"{key} must lie in [0, 1)")
+    if name == "lambda" and not value > 0.0:
+        raise ConfigError(f"{key} must be > 0")
+    if name == "xi" and not 0.0 <= value <= 1.0:
+        raise ConfigError(f"{key} must lie in [0, 1]")
+    return value
+
+
 def build_schedule(view: ConfigView) -> Tuple[
         Schedule, Dict[str, str], float, Optional[Tuple[float, float]]]:
     """(schedule, resolved keys describing it, xi, const); ``const`` is
@@ -105,9 +119,7 @@ def build_schedule(view: ConfigView) -> Tuple[
     a_kind = view.get_str("schedule.alpha_kind", "constant")
     resolved["schedule.alpha_kind"] = a_kind
     if a_kind == "constant":
-        alpha = view.get_float("schedule.alpha", 0.0)
-        if not 0.0 <= alpha < 1.0:
-            raise ConfigError("schedule.alpha must lie in [0, 1)")
+        alpha = _schedule_param(view, "schedule.alpha", 0.0)
         alphas = [alpha]
         resolved["schedule.alpha"] = _fmt(alpha)
     elif a_kind == "ramp":
@@ -128,9 +140,7 @@ def build_schedule(view: ConfigView) -> Tuple[
     l_kind = view.get_str("schedule.lambda_kind", "constant")
     resolved["schedule.lambda_kind"] = l_kind
     if l_kind == "constant":
-        lam = view.get_float("schedule.lambda", 1.0)
-        if lam <= 0.0:
-            raise ConfigError("schedule.lambda must be > 0")
+        lam = _schedule_param(view, "schedule.lambda", 1.0)
         lambdas = [lam]
         resolved["schedule.lambda"] = _fmt(lam)
     elif l_kind == "table":
@@ -139,9 +149,7 @@ def build_schedule(view: ConfigView) -> Tuple[
     else:
         raise ConfigError(f"unknown schedule.lambda_kind {l_kind!r}")
 
-    xi = view.get_float("schedule.xi", 1.0)
-    if not 0.0 <= xi <= 1.0:
-        raise ConfigError("schedule.xi must lie in [0, 1]")
+    xi = _schedule_param(view, "schedule.xi", 1.0)
     resolved["schedule.xi"] = _fmt(xi)
     const = (alpha, lam) if a_kind == l_kind == "constant" else None
     if a_kind == "ramp":
@@ -228,11 +236,17 @@ def feasibility_summary(schedule: Schedule, const: Optional[Tuple[float, float]]
                                     lambda k: gamma * schedule.lambda_at(k), schedule.kind)
             eta = f"gamma*lambda_k, gamma={_fmt(gamma)}"
         ks = range(2, min(max_iters, 100_000) + 1)
-        rep = cert.check_relaxation_seq(eta_schedule, ks)
-        all_pass = rep.tail_satisfied
-        print(f"relaxation_seq(eta_k={eta}; tail {rep.tail_window} of {len(rep.ks)}): "
-              f"sup={_fmt(rep.tail_sup)} first_nonstrict_k={rep.first_nonstrict_k} "
-              f"{'PASS' if all_pass else 'FAIL'} (tail-satisfied, not proved)", file=out)
+        if not ks:
+            # the run stops before the first index the sequence form constrains
+            all_pass = True
+            print(f"relaxation_seq(eta_k={eta}): SKIPPED (no index k >= 2 within max_iters)",
+                  file=out)
+        else:
+            rep = cert.check_relaxation_seq(eta_schedule, ks)
+            all_pass = rep.tail_satisfied
+            print(f"relaxation_seq(eta_k={eta}; tail {rep.tail_window} of {len(rep.ks)}): "
+                  f"sup={_fmt(rep.tail_sup)} first_nonstrict_k={rep.first_nonstrict_k} "
+                  f"{'PASS' if all_pass else 'FAIL'} (tail-satisfied, not proved)", file=out)
     for note in op.notes:
         print(f"note: {note}", file=out)
     return all_pass
@@ -516,7 +530,7 @@ def cmd_sweep(config_path: str, out=sys.stdout) -> int:
         residual_tol=view.get_float("stopping.residual_tol", 1e-6),
     )
     out_path = view.get_str("output.table")
-    default_xi = view.get_float("schedule.xi", 1.0)
+    default_xi = _schedule_param(view, "schedule.xi", 1.0)
 
     indices = sorted({
         int(key.split(".")[1])
@@ -525,13 +539,14 @@ def cmd_sweep(config_path: str, out=sys.stdout) -> int:
     })
     if len(indices) < 2:
         raise ConfigError("sweep needs at least two sweep.<i>.* schedule entries")
+    # every entry is checked here, before the first one runs
     entries = []
     for i in indices:
         entries.append({
             "label": view.get_str(f"sweep.{i}.label", f"s{i}"),
-            "alpha": view.get_float(f"sweep.{i}.alpha"),
-            "lambda": view.get_float(f"sweep.{i}.lambda"),
-            "xi": view.get_float(f"sweep.{i}.xi", default_xi),
+            "alpha": _schedule_param(view, f"sweep.{i}.alpha"),
+            "lambda": _schedule_param(view, f"sweep.{i}.lambda"),
+            "xi": _schedule_param(view, f"sweep.{i}.xi", default_xi),
         })
     # a non-inertial baseline is always reported for every relaxation in play
     lambdas_with_baseline = {e["lambda"] for e in entries if e["alpha"] == 0.0}

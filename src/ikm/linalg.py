@@ -5,17 +5,21 @@ space (primal x dual) are :class:`BlockVector`. Linear maps are either dense
 (:class:`LinearMap`, a stored matrix) or structured
 (:class:`DifferenceMap`, forward differences applied in O(n) with no
 matrix); both expose ``rows``, ``cols``, ``apply``, ``apply_adjoint`` and a
-certified upper bound ``norm_upper()`` on the operator norm. Everything here
-is a pure function of its inputs: reductions go through a single NumPy build
-in a fixed order, so repeated calls are bit-reproducible within one
-installation.
+certified upper bound ``norm_upper()`` on the operator norm.  The SPD map
+``K^T K`` of a least-squares term is a :class:`GramMap`, held by its m x n
+factor ``K``: with ``2m < n`` it applies ``K^T (K x)`` and never forms the
+n x n Gram, otherwise it applies the Gram formed once; its spectrum comes
+from one eigendecomposition of the smaller of ``K K^T`` and ``K^T K``,
+cached on the map.  Everything here is a pure function of its inputs:
+reductions go through a single NumPy build in a fixed order, so repeated
+calls are bit-reproducible within one installation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -25,6 +29,7 @@ from .rng import SplitMix64
 __all__ = [
     "BlockVector",
     "DifferenceMap",
+    "GramMap",
     "LinearMap",
     "Point",
     "dot",
@@ -190,6 +195,54 @@ class DifferenceMap:
         value.
         """
         return 2.0 * math.cos(math.pi / (2 * self.n)) * (1.0 + 4.0 * _EPS)
+
+
+class GramMap:
+    """The SPD map ``K^T K`` (n x n) held by its m x n factor ``K``.
+
+    The apply path is fixed by the shape: with ``2m < n`` ``apply(x)`` is
+    ``K.T @ (K @ x)``, which reads ``2mn`` doubles where the Gram would read
+    ``n^2``; otherwise the symmetrized Gram ``0.5 (G + G^T)``, ``G = K^T K``,
+    is formed once and ``apply(x)`` is ``gram @ x``, the same bits as a
+    :class:`LinearMap` of that matrix.
+    """
+
+    __slots__ = ("factor", "gram", "_spectrum")
+
+    def __init__(self, K: np.ndarray):
+        K = np.asarray(K, dtype=float)
+        if K.ndim != 2:
+            raise ValueError("GramMap expects a 2-D factor")
+        if not np.all(np.isfinite(K)):
+            raise ValueError("factor has non-finite entries")
+        self.factor = K
+        self.gram: Optional[np.ndarray] = None
+        if 2 * K.shape[0] >= K.shape[1]:
+            G = K.T @ K
+            self.gram = 0.5 * (G + G.T)
+        self._spectrum: Optional[Tuple[float, float]] = None
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        if self.gram is None:
+            return self.factor.T @ (self.factor @ x)
+        return self.gram @ x
+
+    def spectrum(self) -> Tuple[float, float]:
+        """``(mu, L)``: smallest (clipped at 0) and largest eigenvalue of ``K^T K``.
+
+        One ``eigvalsh``, made on the first call and cached: of ``K K^T``
+        (m x m) when ``m < n``, where ``K^T K`` is singular and ``mu`` is 0,
+        else of the symmetrized Gram the map applies.
+        """
+        if self._spectrum is None:
+            m, n = self.factor.shape
+            if m < n:
+                eigs = np.linalg.eigvalsh(self.factor @ self.factor.T)
+                self._spectrum = (0.0, float(eigs[-1]))
+            else:
+                eigs = np.linalg.eigvalsh(self.gram)
+                self._spectrum = (max(float(eigs[0]), 0.0), float(eigs[-1]))
+        return self._spectrum
 
 
 def operator_norm_estimate(L: Union[LinearMap, DifferenceMap], iters: int = 200,

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .linalg import BlockVector, DifferenceMap, LinearMap, Point, norm, spd_solver
+from .linalg import BlockVector, DifferenceMap, GramMap, LinearMap, Point, norm, spd_solver
 # re-exported: the benchmark harness wraps ``operators.operator_norm_estimate``
 from .linalg import operator_norm_estimate  # noqa: F401
 
@@ -198,7 +198,10 @@ def residual(T: OperatorHandle, y: Point) -> float:
     return norm(y - T.apply(y))
 
 
-def _spectrum_bounds(A: LinearMap) -> Tuple[float, float]:
+def _spectrum_bounds(A: Union[LinearMap, GramMap]) -> Tuple[float, float]:
+    """Smallest and largest eigenvalue of a symmetric map (a Gram map's cached spectrum)."""
+    if isinstance(A, GramMap):
+        return A.spectrum()
     M = A.matrix
     if M.shape[0] != M.shape[1]:
         raise ValueError("expected a square matrix")
@@ -254,7 +257,7 @@ def proximal_op(f: ProxFunction, rho: float) -> OperatorHandle:
 
 
 def forward_backward_op(
-    f_nonsmooth: ProxFunction, A_spd: LinearMap, b: np.ndarray, rho: float
+    f_nonsmooth: ProxFunction, A_spd: Union[LinearMap, GramMap], b: np.ndarray, rho: float
 ) -> OperatorHandle:
     """Forward-backward map ``x -> prox_{rho f}(x - rho (A x - b))``.
 
@@ -276,10 +279,10 @@ def forward_backward_op(
         beta = None
         gamma = 0.5 if norm(bb) == 0.0 else None
     p = make_prox(f_nonsmooth, rho)
-    M = A_spd.matrix
+    A_apply = A_spd.apply
 
     def apply(x: np.ndarray) -> np.ndarray:
-        return p(x - rho * (M @ x - bb))
+        return p(x - rho * (A_apply(x) - bb))
 
     return OperatorHandle(
         apply=apply,
@@ -396,7 +399,8 @@ def split_dr_op(
 
 
 def davis_yin_op(
-    fB: ProxFunction, fA: ProxFunction, A_spd: LinearMap, b: np.ndarray, rho: float
+    fB: ProxFunction, fA: ProxFunction, A_spd: Union[LinearMap, GramMap], b: np.ndarray,
+    rho: float
 ) -> OperatorHandle:
     """Three-operator splitting map for two prox terms plus a smooth quadratic.
 
@@ -416,11 +420,11 @@ def davis_yin_op(
         beta = None
     pb_ = make_prox(fB, rho)
     pa_ = make_prox(fA, rho)
-    M, bb = A_spd.matrix, np.asarray(b, dtype=float)
+    A_apply, bb = A_spd.apply, np.asarray(b, dtype=float)
 
     def apply(z: np.ndarray) -> np.ndarray:
         xb = pb_(z)
-        xa = pa_(2.0 * xb - z - rho * (M @ xb - bb))
+        xa = pa_(2.0 * xb - z - rho * (A_apply(xb) - bb))
         return z + (xa - xb)
 
     return OperatorHandle(

@@ -18,8 +18,8 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .engine import picard
-from .linalg import (BlockVector, DifferenceMap, LinearMap, Point, norm, operator_norm_estimate,
-                     solve_spd)
+from .linalg import (BlockVector, DifferenceMap, GramMap, LinearMap, Point, norm,
+                     operator_norm_estimate, solve_spd)
 from .operators import (
     OperatorHandle,
     box,
@@ -272,9 +272,14 @@ def make_quadratic(dim: int, mu: float, L_smooth: float, seed: int) -> Benchmark
 def make_lasso(m: int, n: int, sparsity: float, mu_reg: float, seed: int) -> BenchmarkInstance:
     """LASSO instance ``0.5 ||A x - b||^2 + mu ||x||_1``.
 
-    The reference is a non-inertial forward-backward run at ``rho = 1/L`` to
-    residual 1e-12 (cap 1e6 iterations); its fixed-point residual certifies
-    optimality for any admissible step size.
+    The smooth term's Hessian ``A^T A`` is a :class:`GramMap` of the m x n
+    design: for ``2m < n`` each forward step applies ``A^T (A x)`` and no
+    n x n array is formed, otherwise the Gram is formed once.  ``spectral``
+    and the default step ``rho = 1/L`` come from its one cached
+    eigendecomposition, which the operator builds reuse.  The reference is
+    a non-inertial forward-backward run at ``rho = 1/L`` to residual 1e-12
+    (cap 1e6 iterations); its fixed-point residual certifies optimality for
+    any admissible step size.
     """
     if m < 2 or n < 2:
         raise ValueError("m and n must be >= 2")
@@ -283,12 +288,9 @@ def make_lasso(m: int, n: int, sparsity: float, mu_reg: float, seed: int) -> Ben
     if mu_reg <= 0.0:
         raise ValueError("mu_reg must be > 0")
     A, b, _ = _sensing_data(m, n, sparsity, seed)
-    gram = A.T @ A
-    gram = 0.5 * (gram + gram.T)
+    gram_map = GramMap(A)
     atb = A.T @ b
-    eigs = np.linalg.eigvalsh(gram)
-    mu_s, L_s = max(float(eigs[0]), 0.0), float(eigs[-1])
-    gram_map = LinearMap(gram)
+    mu_s, L_s = gram_map.spectrum()
     x0 = np.zeros(n)
 
     def build_fb(rho: float) -> OperatorHandle:
@@ -392,19 +394,17 @@ def make_three_term(m: int, n: int, mu_reg: float, box_lo: float, box_hi: float,
 
     Data generation consumes the same random stream as :func:`make_lasso`,
     so equal (m, n, sparsity, seed) yield the identical design and
-    observations.  The Davis-Yin fixed point depends on rho; the stored one
-    is for the default ``rho = 1/L`` and other choices trigger a fresh
-    reference run.
+    observations, and the smooth term is the same :class:`GramMap` of the
+    design (for ``2m < n``, ``A^T (A x)`` per step and no n x n array).
+    The Davis-Yin fixed point depends on rho; the stored one is for the
+    default ``rho = 1/L`` and other choices trigger a fresh reference run.
     """
     if box_lo >= box_hi:
         raise ValueError("need box_lo < box_hi")
     A, b, _ = _sensing_data(m, n, sparsity, seed)
-    gram = A.T @ A
-    gram = 0.5 * (gram + gram.T)
+    gram_map = GramMap(A)
     atb = A.T @ b
-    eigs = np.linalg.eigvalsh(gram)
-    mu_s, L_s = max(float(eigs[0]), 0.0), float(eigs[-1])
-    gram_map = LinearMap(gram)
+    mu_s, L_s = gram_map.spectrum()
     fB = l1(mu_reg)
     fA = box(box_lo, box_hi)
     lo_arr, hi_arr = np.asarray(box_lo, dtype=float), np.asarray(box_hi, dtype=float)

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -379,6 +380,27 @@ def test_sequence_precheck_fails_infeasible_table(tmp_path):
     assert "warning: schedule fails the feasibility certificates" in out
 
 
+@pytest.mark.parametrize("schedule", [
+    "schedule.alpha_kind = ramp\nschedule.alpha_end = 0.1\nschedule.alpha_ramp_iters = 5\n",
+    "schedule.alpha_kind = table\nschedule.alpha_table = 0,0.1\n"
+    "schedule.lambda_kind = table\nschedule.lambda_table = 0.9,0.8\n",
+])
+def test_sequence_precheck_skips_a_one_iteration_run(tmp_path, schedule):
+    # max_iters = 1 leaves no index k >= 2 for the sequence form to test
+    cfg = tmp_path / "one.cfg"
+    trace = tmp_path / "one.csv"
+    write(cfg, QUAD_RUN.format(trace=trace).replace("stopping.max_iters = 5000",
+                                                    "stopping.max_iters = 1") + schedule)
+    buf = io.StringIO()
+    assert cli.cmd_run(str(cfg), out=buf) == cli.EXIT_MAX_ITERS
+    out = buf.getvalue()
+    line = next(l for l in out.splitlines() if l.startswith("relaxation_seq("))
+    assert line.endswith(": SKIPPED (no index k >= 2 within max_iters)")
+    assert "warning" not in out
+    read, cfg_out = cli.read_trace(str(trace))
+    assert len(read) == 1 and cfg_out["derived.warning"] == "0"
+
+
 def test_run_rejects_unknown_check_before_running(tmp_path):
     cfg = tmp_path / "typo.cfg"
     trace = tmp_path / "typo.csv"
@@ -623,6 +645,26 @@ def test_sweep_requires_two_entries(tmp_path):
     text = "\n".join(l for l in text.splitlines() if not l.startswith("sweep.2"))
     write(cfg, text)
     assert cli.main(["sweep", str(cfg)]) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("sweep.3.alpha", "1.5", "sweep.3.alpha must lie in [0, 1)"),
+    ("sweep.3.lambda", "0", "sweep.3.lambda must be > 0"),
+    ("sweep.2.xi", "5", "sweep.2.xi must lie in [0, 1]"),
+    ("schedule.xi", "-0.5", "schedule.xi must lie in [0, 1]"),
+])
+def test_sweep_checks_every_entry_before_the_first_run(tmp_path, monkeypatch, key, value,
+                                                       message):
+    cfg = tmp_path / "bad.cfg"
+    table = tmp_path / "bad.csv"
+    write(cfg, SWEEP_CFG.format(table=table) + "sweep.3.alpha = 0.1\nsweep.3.lambda = 1.0\n"
+          + f"{key} = {value}\n")
+    runs = []
+    monkeypatch.setattr(cli, "_run", lambda *args: runs.append(args))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        cli.cmd_sweep(str(cfg), out=io.StringIO())
+    assert cli.main(["sweep", str(cfg)]) == cli.EXIT_USAGE
+    assert runs == [] and not table.exists()
 
 
 def test_sweep_reruns_give_identical_tables(tmp_path):

@@ -26,17 +26,21 @@ from ikm.engine import (
     verify_descent,
     verify_product_bound,
 )
-from ikm.linalg import BlockVector, DifferenceMap, LinearMap, dot, norm, operator_norm_estimate
+from ikm.linalg import (BlockVector, DifferenceMap, GramMap, LinearMap, dot, norm,
+                        operator_norm_estimate)
 from ikm.operators import (
     OperatorHandle,
+    box,
+    davis_yin_op,
     diagonal_quadratic,
     douglas_rachford_op,
+    forward_backward_op,
     l1,
     primal_dual_op,
     split_dr_op,
     zero,
 )
-from ikm.problems import _tv1d_saddle
+from ikm.problems import _sensing_data, _tv1d_saddle
 from ikm.rng import SplitMix64
 
 IDENTITY = douglas_rachford_op(zero(), zero(), 1.0)  # exact identity map
@@ -326,6 +330,32 @@ def test_difference_map_runs_match_dense_runs_row_for_row(builder, n):
         assert got.rows == want.rows  # 2000 rows, or fewer on an exact fixed point
         for a, c in zip(got.xs, want.xs):
             assert np.array_equal(a.primal, c.primal) and np.array_equal(a.dual, c.dual)
+
+
+@pytest.mark.parametrize("scheme", ["fb", "dy"])
+def test_gram_map_sweeps_match_dense_gram_sweeps(scheme, lasso_default, three_term_default):
+    # the 40 x 100 test instances' operators on A^T (A x) against the same
+    # operators on the dense symmetrized Gram: rounding-level differences
+    # per step leave every row's status and length unchanged
+    inst = lasso_default if scheme == "fb" else three_term_default
+    A, b, _ = _sensing_data(40, 100, 0.1, 1)
+    G, atb = A.T @ A, A.T @ b
+    rho = inst.default_steps[scheme]["rho"]
+
+    def build(A_spd):
+        if scheme == "fb":
+            return forward_backward_op(l1(0.1), A_spd, atb, rho)
+        return davis_yin_op(l1(0.1), box(-1.0, 1.0), A_spd, atb, rho)
+
+    factored, dense = build(GramMap(A)), build(LinearMap(0.5 * (G + G.T)))
+    assert factored.gamma == pytest.approx(dense.gamma, rel=1e-14)
+    x1, p = inst.start_point(scheme), inst.fixed_point(scheme)
+    stop = StoppingRule(100_000, 1e-11)
+    for alpha, lam in [(0.0, 1.0), (0.1, 0.9), (0.3, 0.9), (0.2, 1.2), (0.4, 0.5),
+                       (0.15, 1.1), (0.0, 0.5)]:
+        sched = Schedule.constant(alpha, lam)
+        got, want = run(factored, x1, sched, stop, p_ref=p), run(dense, x1, sched, stop, p_ref=p)
+        assert (got.status, len(got.rows)) == (want.status, len(want.rows))
 
 
 def test_run_stall_detection():

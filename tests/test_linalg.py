@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ikm.linalg import (
     BlockVector,
     DifferenceMap,
+    GramMap,
     LinearMap,
     dot,
     norm,
@@ -187,3 +188,45 @@ def test_norm_upper_bounds_the_spectral_norm():
         assert float(np.linalg.norm(M, 2)) <= L.norm_upper()
         assert L.norm_upper() == pytest.approx(schur, rel=1e-13)
     assert LinearMap(np.zeros((2, 3))).norm_upper() == 0.0
+
+
+# --------------------------------------------------------------------------
+# Gram maps held by their factor
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 40), n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+       spread=st.integers(0, 3))
+def test_gram_map_matches_the_dense_gram(m, n, seed, spread):
+    # shapes on both sides of 2m = n; entries from 10^-spread to 10^spread
+    rng = np.random.default_rng(seed)
+    K = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-spread, spread + 1, (m, n))
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-spread, spread + 1, n)
+    G = K.T @ K
+    gram = 0.5 * (G + G.T)
+    K_map = GramMap(K)
+    got, want = K_map.apply(x), LinearMap(gram).apply(x)
+    if 2 * m < n:
+        assert K_map.gram is None
+        # K^T (K x) and the Gram product are each within about (m + n) u
+        # |K|^T |K| |x| of K^T K x (u = eps / 2, one inner product of length n
+        # and one of length m per entry), hence within (m + n + 2) eps of each other
+        eps = np.finfo(float).eps
+        bound = (m + n + 2) * eps * (np.abs(K).T @ (np.abs(K) @ np.abs(x)))
+        assert np.all(np.abs(got - want) <= bound)
+    else:
+        assert np.array_equal(got, want)
+    mu, L = K_map.spectrum()
+    eigs = np.linalg.eigvalsh(gram)
+    assert L == pytest.approx(eigs[-1], rel=1e-12)
+    assert abs(mu - eigs[0]) <= 1e-12 * L
+    if m < n:
+        assert mu == 0.0
+    assert K_map.spectrum() is K_map.spectrum()  # cached
+
+
+def test_gram_map_rejects_bad_input():
+    with pytest.raises(ValueError):
+        GramMap(np.zeros(3))
+    with pytest.raises(ValueError):
+        GramMap(np.array([[1.0, np.nan]]))

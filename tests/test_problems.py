@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ikm import problems
+from ikm import cli, problems
 from ikm.engine import Schedule, StoppingRule, picard, run
 from ikm.linalg import norm
 from ikm.operators import residual
@@ -331,3 +331,23 @@ def test_default_steps_are_reported(lasso_default, tv_200):
     tau = tv_200.default_steps["pd"]["tau"]
     sigma = tv_200.default_steps["pd"]["sigma"]
     assert tau * sigma * tv_200.spectral.norm_L ** 2 <= 1.0
+
+
+@pytest.mark.parametrize("kind, scheme", [("lasso", "fb"), ("three_term", "dy")])
+def test_least_squares_build_problem_runs_one_eigendecomposition(tmp_path, monkeypatch, kind,
+                                                                 scheme):
+    # the instance, its reference run and the configured operator share the
+    # Gram map's cached spectrum, taken from the 40 x 40 A A^T
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(M, *args, **kwargs):
+        shapes.append(M.shape)
+        return eigvalsh(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    cfg = tmp_path / "ls.cfg"
+    cfg.write_text(f"problem.kind = {kind}\nproblem.m = 40\nproblem.n = 100\n"
+                   f"algorithm.scheme = {scheme}\n", encoding="utf-8")
+    cli.build_problem(str(cfg))
+    assert shapes == [(40, 40)]

@@ -20,7 +20,9 @@ Fixed cases outside the benchmark run beside the workloads, once per seed
 on five small quadratic configs that take the check and schedule paths the
 workloads do not (every check on a certified run, ``run.p_ref = none``, an
 infeasible schedule, ramp alpha with a lambda table, table alpha with a
-constant lambda above 1), and four ``ikm check-params`` argument sets.  The
+constant lambda above 1), on a small ``three_term`` config (the Davis-Yin
+path, which no workload runs) and on a small ``lasso`` config, and four
+``ikm check-params`` argument sets.  The
 tool prints one line per case and exits 1 when anything differs, 0
 otherwise.
 """
@@ -43,21 +45,19 @@ import workloads  # noqa: E402
 
 TIMEOUT_S = 600
 
-QUADRATIC = """problem.kind = quadratic
-problem.dim = 20
-problem.mu = 1
-problem.L = 10
-problem.seed = {seed}
+RUN = """problem.seed = {seed}
 stopping.max_iters = 5000
 stopping.residual_tol = 1e-11
 output.checks = ck,descent,contraction,product,small_o
 """
-GRADIENT = "algorithm.scheme = gradient\n"
+QUADRATIC = RUN + "problem.kind = quadratic\nproblem.dim = 20\nproblem.mu = 1\nproblem.L = 10\n"
+GRADIENT = QUADRATIC + "algorithm.scheme = gradient\n"
+LEAST_SQUARES = RUN + "problem.m = 30\nproblem.n = 80\n"
 FIXED_CONFIGS = {
     "certified": GRADIENT + "schedule.alpha = 0.05\nschedule.lambda = 0.9\n",
     "no-ref": GRADIENT + "schedule.alpha = 0.05\nschedule.lambda = 0.9\nrun.p_ref = none\n",
-    "infeasible": ("algorithm.scheme = proximal\nalgorithm.rho = 1\n"
-                   "schedule.alpha = 0.9\nschedule.lambda = 0.99\n"),
+    "infeasible": QUADRATIC + ("algorithm.scheme = proximal\nalgorithm.rho = 1\n"
+                               "schedule.alpha = 0.9\nschedule.lambda = 0.99\n"),
     "ramp-table": GRADIENT + ("schedule.alpha_kind = ramp\nschedule.alpha_start = 0\n"
                               "schedule.alpha_end = 0.1\nschedule.alpha_ramp_iters = 30\n"
                               "schedule.lambda_kind = table\n"
@@ -66,6 +66,11 @@ FIXED_CONFIGS = {
     "table-constant": GRADIENT + ("schedule.alpha_kind = table\n"
                                   "schedule.alpha_table = 0,0.02,0.04,0.05\n"
                                   "schedule.lambda = 1.05\nstopping.max_iters = 300\n"),
+    # Davis-Yin at rho = 1/L is 2/3-averaged, so lambda = 1.1 is feasible at alpha = 0.1
+    "three-term": LEAST_SQUARES + ("problem.kind = three_term\nalgorithm.scheme = dy\n"
+                                   "schedule.alpha = 0.1\nschedule.lambda = 1.1\n"),
+    "lasso": LEAST_SQUARES + ("problem.kind = lasso\nalgorithm.scheme = fb\n"
+                              "schedule.alpha = 0.2\nschedule.lambda = 0.9\n"),
 }
 CHECK_PARAMS = [
     ["--alpha", "0.2", "--lambda", "0.5"],
@@ -96,7 +101,7 @@ def seed_list(text: str) -> List[int]:
 def fixed_cases(seed: int) -> Iterator[Tuple[str, Dict[str, str], List[List[str]]]]:
     """(name, files, argument lists) of each fixed case at one seed."""
     for name, text in FIXED_CONFIGS.items():
-        config = QUADRATIC.format(seed=seed) + text + f"output.trace = {name}.csv\n"
+        config = text.format(seed=seed) + f"output.trace = {name}.csv\n"
         yield name, {f"{name}.cfg": config}, [["run", f"{name}.cfg"], ["certify", f"{name}.csv"]]
     yield "check-params", {}, [["check-params"] + args for args in CHECK_PARAMS]
 
