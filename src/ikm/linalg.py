@@ -7,12 +7,11 @@ space (primal x dual) are :class:`BlockVector`. Linear maps are either dense
 matrix); both expose ``rows``, ``cols``, ``apply``, ``apply_adjoint`` and a
 certified upper bound ``norm_upper()`` on the operator norm.  The SPD map
 ``K^T K`` of a least-squares term is a :class:`GramMap`, held by its m x n
-factor ``K``: with ``2m < n`` it applies ``K^T (K x)`` and never forms the
-n x n Gram, otherwise it applies the Gram formed once; its spectrum comes
-from one eigendecomposition of the smaller of ``K K^T`` and ``K^T K``,
-cached on the map.  Everything here is a pure function of its inputs:
-reductions go through a single NumPy build in a fixed order, so repeated
-calls are bit-reproducible within one installation.
+factor ``K``: it applies ``K^T (K x)`` and stores no n x n Gram; its
+spectrum comes from one eigendecomposition of the Gram, formed for it and
+dropped, cached on the map.  Everything here is a pure function of its
+inputs: reductions go through a single NumPy build in a fixed order, so
+repeated calls are bit-reproducible within one installation.
 """
 
 from __future__ import annotations
@@ -200,14 +199,11 @@ class DifferenceMap:
 class GramMap:
     """The SPD map ``K^T K`` (n x n) held by its m x n factor ``K``.
 
-    The apply path is fixed by the shape: with ``2m < n`` ``apply(x)`` is
-    ``K.T @ (K @ x)``, which reads ``2mn`` doubles where the Gram would read
-    ``n^2``; otherwise the symmetrized Gram ``0.5 (G + G^T)``, ``G = K^T K``,
-    is formed once and ``apply(x)`` is ``gram @ x``, the same bits as a
-    :class:`LinearMap` of that matrix.
+    ``apply(x)`` is ``K.T @ (K @ x)``, which reads ``2mn`` doubles and forms
+    no n x n array.
     """
 
-    __slots__ = ("factor", "gram", "_spectrum")
+    __slots__ = ("factor", "_spectrum")
 
     def __init__(self, K: np.ndarray):
         K = np.asarray(K, dtype=float)
@@ -216,32 +212,29 @@ class GramMap:
         if not np.all(np.isfinite(K)):
             raise ValueError("factor has non-finite entries")
         self.factor = K
-        self.gram: Optional[np.ndarray] = None
-        if 2 * K.shape[0] >= K.shape[1]:
-            G = K.T @ K
-            self.gram = 0.5 * (G + G.T)
         self._spectrum: Optional[Tuple[float, float]] = None
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        if self.gram is None:
-            return self.factor.T @ (self.factor @ x)
-        return self.gram @ x
+        return self.factor.T @ (self.factor @ x)
 
     def spectrum(self) -> Tuple[float, float]:
         """``(mu, L)``: smallest (clipped at 0) and largest eigenvalue of ``K^T K``.
 
-        One ``eigvalsh``, made on the first call and cached: of ``K K^T``
-        (m x m) when ``m < n``, where ``K^T K`` is singular and ``mu`` is 0,
-        else of the symmetrized Gram the map applies.
+        One ``eigvalsh`` of the symmetrized Gram ``0.5 (G + G^T)``,
+        ``G = K^T K``, made on the first call and cached; the Gram is formed
+        for it and dropped.  The n x n Gram rather than the smaller ``K K^T``
+        keeps ``L`` bit-identical to the dense decomposition, so step sizes
+        ``1/L`` do not move by an ulp.  ``mu`` is 0 when ``m < n``, where
+        ``K^T K`` is singular.
         """
         if self._spectrum is None:
             m, n = self.factor.shape
-            if m < n:
-                eigs = np.linalg.eigvalsh(self.factor @ self.factor.T)
-                self._spectrum = (0.0, float(eigs[-1]))
-            else:
-                eigs = np.linalg.eigvalsh(self.gram)
-                self._spectrum = (max(float(eigs[0]), 0.0), float(eigs[-1]))
+            G = self.factor.T @ self.factor
+            G += G.T
+            G *= 0.5
+            eigs = np.linalg.eigvalsh(G)
+            mu = 0.0 if m < n else max(float(eigs[0]), 0.0)
+            self._spectrum = (mu, float(eigs[-1]))
         return self._spectrum
 
 

@@ -273,8 +273,8 @@ def make_lasso(m: int, n: int, sparsity: float, mu_reg: float, seed: int) -> Ben
     """LASSO instance ``0.5 ||A x - b||^2 + mu ||x||_1``.
 
     The smooth term's Hessian ``A^T A`` is a :class:`GramMap` of the m x n
-    design: for ``2m < n`` each forward step applies ``A^T (A x)`` and no
-    n x n array is formed, otherwise the Gram is formed once.  ``spectral``
+    design: each forward step applies ``A^T (A x)`` and no n x n array is
+    kept.  ``spectral``
     and the default step ``rho = 1/L`` come from its one cached
     eigendecomposition, which the operator builds reuse.  The reference is
     a non-inertial forward-backward run at ``rho = 1/L`` to residual 1e-12
@@ -395,7 +395,7 @@ def make_three_term(m: int, n: int, mu_reg: float, box_lo: float, box_hi: float,
     Data generation consumes the same random stream as :func:`make_lasso`,
     so equal (m, n, sparsity, seed) yield the identical design and
     observations, and the smooth term is the same :class:`GramMap` of the
-    design (for ``2m < n``, ``A^T (A x)`` per step and no n x n array).
+    design (``A^T (A x)`` per step, no n x n array kept).
     The Davis-Yin fixed point depends on rho; the stored one is for the
     default ``rho = 1/L`` and other choices trigger a fresh reference run.
     """

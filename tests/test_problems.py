@@ -337,7 +337,7 @@ def test_default_steps_are_reported(lasso_default, tv_200):
 def test_least_squares_build_problem_runs_one_eigendecomposition(tmp_path, monkeypatch, kind,
                                                                  scheme):
     # the instance, its reference run and the configured operator share the
-    # Gram map's cached spectrum, taken from the 40 x 40 A A^T
+    # Gram map's cached spectrum, taken from the 100 x 100 Gram
     shapes = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -350,4 +350,4 @@ def test_least_squares_build_problem_runs_one_eigendecomposition(tmp_path, monke
     cfg.write_text(f"problem.kind = {kind}\nproblem.m = 40\nproblem.n = 100\n"
                    f"algorithm.scheme = {scheme}\n", encoding="utf-8")
     cli.build_problem(str(cfg))
-    assert shapes == [(40, 40)]
+    assert shapes == [(100, 100)]
