@@ -44,7 +44,6 @@ from .engine import (
     verify_product_bound,
 )
 from .linalg import (
-    BlockVector,
     DifferenceMap,
     GramMap,
     LinearMap,

@@ -3,16 +3,16 @@
 The iteration is
 
     y_k     = x_k + alpha_k (x_k - x_{k-1})
-    x_{k+1} = (1 - lambda_k) y_k + lambda_k T_k(y_k)
+    x_{k+1} = (1 - lambda_k) y_k + lambda_k T(y_k)
 
 started from ``x_0 = x_1`` so the first inertial term vanishes.  A run's
 record is one :class:`Trace` of NumPy columns, one entry per step.  Each step
-appends only what it measures: the residual ``||y_k - T_k y_k||``, the speed
+appends only what it measures: the residual ``||y_k - T y_k||``, the speed
 ``||x_k - x_{k-1}||``, ``alpha_k`` and ``lambda_k``, the distance
 ``||x_k - p||`` when a reference fixed point is supplied and the objective
 when one is.  Once per run (also for the partial trace a
 :class:`DivergenceError` carries) the rest is derived from those columns:
-``k ||x_k - x_{k-1}||^2``, ``k ||y_k - T_k y_k||^2`` and the Lyapunov
+``k ||x_k - x_{k-1}||^2``, ``k ||y_k - T y_k||^2`` and the Lyapunov
 quantities
 
     nu_k     = 1/lambda_k - 1
@@ -42,7 +42,7 @@ trace columns alone, whether they come from a :class:`RunResult` or from an
 exported CSV.  Distances to ``p`` and steps are columns; the cross terms the
 inequalities need are reconstructed through the identity
 
-    lambda_k^2 ||y_k - T_k y_k||^2 = ||x_{k+1} - x_k||^2
+    lambda_k^2 ||y_k - T y_k||^2 = ||x_{k+1} - x_k||^2
         + alpha_k^2 ||x_k - x_{k-1}||^2
         - 2 alpha_k <x_{k+1} - x_k, x_k - x_{k-1}>.
 
@@ -58,7 +58,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .certificates import contraction_constant
-from .linalg import Point, flush_subnormals, is_finite, norm
+from .linalg import flush_subnormals, is_finite, norm
 from .operators import OperatorHandle, residual as op_residual
 
 __all__ = [
@@ -335,13 +335,13 @@ class RunResult:
     """
 
     rows: Trace
-    xs: List[Point]
-    ys: List[Point]
+    xs: List[np.ndarray]
+    ys: List[np.ndarray]
     status: str  # converged | max_iters | stalled | diverged
     schedule: Optional[Schedule] = None
-    p_ref: Optional[Point] = None
+    p_ref: Optional[np.ndarray] = None
     operator: Optional[OperatorHandle] = None
-    x_last: Optional[Point] = None
+    x_last: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if not isinstance(self.rows, Trace):
@@ -361,16 +361,15 @@ class RunResult:
 
 
 def run(
-    T_family: Union[OperatorHandle, Callable[[int], OperatorHandle]],
-    x1: Point,
+    T: OperatorHandle,
+    x1: np.ndarray,
     schedule: Schedule,
     stop: StoppingRule,
-    p_ref: Optional[Point] = None,
-    objective: Optional[Callable[[Point], float]] = None,
+    p_ref: Optional[np.ndarray] = None,
+    objective: Optional[Callable[[np.ndarray], float]] = None,
 ) -> RunResult:
     """Drive the inertial KM iteration and return the full diagnostic trace.
 
-    ``T_family`` is a single operator handle or a map ``k -> handle``.
     Entries of magnitude below ``np.finfo(float).tiny`` are zeroed in ``y_k``
     when ``alpha_k != 0`` and in ``x_{k+1}`` when ``lambda_k != 1``, in the
     arrays the step has just formed; ``T``'s outputs and ``x1`` are never
@@ -381,16 +380,9 @@ def run(
     attached (intermediate overflow on the way to a detected divergence is
     silenced, since non-finite iterates are handled explicitly).
     """
-    if isinstance(T_family, OperatorHandle):
-        single = T_family
-        fam = lambda k: single  # noqa: E731
-    else:
-        single = None
-        fam = T_family
-
     x_prev = x_curr = x1
-    x_last: Optional[Point] = None
-    y_last: Optional[Point] = None
+    x_last: Optional[np.ndarray] = None
+    y_last: Optional[np.ndarray] = None
     # measured columns; the rest of the trace is derived from them at the end
     res_col: List[float] = []
     step_col: List[float] = []
@@ -404,7 +396,7 @@ def run(
     def result(status: str) -> RunResult:
         ys = [] if y_last is None else [y_last]
         trace = _derived_trace(res_col, step_col, alpha_col, lam_col, dist_col, obj_col)
-        return RunResult(trace, [x_prev, x_curr], ys, status, schedule, p_ref, single, x_last)
+        return RunResult(trace, [x_prev, x_curr], ys, status, schedule, p_ref, T, x_last)
 
     with np.errstate(over="ignore", invalid="ignore"):
         d_curr = norm(x1 - p_ref) if p_ref is not None else None
@@ -418,7 +410,6 @@ def run(
             if l_k <= 0.0:
                 raise ValueError(f"lambda_{k} = {l_k} must be > 0")
 
-            T = fam(k)
             diff = x_curr - x_prev
             y = x_curr if a_k == 0.0 else flush_subnormals(x_curr + a_k * diff)
             ty = T.apply(y)
@@ -461,7 +452,7 @@ def run(
     return result(status)
 
 
-def picard(T: OperatorHandle, x0: Point, tol: float, max_iters: int) -> RunResult:
+def picard(T: OperatorHandle, x0: np.ndarray, tol: float, max_iters: int) -> RunResult:
     """Plain fixed-point iteration ``x <- T x`` without trace (reference runs)."""
     x = x0
     for k in range(1, max_iters + 1):
@@ -559,7 +550,7 @@ def _alpha_second_diff_sq(trace: Trace, a: np.ndarray, lam: np.ndarray) -> np.nd
 
     Eliminating the cross term with the identity in the module docstring gives
 
-        lambda_k^2 ||y_k - T_k y_k||^2 - (1 - alpha_k) ||x_{k+1} - x_k||^2
+        lambda_k^2 ||y_k - T y_k||^2 - (1 - alpha_k) ||x_{k+1} - x_k||^2
             + alpha_k (1 - alpha_k) ||x_k - x_{k-1}||^2,
 
     clipped at 0, which never divides by alpha_k, so tiny alpha_k cannot

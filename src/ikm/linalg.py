@@ -1,7 +1,7 @@
 """Real linear algebra shared by every other module.
 
-Points of the base space are 1-D float64 numpy arrays; points of a product
-space (primal x dual) are :class:`BlockVector`. Linear maps are either dense
+Every point is a 1-D float64 numpy array; a point of a product space
+``X x Y`` is the concatenation ``[x; y]``. Linear maps are either dense
 (:class:`LinearMap`, a stored matrix) or structured
 (:class:`DifferenceMap`, forward differences applied in O(n) with no
 matrix); both expose ``rows``, ``cols``, ``apply``, ``apply_adjoint`` and a
@@ -26,11 +26,9 @@ from scipy.linalg import cho_factor, cho_solve
 from .rng import SplitMix64
 
 __all__ = [
-    "BlockVector",
     "DifferenceMap",
     "GramMap",
     "LinearMap",
-    "Point",
     "dot",
     "flush_subnormals",
     "norm",
@@ -40,57 +38,19 @@ __all__ = [
 ]
 
 
-class BlockVector:
-    """Point (primal, dual) of a product space X x Y.
-
-    Slotted with a plain constructor: the engine builds several per step, so
-    construction cost is part of every product-space iteration.
-    """
-
-    __slots__ = ("primal", "dual")
-
-    def __init__(self, primal: np.ndarray, dual: np.ndarray):
-        self.primal = primal
-        self.dual = dual
-
-    def __add__(self, other: "BlockVector") -> "BlockVector":
-        return BlockVector(self.primal + other.primal, self.dual + other.dual)
-
-    def __sub__(self, other: "BlockVector") -> "BlockVector":
-        return BlockVector(self.primal - other.primal, self.dual - other.dual)
-
-    def __mul__(self, s: float) -> "BlockVector":
-        return BlockVector(self.primal * s, self.dual * s)
-
-    __rmul__ = __mul__
-
-    @property
-    def dim(self) -> int:
-        return self.primal.size + self.dual.size
-
-
-Point = Union[np.ndarray, BlockVector]
-
-
-def dot(a: Point, b: Point) -> float:
-    """Euclidean inner product (block-wise for product-space points)."""
-    if isinstance(a, BlockVector) or isinstance(b, BlockVector):
-        return float(np.dot(a.primal, b.primal)) + float(np.dot(a.dual, b.dual))
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Euclidean inner product."""
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return float(np.dot(a, b))
 
 
-def norm(a: Point) -> float:
+def norm(a: np.ndarray) -> float:
     """Euclidean norm, ``dot(a, a) ** 0.5``, without ``dot``'s shape check."""
-    if isinstance(a, BlockVector):
-        return (float(np.dot(a.primal, a.primal)) + float(np.dot(a.dual, a.dual))) ** 0.5
     return float(np.dot(a, a)) ** 0.5
 
 
-def is_finite(a: Point) -> bool:
-    if isinstance(a, BlockVector):
-        return bool(np.all(np.isfinite(a.primal)) and np.all(np.isfinite(a.dual)))
+def is_finite(a: np.ndarray) -> bool:
     return bool(np.all(np.isfinite(a)))
 
 
@@ -98,17 +58,13 @@ _TINY = np.finfo(float).tiny
 _EPS = np.finfo(float).eps
 
 
-def flush_subnormals(a: Point) -> Point:
+def flush_subnormals(a: np.ndarray) -> np.ndarray:
     """Zero, in place, every entry of ``a`` with ``|a_i| < tiny`` and return ``a``.
 
     Only for arrays the caller has just formed and owns: subnormal operands
     make every later matvec on the point many times slower.
     """
-    if isinstance(a, BlockVector):
-        a.primal[np.abs(a.primal) < _TINY] = 0.0
-        a.dual[np.abs(a.dual) < _TINY] = 0.0
-    else:
-        a[np.abs(a) < _TINY] = 0.0
+    a[np.abs(a) < _TINY] = 0.0
     return a
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .linalg import BlockVector, DifferenceMap, GramMap, LinearMap, Point, norm, spd_solver
+from .linalg import DifferenceMap, GramMap, LinearMap, norm, spd_solver
 # re-exported: the benchmark harness wraps ``operators.operator_norm_estimate``
 from .linalg import operator_norm_estimate  # noqa: F401
 
@@ -184,16 +184,16 @@ class OperatorHandle:
     ``apply`` to a solution of the underlying problem.
     """
 
-    apply: Callable[[Point], Point]
+    apply: Callable[[np.ndarray], np.ndarray]
     gamma: Optional[float] = None
     q_factor: Optional[float] = None
     beta: Optional[float] = None
-    extract_solution: Optional[Callable[[Point], np.ndarray]] = None
+    extract_solution: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = ""
     notes: Tuple[str, ...] = field(default_factory=tuple)
 
 
-def residual(T: OperatorHandle, y: Point) -> float:
+def residual(T: OperatorHandle, y: np.ndarray) -> float:
     """Fixed-point residual ``||y - T y||``."""
     return norm(y - T.apply(y))
 
@@ -335,27 +335,29 @@ def primal_dual_op(
 ) -> OperatorHandle:
     """One sweep of primal-dual splitting for ``min f(x) + g(L x)``.
 
+    A point is the flat array ``p = [x; y]`` of length ``L.cols + L.rows``.
     Updates ``x+ = prox_{tau f}(x - tau L^T y)`` then ``y+ =
-    prox_{sigma g*}(y + sigma L (2 x+ - x))``; requires
+    prox_{sigma g*}(y + sigma L (2 x+ - x))`` and returns ``[x+; y+]`` as a
+    new array; ``p`` is never written.  Requires
     ``tau * sigma * ||L||^2 <= 1``, checked against ``L.norm_upper()``.  The
-    map is 1/2-averaged on the product space and the primal block of a fixed
-    point solves the problem.
+    map is 1/2-averaged on the product space and the primal block ``p[:n]``
+    of a fixed point solves the problem.
     """
     _check_steps(L, tau, sigma)
     pf = make_prox(f, tau)
     pg = make_prox(g, 1.0 / sigma)
+    n = L.cols
 
-    def apply(p: BlockVector) -> BlockVector:
-        x, y = p.primal, p.dual
+    def apply(p: np.ndarray) -> np.ndarray:
+        x, y = p[:n], p[n:]
         xp = pf(x - tau * L.apply_adjoint(y))
         w = y + sigma * L.apply(2.0 * xp - x)
-        yp = w - sigma * pg(w / sigma)
-        return BlockVector(xp, yp)
+        return np.concatenate((xp, w - sigma * pg(w / sigma)))
 
     return OperatorHandle(
         apply=apply,
         gamma=0.5,
-        extract_solution=lambda p: p.primal,
+        extract_solution=lambda p: p[:n],
         name="primal-dual",
         notes=("averagedness 1/2 holds in the step-induced product metric",),
     )
@@ -367,32 +369,35 @@ def split_dr_op(
 ) -> OperatorHandle:
     """Split Douglas-Rachford sweep with scalar preconditioners.
 
+    A point is the flat array ``p = [x; y]`` of length ``L.cols + L.rows``.
     Per iteration::
 
         v  = sigma * (I - prox_{g/sigma}) (L x + y / sigma)
         x+ = prox_{tau f}(x - tau L^T v)
         y+ = sigma * L (x+ - x) + v
 
+    and ``[x+; y+]`` is returned as a new array; ``p`` is never written.
     Averagedness 1/2 is assumed in the preconditioned metric (flagged in
     ``notes``); requires ``tau * sigma * ||L||^2 <= 1``, checked against
-    ``L.norm_upper()``.
+    ``L.norm_upper()``.  The primal block ``p[:n]`` of a fixed point solves
+    the problem.
     """
     _check_steps(L, tau, sigma)
     pf = make_prox(f, tau)
     pg = make_prox(g, 1.0 / sigma)
+    n = L.cols
 
-    def apply(p: BlockVector) -> BlockVector:
-        x, y = p.primal, p.dual
+    def apply(p: np.ndarray) -> np.ndarray:
+        x, y = p[:n], p[n:]
         w = L.apply(x) + y / sigma
         v = sigma * (w - pg(w))
         xp = pf(x - tau * L.apply_adjoint(v))
-        yp = sigma * L.apply(xp - x) + v
-        return BlockVector(xp, yp)
+        return np.concatenate((xp, sigma * L.apply(xp - x) + v))
 
     return OperatorHandle(
         apply=apply,
         gamma=0.5,
-        extract_solution=lambda p: p.primal,
+        extract_solution=lambda p: p[:n],
         name="split-douglas-rachford",
         notes=("averagedness 1/2 assumed in the scalar-preconditioned metric",),
     )

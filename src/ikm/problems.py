@@ -18,8 +18,8 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .engine import picard
-from .linalg import (BlockVector, DifferenceMap, GramMap, LinearMap, Point, norm,
-                     operator_norm_estimate, solve_spd)
+from .linalg import (DifferenceMap, GramMap, LinearMap, norm, operator_norm_estimate,
+                     solve_spd)
 from .operators import (
     OperatorHandle,
     box,
@@ -80,8 +80,8 @@ class BenchmarkInstance:
     spectral: Optional[SpectralData]
     default_steps: Dict[str, Dict[str, float]]
     builders: Dict[str, Callable[..., OperatorHandle]] = field(repr=False)
-    starts: Dict[str, Point] = field(repr=False)
-    fixed_points: Dict[str, Optional[Point]] = field(repr=False)
+    starts: Dict[str, np.ndarray] = field(repr=False)
+    fixed_points: Dict[str, Optional[np.ndarray]] = field(repr=False)
     step_bound_fixed: Dict[str, bool] = field(repr=False, default_factory=dict)
 
     @property
@@ -103,12 +103,12 @@ class BenchmarkInstance:
         resolved = self.resolve_steps(scheme, **steps)
         return self.builders[scheme](**resolved)
 
-    def start_point(self, scheme: str) -> Point:
+    def start_point(self, scheme: str) -> np.ndarray:
         if scheme not in self.starts:
             raise ValueError(f"{self.name} does not support scheme {scheme!r}")
         return self.starts[scheme]
 
-    def fixed_point(self, scheme: str, **steps) -> Optional[Point]:
+    def fixed_point(self, scheme: str, **steps) -> Optional[np.ndarray]:
         """Reference fixed point for the scheme at the given steps.
 
         Stored references are reused when they stay valid for any step
@@ -153,8 +153,8 @@ def _sensing_data(m: int, n: int, sparsity: float, seed: int):
     return A, b, truth
 
 
-def _tv1d_saddle(b: np.ndarray, mu: float) -> BlockVector:
-    """Exact saddle point ``(x*, y*)`` of ``0.5 ||x - b||^2 + mu ||D x||_1``.
+def _tv1d_saddle(b: np.ndarray, mu: float) -> np.ndarray:
+    """Exact saddle point ``[x*; y*]`` of ``0.5 ||x - b||^2 + mu ||D x||_1``.
 
     The primal is Condat's direct algorithm (L. Condat, "A Direct Algorithm
     for 1-D Total Variation Denoising", IEEE Signal Processing Letters
@@ -192,7 +192,7 @@ def _tv1d_saddle(b: np.ndarray, mu: float) -> BlockVector:
                 vmin += umin / (k - k0 + 1)
                 x[k0:] = [vmin] * (n - k0)
                 x_star = np.array(x)
-                return BlockVector(x_star, np.clip(np.cumsum(x_star - b)[:-1], -mu, mu))
+                return np.concatenate((x_star, np.clip(np.cumsum(x_star - b)[:-1], -mu, mu)))
         umin += obs[k + 1] - vmin
         if umin < -mu:  # negative jump
             x[k0:kminus + 1] = [vmin] * (kminus + 1 - k0)
@@ -330,13 +330,15 @@ def make_tv1d(n: int, mu_reg: float, seed: int) -> BenchmarkInstance:
     instance stores no n x n array and each operator apply costs O(n).  The
     default steps are ``tau = sigma = 0.99 / est`` with ``est`` the power
     estimate of ``||D||`` (``spectral.norm_L``); the operators check them
-    against the closed-form norm.  Both the primal-dual and the split
-    Douglas-Rachford builders target the same saddle point, so the stored
-    reference fixed point is valid for either scheme at any admissible step
-    sizes.  The saddle point is exact: the primal by Condat's direct
-    algorithm, the dual from ``D^T y = b - x*``, which has one solution
-    because ``D^T`` is injective.  It works at every ``n``, and
-    ``mu_reg = 0`` gives back ``(b, 0)``.
+    against the closed-form norm.  Both schemes iterate on the flat array
+    ``[x; y]`` of length ``2n - 1`` (primal ``x``, then dual ``y``) and
+    start at zero.  The primal-dual and the split Douglas-Rachford builders
+    target the same saddle point, so the stored reference fixed point is
+    valid for either scheme at any admissible step sizes.  The saddle point
+    is exact: the primal by Condat's direct algorithm, the dual from
+    ``D^T y = b - x*``, which has one solution because ``D^T`` is
+    injective.  It works at every ``n``, and ``mu_reg = 0`` gives back
+    ``[b; 0]``.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
@@ -364,7 +366,7 @@ def make_tv1d(n: int, mu_reg: float, seed: int) -> BenchmarkInstance:
         "pd": lambda tau, sigma: primal_dual_op(f, g, D_map, tau, sigma),
         "sdr": lambda tau, sigma: split_dr_op(f, g, D_map, tau, sigma),
     }
-    start = BlockVector(np.zeros(n), np.zeros(n - 1))
+    start = np.zeros(2 * n - 1)
     defaults = {"pd": {"tau": tau, "sigma": sigma}, "sdr": {"tau": tau, "sigma": sigma}}
 
     saddle = _tv1d_saddle(b, mu_reg)
@@ -378,7 +380,7 @@ def make_tv1d(n: int, mu_reg: float, seed: int) -> BenchmarkInstance:
         kind="tv1d",
         params={"n": n, "mu_reg": mu_reg, "seed": seed},
         initial_point=np.zeros(n),
-        reference_solution=saddle.primal,
+        reference_solution=saddle[:n],
         objective=objective,
         spectral=SpectralData(mu=1.0, L_smooth=1.0, norm_L=norm_L),
         default_steps=defaults,

@@ -198,9 +198,10 @@ def test_criterion_7_scheme_reductions():
 
 def test_criterion_8_cross_algorithm_consistency(tv_200, lasso_default):
     inst = tv_200
-    sdr_run = picard(inst.operator("sdr"), inst.start_point("sdr"), 1e-12, 1_000_000)
+    sdr = inst.operator("sdr")
+    sdr_run = picard(sdr, inst.start_point("sdr"), 1e-12, 1_000_000)
     assert sdr_run.status == "converged"
-    gap_tv = norm(sdr_run.xs[0].primal - inst.reference_solution)
+    gap_tv = norm(sdr.extract_solution(sdr_run.xs[0]) - inst.reference_solution)
     assert gap_tv <= 1e-6
 
     loose = problems.make_three_term(40, 100, 0.1, -np.inf, np.inf, 1)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ikm.linalg import (
-    BlockVector,
     DifferenceMap,
     GramMap,
     LinearMap,
@@ -123,17 +122,6 @@ def test_solve_spd_rejects_non_spd():
         solve_spd(LinearMap(np.diag([1.0, -1.0])), np.ones(2))
     with pytest.raises(ValueError):
         solve_spd(LinearMap(np.array([[1.0, 2.0], [0.0, 1.0]])), np.ones(2))
-
-
-def test_block_vector_arithmetic():
-    u = BlockVector(np.array([1.0, 2.0]), np.array([3.0]))
-    v = BlockVector(np.array([0.5, 0.5]), np.array([1.0]))
-    w = u + 2.0 * v - v
-    np.testing.assert_array_equal(w.primal, np.array([1.5, 2.5]))
-    np.testing.assert_array_equal(w.dual, np.array([4.0]))
-    assert dot(u, v) == pytest.approx(0.5 + 1.0 + 3.0)
-    assert norm(BlockVector(np.array([3.0]), np.array([4.0]))) == 5.0
-    assert u.dim == 3
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ikm.linalg import BlockVector, DifferenceMap, LinearMap, dot, norm, operator_norm_estimate
+from ikm.linalg import DifferenceMap, LinearMap, dot, norm, operator_norm_estimate
 from ikm.operators import (
     box,
     davis_yin_op,
@@ -264,11 +264,11 @@ def test_primal_dual_decouples_without_coupling():
     T = primal_dual_op(f, zero(), L, 0.9, 0.9)
     gen = SplitMix64(11)
     x = rand_vec(gen, n)
-    p = BlockVector(x, np.zeros(3))
+    p = np.concatenate((x, np.zeros(3)))
     q = T.apply(p)
-    np.testing.assert_array_equal(q.primal, prox(f, 0.9, x))
+    np.testing.assert_array_equal(q[:n], prox(f, 0.9, x))
     q2 = T.apply(q)
-    np.testing.assert_array_equal(q2.primal, prox(f, 0.9, q.primal))
+    np.testing.assert_array_equal(q2[:n], prox(f, 0.9, q[:n]))
 
 
 def test_primal_dual_step_bound_enforced():
@@ -300,9 +300,9 @@ def test_split_dr_reduces_without_coupling():
     L = LinearMap(np.zeros((2, n)))
     T = split_dr_op(f, l1(1.0), L, 0.8, 0.8)
     gen = SplitMix64(12)
-    p = BlockVector(rand_vec(gen, n), rand_vec(gen, 2))
+    p = rand_vec(gen, n + 2)
     q = T.apply(p)
-    np.testing.assert_array_equal(q.primal, prox(f, 0.8, p.primal))
+    np.testing.assert_array_equal(q[:n], prox(f, 0.8, p[:n]))
 
 
 def test_split_dr_zero_g_gives_zero_v():
@@ -314,11 +314,51 @@ def test_split_dr_zero_g_gives_zero_v():
     tau = sigma = 0.4
     T = split_dr_op(l1(0.3), zero(), L, tau, sigma)
     gen = SplitMix64(13)
-    p = BlockVector(rand_vec(gen, n), rand_vec(gen, 3))
+    p = rand_vec(gen, n + 3)
     q = T.apply(p)
     # v = 0, so the primal update ignores the dual and y+ = sigma L (x+ - x)
-    np.testing.assert_allclose(q.primal, prox(l1(0.3), tau, p.primal), atol=1e-15)
-    np.testing.assert_allclose(q.dual, sigma * (D @ (q.primal - p.primal)), atol=1e-15)
+    np.testing.assert_allclose(q[:n], prox(l1(0.3), tau, p[:n]), atol=1e-15)
+    np.testing.assert_allclose(q[n:], sigma * (D @ (q[:n] - p[:n])), atol=1e-15)
+
+
+def pd_blocks(f, g, D, tau, sigma, x, y):
+    """``(x+, y+)`` of one primal-dual sweep, from the block formulas on a dense ``D``."""
+    xp = prox(f, tau, x - tau * (D.T @ y))
+    return xp, prox_conjugate(g, sigma, y + sigma * (D @ (2.0 * xp - x)))
+
+
+def sdr_blocks(f, g, D, tau, sigma, x, y):
+    """``(x+, y+)`` of one split Douglas-Rachford sweep, from the block formulas."""
+    w = D @ x + y / sigma
+    v = sigma * (w - prox(g, 1.0 / sigma, w))
+    xp = prox(f, tau, x - tau * (D.T @ v))
+    return xp, sigma * (D @ (xp - x)) + v
+
+
+@pytest.mark.parametrize("builder,blocks", [(primal_dual_op, pd_blocks),
+                                            (split_dr_op, sdr_blocks)])
+@pytest.mark.parametrize("structured", [True, False])
+def test_product_space_apply_on_flat_points(builder, blocks, structured):
+    # a point is [x; y] with x = p[:n], y = p[n:]; apply leaves p alone and
+    # returns a fresh array holding the two updated blocks
+    n = 7
+    gen = SplitMix64(23)
+    D = np.diff(np.eye(n), axis=0)
+    L = DifferenceMap(n) if structured else LinearMap(D)
+    tau = sigma = 0.45
+    f, g = diagonal_quadratic(np.ones(n), rand_vec(gen, n)), l1(0.3)
+    T = builder(f, g, L, tau, sigma)
+    for _ in range(20):
+        p = 3.0 * rand_vec(gen, 2 * n - 1)
+        before = p.copy()
+        q = T.apply(p)
+        assert np.array_equal(p, before)
+        assert not np.shares_memory(q, p)
+        assert q.shape == (n + (n - 1),)
+        xp, yp = blocks(f, g, D, tau, sigma, p[:n], p[n:])
+        np.testing.assert_allclose(q[:n], xp, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(q[n:], yp, rtol=1e-14, atol=1e-14)
+        np.testing.assert_array_equal(T.extract_solution(q), q[:n])
 
 
 # --------------------------------------------------------------------------
@@ -445,19 +485,20 @@ def test_averagedness_probe_primal_dual_and_split_dr():
     sdr = split_dr_op(f, l1(0.5), LinearMap(D), tau, sigma)
 
     def vnorm_pd(p):
-        return (dot(p.primal, p.primal) / tau - 2.0 * dot(D @ p.primal, p.dual)
-                + dot(p.dual, p.dual) / sigma) ** 0.5
+        x, y = p[:n], p[n:]
+        return (dot(x, x) / tau - 2.0 * dot(D @ x, y) + dot(y, y) / sigma) ** 0.5
 
     M = np.eye(n) / tau - sigma * (D.T @ D)
 
     def vnorm_sdr(p):
-        return (dot(p.primal, M @ p.primal) + dot(p.dual, p.dual) / sigma) ** 0.5
+        x, y = p[:n], p[n:]
+        return (dot(x, M @ x) + dot(y, y) / sigma) ** 0.5
 
     gen = SplitMix64(21)
     for T, vnorm in ((pd, vnorm_pd), (sdr, vnorm_sdr)):
         for _ in range(200):
-            x = BlockVector(rand_vec(gen, n), rand_vec(gen, n - 1))
-            y = BlockVector(rand_vec(gen, n), rand_vec(gen, n - 1))
+            x = rand_vec(gen, 2 * n - 1)
+            y = rand_vec(gen, 2 * n - 1)
             Rx = -1.0 * x + 2.0 * T.apply(x)
             Ry = -1.0 * y + 2.0 * T.apply(y)
             assert vnorm(Rx - Ry) <= (1.0 + 1e-9) * vnorm(x - y)

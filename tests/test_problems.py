@@ -179,7 +179,7 @@ def test_tv1d_saddle_meets_optimality_conditions(b, mu):
     # optimality of (x, y) for 0.5 ||x - b||^2 + mu ||D x||_1, checked
     # without reference to how the solver found it
     z = _tv1d_saddle(b, mu)
-    x, y = z.primal, z.dual
+    x, y = z[:b.size], z[b.size:]
     D = np.diff(np.eye(b.size), axis=0)
     assert np.all(np.abs(y) <= mu)
     np.testing.assert_allclose(D.T @ y, b - x, rtol=0.0, atol=1e-12)
@@ -216,9 +216,10 @@ def test_tv1d_builds_in_linear_time_and_memory():
 def test_tv1d_pd_and_sdr_agree(tv_200):
     inst = tv_200
     start = inst.start_point("sdr")
-    res = picard(inst.operator("sdr"), start, 1e-12, 1_000_000)
+    sdr = inst.operator("sdr")
+    res = picard(sdr, start, 1e-12, 1_000_000)
     assert res.status == "converged"
-    assert norm(res.xs[0].primal - inst.reference_solution) <= 1e-6
+    assert norm(sdr.extract_solution(res.xs[0]) - inst.reference_solution) <= 1e-6
 
 
 def test_tv1d_bit_reproducible():

@@ -21,10 +21,11 @@ on five small quadratic configs that take the check and schedule paths the
 workloads do not (every check on a certified run, ``run.p_ref = none``, an
 infeasible schedule, ramp alpha with a lambda table, table alpha with a
 constant lambda above 1), on a small ``three_term`` config (the Davis-Yin
-path, which no workload runs) and on a small ``lasso`` config, and four
-``ikm check-params`` argument sets.  The
-tool prints one line per case and exits 1 when anything differs, 0
-otherwise.
+path, which no workload runs), on a small ``lasso`` config and on a
+``tv1d`` config with ``n = 30``, ``alpha = 0.2`` and ``lambda = 1`` run by
+``sdr`` (split Douglas-Rachford, which no workload runs), and four
+``ikm check-params`` argument sets.  The tool prints one line per case and
+exits 1 when anything differs, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -71,6 +72,9 @@ FIXED_CONFIGS = {
                                    "schedule.alpha = 0.1\nschedule.lambda = 1.1\n"),
     "lasso": LEAST_SQUARES + ("problem.kind = lasso\nalgorithm.scheme = fb\n"
                               "schedule.alpha = 0.2\nschedule.lambda = 0.9\n"),
+    # split Douglas-Rachford on [x; y] points, which no workload runs; converges in 489 steps
+    "tv-sdr": RUN + ("problem.kind = tv1d\nproblem.n = 30\n"
+                     "algorithm.scheme = sdr\nschedule.alpha = 0.2\nschedule.lambda = 1\n"),
 }
 CHECK_PARAMS = [
     ["--alpha", "0.2", "--lambda", "0.5"],
