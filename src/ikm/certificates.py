@@ -12,9 +12,12 @@ condition accepts margin zero.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
+
+import numpy as np
 
 __all__ = [
     "CheckResult",
@@ -122,6 +125,21 @@ def check_relaxation_constant(alpha: float, lambda_eff: float) -> CheckResult:
     return CheckResult("relaxation", lhs, rhs, lhs < rhs)
 
 
+# indices converted to Python ints at a time by ``scalar_column``
+_CHUNK = 1024
+
+
+def scalar_column(fn: Callable[[int], float], ks: np.ndarray) -> np.ndarray:
+    """``fn(k)`` for each entry of the int64 array ``ks``, as a float64 array.
+
+    ``fn`` gets Python ints, converted a chunk at a time, so no list of
+    ``ks.size`` Python objects is ever held.
+    """
+    ints = itertools.chain.from_iterable(ks[lo:lo + _CHUNK].tolist()
+                                         for lo in range(0, ks.size, _CHUNK))
+    return np.fromiter(map(fn, ints), np.float64, ks.size)
+
+
 def relaxation_seq_term(alpha_k: float, lam_k: float, alpha_prev: float, lam_prev: float) -> float:
     """Sequence-form feasibility expression at one index (negative is good)."""
     nu_k = 1.0 / lam_k - 1.0
@@ -137,14 +155,15 @@ def relaxation_seq_term(alpha_k: float, lam_k: float, alpha_prev: float, lam_pre
 class RelaxationSeqReport:
     """Per-index values of the sequence feasibility expression.
 
-    ``tail_sup`` approximates the limsup by the supremum over the trailing
-    window (reported as tail-satisfied, not proved); ``first_nonstrict_k`` is
-    the first index from which the non-strict form holds through the end of
-    the evaluated range, or None.
+    ``ks`` (int64) and ``values`` (float64) are NumPy arrays, one entry per
+    index evaluated.  ``tail_sup`` approximates the limsup by the supremum
+    over the trailing window (reported as tail-satisfied, not proved);
+    ``first_nonstrict_k`` is the first index from which the non-strict form
+    holds through the end of the evaluated range, or None.
     """
 
-    ks: Sequence[int]
-    values: Sequence[float]
+    ks: np.ndarray
+    values: np.ndarray
     tail_window: int
     tail_sup: float
     tail_satisfied: bool
@@ -156,31 +175,44 @@ def check_relaxation_seq(schedule, ks: Iterable[int], tail_fraction: float = 0.2
 
     ``schedule`` is anything exposing ``alpha_at(k)`` and ``lambda_at(k)``.
     Indices below 2 are skipped (the expression looks one step back).
+    ``alpha_at`` and ``lambda_at`` are called once per index, and once more
+    at ``k - 1`` for each ``k`` whose predecessor is not in ``ks``.  The
+    values are array expressions with the operations of
+    :func:`relaxation_seq_term` in its order, so each has the bits the
+    scalar function gives it.
     """
-    ks = sorted(k for k in ks if k >= 2)
-    if not ks:
+    ks = np.fromiter(ks, dtype=np.int64)
+    ks.sort()
+    ks = ks[np.searchsorted(ks, 2):]
+    if not ks.size:
         raise ValueError("need at least one index k >= 2")
-    values = [
-        relaxation_seq_term(
-            schedule.alpha_at(k), schedule.lambda_at(k),
-            schedule.alpha_at(k - 1), schedule.lambda_at(k - 1),
-        )
-        for k in ks
-    ]
-    window = max(1, int(len(ks) * tail_fraction))
-    tail_sup = max(values[-window:])
-    first_nonstrict = None
-    for i in range(len(ks) - 1, -1, -1):
-        if values[i] > 0.0:
-            break
-        first_nonstrict = ks[i]
+    alpha = scalar_column(schedule.alpha_at, ks)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        nu = 1.0 / scalar_column(schedule.lambda_at, ks) - 1.0
+        # the k - 1 term is the previous entry's when that index is k - 1;
+        # the other indices evaluate it on their own
+        back = np.empty_like(nu)
+        back[1:] = nu[:-1] * (1.0 - alpha[:-1])
+        own = np.diff(ks, prepend=0) != 1
+        prev = ks[own] - 1
+        back[own] = ((1.0 / scalar_column(schedule.lambda_at, prev) - 1.0)
+                     * (1.0 - scalar_column(schedule.alpha_at, prev)))
+        values = alpha * (1.0 + alpha) + nu * alpha * (1.0 - alpha) - back
+    window = max(1, int(ks.size * tail_fraction))
+    tail = values[-window:]
+    # Python's max: nan when the window starts with nan, else the first
+    # largest of the numbers
+    numbers = tail[~np.isnan(tail)]
+    tail_sup = float(tail[0] if np.isnan(tail[0]) else numbers[np.argmax(numbers)])
+    positive = np.flatnonzero(values > 0.0)
+    last = positive[-1] if positive.size else -1
     return RelaxationSeqReport(
         ks=ks,
         values=values,
         tail_window=window,
         tail_sup=tail_sup,
         tail_satisfied=tail_sup < 0.0,
-        first_nonstrict_k=first_nonstrict,
+        first_nonstrict_k=int(ks[last + 1]) if last + 1 < ks.size else None,
     )
 
 

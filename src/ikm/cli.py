@@ -291,34 +291,52 @@ def read_trace(path: str) -> Tuple[Trace, Dict[str, str]]:
     """Parse an ``ikm-trace-v1`` file into a :class:`Trace` and its config.
 
     Every row must have one field per column.  A column must be all numbers
-    or, for the optional columns, all empty.  Rows are split and parsed a
-    chunk at a time, column by column, so the parse holds no more than one
-    chunk of tokens.
+    or, for the optional columns, all empty.  The file is read line by line
+    and its rows are split and parsed a chunk at a time, column by column,
+    so the parse holds one chunk of text and tokens besides the parsed
+    columns.  The last ``# config:`` line gives the config.  Errors are
+    raised in file order, except that a missing header, a column mixing
+    empty and filled chunks and a k below 1 are reported at the end.
     """
     cfg: Dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    for line in lines:
-        if line.startswith("# config: "):
-            cfg = deserialize_config(line[len("# config: "):])
-    body = [line for line in lines if line.strip() and not line.startswith("#")]
-    if not body or body[0] != TRACE_COLUMNS:
-        raise ConfigError(f"{path}: not an ikm trace (missing column header)")
     width = len(COLUMNS)
-    for line in body[1:]:
-        if line.count(",") != width - 1:
-            raise ConfigError(f"{path}: malformed row {line!r}")
-    chunks: Dict[str, list] = {name: [] for name in COLUMNS}
-    for lo in range(1, len(body), _CHUNK):
-        tokens = ",".join(body[lo:lo + _CHUNK]).split(",")
+    header: Optional[bool] = None  # whether the first row is the column header
+    rows: List[str] = []
+    parts: Dict[str, list] = {name: [] for name in COLUMNS}
+
+    def parse_rows():
+        tokens = ",".join(rows).split(",")
         for j, name in enumerate(COLUMNS):
-            chunks[name].append(_parse_column(path, name, tokens[j::width]))
+            parts[name].append(_parse_column(path, name, tokens[j::width]))
+        rows.clear()
+
+    with open(path, "r", encoding="utf-8") as fh:
+        # splitlines breaks a line where str.splitlines breaks the whole text
+        for line in itertools.chain.from_iterable(map(str.splitlines, fh)):
+            if line.startswith("# config: "):
+                cfg = deserialize_config(line[len("# config: "):])
+            if not line.strip() or line.startswith("#"):
+                continue
+            if header is None:
+                header = line == TRACE_COLUMNS
+            elif header:
+                if line.count(",") != width - 1:
+                    raise ConfigError(f"{path}: malformed row {line!r}")
+                rows.append(line)
+                if len(rows) == _CHUNK:
+                    parse_rows()
+    if not header:
+        raise ConfigError(f"{path}: not an ikm trace (missing column header)")
+    if rows:
+        parse_rows()
     columns = {}
-    for name, parts in chunks.items():
-        filled = [part for part in parts if part is not None]
+    for name in COLUMNS:
+        # popped, so each column's chunks are freed once it is joined
+        chunks = parts.pop(name)
+        filled = [chunk for chunk in chunks if chunk is not None]
         if not filled and name in OPTIONAL_COLUMNS:
             columns[name] = None
-        elif len(filled) < len(parts):
+        elif len(filled) < len(chunks):
             raise ConfigError(f"{path}: column {name} "
                               + ("mixes empty and filled fields" if filled else "is empty"))
         else:
@@ -388,8 +406,8 @@ def cmd_run(config_path: str, out=sys.stdout) -> int:
             if alpha < Q_const < 1.0:
                 # scalar calls: libm pow, not NumPy power, keeps the column's bits
                 d1 = trace[0].dist_to_ref ** 2
-                trace.rate_bound = np.array(
-                    [cert.rate_bound(k - 1, alpha, Q_const, d1) for k in trace.k.tolist()])
+                trace.rate_bound = cert.scalar_column(
+                    lambda k: cert.rate_bound(k - 1, alpha, Q_const, d1), trace.k)
 
     resolved: Dict[str, str] = {}
     for key, value in instance.params.items():

@@ -52,12 +52,13 @@ Runs are strictly sequential; independent runs share no mutable state.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, fields
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .certificates import contraction_constant
+from .certificates import contraction_constant, scalar_column
 from .linalg import flush_subnormals, is_finite, norm
 from .operators import OperatorHandle, residual as op_residual
 
@@ -287,20 +288,22 @@ def _derived_trace(res, step, alpha, lam, dist, objective) -> Trace:
 
     The products are the engine's per-step scalar products in the same
     order, so every derived column has the bits the step would have given
-    it (see the module docstring for the definitions).
+    it (see the module docstring for the definitions).  The measured
+    columns may be ``array("d")`` buffers, which the trace's columns view
+    without a copy.
     """
-    res = np.array(res, dtype=np.float64)
-    step = np.array(step, dtype=np.float64)
-    a = np.array(alpha, dtype=np.float64)
+    res = np.asarray(res, dtype=np.float64)
+    step = np.asarray(step, dtype=np.float64)
+    a = np.asarray(alpha, dtype=np.float64)
     k = np.arange(1, res.size + 1, dtype=np.int64)
     kf = k.astype(np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        nu = 1.0 / np.array(lam, dtype=np.float64) - 1.0
+        nu = 1.0 / np.asarray(lam, dtype=np.float64) - 1.0
         delta = np.zeros_like(step)
         delta[1:] = nu[:-1] * (1.0 - a[:-1]) * step[1:] * step[1:]
         Delta = C = d = None
         if dist is not None:
-            d = np.array(dist, dtype=np.float64)
+            d = np.asarray(dist, dtype=np.float64)
             dsq = d * d
             Delta = np.zeros_like(d)
             Delta[1:] = dsq[1:] - dsq[:-1]
@@ -310,7 +313,7 @@ def _derived_trace(res, step, alpha, lam, dist, objective) -> Trace:
         k_res_sq = kf * res * res
     return Trace(k=k, residual=res, step=step, nu_k=nu, delta_k=delta, Delta_k=Delta, C_k=C,
                  dist_to_ref=d, k_step_sq=k_step_sq, k_res_sq=k_res_sq,
-                 objective=None if objective is None else np.array(objective, dtype=np.float64))
+                 objective=None if objective is None else np.asarray(objective, dtype=np.float64))
 
 
 class DivergenceError(RuntimeError):
@@ -374,8 +377,10 @@ def run(
     when ``alpha_k != 0`` and in ``x_{k+1}`` when ``lambda_k != 1``, in the
     arrays the step has just formed; ``T``'s outputs and ``x1`` are never
     modified, so with ``alpha_k = 0`` and ``lambda_k = 1`` a step is
-    bit-identical to ``T.apply``.  Memory stays bounded: only the last two
-    iterates and the last inertial point are kept.  The run is deterministic;
+    bit-identical to ``T.apply``.  Only the last two iterates and the last
+    inertial point are kept, and the trace costs 8 bytes per column per row:
+    each step appends its measured values to ``array("d")`` buffers, which
+    become the trace's columns without a copy.  The run is deterministic;
     divergence raises :class:`DivergenceError` with the partial trace
     attached (intermediate overflow on the way to a detected divergence is
     silenced, since non-finite iterates are handled explicitly).
@@ -383,13 +388,11 @@ def run(
     x_prev = x_curr = x1
     x_last: Optional[np.ndarray] = None
     y_last: Optional[np.ndarray] = None
-    # measured columns; the rest of the trace is derived from them at the end
-    res_col: List[float] = []
-    step_col: List[float] = []
-    alpha_col: List[float] = []
-    lam_col: List[float] = []
-    dist_col: Optional[List[float]] = None if p_ref is None else []
-    obj_col: Optional[List[float]] = None if objective is None else []
+    # measured columns, 8 bytes a value; the rest of the trace is derived
+    # from them at the end
+    res_col, step_col, alpha_col, lam_col = (array("d") for _ in range(4))
+    dist_col = None if p_ref is None else array("d")
+    obj_col = None if objective is None else array("d")
     status = "max_iters"
     a_prev = 0.0
 
@@ -477,12 +480,17 @@ def picard(T: OperatorHandle, x0: np.ndarray, tol: float, max_iters: int) -> Run
 
 @dataclass
 class InequalityReport:
-    """Per-index lhs/rhs evaluation of one inequality along a trace."""
+    """Per-index lhs/rhs evaluation of one inequality along a trace.
+
+    ``ks`` (int64), ``lhs`` and ``rhs`` (float64) are NumPy arrays, one
+    entry per index checked; ``violations`` lists the failing indices as
+    Python ints.
+    """
 
     name: str
-    ks: List[int]
-    lhs: List[float]
-    rhs: List[float]
+    ks: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
     violations: List[int] = field(default_factory=list)
 
     @property
@@ -526,10 +534,7 @@ def schedule_columns(schedule: Schedule, ks: np.ndarray) -> Tuple[np.ndarray, np
     """``(alpha_k, lambda_k)`` as float64 arrays over the indices ``ks``."""
     if ks.size and ks.min() < 1:
         raise ValueError("k must be >= 1")
-    ks = ks.tolist()
-    alpha_fn, lambda_fn = schedule._alpha_fn, schedule._lambda_fn
-    return (np.array([alpha_fn(k) for k in ks], dtype=np.float64),
-            np.array([lambda_fn(k) for k in ks], dtype=np.float64))
+    return scalar_column(schedule._alpha_fn, ks), scalar_column(schedule._lambda_fn, ks)
 
 
 def _contraction_column(lam: np.ndarray, q: float, xi: float) -> np.ndarray:
@@ -588,8 +593,7 @@ def _report(name: str, ks: np.ndarray, lhs: np.ndarray, rhs: np.ndarray,
             tol: float) -> InequalityReport:
     with np.errstate(over="ignore", invalid="ignore"):
         bad = lhs > rhs + tol * (1.0 + np.abs(rhs))
-    return InequalityReport(name, ks.tolist(), lhs.tolist(), rhs.tolist(),
-                            ks[bad].tolist())
+    return InequalityReport(name, ks, lhs, rhs, ks[bad].tolist())
 
 
 def verify_descent(trace, schedule: Optional[Schedule] = None,

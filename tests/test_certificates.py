@@ -1,7 +1,8 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ikm import certificates as cert
@@ -112,6 +113,56 @@ def test_relaxation_seq_lambda_to_one_fails():
     # expression tends to alpha(1+alpha) = 0.11 > 0
     assert rep.tail_sup > 0.0
     assert not rep.tail_satisfied
+
+
+def rows_relaxation_seq(schedule, ks, tail_fraction):
+    """The sequence check one index at a time: (ks, values, tail_sup, first_nonstrict_k)."""
+    ks = sorted(k for k in ks if k >= 2)
+    values = [cert.relaxation_seq_term(schedule.alpha_at(k), schedule.lambda_at(k),
+                                       schedule.alpha_at(k - 1), schedule.lambda_at(k - 1))
+              for k in ks]
+    first = None
+    for i in range(len(ks) - 1, -1, -1):
+        if values[i] > 0.0:
+            break
+        first = ks[i]
+    window = max(1, int(len(ks) * tail_fraction))
+    return ks, values, max(values[-window:]) if ks else None, first
+
+
+@st.composite
+def seq_schedules(draw):
+    # subnormal lambdas make nu infinite, and with alpha = 0 the values nan
+    lambdas = draw(st.lists(st.one_of(st.floats(1e-3, 2.0), st.floats(5e-324, 1e-300)),
+                            min_size=1, max_size=6))
+    if draw(st.booleans()):
+        alphas = sorted(draw(st.lists(st.floats(0.0, 0.99), min_size=1, max_size=6)))
+        return Schedule.table(alphas, lambdas)
+    a0 = draw(st.floats(0.0, 0.9))
+    return Schedule.ramp(a0, draw(st.floats(a0, 0.99)), draw(st.integers(1, 20)), lambdas)
+
+
+@settings(max_examples=300, deadline=None)
+@given(schedule=seq_schedules(),
+       ks=st.one_of(st.integers(2, 80).map(lambda n: range(2, n)),
+                    st.lists(st.integers(0, 40), max_size=30)),
+       tail_fraction=st.sampled_from([0.25, 0.5, 1.0]))
+# nan values, a window that starts with a number, duplicates and a gap
+@example(schedule=Schedule.table([0.0], [1e-310, 0.5, 1e-310]), ks=[5, 2, 3, 3, 9, 1],
+         tail_fraction=1.0)
+def test_relaxation_seq_matches_scalar_formula(schedule, ks, tail_fraction):
+    want_ks, want_values, want_sup, want_first = rows_relaxation_seq(schedule, ks, tail_fraction)
+    if not want_ks:
+        with pytest.raises(ValueError, match="k >= 2"):
+            cert.check_relaxation_seq(schedule, ks, tail_fraction)
+        return
+    rep = cert.check_relaxation_seq(schedule, ks, tail_fraction)
+    assert rep.ks.tolist() == want_ks
+    assert rep.values.tobytes() == np.array(want_values).tobytes()
+    # bit for bit: nan and the sign of zero included
+    assert np.float64(rep.tail_sup).tobytes() == np.float64(want_sup).tobytes()
+    assert rep.tail_satisfied == (want_sup < 0.0)
+    assert rep.first_nonstrict_k == want_first and type(rep.first_nonstrict_k) is type(want_first)
 
 
 # --------------------------------------------------------------------------

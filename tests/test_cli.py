@@ -1,5 +1,6 @@
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,6 +285,77 @@ def test_read_trace_rejects_malformed_rows(tmp_path, edit, message):
     with pytest.raises(ConfigError, match=message):
         cli.read_trace(str(trace))
     assert cli.main(["certify", str(trace)]) == cli.EXIT_USAGE
+
+
+def full_trace(n):
+    """A trace of n rows with every column filled by 17-digit floats."""
+    gen = np.random.default_rng(11)
+    return Trace(k=np.arange(1, n + 1),
+                 **{name: gen.standard_normal(n) * 1e-3 for name in COLUMNS[1:]})
+
+
+def test_read_trace_holds_one_chunk_of_text(tmp_path):
+    path = tmp_path / "long.csv"
+    trace = full_trace(10 * cli._CHUNK + 7)
+    cli.write_trace(str(path), trace, {"a.x": "1"})
+    columns = sum(getattr(trace, name).nbytes for name in COLUMNS)
+    tracemalloc.start()
+    try:
+        back, _ = cli.read_trace(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back == trace
+    # the columns as chunks and joined, plus one chunk of lines and tokens
+    assert peak < 3 * columns
+
+
+@pytest.mark.parametrize("row, message", [
+    (-1, "malformed row"),  # the file's last row, in the last, partial chunk
+    (3 + 2 * cli._CHUNK, "malformed row"),  # the first row of the last chunk
+    (-2, "column residual"),  # a bad token in the last chunk
+])
+def test_read_trace_rejects_a_bad_row_in_the_last_chunk(tmp_path, row, message):
+    path = tmp_path / "t.csv"
+    cli.write_trace(str(path), full_trace(2 * cli._CHUNK + 5), {"a.x": "1"})
+    lines = path.read_text().splitlines()
+    fields = lines[row].split(",")
+    lines[row] = ",".join(fields[:-1] if message == "malformed row" else
+                          fields[:1] + ["1.0.0"] + fields[2:])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=message):
+        cli.read_trace(str(path))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda lines: [line + "\r" for line in lines],  # CRLF line endings
+    # blank, whitespace and comment lines between rows and after the last
+    lambda lines: [x for i, line in enumerate(lines)
+                   for x in ([line, "", "# note", "   "] if i % 700 == 5 else [line])]
+    + ["", "#"],
+    lambda lines: lines[:1] + ["# config: a.x=2"] + lines[1:],  # the last config line wins
+])
+def test_read_trace_skips_what_the_format_allows(tmp_path, edit):
+    path = tmp_path / "t.csv"
+    trace = full_trace(2 * cli._CHUNK + 5)
+    cli.write_trace(str(path), trace, {"a.x": "1"})
+    lines = edit(path.read_text().splitlines())
+    path.write_bytes(("\n".join(lines) + "\n").encode())
+    back, cfg = cli.read_trace(str(path))
+    assert back == trace and cfg == {"a.x": "1"}
+
+
+@pytest.mark.parametrize("text", [
+    "# ikm-trace-v1\n# config: a.x=1\n\n# no header follows\n",
+    "# ikm-trace-v1\n1,2,3\n" + ",".join(COLUMNS) + "\n",  # the header must come first
+    "",
+])
+def test_read_trace_requires_the_header_first(tmp_path, text):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="missing column header"):
+        cli.read_trace(str(path))
+    assert cli.main(["certify", str(path)]) == cli.EXIT_USAGE
 
 
 INFEASIBLE_RUN = """

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from ikm import problems
 from ikm.engine import (
+    COLUMNS,
     DivergenceError,
     RunResult,
     Schedule,
@@ -253,6 +255,24 @@ def test_run_x_last_is_the_iterate_of_the_last_row(stop, status, index):
     last = res.rows[-1]
     assert last.dist_to_ref == norm(res.x_last - p)
     assert last.objective == float(res.x_last @ res.x_last)
+
+
+def test_run_trace_memory_is_its_columns(tv_200):
+    op = tv_200.operator("pd")
+    p = tv_200.fixed_point("pd")
+    x1 = tv_200.start_point("pd")
+    tracemalloc.start()
+    try:
+        res = run(op, x1, Schedule.constant(0.2, 1.0), StoppingRule(100_000, 1e-10), p_ref=p,
+                  objective=lambda x: tv_200.objective(op.extract_solution(x)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.status == "converged" and len(res.rows) > 10_000
+    columns = sum(getattr(res.rows, name).nbytes for name in COLUMNS
+                  if getattr(res.rows, name) is not None)
+    # 8 bytes a measured value while stepping, then the derived columns
+    assert peak < 2.2 * columns
 
 
 def test_run_keeps_subnormals_out_of_operator_inputs(lasso_default):
@@ -620,7 +640,7 @@ def test_column_replays_match_row_formulas(case, q, xi, tol):
         (verify_product_bound(trace, q, xi, sched, tol=tol),
          rows_contraction(rows, sched, q, xi, tol, product=True)),
     ):
-        assert got.ks == want[0]
+        assert got.ks.tolist() == want[0]
         assert same_floats(got.lhs, want[1]) and same_floats(got.rhs, want[2])
         assert got.violations == want[3]
     assert verify_Ck_monotone(trace, tol=tol) == rows_Ck(rows, tol)
@@ -643,10 +663,10 @@ def test_column_replays_match_row_formulas_on_a_run(quad_50):
     rows = list(res.rows)
     got = verify_contraction(res, T.q_factor, 1.0)
     want = rows_contraction(rows, sched, T.q_factor, 1.0, 1e-9)
-    assert got.ok and got.lhs == want[1] and got.rhs == want[2]
+    assert got.ok and got.lhs.tolist() == want[1] and got.rhs.tolist() == want[2]
     got = verify_descent(res)
     want = rows_descent(rows, sched, 1e-9)
-    assert got.ok and got.lhs == want[1] and got.rhs == want[2]
+    assert got.ok and got.lhs.tolist() == want[1] and got.rhs.tolist() == want[2]
 
 
 # --------------------------------------------------------------------------
@@ -779,7 +799,8 @@ def test_contraction_and_product_bound_rows_path(quad_50):
     from_result = verify_contraction(res, T.q_factor, 1.0)
     from_rows = verify_contraction(res.rows, T.q_factor, 1.0, schedule=sched)
     assert from_result.ok and from_rows.ok
-    assert from_result.lhs == from_rows.lhs and from_result.rhs == from_rows.rhs
+    assert from_result.lhs.tobytes() == from_rows.lhs.tobytes()
+    assert from_result.rhs.tobytes() == from_rows.rhs.tobytes()
     prod = verify_product_bound(res, T.q_factor, 1.0)
     assert prod.ok
 

@@ -20,7 +20,10 @@ Fixed cases outside the benchmark run beside the workloads, once per seed
 on five small quadratic configs that take the check and schedule paths the
 workloads do not (every check on a certified run, ``run.p_ref = none``, an
 infeasible schedule, ramp alpha with a lambda table, table alpha with a
-constant lambda above 1), on a small ``three_term`` config (the Davis-Yin
+constant lambda above 1), on a quadratic ramp-alpha config with
+``stopping.max_iters = 100000`` that converges early, so the
+``relaxation_seq`` precheck line over 100,000 indices is compared, on a
+small ``three_term`` config (the Davis-Yin
 path, which no workload runs), on a small ``lasso`` config and on a
 ``tv1d`` config with ``n = 30``, ``alpha = 0.2`` and ``lambda = 1`` run by
 ``sdr`` (split Douglas-Rachford, which no workload runs), and four
@@ -72,6 +75,10 @@ FIXED_CONFIGS = {
                                    "schedule.alpha = 0.1\nschedule.lambda = 1.1\n"),
     "lasso": LEAST_SQUARES + ("problem.kind = lasso\nalgorithm.scheme = fb\n"
                               "schedule.alpha = 0.2\nschedule.lambda = 0.9\n"),
+    # the relaxation_seq precheck spans 100,000 indices; the run converges long before
+    "ramp-long": GRADIENT + ("schedule.alpha_kind = ramp\nschedule.alpha_start = 0\n"
+                             "schedule.alpha_end = 0.1\nschedule.alpha_ramp_iters = 50\n"
+                             "schedule.lambda = 0.9\nstopping.max_iters = 100000\n"),
     # split Douglas-Rachford on [x; y] points, which no workload runs; converges in 489 steps
     "tv-sdr": RUN + ("problem.kind = tv1d\nproblem.n = 30\n"
                      "algorithm.scheme = sdr\nschedule.alpha = 0.2\nschedule.lambda = 1\n"),
