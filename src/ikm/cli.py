@@ -173,8 +173,9 @@ def build_problem(config_path: str) -> Tuple[
         Optional[Callable]]:
     """Config file -> (view, instance, scheme, resolved steps, operator, objective).
 
-    The objective closure maps an iterate to the instance objective at its
-    extracted solution; it is None when the instance or scheme lacks one.
+    The objective closure maps an iterate, or a stack of iterates along the
+    last axis as ``engine.run`` passes them, to the instance objective at
+    its extracted solution; it is None when the instance or scheme lacks one.
     """
     view = ConfigView(load_config(config_path))
     instance = build_instance(view)
@@ -575,14 +576,13 @@ def cmd_sweep(config_path: str, out=sys.stdout) -> int:
                 "alpha": 0.0, "lambda": lam, "xi": default_xi,
             })
 
-    p_ref = instance.fixed_point(scheme, **steps)
-
     def run_entry(entry) -> List[str]:
         schedule = Schedule.constant(entry["alpha"], entry["lambda"])
         relax, *contraction = constant_feasibility(entry["alpha"], entry["lambda"], op.gamma,
                                                    op.q_factor, entry["xi"])
-        # the table reports only the last row's objective: evaluate it once
-        result = _run(op, instance.start_point(scheme), schedule, stop, p_ref, None)
+        # the table reads no distance column, so no reference point, and
+        # only the last row's objective: it is evaluated once
+        result = _run(op, instance.start_point(scheme), schedule, stop, None, None)
         rows = result.rows
         final_obj = None
         if rows and objective is not None:

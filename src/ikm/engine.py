@@ -7,11 +7,16 @@ The iteration is
 
 started from ``x_0 = x_1`` so the first inertial term vanishes.  A run's
 record is one :class:`Trace` of NumPy columns, one entry per step.  Each step
-appends only what it measures: the residual ``||y_k - T y_k||``, the speed
-``||x_k - x_{k-1}||``, ``alpha_k`` and ``lambda_k``, the distance
+measures only what it decides on: the residual ``||y_k - T y_k||`` that the
+stopping rule reads (recorded with ``alpha_k`` and ``lambda_k``) and whether
+``x_{k+1}`` is finite.  The speed ``||x_k - x_{k-1}||``, the distance
 ``||x_k - p||`` when a reference fixed point is supplied and the objective
-when one is.  Once per run (also for the partial trace a
-:class:`DivergenceError` carries) the rest is derived from those columns:
+when one is are measured once per block of ``BLOCK_ROWS`` steps, from the
+differences and iterates the steps copied into the block: row dots by
+``np.vecdot`` and one objective call on the ``(r, n)`` stack, which give the
+bits per-step ``np.dot`` norms and per-point objective calls would.  Once
+per run (also for the partial trace a :class:`DivergenceError` carries) the
+rest is derived from those columns:
 ``k ||x_k - x_{k-1}||^2``, ``k ||y_k - T y_k||^2`` and the Lyapunov
 quantities
 
@@ -51,6 +56,7 @@ Runs are strictly sequential; independent runs share no mutable state.
 
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
 from dataclasses import dataclass, field, fields
@@ -85,6 +91,13 @@ __all__ = [
 # mixed absolute/relative slack used for every inequality replay; sized to
 # absorb double-precision rounding over ~1e5 iterations
 DEFAULT_TOL = 1e-9
+
+# rows per chunk when iterating a trace
+ROW_CHUNK = 1024
+
+# rows per block of iterate differences (and iterates) that run() measures
+# at once; 32 rows of a 399-vector are 100 KiB
+BLOCK_ROWS = 32
 
 
 # --------------------------------------------------------------------------
@@ -219,7 +232,8 @@ class Trace:
     ``k`` is an int64 column, every other column float64; an optional column
     (see ``OPTIONAL_COLUMNS``) is either filled on every row or None.
     Indexing with an int gives a :class:`TraceRow` of Python scalars,
-    slicing gives a Trace, and iteration yields rows.
+    slicing gives a Trace, and iteration yields rows, converting
+    ``ROW_CHUNK`` rows at a time.
     """
 
     __slots__ = COLUMNS
@@ -266,10 +280,13 @@ class Trace:
                           for name in COLUMNS))
 
     def __iter__(self) -> Iterator[TraceRow]:
-        n = len(self)
-        cols = [[None] * n if getattr(self, name) is None else getattr(self, name).tolist()
-                for name in COLUMNS]
-        return (TraceRow(*values) for values in zip(*cols))
+        # a chunk of rows at a time, so iteration holds one chunk of Python
+        # scalars besides the columns
+        cols = [getattr(self, name) for name in COLUMNS]
+        for lo in range(0, len(self), ROW_CHUNK):
+            chunk = [itertools.repeat(None) if col is None else col[lo:lo + ROW_CHUNK].tolist()
+                     for col in cols]
+            yield from itertools.starmap(TraceRow, zip(*chunk))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trace):
@@ -369,21 +386,34 @@ def run(
     schedule: Schedule,
     stop: StoppingRule,
     p_ref: Optional[np.ndarray] = None,
-    objective: Optional[Callable[[np.ndarray], float]] = None,
+    objective: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> RunResult:
     """Drive the inertial KM iteration and return the full diagnostic trace.
+
+    Each step measures only what it decides on: the residual the stopping
+    rule reads and, when ``lambda_k != 1``, whether ``x_{k+1}`` is finite
+    (a finite ``<x_{k+1}, x_{k+1}>`` proves it, the exact test is the
+    fallback); ``||x_k - x_{k-1}||`` is taken per step only for
+    ``stop.stall_tol``.  The step writes ``x_k - x_{k-1}`` (and ``x_k`` when
+    ``p_ref`` or ``objective`` is given) into row j of a ``(BLOCK_ROWS, n)``
+    block; once the block is full, and before any result is built, the
+    ``step`` and ``dist_to_ref`` columns come from row dots of the block
+    (``np.vecdot``, the bits of ``np.dot`` per row) and ``objective`` is
+    called once on the stack of iterates.  ``objective`` therefore maps an
+    ``(r, n)`` stack to ``r`` values, each with the bits of a per-point call.
 
     Entries of magnitude below ``np.finfo(float).tiny`` are zeroed in ``y_k``
     when ``alpha_k != 0`` and in ``x_{k+1}`` when ``lambda_k != 1``, in the
     arrays the step has just formed; ``T``'s outputs and ``x1`` are never
     modified, so with ``alpha_k = 0`` and ``lambda_k = 1`` a step is
     bit-identical to ``T.apply``.  Only the last two iterates and the last
-    inertial point are kept, and the trace costs 8 bytes per column per row:
-    each step appends its measured values to ``array("d")`` buffers, which
-    become the trace's columns without a copy.  The run is deterministic;
-    divergence raises :class:`DivergenceError` with the partial trace
-    attached (intermediate overflow on the way to a detected divergence is
-    silenced, since non-finite iterates are handled explicitly).
+    inertial point are kept besides the blocks, and the trace costs 8 bytes
+    per column per row: the measured values go to ``array("d")`` buffers,
+    which become the trace's columns without a copy.  The run is
+    deterministic; divergence raises :class:`DivergenceError` with the
+    partial trace attached (intermediate overflow on the way to a detected
+    divergence is silenced, since non-finite iterates are handled
+    explicitly).
     """
     x_prev = x_curr = x1
     x_last: Optional[np.ndarray] = None
@@ -393,16 +423,36 @@ def run(
     res_col, step_col, alpha_col, lam_col = (array("d") for _ in range(4))
     dist_col = None if p_ref is None else array("d")
     obj_col = None if objective is None else array("d")
+    # rows 0..j-1 of the blocks hold x_k - x_{k-1} and x_k of the steps whose
+    # step, distance and objective are not recorded yet
+    diffs = np.empty((BLOCK_ROWS, np.size(x1)))
+    iterates = None if p_ref is None and objective is None else np.empty_like(diffs)
+    j = 0
     status = "max_iters"
     a_prev = 0.0
 
+    def flush() -> None:
+        nonlocal j
+        if not j:
+            return
+        d = diffs[:j]
+        step_col.extend([v ** 0.5 for v in np.vecdot(d, d).tolist()])
+        if iterates is not None:
+            xs = iterates[:j]
+            if dist_col is not None:
+                e = xs - p_ref
+                dist_col.extend([v ** 0.5 for v in np.vecdot(e, e).tolist()])
+            if obj_col is not None:
+                obj_col.extend(np.asarray(objective(xs), dtype=np.float64).tolist())
+        j = 0
+
     def result(status: str) -> RunResult:
+        flush()
         ys = [] if y_last is None else [y_last]
         trace = _derived_trace(res_col, step_col, alpha_col, lam_col, dist_col, obj_col)
         return RunResult(trace, [x_prev, x_curr], ys, status, schedule, p_ref, T, x_last)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        d_curr = norm(x1 - p_ref) if p_ref is not None else None
         for k in range(1, stop.max_iters + 1):
             a_k = schedule.alpha_at(k)
             l_k = schedule.lambda_at(k)
@@ -413,7 +463,9 @@ def run(
             if l_k <= 0.0:
                 raise ValueError(f"lambda_{k} = {l_k} must be > 0")
 
-            diff = x_curr - x_prev
+            diff = np.subtract(x_curr, x_prev, out=diffs[j])
+            if iterates is not None:
+                iterates[j] = x_curr
             y = x_curr if a_k == 0.0 else flush_subnormals(x_curr + a_k * diff)
             ty = T.apply(y)
             res = norm(y - ty)
@@ -422,37 +474,32 @@ def run(
             if not math.isfinite(res) and not (is_finite(y) and is_finite(ty)):
                 raise DivergenceError(k, result("diverged"))
 
-            step = norm(diff)
             res_col.append(res)
-            step_col.append(step)
             alpha_col.append(a_k)
             lam_col.append(l_k)
-            if dist_col is not None:
-                dist_col.append(d_curr)
-            if obj_col is not None:
-                obj_col.append(objective(x_curr))
+            j += 1
             x_last = x_curr
             y_last = y
 
             if res <= stop.residual_tol:
                 status = "converged"
                 break
-            if stop.stall_tol is not None and k > 1 and step <= stop.stall_tol:
+            if stop.stall_tol is not None and k > 1 and norm(diff) <= stop.stall_tol:
                 status = "stalled"
                 break
+            if j == BLOCK_ROWS:
+                flush()
 
+            # x_{k+1} = T y has passed the test above; otherwise a finite
+            # squared norm proves x_{k+1} finite
             x_new = ty if l_k == 1.0 else flush_subnormals((1.0 - l_k) * y + l_k * ty)
-            d_new = norm(x_new - p_ref) if p_ref is not None else None
-            # x_{k+1} = T y has passed the test above; a finite distance to p
-            # implies a finite x_{k+1}
-            known_finite = l_k == 1.0 or (d_new is not None and math.isfinite(d_new))
-            if not known_finite and not is_finite(x_new):
+            if (l_k != 1.0 and not math.isfinite(float(np.dot(x_new, x_new)))
+                    and not is_finite(x_new)):
                 raise DivergenceError(k, result("diverged"))
             x_prev, x_curr = x_curr, x_new
-            d_curr = d_new
             a_prev = a_k
 
-    return result(status)
+        return result(status)
 
 
 def picard(T: OperatorHandle, x0: np.ndarray, tol: float, max_iters: int) -> RunResult:

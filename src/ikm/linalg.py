@@ -131,7 +131,8 @@ class DifferenceMap:
         return self.n
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return x[1:] - x[:-1]
+        """``D x``; a stack of points along the last axis gives the stack of images."""
+        return x[..., 1:] - x[..., :-1]
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
         out = np.empty(self.n)

@@ -32,6 +32,7 @@ __all__ = [
     "gradient_step_op",
     "l1",
     "l2_ball",
+    "make_prox_conjugate",
     "primal_dual_op",
     "prox",
     "prox_conjugate",
@@ -162,11 +163,26 @@ def prox(f: ProxFunction, rho: float, v: np.ndarray) -> np.ndarray:
     return make_prox(f, rho)(v)
 
 
-def prox_conjugate(f: ProxFunction, sigma: float, w: np.ndarray) -> np.ndarray:
-    """Prox of ``sigma * f^*`` via Moreau: ``w - sigma * prox_{f/sigma}(w/sigma)``."""
+def make_prox_conjugate(f: ProxFunction, sigma: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Specialized closure for ``v -> prox_{sigma f*}(v)``.
+
+    For ``f = w ||.||_1`` the conjugate is the indicator of ``[-w, w]^n``,
+    so the prox is the clip ``min(max(v, -w), w)`` for every ``sigma``
+    (Chambolle and Pock, JMIV 40, 2011).  Every other kind goes through
+    Moreau's identity, ``v - sigma * prox_{f/sigma}(v / sigma)``.
+    """
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
-    return w - sigma * prox(f, 1.0 / sigma, w / sigma)
+    if f.kind == "l1":
+        w = f.weight
+        return lambda v: np.minimum(np.maximum(v, -w), w)
+    pf = make_prox(f, 1.0 / sigma)
+    return lambda v: v - sigma * pf(v / sigma)
+
+
+def prox_conjugate(f: ProxFunction, sigma: float, w: np.ndarray) -> np.ndarray:
+    """Prox of ``sigma * f^*`` at ``w`` (see :func:`make_prox_conjugate`)."""
+    return make_prox_conjugate(f, sigma)(w)
 
 
 # --------------------------------------------------------------------------
@@ -338,26 +354,27 @@ def primal_dual_op(
     A point is the flat array ``p = [x; y]`` of length ``L.cols + L.rows``.
     Updates ``x+ = prox_{tau f}(x - tau L^T y)`` then ``y+ =
     prox_{sigma g*}(y + sigma L (2 x+ - x))`` and returns ``[x+; y+]`` as a
-    new array; ``p`` is never written.  Requires
-    ``tau * sigma * ||L||^2 <= 1``, checked against ``L.norm_upper()``.  The
-    map is 1/2-averaged on the product space and the primal block ``p[:n]``
-    of a fixed point solves the problem.
+    new array; ``p`` is never written.  The dual prox comes from
+    :func:`make_prox_conjugate`: a clip to ``[-w, w]`` for ``g = w ||.||_1``,
+    Moreau's identity otherwise.  Requires ``tau * sigma * ||L||^2 <= 1``,
+    checked against ``L.norm_upper()``.  The map is 1/2-averaged on the
+    product space and the primal block ``p[..., :n]`` of a fixed point
+    solves the problem (``extract_solution`` also takes a stack of points).
     """
     _check_steps(L, tau, sigma)
     pf = make_prox(f, tau)
-    pg = make_prox(g, 1.0 / sigma)
+    pg_conj = make_prox_conjugate(g, sigma)
     n = L.cols
 
     def apply(p: np.ndarray) -> np.ndarray:
         x, y = p[:n], p[n:]
         xp = pf(x - tau * L.apply_adjoint(y))
-        w = y + sigma * L.apply(2.0 * xp - x)
-        return np.concatenate((xp, w - sigma * pg(w / sigma)))
+        return np.concatenate((xp, pg_conj(y + sigma * L.apply(2.0 * xp - x))))
 
     return OperatorHandle(
         apply=apply,
         gamma=0.5,
-        extract_solution=lambda p: p[:n],
+        extract_solution=lambda p: p[..., :n],
         name="primal-dual",
         notes=("averagedness 1/2 holds in the step-induced product metric",),
     )
@@ -372,32 +389,33 @@ def split_dr_op(
     A point is the flat array ``p = [x; y]`` of length ``L.cols + L.rows``.
     Per iteration::
 
-        v  = sigma * (I - prox_{g/sigma}) (L x + y / sigma)
+        v  = prox_{sigma g*}(y + sigma L x)
         x+ = prox_{tau f}(x - tau L^T v)
         y+ = sigma * L (x+ - x) + v
 
     and ``[x+; y+]`` is returned as a new array; ``p`` is never written.
+    The dual prox comes from :func:`make_prox_conjugate`: a clip to
+    ``[-w, w]`` for ``g = w ||.||_1``, Moreau's identity otherwise.
     Averagedness 1/2 is assumed in the preconditioned metric (flagged in
     ``notes``); requires ``tau * sigma * ||L||^2 <= 1``, checked against
-    ``L.norm_upper()``.  The primal block ``p[:n]`` of a fixed point solves
-    the problem.
+    ``L.norm_upper()``.  The primal block ``p[..., :n]`` of a fixed point
+    solves the problem (``extract_solution`` also takes a stack of points).
     """
     _check_steps(L, tau, sigma)
     pf = make_prox(f, tau)
-    pg = make_prox(g, 1.0 / sigma)
+    pg_conj = make_prox_conjugate(g, sigma)
     n = L.cols
 
     def apply(p: np.ndarray) -> np.ndarray:
         x, y = p[:n], p[n:]
-        w = L.apply(x) + y / sigma
-        v = sigma * (w - pg(w))
+        v = pg_conj(y + sigma * L.apply(x))
         xp = pf(x - tau * L.apply_adjoint(v))
         return np.concatenate((xp, sigma * L.apply(xp - x) + v))
 
     return OperatorHandle(
         apply=apply,
         gamma=0.5,
-        extract_solution=lambda p: p[:n],
+        extract_solution=lambda p: p[..., :n],
         name="split-douglas-rachford",
         notes=("averagedness 1/2 assumed in the scalar-preconditioned metric",),
     )

@@ -69,6 +69,8 @@ class BenchmarkInstance:
     ``starts`` holds the iteration-space initial point per scheme, and
     ``fixed_points`` a reference fixed point per scheme where one is valid
     for every admissible step choice (it is recomputed on demand otherwise).
+    ``objective`` maps a point to its value, or a stack of points along the
+    last axis to one value per point, with the bits of per-point calls.
     """
 
     name: str
@@ -76,7 +78,7 @@ class BenchmarkInstance:
     params: Dict[str, float]
     initial_point: np.ndarray
     reference_solution: Optional[np.ndarray]
-    objective: Optional[Callable[[np.ndarray], float]]
+    objective: Optional[Callable[[np.ndarray], np.ndarray]]
     spectral: Optional[SpectralData]
     default_steps: Dict[str, Dict[str, float]]
     builders: Dict[str, Callable[..., OperatorHandle]] = field(repr=False)
@@ -245,8 +247,11 @@ def make_quadratic(dim: int, mu: float, L_smooth: float, seed: int) -> Benchmark
     A_map = LinearMap(A)
     ref = solve_spd(A_map, b)
 
-    def objective(x: np.ndarray) -> float:
-        return 0.5 * float(x @ A @ x) - float(b @ x)
+    def objective(x: np.ndarray):
+        # x @ A as one GEMV per point and np.vecdot for the dots: a stack
+        # gets the bits of per-point calls
+        xA = np.matmul(x[..., None, :], A)[..., 0, :]
+        return 0.5 * np.vecdot(xA, x) - np.vecdot(x, b)
 
     rho_grad = 2.0 / (mu + L_smooth)
     f_quad = quadratic(A_map, b)
@@ -302,9 +307,9 @@ def make_lasso(m: int, n: int, sparsity: float, mu_reg: float, seed: int) -> Ben
         raise RuntimeError(f"lasso reference run did not reach {REFERENCE_TOL:g}")
     ref = ref_run.xs[0]
 
-    def objective(x: np.ndarray) -> float:
-        r = A @ x - b
-        return 0.5 * float(r @ r) + mu_reg * float(np.sum(np.abs(x)))
+    def objective(x: np.ndarray):
+        r = np.matmul(A, x[..., :, None])[..., 0] - b
+        return 0.5 * np.vecdot(r, r) + mu_reg * np.abs(x).sum(axis=-1)
 
     return BenchmarkInstance(
         name=f"lasso(m={m},n={n},sparsity={sparsity:g},mu={mu_reg:g},seed={seed})",
@@ -371,9 +376,9 @@ def make_tv1d(n: int, mu_reg: float, seed: int) -> BenchmarkInstance:
 
     saddle = _tv1d_saddle(b, mu_reg)
 
-    def objective(x: np.ndarray) -> float:
+    def objective(x: np.ndarray):
         r = x - b
-        return 0.5 * float(r @ r) + mu_reg * float(np.abs(D_map.apply(x)).sum())
+        return 0.5 * np.vecdot(r, r) + mu_reg * np.abs(D_map.apply(x)).sum(axis=-1)
 
     return BenchmarkInstance(
         name=f"tv1d(n={n},mu={mu_reg:g},seed={seed})",
@@ -422,12 +427,12 @@ def make_three_term(m: int, n: int, mu_reg: float, box_lo: float, box_hi: float,
     z_star = ref_run.xs[0]
     ref = prox(fB, rho_default, z_star)
 
-    def objective(x: np.ndarray) -> float:
+    def objective(x: np.ndarray):
         # evaluated on the box projection so near-feasible iterates report
         # a finite value
         xp = np.clip(x, lo_arr, hi_arr)
-        r = A @ xp - b
-        return 0.5 * float(r @ r) + mu_reg * float(np.sum(np.abs(xp)))
+        r = np.matmul(A, xp[..., :, None])[..., 0] - b
+        return 0.5 * np.vecdot(r, r) + mu_reg * np.abs(xp).sum(axis=-1)
 
     return BenchmarkInstance(
         name=f"three_term(m={m},n={n},mu={mu_reg:g},box=[{box_lo:g},{box_hi:g}],seed={seed})",

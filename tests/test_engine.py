@@ -9,14 +9,17 @@ from hypothesis.extra.numpy import arrays
 
 from ikm import problems
 from ikm.engine import (
+    BLOCK_ROWS,
     COLUMNS,
     DivergenceError,
+    OPTIONAL_COLUMNS,
     RunResult,
     Schedule,
     StoppingRule,
     Trace,
     TraceRow,
     _alpha_second_diff_sq,
+    _derived_trace,
     _y_dist_sq,
     contraction_constant,
     monotone_prefix,
@@ -28,7 +31,8 @@ from ikm.engine import (
     verify_descent,
     verify_product_bound,
 )
-from ikm.linalg import DifferenceMap, GramMap, LinearMap, dot, norm, operator_norm_estimate
+from ikm.linalg import (DifferenceMap, GramMap, LinearMap, dot, flush_subnormals, norm,
+                        operator_norm_estimate)
 from ikm.operators import (
     OperatorHandle,
     box,
@@ -61,6 +65,11 @@ def recording_handle(T):
         return ty
 
     return dataclasses.replace(T, apply=apply), calls
+
+
+def per_row(f):
+    """A stack objective for ``run`` from a per-point one: ``f`` on each row."""
+    return lambda xs: np.array([f(x) for x in xs])
 
 
 def rebuild_iterates(x1, sched, calls):
@@ -249,12 +258,30 @@ def test_run_x_last_is_the_iterate_of_the_last_row(stop, status, index):
     halve = OperatorHandle(apply=lambda x: 0.5 * x, name="halve")
     p = np.zeros(3)
     res = run(halve, np.arange(1.0, 4.0), Schedule.constant(0.2, 0.9), stop, p_ref=p,
-              objective=lambda x: float(x @ x))
+              objective=per_row(lambda x: float(x @ x)))
     assert res.status == status
     assert res.x_last is res.xs[index]
     last = res.rows[-1]
     assert last.dist_to_ref == norm(res.x_last - p)
     assert last.objective == float(res.x_last @ res.x_last)
+
+
+def test_trace_iteration_holds_one_chunk_of_rows():
+    n = 100_000
+    ramp = np.linspace(1.0, 2.0, n)
+    trace = Trace(k=np.arange(1, n + 1), **{name: ramp for name in COLUMNS if name != "k"})
+    tracemalloc.start()
+    try:
+        first = next(iter(trace))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == trace[0]
+    # 9.2 MiB of columns; converting them all before the first row took 37 MiB
+    assert peak < 1 << 20
+    part = Trace(k=np.arange(1, 2501), **{name: ramp[:2500] for name in COLUMNS
+                                          if name not in OPTIONAL_COLUMNS + ("k",)})
+    assert list(part) == [part[i] for i in range(len(part))]
 
 
 def test_run_trace_memory_is_its_columns(tv_200):
@@ -273,6 +300,143 @@ def test_run_trace_memory_is_its_columns(tv_200):
                   if getattr(res.rows, name) is not None)
     # 8 bytes a measured value while stepping, then the derived columns
     assert peak < 2.2 * columns
+
+
+def reference_trace(T, x1, sched, max_iters, p_ref=None, objective=None, stall_tol=None):
+    """``run``'s trace (at ``residual_tol = 0``) from a per-step loop.
+
+    Norms are ``np.dot`` per step and ``objective`` is called on one point
+    at a time.  Returns the trace and the step at which an iterate turned
+    non-finite (None when none did); on a non-finite ``y_k`` or ``T y_k``
+    row k is left out, on a non-finite ``x_{k+1}`` it is kept.
+    """
+    res, step, alpha, lam, dist, obj = ([] for _ in range(6))
+    x_prev = x_curr = x1
+    diverged = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, max_iters + 1):
+            a_k, l_k = sched.alpha_at(k), sched.lambda_at(k)
+            diff = x_curr - x_prev
+            y = x_curr if a_k == 0.0 else flush_subnormals(x_curr + a_k * diff)
+            ty = T.apply(y)
+            if not (np.all(np.isfinite(y)) and np.all(np.isfinite(ty))):
+                diverged = k
+                break
+            r = y - ty
+            res.append(float(np.dot(r, r)) ** 0.5)
+            step.append(float(np.dot(diff, diff)) ** 0.5)
+            alpha.append(a_k)
+            lam.append(l_k)
+            if p_ref is not None:
+                e = x_curr - p_ref
+                dist.append(float(np.dot(e, e)) ** 0.5)
+            if objective is not None:
+                obj.append(float(objective(x_curr)))
+            if res[-1] <= 0.0 or (stall_tol is not None and k > 1 and step[-1] <= stall_tol):
+                break
+            x_new = ty if l_k == 1.0 else flush_subnormals((1.0 - l_k) * y + l_k * ty)
+            if not np.all(np.isfinite(x_new)):
+                diverged = k
+                break
+            x_prev, x_curr = x_curr, x_new
+    trace = _derived_trace(res, step, alpha, lam, dist if p_ref is not None else None,
+                           obj if objective is not None else None)
+    return trace, diverged
+
+
+def assert_same_columns(got, want):
+    """Every column of two traces equal by ``tobytes`` (or both absent)."""
+    for name in COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("rows", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                  2 * BLOCK_ROWS + 3])
+@pytest.mark.parametrize("alpha, lam", [(0.0, 1.0), (0.0, 0.9), (0.2, 1.0), (0.2, 0.9)])
+def test_run_block_columns_match_a_per_step_loop(rows, alpha, lam):
+    # runs cut by max_iters at and around the block boundaries: the columns
+    # measured a block at a time have the bits of per-step np.dot norms and
+    # per-point objective calls
+    inst = problems.make_quadratic(12, 1.0, 10.0, 3)
+    T = inst.operator("gradient")
+    x1 = inst.start_point("gradient")
+    p = inst.fixed_point("gradient")
+    sched = Schedule.constant(alpha, lam)
+    for p_ref, objective in ((None, None), (p, None), (None, inst.objective),
+                             (p, inst.objective)):
+        res = run(T, x1, sched, StoppingRule(rows, 0.0), p_ref=p_ref, objective=objective)
+        want, diverged = reference_trace(T, x1, sched, rows, p_ref, objective)
+        assert res.status == "max_iters" and diverged is None
+        assert len(res.rows) == rows
+        assert_same_columns(res.rows, want)
+
+
+def test_run_stall_stop_matches_a_per_step_loop():
+    inst = problems.make_quadratic(12, 1.0, 10.0, 3)
+    T = inst.operator("gradient")
+    x1 = inst.start_point("gradient")
+    sched = Schedule.constant(0.2, 0.9)
+    steps = reference_trace(T, x1, sched, 200)[0].step
+    # a step below every earlier one, on a mid-block row past two blocks, as
+    # the stall tolerance
+    j = next(i for i in range(2 * BLOCK_ROWS + 5, steps.size)
+             if steps[i] < steps[1:i].min() and (i + 1) % BLOCK_ROWS)
+    tol = float(steps[j])
+    want, _ = reference_trace(T, x1, sched, 200, inst.fixed_point("gradient"), inst.objective,
+                              stall_tol=tol)
+    res = run(T, x1, sched, StoppingRule(200, 0.0, stall_tol=tol),
+              p_ref=inst.fixed_point("gradient"), objective=inst.objective)
+    assert res.status == "stalled" and len(res.rows) == j + 1
+    assert_same_columns(res.rows, want)
+
+
+def test_run_divergence_mid_block_keeps_k_and_partial_rows():
+    # T y_k turns NaN at the (BLOCK_ROWS + 5)-th call: DivergenceError at that
+    # k, with the rows before it, the last partial block included
+    bad_call = BLOCK_ROWS + 5
+    calls = 0
+
+    def apply(y):
+        nonlocal calls
+        calls += 1
+        ty = 0.5 * y
+        if calls == bad_call:
+            ty[1] = np.nan
+        return ty
+
+    halve = OperatorHandle(apply=apply, name="halve")
+    x1, p = np.arange(1.0, 5.0), np.zeros(4)
+    sched = Schedule.constant(0.2, 0.9)
+    sq = lambda x: float(x @ x)  # noqa: E731
+    with pytest.raises(DivergenceError) as err:
+        run(halve, x1, sched, StoppingRule(1000, 0.0), p_ref=p, objective=per_row(sq))
+    calls = 0
+    want, diverged = reference_trace(halve, x1, sched, 1000, p, sq)
+    assert err.value.k == diverged == bad_call
+    assert len(err.value.partial.rows) == bad_call - 1
+    assert_same_columns(err.value.partial.rows, want)
+
+
+@pytest.mark.parametrize("with_ref", [False, True])
+def test_run_divergence_on_overflowing_relaxed_step(with_ref):
+    # T y = 2 y with lambda = 1.5 from x_1 = 1.8: y_k = 1.8 * 2.5^(k-1), and
+    # at k = 774 T y_k = 1.5e308 is finite (its residual norm has overflowed
+    # long before, which alone is no divergence) while 1.5 T y_k overflows,
+    # so x_{k+1} is the first non-finite iterate and row k is kept; the
+    # per-step engine before row blocks gave the same k and rows
+    double = OperatorHandle(apply=lambda y: 2.0 * y, name="double")
+    x1, p = np.full(3, 1.8), np.zeros(3) if with_ref else None
+    sched = Schedule.constant(0.0, 1.5)
+    with pytest.raises(DivergenceError) as err:
+        run(double, x1, sched, StoppingRule(10_000, 0.0), p_ref=p)
+    want, diverged = reference_trace(double, x1, sched, 10_000, p)
+    assert err.value.k == diverged == 774
+    assert len(err.value.partial.rows) == 774
+    assert np.isfinite(err.value.partial.xs[1]).all()
+    assert_same_columns(err.value.partial.rows, want)
 
 
 def test_run_keeps_subnormals_out_of_operator_inputs(lasso_default):
@@ -332,8 +496,8 @@ def test_difference_map_runs_match_dense_runs_row_for_row(builder, n):
     x1 = np.zeros(2 * n - 1)
     stop = StoppingRule(max_iters=2000)
     for sched in (Schedule.constant(0.2, 1.0), Schedule.constant(0.3, 0.7)):
-        got = run(structured, x1, sched, stop, p_ref=p, objective=objective(D))
-        want = run(dense, x1, sched, stop, p_ref=p, objective=objective(D_dense))
+        got = run(structured, x1, sched, stop, p_ref=p, objective=per_row(objective(D)))
+        want = run(dense, x1, sched, stop, p_ref=p, objective=per_row(objective(D_dense)))
         assert got.rows == want.rows  # 2000 rows, or fewer on an exact fixed point
         for a, c in zip(got.xs, want.xs):
             assert np.array_equal(a, c)

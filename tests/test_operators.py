@@ -17,6 +17,7 @@ from ikm.operators import (
     gradient_step_op,
     l1,
     l2_ball,
+    make_prox_conjugate,
     primal_dual_op,
     prox,
     prox_conjugate,
@@ -130,6 +131,33 @@ def test_moreau_identity_componentwise():
         w = rand_vec(gen, 20)
         lhs = sigma * prox(g, 1.0 / sigma, w / sigma) + prox_conjugate(g, sigma, w)
         np.testing.assert_allclose(lhs, w, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(v=arrays(np.float64, st.integers(1, 30), elements=st.floats(-1e6, 1e6)),
+       weight=st.floats(0.0, 1e3), sigma=st.floats(1e-3, 1e3))
+def test_l1_conjugate_prox_is_the_clip(v, weight, sigma):
+    # the conjugate of w ||.||_1 is the indicator of [-w, w]^n, so the prox of
+    # sigma g* is the clip for every sigma; Moreau's identity agrees with it
+    # to rounding (an absolute term covers underflow in v / sigma)
+    got = make_prox_conjugate(l1(weight), sigma)(v)
+    assert got.tobytes() == np.minimum(np.maximum(v, -weight), weight).tobytes()
+    moreau = v - sigma * prox(l1(weight), 1.0 / sigma, v / sigma)
+    slack = 4.0 * np.finfo(float).eps * (np.abs(v) + weight) \
+        + 2.0 * sigma * np.finfo(float).smallest_subnormal
+    assert np.all(np.abs(got - moreau) <= slack)
+
+
+def test_conjugate_prox_of_other_kinds_is_moreau():
+    gen = SplitMix64(4)
+    v = rand_vec(gen, 6)
+    for g in (box(-0.5, 0.3), l2_ball(0.7), zero(), diagonal_quadratic(np.arange(1.0, 7.0), v)):
+        for sigma in (0.4, 2.0):
+            want = v - sigma * prox(g, 1.0 / sigma, v / sigma)
+            assert make_prox_conjugate(g, sigma)(v).tobytes() == want.tobytes()
+            assert prox_conjugate(g, sigma, v).tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        make_prox_conjugate(l1(1.0), 0.0)
 
 
 # --------------------------------------------------------------------------

@@ -282,6 +282,21 @@ def test_three_term_objective_projects_to_box(three_term_default):
 # feasibility
 
 
+@pytest.mark.parametrize("fixture, scheme", [("quad_50", "gradient"), ("lasso_default", "fb"),
+                                             ("tv_200", "pd"), ("three_term_default", "dy")])
+def test_objective_on_a_stack_matches_per_point_calls(fixture, scheme, request):
+    # engine.run calls the objective once per block of iterates; each value
+    # must have the bits of a call on that point alone
+    inst = request.getfixturevalue(fixture)
+    extract = inst.operator(scheme).extract_solution
+    size = inst.start_point(scheme).size
+    stack = 1.5 * SplitMix64(31).normals(7 * size).reshape(7, size)
+    got = inst.objective(extract(stack))
+    want = np.array([inst.objective(extract(p)) for p in stack])
+    assert got.shape == (7,) and np.isfinite(got).all()
+    assert got.tobytes() == want.tobytes()
+
+
 def test_feasibility_origin_is_exact_fixed_point():
     inst = problems.make_feasibility(20, 3)
     T = inst.operator("dr")

@@ -20,7 +20,8 @@ Fixed cases outside the benchmark run beside the workloads, once per seed
 on five small quadratic configs that take the check and schedule paths the
 workloads do not (every check on a certified run, ``run.p_ref = none``, an
 infeasible schedule, ramp alpha with a lambda table, table alpha with a
-constant lambda above 1), on a quadratic ramp-alpha config with
+constant lambda above 1, a run that ends ``stalled`` on
+``stopping.stall_tol``), on a quadratic ramp-alpha config with
 ``stopping.max_iters = 100000`` that converges early, so the
 ``relaxation_seq`` precheck line over 100,000 indices is compared, on a
 small ``three_term`` config (the Davis-Yin
@@ -28,7 +29,11 @@ path, which no workload runs), on a small ``lasso`` config and on a
 ``tv1d`` config with ``n = 30``, ``alpha = 0.2`` and ``lambda = 1`` run by
 ``sdr`` (split Douglas-Rachford, which no workload runs), and four
 ``ikm check-params`` argument sets.  The tool prints one line per case and
-exits 1 when anything differs, 0 otherwise.
+exits 1 when anything differs, 0 otherwise.  A differing output is shown by
+its first differing line and the count of differing lines; for a CSV file
+the tool also prints whether the header, the row count and the ``k`` column
+agree, and the largest relative difference in each column whose fields
+differ.
 """
 
 from __future__ import annotations
@@ -79,6 +84,9 @@ FIXED_CONFIGS = {
     "ramp-long": GRADIENT + ("schedule.alpha_kind = ramp\nschedule.alpha_start = 0\n"
                              "schedule.alpha_end = 0.1\nschedule.alpha_ramp_iters = 50\n"
                              "schedule.lambda = 0.9\nstopping.max_iters = 100000\n"),
+    # stops on stopping.stall_tol (exit 2), the one path that measures a step norm per step
+    "stall": GRADIENT + ("schedule.alpha = 0.05\nschedule.lambda = 0.9\n"
+                         "stopping.stall_tol = 1e-6\n"),
     # split Douglas-Rachford on [x; y] points, which no workload runs; converges in 489 steps
     "tv-sdr": RUN + ("problem.kind = tv1d\nproblem.n = 30\n"
                      "algorithm.scheme = sdr\nschedule.alpha = 0.2\nschedule.lambda = 1\n"),
@@ -149,11 +157,46 @@ def run_case(src: str, files: Dict[str, str], argvs: List[List[str]],
 
 
 def first_difference(a: bytes, b: bytes) -> str:
+    """The first differing line, and how many of the paired lines differ."""
     la, lb = a.splitlines(), b.splitlines()
-    for i, (x, y) in enumerate(zip(la, lb), start=1):
-        if x != y:
-            return f"line {i}: {x[:100]!r} vs {y[:100]!r}"
-    return f"{len(la)} vs {len(lb)} lines"
+    differing = [i for i, (x, y) in enumerate(zip(la, lb)) if x != y]
+    if not differing:
+        return f"{len(la)} vs {len(lb)} lines"
+    i = differing[0]
+    return (f"line {i + 1}: {la[i][:100]!r} vs {lb[i][:100]!r} "
+            f"({len(differing)} of {min(len(la), len(lb))} lines differ)")
+
+
+def csv_difference(a: bytes, b: bytes) -> str:
+    """Header, row count and ``k`` column agreement of two CSV files, and the
+    largest relative difference in each column whose fields differ (``text``
+    when a differing field is not a number)."""
+    (head_a, *rows_a), (head_b, *rows_b) = (
+        [line.split(",") for line in text.decode().splitlines()
+         if line and not line.startswith("#")] or [[]]
+        for text in (a, b))
+    parts = [f"header {'agrees' if head_a == head_b else 'differs'}",
+             f"rows {len(rows_a)} vs {len(rows_b)}"]
+    if head_a != head_b or len(rows_a) != len(rows_b):
+        return "; ".join(parts)
+    if "k" in head_a:
+        j = head_a.index("k")
+        same = all(ra[j] == rb[j] for ra, rb in zip(rows_a, rows_b))
+        parts.append(f"k column {'agrees' if same else 'differs'}")
+    for j, name in enumerate(head_a):
+        worst = 0.0
+        for ra, rb in zip(rows_a, rows_b):
+            if ra[j] == rb[j]:
+                continue
+            try:
+                x, y = float(ra[j]), float(rb[j])
+            except ValueError:
+                worst = "text"
+                break
+            worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+        if worst:
+            parts.append(f"{name} {worst if worst == 'text' else f'{worst:.3g}'}")
+    return "; ".join(parts)
 
 
 def compare(old, new) -> List[str]:
@@ -170,6 +213,8 @@ def compare(old, new) -> List[str]:
             diffs.append(f"{name}: written by one tree only")
         elif old_files[name] != new_files[name]:
             diffs.append(f"{name}: {first_difference(old_files[name], new_files[name])}")
+            if name.endswith(".csv"):
+                diffs.append(f"{name}: {csv_difference(old_files[name], new_files[name])}")
     return diffs
 
 
