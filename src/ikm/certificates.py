@@ -125,18 +125,16 @@ def check_relaxation_constant(alpha: float, lambda_eff: float) -> CheckResult:
     return CheckResult("relaxation", lhs, rhs, lhs < rhs)
 
 
-# indices converted to Python ints at a time by ``scalar_column``
-_CHUNK = 1024
-
-
 def scalar_column(fn: Callable[[int], float], ks: np.ndarray) -> np.ndarray:
     """``fn(k)`` for each entry of the int64 array ``ks``, as a float64 array.
 
-    ``fn`` gets Python ints, converted a chunk at a time, so no list of
-    ``ks.size`` Python objects is ever held.
+    ``fn`` gets Python ints, converted ``engine.ROW_CHUNK`` at a time, so no
+    list of ``ks.size`` Python objects is ever held.
     """
-    ints = itertools.chain.from_iterable(ks[lo:lo + _CHUNK].tolist()
-                                         for lo in range(0, ks.size, _CHUNK))
+    from .engine import ROW_CHUNK  # the engine imports this module
+
+    ints = itertools.chain.from_iterable(ks[lo:lo + ROW_CHUNK].tolist()
+                                         for lo in range(0, ks.size, ROW_CHUNK))
     return np.fromiter(map(fn, ints), np.float64, ks.size)
 
 

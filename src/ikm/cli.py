@@ -32,10 +32,6 @@ from .engine import (COLUMNS, OPTIONAL_COLUMNS, DivergenceError, Schedule, Stopp
 from .operators import OperatorHandle, residual as op_residual
 
 TRACE_COLUMNS = ",".join(COLUMNS)
-# rows per "%" format call when writing a trace and per split when reading
-# one: large enough to amortize the call, small enough that a chunk's string
-# or tokens stay well under a megabyte
-_CHUNK = 1024
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -261,7 +257,7 @@ def write_trace(path: str, trace: Trace, resolved: Dict[str, str]) -> None:
     """Write ``ikm-trace-v1``: two comment lines, the header, one line per row.
 
     Each present float column is printed with ``%.17g`` and an absent one as
-    an empty field; rows are formatted a chunk at a time by one ``%``.
+    an empty field; rows are formatted ``engine.ROW_CHUNK`` at a time by one ``%``.
     """
     present = [getattr(trace, name) for name in COLUMNS if getattr(trace, name) is not None]
     row_fmt = ",".join("%d" if name == "k" else "" if getattr(trace, name) is None else "%.17g"
@@ -270,8 +266,8 @@ def write_trace(path: str, trace: Trace, resolved: Dict[str, str]) -> None:
         fh.write("# ikm-trace-v1\n")
         fh.write("# config: " + serialize_config(resolved) + "\n")
         fh.write(TRACE_COLUMNS + "\n")
-        for lo in range(0, len(trace), _CHUNK):
-            chunk = [col[lo:lo + _CHUNK].tolist() for col in present]
+        for lo in range(0, len(trace), engine.ROW_CHUNK):
+            chunk = [col[lo:lo + engine.ROW_CHUNK].tolist() for col in present]
             values = tuple(itertools.chain.from_iterable(zip(*chunk)))
             fh.write(row_fmt * len(chunk[0]) % values)
 
@@ -293,7 +289,7 @@ def read_trace(path: str) -> Tuple[Trace, Dict[str, str]]:
 
     Every row must have one field per column.  A column must be all numbers
     or, for the optional columns, all empty.  The file is read line by line
-    and its rows are split and parsed a chunk at a time, column by column,
+    and its rows are split and parsed ``engine.ROW_CHUNK`` at a time, column by column,
     so the parse holds one chunk of text and tokens besides the parsed
     columns.  The last ``# config:`` line gives the config.  Errors are
     raised in file order, except that a missing header, a column mixing
@@ -324,7 +320,7 @@ def read_trace(path: str) -> Tuple[Trace, Dict[str, str]]:
                 if line.count(",") != width - 1:
                     raise ConfigError(f"{path}: malformed row {line!r}")
                 rows.append(line)
-                if len(rows) == _CHUNK:
+                if len(rows) == engine.ROW_CHUNK:
                     parse_rows()
     if not header:
         raise ConfigError(f"{path}: not an ikm trace (missing column header)")
@@ -462,13 +458,17 @@ def evaluate_checks(trace: Trace, names, schedule: Schedule, q: Optional[float],
     failing k (``ck``) or up to five, a SKIPPED why the replay cannot run (a
     missing column, no q, a lambda_k outside (0, 1]).  ``small_o`` gives its
     two ``SMALL_O_PARTS``, each detailing the monotone prefix it judged.
+    The checks run one after another and each report is dropped once its
+    verdict is taken, so at most one report, or one squared column of
+    ``small_o``, is held at a time.
     """
     verdicts: Dict[str, Tuple[str, object]] = {}
     for name in names:
         if name == "small_o":
-            with np.errstate(over="ignore"):
-                parts = trace.residual * trace.residual, trace.step[1:] * trace.step[1:]
-            for part, vals in zip(SMALL_O_PARTS, parts):
+            for part in SMALL_O_PARTS:
+                col = trace.residual if part == "res^2" else trace.step[1:]
+                with np.errstate(over="ignore"):
+                    vals = col * col
                 n = monotone_prefix(vals)
                 ok = n >= 4 and engine.small_o_check(vals[:n])
                 verdicts[part] = ("SKIPPED" if n < 4 else "PASS" if ok else "FAIL", n)
@@ -476,21 +476,27 @@ def evaluate_checks(trace: Trace, names, schedule: Schedule, q: Optional[float],
             verdicts[name] = ("SKIPPED", "no certified q")
         else:
             try:
-                if name == "ck":
-                    bad = engine.verify_Ck_monotone(trace)
-                    verdicts[name] = ("PASS", None) if bad is None else ("FAIL", bad)
-                    continue
-                if name == "descent":
-                    rep = engine.verify_descent(trace, schedule=schedule)
-                elif name == "contraction":
-                    rep = engine.verify_contraction(trace, q, xi, schedule=schedule)
-                else:
-                    rep = engine.verify_product_bound(trace, q, xi, schedule=schedule)
+                verdicts[name] = _replay_verdict(name, trace, schedule, q, xi)
             except ValueError as exc:
                 verdicts[name] = ("SKIPPED", str(exc))
-                continue
-            verdicts[name] = ("PASS", rep.checked) if rep.ok else ("FAIL", rep.violations[:5])
     return verdicts
+
+
+def _replay_verdict(name: str, trace: Trace, schedule: Schedule, q: Optional[float],
+                    xi: float) -> Tuple[str, object]:
+    """The verdict of one replay check.  The replays are called through the
+    ``engine`` module's attributes, so that wrappers installed there see
+    every call."""
+    if name == "ck":
+        bad = engine.verify_Ck_monotone(trace)
+        return ("PASS", None) if bad is None else ("FAIL", bad)
+    if name == "descent":
+        rep = engine.verify_descent(trace, schedule=schedule)
+    elif name == "contraction":
+        rep = engine.verify_contraction(trace, q, xi, schedule=schedule)
+    else:
+        rep = engine.verify_product_bound(trace, q, xi, schedule=schedule)
+    return ("PASS", rep.checked) if rep.ok else ("FAIL", rep.violations[:5])
 
 
 def _verdict(status: str, detail) -> str:

@@ -44,7 +44,11 @@ A run keeps only the last two iterates and the last inertial point; the
 trace is its record.  The verify_* functions replay the per-iteration
 inequalities of the convergence analysis as array expressions over the
 trace columns alone, whether they come from a :class:`RunResult` or from an
-exported CSV.  Distances to ``p`` and steps are columns; the cross terms the
+exported CSV.  They evaluate ``ROW_CHUNK`` indices at a time (the indices
+``[lo, hi)`` read the rows ``lo - 1 .. hi``) into the report's preallocated
+``lhs`` and ``rhs``, so a replay's memory is one chunk of temporaries plus
+its report; the values are those of the whole-column expressions, bit for
+bit.  Distances to ``p`` and steps are columns; the cross terms the
 inequalities need are reconstructed through the identity
 
     lambda_k^2 ||y_k - T y_k||^2 = ||x_{k+1} - x_k||^2
@@ -92,8 +96,11 @@ __all__ = [
 # absorb double-precision rounding over ~1e5 iterations
 DEFAULT_TOL = 1e-9
 
-# rows per chunk when iterating a trace
-ROW_CHUNK = 1024
+# rows per chunk of every chunked pass over a trace: iteration, CSV write
+# and read, scalar columns and the verify_* replays.  Large enough to
+# amortize a NumPy call or a "%" format over the chunk, small enough that a
+# chunk's temporaries, text or tokens stay in the tens of kilobytes
+ROW_CHUNK = 256
 
 # rows per block of iterate differences (and iterates) that run() measures
 # at once; 32 rows of a 399-vector are 100 KiB
@@ -110,13 +117,17 @@ class Schedule:
     ``alpha_k`` must be nondecreasing in [0, 1); ``lambda_k`` positive
     (values above 1 are legal so over-relaxed and deliberately infeasible
     runs stay expressible).  Use the ``constant``, ``ramp`` or ``table``
-    constructors.
+    constructors.  ``alpha_col`` and ``lambda_col`` map an int64 index
+    array to the float64 column of the same values (the constructors give
+    closed forms); without them a column takes one scalar call per index.
     """
 
-    def __init__(self, alpha_fn, lambda_fn, kind: str):
+    def __init__(self, alpha_fn, lambda_fn, kind: str, alpha_col=None, lambda_col=None):
         self._alpha_fn = alpha_fn
         self._lambda_fn = lambda_fn
         self.kind = kind
+        self._alpha_col = alpha_col or (lambda ks: scalar_column(alpha_fn, ks))
+        self._lambda_col = lambda_col or (lambda ks: scalar_column(lambda_fn, ks))
 
     @classmethod
     def constant(cls, alpha: float, lam: float) -> "Schedule":
@@ -124,7 +135,9 @@ class Schedule:
             raise ValueError("alpha must lie in [0, 1)")
         if lam <= 0.0:
             raise ValueError("lambda must be > 0")
-        return cls(lambda k: alpha, lambda k: lam, "constant")
+        return cls(lambda k: alpha, lambda k: lam, "constant",
+                   lambda ks: np.full(ks.size, alpha, dtype=np.float64),
+                   lambda ks: np.full(ks.size, lam, dtype=np.float64))
 
     @classmethod
     def ramp(cls, alpha_start: float, alpha_end: float, ramp_iters: int,
@@ -141,7 +154,8 @@ class Schedule:
                 return alpha_end
             return alpha_start + (alpha_end - alpha_start) * (k - 1) / (ramp_iters - 1)
 
-        return cls(alpha_fn, _hold_last(_lambda_table(lambdas)), "ramp-to-constant")
+        lambda_fn, lambda_col = _hold_last(_lambda_table(lambdas))
+        return cls(alpha_fn, lambda_fn, "ramp-to-constant", lambda_col=lambda_col)
 
     @classmethod
     def table(cls, alphas: Sequence[float], lambdas: Sequence[float]) -> "Schedule":
@@ -154,7 +168,9 @@ class Schedule:
                 raise ValueError("alpha values must lie in [0, 1)")
         if any(a2 < a1 for a1, a2 in zip(alphas, alphas[1:])):
             raise ValueError("alpha table must be nondecreasing")
-        return cls(_hold_last(alphas), _hold_last(_lambda_table(lambdas)), "custom-table")
+        alpha_fn, alpha_col = _hold_last(alphas)
+        lambda_fn, lambda_col = _hold_last(_lambda_table(lambdas))
+        return cls(alpha_fn, lambda_fn, "custom-table", alpha_col, lambda_col)
 
     def alpha_at(self, k: int) -> float:
         if k < 1:
@@ -176,8 +192,13 @@ def _lambda_table(lambdas: Sequence[float]) -> List[float]:
     return lambdas
 
 
-def _hold_last(table: List[float]) -> Callable[[int], float]:
-    return lambda k: table[min(k - 1, len(table) - 1)]
+def _hold_last(table: List[float]) -> Tuple[Callable[[int], float],
+                                           Callable[[np.ndarray], np.ndarray]]:
+    """``k -> table[min(k - 1, len - 1)]``, and the same over an index array
+    (a float64 copy of the table indexed, so the same floats)."""
+    last = len(table) - 1
+    values = np.array(table, dtype=np.float64)
+    return (lambda k: table[min(k - 1, last)]), (lambda ks: values[np.minimum(ks - 1, last)])
 
 
 @dataclass(frozen=True)
@@ -578,10 +599,15 @@ def _check_ref_fixed(op, p_ref):
 
 
 def schedule_columns(schedule: Schedule, ks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(alpha_k, lambda_k)`` as float64 arrays over the indices ``ks``."""
+    """``(alpha_k, lambda_k)`` as float64 arrays over the indices ``ks``.
+
+    Constant and table sequences are filled in closed form, a ramp's alpha
+    by one call of its formula per index; each entry has the bits of
+    ``alpha_at(k)`` and ``lambda_at(k)``.
+    """
     if ks.size and ks.min() < 1:
         raise ValueError("k must be >= 1")
-    return scalar_column(schedule._alpha_fn, ks), scalar_column(schedule._lambda_fn, ks)
+    return schedule._alpha_col(ks), schedule._lambda_col(ks)
 
 
 def _contraction_column(lam: np.ndarray, q: float, xi: float) -> np.ndarray:
@@ -590,6 +616,8 @@ def _contraction_column(lam: np.ndarray, q: float, xi: float) -> np.ndarray:
     The calls run in order of first appearance, so an invalid lambda raises
     the error the first offending index would.
     """
+    if lam.size and (lam == lam[0]).all():
+        return np.full(lam.size, contraction_constant(float(lam[0]), q, xi))
     values, first, inverse = np.unique(lam, return_index=True, return_inverse=True)
     Q = np.empty(values.size, dtype=np.float64)
     for j in np.argsort(first, kind="stable").tolist():
@@ -597,8 +625,9 @@ def _contraction_column(lam: np.ndarray, q: float, xi: float) -> np.ndarray:
     return Q[inverse]
 
 
-def _alpha_second_diff_sq(trace: Trace, a: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """alpha_k ||x_{k+1} - 2 x_k + x_{k-1}||^2 for every row but the last.
+def _alpha_second_diff_sq(trace: Trace, a: np.ndarray, lam: np.ndarray,
+                          lo: int = 0) -> np.ndarray:
+    """alpha_k ||x_{k+1} - 2 x_k + x_{k-1}||^2 for the ``a.size`` indices from ``lo``.
 
     Eliminating the cross term with the identity in the module docstring gives
 
@@ -608,39 +637,63 @@ def _alpha_second_diff_sq(trace: Trace, a: np.ndarray, lam: np.ndarray) -> np.nd
     clipped at 0, which never divides by alpha_k, so tiny alpha_k cannot
     overflow it; rows with ``alpha_k = 0`` give 0.
     """
-    step, res = trace.step, trace.residual[:-1]
+    hi = lo + a.size
+    step, res = trace.step[lo:hi + 1], trace.residual[lo:hi]
     with np.errstate(over="ignore", invalid="ignore"):
         value = (lam * lam) * (res * res) - (1.0 - a) * (step[1:] * step[1:]) \
             + a * (1.0 - a) * (step[:-1] * step[:-1])
         return np.where(a == 0.0, 0.0, np.maximum(value, 0.0))
 
 
-def _dist_sq(trace: Trace) -> Tuple[np.ndarray, np.ndarray]:
-    """``||x_k - p||^2`` for every row and ``||x_{k-1} - p||^2`` for every row
-    but the last (``x_0 = x_1`` on the first row)."""
-    d = trace.dist_to_ref
-    with np.errstate(over="ignore"):
-        dsq = d * d
-    prev = np.empty(max(dsq.size - 1, 0), dtype=np.float64)
-    if prev.size:
-        prev[0] = dsq[0]
-        prev[1:] = dsq[:-2]
-    return dsq, prev
+def _dist_sq(trace: Trace, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``||x_{k-1} - p||^2``, ``||x_k - p||^2`` and ``||x_{k+1} - p||^2`` for the
+    indices ``[lo, hi)``, from the rows ``lo - 1 .. hi`` (``x_0 = x_1`` on the
+    first row).  Callers silence overflow warnings."""
+    d = trace.dist_to_ref[max(lo - 1, 0):hi + 1]
+    dsq = d * d
+    if lo:
+        return dsq[:-2], dsq[1:-1], dsq[2:]
+    prev = np.empty(hi, dtype=np.float64)
+    prev[:1] = dsq[:1]
+    prev[1:] = dsq[:-2]
+    return prev, dsq[:-1], dsq[1:]
 
 
-def _y_dist_sq(trace: Trace, a: np.ndarray) -> np.ndarray:
-    """||y_k - p||^2 from the distance and step columns, every row but the last."""
-    dsq, prev = _dist_sq(trace)
-    step = trace.step[:-1]
+def _y_dist_sq(trace: Trace, a: np.ndarray, lo: int = 0) -> np.ndarray:
+    """||y_k - p||^2 from the distance and step columns, for the ``a.size``
+    indices from ``lo``."""
+    hi = lo + a.size
+    step = trace.step[lo:hi]
     with np.errstate(over="ignore", invalid="ignore"):
-        return (1.0 + a) * dsq[:-1] - a * prev + a * (1.0 + a) * (step * step)
+        prev, cur, _ = _dist_sq(trace, lo, hi)
+        return (1.0 + a) * cur - a * prev + a * (1.0 + a) * (step * step)
 
 
-def _report(name: str, ks: np.ndarray, lhs: np.ndarray, rhs: np.ndarray,
-            tol: float) -> InequalityReport:
-    with np.errstate(over="ignore", invalid="ignore"):
-        bad = lhs > rhs + tol * (1.0 + np.abs(rhs))
-    return InequalityReport(name, ks, lhs, rhs, ks[bad].tolist())
+def _replay(name: str, trace: Trace, tol: float,
+            chunk: Callable[[int, int], Tuple[np.ndarray, np.ndarray]]) -> InequalityReport:
+    """Report of the inequality whose ``(lhs, rhs)`` over the indices
+    ``[lo, hi)`` is ``chunk(lo, hi)``, evaluated ``ROW_CHUNK`` indices at a time.
+
+    Index i pairs the rows i and i + 1, so ``ks`` is ``trace.k[:-1]``.  Each
+    chunk is written into the report's arrays and its violations
+    (``lhs > rhs + tol (1 + |rhs|)``) collected before the next is formed:
+    a replay holds one chunk of temporaries besides its report.  ``chunk``
+    runs with overflow, invalid and divide-by-zero warnings silenced.
+    """
+    ks = trace.k[:-1]
+    # up front, so that a bad k is reported before any other error
+    if ks.size and ks.min() < 1:
+        raise ValueError("k must be >= 1")
+    lhs, rhs = np.empty(ks.size), np.empty(ks.size)
+    violations: List[int] = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for lo in range(0, ks.size, ROW_CHUNK):
+            hi = min(lo + ROW_CHUNK, ks.size)
+            lhs[lo:hi], rhs[lo:hi] = chunk(lo, hi)
+            l, r = lhs[lo:hi], rhs[lo:hi]
+            bad = l > r + tol * (1.0 + np.abs(r))
+            violations.extend(ks[lo:hi][bad].tolist())
+    return InequalityReport(name, ks, lhs, rhs, violations)
 
 
 def verify_descent(trace, schedule: Optional[Schedule] = None,
@@ -658,17 +711,20 @@ def verify_descent(trace, schedule: Optional[Schedule] = None,
     its operator has its ``p_ref`` validated as a fixed point first.
     """
     trace, schedule = _unpack(trace, schedule)
-    ks = trace.k[:-1]
-    a, lam = schedule_columns(schedule, ks)
-    dsq, prev = _dist_sq(trace)
-    step = trace.step[:-1]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+
+    def chunk(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+        ks = trace.k[lo:hi]
+        a, lam = schedule_columns(schedule, ks)
+        prev, cur, nxt = _dist_sq(trace, lo, hi)
+        step = trace.step[lo:hi]
         nu = 1.0 / lam - 1.0
-        Delta_k = np.where(ks == 1, 0.0, dsq[:-1] - prev)
-        second = _alpha_second_diff_sq(trace, a, lam)
-        lhs = (dsq[1:] - dsq[:-1]) + trace.delta_k[1:] + nu * second
+        Delta_k = np.where(ks == 1, 0.0, cur - prev)
+        second = _alpha_second_diff_sq(trace, a, lam, lo)
+        lhs = (nxt - cur) + trace.delta_k[lo + 1:hi + 1] + nu * second
         rhs = a * Delta_k + (a * (1.0 + a) + nu * a * (1.0 - a)) * (step * step)
-    return _report("descent", ks, lhs, rhs, tol)
+        return lhs, rhs
+
+    return _replay("descent", trace, tol, chunk)
 
 
 def verify_Ck_monotone(trace, tol: float = DEFAULT_TOL) -> Optional[int]:
@@ -678,9 +734,14 @@ def verify_Ck_monotone(trace, tol: float = DEFAULT_TOL) -> Optional[int]:
     if C is None:
         raise ValueError("trace lacks C_k; rerun with p_ref")
     with np.errstate(over="ignore", invalid="ignore"):
-        bad = C < -tol
-        bad[:-1] |= C[1:] > C[:-1] + tol * (1.0 + C[:-1])
-    return int(trace.k[np.argmax(bad)]) if bad.any() else None
+        for lo in range(0, C.size, ROW_CHUNK):
+            hi = min(lo + ROW_CHUNK, C.size)
+            c = C[lo:hi + 1]  # one row of look-ahead
+            bad = c[:hi - lo] < -tol
+            bad[:c.size - 1] |= c[1:] > c[:-1] + tol * (1.0 + c[:-1])
+            if bad.any():
+                return int(trace.k[lo + np.argmax(bad)])
+    return None
 
 
 def verify_contraction(trace, q: float, xi: float, schedule: Optional[Schedule] = None,
@@ -691,14 +752,15 @@ def verify_contraction(trace, q: float, xi: float, schedule: Optional[Schedule] 
                              - xi lambda_k (1 - lambda_k) ||y_k - T y_k||^2.
     """
     trace, schedule = _unpack(trace, schedule)
-    ks = trace.k[:-1]
-    a, lam = schedule_columns(schedule, ks)
-    Q = _contraction_column(lam, q, xi)
-    dsq, _ = _dist_sq(trace)
-    res = trace.residual[:-1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        rhs = Q * _y_dist_sq(trace, a) - xi * lam * (1.0 - lam) * (res * res)
-    return _report("contraction", ks, dsq[1:], rhs, tol)
+
+    def chunk(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+        a, lam = schedule_columns(schedule, trace.k[lo:hi])
+        Q = _contraction_column(lam, q, xi)
+        res = trace.residual[lo:hi]
+        rhs = Q * _y_dist_sq(trace, a, lo) - xi * lam * (1.0 - lam) * (res * res)
+        return _dist_sq(trace, lo, hi)[2], rhs
+
+    return _replay("contraction", trace, tol, chunk)
 
 
 def verify_product_bound(trace, q: float, xi: float, schedule: Optional[Schedule] = None,
@@ -708,18 +770,34 @@ def verify_product_bound(trace, q: float, xi: float, schedule: Optional[Schedule
         ||x_{k+1} - p||^2 - alpha_k ||x_k - p||^2 + xi delta_{k+1}
             <= prod_{j<=k} Q(lambda_j, q, xi) * ||x_1 - p||^2.
 
-    The product is the sequential ``np.cumprod``, the same rounding as a
-    running product.
+    The product runs across chunks as ``np.cumprod`` of ``[carry, Q_lo,
+    ...]``: the same sequential products, bit for bit, as one ``np.cumprod``
+    over the whole column.
     """
     trace, schedule = _unpack(trace, schedule)
-    ks = trace.k[:-1]
-    a, lam = schedule_columns(schedule, ks)
-    prod = np.cumprod(_contraction_column(lam, q, xi))
-    dsq, _ = _dist_sq(trace)
-    with np.errstate(over="ignore", invalid="ignore"):
-        lhs = dsq[1:] - a * dsq[:-1] + xi * trace.delta_k[1:]
-        rhs = prod * dsq[:1]
-    return _report("product_bound", ks, lhs, rhs, tol)
+    d1 = trace.dist_to_ref[:1]
+    with np.errstate(over="ignore"):
+        d1 = d1 * d1
+    carry = np.ones(1)
+
+    def chunk(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+        nonlocal carry
+        a, lam = schedule_columns(schedule, trace.k[lo:hi])
+        prod = np.cumprod(np.concatenate((carry, _contraction_column(lam, q, xi))))[1:]
+        carry = prod[-1:]
+        _, cur, nxt = _dist_sq(trace, lo, hi)
+        return nxt - a * cur + xi * trace.delta_k[lo + 1:hi + 1], prod * d1
+
+    return _replay("product_bound", trace, tol, chunk)
+
+
+def _k_times_max(zs: np.ndarray, lo: int, hi: int) -> np.floating:
+    """``max(k * zs[k - 1])`` over ``k = lo + 1 .. hi``, one chunk at a time
+    (nan when a product is nan, as ``np.max`` over the whole range)."""
+    with np.errstate(over="ignore"):
+        return np.max([np.max(np.arange(i + 1, min(i + ROW_CHUNK, hi) + 1, dtype=np.float64)
+                              * zs[i:min(i + ROW_CHUNK, hi)])
+                       for i in range(lo, hi, ROW_CHUNK)])
 
 
 def small_o_check(zeta: Sequence[float]) -> bool:
@@ -728,19 +806,21 @@ def small_o_check(zeta: Sequence[float]) -> bool:
     ``zeta`` must be positive and nonincreasing (validated; tiny relative
     upticks at rounding level are tolerated).  Returns True when the maximum
     of ``k * zeta_k`` over the last quartile is below 10% of its maximum over
-    the first quartile.  A documented heuristic, not a limit statement.
+    the first quartile.  A documented heuristic, not a limit statement.  An
+    array is read in place, one chunk at a time.
     """
-    zs = np.array(zeta, dtype=np.float64)
+    zs = np.asarray(zeta, dtype=np.float64)
     if zs.size < 4:
         raise ValueError("need at least 4 values")
     if zs.min() <= 0.0:
         raise ValueError("values must be positive")
     with np.errstate(over="ignore"):
-        if np.any(zs[1:] > zs[:-1] * (1.0 + 1e-12)):
-            raise ValueError("sequence is not nonincreasing")
-        kz = np.arange(1, zs.size + 1, dtype=np.float64) * zs
+        for lo in range(0, zs.size - 1, ROW_CHUNK):
+            z = zs[lo:lo + ROW_CHUNK + 1]
+            if (z[1:] > z[:-1] * (1.0 + 1e-12)).any():
+                raise ValueError("sequence is not nonincreasing")
     quart = max(1, zs.size // 4)
-    return bool(kz[-quart:].max() < 0.1 * kz[:quart].max())
+    return bool(_k_times_max(zs, zs.size - quart, zs.size) < 0.1 * _k_times_max(zs, 0, quart))
 
 
 def monotone_prefix(values: Sequence[float], slack: float = 1e-12) -> int:
@@ -748,10 +828,16 @@ def monotone_prefix(values: Sequence[float], slack: float = 1e-12) -> int:
 
     Trace tails that have reached the floating-point floor jitter at rounding
     level; the small-o diagnostic is applied to the prefix that still
-    measures the iteration rather than the noise.
+    measures the iteration rather than the noise.  An array is scanned in
+    place, one chunk at a time.
     """
     v = np.asarray(values, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        bad = v <= 0.0
-        bad[1:] |= v[1:] > v[:-1] * (1.0 + slack)
-    return int(np.argmax(bad)) if bad.any() else int(v.size)
+        for lo in range(0, v.size, ROW_CHUNK):
+            back = 1 if lo else 0  # one row of look-back past the first chunk
+            w = v[lo - back:lo + ROW_CHUNK]
+            bad = w[back:] <= 0.0
+            bad[1 - back:] |= w[1:] > w[:-1] * (1.0 + slack)
+            if bad.any():
+                return lo + int(np.argmax(bad))
+    return int(v.size)

@@ -4,8 +4,9 @@ Every point is a 1-D float64 numpy array; a point of a product space
 ``X x Y`` is the concatenation ``[x; y]``. Linear maps are either dense
 (:class:`LinearMap`, a stored matrix) or structured
 (:class:`DifferenceMap`, forward differences applied in O(n) with no
-matrix); both expose ``rows``, ``cols``, ``apply``, ``apply_adjoint`` and a
-certified upper bound ``norm_upper()`` on the operator norm.  The SPD map
+matrix); both expose ``rows``, ``cols``, ``apply``, ``apply_adjoint`` (each
+writes into an ``out=`` array when given one) and a certified upper bound
+``norm_upper()`` on the operator norm.  The SPD map
 ``K^T K`` of a least-squares term is a :class:`GramMap`, held by its m x n
 factor ``K``: it applies ``K^T (K x)`` and stores no n x n Gram; its
 spectrum comes from one eigendecomposition of the Gram, formed for it and
@@ -90,11 +91,11 @@ class LinearMap:
     def cols(self) -> int:
         return self.matrix.shape[1]
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
+    def apply(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        return np.matmul(self.matrix, x, out=out)
 
-    def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        return self.matrix.T @ y
+    def apply_adjoint(self, y: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        return np.matmul(self.matrix.T, y, out=out)
 
     def norm_upper(self) -> float:
         """Schur's bound ``sqrt(||L||_1 ||L||_inf)`` on the operator norm.
@@ -130,14 +131,15 @@ class DifferenceMap:
     def cols(self) -> int:
         return self.n
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def apply(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """``D x``; a stack of points along the last axis gives the stack of images."""
-        return x[..., 1:] - x[..., :-1]
+        return np.subtract(x[..., 1:], x[..., :-1], out=out)
 
-    def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        out = np.empty(self.n)
+    def apply_adjoint(self, y: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        if out is None:
+            out = np.empty(self.n)
         out[0] = -y[0]
-        out[1:-1] = y[:-1] - y[1:]
+        np.subtract(y[:-1], y[1:], out=out[1:-1])
         out[-1] = y[-1]
         return out
 

@@ -123,38 +123,58 @@ def evaluate(f: ProxFunction, x: np.ndarray) -> float:
     raise ValueError(f"unknown kind {f.kind!r}")
 
 
-def make_prox(f: ProxFunction, rho: float) -> Callable[[np.ndarray], np.ndarray]:
+def _into(out: Optional[np.ndarray], v: np.ndarray) -> np.ndarray:
+    """``v`` itself, or ``out`` holding a copy of it."""
+    if out is None:
+        return v
+    out[...] = v
+    return out
+
+
+def make_prox(f: ProxFunction, rho: float) -> Callable[..., np.ndarray]:
     """Specialized closure for ``v -> prox_{rho f}(v)``.
 
     The quadratic kind factors ``I + rho A`` once (a diagonal quadratic is
     solved directly), which is what makes long resolvent iterations cheap.
+    The closure takes an optional ``out=`` array, which may be ``v`` itself,
+    and writes the result there with the same operations.
     """
     if rho <= 0:
         raise ValueError("rho must be > 0")
     if f.kind == "zero":
-        return lambda v: v
+        return lambda v, out=None: _into(out, v)
     if f.kind == "l1":
         t = rho * f.weight
-        # soft threshold in two passes: v minus its clip to [-t, t]
-        return lambda v: v - np.minimum(np.maximum(v, -t), t)
+
+        def soft_threshold(v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+            # two passes: v minus its clip to [-t, t]
+            clip = np.maximum(v, -t)
+            return np.subtract(v, np.minimum(clip, t, out=clip), out=out)
+
+        return soft_threshold
     if f.kind == "box":
         lo, hi = f.lo, f.hi
-        return lambda v: np.clip(v, lo, hi)
+        return lambda v, out=None: np.clip(v, lo, hi, out=out)
     if f.kind == "l2_ball":
         r = f.radius
 
-        def project(v: np.ndarray) -> np.ndarray:
+        def project(v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
             nv = norm(v)
-            return v if nv <= r else v * (r / nv)
+            return _into(out, v) if nv <= r else np.multiply(v, r / nv, out=out)
 
         return project
     if f.kind == "quadratic":
         rho_b = rho * f.b
         if f.A is None:
             scale = 1.0 + rho * f.diag
-            return lambda v: (v + rho_b) / scale
+
+            def solve_diagonal(v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+                w = np.add(v, rho_b, out=out)
+                return np.divide(w, scale, out=w)
+
+            return solve_diagonal
         solve = spd_solver(LinearMap(np.eye(f.A.rows) + rho * f.A.matrix))
-        return lambda v: solve(v + rho_b)
+        return lambda v, out=None: _into(out, solve(v + rho_b))
     raise ValueError(f"unknown kind {f.kind!r}")
 
 
@@ -163,21 +183,34 @@ def prox(f: ProxFunction, rho: float, v: np.ndarray) -> np.ndarray:
     return make_prox(f, rho)(v)
 
 
-def make_prox_conjugate(f: ProxFunction, sigma: float) -> Callable[[np.ndarray], np.ndarray]:
+def make_prox_conjugate(f: ProxFunction, sigma: float) -> Callable[..., np.ndarray]:
     """Specialized closure for ``v -> prox_{sigma f*}(v)``.
 
     For ``f = w ||.||_1`` the conjugate is the indicator of ``[-w, w]^n``,
     so the prox is the clip ``min(max(v, -w), w)`` for every ``sigma``
     (Chambolle and Pock, JMIV 40, 2011).  Every other kind goes through
-    Moreau's identity, ``v - sigma * prox_{f/sigma}(v / sigma)``.
+    Moreau's identity, ``v - sigma * prox_{f/sigma}(v / sigma)``.  As with
+    :func:`make_prox`, an optional ``out=`` array (``v`` allowed) receives
+    the result.
     """
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
     if f.kind == "l1":
         w = f.weight
-        return lambda v: np.minimum(np.maximum(v, -w), w)
+
+        def clip(v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+            low = np.maximum(v, -w, out=out)
+            return np.minimum(low, w, out=low)
+
+        return clip
     pf = make_prox(f, 1.0 / sigma)
-    return lambda v: v - sigma * pf(v / sigma)
+
+    def moreau(v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        scaled = v / sigma
+        scaled = pf(scaled, out=scaled)
+        return np.subtract(v, np.multiply(sigma, scaled, out=scaled), out=out)
+
+    return moreau
 
 
 def prox_conjugate(f: ProxFunction, sigma: float, w: np.ndarray) -> np.ndarray:
@@ -354,7 +387,8 @@ def primal_dual_op(
     A point is the flat array ``p = [x; y]`` of length ``L.cols + L.rows``.
     Updates ``x+ = prox_{tau f}(x - tau L^T y)`` then ``y+ =
     prox_{sigma g*}(y + sigma L (2 x+ - x))`` and returns ``[x+; y+]`` as a
-    new array; ``p`` is never written.  The dual prox comes from
+    new array, both blocks written in place with ``out=`` ufuncs and one
+    scratch vector; ``p`` is never written.  The dual prox comes from
     :func:`make_prox_conjugate`: a clip to ``[-w, w]`` for ``g = w ||.||_1``,
     Moreau's identity otherwise.  Requires ``tau * sigma * ||L||^2 <= 1``,
     checked against ``L.norm_upper()``.  The map is 1/2-averaged on the
@@ -367,9 +401,20 @@ def primal_dual_op(
     n = L.cols
 
     def apply(p: np.ndarray) -> np.ndarray:
+        # x+ and y+ are formed in the two blocks of one fresh array, in the
+        # order of pf(x - tau L^T y) and pg*(y + sigma L (2 x+ - x)); the only
+        # other array is the scratch 2 x+ - x
         x, y = p[:n], p[n:]
-        xp = pf(x - tau * L.apply_adjoint(y))
-        return np.concatenate((xp, pg_conj(y + sigma * L.apply(2.0 * xp - x))))
+        out = np.empty(p.shape)
+        xp, yp = out[:n], out[n:]
+        L.apply_adjoint(y, out=xp)
+        np.multiply(tau, xp, out=xp)
+        pf(np.subtract(x, xp, out=xp), out=xp)
+        ext = np.multiply(2.0, xp)
+        L.apply(np.subtract(ext, x, out=ext), out=yp)
+        np.multiply(sigma, yp, out=yp)
+        pg_conj(np.add(y, yp, out=yp), out=yp)
+        return out
 
     return OperatorHandle(
         apply=apply,
@@ -393,7 +438,8 @@ def split_dr_op(
         x+ = prox_{tau f}(x - tau L^T v)
         y+ = sigma * L (x+ - x) + v
 
-    and ``[x+; y+]`` is returned as a new array; ``p`` is never written.
+    and ``[x+; y+]`` is returned as a new array, both blocks written in place
+    with ``out=`` ufuncs and one scratch array; ``p`` is never written.
     The dual prox comes from :func:`make_prox_conjugate`: a clip to
     ``[-w, w]`` for ``g = w ||.||_1``, Moreau's identity otherwise.
     Averagedness 1/2 is assumed in the preconditioned metric (flagged in
@@ -407,10 +453,23 @@ def split_dr_op(
     n = L.cols
 
     def apply(p: np.ndarray) -> np.ndarray:
+        # v, then x+, then y+ = sigma L (x+ - x) + v are formed in the blocks
+        # of one fresh array (v in the y block) in the order of the formulas;
+        # the only other array is the scratch for x+ - x and its image
         x, y = p[:n], p[n:]
-        v = pg_conj(y + sigma * L.apply(x))
-        xp = pf(x - tau * L.apply_adjoint(v))
-        return np.concatenate((xp, sigma * L.apply(xp - x) + v))
+        out = np.empty(p.shape)
+        xp, yp = out[:n], out[n:]
+        L.apply(x, out=yp)
+        np.multiply(sigma, yp, out=yp)
+        pg_conj(np.add(y, yp, out=yp), out=yp)
+        L.apply_adjoint(yp, out=xp)
+        np.multiply(tau, xp, out=xp)
+        pf(np.subtract(x, xp, out=xp), out=xp)
+        scratch = np.empty(n + yp.size)
+        diff, image = scratch[:n], scratch[n:]
+        L.apply(np.subtract(xp, x, out=diff), out=image)
+        np.add(np.multiply(sigma, image, out=image), yp, out=yp)
+        return out
 
     return OperatorHandle(
         apply=apply,

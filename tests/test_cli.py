@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ikm import cli, engine
+from ikm import cli, engine, problems
 from ikm.config import (
     ConfigError,
     ConfigView,
@@ -243,7 +243,7 @@ def test_read_trace_rejects_a_column_empty_in_one_chunk_only(tmp_path):
     path = tmp_path / "edge.csv"
     cli.write_trace(str(path), edge_trace(2500), {"a.x": "1"})
     lines = path.read_text().splitlines()
-    for i in range(3, 3 + cli._CHUNK):  # dist_to_ref of every row the first chunk parses
+    for i in range(3, 3 + engine.ROW_CHUNK):  # dist_to_ref of every row the first chunk parses
         row = lines[i].split(",")
         row[7] = ""
         lines[i] = ",".join(row)
@@ -296,7 +296,7 @@ def full_trace(n):
 
 def test_read_trace_holds_one_chunk_of_text(tmp_path):
     path = tmp_path / "long.csv"
-    trace = full_trace(10 * cli._CHUNK + 7)
+    trace = full_trace(10 * engine.ROW_CHUNK + 7)
     cli.write_trace(str(path), trace, {"a.x": "1"})
     columns = sum(getattr(trace, name).nbytes for name in COLUMNS)
     tracemalloc.start()
@@ -312,12 +312,14 @@ def test_read_trace_holds_one_chunk_of_text(tmp_path):
 
 @pytest.mark.parametrize("row, message", [
     (-1, "malformed row"),  # the file's last row, in the last, partial chunk
-    (3 + 2 * cli._CHUNK, "malformed row"),  # the first row of the last chunk
+    # the first row of the last chunk; the id does not depend on the chunk size
+    pytest.param(3 + 2 * engine.ROW_CHUNK, "malformed row",
+                 id="first-row-of-last-chunk-malformed row"),
     (-2, "column residual"),  # a bad token in the last chunk
 ])
 def test_read_trace_rejects_a_bad_row_in_the_last_chunk(tmp_path, row, message):
     path = tmp_path / "t.csv"
-    cli.write_trace(str(path), full_trace(2 * cli._CHUNK + 5), {"a.x": "1"})
+    cli.write_trace(str(path), full_trace(2 * engine.ROW_CHUNK + 5), {"a.x": "1"})
     lines = path.read_text().splitlines()
     fields = lines[row].split(",")
     lines[row] = ",".join(fields[:-1] if message == "malformed row" else
@@ -337,7 +339,7 @@ def test_read_trace_rejects_a_bad_row_in_the_last_chunk(tmp_path, row, message):
 ])
 def test_read_trace_skips_what_the_format_allows(tmp_path, edit):
     path = tmp_path / "t.csv"
-    trace = full_trace(2 * cli._CHUNK + 5)
+    trace = full_trace(2 * engine.ROW_CHUNK + 5)
     cli.write_trace(str(path), trace, {"a.x": "1"})
     lines = edit(path.read_text().splitlines())
     path.write_bytes(("\n".join(lines) + "\n").encode())
@@ -546,6 +548,25 @@ def test_run_and_certify_agree_per_check(tmp_path, config, run_code, expect):
             "ck", "descent", "contraction", "product"}
 
 
+def test_evaluate_checks_holds_one_report_at_a_time():
+    inst = problems.make_quadratic(5, 0.01, 10.0, 1)
+    op = inst.operator("gradient")
+    schedule = Schedule.constant(0.05, 0.9)
+    res = engine.run(op, inst.start_point("gradient"), schedule, StoppingRule(100_000, 0.0),
+                     p_ref=inst.reference_solution)
+    trace = res.rows
+    assert len(trace) == 100_000
+    tracemalloc.start()
+    try:
+        verdicts = cli.evaluate_checks(trace, cli.CHECKS, schedule, op.q_factor, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert {status for status, _ in verdicts.values()} == {"PASS"}
+    # one report's lhs and rhs, and chunks; whole-column replays took 12 columns
+    assert peak <= 2.5 * trace.k.nbytes
+
+
 SCHEDULE_KEYS = {
     "constant": {"schedule.alpha": "0.15"},
     "ramp": {"schedule.alpha_start": "0.05", "schedule.alpha_end": "0.3",
@@ -583,6 +604,10 @@ def test_build_schedule_every_kind(tmp_path, a_kind, l_kind):
     lambdas = [schedule.lambda_at(k) for k in ks]
     assert alphas == [_documented_alpha(a_kind, k) for k in ks]
     assert lambdas == [_documented_lambda(l_kind, k) for k in ks]
+    # the column form the replays read holds the same floats
+    a_col, l_col = engine.schedule_columns(schedule, np.arange(1, 7 + 3))
+    assert a_col.tobytes() == np.array(alphas).tobytes()
+    assert l_col.tobytes() == np.array(lambdas).tobytes()
 
     # the schedule certify rebuilds from the trace's embedded config
     cfg = tmp_path / "run.cfg"

@@ -13,6 +13,7 @@ from ikm.engine import (
     COLUMNS,
     DivergenceError,
     OPTIONAL_COLUMNS,
+    ROW_CHUNK,
     RunResult,
     Schedule,
     StoppingRule,
@@ -831,6 +832,182 @@ def test_column_replays_match_row_formulas_on_a_run(quad_50):
     got = verify_descent(res)
     want = rows_descent(rows, sched, 1e-9)
     assert got.ok and got.lhs.tolist() == want[1] and got.rhs.tolist() == want[2]
+
+
+# whole-column forms of the replays, as they were before the replays ran a
+# chunk at a time; the chunked replays must give their bits
+
+
+def whole_columns(sched, ks):
+    return (np.array([sched.alpha_at(k) for k in ks.tolist()], dtype=np.float64),
+            np.array([sched.lambda_at(k) for k in ks.tolist()], dtype=np.float64))
+
+
+def whole_Q(lam, q, xi):
+    return np.array([contraction_constant(v, q, xi) for v in lam.tolist()], dtype=np.float64)
+
+
+def whole_report(ks, lhs, rhs, tol):
+    bad = lhs > rhs + tol * (1.0 + np.abs(rhs))
+    return ks, lhs, rhs, ks[bad].tolist()
+
+
+def whole_dist_sq(trace):
+    dsq = trace.dist_to_ref * trace.dist_to_ref
+    return dsq, np.concatenate((dsq[:1], dsq[:-2]))[:dsq.size - 1]
+
+
+def whole_descent(trace, sched, tol):
+    ks = trace.k[:-1]
+    a, lam = whole_columns(sched, ks)
+    dsq, prev = whole_dist_sq(trace)
+    step, res = trace.step, trace.residual[:-1]
+    nu = 1.0 / lam - 1.0
+    second = np.where(a == 0.0, 0.0, np.maximum(
+        (lam * lam) * (res * res) - (1.0 - a) * (step[1:] * step[1:])
+        + a * (1.0 - a) * (step[:-1] * step[:-1]), 0.0))
+    lhs = (dsq[1:] - dsq[:-1]) + trace.delta_k[1:] + nu * second
+    rhs = a * np.where(ks == 1, 0.0, dsq[:-1] - prev) \
+        + (a * (1.0 + a) + nu * a * (1.0 - a)) * (step[:-1] * step[:-1])
+    return whole_report(ks, lhs, rhs, tol)
+
+
+def whole_contraction(trace, q, xi, sched, tol):
+    ks = trace.k[:-1]
+    a, lam = whole_columns(sched, ks)
+    dsq, prev = whole_dist_sq(trace)
+    step, res = trace.step[:-1], trace.residual[:-1]
+    y = (1.0 + a) * dsq[:-1] - a * prev + a * (1.0 + a) * (step * step)
+    rhs = whole_Q(lam, q, xi) * y - xi * lam * (1.0 - lam) * (res * res)
+    return whole_report(ks, dsq[1:], rhs, tol)
+
+
+def whole_product(trace, q, xi, sched, tol):
+    ks = trace.k[:-1]
+    a, lam = whole_columns(sched, ks)
+    dsq, _ = whole_dist_sq(trace)
+    lhs = dsq[1:] - a * dsq[:-1] + xi * trace.delta_k[1:]
+    return whole_report(ks, lhs, np.cumprod(whole_Q(lam, q, xi)) * dsq[:1], tol)
+
+
+def whole_Ck(trace, tol):
+    C = trace.C_k
+    bad = C < -tol
+    bad[:-1] |= C[1:] > C[:-1] + tol * (1.0 + C[:-1])
+    return int(trace.k[np.argmax(bad)]) if bad.any() else None
+
+
+def whole_monotone_prefix(v, slack=1e-12):
+    bad = v <= 0.0
+    bad[1:] |= v[1:] > v[:-1] * (1.0 + slack)
+    return int(np.argmax(bad)) if bad.any() else int(v.size)
+
+
+def whole_small_o(zs):
+    if np.any(zs[1:] > zs[:-1] * (1.0 + 1e-12)):
+        raise ValueError("sequence is not nonincreasing")
+    kz = np.arange(1, zs.size + 1, dtype=np.float64) * zs
+    quart = max(1, zs.size // 4)
+    return bool(kz[-quart:].max() < 0.1 * kz[:quart].max())
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the text of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def same_report(got, want):
+    if isinstance(want, str) or isinstance(got, str):
+        return got == want
+    ks, lhs, rhs, violations = want
+    return (got.ks.tobytes() == ks.tobytes() and got.lhs.tobytes() == lhs.tobytes()
+            and got.rhs.tobytes() == rhs.tobytes() and got.violations == violations)
+
+
+@pytest.fixture(scope="module")
+def chunk_run():
+    # slow enough (mu = 0.01) that every row of a 3R + 2 row run still moves
+    inst = problems.make_quadratic(20, 0.01, 10.0, 3)
+    T = inst.operator("gradient")
+    n = 3 * ROW_CHUNK + 2
+    res = run(T, inst.start_point("gradient"), Schedule.constant(0.05, 0.9),
+              StoppingRule(n, 0.0), p_ref=inst.reference_solution)
+    assert len(res.rows) == n
+    return res.rows, T.q_factor
+
+
+R = ROW_CHUNK
+CHUNK_SCHEDULES = {
+    "constant": Schedule.constant(0.05, 0.9),
+    "ramp": Schedule.ramp(0.0, 0.1, R + 10, [0.5, 0.7, 0.9]),
+    # lambda changes across the first chunk boundary and leaves (0, 1] at k = R + 6
+    "table": Schedule.table([0.0, 0.02, 0.04] + [0.05] * R,
+                            [0.9, 0.8] + [0.95] * (R - 2) + [0.7, 0.85, 0.9, 0.9, 0.9, 1.2, 0.9]),
+}
+
+
+def corrupted(trace, length, row):
+    cols = {name: None if getattr(trace, name) is None else getattr(trace, name)[:length].copy()
+            for name in COLUMNS}
+    if row is not None and row < length:
+        cols["dist_to_ref"][row] *= 1.5
+        cols["C_k"][row] = 3.0 * cols["C_k"][row] + 1.0
+        cols["step"][row] *= 2.0
+        cols["residual"][row] *= 4.0
+    return Trace(**cols)
+
+
+@pytest.mark.parametrize("length", [1, 2, R - 1, R, R + 1, 2 * R + 1, 3 * R + 2])
+@pytest.mark.parametrize("row", [None, R - 1, R, R + 1])
+def test_chunked_replays_match_whole_columns(chunk_run, length, row):
+    trace = corrupted(chunk_run[0], length, row)
+    q = chunk_run[1]
+    with np.errstate(all="ignore"):
+        for sched in CHUNK_SCHEDULES.values():
+            for tol in (0.0, 1e-9):
+                assert same_report(outcome(verify_descent, trace, sched, tol),
+                                   outcome(whole_descent, trace, sched, tol))
+                for xi in (0.7, 1.0):
+                    assert same_report(outcome(verify_contraction, trace, q, xi, sched, tol),
+                                       outcome(whole_contraction, trace, q, xi, sched, tol))
+                    assert same_report(outcome(verify_product_bound, trace, q, xi, sched, tol),
+                                       outcome(whole_product, trace, q, xi, sched, tol))
+        for tol in (0.0, 1e-9):
+            assert verify_Ck_monotone(trace, tol) == whole_Ck(trace, tol)
+        for values in (trace.residual * trace.residual, trace.step[1:] * trace.step[1:]):
+            n = monotone_prefix(values)
+            assert n == whole_monotone_prefix(values)
+            for zs in (values[:n], values[:max(n, 4)]):
+                if zs.size >= 4 and zs.min() > 0.0:
+                    assert outcome(small_o_check, zs) == outcome(whole_small_o, zs)
+    if row is not None and row < length:
+        # the corruption is seen, in whichever chunk it falls
+        assert verify_descent(trace, CHUNK_SCHEDULES["constant"]).violations
+
+
+def test_chunked_product_bound_carries_the_running_product(chunk_run):
+    trace = corrupted(chunk_run[0], 3 * R + 2, None)
+    trace.dist_to_ref[0] = 1.0  # rhs is then the running product itself
+    for name in ("constant", "ramp"):
+        sched = CHUNK_SCHEDULES[name]
+        rep = verify_product_bound(trace, chunk_run[1], 0.7, sched)
+        lam = whole_columns(sched, trace.k[:-1])[1]
+        assert rep.rhs.tobytes() == np.cumprod(whole_Q(lam, chunk_run[1], 0.7)).tobytes()
+
+
+@pytest.mark.parametrize("at", [R - 1, R, R + 1, 2 * R])
+def test_chunked_small_o_and_prefix_see_an_uptick_at_a_chunk_boundary(at):
+    zs = 1.0 / np.arange(1, 3 * R + 3, dtype=np.float64) ** 2
+    zs[at] = 2.0 * zs[at - 1]
+    assert monotone_prefix(zs) == whole_monotone_prefix(zs) == at
+    with pytest.raises(ValueError, match="not nonincreasing"):
+        small_o_check(zs)
+    zs[at] = -zs[at]
+    assert monotone_prefix(zs) == at
+    assert small_o_check(zs[:at]) == whole_small_o(zs[:at])
 
 
 # --------------------------------------------------------------------------

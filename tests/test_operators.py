@@ -322,6 +322,44 @@ def test_steps_from_power_estimate_are_rejected(builder):
         builder(f, g, L, 0.99 / est, 0.99 / est)  # make_tv1d's defaults
 
 
+def _pd_formula(f, g, L, tau, sigma, p):
+    x, y = p[:L.cols], p[L.cols:]
+    xp = prox(f, tau, x - tau * L.apply_adjoint(y))
+    return np.concatenate((xp, prox_conjugate(g, sigma, y + sigma * L.apply(2.0 * xp - x))))
+
+
+def _sdr_formula(f, g, L, tau, sigma, p):
+    x, y = p[:L.cols], p[L.cols:]
+    v = prox_conjugate(g, sigma, y + sigma * L.apply(x))
+    xp = prox(f, tau, x - tau * L.apply_adjoint(v))
+    return np.concatenate((xp, sigma * L.apply(xp - x) + v))
+
+
+@pytest.mark.parametrize("builder, formula", [(primal_dual_op, _pd_formula),
+                                              (split_dr_op, _sdr_formula)])
+def test_primal_dual_applies_in_place_match_the_formulas(builder, formula):
+    # the applies write both blocks with out= ufuncs; every kind of prox and
+    # both kinds of L give the bits of the plain expressions
+    n = 12
+    gen = np.random.default_rng(3)
+    A = rand_spd(SplitMix64(4), n)
+    fs = [diagonal_quadratic(gen.uniform(0.1, 2.0, n), gen.standard_normal(n)), l1(0.3),
+          box(-0.5, 0.7), l2_ball(1.5), zero(), quadratic(LinearMap(A), gen.standard_normal(n))]
+    gs = [l1(0.4), zero(), box(-0.2, 0.3), l2_ball(0.8)]
+    for L in (DifferenceMap(n), LinearMap(gen.standard_normal((n - 1, n))),
+              LinearMap(gen.standard_normal((n + 3, n)))):
+        step = 0.9 / L.norm_upper()
+        for f in fs:
+            for g in gs:
+                T = builder(f, g, L, step, step)
+                for scale in 10.0 ** np.arange(-5.0, 6.0):
+                    p = gen.standard_normal(n + L.rows) * scale
+                    before = p.copy()
+                    got = T.apply(p)
+                    assert got.tobytes() == formula(f, g, L, step, step, p).tobytes()
+                    assert p.tobytes() == before.tobytes() and not np.shares_memory(got, p)
+
+
 def test_split_dr_reduces_without_coupling():
     n = 5
     f = l1(0.2)

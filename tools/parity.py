@@ -24,6 +24,9 @@ constant lambda above 1, a run that ends ``stalled`` on
 ``stopping.stall_tol``), on a quadratic ramp-alpha config with
 ``stopping.max_iters = 100000`` that converges early, so the
 ``relaxation_seq`` precheck line over 100,000 indices is compared, on a
+1,000-row quadratic run whose alpha ramps out of the feasible region, so
+that ``ck`` and ``product`` FAIL with violations past the first two
+``ROW_CHUNK``s of the replays, on a
 small ``three_term`` config (the Davis-Yin
 path, which no workload runs), on a small ``lasso`` config and on a
 ``tv1d`` config with ``n = 30``, ``alpha = 0.2`` and ``lambda = 1`` run by
@@ -87,6 +90,12 @@ FIXED_CONFIGS = {
     # stops on stopping.stall_tol (exit 2), the one path that measures a step norm per step
     "stall": GRADIENT + ("schedule.alpha = 0.05\nschedule.lambda = 0.9\n"
                          "stopping.stall_tol = 1e-6\n"),
+    # alpha ramps past the feasible region and the iterates start to grow: 1,000 rows, and
+    # ck and product print FAIL lines at k of about 770-800, past the first two row chunks
+    "ramp-infeasible": QUADRATIC.replace("problem.mu = 1", "problem.mu = 0.01") + (
+        "algorithm.scheme = gradient\nschedule.alpha_kind = ramp\nschedule.alpha_start = 0\n"
+        "schedule.alpha_end = 0.5\nschedule.alpha_ramp_iters = 1500\nschedule.lambda = 0.9\n"
+        "stopping.max_iters = 1000\n"),
     # split Douglas-Rachford on [x; y] points, which no workload runs; converges in 489 steps
     "tv-sdr": RUN + ("problem.kind = tv1d\nproblem.n = 30\n"
                      "algorithm.scheme = sdr\nschedule.alpha = 0.2\nschedule.lambda = 1\n"),
