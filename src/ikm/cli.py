@@ -31,7 +31,11 @@ from .engine import (COLUMNS, OPTIONAL_COLUMNS, DivergenceError, Schedule, Stopp
                      monotone_prefix)
 from .operators import OperatorHandle, residual as op_residual
 
-TRACE_COLUMNS = ",".join(COLUMNS)
+# the columns of an ikm-trace-v2 file: k, the measured columns and the
+# rate_bound promise.  An ikm-trace-v1 file holds every Trace column
+TRACE_FIELDS = ("k", "residual", "step", "dist_to_ref", "objective", "rate_bound")
+TRACE_COLUMNS = ",".join(TRACE_FIELDS)
+TRACE_HEADERS = {TRACE_COLUMNS: TRACE_FIELDS, ",".join(COLUMNS): COLUMNS}
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -107,10 +111,10 @@ def _schedule_param(view: ConfigView, key: str, default: Optional[float] = None)
     return value
 
 
-def build_schedule(view: ConfigView) -> Tuple[
-        Schedule, Dict[str, str], float, Optional[Tuple[float, float]]]:
-    """(schedule, resolved keys describing it, xi, const); ``const`` is
-    ``(alpha, lambda)`` for a constant/constant schedule, else None."""
+def build_schedule(view: ConfigView) -> Tuple[Schedule, Dict[str, str], float]:
+    """(schedule, resolved keys describing it, xi); a constant/constant
+    schedule is a :meth:`Schedule.constant`, whose ``const`` is
+    ``(alpha, lambda)``."""
     resolved: Dict[str, str] = {}
     a_kind = view.get_str("schedule.alpha_kind", "constant")
     resolved["schedule.alpha_kind"] = a_kind
@@ -147,12 +151,11 @@ def build_schedule(view: ConfigView) -> Tuple[
 
     xi = _schedule_param(view, "schedule.xi", 1.0)
     resolved["schedule.xi"] = _fmt(xi)
-    const = (alpha, lam) if a_kind == l_kind == "constant" else None
     if a_kind == "ramp":
-        return Schedule.ramp(a0, a1, iters, lambdas), resolved, xi, const
-    if const is not None:
-        return Schedule.constant(alpha, lam), resolved, xi, const
-    return Schedule.table(alphas, lambdas), resolved, xi, const
+        return Schedule.ramp(a0, a1, iters, lambdas), resolved, xi
+    if a_kind == l_kind == "constant":
+        return Schedule.constant(alpha, lam), resolved, xi
+    return Schedule.table(alphas, lambdas), resolved, xi
 
 
 def _collect_steps(view: ConfigView, keys) -> Dict[str, Optional[float]]:
@@ -215,12 +218,12 @@ def _feasibility_line(check: cert.CheckResult) -> str:
             f"margin={_fmt(check.margin)} {'PASS' if check.satisfied else 'FAIL'}")
 
 
-def feasibility_summary(schedule: Schedule, const: Optional[Tuple[float, float]],
-                        op: OperatorHandle, xi: float, max_iters: int, out) -> bool:
+def feasibility_summary(schedule: Schedule, op: OperatorHandle, xi: float, max_iters: int,
+                        out) -> bool:
     """Print the schedule's feasibility certificates; True when all pass."""
     gamma = op.gamma
-    if const is not None:
-        checks = constant_feasibility(*const, gamma, op.q_factor, xi)
+    if schedule.const is not None:
+        checks = constant_feasibility(*schedule.const, gamma, op.q_factor, xi)
         for check in checks:
             print(_feasibility_line(check), file=out)
         all_pass = all(check.satisfied for check in checks)
@@ -254,16 +257,20 @@ def feasibility_summary(schedule: Schedule, const: Optional[Tuple[float, float]]
 
 
 def write_trace(path: str, trace: Trace, resolved: Dict[str, str]) -> None:
-    """Write ``ikm-trace-v1``: two comment lines, the header, one line per row.
+    """Write ``ikm-trace-v2``: two comment lines, the header, one line per row.
 
-    Each present float column is printed with ``%.17g`` and an absent one as
-    an empty field; rows are formatted ``engine.ROW_CHUNK`` at a time by one ``%``.
+    The columns are ``TRACE_FIELDS``: ``k``, the measured columns and the
+    ``rate_bound`` promise; the rest of a :class:`Trace` is derived from
+    them and the embedded config when the file is read.  Each present float
+    column is printed with ``%.17g`` and an absent one as an empty field;
+    rows are formatted ``engine.ROW_CHUNK`` at a time by one ``%``.
     """
-    present = [getattr(trace, name) for name in COLUMNS if getattr(trace, name) is not None]
-    row_fmt = ",".join("%d" if name == "k" else "" if getattr(trace, name) is None else "%.17g"
-                       for name in COLUMNS) + "\n"
+    cols = [getattr(trace, name) for name in TRACE_FIELDS]
+    present = [col for col in cols if col is not None]
+    row_fmt = ",".join("%d" if name == "k" else "" if col is None else "%.17g"
+                       for name, col in zip(TRACE_FIELDS, cols)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# ikm-trace-v1\n")
+        fh.write("# ikm-trace-v2\n")
         fh.write("# config: " + serialize_config(resolved) + "\n")
         fh.write(TRACE_COLUMNS + "\n")
         for lo in range(0, len(trace), engine.ROW_CHUNK):
@@ -284,27 +291,73 @@ def _parse_column(path: str, name: str, tokens: List[str]) -> Optional[np.ndarra
         raise ConfigError(f"{path}: column {name}: {exc}") from None
 
 
-def read_trace(path: str) -> Tuple[Trace, Dict[str, str]]:
-    """Parse an ``ikm-trace-v1`` file into a :class:`Trace` and its config.
+def rate_bound_column(trace: Trace, schedule: Schedule, q: Optional[float],
+                      xi: float) -> Optional[np.ndarray]:
+    """``rate_bound(k - 1, alpha, Q, ||x_1 - p||^2)`` per row of a run with a
+    reference, a constant schedule with ``0 < lambda <= 1`` and a certified
+    ``q`` whose ``Q(lambda, q, xi)`` lies in ``(alpha, 1)``; None for any
+    other run."""
+    if q is None or schedule.const is None or trace.dist_to_ref is None or not len(trace):
+        return None
+    alpha, lam = schedule.const
+    if not 0.0 < lam <= 1.0:
+        return None
+    Q_const = cert.contraction_constant(lam, q, xi)
+    if not alpha < Q_const < 1.0:
+        return None
+    # scalar calls: libm pow, not NumPy power, keeps the column's bits
+    d1 = trace.dist_to_ref[0].item() ** 2
+    return cert.scalar_column(lambda k: cert.rate_bound(k - 1, alpha, Q_const, d1), trace.k)
 
-    Every row must have one field per column.  A column must be all numbers
-    or, for the optional columns, all empty.  The file is read line by line
-    and its rows are split and parsed ``engine.ROW_CHUNK`` at a time, column by column,
-    so the parse holds one chunk of text and tokens besides the parsed
-    columns.  The last ``# config:`` line gives the config.  Errors are
-    raised in file order, except that a missing header, a column mixing
-    empty and filled chunks and a k below 1 are reported at the end.
+
+def _certified_q(cfg: Dict[str, str]) -> Optional[float]:
+    return float(cfg["derived.q_factor"]) if "derived.q_factor" in cfg else None
+
+
+def _differs(a: Optional[np.ndarray], b: Optional[np.ndarray], n: int) -> np.ndarray:
+    """Per row, whether two float columns differ in their bits (any two nans
+    agree, as ``%.17g`` prints every nan alike); an absent column differs
+    from a present one on every row."""
+    if a is None or b is None:
+        return np.full(n, (a is None) != (b is None))
+    return (a.view(np.int64) != b.view(np.int64)) & ~(np.isnan(a) & np.isnan(b))
+
+
+def read_trace(path: str, consistency: bool = False):
+    """Parse an ``ikm-trace-v2`` or ``ikm-trace-v1`` file into a
+    :class:`Trace` and its config.
+
+    The header names the version: v2 holds ``TRACE_FIELDS``, v1 every
+    :class:`Trace` column.  Only the columns the file holds are parsed.
+    Every row must have one field per column, and a column must be all
+    numbers or, for the optional columns, all empty.  The file is read line
+    by line and its rows are split and parsed ``engine.ROW_CHUNK`` at a
+    time, column by column, so the parse holds one chunk of text and tokens
+    besides the parsed columns.  The last ``# config:`` line gives the
+    config, which must be present.  Errors are raised in file order, except
+    that a missing header, a column mixing empty and filled chunks, a k
+    below 1 and a missing config are reported at the end.
+
+    The returned trace holds the file's measured columns; ``nu_k``,
+    ``delta_k``, ``Delta_k``, ``C_k``, ``k_step_sq`` and ``k_res_sq`` are
+    derived from them and the config's schedule by
+    :func:`engine.derive_trace`, and ``rate_bound`` by
+    :func:`rate_bound_column`, as ``ikm run`` derived them.  With
+    ``consistency`` set a third value is returned: the int64 array of the
+    ks at which a derived column the file holds differs from its
+    re-derivation, empty when every one agrees; None for a v2 file whose
+    ``rate_bound``, its one derived column, agrees.
     """
     cfg: Dict[str, str] = {}
-    width = len(COLUMNS)
-    header: Optional[bool] = None  # whether the first row is the column header
+    names: Optional[Tuple[str, ...]] = None  # the columns the header names
+    started = False  # whether the first row, which must be the header, was seen
     rows: List[str] = []
-    parts: Dict[str, list] = {name: [] for name in COLUMNS}
+    parts: Dict[str, list] = {}
 
     def parse_rows():
         tokens = ",".join(rows).split(",")
-        for j, name in enumerate(COLUMNS):
-            parts[name].append(_parse_column(path, name, tokens[j::width]))
+        for j, name in enumerate(names):
+            parts[name].append(_parse_column(path, name, tokens[j::len(names)]))
         rows.clear()
 
     with open(path, "r", encoding="utf-8") as fh:
@@ -314,20 +367,22 @@ def read_trace(path: str) -> Tuple[Trace, Dict[str, str]]:
                 cfg = deserialize_config(line[len("# config: "):])
             if not line.strip() or line.startswith("#"):
                 continue
-            if header is None:
-                header = line == TRACE_COLUMNS
-            elif header:
-                if line.count(",") != width - 1:
+            if not started:
+                started = True
+                names = TRACE_HEADERS.get(line)
+                parts = {name: [] for name in names or ()}
+            elif names:
+                if line.count(",") != len(names) - 1:
                     raise ConfigError(f"{path}: malformed row {line!r}")
                 rows.append(line)
                 if len(rows) == engine.ROW_CHUNK:
                     parse_rows()
-    if not header:
+    if not names:
         raise ConfigError(f"{path}: not an ikm trace (missing column header)")
     if rows:
         parse_rows()
     columns = {}
-    for name in COLUMNS:
+    for name in names:
         # popped, so each column's chunks are freed once it is joined
         chunks = parts.pop(name)
         filled = [chunk for chunk in chunks if chunk is not None]
@@ -337,11 +392,28 @@ def read_trace(path: str) -> Tuple[Trace, Dict[str, str]]:
             raise ConfigError(f"{path}: column {name} "
                               + ("mixes empty and filled fields" if filled else "is empty"))
         else:
-            columns[name] = np.concatenate(filled) if filled else []
+            columns[name] = (np.concatenate(filled) if filled
+                             else np.empty(0, np.int64 if name == "k" else np.float64))
+    k = columns.pop("k")
     # a k < 1 is a corrupt trace, not a replay to skip
-    if len(columns["k"]) and columns["k"].min() < 1:
+    if k.size and k.min() < 1:
         raise ConfigError(f"{path}: column k must be >= 1")
-    return Trace(**columns), cfg
+    if not cfg:
+        raise ConfigError(f"{path}: missing embedded '# config:' line")
+
+    schedule, _, xi = build_schedule(ConfigView(cfg))
+    alpha, lam = engine.schedule_columns(schedule, k)
+    trace = engine.derive_trace(columns.pop("residual"), columns.pop("step"), alpha, lam,
+                                columns.pop("dist_to_ref"), columns.pop("objective"), k=k)
+    trace.rate_bound = rate_bound_column(trace, schedule, _certified_q(cfg), xi)
+    if not consistency:
+        return trace, cfg
+    # what is left of the file's columns are the derived ones it holds
+    bad = np.zeros(k.size, dtype=bool)
+    for name in list(columns):
+        bad |= _differs(columns.pop(name), getattr(trace, name), k.size)
+    mismatch = None if names is TRACE_FIELDS and not bad.any() else k[bad]
+    return trace, cfg, mismatch
 
 
 # --------------------------------------------------------------------------
@@ -362,7 +434,7 @@ def _run(op, x1, schedule, stop, p_ref, objective) -> engine.RunResult:
 
 def cmd_run(config_path: str, out=sys.stdout) -> int:
     view, instance, scheme, steps, op, objective = build_problem(config_path)
-    schedule, resolved_sched, xi, const = build_schedule(view)
+    schedule, resolved_sched, xi = build_schedule(view)
     stop = StoppingRule(
         max_iters=view.get_int("stopping.max_iters", 10_000),
         residual_tol=view.get_float("stopping.residual_tol", 1e-10),
@@ -386,7 +458,7 @@ def cmd_run(config_path: str, out=sys.stdout) -> int:
     elif p_ref_mode != "none":
         raise ConfigError("run.p_ref must be 'auto' or 'none'")
 
-    feasible = feasibility_summary(schedule, const, op, xi, stop.max_iters, out)
+    feasible = feasibility_summary(schedule, op, xi, stop.max_iters, out)
     if not feasible:
         print("warning: schedule fails the feasibility certificates; running anyway", file=out)
 
@@ -394,17 +466,8 @@ def cmd_run(config_path: str, out=sys.stdout) -> int:
     status = result.status
     trace = result.rows
 
-    # rate-bound column for certified quasi-contractive constant-parameter runs
     q = op.q_factor
-    if q is not None and p_ref is not None and len(trace) and const is not None:
-        alpha, lam = const
-        if 0.0 < lam <= 1.0:
-            Q_const = cert.contraction_constant(lam, q, xi)
-            if alpha < Q_const < 1.0:
-                # scalar calls: libm pow, not NumPy power, keeps the column's bits
-                d1 = trace[0].dist_to_ref ** 2
-                trace.rate_bound = cert.scalar_column(
-                    lambda k: cert.rate_bound(k - 1, alpha, Q_const, d1), trace.k)
+    trace.rate_bound = rate_bound_column(trace, schedule, q, xi)
 
     resolved: Dict[str, str] = {}
     for key, value in instance.params.items():
@@ -496,7 +559,7 @@ def _replay_verdict(name: str, trace: Trace, schedule: Schedule, q: Optional[flo
         rep = engine.verify_contraction(trace, q, xi, schedule=schedule)
     else:
         rep = engine.verify_product_bound(trace, q, xi, schedule=schedule)
-    return ("PASS", rep.checked) if rep.ok else ("FAIL", rep.violations[:5])
+    return ("PASS", rep.checked) if rep.ok else ("FAIL", rep.violations[:5].tolist())
 
 
 def _verdict(status: str, detail) -> str:
@@ -624,14 +687,14 @@ def cmd_sweep(config_path: str, out=sys.stdout) -> int:
 
 
 def cmd_certify(trace_path: str, out=sys.stdout) -> int:
-    trace, cfg = read_trace(trace_path)
+    """Replay every check on a trace file's re-derived columns.  A v1 file
+    also gets a ``consistency`` line on its derived columns, and so does a
+    file whose ``rate_bound`` disagrees with its re-derivation."""
+    trace, cfg, mismatch = read_trace(trace_path, consistency=True)
     if not len(trace):
         raise ConfigError(f"{trace_path}: empty trace")
-    if not cfg:
-        raise ConfigError(f"{trace_path}: missing embedded '# config:' line")
-    schedule, _, xi, _ = build_schedule(ConfigView(cfg))
-    q = float(cfg["derived.q_factor"]) if "derived.q_factor" in cfg else None
-    verdicts = evaluate_checks(trace, CHECKS, schedule, q, xi)
+    schedule, _, xi = build_schedule(ConfigView(cfg))
+    verdicts = evaluate_checks(trace, CHECKS, schedule, _certified_q(cfg), xi)
 
     for name, label, reason in (("ck", "Ck monotone", "no C_k column"),
                                 ("descent", "descent", "no dist_to_ref column")):
@@ -648,6 +711,10 @@ def cmd_certify(trace_path: str, out=sys.stdout) -> int:
         print(f"small-o k*{part}: SKIPPED (monotone prefix too short)" if verdict == "SKIPPED"
               else f"small-o k*{part} (prefix {n}): {verdict}", file=out)
     failed = any(verdict == "FAIL" for verdict, _ in verdicts.values())
+    if mismatch is not None:
+        print("consistency: " + (_verdict("FAIL", mismatch[:5].tolist()) if mismatch.size
+                                 else "PASS"), file=out)
+        failed = failed or mismatch.size > 0
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 

@@ -26,15 +26,15 @@ quantities
     C_k      = ||x_k - p||^2 - alpha_{k-1} ||x_{k-1} - p||^2 + delta_k
                                                            (C_1 = ||x_1 - p||^2)
 
-Entries of ``y_k`` and ``x_{k+1}`` below the smallest normal float in
-magnitude are set to zero as the step forms them.  The relaxed update decays
-as ``(1 - lambda)^k`` on every coordinate where ``T`` returns an exact zero
-(as the l1 prox does) and the inertial term carries that decay into
-``y_k``, so without the flush those coordinates turn subnormal after a few
-hundred steps and every matvec on them runs many times slower.  A subnormal
-entry squares to zero, so the norms a trace records do not see it; the
-traces and sweep tables of the benchmark workloads are byte-identical with
-and without the flush.
+For an operator whose handle sets ``exact_zeros``, entries of ``y_k`` and
+``x_{k+1}`` below the smallest normal float in magnitude are set to zero as
+the step forms them.  The relaxed update decays as ``(1 - lambda)^k`` on
+every coordinate where ``T`` returns an exact zero (as the l1 prox does)
+and the inertial term carries that decay into ``y_k``, so without the flush
+those coordinates turn subnormal after a few hundred steps and every matvec
+on them runs many times slower.  A subnormal entry squares to zero, so the
+norms a trace records do not see it; the traces and sweep tables of the
+benchmark workloads are byte-identical with and without the flush.
 
 The derived columns use the scalar products of the step in the same order
 (``a_{k-1} * d_{k-1} * d_{k-1}``, never ``a * d**2``), so they have the
@@ -81,6 +81,7 @@ __all__ = [
     "Trace",
     "TraceRow",
     "as_trace",
+    "derive_trace",
     "monotone_prefix",
     "picard",
     "run",
@@ -120,12 +121,14 @@ class Schedule:
     constructors.  ``alpha_col`` and ``lambda_col`` map an int64 index
     array to the float64 column of the same values (the constructors give
     closed forms); without them a column takes one scalar call per index.
+    ``const`` is ``(alpha, lambda)`` for a :meth:`constant` schedule, else None.
     """
 
     def __init__(self, alpha_fn, lambda_fn, kind: str, alpha_col=None, lambda_col=None):
         self._alpha_fn = alpha_fn
         self._lambda_fn = lambda_fn
         self.kind = kind
+        self.const: Optional[Tuple[float, float]] = None
         self._alpha_col = alpha_col or (lambda ks: scalar_column(alpha_fn, ks))
         self._lambda_col = lambda_col or (lambda ks: scalar_column(lambda_fn, ks))
 
@@ -135,9 +138,11 @@ class Schedule:
             raise ValueError("alpha must lie in [0, 1)")
         if lam <= 0.0:
             raise ValueError("lambda must be > 0")
-        return cls(lambda k: alpha, lambda k: lam, "constant",
-                   lambda ks: np.full(ks.size, alpha, dtype=np.float64),
-                   lambda ks: np.full(ks.size, lam, dtype=np.float64))
+        schedule = cls(lambda k: alpha, lambda k: lam, "constant",
+                       lambda ks: np.full(ks.size, alpha, dtype=np.float64),
+                       lambda ks: np.full(ks.size, lam, dtype=np.float64))
+        schedule.const = (alpha, lam)
+        return schedule
 
     @classmethod
     def ramp(cls, alpha_start: float, alpha_end: float, ramp_iters: int,
@@ -242,7 +247,8 @@ class TraceRow:
     rate_bound: Optional[float] = None
 
 
-# column order of the trace CSV; the optional columns are None when absent
+# the columns of a Trace, in the order of an ikm-trace-v1 CSV; the optional
+# columns are None when absent
 COLUMNS = tuple(f.name for f in fields(TraceRow))
 OPTIONAL_COLUMNS = ("Delta_k", "C_k", "dist_to_ref", "objective", "rate_bound")
 
@@ -321,20 +327,21 @@ class Trace:
     __hash__ = None
 
 
-def _derived_trace(res, step, alpha, lam, dist, objective) -> Trace:
+def derive_trace(res, step, alpha, lam, dist, objective, k=None) -> Trace:
     """Trace from the measured columns of a run; the rest is derived here.
 
-    The products are the engine's per-step scalar products in the same
-    order, so every derived column has the bits the step would have given
-    it (see the module docstring for the definitions).  The measured
-    columns may be ``array("d")`` buffers, which the trace's columns view
-    without a copy.
+    ``alpha`` and ``lam`` are the schedule's columns over the trace's
+    indices ``k`` (``1 .. n`` when None).  The products are the engine's
+    per-step scalar products in the same order, so every derived column has
+    the bits the step would have given it (see the module docstring for the
+    definitions); the first row takes ``delta = Delta = 0`` and ``C =
+    dist^2``.  The measured columns may be ``array("d")`` buffers, which the
+    trace's columns view without a copy.
     """
     res = np.asarray(res, dtype=np.float64)
     step = np.asarray(step, dtype=np.float64)
     a = np.asarray(alpha, dtype=np.float64)
-    k = np.arange(1, res.size + 1, dtype=np.int64)
-    kf = k.astype(np.float64)
+    k = np.arange(1, res.size + 1, dtype=np.int64) if k is None else k
     with np.errstate(over="ignore", invalid="ignore"):
         nu = 1.0 / np.asarray(lam, dtype=np.float64) - 1.0
         delta = np.zeros_like(step)
@@ -347,8 +354,9 @@ def _derived_trace(res, step, alpha, lam, dist, objective) -> Trace:
             Delta[1:] = dsq[1:] - dsq[:-1]
             C = dsq.copy()
             C[1:] = dsq[1:] - a[:-1] * d[:-1] * d[:-1] + delta[1:]
-        k_step_sq = kf * step * step
-        k_res_sq = kf * res * res
+        # k converts to float64 exactly, element by element
+        k_step_sq = k * step * step
+        k_res_sq = k * res * res
     return Trace(k=k, residual=res, step=step, nu_k=nu, delta_k=delta, Delta_k=Delta, C_k=C,
                  dist_to_ref=d, k_step_sq=k_step_sq, k_res_sq=k_res_sq,
                  objective=None if objective is None else np.asarray(objective, dtype=np.float64))
@@ -423,25 +431,30 @@ def run(
     called once on the stack of iterates.  ``objective`` therefore maps an
     ``(r, n)`` stack to ``r`` values, each with the bits of a per-point call.
 
-    Entries of magnitude below ``np.finfo(float).tiny`` are zeroed in ``y_k``
-    when ``alpha_k != 0`` and in ``x_{k+1}`` when ``lambda_k != 1``, in the
-    arrays the step has just formed; ``T``'s outputs and ``x1`` are never
-    modified, so with ``alpha_k = 0`` and ``lambda_k = 1`` a step is
-    bit-identical to ``T.apply``.  Only the last two iterates and the last
-    inertial point are kept besides the blocks, and the trace costs 8 bytes
-    per column per row: the measured values go to ``array("d")`` buffers,
-    which become the trace's columns without a copy.  The run is
-    deterministic; divergence raises :class:`DivergenceError` with the
-    partial trace attached (intermediate overflow on the way to a detected
-    divergence is silenced, since non-finite iterates are handled
-    explicitly).
+    A constant schedule (``schedule.const``) is read and checked once; any
+    other is read and checked per step.  The ``alpha`` and ``lambda``
+    columns the trace derives from come from :func:`schedule_columns` at
+    the end.
+
+    When ``T.exact_zeros`` is set, entries of magnitude below
+    ``np.finfo(float).tiny`` are zeroed in ``y_k`` when ``alpha_k != 0`` and
+    in ``x_{k+1}`` when ``lambda_k != 1``, in the arrays the step has just
+    formed; ``T``'s outputs and ``x1`` are never modified, so with
+    ``alpha_k = 0`` and ``lambda_k = 1`` a step is bit-identical to
+    ``T.apply``.  Only the last two iterates and the last inertial point
+    are kept besides the blocks, and the trace costs 8 bytes per column per
+    row: the measured values go to ``array("d")`` buffers, which become the
+    trace's columns without a copy.  The run is deterministic; divergence
+    raises :class:`DivergenceError` with the partial trace attached
+    (intermediate overflow on the way to a detected divergence is silenced,
+    since non-finite iterates are handled explicitly).
     """
     x_prev = x_curr = x1
     x_last: Optional[np.ndarray] = None
     y_last: Optional[np.ndarray] = None
     # measured columns, 8 bytes a value; the rest of the trace is derived
     # from them at the end
-    res_col, step_col, alpha_col, lam_col = (array("d") for _ in range(4))
+    res_col, step_col = array("d"), array("d")
     dist_col = None if p_ref is None else array("d")
     obj_col = None if objective is None else array("d")
     # rows 0..j-1 of the blocks hold x_k - x_{k-1} and x_k of the steps whose
@@ -450,6 +463,11 @@ def run(
     iterates = None if p_ref is None and objective is None else np.empty_like(diffs)
     j = 0
     status = "max_iters"
+    flush_zeros = T.exact_zeros
+    const = schedule.const
+    if const is not None:
+        a_k, l_k = const
+        _check_params(1, a_k, l_k, 0.0)
     a_prev = 0.0
 
     def flush() -> None:
@@ -470,24 +488,28 @@ def run(
     def result(status: str) -> RunResult:
         flush()
         ys = [] if y_last is None else [y_last]
-        trace = _derived_trace(res_col, step_col, alpha_col, lam_col, dist_col, obj_col)
+        k = np.arange(1, len(res_col) + 1, dtype=np.int64)
+        alpha, lam = schedule_columns(schedule, k)
+        trace = derive_trace(res_col, step_col, alpha, lam, dist_col, obj_col, k)
         return RunResult(trace, [x_prev, x_curr], ys, status, schedule, p_ref, T, x_last)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, stop.max_iters + 1):
-            a_k = schedule.alpha_at(k)
-            l_k = schedule.lambda_at(k)
-            if not 0.0 <= a_k < 1.0:
-                raise ValueError(f"alpha_{k} = {a_k} outside [0, 1)")
-            if a_k < a_prev:
-                raise ValueError(f"alpha sequence decreases at k={k}")
-            if l_k <= 0.0:
-                raise ValueError(f"lambda_{k} = {l_k} must be > 0")
+            if const is None:
+                a_k = schedule.alpha_at(k)
+                l_k = schedule.lambda_at(k)
+                _check_params(k, a_k, l_k, a_prev)
+                a_prev = a_k
 
             diff = np.subtract(x_curr, x_prev, out=diffs[j])
             if iterates is not None:
                 iterates[j] = x_curr
-            y = x_curr if a_k == 0.0 else flush_subnormals(x_curr + a_k * diff)
+            if a_k == 0.0:
+                y = x_curr
+            else:
+                y = x_curr + a_k * diff
+                if flush_zeros:
+                    flush_subnormals(y)
             ty = T.apply(y)
             res = norm(y - ty)
             # a finite residual implies finite y and T y; a merely overflowing
@@ -496,8 +518,6 @@ def run(
                 raise DivergenceError(k, result("diverged"))
 
             res_col.append(res)
-            alpha_col.append(a_k)
-            lam_col.append(l_k)
             j += 1
             x_last = x_curr
             y_last = y
@@ -513,14 +533,29 @@ def run(
 
             # x_{k+1} = T y has passed the test above; otherwise a finite
             # squared norm proves x_{k+1} finite
-            x_new = ty if l_k == 1.0 else flush_subnormals((1.0 - l_k) * y + l_k * ty)
-            if (l_k != 1.0 and not math.isfinite(float(np.dot(x_new, x_new)))
-                    and not is_finite(x_new)):
-                raise DivergenceError(k, result("diverged"))
+            if l_k == 1.0:
+                x_new = ty
+            else:
+                x_new = (1.0 - l_k) * y + l_k * ty
+                if flush_zeros:
+                    flush_subnormals(x_new)
+                if (not math.isfinite(float(np.dot(x_new, x_new)))
+                        and not is_finite(x_new)):
+                    raise DivergenceError(k, result("diverged"))
             x_prev, x_curr = x_curr, x_new
-            a_prev = a_k
 
         return result(status)
+
+
+def _check_params(k: int, a_k: float, l_k: float, a_prev: float) -> None:
+    """Raise unless ``alpha_k`` lies in [0, 1), is at least ``a_prev`` and
+    ``lambda_k > 0``."""
+    if not 0.0 <= a_k < 1.0:
+        raise ValueError(f"alpha_{k} = {a_k} outside [0, 1)")
+    if a_k < a_prev:
+        raise ValueError(f"alpha sequence decreases at k={k}")
+    if l_k <= 0.0:
+        raise ValueError(f"lambda_{k} = {l_k} must be > 0")
 
 
 def picard(T: OperatorHandle, x0: np.ndarray, tol: float, max_iters: int) -> RunResult:
@@ -551,19 +586,19 @@ class InequalityReport:
     """Per-index lhs/rhs evaluation of one inequality along a trace.
 
     ``ks`` (int64), ``lhs`` and ``rhs`` (float64) are NumPy arrays, one
-    entry per index checked; ``violations`` lists the failing indices as
-    Python ints.
+    entry per index checked; ``violations`` is the int64 array of the
+    failing indices.
     """
 
     name: str
     ks: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
-    violations: List[int] = field(default_factory=list)
+    violations: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.violations.size
 
     @property
     def checked(self) -> int:
@@ -676,23 +711,34 @@ def _replay(name: str, trace: Trace, tol: float,
 
     Index i pairs the rows i and i + 1, so ``ks`` is ``trace.k[:-1]``.  Each
     chunk is written into the report's arrays and its violations
-    (``lhs > rhs + tol (1 + |rhs|)``) collected before the next is formed:
-    a replay holds one chunk of temporaries besides its report.  ``chunk``
-    runs with overflow, invalid and divide-by-zero warnings silenced.
+    (``lhs > rhs + tol (1 + |rhs|)``) counted before the next is formed:
+    a replay holds one chunk of temporaries besides its report, whose
+    failing indices are then read back from ``lhs`` and ``rhs`` into an
+    int64 array of their count.  ``chunk`` runs with overflow, invalid and
+    divide-by-zero warnings silenced.
     """
     ks = trace.k[:-1]
     # up front, so that a bad k is reported before any other error
     if ks.size and ks.min() < 1:
         raise ValueError("k must be >= 1")
     lhs, rhs = np.empty(ks.size), np.empty(ks.size)
-    violations: List[int] = []
+
+    def failing(lo: int, hi: int) -> np.ndarray:
+        l, r = lhs[lo:hi], rhs[lo:hi]
+        return l > r + tol * (1.0 + np.abs(r))
+
+    failed = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo in range(0, ks.size, ROW_CHUNK):
             hi = min(lo + ROW_CHUNK, ks.size)
             lhs[lo:hi], rhs[lo:hi] = chunk(lo, hi)
-            l, r = lhs[lo:hi], rhs[lo:hi]
-            bad = l > r + tol * (1.0 + np.abs(r))
-            violations.extend(ks[lo:hi][bad].tolist())
+            failed += int(np.count_nonzero(failing(lo, hi)))
+        violations = np.empty(failed, dtype=np.int64)
+        i = 0
+        for lo in range(0, ks.size if failed else 0, ROW_CHUNK):
+            bad = ks[lo:lo + ROW_CHUNK][failing(lo, lo + ROW_CHUNK)]
+            violations[i:i + bad.size] = bad
+            i += bad.size
     return InequalityReport(name, ks, lhs, rhs, violations)
 
 

@@ -230,7 +230,11 @@ class OperatorHandle:
     nonexpansive), ``q_factor`` a certified factor with ``||Tx - p|| <=
     q ||x - p||`` against the fixed point, ``beta`` the cocoercivity constant
     of an embedded forward term.  ``extract_solution`` maps a fixed point of
-    ``apply`` to a solution of the underlying problem.
+    ``apply`` to a solution of the underlying problem.  ``exact_zeros`` says
+    whether ``apply`` can map a nonzero entry to an exact zero, as an l1
+    prox, a box projection or a Moreau-form conjugate prox can; the engine
+    then flushes subnormals from the points it forms (see
+    :mod:`ikm.engine`).  The constructors below set it from their parts.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
@@ -240,6 +244,18 @@ class OperatorHandle:
     extract_solution: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = ""
     notes: Tuple[str, ...] = field(default_factory=tuple)
+    exact_zeros: bool = True
+
+
+def _zeroes(f: ProxFunction) -> bool:
+    """Whether ``prox_{rho f}`` can map a nonzero entry to an exact zero."""
+    return f.kind in ("l1", "box")
+
+
+def _conjugate_zeroes(g: ProxFunction) -> bool:
+    """The same for ``prox_{sigma g*}``: every kind but l1 (a clip) goes
+    through Moreau's identity, whose difference can cancel exactly."""
+    return g.kind != "l1"
 
 
 def residual(T: OperatorHandle, y: np.ndarray) -> float:
@@ -285,6 +301,7 @@ def gradient_step_op(A_spd: LinearMap, b: np.ndarray, rho: float) -> OperatorHan
         beta=1.0 / L,
         extract_solution=lambda x: x,
         name="gradient",
+        exact_zeros=False,
     )
 
 
@@ -302,6 +319,7 @@ def proximal_op(f: ProxFunction, rho: float) -> OperatorHandle:
         q_factor=q,
         extract_solution=lambda x: x,
         name="proximal",
+        exact_zeros=_zeroes(f),
     )
 
 
@@ -339,6 +357,7 @@ def forward_backward_op(
         beta=beta,
         extract_solution=lambda x: x,
         name="forward-backward",
+        exact_zeros=_zeroes(f_nonsmooth),
     )
 
 
@@ -361,6 +380,7 @@ def douglas_rachford_op(fA: ProxFunction, fB: ProxFunction, r: float) -> Operato
         gamma=0.5,
         extract_solution=pb,
         name="douglas-rachford",
+        exact_zeros=_zeroes(fA) or _zeroes(fB),
     )
 
 
@@ -422,6 +442,7 @@ def primal_dual_op(
         extract_solution=lambda p: p[..., :n],
         name="primal-dual",
         notes=("averagedness 1/2 holds in the step-induced product metric",),
+        exact_zeros=_zeroes(f) or _conjugate_zeroes(g),
     )
 
 
@@ -477,6 +498,7 @@ def split_dr_op(
         extract_solution=lambda p: p[..., :n],
         name="split-douglas-rachford",
         notes=("averagedness 1/2 assumed in the scalar-preconditioned metric",),
+        exact_zeros=_zeroes(f) or _conjugate_zeroes(g),
     )
 
 
@@ -515,4 +537,5 @@ def davis_yin_op(
         beta=beta,
         extract_solution=pb_,
         name="davis-yin",
+        exact_zeros=_zeroes(fA) or _zeroes(fB),
     )

@@ -1,9 +1,13 @@
 import io
+import os
 import re
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ikm import cli, engine, problems
 from ikm.config import (
@@ -13,7 +17,7 @@ from ikm.config import (
     parse_config,
     serialize_config,
 )
-from ikm.engine import COLUMNS, DivergenceError, Schedule, StoppingRule, Trace
+from ikm.engine import COLUMNS, DivergenceError, Schedule, StoppingRule
 
 
 # --------------------------------------------------------------------------
@@ -92,7 +96,7 @@ def test_run_quadratic_picard_converges(tmp_path):
     code = cli.cmd_run(str(cfg), out=buf)
     assert code == cli.EXIT_OK
     lines = trace.read_text().splitlines()
-    assert lines[0] == "# ikm-trace-v1"
+    assert lines[0] == "# ikm-trace-v2"
     assert lines[1].startswith("# config: ")
     assert lines[2] == cli.TRACE_COLUMNS
     last = lines[-1].split(",")
@@ -180,9 +184,9 @@ def test_certify_flags_corrupted_trace(tmp_path):
     write(cfg, LASSO_RUN.format(trace=trace))
     cli.cmd_run(str(cfg), out=io.StringIO())
     lines = trace.read_text().splitlines()
-    # corrupt dist_to_ref of a mid-trace row (column 8 of the CSV)
+    # corrupt dist_to_ref of a mid-trace row
     row = lines[100].split(",")
-    row[7] = "%.17g" % (float(row[7]) + 1.0)
+    row[DIST] = "%.17g" % (float(row[DIST]) + 1.0)
     lines[100] = ",".join(row)
     trace.write_text("\n".join(lines) + "\n")
     buf = io.StringIO()
@@ -194,36 +198,59 @@ def test_certify_flags_corrupted_trace(tmp_path):
 # trace I/O
 
 
-def reference_trace_text(trace, resolved):
-    """ikm-trace-v1 written field by field, as the row writer did."""
+# the field of dist_to_ref in a v2 row
+DIST = cli.TRACE_FIELDS.index("dist_to_ref")
+
+
+def reference_trace_text(trace, resolved, fields=cli.TRACE_FIELDS, version="v2"):
+    """ikm-trace-v2 written field by field, as a row writer would; with
+    ``fields=COLUMNS`` and ``version="v1"``, the ikm-trace-v1 that writers
+    before v2 wrote."""
     def fmt(x):
         return "" if x is None else "%.17g" % x
 
-    lines = ["# ikm-trace-v1", "# config: " + serialize_config(resolved), cli.TRACE_COLUMNS]
+    lines = [f"# ikm-trace-{version}", "# config: " + serialize_config(resolved),
+             ",".join(fields)]
     for r in trace:
-        lines.append(",".join([str(r.k)] + [fmt(getattr(r, name)) for name in COLUMNS[1:]]))
+        lines.append(",".join([str(r.k)] + [fmt(getattr(r, name)) for name in fields[1:]]))
     return "\n".join(lines) + "\n"
+
+
+def v1_trace_text(trace, resolved):
+    return reference_trace_text(trace, resolved, COLUMNS, "v1")
+
+
+def trace_for(cfg, residual, step, dist_to_ref=None, objective=None):
+    """The trace of these measured columns with the rest derived from ``cfg``
+    (its schedule, q and xi), as a run under that config records it."""
+    schedule, _, xi = cli.build_schedule(ConfigView(cfg))
+    k = np.arange(1, residual.size + 1)
+    alpha, lam = engine.schedule_columns(schedule, k)
+    trace = engine.derive_trace(residual, step, alpha, lam, dist_to_ref, objective)
+    trace.rate_bound = cli.rate_bound_column(trace, schedule, cli._certified_q(cfg), xi)
+    return trace
 
 
 EDGE_VALUES = [-0.0, 0.0, float("inf"), -float("inf"), float("nan"), 5e-324, -5e-324, 1e308,
                -1e308, 2.2250738585072014e-308, 0.1, 1.0 / 3.0, 12345678901234567.0]
+# a schedule whose derived columns are not trivial; with q, the rate bound
+IO_CFG = {"a.x": "1", "schedule.alpha": "0.25", "schedule.lambda": "0.75"}
+FULL_CFG = dict(IO_CFG, **{"derived.q_factor": "0.5"})
 
 
 def edge_trace(n):
     gen = np.random.default_rng(7)
     with np.errstate(invalid="ignore", over="ignore"):
         draws = {name: gen.choice(EDGE_VALUES, n) * gen.choice([1.0, 1e-3, 7.5], n)
-                 for name in COLUMNS[1:]}
-    # C_k, objective and rate_bound stay absent, i.e. empty fields
-    for name in ("C_k", "objective", "rate_bound"):
-        draws[name] = None
-    return Trace(k=np.arange(1, n + 1), **draws)
+                 for name in ("residual", "step", "dist_to_ref")}
+    # objective and rate_bound (no q in the config) stay absent, i.e. empty fields
+    return trace_for(IO_CFG, **draws)
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 2500])
 def test_write_trace_matches_per_field_formatter(tmp_path, n):
     trace = edge_trace(n)
-    resolved = {"a.x": "1", "run.status": "max_iters"}
+    resolved = dict(IO_CFG, **{"run.status": "max_iters"})
     path = tmp_path / "edge.csv"
     cli.write_trace(str(path), trace, resolved)
     assert path.read_text(encoding="utf-8") == reference_trace_text(trace, resolved)
@@ -237,15 +264,23 @@ def test_write_trace_matches_per_field_formatter(tmp_path, n):
     again = tmp_path / "again.csv"
     cli.write_trace(str(again), back, cfg)
     assert again.read_bytes() == path.read_bytes()
+    # the same rows as v1, derived columns included: they agree with the
+    # re-derivation, nan and inf entries too
+    v1 = tmp_path / "v1.csv"
+    v1.write_text(v1_trace_text(trace, resolved), encoding="utf-8")
+    back_v1, cfg_v1, mismatch = cli.read_trace(str(v1), consistency=True)
+    assert cfg_v1 == resolved and mismatch.size == 0
+    if n:
+        assert_same_trace(back_v1, trace)
 
 
 def test_read_trace_rejects_a_column_empty_in_one_chunk_only(tmp_path):
     path = tmp_path / "edge.csv"
-    cli.write_trace(str(path), edge_trace(2500), {"a.x": "1"})
+    cli.write_trace(str(path), edge_trace(2500), IO_CFG)
     lines = path.read_text().splitlines()
     for i in range(3, 3 + engine.ROW_CHUNK):  # dist_to_ref of every row the first chunk parses
         row = lines[i].split(",")
-        row[7] = ""
+        row[DIST] = ""
         lines[i] = ",".join(row)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match="dist_to_ref mixes empty and filled"):
@@ -270,7 +305,7 @@ def test_trace_write_read_write_is_byte_identical_on_a_run(tmp_path):
     (lambda row: row[:-1], "malformed row"),  # one field short
     (lambda row: row + [""], "malformed row"),  # one field too many
     (lambda row: row[:2] + ["0.5x"] + row[3:], "column step"),  # not a number
-    (lambda row: row[:7] + [""] + row[8:], "dist_to_ref mixes empty and filled"),
+    (lambda row: row[:DIST] + [""] + row[DIST + 1:], "dist_to_ref mixes empty and filled"),
     (lambda row: [""] + row[1:], "column k"),
     (lambda row: ["0"] + row[1:], "column k must be >= 1"),
 ])
@@ -288,16 +323,15 @@ def test_read_trace_rejects_malformed_rows(tmp_path, edit, message):
 
 
 def full_trace(n):
-    """A trace of n rows with every column filled by 17-digit floats."""
+    """A trace of n rows under ``FULL_CFG`` with every column filled by 17-digit floats."""
     gen = np.random.default_rng(11)
-    return Trace(k=np.arange(1, n + 1),
-                 **{name: gen.standard_normal(n) * 1e-3 for name in COLUMNS[1:]})
+    return trace_for(FULL_CFG, *(gen.standard_normal(n) * 1e-3 for _ in range(4)))
 
 
 def test_read_trace_holds_one_chunk_of_text(tmp_path):
     path = tmp_path / "long.csv"
     trace = full_trace(10 * engine.ROW_CHUNK + 7)
-    cli.write_trace(str(path), trace, {"a.x": "1"})
+    cli.write_trace(str(path), trace, FULL_CFG)
     columns = sum(getattr(trace, name).nbytes for name in COLUMNS)
     tracemalloc.start()
     try:
@@ -319,7 +353,7 @@ def test_read_trace_holds_one_chunk_of_text(tmp_path):
 ])
 def test_read_trace_rejects_a_bad_row_in_the_last_chunk(tmp_path, row, message):
     path = tmp_path / "t.csv"
-    cli.write_trace(str(path), full_trace(2 * engine.ROW_CHUNK + 5), {"a.x": "1"})
+    cli.write_trace(str(path), full_trace(2 * engine.ROW_CHUNK + 5), FULL_CFG)
     lines = path.read_text().splitlines()
     fields = lines[row].split(",")
     lines[row] = ",".join(fields[:-1] if message == "malformed row" else
@@ -340,16 +374,18 @@ def test_read_trace_rejects_a_bad_row_in_the_last_chunk(tmp_path, row, message):
 def test_read_trace_skips_what_the_format_allows(tmp_path, edit):
     path = tmp_path / "t.csv"
     trace = full_trace(2 * engine.ROW_CHUNK + 5)
-    cli.write_trace(str(path), trace, {"a.x": "1"})
+    cli.write_trace(str(path), trace, FULL_CFG)
     lines = edit(path.read_text().splitlines())
     path.write_bytes(("\n".join(lines) + "\n").encode())
     back, cfg = cli.read_trace(str(path))
-    assert back == trace and cfg == {"a.x": "1"}
+    assert back == trace and cfg == FULL_CFG
 
 
 @pytest.mark.parametrize("text", [
     "# ikm-trace-v1\n# config: a.x=1\n\n# no header follows\n",
     "# ikm-trace-v1\n1,2,3\n" + ",".join(COLUMNS) + "\n",  # the header must come first
+    "# ikm-trace-v2\n# config: a.x=1\n\n# no header follows\n",
+    "# ikm-trace-v2\n1,2,3\n" + cli.TRACE_COLUMNS + "\n",
     "",
 ])
 def test_read_trace_requires_the_header_first(tmp_path, text):
@@ -548,6 +584,159 @@ def test_run_and_certify_agree_per_check(tmp_path, config, run_code, expect):
             "ck", "descent", "contraction", "product"}
 
 
+QUAD_RUN_WORKLOAD = """
+problem.kind = quadratic
+problem.dim = 50
+problem.mu = 0.01
+problem.L = 10
+problem.seed = 1
+algorithm.scheme = gradient
+schedule.alpha = 0.05
+schedule.lambda = 0.9
+stopping.max_iters = 100000
+stopping.residual_tol = 1e-12
+output.trace = {trace}
+"""
+
+
+def test_certify_rederives_a_doctored_v1_trace(tmp_path):
+    # a v1 file with one dist_to_ref scaled and C_k left as written: before
+    # v2, certify replayed the file's C_k and printed "Ck monotone: PASS"
+    cfg = tmp_path / "quad.cfg"
+    trace = tmp_path / "quad.csv"
+    write(cfg, QUAD_RUN_WORKLOAD.format(trace=trace))
+    assert cli.cmd_run(str(cfg), out=io.StringIO()) == cli.EXIT_OK
+    rows, resolved = cli.read_trace(str(trace))
+    assert len(rows) > 5000
+    rows.dist_to_ref[4999] *= 1.5  # k = 5000; every other column as the run wrote it
+    v1 = tmp_path / "doctored.csv"
+    v1.write_text(v1_trace_text(rows, resolved), encoding="utf-8")
+    buf = io.StringIO()
+    assert cli.cmd_certify(str(v1), out=buf) == cli.EXIT_CHECK_FAILED
+    lines = buf.getvalue().splitlines()
+    assert lines[-1] == "consistency: FAIL at k=[5000, 5001]"  # Delta_k and C_k there
+    assert lines[0].startswith("Ck monotone: FAIL at k=")
+
+
+CONFIGS = {
+    "certified": CERTIFIED,
+    "no-ref": CERTIFIED + "run.p_ref = none\n",
+    "infeasible": INFEASIBLE_RUN.replace("output.checks = ck,descent\n", ""),
+    "ramp-table": RAMP_TABLE,
+    "diverged": QUAD_RUN.replace("schedule.lambda = 1.0", "schedule.lambda = 2.5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_v1_trace_reads_to_the_same_trace_and_certifies_alike(tmp_path, name):
+    cfg = tmp_path / "run.cfg"
+    trace = tmp_path / "run.csv"
+    write(cfg, CONFIGS[name].format(trace=trace) + ALL_CHECKS)
+    cli.cmd_run(str(cfg), out=io.StringIO())
+    rows, resolved = cli.read_trace(str(trace))
+    v1 = tmp_path / "v1.csv"
+    v1.write_text(v1_trace_text(rows, resolved), encoding="utf-8")
+    back, cfg_back, mismatch = cli.read_trace(str(v1), consistency=True)
+    assert cfg_back == resolved and mismatch.size == 0
+    assert_same_trace(back, rows)
+    assert cli.read_trace(str(trace), consistency=True)[2] is None
+    out_v1, out_v2 = io.StringIO(), io.StringIO()
+    code = cli.cmd_certify(str(trace), out=out_v2)
+    assert cli.cmd_certify(str(v1), out=out_v1) == code
+    assert out_v1.getvalue() == out_v2.getvalue() + "consistency: PASS\n"
+    assert "consistency" not in out_v2.getvalue()
+
+
+def assert_same_trace(got, want):
+    for name in COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("column, row, expect", [
+    ("C_k", 7, "[8]"),
+    ("nu_k", 0, "[1]"),
+    ("k_res_sq", -1, None),  # the last row
+    ("rate_bound", 3, "[4]"),
+])
+def test_certify_flags_each_derived_column_of_a_v1_trace(tmp_path, column, row, expect):
+    cfg = tmp_path / "run.cfg"
+    trace = tmp_path / "run.csv"
+    write(cfg, CERTIFIED.format(trace=trace))
+    cli.cmd_run(str(cfg), out=io.StringIO())
+    rows, resolved = cli.read_trace(str(trace))
+    col = getattr(rows, column)
+    col[row] = np.nextafter(col[row], np.inf)  # one ulp
+    v1 = tmp_path / "v1.csv"
+    v1.write_text(v1_trace_text(rows, resolved), encoding="utf-8")
+    buf = io.StringIO()
+    assert cli.cmd_certify(str(v1), out=buf) == cli.EXIT_CHECK_FAILED
+    k = f"[{len(rows)}]" if expect is None else expect
+    assert buf.getvalue().splitlines()[-1] == f"consistency: FAIL at k={k}"
+
+
+def test_certify_flags_a_v2_rate_bound_that_disagrees(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    trace = tmp_path / "run.csv"
+    write(cfg, CERTIFIED.format(trace=trace))
+    cli.cmd_run(str(cfg), out=io.StringIO())
+    clean = io.StringIO()
+    assert cli.cmd_certify(str(trace), out=clean) == cli.EXIT_OK
+    lines = trace.read_text().splitlines()
+    row = lines[10].split(",")  # k = 8
+    row[-1] = "%.17g" % (2.0 * float(row[-1]))
+    lines[10] = ",".join(row)
+    trace.write_text("\n".join(lines) + "\n")
+    buf = io.StringIO()
+    assert cli.cmd_certify(str(trace), out=buf) == cli.EXIT_CHECK_FAILED
+    assert buf.getvalue() == clean.getvalue() + "consistency: FAIL at k=[8]\n"
+
+
+ROUND_TRIP_SCHEDULES = {
+    "constant": {"schedule.alpha": "0.05", "schedule.lambda": "{lam}"},
+    "ramp": {"schedule.alpha_kind": "ramp", "schedule.alpha_end": "0.1",
+             "schedule.alpha_ramp_iters": "30", "schedule.lambda_kind": "table",
+             "schedule.lambda_table": "0.5,0.7,{lam}"},
+    "table": {"schedule.alpha_kind": "table", "schedule.alpha_table": "0,0.02,0.04,0.05",
+              "schedule.lambda": "{lam}"},
+}
+# (lambda, StoppingRule arguments) that end a run on a quadratic each way
+ROUND_TRIP_ENDS = {
+    "converged": ("0.9", (5000, 1e-11)),
+    "max_iters": ("0.9", (40, 1e-11)),
+    "stalled": ("0.9", (5000, 0.0, 1e-6)),
+    "diverged": ("2.5", (5000, 0.0)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(ROUND_TRIP_SCHEDULES)),
+       end=st.sampled_from(sorted(ROUND_TRIP_ENDS)), with_ref=st.booleans(),
+       with_objective=st.booleans(), dim=st.integers(2, 8), seed=st.integers(1, 20))
+def test_v2_round_trip_gives_the_runs_trace(kind, end, with_ref, with_objective, dim, seed):
+    lam, stop_args = ROUND_TRIP_ENDS[end]
+    keys = {key: value.format(lam=lam) for key, value in ROUND_TRIP_SCHEDULES[kind].items()}
+    schedule, resolved, xi = cli.build_schedule(ConfigView(keys))
+    inst = problems.make_quadratic(dim, 1.0, 10.0, seed)
+    op = inst.operator("gradient")
+    objective = (lambda x: inst.objective(op.extract_solution(x))) if with_objective else None
+    result = cli._run(op, inst.start_point("gradient"), schedule, StoppingRule(*stop_args),
+                      inst.reference_solution if with_ref else None, objective)
+    assert result.status == end
+    trace = result.rows
+    trace.rate_bound = cli.rate_bound_column(trace, schedule, op.q_factor, xi)
+    resolved.update({"run.status": end, "derived.q_factor": cli._fmt(op.q_factor)})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        cli.write_trace(path, trace, resolved)
+        back, cfg = cli.read_trace(path)
+    assert cfg == resolved
+    assert (trace.rate_bound is not None) == (with_ref and kind == "constant" and lam == "0.9")
+    assert_same_trace(back, trace)
+
+
 def test_evaluate_checks_holds_one_report_at_a_time():
     inst = problems.make_quadratic(5, 0.01, 10.0, 1)
     op = inst.operator("gradient")
@@ -596,9 +785,9 @@ def _documented_lambda(kind, k):
 def test_build_schedule_every_kind(tmp_path, a_kind, l_kind):
     keys = {"schedule.alpha_kind": a_kind, "schedule.lambda_kind": l_kind,
             **SCHEDULE_KEYS[a_kind], **LAMBDA_KEYS[l_kind]}
-    schedule, resolved, xi, const = cli.build_schedule(ConfigView(keys))
+    schedule, resolved, xi = cli.build_schedule(ConfigView(keys))
     assert set(resolved) == set(keys) | {"schedule.xi"} and xi == 1.0
-    assert const == ((0.15, 0.8) if a_kind == l_kind == "constant" else None)
+    assert schedule.const == ((0.15, 0.8) if a_kind == l_kind == "constant" else None)
     ks = range(1, 7 + 3)  # past the longest ramp or table
     alphas = [schedule.alpha_at(k) for k in ks]
     lambdas = [schedule.lambda_at(k) for k in ks]
@@ -617,9 +806,8 @@ def test_build_schedule_every_kind(tmp_path, a_kind, l_kind):
     lines = [line for line in text.splitlines() if not line.startswith("schedule.")]
     write(cfg, "\n".join(lines + [f"{key} = {value}" for key, value in keys.items()]) + "\n")
     assert cli.cmd_run(str(cfg), out=io.StringIO()) == cli.EXIT_MAX_ITERS
-    rebuilt, resolved_again, _, const_again = cli.build_schedule(
-        ConfigView(cli.read_trace(str(trace))[1]))
-    assert resolved_again == resolved and const_again == const
+    rebuilt, resolved_again, _ = cli.build_schedule(ConfigView(cli.read_trace(str(trace))[1]))
+    assert resolved_again == resolved and rebuilt.const == schedule.const
     assert [rebuilt.alpha_at(k) for k in ks] == alphas
     assert [rebuilt.lambda_at(k) for k in ks] == lambdas
 

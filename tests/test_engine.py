@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from ikm import problems
 from ikm.engine import (
     BLOCK_ROWS,
+    DEFAULT_TOL,
     COLUMNS,
     DivergenceError,
     OPTIONAL_COLUMNS,
@@ -20,9 +21,9 @@ from ikm.engine import (
     Trace,
     TraceRow,
     _alpha_second_diff_sq,
-    _derived_trace,
     _y_dist_sq,
     contraction_constant,
+    derive_trace,
     monotone_prefix,
     picard,
     run,
@@ -340,7 +341,7 @@ def reference_trace(T, x1, sched, max_iters, p_ref=None, objective=None, stall_t
                 diverged = k
                 break
             x_prev, x_curr = x_curr, x_new
-    trace = _derived_trace(res, step, alpha, lam, dist if p_ref is not None else None,
+    trace = derive_trace(res, step, alpha, lam, dist if p_ref is not None else None,
                            obj if objective is not None else None)
     return trace, diverged
 
@@ -469,6 +470,43 @@ def test_run_keeps_subnormals_out_of_operator_inputs(lasso_default):
     np.testing.assert_array_equal(x1, x1_copy)
     for ty, ty_copy in outputs:
         np.testing.assert_array_equal(ty, ty_copy)
+
+
+def test_exact_zeros_marks_the_maps_that_can_make_zeros(quad_50, lasso_default, tv_200,
+                                                       three_term_default):
+    # l1 prox, box projection and Moreau-form conjugates can map a nonzero
+    # entry to an exact zero; a gradient step and the l1 conjugate's clip cannot
+    feasibility = problems.make_feasibility(10, 1)
+    marks = {
+        "gradient": quad_50.operator("gradient").exact_zeros,
+        "proximal quadratic": quad_50.operator("proximal").exact_zeros,
+        "fb": lasso_default.operator("fb").exact_zeros,
+        "pd": tv_200.operator("pd").exact_zeros,
+        "sdr": tv_200.operator("sdr").exact_zeros,
+        "dy": three_term_default.operator("dy").exact_zeros,
+        "dr": feasibility.operator("dr").exact_zeros,
+        "pd, Moreau conjugate": primal_dual_op(zero(), box(-1.0, 1.0), DifferenceMap(5),
+                                              0.4, 0.4).exact_zeros,
+        "default": OperatorHandle(apply=lambda x: x).exact_zeros,
+    }
+    assert marks == {"gradient": False, "proximal quadratic": False, "fb": True, "pd": False,
+                     "sdr": False, "dy": True, "dr": True, "pd, Moreau conjugate": True,
+                     "default": True}
+
+
+@pytest.mark.parametrize("alpha, lam", [(0.05, 0.9), (0.2, 1.0), (0.2, 0.8)])
+def test_runs_without_the_flush_give_the_same_bytes(quad_50, tv_200, alpha, lam):
+    # the gradient and pd maps skip the subnormal flush; flushing anyway
+    # changes no bit of the trace or the iterates
+    for inst, scheme in ((quad_50, "gradient"), (tv_200, "pd")):
+        T = inst.operator(scheme)
+        assert not T.exact_zeros
+        runs = [run(handle, inst.start_point(scheme), Schedule.constant(alpha, lam),
+                    StoppingRule(3000, 1e-10), p_ref=inst.fixed_point(scheme))
+                for handle in (T, dataclasses.replace(T, exact_zeros=True))]
+        assert_same_columns(runs[0].rows, runs[1].rows)
+        for a, b in zip(runs[0].xs + runs[0].ys, runs[1].xs + runs[1].ys):
+            assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("builder", [primal_dual_op, split_dr_op])
@@ -807,7 +845,7 @@ def test_column_replays_match_row_formulas(case, q, xi, tol):
     ):
         assert got.ks.tolist() == want[0]
         assert same_floats(got.lhs, want[1]) and same_floats(got.rhs, want[2])
-        assert got.violations == want[3]
+        assert got.violations.dtype == np.int64 and got.violations.tolist() == want[3]
     assert verify_Ck_monotone(trace, tol=tol) == rows_Ck(rows, tol)
     for values in (trace.residual * trace.residual, trace.step[1:] * trace.step[1:],
                    trace.C_k):
@@ -924,7 +962,8 @@ def same_report(got, want):
         return got == want
     ks, lhs, rhs, violations = want
     return (got.ks.tobytes() == ks.tobytes() and got.lhs.tobytes() == lhs.tobytes()
-            and got.rhs.tobytes() == rhs.tobytes() and got.violations == violations)
+            and got.rhs.tobytes() == rhs.tobytes() and got.violations.dtype == np.int64
+            and got.violations.tolist() == violations)
 
 
 @pytest.fixture(scope="module")
@@ -985,7 +1024,7 @@ def test_chunked_replays_match_whole_columns(chunk_run, length, row):
                     assert outcome(small_o_check, zs) == outcome(whole_small_o, zs)
     if row is not None and row < length:
         # the corruption is seen, in whichever chunk it falls
-        assert verify_descent(trace, CHUNK_SCHEDULES["constant"]).violations
+        assert not verify_descent(trace, CHUNK_SCHEDULES["constant"]).ok
 
 
 def test_chunked_product_bound_carries_the_running_product(chunk_run):
@@ -1077,8 +1116,8 @@ def test_descent_flags_corrupted_state(lasso_default):
               StoppingRule(200, 0.0), p_ref=inst.fixed_point("fb"))
     j = 100  # corrupt ||x_{101} - p||
     rep = verify_descent(corrupt_dist(res, j, 1.0))
-    assert rep.violations
-    assert set(rep.violations) <= {j, j + 1, j + 2}
+    assert not rep.ok
+    assert set(rep.violations.tolist()) <= {j, j + 1, j + 2}
 
 
 def test_contraction_flags_corrupted_state(quad_50):
@@ -1089,8 +1128,8 @@ def test_contraction_flags_corrupted_state(quad_50):
     assert verify_contraction(res, T.q_factor, 1.0).ok
     j = 100  # corrupt ||x_{101} - p||
     rep = verify_contraction(corrupt_dist(res, j, 1.0), T.q_factor, 1.0)
-    assert rep.violations
-    assert set(rep.violations) <= {j, j + 1, j + 2}
+    assert not rep.ok
+    assert set(rep.violations.tolist()) <= {j, j + 1, j + 2}
 
 
 def test_descent_requires_fixed_point_reference(lasso_default):
@@ -1185,3 +1224,27 @@ def test_picard_reaches_fixed_point(quad_50):
     res = picard(inst.operator("gradient"), inst.start_point("gradient"), 1e-11, 10_000)
     assert res.status == "converged"
     assert norm(res.xs[0] - inst.reference_solution) <= 1e-9
+
+
+def test_failing_replay_holds_only_its_index_array_more():
+    # at tol = 0 descent "fails" on rows at rounding level all along a long
+    # converged run; the failing indices cost 8 bytes each and nothing else
+    inst = problems.make_quadratic(5, 0.01, 10.0, 1)
+    schedule = Schedule.constant(0.05, 0.9)
+    trace = run(inst.operator("gradient"), inst.start_point("gradient"), schedule,
+                StoppingRule(100_000, 0.0), p_ref=inst.reference_solution).rows
+    assert len(trace) == 100_000
+
+    def traced(tol):
+        tracemalloc.start()
+        try:
+            rep = verify_descent(trace, schedule, tol=tol)
+            return rep, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    passing, passing_peak = traced(DEFAULT_TOL)
+    failing, failing_peak = traced(0.0)
+    assert passing.ok and not failing.ok
+    assert failing.violations.dtype == np.int64 and failing.violations.size > 10_000
+    assert failing_peak <= passing_peak + failing.violations.nbytes

@@ -37,6 +37,12 @@ its first differing line and the count of differing lines; for a CSV file
 the tool also prints whether the header, the row count and the ``k`` column
 agree, and the largest relative difference in each column whose fields
 differ.
+
+Two trace CSVs whose first lines name different format versions (for
+example ``# ikm-trace-v1`` against ``# ikm-trace-v2``) are compared by what
+they parse to: both are read with the new tree's ``ikm.cli.read_trace``, and
+they agree when the configs are equal and every column of the two traces
+has the same bytes.  The case line lists such files after ``parsed:``.
 """
 
 from __future__ import annotations
@@ -56,6 +62,19 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import workloads  # noqa: E402
 
 TIMEOUT_S = 600
+TRACE_MAGIC = b"# ikm-trace-"
+
+# run with the new tree on PYTHONPATH: the trace columns (and the config)
+# in which the two trace files given as arguments parse differently
+PARSED_DIFFERENCE = """
+import sys
+from ikm import cli, engine
+(a, cfg_a), (b, cfg_b) = (cli.read_trace(path) for path in sys.argv[1:3])
+def differ(x, y):
+    return (x is None) != (y is None) or x is not None and x.tobytes() != y.tobytes()
+names = [name for name in engine.COLUMNS if differ(getattr(a, name), getattr(b, name))]
+print(" ".join(names + ["config"] * (cfg_a != cfg_b)))
+"""
 
 RUN = """problem.seed = {seed}
 stopping.max_iters = 5000
@@ -208,9 +227,32 @@ def csv_difference(a: bytes, b: bytes) -> str:
     return "; ".join(parts)
 
 
-def compare(old, new) -> List[str]:
+def trace_version(data: bytes) -> bytes:
+    """The first line of a trace CSV (its format version), else b""."""
+    first = data.split(b"\n", 1)[0]
+    return first if first.startswith(TRACE_MAGIC) else b""
+
+
+def parsed_difference(a: bytes, b: bytes, new_src: str) -> str:
+    """The columns in which two trace files parse differently with the new
+    tree's reader ("" when none), or the reader's error."""
+    with tempfile.TemporaryDirectory(prefix="ikm-parity-trace-") as tmp:
+        paths = [os.path.join(tmp, name) for name in ("old.csv", "new.csv")]
+        for path, data in zip(paths, (a, b)):
+            with open(path, "wb") as fh:
+                fh.write(data)
+        proc = subprocess.run([sys.executable, "-c", PARSED_DIFFERENCE] + paths,
+                              env=dict(os.environ, PYTHONPATH=new_src), capture_output=True,
+                              timeout=TIMEOUT_S)
+    if proc.returncode:
+        return f"reader failed: {proc.stderr.decode().strip().splitlines()[-1:]}"
+    return proc.stdout.decode().strip()
+
+
+def compare(old, new, new_src: str) -> Tuple[List[str], List[str]]:
+    """(differences, trace files compared by what they parse to)."""
     (old_cmds, old_files), (new_cmds, new_files) = old, new
-    diffs = []
+    diffs, parsed = [], []
     for (args, rc_a, out_a, err_a), (_, rc_b, out_b, err_b) in zip(old_cmds, new_cmds):
         if rc_a != rc_b:
             diffs.append(f"`{args}`: exit code {rc_a} vs {rc_b}")
@@ -221,10 +263,17 @@ def compare(old, new) -> List[str]:
         if name not in old_files or name not in new_files:
             diffs.append(f"{name}: written by one tree only")
         elif old_files[name] != new_files[name]:
+            versions = {trace_version(old_files[name]), trace_version(new_files[name])}
+            if len(versions) == 2 and b"" not in versions:
+                parsed.append(name)
+                columns = parsed_difference(old_files[name], new_files[name], new_src)
+                if columns:
+                    diffs.append(f"{name}: parsed traces differ in {columns}")
+                continue
             diffs.append(f"{name}: {first_difference(old_files[name], new_files[name])}")
             if name.endswith(".csv"):
                 diffs.append(f"{name}: {csv_difference(old_files[name], new_files[name])}")
-    return diffs
+    return diffs, parsed
 
 
 def main(argv=None) -> int:
@@ -247,10 +296,11 @@ def main(argv=None) -> int:
             old, new = pool.map(run_case, trees, (files, files), (argvs, argvs), dirs)
             for d in dirs:
                 shutil.rmtree(d)
-            diffs = compare(old, new)
+            diffs, parsed = compare(old, new, trees[1])
             differing += bool(diffs)
+            note = f"; parsed: {', '.join(parsed)}" if parsed else ""
             print(f"{label}: {'DIFFERENT' if diffs else 'identical'} "
-                  f"({', '.join(sorted(new[1]))})", flush=True)
+                  f"({', '.join(sorted(new[1]))}{note})", flush=True)
             for line in diffs:
                 print(f"    {line}", flush=True)
     print(f"{differing} differing case(s)")
