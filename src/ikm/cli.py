@@ -652,14 +652,14 @@ def cmd_sweep(config_path: str, out=sys.stdout) -> int:
         # the table reads no distance column, so no reference point, and
         # only the last row's objective: it is evaluated once
         result = _run(op, instance.start_point(scheme), schedule, stop, None, None)
-        rows = result.rows
+        residual = result.rows.residual
         final_obj = None
-        if rows and objective is not None:
+        if residual.size and objective is not None:
             with np.errstate(over="ignore", invalid="ignore"):
                 final_obj = objective(result.x_last)
         return [
             entry["label"], _fmt(entry["alpha"]), _fmt(entry["lambda"]), _fmt(entry["xi"]),
-            result.status, str(len(rows)), _fmt(rows[-1].residual if rows else None),
+            result.status, str(residual.size), _fmt(residual[-1] if residual.size else None),
             _fmt(final_obj), _fmt(relax.margin),
             _fmt(contraction[0].margin if contraction else None),
             "" if relax.satisfied else "infeasible-relaxation",

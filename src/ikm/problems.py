@@ -6,7 +6,11 @@ are bit-reproducible.  References are exact where the problem allows: the
 quadratic's is a Cholesky solve, tv1d's a direct (finite-step) solve of the
 denoising problem with its dual in closed form, and the feasibility one is
 known by construction.  The lasso and three-term references come from a
-non-inertial Picard run to residual 1e-12, which certifies them.
+non-inertial Picard run to residual 1e-12, which certifies them; that run is
+made on demand, on the first read of the instance's reference, so a caller
+that needs no reference (``ikm sweep``) pays none.  Their step ``1/L`` comes
+from one eigendecomposition of the smaller Gram of the design
+(:meth:`ikm.linalg.GramMap.spectrum`).
 """
 
 from __future__ import annotations
@@ -67,24 +71,46 @@ class BenchmarkInstance:
 
     ``builders`` maps a scheme name to a closure over step parameters;
     ``starts`` holds the iteration-space initial point per scheme, and
-    ``fixed_points`` a reference fixed point per scheme where one is valid
-    for every admissible step choice (it is recomputed on demand otherwise).
-    ``objective`` maps a point to its value, or a stack of points along the
-    last axis to one value per point, with the bits of per-point calls.
+    ``fixed_points`` a reference fixed point per scheme at its default
+    steps.  ``objective`` maps a point to its value, or a stack of points
+    along the last axis to one value per point, with the bits of per-point
+    calls.
+
+    An instance whose reference is expensive leaves ``solution`` None and
+    ``fixed_points`` empty and passes ``solve_reference``, which
+    returns ``(fixed_points, solution)``; it runs on the first read of
+    :attr:`reference_solution` or :meth:`fixed_point` and its result is
+    kept.  Schemes listed in ``step_bound_fixed`` have fixed points that
+    move with the steps: away from the default ones, :meth:`fixed_point`
+    makes a fresh high-accuracy run instead.
     """
 
     name: str
     kind: str
     params: Dict[str, float]
     initial_point: np.ndarray
-    reference_solution: Optional[np.ndarray]
     objective: Optional[Callable[[np.ndarray], np.ndarray]]
     spectral: Optional[SpectralData]
     default_steps: Dict[str, Dict[str, float]]
     builders: Dict[str, Callable[..., OperatorHandle]] = field(repr=False)
     starts: Dict[str, np.ndarray] = field(repr=False)
     fixed_points: Dict[str, Optional[np.ndarray]] = field(repr=False)
+    solution: Optional[np.ndarray] = field(repr=False, default=None)
+    solve_reference: Optional[Callable[[], Tuple[Dict[str, np.ndarray], np.ndarray]]] = field(
+        repr=False, default=None)
     step_bound_fixed: Dict[str, bool] = field(repr=False, default_factory=dict)
+
+    def _solve_deferred_reference(self) -> None:
+        if self.solve_reference is not None:
+            fixed_points, self.solution = self.solve_reference()
+            self.fixed_points.update(fixed_points)
+            self.solve_reference = None
+
+    @property
+    def reference_solution(self) -> Optional[np.ndarray]:
+        """The reference minimizer, solved on the first read if it was deferred."""
+        self._solve_deferred_reference()
+        return self.solution
 
     @property
     def schemes(self) -> Tuple[str, ...]:
@@ -116,22 +142,34 @@ class BenchmarkInstance:
         Stored references are reused when they stay valid for any step
         choice (gradient/proximal/fb/pd/sdr/dr map fixed points do not move
         with the step); Davis-Yin fixed points depend on rho, so a fresh
-        high-accuracy run is made when rho differs from the default.
+        high-accuracy run is made when rho differs from the default, without
+        solving for the default one.
         """
         if scheme not in self.builders:
             raise ValueError(f"{self.name} does not support scheme {scheme!r}")
-        stored = self.fixed_points.get(scheme)
-        if stored is not None and self.step_bound_fixed.get(scheme, False):
-            resolved = self.resolve_steps(scheme, **steps)
-            if resolved != self.default_steps[scheme]:
-                res = picard(self.operator(scheme, **steps), self.start_point(scheme),
-                             REFERENCE_TOL, REFERENCE_CAP)
-                return res.xs[0] if res.status == "converged" else None
-        return stored
+        if (self.step_bound_fixed.get(scheme, False)
+                and self.resolve_steps(scheme, **steps) != self.default_steps[scheme]):
+            res = picard(self.operator(scheme, **steps), self.start_point(scheme),
+                         REFERENCE_TOL, REFERENCE_CAP)
+            return res.xs[0] if res.status == "converged" else None
+        self._solve_deferred_reference()
+        return self.fixed_points.get(scheme)
 
 
 # --------------------------------------------------------------------------
 # shared random pieces
+
+
+def _picard_reference(kind: str, T: OperatorHandle, x0: np.ndarray) -> np.ndarray:
+    """Fixed point of ``T`` by a Picard run to ``REFERENCE_TOL``.
+
+    ``picard`` is looked up in this module when the run is made, so a
+    wrapper installed on ``problems.picard`` sees every reference run.
+    """
+    run = picard(T, x0, REFERENCE_TOL, REFERENCE_CAP)
+    if run.status != "converged":
+        raise RuntimeError(f"{kind} reference run did not reach {REFERENCE_TOL:g}")
+    return run.xs[0]
 
 
 def _orthogonal(gen: SplitMix64, n: int) -> np.ndarray:
@@ -143,7 +181,8 @@ def _orthogonal(gen: SplitMix64, n: int) -> np.ndarray:
 def _sensing_data(m: int, n: int, sparsity: float, seed: int):
     """Design matrix, planted sparse truth and noisy observations."""
     gen = SplitMix64(seed)
-    A = gen.normals(m * n).reshape(m, n) / math.sqrt(m)
+    A = gen.normals(m * n).reshape(m, n)
+    A /= math.sqrt(m)
     k_nz = max(1, round(sparsity * n))
     idx = list(range(n))
     gen.shuffle(idx)
@@ -264,7 +303,7 @@ def make_quadratic(dim: int, mu: float, L_smooth: float, seed: int) -> Benchmark
         kind="quadratic",
         params={"dim": dim, "mu": mu, "L_smooth": L_smooth, "seed": seed},
         initial_point=x0,
-        reference_solution=ref,
+        solution=ref,
         objective=objective,
         spectral=SpectralData(mu=mu, L_smooth=L_smooth),
         default_steps={"gradient": {"rho": rho_grad}, "proximal": {"rho": 1.0}},
@@ -279,11 +318,12 @@ def make_lasso(m: int, n: int, sparsity: float, mu_reg: float, seed: int) -> Ben
 
     The smooth term's Hessian ``A^T A`` is a :class:`GramMap` of the m x n
     design: each forward step applies ``A^T (A x)`` and no n x n array is
-    kept.  ``spectral``
-    and the default step ``rho = 1/L`` come from its one cached
-    eigendecomposition, which the operator builds reuse.  The reference is
-    a non-inertial forward-backward run at ``rho = 1/L`` to residual 1e-12
-    (cap 1e6 iterations); its fixed-point residual certifies optimality for
+    kept.  ``spectral`` and the default step ``rho = 1/L`` come from its one
+    cached eigendecomposition, of the m x m ``A A^T`` when ``m < n``, which
+    the operator builds reuse.  The reference is a non-inertial
+    forward-backward run at ``rho = 1/L`` to residual 1e-12 (cap 1e6
+    iterations; ``RuntimeError`` if it is not reached), made on the first
+    read of the reference; its fixed-point residual certifies optimality for
     any admissible step size.
     """
     if m < 2 or n < 2:
@@ -302,10 +342,10 @@ def make_lasso(m: int, n: int, sparsity: float, mu_reg: float, seed: int) -> Ben
         return forward_backward_op(l1(mu_reg), gram_map, atb, rho)
 
     rho_default = 1.0 / L_s
-    ref_run = picard(build_fb(rho_default), x0, REFERENCE_TOL, REFERENCE_CAP)
-    if ref_run.status != "converged":
-        raise RuntimeError(f"lasso reference run did not reach {REFERENCE_TOL:g}")
-    ref = ref_run.xs[0]
+
+    def solve_reference():
+        ref = _picard_reference("lasso", build_fb(rho_default), x0)
+        return {"fb": ref}, ref
 
     def objective(x: np.ndarray):
         r = np.matmul(A, x[..., :, None])[..., 0] - b
@@ -316,13 +356,13 @@ def make_lasso(m: int, n: int, sparsity: float, mu_reg: float, seed: int) -> Ben
         kind="lasso",
         params={"m": m, "n": n, "sparsity": sparsity, "mu_reg": mu_reg, "seed": seed},
         initial_point=x0,
-        reference_solution=ref,
         objective=objective,
         spectral=SpectralData(mu=mu_s, L_smooth=L_s),
         default_steps={"fb": {"rho": rho_default}},
         builders={"fb": build_fb},
         starts={"fb": x0},
-        fixed_points={"fb": ref},
+        fixed_points={},
+        solve_reference=solve_reference,
     )
 
 
@@ -385,7 +425,7 @@ def make_tv1d(n: int, mu_reg: float, seed: int) -> BenchmarkInstance:
         kind="tv1d",
         params={"n": n, "mu_reg": mu_reg, "seed": seed},
         initial_point=np.zeros(n),
-        reference_solution=saddle[:n],
+        solution=saddle[:n],
         objective=objective,
         spectral=SpectralData(mu=1.0, L_smooth=1.0, norm_L=norm_L),
         default_steps=defaults,
@@ -402,9 +442,11 @@ def make_three_term(m: int, n: int, mu_reg: float, box_lo: float, box_hi: float,
     Data generation consumes the same random stream as :func:`make_lasso`,
     so equal (m, n, sparsity, seed) yield the identical design and
     observations, and the smooth term is the same :class:`GramMap` of the
-    design (``A^T (A x)`` per step, no n x n array kept).
-    The Davis-Yin fixed point depends on rho; the stored one is for the
-    default ``rho = 1/L`` and other choices trigger a fresh reference run.
+    design (``A^T (A x)`` per step, no n x n array kept), with the same
+    ``L`` from the smaller Gram.  The Davis-Yin fixed point depends on rho:
+    the reference is a Picard run at the default ``rho = 1/L``, made on the
+    first read of the reference (``RuntimeError`` if it does not reach
+    1e-12), and other choices of rho trigger a fresh run of their own.
     """
     if box_lo >= box_hi:
         raise ValueError("need box_lo < box_hi")
@@ -421,11 +463,10 @@ def make_three_term(m: int, n: int, mu_reg: float, box_lo: float, box_hi: float,
 
     rho_default = 1.0 / L_s
     z0 = np.zeros(n)
-    ref_run = picard(build_dy(rho_default), z0, REFERENCE_TOL, REFERENCE_CAP)
-    if ref_run.status != "converged":
-        raise RuntimeError(f"three_term reference run did not reach {REFERENCE_TOL:g}")
-    z_star = ref_run.xs[0]
-    ref = prox(fB, rho_default, z_star)
+
+    def solve_reference():
+        z_star = _picard_reference("three_term", build_dy(rho_default), z0)
+        return {"dy": z_star}, prox(fB, rho_default, z_star)
 
     def objective(x: np.ndarray):
         # evaluated on the box projection so near-feasible iterates report
@@ -440,13 +481,13 @@ def make_three_term(m: int, n: int, mu_reg: float, box_lo: float, box_hi: float,
         params={"m": m, "n": n, "mu_reg": mu_reg, "box_lo": box_lo,
                 "box_hi": box_hi, "seed": seed, "sparsity": sparsity},
         initial_point=z0,
-        reference_solution=ref,
         objective=objective,
         spectral=SpectralData(mu=mu_s, L_smooth=L_s),
         default_steps={"dy": {"rho": rho_default}},
         builders={"dy": build_dy},
         starts={"dy": z0},
-        fixed_points={"dy": z_star},
+        fixed_points={},
+        solve_reference=solve_reference,
         step_bound_fixed={"dy": True},
     )
 
@@ -476,7 +517,7 @@ def make_feasibility(dim: int, seed: int) -> BenchmarkInstance:
         kind="feasibility",
         params={"dim": dim, "seed": seed},
         initial_point=z0,
-        reference_solution=ref,
+        solution=ref,
         objective=None,
         spectral=None,
         default_steps={"dr": {"r": 1.0}},

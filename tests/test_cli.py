@@ -952,6 +952,25 @@ def test_sweep_checks_every_entry_before_the_first_run(tmp_path, monkeypatch, ke
     assert runs == [] and not table.exists()
 
 
+@pytest.mark.parametrize("kind, scheme", [("lasso", "fb"), ("three_term", "dy")])
+def test_sweep_runs_no_reference_and_run_runs_one(tmp_path, monkeypatch, kind, scheme):
+    calls = []
+    picard = problems.picard
+    monkeypatch.setattr(problems, "picard", lambda *args: calls.append(args) or picard(*args))
+    cfg = tmp_path / "ls.cfg"
+    write(cfg, f"problem.kind = {kind}\nproblem.m = 20\nproblem.n = 50\nproblem.seed = 2\n"
+               f"algorithm.scheme = {scheme}\nstopping.max_iters = 3000\n"
+               "schedule.alpha = 0.1\nschedule.lambda = 0.9\n"
+               "sweep.1.alpha = 0.1\nsweep.1.lambda = 0.9\n"
+               "sweep.2.alpha = 0.3\nsweep.2.lambda = 0.9\n"
+               f"output.table = {tmp_path / 'ls.csv'}\n"
+               f"output.trace = {tmp_path / 'ls_trace.csv'}\n")
+    assert cli.main(["sweep", str(cfg)]) == cli.EXIT_OK
+    assert calls == []
+    assert cli.main(["run", str(cfg)]) == cli.EXIT_OK
+    assert len(calls) == 1
+
+
 def test_sweep_reruns_give_identical_tables(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     t1, t2 = tmp_path / "s1.csv", tmp_path / "s2.csv"

@@ -353,7 +353,7 @@ def test_default_steps_are_reported(lasso_default, tv_200):
 def test_least_squares_build_problem_runs_one_eigendecomposition(tmp_path, monkeypatch, kind,
                                                                  scheme):
     # the instance, its reference run and the configured operator share the
-    # Gram map's cached spectrum, taken from the 100 x 100 Gram
+    # Gram map's cached spectrum, taken from the 40 x 40 Gram A A^T
     shapes = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -365,5 +365,59 @@ def test_least_squares_build_problem_runs_one_eigendecomposition(tmp_path, monke
     cfg = tmp_path / "ls.cfg"
     cfg.write_text(f"problem.kind = {kind}\nproblem.m = 40\nproblem.n = 100\n"
                    f"algorithm.scheme = {scheme}\n", encoding="utf-8")
-    cli.build_problem(str(cfg))
-    assert shapes == [(100, 100)]
+    _, instance, *_ = cli.build_problem(str(cfg))
+    assert instance.fixed_point(scheme) is not None
+    assert shapes == [(40, 40)]
+
+
+def _count_picard(monkeypatch):
+    calls = []
+    picard_fn = problems.picard
+
+    def counted(*args):
+        calls.append(args)
+        return picard_fn(*args)
+
+    monkeypatch.setattr(problems, "picard", counted)
+    return calls
+
+
+@pytest.mark.parametrize("make, scheme", [
+    (lambda: problems.make_lasso(20, 50, 0.1, 0.1, 3), "fb"),
+    (lambda: problems.make_three_term(20, 50, 0.1, -0.5, 0.5, 3), "dy"),
+])
+def test_least_squares_reference_is_solved_once_on_first_read(monkeypatch, make, scheme):
+    calls = _count_picard(monkeypatch)
+    inst = make()
+    assert calls == []
+    z = inst.fixed_point(scheme)
+    assert len(calls) == 1
+    x = inst.reference_solution
+    assert inst.fixed_point(scheme) is z and inst.reference_solution is x
+    assert len(calls) == 1
+    # the lazy reference is the build-time one: a Picard run at the default
+    # steps from the start point, to REFERENCE_TOL under REFERENCE_CAP
+    T = inst.operator(scheme)
+    want = picard(T, inst.start_point(scheme), problems.REFERENCE_TOL,
+                  problems.REFERENCE_CAP)
+    assert want.status == "converged"
+    assert z.tobytes() == want.xs[0].tobytes()
+    assert x.tobytes() == (want.xs[0] if scheme == "fb"
+                           else T.extract_solution(want.xs[0])).tobytes()
+
+
+def test_three_term_other_rho_does_not_solve_the_default_reference(monkeypatch):
+    calls = _count_picard(monkeypatch)
+    inst = problems.make_three_term(20, 50, 0.1, -0.5, 0.5, 3)
+    rho_alt = 0.5 * inst.default_steps["dy"]["rho"]
+    inst.fixed_point("dy", rho=rho_alt)
+    assert len(calls) == 1 and inst.solve_reference is not None
+    assert inst.fixed_point("dy") is not None
+    assert len(calls) == 2
+
+
+def test_least_squares_reference_that_misses_the_tolerance_raises_on_read(monkeypatch):
+    monkeypatch.setattr(problems, "REFERENCE_CAP", 3)
+    inst = problems.make_lasso(20, 50, 0.1, 0.1, 3)
+    with pytest.raises(RuntimeError, match="lasso reference run did not reach 1e-12"):
+        inst.reference_solution

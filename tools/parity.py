@@ -30,13 +30,14 @@ that ``ck`` and ``product`` FAIL with violations past the first two
 small ``three_term`` config (the Davis-Yin
 path, which no workload runs), on a small ``lasso`` config and on a
 ``tv1d`` config with ``n = 30``, ``alpha = 0.2`` and ``lambda = 1`` run by
-``sdr`` (split Douglas-Rachford, which no workload runs), and four
-``ikm check-params`` argument sets.  The tool prints one line per case and
-exits 1 when anything differs, 0 otherwise.  A differing output is shown by
-its first differing line and the count of differing lines; for a CSV file
-the tool also prints whether the header, the row count and the ``k`` column
-agree, and the largest relative difference in each column whose fields
-differ.
+``sdr`` (split Douglas-Rachford, which no workload runs); ``ikm sweep`` on
+the same small ``three_term`` instance (the Davis-Yin sweep path, which no
+workload runs); and four ``ikm check-params`` argument sets.  The tool
+prints one line per case and exits 1 when anything differs, 0 otherwise.
+A differing output is shown by its first differing line and the count of
+differing lines; for a CSV file the tool also prints whether the header,
+the row count and the ``k`` column agree, and the largest relative
+difference in each column whose fields differ.
 
 Two trace CSVs whose first lines name different format versions (for
 example ``# ikm-trace-v1`` against ``# ikm-trace-v2``) are compared by what
@@ -119,6 +120,12 @@ FIXED_CONFIGS = {
     "tv-sdr": RUN + ("problem.kind = tv1d\nproblem.n = 30\n"
                      "algorithm.scheme = sdr\nschedule.alpha = 0.2\nschedule.lambda = 1\n"),
 }
+# ikm sweep on the 30x80 three_term; the baseline rows for lambda 1.1 and 0.9 are added
+SWEEP_CONFIGS = {
+    "three-term-sweep": LEAST_SQUARES + ("problem.kind = three_term\nalgorithm.scheme = dy\n"
+                                         "sweep.1.alpha = 0.1\nsweep.1.lambda = 1.1\n"
+                                         "sweep.2.alpha = 0.3\nsweep.2.lambda = 0.9\n"),
+}
 CHECK_PARAMS = [
     ["--alpha", "0.2", "--lambda", "0.5"],
     ["--alpha", "0.5", "--lambda", "0.9", "--q", "0.9", "--xi", "1"],
@@ -150,6 +157,9 @@ def fixed_cases(seed: int) -> Iterator[Tuple[str, Dict[str, str], List[List[str]
     for name, text in FIXED_CONFIGS.items():
         config = text.format(seed=seed) + f"output.trace = {name}.csv\n"
         yield name, {f"{name}.cfg": config}, [["run", f"{name}.cfg"], ["certify", f"{name}.csv"]]
+    for name, text in SWEEP_CONFIGS.items():
+        config = text.format(seed=seed) + f"output.table = {name}.csv\n"
+        yield name, {f"{name}.cfg": config}, [["sweep", f"{name}.cfg"]]
     yield "check-params", {}, [["check-params"] + args for args in CHECK_PARAMS]
 
 
