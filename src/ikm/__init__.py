@@ -47,6 +47,7 @@ from .linalg import (
     DifferenceMap,
     GramMap,
     LinearMap,
+    SpectralMap,
     dot,
     norm,
     operator_norm_estimate,
@@ -74,6 +75,7 @@ from .operators import (
 )
 from .problems import (
     BenchmarkInstance,
+    ReferenceNotConverged,
     SpectralData,
     make_feasibility,
     make_lasso,

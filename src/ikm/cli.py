@@ -9,9 +9,10 @@ Subcommands::
     ikm certify <trace.csv>     re-analyze an exported trace
 
 Exit codes: 0 success/convergence, 1 failed checks, 2 iteration budget
-exhausted, 3 divergence, 64 usage or configuration errors.  Trace CSVs are
-byte-stable across runs: floats are printed with 17 significant digits and
-the fully resolved configuration is embedded as a '# config:' comment.
+exhausted (the run's, or a reference run's), 3 divergence, 64 usage or
+configuration errors.  Trace CSVs are byte-stable across runs: floats are
+printed with 17 significant digits and the fully resolved configuration is
+embedded as a '# config:' comment.
 """
 
 from __future__ import annotations
@@ -773,6 +774,9 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except problems.ReferenceNotConverged as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MAX_ITERS
 
 
 if __name__ == "__main__":

@@ -10,7 +10,11 @@ writes into an ``out=`` array when given one) and a certified upper bound
 ``K^T K`` of a least-squares term is a :class:`GramMap`, held by its m x n
 factor ``K``: it applies ``K^T (K x)`` and stores no n x n Gram; its
 spectrum comes from one eigendecomposition of the smaller of ``K K^T`` and
-``K^T K``, formed for it and dropped, cached on the map.  Everything here
+``K^T K``, formed for it and dropped, cached on the map.  A symmetric map
+whose eigendecomposition is known is a :class:`SpectralMap` of ``(Q, w)``:
+its spectrum, solves and resolvents come from ``Q`` and ``w`` with no
+factorization.  Cholesky (SciPy) serves only :func:`spd_solver` on a
+dense :class:`LinearMap`.  Everything here
 is a pure function of its inputs: reductions go through a single NumPy
 build in a fixed order, so repeated calls are bit-reproducible within one
 installation.
@@ -31,6 +35,7 @@ __all__ = [
     "DifferenceMap",
     "GramMap",
     "LinearMap",
+    "SpectralMap",
     "dot",
     "flush_subnormals",
     "norm",
@@ -201,6 +206,41 @@ class GramMap:
         return self._spectrum
 
 
+class SpectralMap:
+    """The symmetric map ``Q diag(w) Q^T`` (n x n) held by its eigendecomposition.
+
+    ``Q`` is orthogonal and ``w`` holds the eigenvalues.  ``matrix`` is the
+    dense symmetrized ``0.5 (A + A^T)`` of ``A = Q diag(w) Q^T``: ``apply``
+    is one GEMV on it, which beats the two of ``Q (w * (Q^T x))``.  The
+    spectrum, solves and resolvents read ``(Q, w)`` and factor nothing
+    (Golub & Van Loan, *Matrix Computations*, 8.1).
+    """
+
+    __slots__ = ("Q", "w", "matrix")
+
+    def __init__(self, Q: np.ndarray, w):
+        Q, w = np.asarray(Q, dtype=float), np.asarray(w, dtype=float)
+        if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or w.shape != Q.shape[:1]:
+            raise ValueError("SpectralMap expects an n x n Q and n eigenvalues")
+        A = Q @ np.diag(w) @ Q.T
+        self.Q, self.w, self.matrix = Q, w, 0.5 * (A + A.T)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self.matrix @ x
+
+    def spectrum(self) -> Tuple[float, float]:
+        """``(min w, max w)``."""
+        return float(self.w.min()), float(self.w.max())
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """``Q ((Q^T b) / w)``; every ``w`` must be nonzero."""
+        return self.Q @ ((self.Q.T @ b) / self.w)
+
+    def resolvent(self, rho: float) -> np.ndarray:
+        """The dense matrix ``(I + rho A)^{-1} = Q diag(1 / (1 + rho w)) Q^T``."""
+        return (self.Q * (1.0 / (1.0 + rho * self.w))) @ self.Q.T
+
+
 def operator_norm_estimate(L: Union[LinearMap, DifferenceMap], iters: int = 200,
                            seed: int = 0) -> float:
     """Largest singular value of ``L`` by power iteration on ``L^T L``.
@@ -230,13 +270,21 @@ def operator_norm_estimate(L: Union[LinearMap, DifferenceMap], iters: int = 200,
     return est
 
 
-def solve_spd(M: LinearMap, b: np.ndarray) -> np.ndarray:
-    """Solve ``M x = b`` for symmetric positive definite ``M`` (Cholesky)."""
+def solve_spd(M: Union[LinearMap, SpectralMap], b: np.ndarray) -> np.ndarray:
+    """Solve ``M x = b`` for symmetric positive definite ``M`` (see :func:`spd_solver`)."""
     return spd_solver(M)(b)
 
 
-def spd_solver(M: LinearMap) -> Callable[[np.ndarray], np.ndarray]:
-    """Prefactored SPD solver; raises ``ValueError`` if ``M`` is not SPD."""
+def spd_solver(M: Union[LinearMap, SpectralMap]) -> Callable[[np.ndarray], np.ndarray]:
+    """Prefactored SPD solver; raises ``ValueError`` if ``M`` is not SPD.
+
+    A :class:`SpectralMap` solves from its eigendecomposition; a dense
+    :class:`LinearMap` is Cholesky-factored once.
+    """
+    if isinstance(M, SpectralMap):
+        if M.spectrum()[0] <= 0.0:
+            raise ValueError("matrix is not positive definite")
+        return M.solve
     A = M.matrix
     if A.shape[0] != A.shape[1]:
         raise ValueError("matrix is not square")

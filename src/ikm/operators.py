@@ -16,7 +16,7 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .linalg import DifferenceMap, GramMap, LinearMap, norm, spd_solver
+from .linalg import DifferenceMap, GramMap, LinearMap, SpectralMap, norm, spd_solver
 # re-exported: the benchmark harness wraps ``operators.operator_norm_estimate``
 from .linalg import operator_norm_estimate  # noqa: F401
 
@@ -53,14 +53,15 @@ class ProxFunction:
 
     ``kind`` is one of ``l1``, ``box``, ``quadratic``, ``l2_ball``, ``zero``;
     the remaining fields are per-kind parameters.  A quadratic holds either a
-    matrix ``A`` or, when diagonal, only its diagonal ``diag``.
+    map ``A`` (a dense :class:`LinearMap` or a :class:`SpectralMap`) or, when
+    diagonal, only its diagonal ``diag``.
     """
 
     kind: str
     weight: float = 0.0
     lo: np.ndarray | float = 0.0
     hi: np.ndarray | float = 0.0
-    A: Optional[LinearMap] = None
+    A: Optional[Union[LinearMap, SpectralMap]] = None
     b: Optional[np.ndarray] = None
     radius: float = 0.0
     diag: Optional[np.ndarray] = None
@@ -81,7 +82,7 @@ def box(lo, hi) -> ProxFunction:
     return ProxFunction("box", lo=lo_a, hi=hi_a)
 
 
-def quadratic(A: LinearMap, b: np.ndarray) -> ProxFunction:
+def quadratic(A: Union[LinearMap, SpectralMap], b: np.ndarray) -> ProxFunction:
     """``0.5 x^T A x - b^T x`` with A symmetric positive semidefinite."""
     return ProxFunction("quadratic", A=A, b=np.asarray(b, dtype=float))
 
@@ -134,8 +135,11 @@ def _into(out: Optional[np.ndarray], v: np.ndarray) -> np.ndarray:
 def make_prox(f: ProxFunction, rho: float) -> Callable[..., np.ndarray]:
     """Specialized closure for ``v -> prox_{rho f}(v)``.
 
-    The quadratic kind factors ``I + rho A`` once (a diagonal quadratic is
-    solved directly), which is what makes long resolvent iterations cheap.
+    The quadratic kind prepares ``(I + rho A)^{-1}`` once, which is what makes
+    long resolvent iterations cheap: a :class:`SpectralMap` forms the dense
+    ``Q diag(1 / (1 + rho w)) Q^T``, so each apply is one GEMV; a dense
+    ``LinearMap`` is Cholesky-factored; a diagonal quadratic is solved
+    directly.
     The closure takes an optional ``out=`` array, which may be ``v`` itself,
     and writes the result there with the same operations.
     """
@@ -173,6 +177,9 @@ def make_prox(f: ProxFunction, rho: float) -> Callable[..., np.ndarray]:
                 return np.divide(w, scale, out=w)
 
             return solve_diagonal
+        if isinstance(f.A, SpectralMap):
+            R = f.A.resolvent(rho)
+            return lambda v, out=None: np.matmul(R, v + rho_b, out=out)
         solve = spd_solver(LinearMap(np.eye(f.A.rows) + rho * f.A.matrix))
         return lambda v, out=None: _into(out, solve(v + rho_b))
     raise ValueError(f"unknown kind {f.kind!r}")
@@ -263,9 +270,9 @@ def residual(T: OperatorHandle, y: np.ndarray) -> float:
     return norm(y - T.apply(y))
 
 
-def _spectrum_bounds(A: Union[LinearMap, GramMap]) -> Tuple[float, float]:
-    """Smallest and largest eigenvalue of a symmetric map (a Gram map's cached spectrum)."""
-    if isinstance(A, GramMap):
+def _spectrum_bounds(A: Union[LinearMap, GramMap, SpectralMap]) -> Tuple[float, float]:
+    """Smallest and largest eigenvalue of a symmetric map (read off a Gram or spectral map)."""
+    if isinstance(A, (GramMap, SpectralMap)):
         return A.spectrum()
     M = A.matrix
     if M.shape[0] != M.shape[1]:
@@ -276,7 +283,8 @@ def _spectrum_bounds(A: Union[LinearMap, GramMap]) -> Tuple[float, float]:
     return float(eigs[0]), float(eigs[-1])
 
 
-def gradient_step_op(A_spd: LinearMap, b: np.ndarray, rho: float) -> OperatorHandle:
+def gradient_step_op(A_spd: Union[LinearMap, SpectralMap], b: np.ndarray,
+                     rho: float) -> OperatorHandle:
     """Explicit gradient step ``x -> x - rho (A x - b)`` on a quadratic.
 
     Averagedness is ``rho * L / 2`` (cocoercivity ``beta = 1/L``); the

@@ -3,7 +3,8 @@
 Every generator is a pure function of its parameters and seed (randomness
 comes from the SplitMix64 stream documented in :mod:`ikm.rng`), so instances
 are bit-reproducible.  References are exact where the problem allows: the
-quadratic's is a Cholesky solve, tv1d's a direct (finite-step) solve of the
+quadratic's is a solve through the eigendecomposition it is drawn from
+(:class:`ikm.linalg.SpectralMap`), tv1d's a direct (finite-step) solve of the
 denoising problem with its dual in closed form, and the feasibility one is
 known by construction.  The lasso and three-term references come from a
 non-inertial Picard run to residual 1e-12, which certifies them; that run is
@@ -22,8 +23,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .engine import picard
-from .linalg import (DifferenceMap, GramMap, LinearMap, norm, operator_norm_estimate,
-                     solve_spd)
+from .linalg import DifferenceMap, GramMap, SpectralMap, norm, operator_norm_estimate, solve_spd
 from .operators import (
     OperatorHandle,
     box,
@@ -44,6 +44,7 @@ from .rng import SplitMix64
 
 __all__ = [
     "BenchmarkInstance",
+    "ReferenceNotConverged",
     "SpectralData",
     "make_feasibility",
     "make_lasso",
@@ -54,6 +55,10 @@ __all__ = [
 
 REFERENCE_TOL = 1e-12
 REFERENCE_CAP = 1_000_000
+
+
+class ReferenceNotConverged(RuntimeError):
+    """A Picard reference run missed ``REFERENCE_TOL`` within ``REFERENCE_CAP`` steps."""
 
 
 @dataclass(frozen=True)
@@ -168,7 +173,8 @@ def _picard_reference(kind: str, T: OperatorHandle, x0: np.ndarray) -> np.ndarra
     """
     run = picard(T, x0, REFERENCE_TOL, REFERENCE_CAP)
     if run.status != "converged":
-        raise RuntimeError(f"{kind} reference run did not reach {REFERENCE_TOL:g}")
+        raise ReferenceNotConverged(f"{kind} reference run did not reach {REFERENCE_TOL:g} "
+                                    f"in {REFERENCE_CAP} steps")
     return run.xs[0]
 
 
@@ -268,9 +274,11 @@ def _tv1d_saddle(b: np.ndarray, mu: float) -> np.ndarray:
 def make_quadratic(dim: int, mu: float, L_smooth: float, seed: int) -> BenchmarkInstance:
     """Strongly convex quadratic ``0.5 x^T A x - b^T x`` with known spectrum.
 
-    Eigenvalues are drawn uniformly in [mu, L] with both extremes always
-    present, then conjugated by a random orthogonal matrix.  The reference is
-    the direct solve of ``A x = b``.
+    Eigenvalues ``w`` are drawn uniformly in [mu, L] with both extremes
+    always present, then conjugated by a random orthogonal ``Q``; ``A`` is
+    the :class:`SpectralMap` of ``(Q, w)``, so the operators read ``(mu, L)``
+    off ``w`` and the reference is the direct solve ``Q ((Q^T b) / w)`` of
+    ``A x = b``.
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
@@ -279,11 +287,10 @@ def make_quadratic(dim: int, mu: float, L_smooth: float, seed: int) -> Benchmark
     gen = SplitMix64(seed)
     eigs = [mu, L_smooth] + [gen.uniform_in(mu, L_smooth) for _ in range(dim - 2)]
     Q = _orthogonal(gen, dim)
-    A = Q @ np.diag(eigs) @ Q.T
-    A = 0.5 * (A + A.T)
+    A_map = SpectralMap(Q, eigs)
+    A = A_map.matrix
     b = gen.normals(dim)
     x0 = gen.normals(dim)
-    A_map = LinearMap(A)
     ref = solve_spd(A_map, b)
 
     def objective(x: np.ndarray):
@@ -322,9 +329,9 @@ def make_lasso(m: int, n: int, sparsity: float, mu_reg: float, seed: int) -> Ben
     cached eigendecomposition, of the m x m ``A A^T`` when ``m < n``, which
     the operator builds reuse.  The reference is a non-inertial
     forward-backward run at ``rho = 1/L`` to residual 1e-12 (cap 1e6
-    iterations; ``RuntimeError`` if it is not reached), made on the first
-    read of the reference; its fixed-point residual certifies optimality for
-    any admissible step size.
+    iterations; :class:`ReferenceNotConverged` if it is not reached), made
+    on the first read of the reference; its fixed-point residual certifies
+    optimality for any admissible step size.
     """
     if m < 2 or n < 2:
         raise ValueError("m and n must be >= 2")
@@ -445,8 +452,9 @@ def make_three_term(m: int, n: int, mu_reg: float, box_lo: float, box_hi: float,
     design (``A^T (A x)`` per step, no n x n array kept), with the same
     ``L`` from the smaller Gram.  The Davis-Yin fixed point depends on rho:
     the reference is a Picard run at the default ``rho = 1/L``, made on the
-    first read of the reference (``RuntimeError`` if it does not reach
-    1e-12), and other choices of rho trigger a fresh run of their own.
+    first read of the reference (:class:`ReferenceNotConverged` if it does
+    not reach 1e-12), and other choices of rho trigger a fresh run of their
+    own.
     """
     if box_lo >= box_hi:
         raise ValueError("need box_lo < box_hi")

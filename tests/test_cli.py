@@ -971,6 +971,16 @@ def test_sweep_runs_no_reference_and_run_runs_one(tmp_path, monkeypatch, kind, s
     assert len(calls) == 1
 
 
+def test_run_whose_reference_misses_the_tolerance_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(problems, "REFERENCE_CAP", 3)
+    cfg = tmp_path / "ls.cfg"
+    write(cfg, "problem.kind = lasso\nproblem.m = 20\nproblem.n = 50\n"
+               f"algorithm.scheme = fb\noutput.trace = {tmp_path / 'ls.csv'}\n")
+    assert cli.main(["run", str(cfg)]) == cli.EXIT_MAX_ITERS
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: lasso reference run did not reach 1e-12 in 3 steps"]
+
+
 def test_sweep_reruns_give_identical_tables(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     t1, t2 = tmp_path / "s1.csv", tmp_path / "s2.csv"

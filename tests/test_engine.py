@@ -33,8 +33,8 @@ from ikm.engine import (
     verify_descent,
     verify_product_bound,
 )
-from ikm.linalg import (DifferenceMap, GramMap, LinearMap, dot, flush_subnormals, norm,
-                        operator_norm_estimate)
+from ikm.linalg import (DifferenceMap, GramMap, LinearMap, SpectralMap, dot, flush_subnormals,
+                        norm, operator_norm_estimate)
 from ikm.operators import (
     OperatorHandle,
     box,
@@ -42,12 +42,13 @@ from ikm.operators import (
     diagonal_quadratic,
     douglas_rachford_op,
     forward_backward_op,
+    gradient_step_op,
     l1,
     primal_dual_op,
     split_dr_op,
     zero,
 )
-from ikm.problems import _sensing_data, _tv1d_saddle
+from ikm.problems import _orthogonal, _sensing_data, _tv1d_saddle
 from ikm.rng import SplitMix64
 
 IDENTITY = douglas_rachford_op(zero(), zero(), 1.0)  # exact identity map
@@ -540,6 +541,30 @@ def test_difference_map_runs_match_dense_runs_row_for_row(builder, n):
         assert got.rows == want.rows  # 2000 rows, or fewer on an exact fixed point
         for a, c in zip(got.xs, want.xs):
             assert np.array_equal(a, c)
+
+
+def test_spectral_map_gradient_runs_match_dense_runs_column_for_column():
+    # a SpectralMap drawn as make_quadratic draws one, against a LinearMap of
+    # its matrix: the gradient apply is the same GEMV on the same bits, so
+    # every measured column is too
+    gen = SplitMix64(1)
+    w = [0.01, 10.0] + [gen.uniform_in(0.01, 10.0) for _ in range(48)]
+    S = SpectralMap(_orthogonal(gen, 50), w)
+    b, x1 = gen.normals(50), gen.normals(50)
+    rho = 2.0 / 10.01
+
+    def objective(x):
+        xA = np.matmul(x[..., None, :], S.matrix)[..., 0, :]
+        return 0.5 * np.vecdot(xA, x) - np.vecdot(x, b)
+
+    p = S.solve(b)
+    stop = StoppingRule(20_000, 1e-10)
+    for sched in (Schedule.constant(0.0, 1.0), Schedule.constant(0.05, 0.9)):
+        got, want = (run(gradient_step_op(A, b, rho), x1, sched, stop, p_ref=p,
+                         objective=objective) for A in (S, LinearMap(S.matrix)))
+        assert got.status == want.status == "converged"
+        for name in ("k", "residual", "step", "dist_to_ref", "objective"):
+            assert getattr(got.rows, name).tobytes() == getattr(want.rows, name).tobytes()
 
 
 @pytest.mark.parametrize("scheme", ["fb", "dy"])

@@ -10,11 +10,14 @@ from ikm.linalg import (
     DifferenceMap,
     GramMap,
     LinearMap,
+    SpectralMap,
     dot,
     norm,
     operator_norm_estimate,
     solve_spd,
 )
+from ikm.operators import make_prox, quadratic, residual
+from ikm.problems import _orthogonal, make_quadratic
 from ikm.rng import SplitMix64
 
 
@@ -123,6 +126,62 @@ def test_solve_spd_rejects_non_spd():
         solve_spd(LinearMap(np.diag([1.0, -1.0])), np.ones(2))
     with pytest.raises(ValueError):
         solve_spd(LinearMap(np.array([[1.0, 2.0], [0.0, 1.0]])), np.ones(2))
+
+
+# --------------------------------------------------------------------------
+# symmetric maps held by their eigendecomposition
+
+
+def spectral_draw(dim, mu, L, seed):
+    """The map and right-hand side of ``make_quadratic(dim, mu, L, seed)``."""
+    gen = SplitMix64(seed)
+    w = [mu, L] + [gen.uniform_in(mu, L) for _ in range(dim - 2)]
+    return SpectralMap(_orthogonal(gen, dim), w), gen.normals(dim)
+
+
+def test_spectral_map_matrix_is_the_symmetrized_product():
+    S, _ = spectral_draw(50, 0.01, 10.0, 1)
+    A = S.Q @ np.diag(S.w) @ S.Q.T
+    assert S.matrix.tobytes() == (0.5 * (A + A.T)).tobytes()
+    x = SplitMix64(2).normals(50)
+    assert S.apply(x).tobytes() == LinearMap(S.matrix).apply(x).tobytes()
+    assert S.spectrum() == (0.01, 10.0)
+
+
+def test_spectral_map_rejects_bad_input():
+    with pytest.raises(ValueError):
+        SpectralMap(np.eye(3), [1.0, 2.0])
+    with pytest.raises(ValueError):
+        SpectralMap(np.ones((2, 3)), [1.0, 2.0])
+    with pytest.raises(ValueError, match="not positive definite"):
+        solve_spd(SpectralMap(np.eye(2), [1.0, 0.0]), np.ones(2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(2, 12), seed=st.integers(0, 2**32 - 1), log_mu=st.floats(-3.0, 0.0),
+       log_kappa=st.floats(0.0, 3.0), log_rho_L=st.floats(-2.0, 2.0))
+def test_spectral_map_closed_forms(dim, seed, log_mu, log_kappa, log_rho_L):
+    mu = 10.0 ** log_mu
+    L = mu * 10.0 ** log_kappa
+    eps = np.finfo(float).eps
+    # the reference Q ((Q^T b) / w) is a fixed point of the gradient map
+    inst = make_quadratic(dim, mu, L, seed)
+    p = inst.reference_solution
+    assert residual(inst.operator("gradient"), p) <= 1e-13 * (1.0 + norm(p))
+    # (min w, max w) against eigvalsh of the rounded matrix: Weyl's bound on
+    # the rounding of Q diag(w) Q^T plus eigvalsh's backward error.  The
+    # largest gap over 150,000 draws of these parameters was 8.9 eps max w
+    S, b = spectral_draw(dim, mu, L, seed)
+    eigs = np.linalg.eigvalsh(S.matrix)
+    lo, hi = S.spectrum()
+    assert max(abs(lo - eigs[0]), abs(hi - eigs[-1])) <= 16 * eps * hi
+    # the one-GEMV prox against the Cholesky prox of I + rho A, where
+    # cond(I + rho A) <= 1 + rho L <= 101
+    rho = 10.0 ** log_rho_L / L
+    v = np.random.default_rng(seed).standard_normal(dim)
+    got = make_prox(quadratic(S, b), rho)(v)
+    want = make_prox(quadratic(LinearMap(S.matrix), b), rho)(v)
+    assert norm(got - want) <= 1e-12 * norm(want)
 
 
 # --------------------------------------------------------------------------

@@ -8,10 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ikm import cli, problems
+from ikm import cli, linalg, problems
 from ikm.engine import Schedule, StoppingRule, picard, run
 from ikm.linalg import norm
-from ikm.operators import residual
+from ikm.operators import proximal_op, quadratic, residual
 from ikm.problems import _sensing_data, _tv1d_saddle
 from ikm.rng import SplitMix64
 
@@ -419,5 +419,35 @@ def test_three_term_other_rho_does_not_solve_the_default_reference(monkeypatch):
 def test_least_squares_reference_that_misses_the_tolerance_raises_on_read(monkeypatch):
     monkeypatch.setattr(problems, "REFERENCE_CAP", 3)
     inst = problems.make_lasso(20, 50, 0.1, 0.1, 3)
-    with pytest.raises(RuntimeError, match="lasso reference run did not reach 1e-12"):
+    with pytest.raises(problems.ReferenceNotConverged,
+                       match="lasso reference run did not reach 1e-12"):
         inst.reference_solution
+
+
+def test_quadratic_build_factors_nothing(monkeypatch):
+    # the reference, (mu, L) and the prox all come from the drawn
+    # eigendecomposition: no Cholesky and no eigvalsh
+    calls = []
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(linalg, "cho_factor")
+    count(linalg, "cho_solve")
+    count(np.linalg, "eigvalsh")
+    for seed in (1, 2, 3):
+        inst = problems.make_quadratic(50, 0.01, 10.0, seed)
+        for scheme in ("gradient", "proximal"):
+            T = inst.operator(scheme)
+            T.apply(inst.start_point(scheme))
+            assert inst.fixed_point(scheme) is not None
+    assert calls == []
+    # a generic dense quadratic still takes the counted Cholesky path
+    proximal_op(quadratic(linalg.LinearMap(np.eye(3)), np.zeros(3)), 1.0).apply(np.ones(3))
+    assert calls == ["cho_factor", "eigvalsh", "cho_solve"]
