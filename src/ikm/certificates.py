@@ -12,10 +12,9 @@ condition accepts margin zero.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -125,19 +124,6 @@ def check_relaxation_constant(alpha: float, lambda_eff: float) -> CheckResult:
     return CheckResult("relaxation", lhs, rhs, lhs < rhs)
 
 
-def scalar_column(fn: Callable[[int], float], ks: np.ndarray) -> np.ndarray:
-    """``fn(k)`` for each entry of the int64 array ``ks``, as a float64 array.
-
-    ``fn`` gets Python ints, converted ``engine.ROW_CHUNK`` at a time, so no
-    list of ``ks.size`` Python objects is ever held.
-    """
-    from .engine import ROW_CHUNK  # the engine imports this module
-
-    ints = itertools.chain.from_iterable(ks[lo:lo + ROW_CHUNK].tolist()
-                                         for lo in range(0, ks.size, ROW_CHUNK))
-    return np.fromiter(map(fn, ints), np.float64, ks.size)
-
-
 def relaxation_seq_term(alpha_k: float, lam_k: float, alpha_prev: float, lam_prev: float) -> float:
     """Sequence-form feasibility expression at one index (negative is good)."""
     nu_k = 1.0 / lam_k - 1.0
@@ -171,12 +157,13 @@ class RelaxationSeqReport:
 def check_relaxation_seq(schedule, ks: Iterable[int], tail_fraction: float = 0.25) -> RelaxationSeqReport:
     """Evaluate the sequence feasibility expression over ``ks``.
 
-    ``schedule`` is anything exposing ``alpha_at(k)`` and ``lambda_at(k)``.
-    Indices below 2 are skipped (the expression looks one step back).
-    ``alpha_at`` and ``lambda_at`` are called once per index, and once more
-    at ``k - 1`` for each ``k`` whose predecessor is not in ``ks``.  The
-    values are array expressions with the operations of
-    :func:`relaxation_seq_term` in its order, so each has the bits the
+    ``schedule`` is anything exposing ``columns(ks)``, which maps an int64
+    index array to the float64 arrays ``(alpha_k, lambda_k)``, as a
+    :class:`ikm.engine.Schedule` does.  Indices below 2 are skipped (the
+    expression looks one step back).  The columns are read once over the
+    sorted ``ks``, and once over ``k - 1`` for the ``k`` whose predecessor
+    is not in ``ks``.  The values are array expressions with the operations
+    of :func:`relaxation_seq_term` in its order, so each has the bits the
     scalar function gives it.
     """
     ks = np.fromiter(ks, dtype=np.int64)
@@ -184,17 +171,16 @@ def check_relaxation_seq(schedule, ks: Iterable[int], tail_fraction: float = 0.2
     ks = ks[np.searchsorted(ks, 2):]
     if not ks.size:
         raise ValueError("need at least one index k >= 2")
-    alpha = scalar_column(schedule.alpha_at, ks)
+    alpha, lam = schedule.columns(ks)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        nu = 1.0 / scalar_column(schedule.lambda_at, ks) - 1.0
+        nu = 1.0 / lam - 1.0
         # the k - 1 term is the previous entry's when that index is k - 1;
         # the other indices evaluate it on their own
         back = np.empty_like(nu)
         back[1:] = nu[:-1] * (1.0 - alpha[:-1])
         own = np.diff(ks, prepend=0) != 1
-        prev = ks[own] - 1
-        back[own] = ((1.0 / scalar_column(schedule.lambda_at, prev) - 1.0)
-                     * (1.0 - scalar_column(schedule.alpha_at, prev)))
+        alpha_prev, lam_prev = schedule.columns(ks[own] - 1)
+        back[own] = (1.0 / lam_prev - 1.0) * (1.0 - alpha_prev)
         values = alpha * (1.0 + alpha) + nu * alpha * (1.0 - alpha) - back
     window = max(1, int(ks.size * tail_fraction))
     tail = values[-window:]

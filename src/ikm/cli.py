@@ -233,8 +233,8 @@ def feasibility_summary(schedule: Schedule, op: OperatorHandle, xi: float, max_i
         if gamma is None:
             eta_schedule, eta = schedule, "lambda_k"
         else:
-            eta_schedule = Schedule(schedule.alpha_at,
-                                    lambda k: gamma * schedule.lambda_at(k), schedule.kind)
+            eta_schedule = Schedule(schedule.alpha_col,
+                                    lambda ks: gamma * schedule.lambda_col(ks), schedule.kind)
             eta = f"gamma*lambda_k, gamma={_fmt(gamma)}"
         ks = range(2, min(max_iters, 100_000) + 1)
         if not ks:
@@ -292,6 +292,17 @@ def _parse_column(path: str, name: str, tokens: List[str]) -> Optional[np.ndarra
         raise ConfigError(f"{path}: column {name}: {exc}") from None
 
 
+def scalar_column(fn: Callable[[int], float], ks: np.ndarray) -> np.ndarray:
+    """``fn(k)`` for each entry of the int64 array ``ks``, as a float64 array.
+
+    ``fn`` gets Python ints, converted ``engine.ROW_CHUNK`` at a time, so no
+    list of ``ks.size`` Python objects is ever held.
+    """
+    ints = itertools.chain.from_iterable(ks[lo:lo + engine.ROW_CHUNK].tolist()
+                                         for lo in range(0, ks.size, engine.ROW_CHUNK))
+    return np.fromiter(map(fn, ints), np.float64, ks.size)
+
+
 def rate_bound_column(trace: Trace, schedule: Schedule, q: Optional[float],
                       xi: float) -> Optional[np.ndarray]:
     """``rate_bound(k - 1, alpha, Q, ||x_1 - p||^2)`` per row of a run with a
@@ -306,9 +317,10 @@ def rate_bound_column(trace: Trace, schedule: Schedule, q: Optional[float],
     Q_const = cert.contraction_constant(lam, q, xi)
     if not alpha < Q_const < 1.0:
         return None
-    # scalar calls: libm pow, not NumPy power, keeps the column's bits
+    # one scalar call per index: libm pow, not NumPy power, gives the bits
+    # an ikm-trace-v2 file holds in its rate_bound column
     d1 = trace.dist_to_ref[0].item() ** 2
-    return cert.scalar_column(lambda k: cert.rate_bound(k - 1, alpha, Q_const, d1), trace.k)
+    return scalar_column(lambda k: cert.rate_bound(k - 1, alpha, Q_const, d1), trace.k)
 
 
 def _certified_q(cfg: Dict[str, str]) -> Optional[float]:
@@ -403,7 +415,7 @@ def read_trace(path: str, consistency: bool = False):
         raise ConfigError(f"{path}: missing embedded '# config:' line")
 
     schedule, _, xi = build_schedule(ConfigView(cfg))
-    alpha, lam = engine.schedule_columns(schedule, k)
+    alpha, lam = schedule.columns(k)
     trace = engine.derive_trace(columns.pop("residual"), columns.pop("step"), alpha, lam,
                                 columns.pop("dist_to_ref"), columns.pop("objective"), k=k)
     trace.rate_bound = rate_bound_column(trace, schedule, _certified_q(cfg), xi)

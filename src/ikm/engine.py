@@ -5,7 +5,10 @@ The iteration is
     y_k     = x_k + alpha_k (x_k - x_{k-1})
     x_{k+1} = (1 - lambda_k) y_k + lambda_k T(y_k)
 
-started from ``x_0 = x_1`` so the first inertial term vanishes.  A run's
+started from ``x_0 = x_1`` so the first inertial term vanishes.  The
+parameters are sequences held as columns: a :class:`Schedule` maps an int64
+index array to the float64 values of ``alpha_k`` and ``lambda_k``, and the
+run, its derived columns and the replays all read it that way.  A run's
 record is one :class:`Trace` of NumPy columns, one entry per step.  Each step
 measures only what it decides on: the residual ``||y_k - T y_k||`` that the
 stopping rule reads (recorded with ``alpha_k`` and ``lambda_k``) and whether
@@ -68,7 +71,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .certificates import contraction_constant, scalar_column
+from .certificates import contraction_constant
 from .linalg import flush_subnormals, is_finite, norm
 from .operators import OperatorHandle, residual as op_residual
 
@@ -85,7 +88,6 @@ __all__ = [
     "monotone_prefix",
     "picard",
     "run",
-    "schedule_columns",
     "small_o_check",
     "verify_Ck_monotone",
     "verify_contraction",
@@ -107,30 +109,32 @@ ROW_CHUNK = 256
 # at once; 32 rows of a 399-vector are 100 KiB
 BLOCK_ROWS = 32
 
+# a schedule column: int64 indices in, float64 values out
+Column = Callable[[np.ndarray], np.ndarray]
+
 
 # --------------------------------------------------------------------------
 # schedules and stopping
 
 
 class Schedule:
-    """Parameter sequences ``(alpha_k, lambda_k)`` for ``k >= 1``.
+    """Parameter sequences ``(alpha_k, lambda_k)`` for ``k >= 1``, held as columns.
 
-    ``alpha_k`` must be nondecreasing in [0, 1); ``lambda_k`` positive
-    (values above 1 are legal so over-relaxed and deliberately infeasible
-    runs stay expressible).  Use the ``constant``, ``ramp`` or ``table``
-    constructors.  ``alpha_col`` and ``lambda_col`` map an int64 index
-    array to the float64 column of the same values (the constructors give
-    closed forms); without them a column takes one scalar call per index.
+    ``alpha_col`` and ``lambda_col`` map an int64 index array ``ks`` to the
+    float64 array of ``alpha_k`` and ``lambda_k`` at those indices; they are
+    the schedule's only definition.  ``alpha_k`` must be nondecreasing in
+    [0, 1); ``lambda_k`` positive (values above 1 are legal so over-relaxed
+    and deliberately infeasible runs stay expressible).  :func:`run`
+    validates a custom schedule as it reads it; the ``constant``, ``ramp``
+    and ``table`` constructors validate up front and give closed forms.
     ``const`` is ``(alpha, lambda)`` for a :meth:`constant` schedule, else None.
     """
 
-    def __init__(self, alpha_fn, lambda_fn, kind: str, alpha_col=None, lambda_col=None):
-        self._alpha_fn = alpha_fn
-        self._lambda_fn = lambda_fn
+    def __init__(self, alpha_col: Column, lambda_col: Column, kind: str):
+        self.alpha_col = alpha_col
+        self.lambda_col = lambda_col
         self.kind = kind
         self.const: Optional[Tuple[float, float]] = None
-        self._alpha_col = alpha_col or (lambda ks: scalar_column(alpha_fn, ks))
-        self._lambda_col = lambda_col or (lambda ks: scalar_column(lambda_fn, ks))
 
     @classmethod
     def constant(cls, alpha: float, lam: float) -> "Schedule":
@@ -138,9 +142,8 @@ class Schedule:
             raise ValueError("alpha must lie in [0, 1)")
         if lam <= 0.0:
             raise ValueError("lambda must be > 0")
-        schedule = cls(lambda k: alpha, lambda k: lam, "constant",
-                       lambda ks: np.full(ks.size, alpha, dtype=np.float64),
-                       lambda ks: np.full(ks.size, lam, dtype=np.float64))
+        schedule = cls(lambda ks: np.full(ks.size, alpha, dtype=np.float64),
+                       lambda ks: np.full(ks.size, lam, dtype=np.float64), "constant")
         schedule.const = (alpha, lam)
         return schedule
 
@@ -154,13 +157,13 @@ class Schedule:
         if ramp_iters < 1:
             raise ValueError("ramp_iters must be >= 1")
 
-        def alpha_fn(k: int) -> float:
-            if k >= ramp_iters:
-                return alpha_end
-            return alpha_start + (alpha_end - alpha_start) * (k - 1) / (ramp_iters - 1)
+        def alpha_col(ks: np.ndarray) -> np.ndarray:
+            # ramp_iters = 1 divides by zero on entries np.where discards
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(ks >= ramp_iters, alpha_end, alpha_start
+                                + (alpha_end - alpha_start) * (ks - 1) / (ramp_iters - 1))
 
-        lambda_fn, lambda_col = _hold_last(_lambda_table(lambdas))
-        return cls(alpha_fn, lambda_fn, "ramp-to-constant", lambda_col=lambda_col)
+        return cls(alpha_col, _hold_last(_lambda_table(lambdas)), "ramp-to-constant")
 
     @classmethod
     def table(cls, alphas: Sequence[float], lambdas: Sequence[float]) -> "Schedule":
@@ -173,19 +176,19 @@ class Schedule:
                 raise ValueError("alpha values must lie in [0, 1)")
         if any(a2 < a1 for a1, a2 in zip(alphas, alphas[1:])):
             raise ValueError("alpha table must be nondecreasing")
-        alpha_fn, alpha_col = _hold_last(alphas)
-        lambda_fn, lambda_col = _hold_last(_lambda_table(lambdas))
-        return cls(alpha_fn, lambda_fn, "custom-table", alpha_col, lambda_col)
+        return cls(_hold_last(alphas), _hold_last(_lambda_table(lambdas)), "custom-table")
+
+    def columns(self, ks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(alpha_k, lambda_k)`` as float64 arrays over the int64 indices ``ks``."""
+        if ks.size and ks.min() < 1:
+            raise ValueError("k must be >= 1")
+        return self.alpha_col(ks), self.lambda_col(ks)
 
     def alpha_at(self, k: int) -> float:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        return self._alpha_fn(k)
+        return self.columns(np.array([k]))[0].item()
 
     def lambda_at(self, k: int) -> float:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        return self._lambda_fn(k)
+        return self.columns(np.array([k]))[1].item()
 
 
 def _lambda_table(lambdas: Sequence[float]) -> List[float]:
@@ -197,13 +200,12 @@ def _lambda_table(lambdas: Sequence[float]) -> List[float]:
     return lambdas
 
 
-def _hold_last(table: List[float]) -> Tuple[Callable[[int], float],
-                                           Callable[[np.ndarray], np.ndarray]]:
-    """``k -> table[min(k - 1, len - 1)]``, and the same over an index array
-    (a float64 copy of the table indexed, so the same floats)."""
+def _hold_last(table: List[float]) -> Column:
+    """``ks -> table[min(k - 1, len - 1)]`` over an index array (a float64
+    copy of the table indexed, so the table's floats)."""
     last = len(table) - 1
     values = np.array(table, dtype=np.float64)
-    return (lambda k: table[min(k - 1, last)]), (lambda ks: values[np.minimum(ks - 1, last)])
+    return lambda ks: values[np.minimum(ks - 1, last)]
 
 
 @dataclass(frozen=True)
@@ -229,8 +231,7 @@ class StoppingRule:
 class TraceRow:
     """Diagnostics of one iteration (reference-dependent fields may be None).
 
-    The row view of a :class:`Trace`: ``Trace[i]`` returns one and
-    :meth:`Trace.from_rows` accepts a list of them.
+    The row view of a :class:`Trace`: ``Trace[i]`` returns one.
     """
 
     k: int
@@ -280,21 +281,6 @@ class Trace:
             setattr(self, name, col)
         if columns:
             raise ValueError(f"unknown trace columns {sorted(columns)}")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[TraceRow]) -> "Trace":
-        """Columns of a row list; an optional column must be all None or all set."""
-        rows = list(rows)
-        columns = {}
-        for name in COLUMNS:
-            values = [getattr(r, name) for r in rows]
-            empty = values.count(None)
-            if empty == len(values) and name in OPTIONAL_COLUMNS:
-                values = None
-            elif empty:
-                raise ValueError(f"trace column {name} mixes empty and filled rows")
-            columns[name] = values
-        return cls(**columns)
 
     def __len__(self) -> int:
         return self.k.size
@@ -379,8 +365,7 @@ class RunResult:
     the newest one computed, and ``ys`` the last inertial point (empty when no
     step was taken); :func:`picard` returns ``xs = [x]``.  ``x_last`` is the
     iterate ``x_k`` the last trace row describes, one of ``xs`` (None without
-    rows).  ``rows`` is a :class:`Trace`; a list of :class:`TraceRow` is
-    converted on construction.
+    rows).  ``rows`` is a :class:`Trace`.
     """
 
     rows: Trace
@@ -391,10 +376,6 @@ class RunResult:
     p_ref: Optional[np.ndarray] = None
     operator: Optional[OperatorHandle] = None
     x_last: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if not isinstance(self.rows, Trace):
-            self.rows = Trace.from_rows(self.rows)
 
     @property
     def iterations(self) -> int:
@@ -431,10 +412,13 @@ def run(
     called once on the stack of iterates.  ``objective`` therefore maps an
     ``(r, n)`` stack to ``r`` values, each with the bits of a per-point call.
 
-    A constant schedule (``schedule.const``) is read and checked once; any
-    other is read and checked per step.  The ``alpha`` and ``lambda``
-    columns the trace derives from come from :func:`schedule_columns` at
-    the end.
+    The schedule is read through :meth:`Schedule.columns` one block at a
+    time, at the block's first step, over its indices up to
+    ``stop.max_iters``, and validated as a whole: ``alpha_k`` in [0, 1) and
+    nondecreasing, ``lambda_k > 0``.  An invalid entry raises ``ValueError``
+    when the step that uses it is reached, so a run that stops first does
+    not raise.  The ``alpha`` and ``lambda`` columns the trace derives from
+    are read once more at the end.
 
     When ``T.exact_zeros`` is set, entries of magnitude below
     ``np.finfo(float).tiny`` are zeroed in ``y_k`` when ``alpha_k != 0`` and
@@ -464,10 +448,6 @@ def run(
     j = 0
     status = "max_iters"
     flush_zeros = T.exact_zeros
-    const = schedule.const
-    if const is not None:
-        a_k, l_k = const
-        _check_params(1, a_k, l_k, 0.0)
     a_prev = 0.0
 
     def flush() -> None:
@@ -489,17 +469,19 @@ def run(
         flush()
         ys = [] if y_last is None else [y_last]
         k = np.arange(1, len(res_col) + 1, dtype=np.int64)
-        alpha, lam = schedule_columns(schedule, k)
+        alpha, lam = schedule.columns(k)
         trace = derive_trace(res_col, step_col, alpha, lam, dist_col, obj_col, k)
         return RunResult(trace, [x_prev, x_curr], ys, status, schedule, p_ref, T, x_last)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, stop.max_iters + 1):
-            if const is None:
-                a_k = schedule.alpha_at(k)
-                l_k = schedule.lambda_at(k)
-                _check_params(k, a_k, l_k, a_prev)
-                a_prev = a_k
+            if j == 0:
+                alphas, lams, bad_k, bad = _schedule_block(
+                    schedule, k, min(k + BLOCK_ROWS - 1, stop.max_iters), a_prev)
+                a_prev = alphas[-1]
+            if k == bad_k:
+                raise ValueError(bad)
+            a_k, l_k = alphas[j], lams[j]
 
             diff = np.subtract(x_curr, x_prev, out=diffs[j])
             if iterates is not None:
@@ -547,34 +529,58 @@ def run(
         return result(status)
 
 
-def _check_params(k: int, a_k: float, l_k: float, a_prev: float) -> None:
-    """Raise unless ``alpha_k`` lies in [0, 1), is at least ``a_prev`` and
-    ``lambda_k > 0``."""
-    if not 0.0 <= a_k < 1.0:
-        raise ValueError(f"alpha_{k} = {a_k} outside [0, 1)")
-    if a_k < a_prev:
-        raise ValueError(f"alpha sequence decreases at k={k}")
-    if l_k <= 0.0:
-        raise ValueError(f"lambda_{k} = {l_k} must be > 0")
+def _schedule_block(schedule: Schedule, k: int, last: int,
+                    a_prev: float) -> Tuple[list, list, int, Optional[str]]:
+    """``alpha`` and ``lambda`` over the indices ``k .. last`` as lists of floats,
+    the first of those indices whose entries are invalid and its error message
+    (0 and None when all are valid).
+
+    An index is invalid when ``alpha`` lies outside [0, 1), falls below the
+    previous index's (``a_prev`` before ``k``) or ``lambda <= 0``; the message
+    names the first of the three that fails.
+    """
+    a, lam = schedule.columns(np.arange(k, last + 1, dtype=np.int64))
+    alphas, lams = a.tolist(), lam.tolist()
+    # an alpha below 0 is below its valid predecessor (a_prev >= 0), so the
+    # first index flagged is the first invalid one
+    bad = (a < np.concatenate(([a_prev], a[:-1]))) | ~(a < 1.0) | (lam <= 0.0)
+    if not bad.any():
+        return alphas, lams, 0, None
+    i = int(bad.argmax())
+    if not 0.0 <= alphas[i] < 1.0:
+        error = f"alpha_{k + i} = {alphas[i]} outside [0, 1)"
+    elif alphas[i] < (alphas[i - 1] if i else a_prev):
+        error = f"alpha sequence decreases at k={k + i}"
+    else:
+        error = f"lambda_{k + i} = {lams[i]} must be > 0"
+    return alphas, lams, k + i, error
 
 
 def picard(T: OperatorHandle, x0: np.ndarray, tol: float, max_iters: int) -> RunResult:
-    """Plain fixed-point iteration ``x <- T x`` without trace (reference runs)."""
+    """Plain fixed-point iteration ``x <- T x`` (reference runs).
+
+    The trace is one row, the last index and its residual (no row after a
+    divergence).
+    """
     x = x0
     for k in range(1, max_iters + 1):
         tx = T.apply(x)
         r = norm(x - tx)
         # a finite residual implies a finite T x; the exact test is the fallback
         if not math.isfinite(r) and not is_finite(tx):
-            raise DivergenceError(k, RunResult([], [x], [], "diverged", operator=T))
+            raise DivergenceError(k, RunResult(_last_row(k, r)[:0], [x], [], "diverged",
+                                               operator=T))
         if r <= tol:
-            row = TraceRow(k=k, residual=r, step=0.0, nu_k=0.0, delta_k=0.0,
-                           k_step_sq=0.0, k_res_sq=k * r * r)
-            return RunResult([row], [x], [], "converged", operator=T)
+            return RunResult(_last_row(k, r), [x], [], "converged", operator=T)
         x = tx
-    row = TraceRow(k=max_iters, residual=norm(x - T.apply(x)), step=0.0, nu_k=0.0,
-                   delta_k=0.0)
-    return RunResult([row], [x], [], "max_iters", operator=T)
+    return RunResult(_last_row(max_iters, norm(x - T.apply(x))), [x], [], "max_iters",
+                     operator=T)
+
+
+def _last_row(k: int, r: float) -> Trace:
+    zeros = np.zeros(1)
+    return Trace(k=[k], residual=[r], step=zeros, nu_k=zeros, delta_k=zeros,
+                 k_step_sq=zeros, k_res_sq=[k * r * r])
 
 
 # --------------------------------------------------------------------------
@@ -631,18 +637,6 @@ def _unpack(trace, schedule) -> Tuple[Trace, Schedule]:
 def _check_ref_fixed(op, p_ref):
     if op is not None and op_residual(op, p_ref) > 1e-10:
         raise ValueError("p_ref is not a fixed point (residual > 1e-10)")
-
-
-def schedule_columns(schedule: Schedule, ks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(alpha_k, lambda_k)`` as float64 arrays over the indices ``ks``.
-
-    Constant and table sequences are filled in closed form, a ramp's alpha
-    by one call of its formula per index; each entry has the bits of
-    ``alpha_at(k)`` and ``lambda_at(k)``.
-    """
-    if ks.size and ks.min() < 1:
-        raise ValueError("k must be >= 1")
-    return schedule._alpha_col(ks), schedule._lambda_col(ks)
 
 
 def _contraction_column(lam: np.ndarray, q: float, xi: float) -> np.ndarray:
@@ -760,7 +754,7 @@ def verify_descent(trace, schedule: Optional[Schedule] = None,
 
     def chunk(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
         ks = trace.k[lo:hi]
-        a, lam = schedule_columns(schedule, ks)
+        a, lam = schedule.columns(ks)
         prev, cur, nxt = _dist_sq(trace, lo, hi)
         step = trace.step[lo:hi]
         nu = 1.0 / lam - 1.0
@@ -800,7 +794,7 @@ def verify_contraction(trace, q: float, xi: float, schedule: Optional[Schedule] 
     trace, schedule = _unpack(trace, schedule)
 
     def chunk(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
-        a, lam = schedule_columns(schedule, trace.k[lo:hi])
+        a, lam = schedule.columns(trace.k[lo:hi])
         Q = _contraction_column(lam, q, xi)
         res = trace.residual[lo:hi]
         rhs = Q * _y_dist_sq(trace, a, lo) - xi * lam * (1.0 - lam) * (res * res)
@@ -828,7 +822,7 @@ def verify_product_bound(trace, q: float, xi: float, schedule: Optional[Schedule
 
     def chunk(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
         nonlocal carry
-        a, lam = schedule_columns(schedule, trace.k[lo:hi])
+        a, lam = schedule.columns(trace.k[lo:hi])
         prod = np.cumprod(np.concatenate((carry, _contraction_column(lam, q, xi))))[1:]
         carry = prod[-1:]
         _, cur, nxt = _dist_sq(trace, lo, hi)

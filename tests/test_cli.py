@@ -225,7 +225,7 @@ def trace_for(cfg, residual, step, dist_to_ref=None, objective=None):
     (its schedule, q and xi), as a run under that config records it."""
     schedule, _, xi = cli.build_schedule(ConfigView(cfg))
     k = np.arange(1, residual.size + 1)
-    alpha, lam = engine.schedule_columns(schedule, k)
+    alpha, lam = schedule.columns(k)
     trace = engine.derive_trace(residual, step, alpha, lam, dist_to_ref, objective)
     trace.rate_bound = cli.rate_bound_column(trace, schedule, cli._certified_q(cfg), xi)
     return trace
@@ -794,7 +794,7 @@ def test_build_schedule_every_kind(tmp_path, a_kind, l_kind):
     assert alphas == [_documented_alpha(a_kind, k) for k in ks]
     assert lambdas == [_documented_lambda(l_kind, k) for k in ks]
     # the column form the replays read holds the same floats
-    a_col, l_col = engine.schedule_columns(schedule, np.arange(1, 7 + 3))
+    a_col, l_col = schedule.columns(np.arange(1, 7 + 3))
     assert a_col.tobytes() == np.array(alphas).tobytes()
     assert l_col.tobytes() == np.array(lambdas).tobytes()
 

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from ikm.engine import (
     Schedule,
     StoppingRule,
     Trace,
-    TraceRow,
     _alpha_second_diff_sq,
     _y_dist_sq,
     contraction_constant,
@@ -115,6 +115,44 @@ def test_schedule_table_holds_last_and_validates():
         Schedule.table([0.1], [0.0])
 
 
+@st.composite
+def ramp_and_table_cases(draw):
+    """(alpha_start, alpha_end, ramp_iters, alphas, lambdas, ks): ks reach past
+    the ramp and both tables."""
+    start = draw(st.floats(0.0, 0.99))
+    end = draw(st.floats(start, 0.99))
+    ramp_iters = draw(st.one_of(st.integers(1, 5), st.integers(1, 10 ** 6)))
+    alphas = sorted(draw(st.lists(st.floats(0.0, 0.99), min_size=1, max_size=6)))
+    lambdas = draw(st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=6))
+    near = st.integers(max(1, ramp_iters - 3), ramp_iters + 3)
+    ks = draw(st.lists(st.one_of(st.integers(1, 10), near, st.integers(1, 2 * 10 ** 6)),
+                       min_size=1, max_size=20))
+    return start, end, ramp_iters, alphas, lambdas, ks
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=ramp_and_table_cases())
+@example(case=(0.0, 0.3, 1, [0.1], [0.5], [1, 2, 3]))
+@example(case=(0.1, 0.7, 3, [0.0, 0.2], [0.9, 1.3], [1, 2, 3, 4, 10 ** 7]))
+def test_ramp_and_table_columns_match_the_scalar_formulas(case):
+    start, end, ramp_iters, alphas, lambdas, ks = case
+    # the formulas as scalar Python float arithmetic, one index at a time
+    ramp = [end if k >= ramp_iters else start + (end - start) * (k - 1) / (ramp_iters - 1)
+            for k in ks]
+    alpha_table = [alphas[min(k - 1, len(alphas) - 1)] for k in ks]
+    lambda_table = [lambdas[min(k - 1, len(lambdas) - 1)] for k in ks]
+    index = np.array(ks, dtype=np.int64)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        ramp_cols = Schedule.ramp(start, end, ramp_iters, lambdas).columns(index)
+        table_cols = Schedule.table(alphas, lambdas).columns(index)
+    want = np.array(ramp), np.array(lambda_table)
+    assert [c.tobytes() for c in ramp_cols] == [c.tobytes() for c in want]
+    want = np.array(alpha_table), np.array(lambda_table)
+    assert [c.tobytes() for c in table_cols] == [c.tobytes() for c in want]
+    assert all(c.dtype == np.float64 for c in ramp_cols + table_cols)
+
+
 def test_stopping_rule_validation():
     with pytest.raises(ValueError):
         StoppingRule(max_iters=0)
@@ -154,12 +192,20 @@ def test_km_step_fixed_point_absorption(quad_50):
     assert all(r.residual <= 1e-12 for r in res.rows)
 
 
+def full(value):
+    """A schedule column holding ``value`` at every index."""
+    return lambda ks: np.full(ks.size, value, dtype=np.float64)
+
+
 def test_km_step_parameter_validation():
     x = np.zeros(3)
-    with pytest.raises(ValueError):
-        run(IDENTITY, x, Schedule(lambda k: 1.0, lambda k: 0.5, "custom"), StoppingRule(1, 0.0))
-    with pytest.raises(ValueError):
-        run(IDENTITY, x, Schedule(lambda k: 0.0, lambda k: 0.0, "custom"), StoppingRule(1, 0.0))
+    with pytest.raises(ValueError, match=r"alpha_1 = 1.0 outside \[0, 1\)"):
+        run(IDENTITY, x, Schedule(full(1.0), full(0.5), "custom"), StoppingRule(1, 0.0))
+    with pytest.raises(ValueError, match="lambda_1 = 0.0 must be > 0"):
+        run(IDENTITY, x, Schedule(full(0.0), full(0.0), "custom"), StoppingRule(1, 0.0))
+    # an alpha out of range is reported before a lambda at the same index
+    with pytest.raises(ValueError, match="alpha_1 = nan outside"):
+        run(IDENTITY, x, Schedule(full(np.nan), full(-1.0), "custom"), StoppingRule(1, 0.0))
 
 
 # --------------------------------------------------------------------------
@@ -187,11 +233,43 @@ def test_run_picard_contracts_by_spectral_factor(quad_50):
 
 
 def test_run_rejects_decreasing_alpha():
-    alphas = {1: 0.3, 2: 0.2}
-    sched = Schedule(lambda k: alphas.get(k, 0.2), lambda k: 0.5, "custom")
+    sched = Schedule(lambda ks: np.where(ks == 1, 0.3, 0.2), full(0.5), "custom")
     halve = OperatorHandle(apply=lambda x: 0.5 * x, name="halve")
     with pytest.raises(ValueError, match="decreases"):
         run(halve, np.ones(3), sched, StoppingRule(10, 0.0))
+
+
+def test_run_rejects_decreasing_alpha_at_the_first_step_of_a_block():
+    # k = 33 is the first index of the second BLOCK_ROWS block; the 32 steps
+    # before it run
+    assert BLOCK_ROWS == 32
+    sched = Schedule(lambda ks: np.where(ks < 33, 0.3, 0.2), full(0.5), "custom")
+    halve, calls = recording_handle(OperatorHandle(apply=lambda x: 0.5 * x, name="halve"))
+    with pytest.raises(ValueError, match="^alpha sequence decreases at k=33$"):
+        run(halve, np.ones(3), sched, StoppingRule(100, 0.0))
+    assert len(calls) == 32
+
+
+def test_run_that_stops_before_an_invalid_entry_does_not_raise():
+    # alpha leaves [0, 1) at k = 10; the identity converges at k = 1
+    sched = Schedule(lambda ks: np.where(ks == 10, 1.5, 0.2), full(0.5), "custom")
+    res = run(IDENTITY, np.ones(3), sched, StoppingRule(100, 0.0))
+    assert res.status == "converged" and res.iterations == 1
+
+
+def test_run_ignores_invalid_entries_past_max_iters():
+    # lambda_12 = 0 lies past max_iters = 10, so the run never reads it
+    asked = []
+
+    def lambda_col(ks):
+        asked.append(ks.max())
+        return np.where(ks == 12, 0.0, 0.5)
+
+    sched = Schedule(full(0.2), lambda_col, "custom")
+    halve = OperatorHandle(apply=lambda x: 0.5 * x, name="halve")
+    res = run(halve, np.ones(3), sched, StoppingRule(10, 0.0))
+    assert res.status == "max_iters" and res.iterations == 10
+    assert max(asked) == 10
 
 
 def test_run_divergence_carries_partial_trace():
@@ -662,14 +740,11 @@ def test_row_reconstructions_match_direct_computation(vecs, a, lam):
     y = x_k + a * (x_k - x_prev)
     x_next = (1.0 - lam) * y + lam * ty
     n = np.linalg.norm
-
-    def row(k, step, residual, dist):
-        return TraceRow(k=k, residual=residual, step=step, nu_k=0.0, delta_k=0.0,
-                        dist_to_ref=dist)
-
-    trace = Trace.from_rows([row(1, 0.0, 0.0, n(x_prev - p)),
-                             row(2, n(x_k - x_prev), n(y - ty), n(x_k - p)),
-                             row(3, n(x_next - x_k), 0.0, n(x_next - p))])
+    zeros = np.zeros(3)
+    trace = Trace(k=[1, 2, 3], residual=[0.0, n(y - ty), 0.0],
+                  step=[0.0, n(x_k - x_prev), n(x_next - x_k)], nu_k=zeros, delta_k=zeros,
+                  dist_to_ref=[n(x_prev - p), n(x_k - p), n(x_next - p)],
+                  k_step_sq=zeros, k_res_sq=zeros)
     # rounding of the direct side scales with the vectors themselves, down
     # to a few units of the smallest subnormal where that scale underflows
     scale = sum(n(v) ** 2 for v in (x_prev, x_k, x_next, y, ty, p))
@@ -695,20 +770,18 @@ def test_trace_rows_slices_and_equality(lasso_default):
     assert type(trace[3].k) is int and type(trace[3].residual) is float
     assert trace[0].objective is None and trace[0].rate_bound is None
     assert list(trace[10:13]) == rows[10:13]
-    assert Trace.from_rows(rows) == trace
-    assert RunResult(rows, res.xs, res.ys, res.status).rows == trace
-    changed = list(rows)
-    changed[4] = dataclasses.replace(changed[4], step=changed[4].step * 2)
-    assert Trace.from_rows(changed) != trace
-    empty = Trace.from_rows([])
+    # the rows hold the columns' values, field by field
+    columns = {name: None if getattr(trace, name) is None else [getattr(r, name) for r in rows]
+               for name in COLUMNS}
+    assert Trace(**columns) == trace
+    changed = dict(columns, step=list(columns["step"]))
+    changed["step"][4] *= 2
+    assert Trace(**changed) != trace
+    empty = Trace(**{name: [] for name in COLUMNS if name not in OPTIONAL_COLUMNS})
     assert len(empty) == 0 and list(empty) == [] and empty.dist_to_ref is None
 
 
-def test_trace_from_rows_rejects_mixed_optional_column():
-    rows = [TraceRow(k=1, residual=1.0, step=0.0, nu_k=0.0, delta_k=0.0, dist_to_ref=1.0),
-            TraceRow(k=2, residual=0.5, step=0.5, nu_k=0.0, delta_k=0.0)]
-    with pytest.raises(ValueError, match="dist_to_ref mixes"):
-        Trace.from_rows(rows)
+def test_trace_rejects_columns_of_unequal_length():
     with pytest.raises(ValueError, match="residual"):
         Trace(k=[1, 2], residual=[1.0], step=[0.0, 0.0], nu_k=[0.0, 0.0], delta_k=[0.0, 0.0],
               k_step_sq=[0.0, 0.0], k_res_sq=[0.0, 0.0])
@@ -1130,8 +1203,9 @@ def test_descent_rows_path_matches_exact_path(lasso_default):
 
 
 def corrupt_dist(res, i, by):
-    rows = [dataclasses.replace(r) for r in res.rows]
-    rows[i].dist_to_ref += by
+    rows = res.rows[:]
+    rows.dist_to_ref = rows.dist_to_ref.copy()
+    rows.dist_to_ref[i] += by
     return dataclasses.replace(res, rows=rows)
 
 

@@ -17,11 +17,11 @@ the directory holds afterwards.
 
 Fixed cases outside the benchmark run beside the workloads, once per seed
 (the seed is their ``problem.seed``): ``ikm run`` and then ``ikm certify``
-on five small quadratic configs that take the check and schedule paths the
+on seven small quadratic configs that take the check and schedule paths the
 workloads do not (every check on a certified run, ``run.p_ref = none``, an
-infeasible schedule, ramp alpha with a lambda table, table alpha with a
-constant lambda above 1, a run that ends ``stalled`` on
-``stopping.stall_tol``), on a quadratic ramp-alpha config with
+infeasible schedule, ramp alpha with a lambda table, a ramp of one step
+(``schedule.alpha_ramp_iters = 1``), table alpha with a constant lambda
+above 1, a run that ends ``stalled`` on ``stopping.stall_tol``), on a quadratic ramp-alpha config with
 ``stopping.max_iters = 100000`` that converges early, so the
 ``relaxation_seq`` precheck line over 100,000 indices is compared, on a
 1,000-row quadratic run whose alpha ramps out of the feasible region, so
@@ -94,6 +94,10 @@ FIXED_CONFIGS = {
                               "schedule.alpha_end = 0.1\nschedule.alpha_ramp_iters = 30\n"
                               "schedule.lambda_kind = table\n"
                               "schedule.lambda_table = 0.5,0.7,0.9\n"),
+    # a one-step ramp: alpha_end from k = 1, the ramp formula never divides
+    "ramp-one": GRADIENT + ("schedule.alpha_kind = ramp\nschedule.alpha_start = 0\n"
+                            "schedule.alpha_end = 0.1\nschedule.alpha_ramp_iters = 1\n"
+                            "schedule.lambda = 0.9\n"),
     # lambda > 1 skips the contraction replays; the run stops at max_iters
     "table-constant": GRADIENT + ("schedule.alpha_kind = table\n"
                                   "schedule.alpha_table = 0,0.02,0.04,0.05\n"
