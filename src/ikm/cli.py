@@ -586,7 +586,7 @@ def cmd_check_params(alpha: float, lam: float, q: Optional[float], xi: Optional[
                      gamma: Optional[float], out=sys.stdout) -> int:
     if not 0.0 <= alpha < 1.0:
         raise UsageError("alpha must lie in [0, 1)")
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise UsageError("lambda must be > 0")
     if gamma is not None and not 0.0 < gamma <= 1.0:
         raise UsageError("gamma must lie in (0, 1]")

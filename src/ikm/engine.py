@@ -140,7 +140,7 @@ class Schedule:
     def constant(cls, alpha: float, lam: float) -> "Schedule":
         if not 0.0 <= alpha < 1.0:
             raise ValueError("alpha must lie in [0, 1)")
-        if lam <= 0.0:
+        if not lam > 0.0:
             raise ValueError("lambda must be > 0")
         schedule = cls(lambda ks: np.full(ks.size, alpha, dtype=np.float64),
                        lambda ks: np.full(ks.size, lam, dtype=np.float64), "constant")
@@ -195,7 +195,7 @@ def _lambda_table(lambdas: Sequence[float]) -> List[float]:
     lambdas = [float(l) for l in lambdas]
     if not lambdas:
         raise ValueError("tables must be non-empty")
-    if min(lambdas) <= 0.0:
+    if not all(lam > 0.0 for lam in lambdas):
         raise ValueError("lambda values must be > 0")
     return lambdas
 
@@ -536,14 +536,15 @@ def _schedule_block(schedule: Schedule, k: int, last: int,
     (0 and None when all are valid).
 
     An index is invalid when ``alpha`` lies outside [0, 1), falls below the
-    previous index's (``a_prev`` before ``k``) or ``lambda <= 0``; the message
-    names the first of the three that fails.
+    previous index's (``a_prev`` before ``k``) or ``lambda`` is not positive
+    (``lambda <= 0`` or nan); the message names the first of the three that
+    fails.
     """
     a, lam = schedule.columns(np.arange(k, last + 1, dtype=np.int64))
     alphas, lams = a.tolist(), lam.tolist()
     # an alpha below 0 is below its valid predecessor (a_prev >= 0), so the
     # first index flagged is the first invalid one
-    bad = (a < np.concatenate(([a_prev], a[:-1]))) | ~(a < 1.0) | (lam <= 0.0)
+    bad = (a < np.concatenate(([a_prev], a[:-1]))) | ~(a < 1.0) | ~(lam > 0.0)
     if not bad.any():
         return alphas, lams, 0, None
     i = int(bad.argmax())

@@ -14,7 +14,8 @@ spectrum comes from one eigendecomposition of the smaller of ``K K^T`` and
 whose eigendecomposition is known is a :class:`SpectralMap` of ``(Q, w)``:
 its spectrum, solves and resolvents come from ``Q`` and ``w`` with no
 factorization.  Cholesky (SciPy) serves only :func:`spd_solver` on a
-dense :class:`LinearMap`.  Everything here
+dense :class:`LinearMap`: ``scipy.linalg`` loads on the first such
+solve, so a process that makes none never loads it.  Everything here
 is a pure function of its inputs: reductions go through a single NumPy
 build in a fixed order, so repeated calls are bit-reproducible within one
 installation.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+import scipy
 
 from .rng import SplitMix64
 
@@ -279,7 +280,8 @@ def spd_solver(M: Union[LinearMap, SpectralMap]) -> Callable[[np.ndarray], np.nd
     """Prefactored SPD solver; raises ``ValueError`` if ``M`` is not SPD.
 
     A :class:`SpectralMap` solves from its eigendecomposition; a dense
-    :class:`LinearMap` is Cholesky-factored once.
+    :class:`LinearMap` is Cholesky-factored once by ``scipy.linalg``, which
+    SciPy's lazy submodule loading imports on the first such call.
     """
     if isinstance(M, SpectralMap):
         if M.spectrum()[0] <= 0.0:
@@ -291,11 +293,11 @@ def spd_solver(M: Union[LinearMap, SpectralMap]) -> Callable[[np.ndarray], np.nd
     if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(A).max())):
         raise ValueError("matrix is not symmetric")
     try:
-        factor = cho_factor(A, lower=True)
+        factor = scipy.linalg.cho_factor(A, lower=True)
     except np.linalg.LinAlgError as exc:
         raise ValueError("matrix is not positive definite") from exc
 
     def solve(b: np.ndarray) -> np.ndarray:
-        return cho_solve(factor, b)
+        return scipy.linalg.cho_solve(factor, b)
 
     return solve

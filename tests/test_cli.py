@@ -146,6 +146,21 @@ def test_run_bad_scheme_is_usage_error(tmp_path):
     assert cli.main(["run", str(cfg)]) == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("schedule", [
+    "schedule.lambda_kind = table\nschedule.lambda_table = nan,0.9",
+    "schedule.alpha_kind = table\nschedule.alpha_table = nan,0.1",
+])
+def test_run_nan_schedule_entry_is_usage_error(tmp_path, capsys, schedule):
+    # rejected before any run line, not run into a divergence (exit 3)
+    cfg = tmp_path / "nan.cfg"
+    trace = tmp_path / "nan.csv"
+    write(cfg, QUAD_RUN.format(trace=trace) + schedule + "\n")
+    assert cli.main(["run", str(cfg)]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert not trace.exists()
+
+
 LASSO_RUN = """
 problem.kind = lasso
 problem.m = 40
@@ -837,6 +852,8 @@ def test_check_params_usage_errors():
     assert cli.main(["check-params", "--alpha", "1.2", "--lambda", "0.5"]) == cli.EXIT_USAGE
     assert cli.main(["check-params", "--alpha", "0.2", "--lambda", "1.5",
                      "--q", "0.9"]) == cli.EXIT_USAGE
+    # nan fails `lambda > 0` although it also fails `lambda <= 0`
+    assert cli.main(["check-params", "--alpha", "0.1", "--lambda", "nan"]) == cli.EXIT_USAGE
 
 
 # --------------------------------------------------------------------------

@@ -93,6 +93,9 @@ def test_schedule_constant_validation():
         Schedule.constant(1.0, 0.5)
     with pytest.raises(ValueError):
         Schedule.constant(0.5, 0.0)
+    # nan fails `lambda > 0` although it also fails `lambda <= 0`
+    with pytest.raises(ValueError, match="lambda must be > 0"):
+        Schedule.constant(0.5, np.nan)
     s = Schedule.constant(0.2, 1.5)  # over-relaxation stays expressible
     assert s.alpha_at(10) == 0.2
     assert s.lambda_at(10) == 1.5
@@ -103,6 +106,8 @@ def test_schedule_ramp():
     vals = [s.alpha_at(k) for k in range(1, 7)]
     assert vals == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.3, 0.3])
     assert all(a <= b for a, b in zip(vals, vals[1:]))
+    with pytest.raises(ValueError, match="lambda values must be > 0"):
+        Schedule.ramp(0.0, 0.3, 4, [0.5, np.nan])
 
 
 def test_schedule_table_holds_last_and_validates():
@@ -113,6 +118,8 @@ def test_schedule_table_holds_last_and_validates():
         Schedule.table([0.2, 0.1], [1.0])  # decreasing alpha
     with pytest.raises(ValueError):
         Schedule.table([0.1], [0.0])
+    with pytest.raises(ValueError, match="lambda values must be > 0"):
+        Schedule.table([0.1], [np.nan, 0.9])
 
 
 @st.composite
@@ -248,6 +255,16 @@ def test_run_rejects_decreasing_alpha_at_the_first_step_of_a_block():
     with pytest.raises(ValueError, match="^alpha sequence decreases at k=33$"):
         run(halve, np.ones(3), sched, StoppingRule(100, 0.0))
     assert len(calls) == 32
+
+
+def test_run_rejects_a_nan_lambda_when_its_step_is_reached():
+    # nan fails `lambda > 0` although it also fails `lambda <= 0`; the four
+    # steps before k = 5 run
+    sched = Schedule(full(0.1), lambda ks: np.where(ks == 5, np.nan, 0.9), "custom")
+    halve, calls = recording_handle(OperatorHandle(apply=lambda x: 0.5 * x, name="halve"))
+    with pytest.raises(ValueError, match="^lambda_5 = nan must be > 0$"):
+        run(halve, np.ones(3), sched, StoppingRule(10, 0.0))
+    assert len(calls) == 4
 
 
 def test_run_that_stops_before_an_invalid_entry_does_not_raise():

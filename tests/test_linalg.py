@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ikm
 from ikm.linalg import (
     DifferenceMap,
     GramMap,
@@ -126,6 +130,58 @@ def test_solve_spd_rejects_non_spd():
         solve_spd(LinearMap(np.diag([1.0, -1.0])), np.ones(2))
     with pytest.raises(ValueError):
         solve_spd(LinearMap(np.array([[1.0, 2.0], [0.0, 1.0]])), np.ones(2))
+
+
+# ikm configs on the quadratic, tv1d and lasso generators
+LAZY_QUAD = ("problem.kind = quadratic\nproblem.dim = 20\nproblem.mu = 1\nproblem.L = 10\n"
+             "problem.seed = 2\nalgorithm.scheme = {0}\noutput.trace = {0}.csv\n")
+LAZY_CONFIGS = {
+    "gradient.cfg": LAZY_QUAD.format("gradient"),
+    "proximal.cfg": LAZY_QUAD.format("proximal"),
+    "tv.cfg": "problem.kind = tv1d\nproblem.n = 30\nproblem.mu_reg = 0.5\nproblem.seed = 1\n"
+              "algorithm.scheme = pd\nstopping.max_iters = 20000\n"
+              "stopping.residual_tol = 1e-8\noutput.trace = tv.csv\n",
+    "lasso.cfg": "problem.kind = lasso\nproblem.m = 20\nproblem.n = 50\nproblem.sparsity = 0.1\n"
+                 "problem.mu_reg = 0.1\nproblem.seed = 1\nalgorithm.scheme = fb\n"
+                 "stopping.max_iters = 5000\nstopping.residual_tol = 1e-9\n"
+                 "sweep.1.alpha = 0.2\nsweep.1.lambda = 0.9\n"
+                 "sweep.2.alpha = 0.0\nsweep.2.lambda = 1.0\noutput.table = lasso.csv\n",
+}
+LAZY_SCIPY = """
+import sys
+import numpy as np
+import scipy
+from ikm import cli
+from ikm.linalg import LinearMap
+from ikm.operators import proximal_op, quadratic
+
+codes = [cli.main(["run", "gradient.cfg"]), cli.main(["run", "proximal.cfg"]),
+         cli.main(["run", "tv.cfg"]), cli.main(["certify", "tv.csv"]),
+         cli.main(["sweep", "lasso.cfg"])]
+print("cli", codes, "scipy.linalg" in sys.modules, file=sys.stderr)
+A = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
+b, v, rho = np.array([1.0, -2.0, 0.5]), np.array([0.3, 0.1, -0.7]), 0.7
+out = proximal_op(quadratic(LinearMap(A), b), rho).apply(v)
+loaded = "scipy.linalg" in sys.modules
+want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(np.eye(3) + rho * A, lower=True),
+                              v + rho * b)
+print("dense", loaded, out.tobytes() == want.tobytes(), file=sys.stderr)
+"""
+
+
+def test_cli_processes_load_scipy_linalg_only_for_a_dense_cholesky(tmp_path):
+    # a fresh interpreter, since the pytest process has loaded scipy.linalg:
+    # ikm run, certify and sweep on the quadratic, tv1d and lasso generators
+    # leave it unloaded, and the one generic dense Cholesky prox loads it
+    for name, text in LAZY_CONFIGS.items():
+        (tmp_path / name).write_text(text)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ikm.__file__)))
+    proc = subprocess.run([sys.executable, "-c", LAZY_SCIPY], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == ["cli [0, 0, 0, 0, 0] False", "dense True True"], \
+        proc.stderr
 
 
 # --------------------------------------------------------------------------
