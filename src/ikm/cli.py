@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
+import math
 import sys
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -28,13 +29,14 @@ import numpy as np
 from . import certificates as cert
 from . import engine, problems
 from .config import ConfigError, ConfigView, deserialize_config, load_config, serialize_config
-from .engine import (COLUMNS, OPTIONAL_COLUMNS, DivergenceError, Schedule, StoppingRule, Trace,
-                     monotone_prefix)
+from .engine import (COLUMNS, OPTIONAL_COLUMNS, STORED_COLUMNS, DivergenceError, Schedule,
+                     StoppingRule, Trace, monotone_prefix)
 from .operators import OperatorHandle, residual as op_residual
 
-# the columns of an ikm-trace-v2 file: k, the measured columns and the
-# rate_bound promise.  An ikm-trace-v1 file holds every Trace column
-TRACE_FIELDS = ("k", "residual", "step", "dist_to_ref", "objective", "rate_bound")
+# the columns of an ikm-trace-v2 file, those a Trace stores: k, the
+# measured columns and the rate_bound promise.  An ikm-trace-v1 file holds
+# every Trace column
+TRACE_FIELDS = STORED_COLUMNS
 TRACE_COLUMNS = ",".join(TRACE_FIELDS)
 TRACE_HEADERS = {TRACE_COLUMNS: TRACE_FIELDS, ",".join(COLUMNS): COLUMNS}
 
@@ -260,11 +262,12 @@ def feasibility_summary(schedule: Schedule, op: OperatorHandle, xi: float, max_i
 def write_trace(path: str, trace: Trace, resolved: Dict[str, str]) -> None:
     """Write ``ikm-trace-v2``: two comment lines, the header, one line per row.
 
-    The columns are ``TRACE_FIELDS``: ``k``, the measured columns and the
-    ``rate_bound`` promise; the rest of a :class:`Trace` is derived from
-    them and the embedded config when the file is read.  Each present float
-    column is printed with ``%.17g`` and an absent one as an empty field;
-    rows are formatted ``engine.ROW_CHUNK`` at a time by one ``%``.
+    The columns are ``TRACE_FIELDS``, those a :class:`Trace` stores: ``k``,
+    the measured columns and the ``rate_bound`` promise; the rest of a trace
+    is computed from them and the embedded config's schedule when read.
+    Each present float column is printed with ``%.17g`` and an absent one
+    as an empty field; rows are formatted ``engine.ROW_CHUNK`` at a time by
+    one ``%``.
     """
     cols = [getattr(trace, name) for name in TRACE_FIELDS]
     present = [col for col in cols if col is not None]
@@ -292,15 +295,13 @@ def _parse_column(path: str, name: str, tokens: List[str]) -> Optional[np.ndarra
         raise ConfigError(f"{path}: column {name}: {exc}") from None
 
 
-def scalar_column(fn: Callable[[int], float], ks: np.ndarray) -> np.ndarray:
-    """``fn(k)`` for each entry of the int64 array ``ks``, as a float64 array.
-
-    ``fn`` gets Python ints, converted ``engine.ROW_CHUNK`` at a time, so no
-    list of ``ks.size`` Python objects is ever held.
-    """
+def _pow_column(base: float, ks: np.ndarray) -> np.ndarray:
+    """libm ``pow(base, k)`` for each entry of the int64 array ``ks``, as a
+    float64 array; the ks are converted ``engine.ROW_CHUNK`` at a time, so
+    no list of ``ks.size`` Python objects is ever held."""
     ints = itertools.chain.from_iterable(ks[lo:lo + engine.ROW_CHUNK].tolist()
                                          for lo in range(0, ks.size, engine.ROW_CHUNK))
-    return np.fromiter(map(fn, ints), np.float64, ks.size)
+    return np.fromiter(map(math.pow, itertools.repeat(base), ints), np.float64, ks.size)
 
 
 def rate_bound_column(trace: Trace, schedule: Schedule, q: Optional[float],
@@ -317,10 +318,15 @@ def rate_bound_column(trace: Trace, schedule: Schedule, q: Optional[float],
     Q_const = cert.contraction_constant(lam, q, xi)
     if not alpha < Q_const < 1.0:
         return None
-    # one scalar call per index: libm pow, not NumPy power, gives the bits
-    # an ikm-trace-v2 file holds in its rate_bound column
+    # cert.rate_bound's expression at exponent (k - 1) + 1 over the column:
+    # libm pow, not NumPy power, gives the bits an ikm-trace-v2 file holds,
+    # and the rest are the same IEEE operations in the same order, in place
     d1 = trace.dist_to_ref[0].item() ** 2
-    return scalar_column(lambda k: cert.rate_bound(k - 1, alpha, Q_const, d1), trace.k)
+    bound = _pow_column(alpha, trace.k)
+    bound -= _pow_column(Q_const, trace.k)
+    bound /= alpha - Q_const
+    bound *= d1
+    return bound
 
 
 def _certified_q(cfg: Dict[str, str]) -> Optional[float]:
@@ -351,15 +357,16 @@ def read_trace(path: str, consistency: bool = False):
     that a missing header, a column mixing empty and filled chunks, a k
     below 1 and a missing config are reported at the end.
 
-    The returned trace holds the file's measured columns; ``nu_k``,
-    ``delta_k``, ``Delta_k``, ``C_k``, ``k_step_sq`` and ``k_res_sq`` are
-    derived from them and the config's schedule by
-    :func:`engine.derive_trace`, and ``rate_bound`` by
-    :func:`rate_bound_column`, as ``ikm run`` derived them.  With
-    ``consistency`` set a third value is returned: the int64 array of the
-    ks at which a derived column the file holds differs from its
-    re-derivation, empty when every one agrees; None for a v2 file whose
-    ``rate_bound``, its one derived column, agrees.
+    The returned trace stores the file's measured columns and the config's
+    schedule, and ``rate_bound`` from :func:`rate_bound_column`, as ``ikm
+    run`` made it; ``nu_k``, ``delta_k``, ``Delta_k``, ``C_k``,
+    ``k_step_sq`` and ``k_res_sq`` are computed from them on access, as for
+    the run's own trace.  With ``consistency`` set a third value is
+    returned: the int64 array of the ks at which a derived column the file
+    holds differs from its re-derivation, empty when every one agrees; None
+    for a v2 file whose ``rate_bound``, its one derived column, agrees.
+    The re-derived Lyapunov columns are compared ``engine.ROW_CHUNK`` rows
+    at a time.
     """
     cfg: Dict[str, str] = {}
     names: Optional[Tuple[str, ...]] = None  # the columns the header names
@@ -415,16 +422,19 @@ def read_trace(path: str, consistency: bool = False):
         raise ConfigError(f"{path}: missing embedded '# config:' line")
 
     schedule, _, xi = build_schedule(ConfigView(cfg))
-    alpha, lam = schedule.columns(k)
-    trace = engine.derive_trace(columns.pop("residual"), columns.pop("step"), alpha, lam,
-                                columns.pop("dist_to_ref"), columns.pop("objective"), k=k)
+    trace = Trace(schedule, k=k, **{name: columns.pop(name)
+                                    for name in ("residual", "step", "dist_to_ref", "objective")})
     trace.rate_bound = rate_bound_column(trace, schedule, _certified_q(cfg), xi)
     if not consistency:
         return trace, cfg
     # what is left of the file's columns are the derived ones it holds
     bad = np.zeros(k.size, dtype=bool)
     for name in list(columns):
-        bad |= _differs(columns.pop(name), getattr(trace, name), k.size)
+        held = columns.pop(name)
+        for lo in range(0, k.size, engine.ROW_CHUNK):
+            hi = min(lo + engine.ROW_CHUNK, k.size)
+            bad[lo:hi] |= _differs(None if held is None else held[lo:hi],
+                                   trace.column(name, lo, hi), hi - lo)
     mismatch = None if names is TRACE_FIELDS and not bad.any() else k[bad]
     return trace, cfg, mismatch
 

@@ -11,17 +11,16 @@ index array to the float64 values of ``alpha_k`` and ``lambda_k``, and the
 run, its derived columns and the replays all read it that way.  A run's
 record is one :class:`Trace` of NumPy columns, one entry per step.  Each step
 measures only what it decides on: the residual ``||y_k - T y_k||`` that the
-stopping rule reads (recorded with ``alpha_k`` and ``lambda_k``) and whether
-``x_{k+1}`` is finite.  The speed ``||x_k - x_{k-1}||``, the distance
-``||x_k - p||`` when a reference fixed point is supplied and the objective
-when one is are measured once per block of ``BLOCK_ROWS`` steps, from the
-differences and iterates the steps copied into the block: row dots by
-``np.vecdot`` and one objective call on the ``(r, n)`` stack, which give the
-bits per-step ``np.dot`` norms and per-point objective calls would.  Once
-per run (also for the partial trace a :class:`DivergenceError` carries) the
-rest is derived from those columns:
-``k ||x_k - x_{k-1}||^2``, ``k ||y_k - T y_k||^2`` and the Lyapunov
-quantities
+stopping rule reads and whether ``x_{k+1}`` is finite.  The speed
+``||x_k - x_{k-1}||``, the distance ``||x_k - p||`` when a reference fixed
+point is supplied and the objective when one is are measured once per block
+of ``BLOCK_ROWS`` steps, from the differences and iterates the steps copied
+into the block: row dots by ``np.vecdot`` and one objective call on the
+``(r, n)`` stack, which give the bits per-step ``np.dot`` norms and
+per-point objective calls would.  A trace stores only those measured
+columns, its indices and the run's schedule; the rest is computed from them
+on access: ``k ||x_k - x_{k-1}||^2``, ``k ||y_k - T y_k||^2`` and the
+Lyapunov quantities
 
     nu_k     = 1/lambda_k - 1
     delta_k  = nu_{k-1} (1 - alpha_{k-1}) ||x_k - x_{k-1}||^2
@@ -41,7 +40,8 @@ benchmark workloads are byte-identical with and without the flush.
 
 The derived columns use the scalar products of the step in the same order
 (``a_{k-1} * d_{k-1} * d_{k-1}``, never ``a * d**2``), so they have the
-bits a per-step computation would give them.
+bits a per-step computation would give them, whether a whole column or a
+chunk of rows is computed (:meth:`Trace.column`).
 
 A run keeps only the last two iterates and the last inertial point; the
 trace is its record.  The verify_* functions replay the per-iteration
@@ -49,10 +49,12 @@ inequalities of the convergence analysis as array expressions over the
 trace columns alone, whether they come from a :class:`RunResult` or from an
 exported CSV.  They evaluate ``ROW_CHUNK`` indices at a time (the indices
 ``[lo, hi)`` read the rows ``lo - 1 .. hi``) into the report's preallocated
-``lhs`` and ``rhs``, so a replay's memory is one chunk of temporaries plus
-its report; the values are those of the whole-column expressions, bit for
-bit.  Distances to ``p`` and steps are columns; the cross terms the
-inequalities need are reconstructed through the identity
+``lhs`` and ``rhs``, and read ``delta_k`` and ``C_k`` a chunk at a time
+too, so a replay's memory is one chunk of temporaries plus its report and
+no full-length Lyapunov column is formed; the values are those of the
+whole-column expressions, bit for bit.  Distances to ``p`` and steps are
+columns; the cross terms the inequalities need are reconstructed through
+the identity
 
     lambda_k^2 ||y_k - T y_k||^2 = ||x_{k+1} - x_k||^2
         + alpha_k^2 ||x_k - x_{k-1}||^2
@@ -84,7 +86,6 @@ __all__ = [
     "Trace",
     "TraceRow",
     "as_trace",
-    "derive_trace",
     "monotone_prefix",
     "picard",
     "run",
@@ -158,8 +159,10 @@ class Schedule:
             raise ValueError("ramp_iters must be >= 1")
 
         def alpha_col(ks: np.ndarray) -> np.ndarray:
-            # ramp_iters = 1 divides by zero on entries np.where discards
-            with np.errstate(divide="ignore", invalid="ignore"):
+            # ramp_iters = 1 divides by zero on entries np.where discards, and
+            # a tiny alpha_end - alpha_start gives subnormal entries, as the
+            # scalar formula does
+            with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
                 return np.where(ks >= ramp_iters, alpha_end, alpha_start
                                 + (alpha_end - alpha_start) * (ks - 1) / (ramp_iters - 1))
 
@@ -219,8 +222,11 @@ class StoppingRule:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.residual_tol < 0.0:
+        # "not x >= 0" also rejects nan, which no comparison stops on
+        if not self.residual_tol >= 0.0:
             raise ValueError("residual_tol must be >= 0")
+        if self.stall_tol is not None and not self.stall_tol >= 0.0:
+            raise ValueError("stall_tol must be >= 0")
 
 
 # --------------------------------------------------------------------------
@@ -252,23 +258,31 @@ class TraceRow:
 # columns are None when absent
 COLUMNS = tuple(f.name for f in fields(TraceRow))
 OPTIONAL_COLUMNS = ("Delta_k", "C_k", "dist_to_ref", "objective", "rate_bound")
+# the columns a Trace stores, in the order of an ikm-trace-v2 CSV; the
+# others are computed from them and the trace's schedule on access
+STORED_COLUMNS = ("k", "residual", "step", "dist_to_ref", "objective", "rate_bound")
 
 
 class Trace:
     """The diagnostics of a run as NumPy columns, one entry per iteration.
 
-    ``k`` is an int64 column, every other column float64; an optional column
-    (see ``OPTIONAL_COLUMNS``) is either filled on every row or None.
+    A trace stores what its run measured, ``STORED_COLUMNS``, and the run's
+    ``schedule``: ``k`` is an int64 column, every other column float64, and
+    an optional column (see ``OPTIONAL_COLUMNS``) is either filled on every
+    row or None.  ``nu_k``, ``delta_k``, ``Delta_k``, ``C_k``, ``k_step_sq``
+    and ``k_res_sq`` are read-only columns computed on access by
+    :meth:`column`, which also gives any column over a range of rows.
     Indexing with an int gives a :class:`TraceRow` of Python scalars,
-    slicing gives a Trace, and iteration yields rows, converting
+    slicing with step 1 gives a Trace (whose first row keeps the row before
+    it for its Lyapunov values), and iteration yields rows, converting
     ``ROW_CHUNK`` rows at a time.
     """
 
-    __slots__ = COLUMNS
+    __slots__ = STORED_COLUMNS + ("schedule", "_before")
 
-    def __init__(self, **columns):
+    def __init__(self, schedule: Schedule, **columns):
         n = None
-        for name in COLUMNS:
+        for name in STORED_COLUMNS:
             col = columns.pop(name, None)
             if col is not None:
                 col = np.asarray(col, dtype=np.int64 if name == "k" else np.float64)
@@ -281,27 +295,108 @@ class Trace:
             setattr(self, name, col)
         if columns:
             raise ValueError(f"unknown trace columns {sorted(columns)}")
+        self.schedule = schedule
+        # k and dist_to_ref of the row before the first, as one-entry
+        # arrays, on a slice that starts past its run's first row
+        self._before: Optional[Tuple[np.ndarray, Optional[np.ndarray]]] = None
+
+    nu_k = property(lambda self: self.column("nu_k"))
+    delta_k = property(lambda self: self.column("delta_k"))
+    Delta_k = property(lambda self: self.column("Delta_k"))
+    C_k = property(lambda self: self.column("C_k"))
+    k_step_sq = property(lambda self: self.column("k_step_sq"))
+    k_res_sq = property(lambda self: self.column("k_res_sq"))
+
+    def column(self, name: str, lo: int = 0, hi: Optional[int] = None) -> Optional[np.ndarray]:
+        """Column ``name`` over the rows ``[lo, hi)`` (to the end when ``hi``
+        is None), for ``0 <= lo <= hi <= len(self)``; None for an absent one.
+
+        A stored column gives a view.  A derived one is computed from the
+        stored columns of the rows ``lo - 1 .. hi - 1`` and the schedule at
+        their ks, with the products of the engine's per-step scalars in the
+        same order (see the module docstring), so a chunk of rows has the
+        bits of the whole column; the first row of a run takes ``delta =
+        Delta = 0`` and ``C = dist^2``.
+        """
+        hi = len(self) if hi is None else hi
+        if name in STORED_COLUMNS:
+            col = getattr(self, name)
+            return None if col is None else col[lo:hi]
+        if name not in COLUMNS:
+            raise ValueError(f"unknown trace column {name!r}")
+        dist = self.dist_to_ref
+        if name in OPTIONAL_COLUMNS and dist is None:  # Delta_k and C_k
+            return None
+        k, step = self.k[lo:hi], self.step[lo:hi]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if name == "k_step_sq":
+                return k * step * step
+            if name == "k_res_sq":
+                res = self.residual[lo:hi]
+                return k * res * res
+            if name == "nu_k":
+                return 1.0 / self.schedule.columns(k)[1] - 1.0
+            # the row before each row; the first row of a run stands in for
+            # its own, and its values are set below
+            before = self._row_before(lo)
+            first = before is None
+            k_head, d_head = before or (k[:1], None if dist is None else dist[:1])
+            a, lam = self.schedule.columns(np.concatenate((k_head, k))[:k.size])
+            delta = (1.0 / lam - 1.0) * (1.0 - a) * step * step
+            if first:
+                delta[:1] = 0.0
+            if name == "delta_k":
+                return delta
+            d = dist[lo:hi]
+            d_prev = np.concatenate((d_head, d))[:d.size]
+            dsq = d * d
+            if name == "Delta_k":
+                out = dsq - d_prev * d_prev
+                if first:
+                    out[:1] = 0.0
+            else:
+                out = dsq - a * d_prev * d_prev + delta
+                if first:
+                    out[:1] = dsq[:1]
+            return out
+
+    def _row_before(self, lo: int) -> Optional[Tuple[np.ndarray, Optional[np.ndarray]]]:
+        """``k`` and ``dist_to_ref`` (None without the column) of the row
+        before row ``lo`` as one-entry arrays; None before a run's first row."""
+        if not lo:
+            return self._before
+        dist = self.dist_to_ref
+        return self.k[lo - 1:lo], None if dist is None else dist[lo - 1:lo]
 
     def __len__(self) -> int:
         return self.k.size
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return Trace(**{name: None if getattr(self, name) is None
-                            else getattr(self, name)[index] for name in COLUMNS})
-        return TraceRow(*(None if getattr(self, name) is None else getattr(self, name)[index].item()
-                          for name in COLUMNS))
+            lo, hi, stride = index.indices(len(self))
+            if stride != 1:
+                raise ValueError("a trace slice must have step 1")
+            hi = max(lo, hi)
+            part = Trace(self.schedule, **{name: self.column(name, lo, hi)
+                                           for name in STORED_COLUMNS})
+            part._before = self._row_before(lo)
+            return part
+        i = range(len(self))[index]  # an IndexError past either end
+        return next(self._rows(i, i + 1))
+
+    def _rows(self, lo: int, hi: int) -> Iterator[TraceRow]:
+        chunk = [self.column(name, lo, hi) for name in COLUMNS]
+        return itertools.starmap(TraceRow, zip(*(itertools.repeat(None) if col is None
+                                                 else col.tolist() for col in chunk)))
 
     def __iter__(self) -> Iterator[TraceRow]:
         # a chunk of rows at a time, so iteration holds one chunk of Python
-        # scalars besides the columns
-        cols = [getattr(self, name) for name in COLUMNS]
+        # scalars and derived values besides the stored columns
         for lo in range(0, len(self), ROW_CHUNK):
-            chunk = [itertools.repeat(None) if col is None else col[lo:lo + ROW_CHUNK].tolist()
-                     for col in cols]
-            yield from itertools.starmap(TraceRow, zip(*chunk))
+            yield from self._rows(lo, min(lo + ROW_CHUNK, len(self)))
 
     def __eq__(self, other) -> bool:
+        """Whether every column, stored or derived, has equal values."""
         if not isinstance(other, Trace):
             return NotImplemented
         for name in COLUMNS:
@@ -311,41 +406,6 @@ class Trace:
         return True
 
     __hash__ = None
-
-
-def derive_trace(res, step, alpha, lam, dist, objective, k=None) -> Trace:
-    """Trace from the measured columns of a run; the rest is derived here.
-
-    ``alpha`` and ``lam`` are the schedule's columns over the trace's
-    indices ``k`` (``1 .. n`` when None).  The products are the engine's
-    per-step scalar products in the same order, so every derived column has
-    the bits the step would have given it (see the module docstring for the
-    definitions); the first row takes ``delta = Delta = 0`` and ``C =
-    dist^2``.  The measured columns may be ``array("d")`` buffers, which the
-    trace's columns view without a copy.
-    """
-    res = np.asarray(res, dtype=np.float64)
-    step = np.asarray(step, dtype=np.float64)
-    a = np.asarray(alpha, dtype=np.float64)
-    k = np.arange(1, res.size + 1, dtype=np.int64) if k is None else k
-    with np.errstate(over="ignore", invalid="ignore"):
-        nu = 1.0 / np.asarray(lam, dtype=np.float64) - 1.0
-        delta = np.zeros_like(step)
-        delta[1:] = nu[:-1] * (1.0 - a[:-1]) * step[1:] * step[1:]
-        Delta = C = d = None
-        if dist is not None:
-            d = np.asarray(dist, dtype=np.float64)
-            dsq = d * d
-            Delta = np.zeros_like(d)
-            Delta[1:] = dsq[1:] - dsq[:-1]
-            C = dsq.copy()
-            C[1:] = dsq[1:] - a[:-1] * d[:-1] * d[:-1] + delta[1:]
-        # k converts to float64 exactly, element by element
-        k_step_sq = k * step * step
-        k_res_sq = k * res * res
-    return Trace(k=k, residual=res, step=step, nu_k=nu, delta_k=delta, Delta_k=Delta, C_k=C,
-                 dist_to_ref=d, k_step_sq=k_step_sq, k_res_sq=k_res_sq,
-                 objective=None if objective is None else np.asarray(objective, dtype=np.float64))
 
 
 class DivergenceError(RuntimeError):
@@ -365,14 +425,13 @@ class RunResult:
     the newest one computed, and ``ys`` the last inertial point (empty when no
     step was taken); :func:`picard` returns ``xs = [x]``.  ``x_last`` is the
     iterate ``x_k`` the last trace row describes, one of ``xs`` (None without
-    rows).  ``rows`` is a :class:`Trace`.
+    rows).  ``rows`` is a :class:`Trace`, which carries the run's schedule.
     """
 
     rows: Trace
     xs: List[np.ndarray]
     ys: List[np.ndarray]
     status: str  # converged | max_iters | stalled | diverged
-    schedule: Optional[Schedule] = None
     p_ref: Optional[np.ndarray] = None
     operator: Optional[OperatorHandle] = None
     x_last: Optional[np.ndarray] = None
@@ -417,8 +476,7 @@ def run(
     ``stop.max_iters``, and validated as a whole: ``alpha_k`` in [0, 1) and
     nondecreasing, ``lambda_k > 0``.  An invalid entry raises ``ValueError``
     when the step that uses it is reached, so a run that stops first does
-    not raise.  The ``alpha`` and ``lambda`` columns the trace derives from
-    are read once more at the end.
+    not raise.
 
     When ``T.exact_zeros`` is set, entries of magnitude below
     ``np.finfo(float).tiny`` are zeroed in ``y_k`` when ``alpha_k != 0`` and
@@ -426,18 +484,19 @@ def run(
     formed; ``T``'s outputs and ``x1`` are never modified, so with
     ``alpha_k = 0`` and ``lambda_k = 1`` a step is bit-identical to
     ``T.apply``.  Only the last two iterates and the last inertial point
-    are kept besides the blocks, and the trace costs 8 bytes per column per
-    row: the measured values go to ``array("d")`` buffers, which become the
-    trace's columns without a copy.  The run is deterministic; divergence
-    raises :class:`DivergenceError` with the partial trace attached
+    are kept besides the blocks, and the trace costs 8 bytes per stored
+    column per row: the measured values go to ``array("d")`` buffers, which
+    become the trace's columns without a copy, and the Lyapunov columns are
+    computed when read.  The run is deterministic; divergence raises
+    :class:`DivergenceError` with the partial trace attached
     (intermediate overflow on the way to a detected divergence is silenced,
     since non-finite iterates are handled explicitly).
     """
     x_prev = x_curr = x1
     x_last: Optional[np.ndarray] = None
     y_last: Optional[np.ndarray] = None
-    # measured columns, 8 bytes a value; the rest of the trace is derived
-    # from them at the end
+    # measured columns, 8 bytes a value; the rest of the trace is computed
+    # from them when read
     res_col, step_col = array("d"), array("d")
     dist_col = None if p_ref is None else array("d")
     obj_col = None if objective is None else array("d")
@@ -468,10 +527,9 @@ def run(
     def result(status: str) -> RunResult:
         flush()
         ys = [] if y_last is None else [y_last]
-        k = np.arange(1, len(res_col) + 1, dtype=np.int64)
-        alpha, lam = schedule.columns(k)
-        trace = derive_trace(res_col, step_col, alpha, lam, dist_col, obj_col, k)
-        return RunResult(trace, [x_prev, x_curr], ys, status, schedule, p_ref, T, x_last)
+        trace = Trace(schedule, k=np.arange(1, len(res_col) + 1, dtype=np.int64),
+                      residual=res_col, step=step_col, dist_to_ref=dist_col, objective=obj_col)
+        return RunResult(trace, [x_prev, x_curr], ys, status, p_ref, T, x_last)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, stop.max_iters + 1):
@@ -561,7 +619,8 @@ def picard(T: OperatorHandle, x0: np.ndarray, tol: float, max_iters: int) -> Run
     """Plain fixed-point iteration ``x <- T x`` (reference runs).
 
     The trace is one row, the last index and its residual (no row after a
-    divergence).
+    divergence), under the schedule ``alpha = 0``, ``lambda = 1`` that makes
+    the inertial KM step this iteration.
     """
     x = x0
     for k in range(1, max_iters + 1):
@@ -579,9 +638,7 @@ def picard(T: OperatorHandle, x0: np.ndarray, tol: float, max_iters: int) -> Run
 
 
 def _last_row(k: int, r: float) -> Trace:
-    zeros = np.zeros(1)
-    return Trace(k=[k], residual=[r], step=zeros, nu_k=zeros, delta_k=zeros,
-                 k_step_sq=zeros, k_res_sq=[k * r * r])
+    return Trace(Schedule.constant(0.0, 1.0), k=[k], residual=[r], step=[0.0])
 
 
 # --------------------------------------------------------------------------
@@ -618,18 +675,16 @@ def as_trace(trace: Union[RunResult, Trace]) -> Trace:
 
 
 def _unpack(trace, schedule) -> Tuple[Trace, Schedule]:
-    """Trace and schedule of a RunResult or Trace, reference validated.
+    """Trace of a RunResult or Trace, reference validated, and ``schedule``
+    or, when None, the trace's own.
 
     A RunResult's ``p_ref`` must be a fixed point of its operator (when it
     carries one), and the trace must have the ``dist_to_ref`` column.
     """
-    if isinstance(trace, RunResult):
-        schedule = schedule or trace.schedule
-        if trace.p_ref is not None:
-            _check_ref_fixed(trace.operator, trace.p_ref)
+    if isinstance(trace, RunResult) and trace.p_ref is not None:
+        _check_ref_fixed(trace.operator, trace.p_ref)
     trace = as_trace(trace)
-    if schedule is None:
-        raise ValueError("a schedule is required")
+    schedule = schedule or trace.schedule
     if trace.dist_to_ref is None:
         raise ValueError("trace lacks dist_to_ref; rerun with p_ref")
     return trace, schedule
@@ -761,7 +816,7 @@ def verify_descent(trace, schedule: Optional[Schedule] = None,
         nu = 1.0 / lam - 1.0
         Delta_k = np.where(ks == 1, 0.0, cur - prev)
         second = _alpha_second_diff_sq(trace, a, lam, lo)
-        lhs = (nxt - cur) + trace.delta_k[lo + 1:hi + 1] + nu * second
+        lhs = (nxt - cur) + trace.column("delta_k", lo + 1, hi + 1) + nu * second
         rhs = a * Delta_k + (a * (1.0 + a) + nu * a * (1.0 - a)) * (step * step)
         return lhs, rhs
 
@@ -769,15 +824,19 @@ def verify_descent(trace, schedule: Optional[Schedule] = None,
 
 
 def verify_Ck_monotone(trace, tol: float = DEFAULT_TOL) -> Optional[int]:
-    """First k violating ``C_{k+1} <= C_k + tol (1 + C_k)`` / ``C_k >= -tol``, else None."""
+    """First k violating ``C_{k+1} <= C_k + tol (1 + C_k)`` / ``C_k >= -tol``, else None.
+
+    ``C_k`` is computed ``ROW_CHUNK`` rows at a time, with one row of
+    look-ahead.
+    """
     trace = as_trace(trace)
-    C = trace.C_k
-    if C is None:
+    if trace.dist_to_ref is None:
         raise ValueError("trace lacks C_k; rerun with p_ref")
+    n = len(trace)
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, C.size, ROW_CHUNK):
-            hi = min(lo + ROW_CHUNK, C.size)
-            c = C[lo:hi + 1]  # one row of look-ahead
+        for lo in range(0, n, ROW_CHUNK):
+            hi = min(lo + ROW_CHUNK, n)
+            c = trace.column("C_k", lo, min(hi + 1, n))  # one row of look-ahead
             bad = c[:hi - lo] < -tol
             bad[:c.size - 1] |= c[1:] > c[:-1] + tol * (1.0 + c[:-1])
             if bad.any():
@@ -827,7 +886,7 @@ def verify_product_bound(trace, q: float, xi: float, schedule: Optional[Schedule
         prod = np.cumprod(np.concatenate((carry, _contraction_column(lam, q, xi))))[1:]
         carry = prod[-1:]
         _, cur, nxt = _dist_sq(trace, lo, hi)
-        return nxt - a * cur + xi * trace.delta_k[lo + 1:hi + 1], prod * d1
+        return nxt - a * cur + xi * trace.column("delta_k", lo + 1, hi + 1), prod * d1
 
     return _replay("product_bound", trace, tol, chunk)
 

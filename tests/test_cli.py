@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ikm import certificates as cert
 from ikm import cli, engine, problems
 from ikm.config import (
     ConfigError,
@@ -161,6 +162,23 @@ def test_run_nan_schedule_entry_is_usage_error(tmp_path, capsys, schedule):
     assert not trace.exists()
 
 
+@pytest.mark.parametrize("stopping", [
+    "stopping.residual_tol = nan",
+    "stopping.stall_tol = -1",
+    "stopping.stall_tol = nan",
+])
+def test_run_bad_stopping_tolerance_is_usage_error(tmp_path, capsys, stopping):
+    # a nan residual_tol or a negative stall_tol used to run to max_iters (exit 2)
+    cfg = tmp_path / "tol.cfg"
+    trace = tmp_path / "tol.csv"
+    write(cfg, QUAD_RUN.format(trace=trace) + stopping + "\n")
+    assert cli.main(["run", str(cfg)]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "must be >= 0" in err
+    assert not trace.exists()
+
+
 LASSO_RUN = """
 problem.kind = lasso
 problem.m = 40
@@ -236,12 +254,12 @@ def v1_trace_text(trace, resolved):
 
 
 def trace_for(cfg, residual, step, dist_to_ref=None, objective=None):
-    """The trace of these measured columns with the rest derived from ``cfg``
-    (its schedule, q and xi), as a run under that config records it."""
+    """The trace of these measured columns under ``cfg``'s schedule, with
+    its rate bound from ``cfg``'s q and xi, as a run under that config
+    records it."""
     schedule, _, xi = cli.build_schedule(ConfigView(cfg))
-    k = np.arange(1, residual.size + 1)
-    alpha, lam = schedule.columns(k)
-    trace = engine.derive_trace(residual, step, alpha, lam, dist_to_ref, objective)
+    trace = engine.Trace(schedule, k=np.arange(1, residual.size + 1), residual=residual,
+                         step=step, dist_to_ref=dist_to_ref, objective=objective)
     trace.rate_bound = cli.rate_bound_column(trace, schedule, cli._certified_q(cfg), xi)
     return trace
 
@@ -460,6 +478,28 @@ def test_run_quasi_contractive_fills_rate_bound(tmp_path):
     assert "product bound: PASS" in buf.getvalue()
 
 
+@pytest.mark.parametrize("alpha, q, xi", [
+    (0.05, 0.999, 1.0),  # Q = 0.998: no power underflows over the rows
+    (0.0, 0.5, 1.0),  # alpha^k is 0 from k = 1, Q^k underflows to 0
+    (0.1, 0.2, 1.0),  # Q = 0.136: both powers pass through subnormals to 0
+    (0.2, 0.9, 0.7),
+])
+def test_rate_bound_column_has_the_bits_of_rate_bound_per_row(alpha, q, xi):
+    n = 13_396  # the rows of the quad-run workload's trace
+    schedule = Schedule.constant(alpha, 0.9)
+    trace = engine.Trace(schedule, k=np.arange(1, n + 1), residual=np.ones(n), step=np.ones(n),
+                         dist_to_ref=np.full(n, 3.7))
+    Q = cert.contraction_constant(0.9, q, xi)
+    d1 = 3.7 ** 2
+    want = np.array([cert.rate_bound(k - 1, alpha, Q, d1) for k in range(1, n + 1)])
+    got = cli.rate_bound_column(trace, schedule, q, xi)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    if Q < 0.9:  # the bound ends at (0 - 0) / (alpha - Q) * d1 = -0.0
+        assert Q ** n == 0.0 and want[-1] == 0.0 and np.signbit(want[-1])
+    # a slice of the trace starts its bound at its own first row
+    assert cli.rate_bound_column(trace[5:], schedule, q, xi).tobytes() == want[5:].tobytes()
+
+
 LASSO_SCHEDULE_RUN = """
 problem.kind = lasso
 problem.m = 20
@@ -614,6 +654,17 @@ output.trace = {trace}
 """
 
 
+def doctor_v1(path, trace, resolved, column, row, value):
+    """Write ``trace`` as an ikm-trace-v1 file with the field of ``column``
+    in row ``row`` (an index into the trace) replaced by ``value`` and every
+    other field as a v1 writer wrote it."""
+    lines = v1_trace_text(trace, resolved).splitlines()
+    fields = lines[3 + range(len(trace))[row]].split(",")
+    fields[COLUMNS.index(column)] = "%.17g" % value
+    lines[3 + range(len(trace))[row]] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def test_certify_rederives_a_doctored_v1_trace(tmp_path):
     # a v1 file with one dist_to_ref scaled and C_k left as written: before
     # v2, certify replayed the file's C_k and printed "Ck monotone: PASS"
@@ -623,14 +674,39 @@ def test_certify_rederives_a_doctored_v1_trace(tmp_path):
     assert cli.cmd_run(str(cfg), out=io.StringIO()) == cli.EXIT_OK
     rows, resolved = cli.read_trace(str(trace))
     assert len(rows) > 5000
-    rows.dist_to_ref[4999] *= 1.5  # k = 5000; every other column as the run wrote it
     v1 = tmp_path / "doctored.csv"
-    v1.write_text(v1_trace_text(rows, resolved), encoding="utf-8")
+    # k = 5000; every other field as the run wrote it
+    doctor_v1(v1, rows, resolved, "dist_to_ref", 4999, rows.dist_to_ref[4999] * 1.5)
     buf = io.StringIO()
     assert cli.cmd_certify(str(v1), out=buf) == cli.EXIT_CHECK_FAILED
     lines = buf.getvalue().splitlines()
     assert lines[-1] == "consistency: FAIL at k=[5000, 5001]"  # Delta_k and C_k there
     assert lines[0].startswith("Ck monotone: FAIL at k=")
+
+
+def test_run_and_certify_form_no_full_length_lyapunov_column(tmp_path, monkeypatch):
+    cfg = tmp_path / "quad.cfg"
+    trace = tmp_path / "quad.csv"
+    write(cfg, QUAD_RUN_WORKLOAD.format(trace=trace) + ALL_CHECKS)
+    sizes = []  # the rows of each derived column formed
+    column = engine.Trace.column
+
+    def recording(self, name, lo=0, hi=None):
+        values = column(self, name, lo, hi)
+        if name not in engine.STORED_COLUMNS and values is not None:
+            sizes.append(values.size)
+        return values
+
+    monkeypatch.setattr(engine.Trace, "column", recording)
+    assert cli.cmd_run(str(cfg), out=io.StringIO()) == cli.EXIT_OK
+    rows, resolved = cli.read_trace(str(trace))
+    assert len(rows) > 10_000
+    v1 = tmp_path / "v1.csv"
+    v1.write_text(v1_trace_text(rows, resolved), encoding="utf-8")
+    for path in (trace, v1):
+        assert cli.cmd_certify(str(path), out=io.StringIO()) == cli.EXIT_OK
+    # every replay and the v1 consistency check read a chunk at a time
+    assert sizes and max(sizes) <= engine.ROW_CHUNK + 1
 
 
 CONFIGS = {
@@ -682,10 +758,9 @@ def test_certify_flags_each_derived_column_of_a_v1_trace(tmp_path, column, row, 
     write(cfg, CERTIFIED.format(trace=trace))
     cli.cmd_run(str(cfg), out=io.StringIO())
     rows, resolved = cli.read_trace(str(trace))
-    col = getattr(rows, column)
-    col[row] = np.nextafter(col[row], np.inf)  # one ulp
     v1 = tmp_path / "v1.csv"
-    v1.write_text(v1_trace_text(rows, resolved), encoding="utf-8")
+    held = getattr(rows, column)[row]
+    doctor_v1(v1, rows, resolved, column, row, np.nextafter(held, np.inf))  # one ulp
     buf = io.StringIO()
     assert cli.cmd_certify(str(v1), out=buf) == cli.EXIT_CHECK_FAILED
     k = f"[{len(rows)}]" if expect is None else expect
@@ -752,23 +827,52 @@ def test_v2_round_trip_gives_the_runs_trace(kind, end, with_ref, with_objective,
     assert_same_trace(back, trace)
 
 
-def test_evaluate_checks_holds_one_report_at_a_time():
+@pytest.fixture(scope="module")
+def long_run():
+    """A converged 100,000-row run with every check passing, and its q."""
     inst = problems.make_quadratic(5, 0.01, 10.0, 1)
     op = inst.operator("gradient")
-    schedule = Schedule.constant(0.05, 0.9)
-    res = engine.run(op, inst.start_point("gradient"), schedule, StoppingRule(100_000, 0.0),
-                     p_ref=inst.reference_solution)
-    trace = res.rows
-    assert len(trace) == 100_000
+    res = engine.run(op, inst.start_point("gradient"), Schedule.constant(0.05, 0.9),
+                     StoppingRule(100_000, 0.0), p_ref=inst.reference_solution)
+    assert len(res.rows) == 100_000
+    return res.rows, op.q_factor
+
+
+def test_evaluate_checks_holds_one_report_at_a_time(long_run):
+    trace, q = long_run
     tracemalloc.start()
     try:
-        verdicts = cli.evaluate_checks(trace, cli.CHECKS, schedule, op.q_factor, 1.0)
+        verdicts = cli.evaluate_checks(trace, cli.CHECKS, trace.schedule, q, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert {status for status, _ in verdicts.values()} == {"PASS"}
     # one report's lhs and rhs, and chunks; whole-column replays took 12 columns
     assert peak <= 2.5 * trace.k.nbytes
+
+
+def test_read_and_check_a_long_v2_trace_in_its_stored_columns(tmp_path, long_run):
+    # what ikm certify holds: the parsed trace, then one report at a time
+    trace, q = long_run[0][:], long_run[1]
+    trace.rate_bound = cli.rate_bound_column(trace, trace.schedule, q, 1.0)
+    resolved = {"schedule.alpha": "0.05", "schedule.lambda": "0.9",
+                "derived.q_factor": cli._fmt(q)}
+    path = tmp_path / "long.csv"
+    cli.write_trace(str(path), trace, resolved)
+    tracemalloc.start()
+    try:
+        back, cfg = cli.read_trace(str(path))
+        schedule, _, xi = cli.build_schedule(ConfigView(cfg))
+        verdicts = cli.evaluate_checks(back, cli.CHECKS, schedule, cli._certified_q(cfg), xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert {status for status, _ in verdicts.values()} == {"PASS"}
+    assert back.C_k.tobytes() == trace.C_k.tobytes()
+    # 8.1 columns of 100,000 float64s: the stored columns as parsed chunks
+    # and joined, and the file's rate_bound beside the recomputed one;
+    # deriving the six Lyapunov columns at read took 15.2
+    assert peak < 10 * trace.k.nbytes
 
 
 SCHEDULE_KEYS = {
@@ -893,6 +997,17 @@ sweep.2.alpha = 0.45
 sweep.2.lambda = 1.8
 output.table = {table}
 """
+
+
+def test_sweep_nan_residual_tol_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    table = tmp_path / "sweep.csv"
+    write(cfg, SWEEP_CFG.format(table=table).replace("stopping.residual_tol = 1e-6",
+                                                     "stopping.residual_tol = nan"))
+    assert cli.main(["sweep", str(cfg)]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: residual_tol must be >= 0\n"
+    assert not table.exists()
 
 
 def test_sweep_adds_baselines_and_flags_infeasible(tmp_path):

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -17,13 +17,13 @@ from ikm.engine import (
     OPTIONAL_COLUMNS,
     ROW_CHUNK,
     RunResult,
+    STORED_COLUMNS,
     Schedule,
     StoppingRule,
     Trace,
     _alpha_second_diff_sq,
     _y_dist_sq,
     contraction_constant,
-    derive_trace,
     monotone_prefix,
     picard,
     run,
@@ -141,6 +141,8 @@ def ramp_and_table_cases(draw):
 @given(case=ramp_and_table_cases())
 @example(case=(0.0, 0.3, 1, [0.1], [0.5], [1, 2, 3]))
 @example(case=(0.1, 0.7, 3, [0.0, 0.2], [0.9, 1.3], [1, 2, 3, 4, 10 ** 7]))
+# a subnormal ramp entry: NumPy flags the underflow the scalar formula passes over
+@example(case=(0.0, 2.2250738585072014e-308, 4, [0.0], [1.0], [2]))
 def test_ramp_and_table_columns_match_the_scalar_formulas(case):
     start, end, ramp_iters, alphas, lambdas, ks = case
     # the formulas as scalar Python float arithmetic, one index at a time
@@ -165,6 +167,20 @@ def test_stopping_rule_validation():
         StoppingRule(max_iters=0)
     with pytest.raises(ValueError):
         StoppingRule(max_iters=10, residual_tol=-1.0)
+
+
+@pytest.mark.parametrize("residual_tol, stall_tol, message", [
+    (float("nan"), None, "residual_tol must be >= 0"),
+    (0.0, -1.0, "stall_tol must be >= 0"),
+    (0.0, float("nan"), "stall_tol must be >= 0"),
+    (-0.0, -1e-300, "stall_tol must be >= 0"),
+])
+def test_stopping_rule_rejects_nan_and_negative_tolerances(residual_tol, stall_tol, message):
+    # a nan tolerance never stops a run, a negative stall_tol never either
+    with pytest.raises(ValueError, match=message):
+        StoppingRule(10, residual_tol, stall_tol)
+    assert StoppingRule(10, 0.0, 0.0).stall_tol == 0.0
+    assert StoppingRule(10, float("inf")).residual_tol == float("inf")
 
 
 # --------------------------------------------------------------------------
@@ -367,7 +383,8 @@ def test_run_x_last_is_the_iterate_of_the_last_row(stop, status, index):
 def test_trace_iteration_holds_one_chunk_of_rows():
     n = 100_000
     ramp = np.linspace(1.0, 2.0, n)
-    trace = Trace(k=np.arange(1, n + 1), **{name: ramp for name in COLUMNS if name != "k"})
+    trace = Trace(Schedule.constant(0.2, 0.9), k=np.arange(1, n + 1),
+                  **{name: ramp for name in STORED_COLUMNS if name != "k"})
     tracemalloc.start()
     try:
         first = next(iter(trace))
@@ -375,10 +392,11 @@ def test_trace_iteration_holds_one_chunk_of_rows():
     finally:
         tracemalloc.stop()
     assert first == trace[0]
-    # 9.2 MiB of columns; converting them all before the first row took 37 MiB
+    # 4.6 MiB of stored columns; converting them all before the first row took 37 MiB
     assert peak < 1 << 20
-    part = Trace(k=np.arange(1, 2501), **{name: ramp[:2500] for name in COLUMNS
-                                          if name not in OPTIONAL_COLUMNS + ("k",)})
+    part = Trace(Schedule.ramp(0.0, 0.5, 100, [0.9]), k=np.arange(1, 2501),
+                 **{name: ramp[:2500] for name in STORED_COLUMNS
+                    if name not in OPTIONAL_COLUMNS + ("k",)})
     assert list(part) == [part[i] for i in range(len(part))]
 
 
@@ -394,10 +412,12 @@ def test_run_trace_memory_is_its_columns(tv_200):
     finally:
         tracemalloc.stop()
     assert res.status == "converged" and len(res.rows) > 10_000
-    columns = sum(getattr(res.rows, name).nbytes for name in COLUMNS
+    columns = sum(getattr(res.rows, name).nbytes for name in STORED_COLUMNS
                   if getattr(res.rows, name) is not None)
-    # 8 bytes a measured value while stepping, then the derived columns
-    assert peak < 2.2 * columns
+    # 8 bytes a measured value and the two 32-row blocks while stepping
+    # (1.58 times the stored columns); forming the six derived columns at
+    # the end of the run took 3.34 times
+    assert peak < 1.8 * columns
 
 
 def reference_trace(T, x1, sched, max_iters, p_ref=None, objective=None, stall_tol=None):
@@ -408,7 +428,7 @@ def reference_trace(T, x1, sched, max_iters, p_ref=None, objective=None, stall_t
     non-finite (None when none did); on a non-finite ``y_k`` or ``T y_k``
     row k is left out, on a non-finite ``x_{k+1}`` it is kept.
     """
-    res, step, alpha, lam, dist, obj = ([] for _ in range(6))
+    res, step, dist, obj = ([] for _ in range(4))
     x_prev = x_curr = x1
     diverged = None
     with np.errstate(over="ignore", invalid="ignore"):
@@ -423,8 +443,6 @@ def reference_trace(T, x1, sched, max_iters, p_ref=None, objective=None, stall_t
             r = y - ty
             res.append(float(np.dot(r, r)) ** 0.5)
             step.append(float(np.dot(diff, diff)) ** 0.5)
-            alpha.append(a_k)
-            lam.append(l_k)
             if p_ref is not None:
                 e = x_curr - p_ref
                 dist.append(float(np.dot(e, e)) ** 0.5)
@@ -437,8 +455,9 @@ def reference_trace(T, x1, sched, max_iters, p_ref=None, objective=None, stall_t
                 diverged = k
                 break
             x_prev, x_curr = x_curr, x_new
-    trace = derive_trace(res, step, alpha, lam, dist if p_ref is not None else None,
-                           obj if objective is not None else None)
+    trace = Trace(sched, k=np.arange(1, len(res) + 1), residual=res, step=step,
+                  dist_to_ref=dist if p_ref is not None else None,
+                  objective=obj if objective is not None else None)
     return trace, diverged
 
 
@@ -757,11 +776,9 @@ def test_row_reconstructions_match_direct_computation(vecs, a, lam):
     y = x_k + a * (x_k - x_prev)
     x_next = (1.0 - lam) * y + lam * ty
     n = np.linalg.norm
-    zeros = np.zeros(3)
-    trace = Trace(k=[1, 2, 3], residual=[0.0, n(y - ty), 0.0],
-                  step=[0.0, n(x_k - x_prev), n(x_next - x_k)], nu_k=zeros, delta_k=zeros,
-                  dist_to_ref=[n(x_prev - p), n(x_k - p), n(x_next - p)],
-                  k_step_sq=zeros, k_res_sq=zeros)
+    trace = Trace(Schedule.constant(a, lam), k=[1, 2, 3], residual=[0.0, n(y - ty), 0.0],
+                  step=[0.0, n(x_k - x_prev), n(x_next - x_k)],
+                  dist_to_ref=[n(x_prev - p), n(x_k - p), n(x_next - p)])
     # rounding of the direct side scales with the vectors themselves, down
     # to a few units of the smallest subnormal where that scale underflows
     scale = sum(n(v) ** 2 for v in (x_prev, x_k, x_next, y, ty, p))
@@ -787,21 +804,36 @@ def test_trace_rows_slices_and_equality(lasso_default):
     assert type(trace[3].k) is int and type(trace[3].residual) is float
     assert trace[0].objective is None and trace[0].rate_bound is None
     assert list(trace[10:13]) == rows[10:13]
-    # the rows hold the columns' values, field by field
+    # the rows hold the columns' values, field by field, and the stored
+    # fields with the schedule rebuild the trace
     columns = {name: None if getattr(trace, name) is None else [getattr(r, name) for r in rows]
                for name in COLUMNS}
-    assert Trace(**columns) == trace
-    changed = dict(columns, step=list(columns["step"]))
+    for name, values in columns.items():
+        assert values == (None if values is None else getattr(trace, name).tolist()), name
+    stored = {name: columns[name] for name in STORED_COLUMNS}
+    assert Trace(trace.schedule, **stored) == trace
+    changed = dict(stored, step=list(columns["step"]))
     changed["step"][4] *= 2
-    assert Trace(**changed) != trace
-    empty = Trace(**{name: [] for name in COLUMNS if name not in OPTIONAL_COLUMNS})
+    assert Trace(trace.schedule, **changed) != trace
+    assert Trace(Schedule.constant(0.2, 0.6), **stored) != trace  # nu_k, delta_k and C_k differ
+    empty = Trace(trace.schedule, **{name: [] for name in STORED_COLUMNS
+                                     if name not in OPTIONAL_COLUMNS})
     assert len(empty) == 0 and list(empty) == [] and empty.dist_to_ref is None
+    assert empty.C_k is None and empty.delta_k.size == 0
+    with pytest.raises(ValueError, match="step 1"):
+        trace[::2]
+    with pytest.raises(IndexError):
+        trace[30]
+    with pytest.raises(AttributeError):
+        trace.C_k = trace.C_k  # computed on access, never stored
 
 
 def test_trace_rejects_columns_of_unequal_length():
+    schedule = Schedule.constant(0.0, 1.0)
     with pytest.raises(ValueError, match="residual"):
-        Trace(k=[1, 2], residual=[1.0], step=[0.0, 0.0], nu_k=[0.0, 0.0], delta_k=[0.0, 0.0],
-              k_step_sq=[0.0, 0.0], k_res_sq=[0.0, 0.0])
+        Trace(schedule, k=[1, 2], residual=[1.0], step=[0.0, 0.0])
+    with pytest.raises(ValueError, match="unknown trace columns"):
+        Trace(schedule, k=[1], residual=[1.0], step=[0.0], C_k=[0.0])
 
 
 def per_step_derivation(trace, sched):
@@ -847,6 +879,87 @@ def test_divergence_partial_trace_has_derived_columns():
     with np.errstate(over="ignore", invalid="ignore"):
         for name, values in want.items():
             assert np.array_equal(getattr(trace, name), np.array(values), equal_nan=True), name
+
+
+def whole_derivation(trace):
+    """The derived columns as whole-column expressions over the stored ones,
+    as the engine formed them once per run before a trace computed them on
+    access (every derived column of a trace must have these bits)."""
+    res, step, k = trace.residual, trace.step, trace.k
+    a, lam = trace.schedule.columns(k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        nu = 1.0 / lam - 1.0
+        delta = np.zeros_like(step)
+        delta[1:] = nu[:-1] * (1.0 - a[:-1]) * step[1:] * step[1:]
+        Delta = C = None
+        if trace.dist_to_ref is not None:
+            d = trace.dist_to_ref
+            dsq = d * d
+            Delta = np.zeros_like(d)
+            Delta[1:] = dsq[1:] - dsq[:-1]
+            C = dsq.copy()
+            C[1:] = dsq[1:] - a[:-1] * d[:-1] * d[:-1] + delta[1:]
+        return {"nu_k": nu, "delta_k": delta, "Delta_k": Delta, "C_k": C,
+                "k_step_sq": k * step * step, "k_res_sq": k * res * res}
+
+
+def same_bits(got, want):
+    return (got is None) == (want is None) and (
+        got is None or np.asarray(got, dtype=np.float64).tobytes() == want.tobytes())
+
+
+DERIVED_SCHEDULES = {
+    "constant": Schedule.constant(0.2, 0.7),
+    "ramp": Schedule.ramp(0.0, 0.3, ROW_CHUNK + 20, [0.5, 0.9, 1.1]),
+    "table": Schedule.table([0.0, 0.1, 0.1, 0.3], [0.9, 0.4, 1.3]),
+}
+EDGE_VALUES = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308, 2.2250738585072014e-308,
+               1e-160, 0.1, 1.0 / 3.0, 7.0]
+
+
+def derived_cases(quad_50, sched):
+    """A run with and without a reference, past two row chunks, and a trace of
+    edge values (signed zeros, infinities, nans, subnormals) under ``sched``."""
+    T = quad_50.operator("gradient")
+    n = 2 * ROW_CHUNK + 5
+    for p_ref in (quad_50.reference_solution, None):
+        yield run(T, quad_50.start_point("gradient"), sched, StoppingRule(n, 0.0),
+                  p_ref=p_ref).rows
+    gen = np.random.default_rng(3)
+    yield Trace(sched, k=np.arange(1, n + 1), **{name: gen.choice(EDGE_VALUES, n)
+                                                 for name in ("residual", "step", "dist_to_ref")})
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED_SCHEDULES))
+def test_columns_computed_on_access_have_the_whole_column_bits(quad_50, name):
+    R = ROW_CHUNK
+    for trace in derived_cases(quad_50, DERIVED_SCHEDULES[name]):
+        n = len(trace)
+        want = whole_derivation(trace)
+        rows = list(trace)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for col, values in want.items():
+                assert same_bits(getattr(trace, col), values), col
+                # iteration and row access
+                assert same_bits(None if values is None else [getattr(r, col) for r in rows],
+                                 values), col
+                for i in (0, 1, R - 1, R, R + 1, n - 1, -1, -n):
+                    assert same_bits(None if values is None else [getattr(trace[i], col)],
+                                     None if values is None else values[i:i + 1 or None]), col
+                # any chunk of rows, and any slice, alone or of a slice
+                for lo, hi in ((0, n), (0, 1), (1, 2), (R - 1, R + 1), (R, 2 * R + 3),
+                               (n - 1, n), (5, 5), (n - 3, n + 10), (-R - 2, -1)):
+                    part = trace[lo:hi]
+                    start, stop, _ = slice(lo, hi).indices(n)
+                    sliced = None if values is None else values[lo:hi]
+                    assert same_bits(getattr(part, col), sliced), (col, lo, hi)
+                    assert same_bits(None if values is None else [getattr(r, col) for r in part],
+                                     sliced), (col, lo, hi)
+                    if start <= stop:
+                        assert same_bits(trace.column(col, start, stop), sliced), (col, lo, hi)
+                    inner = trace[3:][lo:hi]
+                    assert same_bits(getattr(inner, col),
+                                     None if values is None else values[3:][lo:hi]), (col, lo, hi)
 
 
 # row-by-row replays as the engine ran them before the columns, with every
@@ -928,21 +1041,34 @@ MAGNITUDE = st.one_of(st.floats(0.0, 10.0), st.floats(0.0, 1e-150), st.floats(0.
 @st.composite
 def random_traces(draw):
     n = draw(st.integers(1, 25))
-    cols = {name: draw(st.lists(MAGNITUDE, min_size=n, max_size=n))
-            for name in ("residual", "step", "dist_to_ref")}
-    cols["delta_k"] = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
-    # C_k moves by small steps so that both verdicts occur
-    c0 = draw(st.floats(-1e-8, 5.0))
-    steps = draw(st.lists(st.floats(-1.0, 1e-9), min_size=n, max_size=n))
-    cols["C_k"] = list(np.cumsum([c0] + steps[1:]))
-    cols["step"][0] = 0.0
-    zeros = [0.0] * n
-    trace = Trace(k=list(range(1, n + 1)), nu_k=zeros, Delta_k=zeros, k_step_sq=zeros,
-                  k_res_sq=zeros, **cols)
+    residual, step = (draw(st.lists(MAGNITUDE, min_size=n, max_size=n)) for _ in range(2))
+    step[0] = 0.0
     alphas = sorted(draw(st.lists(st.floats(0.0, 0.99), min_size=1, max_size=4)))
     lambdas = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4))
     sched = Schedule.table(alphas, lambdas)
+    # the distances of a C_k that moves by small steps, so that both
+    # verdicts occur: ||x_k - p||^2 = C_k + alpha_{k-1} ||x_{k-1} - p||^2 -
+    # delta_k, clipped at 0 (where the clip binds, C_k moves further)
+    a, lam = sched.columns(np.arange(1, n + 1))
+    target = np.cumsum([draw(st.floats(0.0, 5.0))]
+                       + draw(st.lists(st.floats(-1.0, 1e-9), min_size=n - 1, max_size=n - 1)))
+    dsq = [target[0]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, n):
+            delta = (1.0 / lam[i - 1] - 1.0) * (1.0 - a[i - 1]) * step[i] * step[i]
+            dsq.append(max(target[i] + a[i - 1] * dsq[-1] - delta, 0.0))
+    trace = Trace(sched, k=list(range(1, n + 1)), residual=residual, step=step,
+                  dist_to_ref=np.sqrt(dsq))
     return trace, sched
+
+
+def test_random_traces_draw_both_verdicts():
+    # the replay test below sees passing and failing traces of each kind
+    for replay in (lambda trace: verify_Ck_monotone(trace) is None,
+                   lambda trace: verify_descent(trace).ok):
+        for verdict in (True, False):
+            find(random_traces(), lambda case: replay(case[0]) == verdict,
+                 settings=settings(max_examples=2000, database=None, phases=[Phase.generate]))
 
 
 @settings(max_examples=400, deadline=None)
@@ -1104,14 +1230,14 @@ CHUNK_SCHEDULES = {
 
 
 def corrupted(trace, length, row):
+    # C_k, Delta_k and delta_k follow the corrupted distance and step
     cols = {name: None if getattr(trace, name) is None else getattr(trace, name)[:length].copy()
-            for name in COLUMNS}
+            for name in STORED_COLUMNS}
     if row is not None and row < length:
         cols["dist_to_ref"][row] *= 1.5
-        cols["C_k"][row] = 3.0 * cols["C_k"][row] + 1.0
         cols["step"][row] *= 2.0
         cols["residual"][row] *= 4.0
-    return Trace(**cols)
+    return Trace(trace.schedule, **cols)
 
 
 @pytest.mark.parametrize("length", [1, 2, R - 1, R, R + 1, 2 * R + 1, 3 * R + 2])
