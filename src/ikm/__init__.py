@@ -10,21 +10,15 @@ concrete splitting schemes with deterministic benchmark problems.
 from .certificates import (
     CheckResult,
     RelaxationSeqReport,
-    NesterovBound,
-    ParamPoint,
     contraction_constant,
-    RateBound,
     check_relaxation_constant,
     check_relaxation_seq,
     check_contraction_condition,
     lambda_alpha_1,
     lambda_alpha_q,
     lambda_grid,
-    nesterov_lambda_bound,
     feasibility_poly,
     rate_bound,
-    rate_bound_sum,
-    strongly_convex_gradient_factor,
     xi_threshold,
 )
 from .engine import (
@@ -66,7 +60,6 @@ from .operators import (
     l2_ball,
     primal_dual_op,
     prox,
-    prox_conjugate,
     proximal_op,
     quadratic,
     residual,
@@ -76,7 +69,6 @@ from .operators import (
 from .problems import (
     BenchmarkInstance,
     ReferenceNotConverged,
-    SpectralData,
     make_feasibility,
     make_lasso,
     make_quadratic,

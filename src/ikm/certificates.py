@@ -21,9 +21,6 @@ import numpy as np
 __all__ = [
     "CheckResult",
     "RelaxationSeqReport",
-    "NesterovBound",
-    "ParamPoint",
-    "RateBound",
     "contraction_constant",
     "check_relaxation_constant",
     "check_relaxation_seq",
@@ -32,12 +29,9 @@ __all__ = [
     "lambda_alpha_q",
     "lambda_grid",
     "lambda_grid_points",
-    "nesterov_lambda_bound",
     "feasibility_poly",
     "feasibility_poly_coefficients",
     "rate_bound",
-    "rate_bound_sum",
-    "strongly_convex_gradient_factor",
     "xi_threshold",
 ]
 
@@ -54,37 +48,6 @@ class CheckResult:
     @property
     def margin(self) -> float:
         return self.rhs - self.lhs
-
-
-@dataclass(frozen=True)
-class ParamPoint:
-    """One (alpha, lambda, q, xi, gamma) parameter choice.
-
-    ``eta = gamma * lambda`` is the effective relaxation used by feasibility
-    checks when the operator's averagedness is known.
-    """
-
-    alpha: float
-    lam: float
-    q: float = 1.0
-    xi: float = 1.0
-    gamma: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError("alpha must lie in [0, 1)")
-        if self.lam <= 0.0:
-            raise ValueError("lambda must be > 0")
-        if not 0.0 < self.q <= 1.0:
-            raise ValueError("q must lie in (0, 1]")
-        if not 0.0 <= self.xi <= 1.0:
-            raise ValueError("xi must lie in [0, 1]")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError("gamma must lie in (0, 1]")
-
-    @property
-    def eta(self) -> float:
-        return self.gamma * self.lam
 
 
 def contraction_constant(lam: float, q: float, xi: float) -> float:
@@ -353,79 +316,6 @@ def rate_bound(k: int, alpha: float, Q_const: float, d1: float) -> float:
     return (alpha ** (k + 1) - Q_const ** (k + 1)) / (alpha - Q_const) * d1
 
 
-def rate_bound_sum(k: int, alpha: float, Qs, d1: float) -> float:
-    """Geometric-sum form ``[alpha^k + sum_j alpha^{k-j} prod_{i<=j} Q_i] d1``.
-
-    ``Qs`` may be a scalar (constant contraction) or a sequence of per-step
-    constants ``Q_1 .. Q_k``.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if isinstance(Qs, (int, float)):
-        Qs = [float(Qs)] * k
-    else:
-        Qs = list(Qs)
-        if len(Qs) < k:
-            raise ValueError(f"need {k} per-step constants, got {len(Qs)}")
-    total = alpha ** k
-    prod = 1.0
-    for j in range(1, k + 1):
-        prod *= Qs[j - 1]
-        total += alpha ** (k - j) * prod
-    return total * d1
-
-
-@dataclass(frozen=True)
-class RateBound:
-    """Frozen rate envelope ``bound(k) = rate_bound(k, alpha, Q_const, d1)``."""
-
-    Q_const: float
-    alpha: float
-    d1: float
-
-    def __post_init__(self):
-        if not self.Q_const > self.alpha:
-            raise ValueError("Q_const must exceed alpha")
-
-    def bound(self, k: int) -> float:
-        return rate_bound(k, self.alpha, self.Q_const, self.d1)
-
-
-@dataclass(frozen=True)
-class NesterovBound:
-    """Relaxation bound for the constant-step momentum scheme.
-
-    ``value = 2 Q / (1 - sqrt(Q) + 2 Q)`` for condition number ``Q``;
-    ``exceeds_one`` flags values above 1, which fall outside the relaxation
-    range assumed elsewhere (reported, never enforced).
-    """
-
-    value: float
-    exceeds_one: bool
-
-
-def nesterov_lambda_bound(Q_cond: float) -> NesterovBound:
-    if Q_cond < 1.0:
-        raise ValueError("condition number must be >= 1")
-    value = 2.0 * Q_cond / (1.0 - math.sqrt(Q_cond) + 2.0 * Q_cond)
-    return NesterovBound(value=value, exceeds_one=value > 1.0)
-
-
-def strongly_convex_gradient_factor(mu: float, L: float, rho: float) -> float:
-    """Factor ``1 - 2 mu L rho / (L + mu)`` for gradient steps on a
-    mu-strongly convex, L-smooth objective with ``rho <= 2 / (L + mu)``.
-
-    At ``rho = 2 / (mu + L)`` this equals ``((L - mu) / (L + mu))^2``, the
-    square of the spectral factor ``max |1 - rho eig|`` at the same step; it
-    is exposed for comparison against the spectrally certified ``q_factor``.
-    """
-    if not 0.0 < mu <= L:
-        raise ValueError("need 0 < mu <= L")
-    if not 0.0 < rho <= 2.0 / (L + mu):
-        raise ValueError("rho must lie in (0, 2/(L+mu)]")
-    return 1.0 - 2.0 * mu * L * rho / (L + mu)
-
-
 def lambda_grid_points(alpha_steps: int, q_steps: int):
     """Grid nodes: alpha in {0, 1/n, ...}, q strictly inside (0, 1)."""
     if alpha_steps < 2 or q_steps < 2:
@@ -435,21 +325,17 @@ def lambda_grid_points(alpha_steps: int, q_steps: int):
     return alphas, qs
 
 
-def lambda_grid(alpha_steps: int, q_steps: int, check_bracket: bool = True):
-    """Yield ``(alpha, q, lambda_alpha_q)`` over the default grid.
-
-    With ``check_bracket`` each cell is asserted against the closed-form
-    enclosure before being yielded.
-    """
+def lambda_grid(alpha_steps: int, q_steps: int):
+    """Yield ``(alpha, q, lambda_alpha_q)`` over the default grid, each cell
+    asserted against the closed-form enclosure before being yielded."""
     alphas, qs = lambda_grid_points(alpha_steps, q_steps)
     for alpha in alphas:
         for q in qs:
             lam = lambda_alpha_q(alpha, q)
-            if check_bracket:
-                lo, hi = lambda_bracket(alpha, q)
-                if not lo - 1e-10 <= lam <= hi + 1e-10:
-                    raise AssertionError(
-                        f"bracketing violated at alpha={alpha}, q={q}: "
-                        f"{lo} <= {lam} <= {hi}"
-                    )
+            lo, hi = lambda_bracket(alpha, q)
+            if not lo - 1e-10 <= lam <= hi + 1e-10:
+                raise AssertionError(
+                    f"bracketing violated at alpha={alpha}, q={q}: "
+                    f"{lo} <= {lam} <= {hi}"
+                )
             yield alpha, q, lam

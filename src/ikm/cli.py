@@ -22,6 +22,7 @@ import dataclasses
 import itertools
 import math
 import sys
+from array import array
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -34,11 +35,12 @@ from .engine import (COLUMNS, OPTIONAL_COLUMNS, STORED_COLUMNS, DivergenceError,
 from .operators import OperatorHandle, residual as op_residual
 
 # the columns of an ikm-trace-v2 file, those a Trace stores: k, the
-# measured columns and the rate_bound promise.  An ikm-trace-v1 file holds
-# every Trace column
+# measured columns and the rate_bound promise
 TRACE_FIELDS = STORED_COLUMNS
 TRACE_COLUMNS = ",".join(TRACE_FIELDS)
-TRACE_HEADERS = {TRACE_COLUMNS: TRACE_FIELDS, ",".join(COLUMNS): COLUMNS}
+# the header of an ikm-trace-v1 file, which held every Trace column; no
+# writer has made one since v2, and the reader rejects it
+V1_TRACE_COLUMNS = ",".join(COLUMNS)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -283,25 +285,18 @@ def write_trace(path: str, trace: Trace, resolved: Dict[str, str]) -> None:
             fh.write(row_fmt * len(chunk[0]) % values)
 
 
-def _parse_column(path: str, name: str, tokens: List[str]) -> Optional[np.ndarray]:
-    """One column of a chunk of rows: an array, or None when every field is empty."""
+def _parse_column(path: str, name: str, tokens: List[str], buf: array) -> bool:
+    """Append one column of a chunk of rows to ``buf``; False, appending
+    nothing, when every field is empty."""
     if not any(tokens):
-        return None
+        return False
     if "" in tokens:
         raise ConfigError(f"{path}: column {name} mixes empty and filled fields")
     try:
-        return np.array(list(map(int if name == "k" else float, tokens)))
-    except ValueError as exc:
+        buf.fromlist(list(map(int if name == "k" else float, tokens)))
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: column {name}: {exc}") from None
-
-
-def _pow_column(base: float, ks: np.ndarray) -> np.ndarray:
-    """libm ``pow(base, k)`` for each entry of the int64 array ``ks``, as a
-    float64 array; the ks are converted ``engine.ROW_CHUNK`` at a time, so
-    no list of ``ks.size`` Python objects is ever held."""
-    ints = itertools.chain.from_iterable(ks[lo:lo + engine.ROW_CHUNK].tolist()
-                                         for lo in range(0, ks.size, engine.ROW_CHUNK))
-    return np.fromiter(map(math.pow, itertools.repeat(base), ints), np.float64, ks.size)
+    return True
 
 
 def rate_bound_column(trace: Trace, schedule: Schedule, q: Optional[float],
@@ -309,7 +304,7 @@ def rate_bound_column(trace: Trace, schedule: Schedule, q: Optional[float],
     """``rate_bound(k - 1, alpha, Q, ||x_1 - p||^2)`` per row of a run with a
     reference, a constant schedule with ``0 < lambda <= 1`` and a certified
     ``q`` whose ``Q(lambda, q, xi)`` lies in ``(alpha, 1)``; None for any
-    other run."""
+    other run.  The rows are computed ``engine.ROW_CHUNK`` at a time."""
     if q is None or schedule.const is None or trace.dist_to_ref is None or not len(trace):
         return None
     alpha, lam = schedule.const
@@ -318,14 +313,18 @@ def rate_bound_column(trace: Trace, schedule: Schedule, q: Optional[float],
     Q_const = cert.contraction_constant(lam, q, xi)
     if not alpha < Q_const < 1.0:
         return None
-    # cert.rate_bound's expression at exponent (k - 1) + 1 over the column:
-    # libm pow, not NumPy power, gives the bits an ikm-trace-v2 file holds,
-    # and the rest are the same IEEE operations in the same order, in place
     d1 = trace.dist_to_ref[0].item() ** 2
-    bound = _pow_column(alpha, trace.k)
-    bound -= _pow_column(Q_const, trace.k)
-    bound /= alpha - Q_const
-    bound *= d1
+    bound = np.empty(len(trace))
+    for lo in range(0, len(trace), engine.ROW_CHUNK):
+        # cert.rate_bound's expression at exponent (k - 1) + 1: libm pow, not
+        # NumPy power, gives the bits an ikm-trace-v2 file holds, and the
+        # rest are the same IEEE operations in the same order, in place
+        ks = trace.k[lo:lo + engine.ROW_CHUNK].tolist()
+        part = bound[lo:lo + len(ks)]
+        part[:] = np.fromiter(map(math.pow, itertools.repeat(alpha), ks), np.float64, len(ks))
+        part -= np.fromiter(map(math.pow, itertools.repeat(Q_const), ks), np.float64, len(ks))
+        part /= alpha - Q_const
+        part *= d1
     return bound
 
 
@@ -343,41 +342,44 @@ def _differs(a: Optional[np.ndarray], b: Optional[np.ndarray], n: int) -> np.nda
 
 
 def read_trace(path: str, consistency: bool = False):
-    """Parse an ``ikm-trace-v2`` or ``ikm-trace-v1`` file into a
-    :class:`Trace` and its config.
+    """Parse an ``ikm-trace-v2`` file into a :class:`Trace` and its config.
 
-    The header names the version: v2 holds ``TRACE_FIELDS``, v1 every
-    :class:`Trace` column.  Only the columns the file holds are parsed.
-    Every row must have one field per column, and a column must be all
-    numbers or, for the optional columns, all empty.  The file is read line
-    by line and its rows are split and parsed ``engine.ROW_CHUNK`` at a
-    time, column by column, so the parse holds one chunk of text and tokens
-    besides the parsed columns.  The last ``# config:`` line gives the
-    config, which must be present.  Errors are raised in file order, except
-    that a missing header, a column mixing empty and filled chunks, a k
-    below 1 and a missing config are reported at the end.
+    The header must name ``TRACE_FIELDS``; an ``ikm-trace-v1`` header is an
+    error.  Every row must have one field per column, and a column must be
+    all numbers or, for the optional columns, all empty.  The file is read
+    line by line and its rows are split and parsed ``engine.ROW_CHUNK`` at
+    a time, column by column, into one buffer per column grown in place
+    (``array("d")``, and int64 for ``k``), which becomes the trace's column
+    without a copy; so the parse holds one chunk of text and tokens besides
+    the parsed columns.  The last ``# config:`` line gives the config,
+    which must be present.  Errors are raised in file order, except that a
+    missing header, a column mixing empty and filled chunks, a k below 1
+    and a missing config are reported at the end.
 
     The returned trace stores the file's measured columns and the config's
     schedule, and ``rate_bound`` from :func:`rate_bound_column`, as ``ikm
     run`` made it; ``nu_k``, ``delta_k``, ``Delta_k``, ``C_k``,
     ``k_step_sq`` and ``k_res_sq`` are computed from them on access, as for
     the run's own trace.  With ``consistency`` set a third value is
-    returned: the int64 array of the ks at which a derived column the file
-    holds differs from its re-derivation, empty when every one agrees; None
-    for a v2 file whose ``rate_bound``, its one derived column, agrees.
-    The re-derived Lyapunov columns are compared ``engine.ROW_CHUNK`` rows
-    at a time.
+    returned: the int64 array of the ks at which the file's ``rate_bound``
+    differs from the recomputed one, compared ``engine.ROW_CHUNK`` rows at
+    a time, or None when it agrees.  The file's column is dropped on return.
     """
     cfg: Dict[str, str] = {}
-    names: Optional[Tuple[str, ...]] = None  # the columns the header names
     started = False  # whether the first row, which must be the header, was seen
+    header = False  # whether that row is the v2 header
     rows: List[str] = []
-    parts: Dict[str, list] = {}
+    buffers = [array("q" if name == "k" else "d") for name in TRACE_FIELDS]
+    empty = [0] * len(TRACE_FIELDS)  # the chunks in which each column is empty
+    chunks = 0
 
     def parse_rows():
+        nonlocal chunks
         tokens = ",".join(rows).split(",")
-        for j, name in enumerate(names):
-            parts[name].append(_parse_column(path, name, tokens[j::len(names)]))
+        for j, name in enumerate(TRACE_FIELDS):
+            if not _parse_column(path, name, tokens[j::len(TRACE_FIELDS)], buffers[j]):
+                empty[j] += 1
+        chunks += 1
         rows.clear()
 
     with open(path, "r", encoding="utf-8") as fh:
@@ -389,31 +391,29 @@ def read_trace(path: str, consistency: bool = False):
                 continue
             if not started:
                 started = True
-                names = TRACE_HEADERS.get(line)
-                parts = {name: [] for name in names or ()}
-            elif names:
-                if line.count(",") != len(names) - 1:
+                header = line == TRACE_COLUMNS
+                if line == V1_TRACE_COLUMNS:
+                    raise ConfigError(f"{path}: an ikm-trace-v1 file, which is no longer "
+                                      "read; rerun ikm run to write ikm-trace-v2")
+            elif header:
+                if line.count(",") != len(TRACE_FIELDS) - 1:
                     raise ConfigError(f"{path}: malformed row {line!r}")
                 rows.append(line)
                 if len(rows) == engine.ROW_CHUNK:
                     parse_rows()
-    if not names:
+    if not header:
         raise ConfigError(f"{path}: not an ikm trace (missing column header)")
     if rows:
         parse_rows()
     columns = {}
-    for name in names:
-        # popped, so each column's chunks are freed once it is joined
-        chunks = parts.pop(name)
-        filled = [chunk for chunk in chunks if chunk is not None]
-        if not filled and name in OPTIONAL_COLUMNS:
+    for name, buf, n_empty in zip(TRACE_FIELDS, buffers, empty):
+        if n_empty == chunks and name in OPTIONAL_COLUMNS:
             columns[name] = None
-        elif len(filled) < len(chunks):
+        elif n_empty:
             raise ConfigError(f"{path}: column {name} "
-                              + ("mixes empty and filled fields" if filled else "is empty"))
+                              + ("mixes empty and filled fields" if buf else "is empty"))
         else:
-            columns[name] = (np.concatenate(filled) if filled
-                             else np.empty(0, np.int64 if name == "k" else np.float64))
+            columns[name] = np.asarray(buf, dtype=np.int64 if name == "k" else np.float64)
     k = columns.pop("k")
     # a k < 1 is a corrupt trace, not a replay to skip
     if k.size and k.min() < 1:
@@ -422,21 +422,19 @@ def read_trace(path: str, consistency: bool = False):
         raise ConfigError(f"{path}: missing embedded '# config:' line")
 
     schedule, _, xi = build_schedule(ConfigView(cfg))
-    trace = Trace(schedule, k=k, **{name: columns.pop(name)
-                                    for name in ("residual", "step", "dist_to_ref", "objective")})
+    held = columns.pop("rate_bound")
+    trace = Trace(schedule, k=k, **columns)
     trace.rate_bound = rate_bound_column(trace, schedule, _certified_q(cfg), xi)
     if not consistency:
         return trace, cfg
-    # what is left of the file's columns are the derived ones it holds
-    bad = np.zeros(k.size, dtype=bool)
-    for name in list(columns):
-        held = columns.pop(name)
-        for lo in range(0, k.size, engine.ROW_CHUNK):
-            hi = min(lo + engine.ROW_CHUNK, k.size)
-            bad[lo:hi] |= _differs(None if held is None else held[lo:hi],
-                                   trace.column(name, lo, hi), hi - lo)
-    mismatch = None if names is TRACE_FIELDS and not bad.any() else k[bad]
-    return trace, cfg, mismatch
+    differ = []
+    for lo in range(0, k.size, engine.ROW_CHUNK):
+        hi = min(lo + engine.ROW_CHUNK, k.size)
+        bad = _differs(None if held is None else held[lo:hi], trace.column("rate_bound", lo, hi),
+                       hi - lo)
+        if bad.any():
+            differ.append(k[lo:hi][bad])
+    return trace, cfg, np.concatenate(differ) if differ else None
 
 
 # --------------------------------------------------------------------------
@@ -519,7 +517,7 @@ def cmd_run(config_path: str, out=sys.stdout) -> int:
           f"final_residual={_fmt(result.final_residual if len(trace) else None)}", file=out)
     print(f"trace written to {trace_path}", file=out)
 
-    verdicts = evaluate_checks(trace, checks, schedule, q, xi)
+    verdicts = evaluate_checks(trace, checks, q, xi)
     for name in checks:
         if name != "small_o":
             print(f"check {name}: {_verdict(*verdicts[name])}", file=out)
@@ -536,9 +534,9 @@ def cmd_run(config_path: str, out=sys.stdout) -> int:
     return EXIT_DIVERGED if status == "diverged" else EXIT_MAX_ITERS
 
 
-def evaluate_checks(trace: Trace, names, schedule: Schedule, q: Optional[float],
+def evaluate_checks(trace: Trace, names, q: Optional[float],
                     xi: float) -> Dict[str, Tuple[str, object]]:
-    """``(status, detail)`` of each named check along a trace.
+    """``(status, detail)`` of each named check along a trace, under its schedule.
 
     A PASS details the indices checked (None for ``ck``), a FAIL the first
     failing k (``ck``) or up to five, a SKIPPED why the replay cannot run (a
@@ -562,13 +560,13 @@ def evaluate_checks(trace: Trace, names, schedule: Schedule, q: Optional[float],
             verdicts[name] = ("SKIPPED", "no certified q")
         else:
             try:
-                verdicts[name] = _replay_verdict(name, trace, schedule, q, xi)
+                verdicts[name] = _replay_verdict(name, trace, q, xi)
             except ValueError as exc:
                 verdicts[name] = ("SKIPPED", str(exc))
     return verdicts
 
 
-def _replay_verdict(name: str, trace: Trace, schedule: Schedule, q: Optional[float],
+def _replay_verdict(name: str, trace: Trace, q: Optional[float],
                     xi: float) -> Tuple[str, object]:
     """The verdict of one replay check.  The replays are called through the
     ``engine`` module's attributes, so that wrappers installed there see
@@ -577,11 +575,11 @@ def _replay_verdict(name: str, trace: Trace, schedule: Schedule, q: Optional[flo
         bad = engine.verify_Ck_monotone(trace)
         return ("PASS", None) if bad is None else ("FAIL", bad)
     if name == "descent":
-        rep = engine.verify_descent(trace, schedule=schedule)
+        rep = engine.verify_descent(trace)
     elif name == "contraction":
-        rep = engine.verify_contraction(trace, q, xi, schedule=schedule)
+        rep = engine.verify_contraction(trace, q, xi)
     else:
-        rep = engine.verify_product_bound(trace, q, xi, schedule=schedule)
+        rep = engine.verify_product_bound(trace, q, xi)
     return ("PASS", rep.checked) if rep.ok else ("FAIL", rep.violations[:5].tolist())
 
 
@@ -710,14 +708,14 @@ def cmd_sweep(config_path: str, out=sys.stdout) -> int:
 
 
 def cmd_certify(trace_path: str, out=sys.stdout) -> int:
-    """Replay every check on a trace file's re-derived columns.  A v1 file
-    also gets a ``consistency`` line on its derived columns, and so does a
-    file whose ``rate_bound`` disagrees with its re-derivation."""
+    """Replay every check on a trace file's re-derived columns.  A file whose
+    ``rate_bound`` disagrees with its re-derivation also gets a failing
+    ``consistency`` line."""
     trace, cfg, mismatch = read_trace(trace_path, consistency=True)
     if not len(trace):
         raise ConfigError(f"{trace_path}: empty trace")
-    schedule, _, xi = build_schedule(ConfigView(cfg))
-    verdicts = evaluate_checks(trace, CHECKS, schedule, _certified_q(cfg), xi)
+    xi = _schedule_param(ConfigView(cfg), "schedule.xi", 1.0)
+    verdicts = evaluate_checks(trace, CHECKS, _certified_q(cfg), xi)
 
     for name, label, reason in (("ck", "Ck monotone", "no C_k column"),
                                 ("descent", "descent", "no dist_to_ref column")):
@@ -735,9 +733,8 @@ def cmd_certify(trace_path: str, out=sys.stdout) -> int:
               else f"small-o k*{part} (prefix {n}): {verdict}", file=out)
     failed = any(verdict == "FAIL" for verdict, _ in verdicts.values())
     if mismatch is not None:
-        print("consistency: " + (_verdict("FAIL", mismatch[:5].tolist()) if mismatch.size
-                                 else "PASS"), file=out)
-        failed = failed or mismatch.size > 0
+        print(f"consistency: {_verdict('FAIL', mismatch[:5].tolist())}", file=out)
+        failed = True
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 

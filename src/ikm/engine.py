@@ -46,12 +46,13 @@ chunk of rows is computed (:meth:`Trace.column`).
 A run keeps only the last two iterates and the last inertial point; the
 trace is its record.  The verify_* functions replay the per-iteration
 inequalities of the convergence analysis as array expressions over the
-trace columns alone, whether they come from a :class:`RunResult` or from an
-exported CSV.  They evaluate ``ROW_CHUNK`` indices at a time (the indices
-``[lo, hi)`` read the rows ``lo - 1 .. hi``) into the report's preallocated
-``lhs`` and ``rhs``, and read ``delta_k`` and ``C_k`` a chunk at a time
-too, so a replay's memory is one chunk of temporaries plus its report and
-no full-length Lyapunov column is formed; the values are those of the
+trace columns and the trace's schedule alone, whether they come from a
+:class:`RunResult` or from an exported CSV.  They evaluate ``ROW_CHUNK``
+indices at a time (the indices ``[lo, hi)`` read the rows ``lo - 1 .. hi``)
+into the report's preallocated ``lhs`` and ``rhs``, from one read of the
+schedule per chunk, and ``C_k`` is read a chunk at a time too, so a
+replay's memory is one chunk of temporaries plus its report and no
+full-length Lyapunov column is formed; the values are those of the
 whole-column expressions, bit for bit.  Distances to ``p`` and steps are
 columns; the cross terms the inequalities need are reconstructed through
 the identity
@@ -69,7 +70,7 @@ import itertools
 import math
 from array import array
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -261,6 +262,8 @@ OPTIONAL_COLUMNS = ("Delta_k", "C_k", "dist_to_ref", "objective", "rate_bound")
 # the columns a Trace stores, in the order of an ikm-trace-v2 CSV; the
 # others are computed from them and the trace's schedule on access
 STORED_COLUMNS = ("k", "residual", "step", "dist_to_ref", "objective", "rate_bound")
+# the derived columns that read the schedule (Trace._lyapunov)
+LYAPUNOV_COLUMNS = ("nu_k", "delta_k", "Delta_k", "C_k")
 
 
 class Trace:
@@ -311,54 +314,63 @@ class Trace:
         """Column ``name`` over the rows ``[lo, hi)`` (to the end when ``hi``
         is None), for ``0 <= lo <= hi <= len(self)``; None for an absent one.
 
-        A stored column gives a view.  A derived one is computed from the
-        stored columns of the rows ``lo - 1 .. hi - 1`` and the schedule at
-        their ks, with the products of the engine's per-step scalars in the
-        same order (see the module docstring), so a chunk of rows has the
-        bits of the whole column; the first row of a run takes ``delta =
-        Delta = 0`` and ``C = dist^2``.
+        A stored column gives a view.  A Lyapunov column comes from
+        :meth:`_lyapunov`, and ``k_step_sq``/``k_res_sq`` from the rows' own
+        ``k`` and ``step``/``residual``; each has the products of the
+        engine's per-step scalars in the same order (see the module
+        docstring), so a chunk of rows has the bits of the whole column.
         """
         hi = len(self) if hi is None else hi
         if name in STORED_COLUMNS:
             col = getattr(self, name)
             return None if col is None else col[lo:hi]
+        if name in LYAPUNOV_COLUMNS:
+            return self._lyapunov(lo, hi, (name,))[name]
         if name not in COLUMNS:
             raise ValueError(f"unknown trace column {name!r}")
-        dist = self.dist_to_ref
-        if name in OPTIONAL_COLUMNS and dist is None:  # Delta_k and C_k
-            return None
-        k, step = self.k[lo:hi], self.step[lo:hi]
+        v = (self.step if name == "k_step_sq" else self.residual)[lo:hi]
         with np.errstate(over="ignore", invalid="ignore"):
-            if name == "k_step_sq":
-                return k * step * step
-            if name == "k_res_sq":
-                res = self.residual[lo:hi]
-                return k * res * res
-            if name == "nu_k":
-                return 1.0 / self.schedule.columns(k)[1] - 1.0
-            # the row before each row; the first row of a run stands in for
-            # its own, and its values are set below
-            before = self._row_before(lo)
-            first = before is None
-            k_head, d_head = before or (k[:1], None if dist is None else dist[:1])
-            a, lam = self.schedule.columns(np.concatenate((k_head, k))[:k.size])
-            delta = (1.0 / lam - 1.0) * (1.0 - a) * step * step
+            return self.k[lo:hi] * v * v
+
+    def _lyapunov(self, lo: int, hi: int,
+                  names=LYAPUNOV_COLUMNS) -> Dict[str, Optional[np.ndarray]]:
+        """The Lyapunov columns over the rows ``[lo, hi)`` by name: ``nu_k``,
+        ``delta_k``, and ``Delta_k`` and ``C_k`` when in ``names`` (None
+        without ``dist_to_ref``).
+
+        They are computed from the stored columns of the rows ``lo - 1 ..
+        hi - 1`` and one read of the schedule at their ks; the first row of
+        a run takes ``delta = Delta = 0`` and ``C = dist^2``.
+        """
+        k, step, dist = self.k[lo:hi], self.step[lo:hi], self.dist_to_ref
+        # the row before each row; the first row of a run stands in for its
+        # own, and its values are set below
+        before = self._row_before(lo)
+        first = before is None
+        k_head, d_head = before or (k[:1], None if dist is None else dist[:1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            # alpha and lambda at the row before each row, then at the last row
+            a, lam = self.schedule.columns(np.concatenate((k_head, k)))
+            a = a[:-1]
+            nu = 1.0 / lam - 1.0
+            delta = nu[:-1] * (1.0 - a) * step * step
             if first:
                 delta[:1] = 0.0
-            if name == "delta_k":
-                return delta
+            out = {"nu_k": nu[1:], "delta_k": delta, "Delta_k": None, "C_k": None}
+            if dist is None:
+                return out
             d = dist[lo:hi]
             d_prev = np.concatenate((d_head, d))[:d.size]
             dsq = d * d
-            if name == "Delta_k":
-                out = dsq - d_prev * d_prev
+            if "Delta_k" in names:
+                out["Delta_k"] = Delta = dsq - d_prev * d_prev
                 if first:
-                    out[:1] = 0.0
-            else:
-                out = dsq - a * d_prev * d_prev + delta
+                    Delta[:1] = 0.0
+            if "C_k" in names:
+                out["C_k"] = C = dsq - a * d_prev * d_prev + delta
                 if first:
-                    out[:1] = dsq[:1]
-            return out
+                    C[:1] = dsq[:1]
+        return out
 
     def _row_before(self, lo: int) -> Optional[Tuple[np.ndarray, Optional[np.ndarray]]]:
         """``k`` and ``dist_to_ref`` (None without the column) of the row
@@ -385,7 +397,9 @@ class Trace:
         return next(self._rows(i, i + 1))
 
     def _rows(self, lo: int, hi: int) -> Iterator[TraceRow]:
-        chunk = [self.column(name, lo, hi) for name in COLUMNS]
+        lyapunov = self._lyapunov(lo, hi)
+        chunk = [lyapunov[name] if name in lyapunov else self.column(name, lo, hi)
+                 for name in COLUMNS]
         return itertools.starmap(TraceRow, zip(*(itertools.repeat(None) if col is None
                                                  else col.tolist() for col in chunk)))
 
@@ -674,9 +688,8 @@ def as_trace(trace: Union[RunResult, Trace]) -> Trace:
     return trace.rows if isinstance(trace, RunResult) else trace
 
 
-def _unpack(trace, schedule) -> Tuple[Trace, Schedule]:
-    """Trace of a RunResult or Trace, reference validated, and ``schedule``
-    or, when None, the trace's own.
+def _unpack(trace) -> Trace:
+    """Trace of a RunResult or Trace, reference validated.
 
     A RunResult's ``p_ref`` must be a fixed point of its operator (when it
     carries one), and the trace must have the ``dist_to_ref`` column.
@@ -684,10 +697,9 @@ def _unpack(trace, schedule) -> Tuple[Trace, Schedule]:
     if isinstance(trace, RunResult) and trace.p_ref is not None:
         _check_ref_fixed(trace.operator, trace.p_ref)
     trace = as_trace(trace)
-    schedule = schedule or trace.schedule
     if trace.dist_to_ref is None:
         raise ValueError("trace lacks dist_to_ref; rerun with p_ref")
-    return trace, schedule
+    return trace
 
 
 def _check_ref_fixed(op, p_ref):
@@ -728,6 +740,14 @@ def _alpha_second_diff_sq(trace: Trace, a: np.ndarray, lam: np.ndarray,
         value = (lam * lam) * (res * res) - (1.0 - a) * (step[1:] * step[1:]) \
             + a * (1.0 - a) * (step[:-1] * step[:-1])
         return np.where(a == 0.0, 0.0, np.maximum(value, 0.0))
+
+
+def _next_delta(trace: Trace, a: np.ndarray, lam: np.ndarray, lo: int) -> np.ndarray:
+    """``delta_{k+1} = nu_k (1 - alpha_k) ||x_{k+1} - x_k||^2`` for the ``a.size``
+    indices from ``lo``, from their own ``(alpha_k, lambda_k)`` with the
+    products of :meth:`Trace._lyapunov` in its order."""
+    step = trace.step[lo + 1:lo + 1 + a.size]
+    return (1.0 / lam - 1.0) * (1.0 - a) * step * step
 
 
 def _dist_sq(trace: Trace, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -792,8 +812,7 @@ def _replay(name: str, trace: Trace, tol: float,
     return InequalityReport(name, ks, lhs, rhs, violations)
 
 
-def verify_descent(trace, schedule: Optional[Schedule] = None,
-                   tol: float = DEFAULT_TOL) -> InequalityReport:
+def verify_descent(trace, tol: float = DEFAULT_TOL) -> InequalityReport:
     """Replay the one-step descent inequality along the trace.
 
     At each k it checks
@@ -802,21 +821,22 @@ def verify_descent(trace, schedule: Optional[Schedule] = None,
             <= alpha_k Delta_k
                + [alpha_k (1 + alpha_k) + nu_k alpha_k (1 - alpha_k)] ||x_k - x_{k-1}||^2
 
-    with slack ``tol * (1 + |rhs|)`` for every pair of consecutive rows.  The
-    trace needs the ``dist_to_ref`` column; a :class:`RunResult` that carries
-    its operator has its ``p_ref`` validated as a fixed point first.
+    with slack ``tol * (1 + |rhs|)`` for every pair of consecutive rows,
+    under the trace's schedule.  The trace needs the ``dist_to_ref`` column;
+    a :class:`RunResult` that carries its operator has its ``p_ref``
+    validated as a fixed point first.
     """
-    trace, schedule = _unpack(trace, schedule)
+    trace = _unpack(trace)
 
     def chunk(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
         ks = trace.k[lo:hi]
-        a, lam = schedule.columns(ks)
+        a, lam = trace.schedule.columns(ks)
         prev, cur, nxt = _dist_sq(trace, lo, hi)
         step = trace.step[lo:hi]
         nu = 1.0 / lam - 1.0
         Delta_k = np.where(ks == 1, 0.0, cur - prev)
         second = _alpha_second_diff_sq(trace, a, lam, lo)
-        lhs = (nxt - cur) + trace.column("delta_k", lo + 1, hi + 1) + nu * second
+        lhs = (nxt - cur) + _next_delta(trace, a, lam, lo) + nu * second
         rhs = a * Delta_k + (a * (1.0 + a) + nu * a * (1.0 - a)) * (step * step)
         return lhs, rhs
 
@@ -844,17 +864,18 @@ def verify_Ck_monotone(trace, tol: float = DEFAULT_TOL) -> Optional[int]:
     return None
 
 
-def verify_contraction(trace, q: float, xi: float, schedule: Optional[Schedule] = None,
-                       tol: float = DEFAULT_TOL) -> InequalityReport:
+def verify_contraction(trace, q: float, xi: float, tol: float = DEFAULT_TOL) -> InequalityReport:
     """Replay the per-step contraction bound for q-quasi-contractive runs:
 
         ||x_{k+1} - p||^2 <= Q(lambda_k, q, xi) ||y_k - p||^2
-                             - xi lambda_k (1 - lambda_k) ||y_k - T y_k||^2.
+                             - xi lambda_k (1 - lambda_k) ||y_k - T y_k||^2
+
+    under the trace's schedule.
     """
-    trace, schedule = _unpack(trace, schedule)
+    trace = _unpack(trace)
 
     def chunk(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
-        a, lam = schedule.columns(trace.k[lo:hi])
+        a, lam = trace.schedule.columns(trace.k[lo:hi])
         Q = _contraction_column(lam, q, xi)
         res = trace.residual[lo:hi]
         rhs = Q * _y_dist_sq(trace, a, lo) - xi * lam * (1.0 - lam) * (res * res)
@@ -863,18 +884,17 @@ def verify_contraction(trace, q: float, xi: float, schedule: Optional[Schedule] 
     return _replay("contraction", trace, tol, chunk)
 
 
-def verify_product_bound(trace, q: float, xi: float, schedule: Optional[Schedule] = None,
-                         tol: float = DEFAULT_TOL) -> InequalityReport:
+def verify_product_bound(trace, q: float, xi: float, tol: float = DEFAULT_TOL) -> InequalityReport:
     """Replay the certificate product bound
 
         ||x_{k+1} - p||^2 - alpha_k ||x_k - p||^2 + xi delta_{k+1}
-            <= prod_{j<=k} Q(lambda_j, q, xi) * ||x_1 - p||^2.
+            <= prod_{j<=k} Q(lambda_j, q, xi) * ||x_1 - p||^2
 
-    The product runs across chunks as ``np.cumprod`` of ``[carry, Q_lo,
-    ...]``: the same sequential products, bit for bit, as one ``np.cumprod``
-    over the whole column.
+    under the trace's schedule.  The product runs across chunks as
+    ``np.cumprod`` of ``[carry, Q_lo, ...]``: the same sequential products,
+    bit for bit, as one ``np.cumprod`` over the whole column.
     """
-    trace, schedule = _unpack(trace, schedule)
+    trace = _unpack(trace)
     d1 = trace.dist_to_ref[:1]
     with np.errstate(over="ignore"):
         d1 = d1 * d1
@@ -882,11 +902,11 @@ def verify_product_bound(trace, q: float, xi: float, schedule: Optional[Schedule
 
     def chunk(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
         nonlocal carry
-        a, lam = schedule.columns(trace.k[lo:hi])
+        a, lam = trace.schedule.columns(trace.k[lo:hi])
         prod = np.cumprod(np.concatenate((carry, _contraction_column(lam, q, xi))))[1:]
         carry = prod[-1:]
         _, cur, nxt = _dist_sq(trace, lo, hi)
-        return nxt - a * cur + xi * trace.column("delta_k", lo + 1, hi + 1), prod * d1
+        return nxt - a * cur + xi * _next_delta(trace, a, lam, lo), prod * d1
 
     return _replay("product_bound", trace, tol, chunk)
 

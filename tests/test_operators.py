@@ -20,7 +20,6 @@ from ikm.operators import (
     make_prox_conjugate,
     primal_dual_op,
     prox,
-    prox_conjugate,
     proximal_op,
     quadratic,
     residual,
@@ -129,7 +128,7 @@ def test_moreau_identity_componentwise():
     g = l1(0.7)
     for sigma in (0.3, 1.0, 2.5):
         w = rand_vec(gen, 20)
-        lhs = sigma * prox(g, 1.0 / sigma, w / sigma) + prox_conjugate(g, sigma, w)
+        lhs = sigma * prox(g, 1.0 / sigma, w / sigma) + make_prox_conjugate(g, sigma)(w)
         np.testing.assert_allclose(lhs, w, atol=1e-12)
 
 
@@ -155,7 +154,6 @@ def test_conjugate_prox_of_other_kinds_is_moreau():
         for sigma in (0.4, 2.0):
             want = v - sigma * prox(g, 1.0 / sigma, v / sigma)
             assert make_prox_conjugate(g, sigma)(v).tobytes() == want.tobytes()
-            assert prox_conjugate(g, sigma, v).tobytes() == want.tobytes()
     with pytest.raises(ValueError):
         make_prox_conjugate(l1(1.0), 0.0)
 
@@ -325,12 +323,13 @@ def test_steps_from_power_estimate_are_rejected(builder):
 def _pd_formula(f, g, L, tau, sigma, p):
     x, y = p[:L.cols], p[L.cols:]
     xp = prox(f, tau, x - tau * L.apply_adjoint(y))
-    return np.concatenate((xp, prox_conjugate(g, sigma, y + sigma * L.apply(2.0 * xp - x))))
+    yp = make_prox_conjugate(g, sigma)(y + sigma * L.apply(2.0 * xp - x))
+    return np.concatenate((xp, yp))
 
 
 def _sdr_formula(f, g, L, tau, sigma, p):
     x, y = p[:L.cols], p[L.cols:]
-    v = prox_conjugate(g, sigma, y + sigma * L.apply(x))
+    v = make_prox_conjugate(g, sigma)(y + sigma * L.apply(x))
     xp = prox(f, tau, x - tau * L.apply_adjoint(v))
     return np.concatenate((xp, sigma * L.apply(xp - x) + v))
 
@@ -390,7 +389,7 @@ def test_split_dr_zero_g_gives_zero_v():
 def pd_blocks(f, g, D, tau, sigma, x, y):
     """``(x+, y+)`` of one primal-dual sweep, from the block formulas on a dense ``D``."""
     xp = prox(f, tau, x - tau * (D.T @ y))
-    return xp, prox_conjugate(g, sigma, y + sigma * (D @ (2.0 * xp - x)))
+    return xp, make_prox_conjugate(g, sigma)(y + sigma * (D @ (2.0 * xp - x)))
 
 
 def sdr_blocks(f, g, D, tau, sigma, x, y):

@@ -35,8 +35,9 @@ def test_quadratic_equal_extremes_is_scaled_identity():
 
 def _quad_b(inst):
     # recover b from the gradient operator: T(0) = rho * b
-    T = inst.operator("gradient", rho=1.0 / inst.spectral.L_smooth)
-    return T.apply(np.zeros(int(inst.params["dim"]))) * inst.spectral.L_smooth
+    L_smooth = inst.params["L_smooth"]
+    T = inst.operator("gradient", rho=1.0 / L_smooth)
+    return T.apply(np.zeros(int(inst.params["dim"]))) * L_smooth
 
 
 def test_quadratic_two_point_spectrum_contracts_exactly():
@@ -44,7 +45,7 @@ def test_quadratic_two_point_spectrum_contracts_exactly():
     T = inst.operator("gradient", rho=2.0 / 11.0)
     assert T.q_factor == pytest.approx(9.0 / 11.0, abs=1e-12)
     p = inst.reference_solution
-    x = inst.initial_point
+    x = inst.start_point("gradient")
     # both eigen-factors have magnitude exactly 9/11, so distances scale by it
     for _ in range(40):
         x_next = T.apply(x)
@@ -61,7 +62,7 @@ def test_quadratic_reference_residual(quad_50):
 def test_quadratic_spectral_consistency(quad_50):
     inst = quad_50
     gen = SplitMix64(2)
-    A_mu, A_L = inst.spectral.mu, inst.spectral.L_smooth
+    A_mu, A_L = inst.params["mu"], inst.params["L_smooth"]
     T = inst.operator("gradient", rho=1e-9)
     for _ in range(100):
         x = np.array([gen.normal() for _ in range(50)])
@@ -119,16 +120,18 @@ def test_lasso_bit_reproducible():
     a = problems.make_lasso(12, 30, 0.2, 0.05, 9)
     b = problems.make_lasso(12, 30, 0.2, 0.05, 9)
     np.testing.assert_array_equal(a.reference_solution, b.reference_solution)
-    np.testing.assert_array_equal(a.initial_point, b.initial_point)
-    assert a.spectral.L_smooth == b.spectral.L_smooth
+    np.testing.assert_array_equal(a.start_point("fb"), b.start_point("fb"))
+    assert a.default_steps == b.default_steps
 
 
 def test_lasso_spectral_data(lasso_default):
     inst = lasso_default
     A, _, _ = _sensing_data(40, 100, 0.1, 1)
     eigs = np.linalg.eigvalsh(A.T @ A)
-    assert inst.spectral.L_smooth == pytest.approx(float(eigs[-1]), rel=1e-12)
-    assert inst.spectral.mu == pytest.approx(max(float(eigs[0]), 0.0), abs=1e-10)
+    mu, L_smooth = linalg.GramMap(A).spectrum()
+    assert L_smooth == pytest.approx(float(eigs[-1]), rel=1e-12)
+    assert mu == pytest.approx(max(float(eigs[0]), 0.0), abs=1e-10)
+    assert inst.default_steps["fb"]["rho"] == 1.0 / L_smooth
 
 
 # --------------------------------------------------------------------------
@@ -153,9 +156,16 @@ def test_tv1d_huge_regularizer_flattens_to_mean():
     np.testing.assert_allclose(flat.reference_solution, np.full(60, b.mean()), atol=1e-9)
 
 
+def tv1d_norm_estimate(n):
+    """The power estimate of ``||D||`` that make_tv1d's default steps use."""
+    return linalg.operator_norm_estimate(linalg.DifferenceMap(n))
+
+
 def test_tv1d_norm_estimate_below_two(tv_200):
-    assert tv_200.spectral.norm_L <= 2.0
-    assert tv_200.spectral.norm_L > 1.9  # forward differences approach 2
+    est = tv1d_norm_estimate(200)
+    assert tv_200.default_steps["pd"]["tau"] == 0.99 / est
+    assert est <= 2.0
+    assert est > 1.9  # forward differences approach 2
 
 
 def test_tv1d_saddle_is_fixed_point_of_both_schemes(tv_200):
@@ -328,7 +338,7 @@ def prox_box_of(inst, x):
 def test_feasibility_bit_reproducible():
     a = problems.make_feasibility(15, 2)
     b = problems.make_feasibility(15, 2)
-    np.testing.assert_array_equal(a.initial_point, b.initial_point)
+    np.testing.assert_array_equal(a.start_point("dr"), b.start_point("dr"))
 
 
 # --------------------------------------------------------------------------
@@ -343,11 +353,12 @@ def test_unknown_scheme_and_step_rejected(quad_50):
 
 
 def test_default_steps_are_reported(lasso_default, tv_200):
+    A, _, _ = _sensing_data(40, 100, 0.1, 1)
     assert lasso_default.default_steps["fb"]["rho"] == pytest.approx(
-        1.0 / lasso_default.spectral.L_smooth)
+        1.0 / linalg.GramMap(A).spectrum()[1])
     tau = tv_200.default_steps["pd"]["tau"]
     sigma = tv_200.default_steps["pd"]["sigma"]
-    assert tau * sigma * tv_200.spectral.norm_L ** 2 <= 1.0
+    assert tau * sigma * tv1d_norm_estimate(200) ** 2 <= 1.0
 
 
 @pytest.mark.parametrize("kind, scheme", [("lasso", "fb"), ("three_term", "dy")])
