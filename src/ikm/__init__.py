@@ -3,7 +3,7 @@
 The package drives relaxed, inertial fixed-point iterations for families of
 (quasi-)nonexpansive operators, evaluates the parameter-feasibility
 inequalities and worst-case rate constants governing them, replays the
-per-iteration Lyapunov inequalities along finished runs, and ships six
+per-iteration Lyapunov inequalities along finished runs, and ships seven
 concrete splitting schemes with deterministic benchmark problems.
 """
 

@@ -103,21 +103,14 @@ class RelaxationSeqReport:
     """Per-index values of the sequence feasibility expression.
 
     ``ks`` (int64) and ``values`` (float64) are NumPy arrays, one entry per
-    index evaluated.  ``tail_sup`` approximates the limsup by the supremum
-    over the trailing window (reported as tail-satisfied, not proved);
-    ``first_nonstrict_k`` is the first index from which the non-strict form
-    holds through the end of the evaluated range, or None.
+    index evaluated; the form holds at an index whose value is negative.
     """
 
     ks: np.ndarray
     values: np.ndarray
-    tail_window: int
-    tail_sup: float
-    tail_satisfied: bool
-    first_nonstrict_k: Optional[int]
 
 
-def check_relaxation_seq(schedule, ks: Iterable[int], tail_fraction: float = 0.25) -> RelaxationSeqReport:
+def check_relaxation_seq(schedule, ks: Iterable[int]) -> RelaxationSeqReport:
     """Evaluate the sequence feasibility expression over ``ks``.
 
     ``schedule`` is anything exposing ``columns(ks)``, which maps an int64
@@ -145,22 +138,7 @@ def check_relaxation_seq(schedule, ks: Iterable[int], tail_fraction: float = 0.2
         alpha_prev, lam_prev = schedule.columns(ks[own] - 1)
         back[own] = (1.0 / lam_prev - 1.0) * (1.0 - alpha_prev)
         values = alpha * (1.0 + alpha) + nu * alpha * (1.0 - alpha) - back
-    window = max(1, int(ks.size * tail_fraction))
-    tail = values[-window:]
-    # Python's max: nan when the window starts with nan, else the first
-    # largest of the numbers
-    numbers = tail[~np.isnan(tail)]
-    tail_sup = float(tail[0] if np.isnan(tail[0]) else numbers[np.argmax(numbers)])
-    positive = np.flatnonzero(values > 0.0)
-    last = positive[-1] if positive.size else -1
-    return RelaxationSeqReport(
-        ks=ks,
-        values=values,
-        tail_window=window,
-        tail_sup=tail_sup,
-        tail_satisfied=tail_sup < 0.0,
-        first_nonstrict_k=int(ks[last + 1]) if last + 1 < ks.size else None,
-    )
+    return RelaxationSeqReport(ks=ks, values=values)
 
 
 def check_contraction_condition(alpha: float, lam: float, q: float, xi: float) -> CheckResult:

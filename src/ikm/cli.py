@@ -48,6 +48,10 @@ EXIT_MAX_ITERS = 2
 EXIT_DIVERGED = 3
 EXIT_USAGE = 64
 
+# indices of the sequence-form certificate evaluated at once, so that its
+# temporaries stay a few MB however late a schedule turns constant
+SEQ_CHUNK = 100_000
+
 class UsageError(Exception):
     pass
 
@@ -118,8 +122,7 @@ def _schedule_param(view: ConfigView, key: str, default: Optional[float] = None)
 
 def build_schedule(view: ConfigView) -> Tuple[Schedule, Dict[str, str], float]:
     """(schedule, resolved keys describing it, xi); a constant/constant
-    schedule is a :meth:`Schedule.constant`, whose ``const`` is
-    ``(alpha, lambda)``."""
+    schedule is a :meth:`Schedule.constant`."""
     resolved: Dict[str, str] = {}
     a_kind = view.get_str("schedule.alpha_kind", "constant")
     resolved["schedule.alpha_kind"] = a_kind
@@ -223,38 +226,40 @@ def _feasibility_line(check: cert.CheckResult) -> str:
             f"margin={_fmt(check.margin)} {'PASS' if check.satisfied else 'FAIL'}")
 
 
-def feasibility_summary(schedule: Schedule, op: OperatorHandle, xi: float, max_iters: int,
-                        out) -> bool:
-    """Print the schedule's feasibility certificates; True when all pass."""
+def feasibility_summary(schedule: Schedule, op: OperatorHandle, xi: float, out) -> bool:
+    """Print the schedule's feasibility certificates; True when all pass.
+
+    The schedule is its ``limit`` from ``N = const_from`` on, so past ``N``
+    the sequence form is the constant bound at the limit: ``k = 2..N`` are
+    evaluated exactly on ``eta_k = gamma * lambda_k``, ``SEQ_CHUNK`` at a
+    time, and the limit gets the lines of :func:`constant_feasibility`.
+    """
     gamma = op.gamma
-    if schedule.const is not None:
-        checks = constant_feasibility(*schedule.const, gamma, op.q_factor, xi)
-        for check in checks:
-            print(_feasibility_line(check), file=out)
-        all_pass = all(check.satisfied for check in checks)
-    else:
-        # the same effective relaxation as the constant check: eta_k = gamma * lambda_k
+    n = schedule.const_from
+    all_pass = True
+    if n >= 2:
         if gamma is None:
             eta_schedule, eta = schedule, "lambda_k"
         else:
             eta_schedule = Schedule(schedule.alpha_col,
-                                    lambda ks: gamma * schedule.lambda_col(ks), schedule.kind)
+                                    lambda ks: gamma * schedule.lambda_col(ks))
             eta = f"gamma*lambda_k, gamma={_fmt(gamma)}"
-        ks = range(2, min(max_iters, 100_000) + 1)
-        if not ks:
-            # the run stops before the first index the sequence form constrains
-            all_pass = True
-            print(f"relaxation_seq(eta_k={eta}): SKIPPED (no index k >= 2 within max_iters)",
-                  file=out)
-        else:
-            rep = cert.check_relaxation_seq(eta_schedule, ks)
-            all_pass = rep.tail_satisfied
-            print(f"relaxation_seq(eta_k={eta}; tail {rep.tail_window} of {len(rep.ks)}): "
-                  f"sup={_fmt(rep.tail_sup)} first_nonstrict_k={rep.first_nonstrict_k} "
-                  f"{'PASS' if all_pass else 'FAIL'} (tail-satisfied, not proved)", file=out)
+        worst, worst_k = None, None
+        for lo in range(2, n + 1, SEQ_CHUNK):
+            rep = cert.check_relaxation_seq(eta_schedule, range(lo, min(lo + SEQ_CHUNK, n + 1)))
+            i = np.argmax(rep.values)
+            # argmax takes the first largest value, and a nan before any number
+            if worst is None or np.argmax((worst, rep.values[i])) == 1:
+                worst, worst_k = rep.values[i].item(), rep.ks[i].item()
+        all_pass = worst < 0.0
+        print(f"relaxation_seq(eta_k={eta}; k=2..{n}): max={_fmt(worst)} at k={worst_k} "
+              f"{'PASS' if all_pass else 'FAIL'}", file=out)
+    checks = constant_feasibility(*schedule.limit, gamma, op.q_factor, xi)
+    for check in checks:
+        print(_feasibility_line(check), file=out)
     for note in op.notes:
         print(f"note: {note}", file=out)
-    return all_pass
+    return all_pass and all(check.satisfied for check in checks)
 
 
 # --------------------------------------------------------------------------
@@ -302,12 +307,12 @@ def _parse_column(path: str, name: str, tokens: List[str], buf: array) -> bool:
 def rate_bound_column(trace: Trace, schedule: Schedule, q: Optional[float],
                       xi: float) -> Optional[np.ndarray]:
     """``rate_bound(k - 1, alpha, Q, ||x_1 - p||^2)`` per row of a run with a
-    reference, a constant schedule with ``0 < lambda <= 1`` and a certified
+    reference, a schedule constant from k = 1 with ``0 < lambda <= 1`` and a certified
     ``q`` whose ``Q(lambda, q, xi)`` lies in ``(alpha, 1)``; None for any
     other run.  The rows are computed ``engine.ROW_CHUNK`` at a time."""
-    if q is None or schedule.const is None or trace.dist_to_ref is None or not len(trace):
+    if q is None or schedule.const_from != 1 or trace.dist_to_ref is None or not len(trace):
         return None
-    alpha, lam = schedule.const
+    alpha, lam = schedule.limit
     if not 0.0 < lam <= 1.0:
         return None
     Q_const = cert.contraction_constant(lam, q, xi)
@@ -353,8 +358,8 @@ def read_trace(path: str, consistency: bool = False):
     without a copy; so the parse holds one chunk of text and tokens besides
     the parsed columns.  The last ``# config:`` line gives the config,
     which must be present.  Errors are raised in file order, except that a
-    missing header, a column mixing empty and filled chunks, a k below 1
-    and a missing config are reported at the end.
+    missing header, a column mixing empty and filled chunks, a ``k`` column
+    other than ``1..n`` and a missing config are reported at the end.
 
     The returned trace stores the file's measured columns and the config's
     schedule, and ``rate_bound`` from :func:`rate_bound_column`, as ``ikm
@@ -415,9 +420,10 @@ def read_trace(path: str, consistency: bool = False):
         else:
             columns[name] = np.asarray(buf, dtype=np.int64 if name == "k" else np.float64)
     k = columns.pop("k")
-    # a k < 1 is a corrupt trace, not a replay to skip
-    if k.size and k.min() < 1:
-        raise ConfigError(f"{path}: column k must be >= 1")
+    # the replays pair each row with the one before it as steps k - 1 and k,
+    # so a missing, repeated or reordered k is a corrupt trace
+    if not np.array_equal(k, np.arange(1, k.size + 1)):
+        raise ConfigError(f"{path}: column k must be 1, 2, ..., n, one row per step")
     if not cfg:
         raise ConfigError(f"{path}: missing embedded '# config:' line")
 
@@ -479,7 +485,7 @@ def cmd_run(config_path: str, out=sys.stdout) -> int:
     elif p_ref_mode != "none":
         raise ConfigError("run.p_ref must be 'auto' or 'none'")
 
-    feasible = feasibility_summary(schedule, op, xi, stop.max_iters, out)
+    feasible = feasibility_summary(schedule, op, xi, out)
     if not feasible:
         print("warning: schedule fails the feasibility certificates; running anyway", file=out)
 
@@ -651,8 +657,11 @@ def cmd_sweep(config_path: str, out=sys.stdout) -> int:
     # every entry is checked here, before the first one runs
     entries = []
     for i in indices:
+        label = view.get_str(f"sweep.{i}.label", f"s{i}")
+        if "," in label:
+            raise ConfigError(f"sweep.{i}.label must not contain ','")
         entries.append({
-            "label": view.get_str(f"sweep.{i}.label", f"s{i}"),
+            "label": label,
             "alpha": _schedule_param(view, f"sweep.{i}.alpha"),
             "lambda": _schedule_param(view, f"sweep.{i}.lambda"),
             "xi": _schedule_param(view, f"sweep.{i}.xi", default_xi),

@@ -129,14 +129,22 @@ class Schedule:
     and deliberately infeasible runs stay expressible).  :func:`run`
     validates a custom schedule as it reads it; the ``constant``, ``ramp``
     and ``table`` constructors validate up front and give closed forms.
-    ``const`` is ``(alpha, lambda)`` for a :meth:`constant` schedule, else None.
+    They also record where the schedule turns constant: ``(alpha_k,
+    lambda_k) == limit`` for every ``k >= const_from``, the length of the
+    longest ramp or table (1 for :meth:`constant`).  A schedule built from
+    bare columns has both None.
     """
 
-    def __init__(self, alpha_col: Column, lambda_col: Column, kind: str):
+    def __init__(self, alpha_col: Column, lambda_col: Column):
         self.alpha_col = alpha_col
         self.lambda_col = lambda_col
-        self.kind = kind
-        self.const: Optional[Tuple[float, float]] = None
+        self.const_from: Optional[int] = None
+        self.limit: Optional[Tuple[float, float]] = None
+
+    def _constant_from(self, const_from: int, alpha: float, lam: float) -> "Schedule":
+        self.const_from = const_from
+        self.limit = (alpha, lam)
+        return self
 
     @classmethod
     def constant(cls, alpha: float, lam: float) -> "Schedule":
@@ -145,9 +153,8 @@ class Schedule:
         if not lam > 0.0:
             raise ValueError("lambda must be > 0")
         schedule = cls(lambda ks: np.full(ks.size, alpha, dtype=np.float64),
-                       lambda ks: np.full(ks.size, lam, dtype=np.float64), "constant")
-        schedule.const = (alpha, lam)
-        return schedule
+                       lambda ks: np.full(ks.size, lam, dtype=np.float64))
+        return schedule._constant_from(1, alpha, lam)
 
     @classmethod
     def ramp(cls, alpha_start: float, alpha_end: float, ramp_iters: int,
@@ -167,7 +174,9 @@ class Schedule:
                 return np.where(ks >= ramp_iters, alpha_end, alpha_start
                                 + (alpha_end - alpha_start) * (ks - 1) / (ramp_iters - 1))
 
-        return cls(alpha_col, _hold_last(_lambda_table(lambdas)), "ramp-to-constant")
+        lambdas = _lambda_table(lambdas)
+        return cls(alpha_col, _hold_last(lambdas))._constant_from(
+            max(ramp_iters, len(lambdas)), alpha_end, lambdas[-1])
 
     @classmethod
     def table(cls, alphas: Sequence[float], lambdas: Sequence[float]) -> "Schedule":
@@ -180,7 +189,9 @@ class Schedule:
                 raise ValueError("alpha values must lie in [0, 1)")
         if any(a2 < a1 for a1, a2 in zip(alphas, alphas[1:])):
             raise ValueError("alpha table must be nondecreasing")
-        return cls(_hold_last(alphas), _hold_last(_lambda_table(lambdas)), "custom-table")
+        lambdas = _lambda_table(lambdas)
+        return cls(_hold_last(alphas), _hold_last(lambdas))._constant_from(
+            max(len(alphas), len(lambdas)), alphas[-1], lambdas[-1])
 
     def columns(self, ks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(alpha_k, lambda_k)`` as float64 arrays over the int64 indices ``ks``."""

@@ -96,38 +96,33 @@ def test_relaxation_seq_constant_matches_constant_check():
         # lambda * expression == lhs - rhs identically
         for v in rep.values:
             assert lam * v == pytest.approx(entry.lhs - entry.rhs, abs=1e-14)
-        assert rep.tail_satisfied == entry.satisfied
+        assert bool((rep.values < 0.0).all()) == entry.satisfied
 
 
 def test_relaxation_seq_ramp_tail_equals_constant_tail():
     sched = Schedule.ramp(0.0, 0.3, 100, [0.4])
     rep = cert.check_relaxation_seq(sched, range(2, 1000))
     const_val = cert.check_relaxation_seq(Schedule.constant(0.3, 0.4), range(2, 10)).values[0]
-    assert rep.tail_sup == pytest.approx(const_val, abs=1e-14)
+    # past const_from both k and k - 1 read the limit (0.3, 0.4)
+    assert sched.const_from == 100 and sched.limit == (0.3, 0.4)
+    assert (rep.values[rep.ks > 100] == const_val).all()
 
 
 def test_relaxation_seq_lambda_to_one_fails():
     lambdas = [1.0 - 0.5 / k for k in range(1, 2001)]
     sched = Schedule.table([0.1] * 2000, lambdas)
     rep = cert.check_relaxation_seq(sched, range(2, 2000))
-    # expression tends to alpha(1+alpha) = 0.11 > 0
-    assert rep.tail_sup > 0.0
-    assert not rep.tail_satisfied
+    # expression tends to alpha(1+alpha) = 0.11 > 0, about 0.11 - 0.45 / k
+    assert (rep.values[rep.ks >= 10] > 0.0).all()
 
 
-def rows_relaxation_seq(schedule, ks, tail_fraction):
-    """The sequence check one index at a time: (ks, values, tail_sup, first_nonstrict_k)."""
+def rows_relaxation_seq(schedule, ks):
+    """The sequence check one index at a time: (ks, values)."""
     ks = sorted(k for k in ks if k >= 2)
     values = [cert.relaxation_seq_term(schedule.alpha_at(k), schedule.lambda_at(k),
                                        schedule.alpha_at(k - 1), schedule.lambda_at(k - 1))
               for k in ks]
-    first = None
-    for i in range(len(ks) - 1, -1, -1):
-        if values[i] > 0.0:
-            break
-        first = ks[i]
-    window = max(1, int(len(ks) * tail_fraction))
-    return ks, values, max(values[-window:]) if ks else None, first
+    return ks, values
 
 
 @st.composite
@@ -145,24 +140,28 @@ def seq_schedules(draw):
 @settings(max_examples=300, deadline=None)
 @given(schedule=seq_schedules(),
        ks=st.one_of(st.integers(2, 80).map(lambda n: range(2, n)),
-                    st.lists(st.integers(0, 40), max_size=30)),
-       tail_fraction=st.sampled_from([0.25, 0.5, 1.0]))
-# nan values, a window that starts with a number, duplicates and a gap
-@example(schedule=Schedule.table([0.0], [1e-310, 0.5, 1e-310]), ks=[5, 2, 3, 3, 9, 1],
-         tail_fraction=1.0)
-def test_relaxation_seq_matches_scalar_formula(schedule, ks, tail_fraction):
-    want_ks, want_values, want_sup, want_first = rows_relaxation_seq(schedule, ks, tail_fraction)
+                    st.lists(st.integers(0, 40), max_size=30)))
+# nan values, duplicates and a gap
+@example(schedule=Schedule.table([0.0], [1e-310, 0.5, 1e-310]), ks=[5, 2, 3, 3, 9, 1])
+def test_relaxation_seq_matches_scalar_formula(schedule, ks):
+    want_ks, want_values = rows_relaxation_seq(schedule, ks)
     if not want_ks:
         with pytest.raises(ValueError, match="k >= 2"):
-            cert.check_relaxation_seq(schedule, ks, tail_fraction)
+            cert.check_relaxation_seq(schedule, ks)
         return
-    rep = cert.check_relaxation_seq(schedule, ks, tail_fraction)
+    rep = cert.check_relaxation_seq(schedule, ks)
     assert rep.ks.tolist() == want_ks
-    assert rep.values.tobytes() == np.array(want_values).tobytes()
     # bit for bit: nan and the sign of zero included
-    assert np.float64(rep.tail_sup).tobytes() == np.float64(want_sup).tobytes()
-    assert rep.tail_satisfied == (want_sup < 0.0)
-    assert rep.first_nonstrict_k == want_first and type(rep.first_nonstrict_k) is type(want_first)
+    assert rep.values.tobytes() == np.array(want_values).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(schedule=seq_schedules())
+def test_ramp_and_table_are_their_limit_from_const_from_on(schedule):
+    ks = np.arange(schedule.const_from, schedule.const_from + 65)
+    alpha, lam = schedule.columns(ks)
+    want = [np.full(ks.size, value, dtype=np.float64) for value in schedule.limit]
+    assert [alpha.tobytes(), lam.tobytes()] == [w.tobytes() for w in want]
 
 
 # --------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from ikm.config import (
     serialize_config,
 )
 from ikm.engine import COLUMNS, DivergenceError, Schedule, StoppingRule
+from ikm.operators import OperatorHandle
 
 
 # --------------------------------------------------------------------------
@@ -332,7 +333,9 @@ def test_trace_write_read_write_is_byte_identical_on_a_run(tmp_path):
     (lambda row: row[:2] + ["0.5x"] + row[3:], "column step"),  # not a number
     (lambda row: row[:DIST] + [""] + row[DIST + 1:], "dist_to_ref mixes empty and filled"),
     (lambda row: [""] + row[1:], "column k"),
-    (lambda row: ["0"] + row[1:], "column k must be >= 1"),
+    (lambda row: ["0"] + row[1:], "column k must be 1, 2, ..., n"),
+    # the next row's k: a gap here and a repeat there
+    (lambda row: [str(int(row[0]) + 1)] + row[1:], "column k must be 1, 2, ..., n"),
     (lambda row: ["1" + "0" * 30] + row[1:], "column k: int too big"),  # beyond int64
 ])
 def test_read_trace_rejects_malformed_rows(tmp_path, edit, message):
@@ -519,23 +522,74 @@ def test_sequence_precheck_uses_effective_relaxation(tmp_path):
     # fb at rho = 1/L is 2/3-averaged: lambda = 1.2 is eta = 0.8, feasible
     # at alpha = 0.1 in both forms
     constant = _precheck(tmp_path, "schedule.alpha = 0.1\nschedule.lambda = 1.2")
-    assert "relaxation(eta=0.79999999999999993)" in constant
-    table = _precheck(tmp_path, "schedule.alpha_kind = table\nschedule.alpha_table = 0.1\n"
+    relax = next(l for l in constant.splitlines() if l.startswith("relaxation("))
+    assert relax.startswith("relaxation(eta=0.79999999999999993)")
+    # constant from k = 2, on the same limit
+    table = _precheck(tmp_path, "schedule.alpha_kind = table\nschedule.alpha_table = 0.05,0.1\n"
                                 "schedule.lambda_kind = table\nschedule.lambda_table = 1.2")
-    line = next(l for l in table.splitlines() if l.startswith("relaxation_seq("))
-    assert "eta_k=gamma*lambda_k, gamma=0.66666666666666663" in line
-    assert " PASS " in line
+    seq, limit = table.splitlines()[:2]
+    assert seq.startswith("relaxation_seq(eta_k=gamma*lambda_k, gamma=0.66666666666666663; "
+                          "k=2..2): max=")
+    assert seq.endswith(" at k=2 PASS")
+    assert limit == relax
     for out in (constant, table):
         assert "FAIL" not in out and "warning" not in out
 
 
 def test_sequence_precheck_fails_infeasible_table(tmp_path):
-    # alpha = 0.3 at eta = 0.8 fails the relaxation bound in either form
-    out = _precheck(tmp_path, "schedule.alpha_kind = table\nschedule.alpha_table = 0.3\n"
+    # alpha = 0.3 at eta = 0.8 fails the relaxation bound in either form:
+    # at k = 2, 0.39 + 0.25 * 0.21 - 0.25 * 0.8 = 0.2425, and at the limit
+    out = _precheck(tmp_path, "schedule.alpha_kind = table\nschedule.alpha_table = 0.2,0.3\n"
                               "schedule.lambda_kind = table\nschedule.lambda_table = 1.2")
-    line = next(l for l in out.splitlines() if l.startswith("relaxation_seq("))
-    assert " FAIL " in line
+    seq, limit = out.splitlines()[:2]
+    assert seq.startswith("relaxation_seq(") and seq.endswith(" at k=2 FAIL")
+    assert limit.startswith("relaxation(eta=0.79999999999999993)") and limit.endswith(" FAIL")
     assert "warning: schedule fails the feasibility certificates" in out
+
+
+@pytest.mark.parametrize("alphas, lambdas", [
+    ([0.0, 0.1, 0.2, 0.2, 0.3, 0.3, 0.35], [0.5]),  # the largest, 0.0 at k = N, fails
+    ([0.0, 0.1], [0.9, 0.5, 0.9, 0.5, 0.9, 0.5, 0.9]),  # a tie at k = 4 and 6
+    ([0.0] * 8, [0.5, 0.5, 1e-310, 0.5, 0.5, 1e-310, 0.5, 0.5]),  # nan at k = 3 and 6
+])
+@pytest.mark.parametrize("chunk", [1, 3, cli.SEQ_CHUNK])
+def test_sequence_precheck_line_gives_the_first_largest_value(monkeypatch, alphas, lambdas,
+                                                              chunk):
+    schedule = Schedule.table(alphas, lambdas)
+    ks = range(2, schedule.const_from + 1)
+    values = [cert.relaxation_seq_term(schedule.alpha_at(k), schedule.lambda_at(k),
+                                       schedule.alpha_at(k - 1), schedule.lambda_at(k - 1))
+              for k in ks]
+    nans = [k for k, v in zip(ks, values) if v != v]
+    worst_k = nans[0] if nans else ks[values.index(max(values))]
+    worst = values[worst_k - 2]
+    monkeypatch.setattr(cli, "SEQ_CHUNK", chunk)
+    buf = io.StringIO()
+    cli.feasibility_summary(schedule, OperatorHandle(apply=lambda x: x), 1.0, buf)
+    assert buf.getvalue().splitlines()[0] == (
+        f"relaxation_seq(eta_k=lambda_k; k=2..{ks[-1]}): max={cli._fmt(worst)} at k={worst_k} "
+        f"{'PASS' if worst < 0.0 else 'FAIL'}")
+
+
+def test_precheck_fails_a_ramp_whose_limit_is_infeasible(tmp_path):
+    # alpha ramps to 0.6 over 10**6 steps, and the run converges in about
+    # 130, long before alpha leaves the feasible region; the certificate
+    # covers the whole schedule all the same
+    cfg = tmp_path / "ramp.cfg"
+    trace = tmp_path / "ramp.csv"
+    write(cfg, QUAD_RUN.format(trace=trace).replace(
+        "schedule.alpha = 0.0", "schedule.alpha_kind = ramp\nschedule.alpha_end = 0.6\n"
+        "schedule.alpha_ramp_iters = 1000000").replace(
+        "schedule.lambda = 1.0", "schedule.lambda = 0.9").replace(
+        "stopping.max_iters = 5000", "stopping.max_iters = 100000"))
+    buf = io.StringIO()
+    assert cli.cmd_run(str(cfg), out=buf) == cli.EXIT_OK
+    lines = buf.getvalue().splitlines()
+    assert lines[0].startswith("relaxation_seq(eta_k=gamma*lambda_k, gamma=")
+    assert "; k=2..1000000): max=" in lines[0] and lines[0].endswith(" FAIL")
+    assert lines[1].startswith("relaxation(eta=") and lines[1].endswith(" FAIL")
+    assert "warning: schedule fails the feasibility certificates; running anyway" in lines
+    assert cli.read_trace(str(trace))[1]["derived.warning"] == "1"
 
 
 @pytest.mark.parametrize("schedule", [
@@ -543,20 +597,21 @@ def test_sequence_precheck_fails_infeasible_table(tmp_path):
     "schedule.alpha_kind = table\nschedule.alpha_table = 0,0.1\n"
     "schedule.lambda_kind = table\nschedule.lambda_table = 0.9,0.8\n",
 ])
-def test_sequence_precheck_skips_a_one_iteration_run(tmp_path, schedule):
-    # max_iters = 1 leaves no index k >= 2 for the sequence form to test
-    cfg = tmp_path / "one.cfg"
-    trace = tmp_path / "one.csv"
-    write(cfg, QUAD_RUN.format(trace=trace).replace("stopping.max_iters = 5000",
-                                                    "stopping.max_iters = 1") + schedule)
-    buf = io.StringIO()
-    assert cli.cmd_run(str(cfg), out=buf) == cli.EXIT_MAX_ITERS
-    out = buf.getvalue()
-    line = next(l for l in out.splitlines() if l.startswith("relaxation_seq("))
-    assert line.endswith(": SKIPPED (no index k >= 2 within max_iters)")
-    assert "warning" not in out
-    read, cfg_out = cli.read_trace(str(trace))
-    assert len(read) == 1 and cfg_out["derived.warning"] == "0"
+def test_sequence_precheck_is_the_same_for_a_one_iteration_run(tmp_path, schedule):
+    # the certificate is the schedule's, whatever the run's budget
+    certificates = []
+    for max_iters, code in ((1, cli.EXIT_MAX_ITERS), (5000, cli.EXIT_OK)):
+        cfg = tmp_path / f"run{max_iters}.cfg"
+        trace = tmp_path / f"run{max_iters}.csv"
+        write(cfg, QUAD_RUN.format(trace=trace).replace(
+            "stopping.max_iters = 5000", f"stopping.max_iters = {max_iters}") + schedule)
+        buf = io.StringIO()
+        assert cli.cmd_run(str(cfg), out=buf) == code
+        out = buf.getvalue()
+        certificates.append((out[:out.index("status=")],
+                             cli.read_trace(str(trace))[1]["derived.warning"]))
+    assert certificates[0] == certificates[1]
+    assert certificates[0][0].startswith("relaxation_seq(")
 
 
 def test_run_rejects_unknown_check_before_running(tmp_path):
@@ -630,6 +685,24 @@ def test_run_and_certify_agree_per_check(tmp_path, config, run_code, expect):
     if "SKIPPED" in expect:  # no reference point: every replay that needs it is skipped
         assert {name for name, v in run_verdicts.items() if v == "SKIPPED"} == {
             "ck", "descent", "contraction", "product"}
+
+
+def test_certify_rejects_a_trace_with_rows_deleted(tmp_path, capsys):
+    # without the rows k = 50..59 the replays would pair rows 49 and 60 as
+    # if they were one step apart; at seed 1 every one of them passes so
+    cfg = tmp_path / "quad.cfg"
+    trace = tmp_path / "quad.csv"
+    write(cfg, CERTIFIED.format(trace=trace).replace("problem.seed = 2", "problem.seed = 1"))
+    assert cli.cmd_run(str(cfg), out=io.StringIO()) == cli.EXIT_OK
+    lines = trace.read_text().splitlines()
+    head = 3  # two comment lines and the column header
+    assert len(lines) > head + 60 and lines[head + 49].startswith("50,")
+    del lines[head + 49:head + 59]
+    trace.write_text("\n".join(lines) + "\n")
+    assert cli.main(["certify", str(trace)]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {trace}: column k must be 1, 2, ..., n, one row per step\n"
 
 
 QUAD_RUN_WORKLOAD = """
@@ -837,7 +910,10 @@ def test_build_schedule_every_kind(tmp_path, a_kind, l_kind):
             **SCHEDULE_KEYS[a_kind], **LAMBDA_KEYS[l_kind]}
     schedule, resolved, xi = cli.build_schedule(ConfigView(keys))
     assert set(resolved) == set(keys) | {"schedule.xi"} and xi == 1.0
-    assert schedule.const == ((0.15, 0.8) if a_kind == l_kind == "constant" else None)
+    # the longest ramp or table, and the values past it
+    assert schedule.const_from == max({"constant": 1, "ramp": 7, "table": 3}[a_kind],
+                                      {"constant": 1, "table": 4}[l_kind])
+    assert schedule.limit == (_documented_alpha(a_kind, 10), _documented_lambda(l_kind, 10))
     ks = range(1, 7 + 3)  # past the longest ramp or table
     alphas = [schedule.alpha_at(k) for k in ks]
     lambdas = [schedule.lambda_at(k) for k in ks]
@@ -857,7 +933,8 @@ def test_build_schedule_every_kind(tmp_path, a_kind, l_kind):
     write(cfg, "\n".join(lines + [f"{key} = {value}" for key, value in keys.items()]) + "\n")
     assert cli.cmd_run(str(cfg), out=io.StringIO()) == cli.EXIT_MAX_ITERS
     rebuilt, resolved_again, _ = cli.build_schedule(ConfigView(cli.read_trace(str(trace))[1]))
-    assert resolved_again == resolved and rebuilt.const == schedule.const
+    assert resolved_again == resolved
+    assert (rebuilt.const_from, rebuilt.limit) == (schedule.const_from, schedule.limit)
     assert [rebuilt.alpha_at(k) for k in ks] == alphas
     assert [rebuilt.lambda_at(k) for k in ks] == lambdas
 
@@ -1000,6 +1077,8 @@ def test_sweep_requires_two_entries(tmp_path):
     ("sweep.3.lambda", "0", "sweep.3.lambda must be > 0"),
     ("sweep.2.xi", "5", "sweep.2.xi must lie in [0, 1]"),
     ("schedule.xi", "-0.5", "schedule.xi must lie in [0, 1]"),
+    # a comma would add a field to the table row
+    ("sweep.2.label", "a,b", "sweep.2.label must not contain ','"),
 ])
 def test_sweep_checks_every_entry_before_the_first_run(tmp_path, monkeypatch, key, value,
                                                        message):

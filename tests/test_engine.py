@@ -223,12 +223,12 @@ def full(value):
 def test_km_step_parameter_validation():
     x = np.zeros(3)
     with pytest.raises(ValueError, match=r"alpha_1 = 1.0 outside \[0, 1\)"):
-        run(IDENTITY, x, Schedule(full(1.0), full(0.5), "custom"), StoppingRule(1, 0.0))
+        run(IDENTITY, x, Schedule(full(1.0), full(0.5)), StoppingRule(1, 0.0))
     with pytest.raises(ValueError, match="lambda_1 = 0.0 must be > 0"):
-        run(IDENTITY, x, Schedule(full(0.0), full(0.0), "custom"), StoppingRule(1, 0.0))
+        run(IDENTITY, x, Schedule(full(0.0), full(0.0)), StoppingRule(1, 0.0))
     # an alpha out of range is reported before a lambda at the same index
     with pytest.raises(ValueError, match="alpha_1 = nan outside"):
-        run(IDENTITY, x, Schedule(full(np.nan), full(-1.0), "custom"), StoppingRule(1, 0.0))
+        run(IDENTITY, x, Schedule(full(np.nan), full(-1.0)), StoppingRule(1, 0.0))
 
 
 # --------------------------------------------------------------------------
@@ -256,7 +256,7 @@ def test_run_picard_contracts_by_spectral_factor(quad_50):
 
 
 def test_run_rejects_decreasing_alpha():
-    sched = Schedule(lambda ks: np.where(ks == 1, 0.3, 0.2), full(0.5), "custom")
+    sched = Schedule(lambda ks: np.where(ks == 1, 0.3, 0.2), full(0.5))
     halve = OperatorHandle(apply=lambda x: 0.5 * x, name="halve")
     with pytest.raises(ValueError, match="decreases"):
         run(halve, np.ones(3), sched, StoppingRule(10, 0.0))
@@ -266,7 +266,7 @@ def test_run_rejects_decreasing_alpha_at_the_first_step_of_a_block():
     # k = 33 is the first index of the second BLOCK_ROWS block; the 32 steps
     # before it run
     assert BLOCK_ROWS == 32
-    sched = Schedule(lambda ks: np.where(ks < 33, 0.3, 0.2), full(0.5), "custom")
+    sched = Schedule(lambda ks: np.where(ks < 33, 0.3, 0.2), full(0.5))
     halve, calls = recording_handle(OperatorHandle(apply=lambda x: 0.5 * x, name="halve"))
     with pytest.raises(ValueError, match="^alpha sequence decreases at k=33$"):
         run(halve, np.ones(3), sched, StoppingRule(100, 0.0))
@@ -276,7 +276,7 @@ def test_run_rejects_decreasing_alpha_at_the_first_step_of_a_block():
 def test_run_rejects_a_nan_lambda_when_its_step_is_reached():
     # nan fails `lambda > 0` although it also fails `lambda <= 0`; the four
     # steps before k = 5 run
-    sched = Schedule(full(0.1), lambda ks: np.where(ks == 5, np.nan, 0.9), "custom")
+    sched = Schedule(full(0.1), lambda ks: np.where(ks == 5, np.nan, 0.9))
     halve, calls = recording_handle(OperatorHandle(apply=lambda x: 0.5 * x, name="halve"))
     with pytest.raises(ValueError, match="^lambda_5 = nan must be > 0$"):
         run(halve, np.ones(3), sched, StoppingRule(10, 0.0))
@@ -285,7 +285,7 @@ def test_run_rejects_a_nan_lambda_when_its_step_is_reached():
 
 def test_run_that_stops_before_an_invalid_entry_does_not_raise():
     # alpha leaves [0, 1) at k = 10; the identity converges at k = 1
-    sched = Schedule(lambda ks: np.where(ks == 10, 1.5, 0.2), full(0.5), "custom")
+    sched = Schedule(lambda ks: np.where(ks == 10, 1.5, 0.2), full(0.5))
     res = run(IDENTITY, np.ones(3), sched, StoppingRule(100, 0.0))
     assert res.status == "converged" and res.iterations == 1
 
@@ -298,7 +298,7 @@ def test_run_ignores_invalid_entries_past_max_iters():
         asked.append(ks.max())
         return np.where(ks == 12, 0.0, 0.5)
 
-    sched = Schedule(full(0.2), lambda_col, "custom")
+    sched = Schedule(full(0.2), lambda_col)
     halve = OperatorHandle(apply=lambda x: 0.5 * x, name="halve")
     res = run(halve, np.ones(3), sched, StoppingRule(10, 0.0))
     assert res.status == "max_iters" and res.iterations == 10

@@ -22,8 +22,11 @@ workloads do not (every check on a certified run, ``run.p_ref = none``, an
 infeasible schedule, ramp alpha with a lambda table, a ramp of one step
 (``schedule.alpha_ramp_iters = 1``), table alpha with a constant lambda
 above 1, a run that ends ``stalled`` on ``stopping.stall_tol``), on a quadratic ramp-alpha config with
-``stopping.max_iters = 100000`` that converges early, so the
-``relaxation_seq`` precheck line over 100,000 indices is compared, on a
+``stopping.max_iters = 100000`` that converges early (its ``relaxation_seq``
+line spans the 50-step ramp, not the budget), on a quadratic ramp whose
+alpha climbs to an infeasible 0.6 over 10**6 steps while the run converges
+in about 130, so the ``relaxation_seq`` line over ``k = 2..1000000`` and
+the failing lines of its limit are compared, on a
 1,000-row quadratic run whose alpha ramps out of the feasible region, so
 that ``ck`` and ``product`` FAIL with violations past the first two
 ``ROW_CHUNK``s of the replays, on a
@@ -89,10 +92,15 @@ FIXED_CONFIGS = {
                                    "schedule.alpha = 0.1\nschedule.lambda = 1.1\n"),
     "lasso": LEAST_SQUARES + ("problem.kind = lasso\nalgorithm.scheme = fb\n"
                               "schedule.alpha = 0.2\nschedule.lambda = 0.9\n"),
-    # the relaxation_seq precheck spans 100,000 indices; the run converges long before
+    # a 50-step ramp under a 100,000-step budget; the run converges long before
     "ramp-long": GRADIENT + ("schedule.alpha_kind = ramp\nschedule.alpha_start = 0\n"
                              "schedule.alpha_end = 0.1\nschedule.alpha_ramp_iters = 50\n"
                              "schedule.lambda = 0.9\nstopping.max_iters = 100000\n"),
+    # the relaxation_seq line spans k = 2..1000000, and the limit (0.6, 0.9) fails
+    # both the relaxation and the contraction certificates; converges in about 130 steps
+    "ramp-limit": GRADIENT + ("schedule.alpha_kind = ramp\nschedule.alpha_start = 0\n"
+                              "schedule.alpha_end = 0.6\nschedule.alpha_ramp_iters = 1000000\n"
+                              "schedule.lambda = 0.9\nstopping.max_iters = 100000\n"),
     # stops on stopping.stall_tol (exit 2), the one path that measures a step norm per step
     "stall": GRADIENT + ("schedule.alpha = 0.05\nschedule.lambda = 0.9\n"
                          "stopping.stall_tol = 1e-6\n"),
