@@ -5,7 +5,24 @@ The package drives relaxed, inertial fixed-point iterations for families of
 inequalities and worst-case rate constants governing them, replays the
 per-iteration Lyapunov inequalities along finished runs, and ships seven
 concrete splitting schemes with deterministic benchmark problems.
+
+Imported before NumPy, in a process that sets none of
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``, the
+package sets ``OPENBLAS_NUM_THREADS=1``, so its BLAS calls run on one thread.
 """
+
+import os
+import sys
+
+# Every ikm command is a fresh process, and its matrices (at most 200 x 500 in
+# the generators) gain nothing from OpenBLAS's thread pool: on a 2-vCPU host
+# starting the pool made `import numpy` take 160 ms against 92 ms on one
+# thread, and waking it in the lasso build's Gram product and eigvalsh took
+# 56-70 ms against 4 ms.  A caller's thread count is kept as given.
+if "numpy" not in sys.modules and not any(
+        var in os.environ
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .certificates import (
     CheckResult,

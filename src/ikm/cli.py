@@ -166,6 +166,22 @@ def build_schedule(view: ConfigView) -> Tuple[Schedule, Dict[str, str], float]:
     return Schedule.table(alphas, lambdas), resolved, xi
 
 
+def build_stopping(view: ConfigView, max_iters: int,
+                   residual_tol: float) -> Tuple[StoppingRule, Dict[str, str]]:
+    """The ``stopping.*`` keys -> (rule, resolved keys), with the command's own
+    defaults for ``max_iters`` and ``residual_tol``; ``stall_tol`` is off unless set."""
+    stop = StoppingRule(
+        max_iters=view.get_int("stopping.max_iters", max_iters),
+        residual_tol=view.get_float("stopping.residual_tol", residual_tol),
+        stall_tol=view.get_float("stopping.stall_tol") if view.has("stopping.stall_tol") else None,
+    )
+    resolved = {"stopping.max_iters": str(stop.max_iters),
+                "stopping.residual_tol": _fmt(stop.residual_tol)}
+    if stop.stall_tol is not None:
+        resolved["stopping.stall_tol"] = _fmt(stop.stall_tol)
+    return stop, resolved
+
+
 def _collect_steps(view: ConfigView, keys) -> Dict[str, Optional[float]]:
     """Configured ``algorithm.<key>`` for each step key, None when unset."""
     steps: Dict[str, Optional[float]] = {}
@@ -462,11 +478,7 @@ def _run(op, x1, schedule, stop, p_ref, objective) -> engine.RunResult:
 def cmd_run(config_path: str, out=sys.stdout) -> int:
     view, instance, scheme, steps, op, objective = build_problem(config_path)
     schedule, resolved_sched, xi = build_schedule(view)
-    stop = StoppingRule(
-        max_iters=view.get_int("stopping.max_iters", 10_000),
-        residual_tol=view.get_float("stopping.residual_tol", 1e-10),
-        stall_tol=view.get_float("stopping.stall_tol") if view.has("stopping.stall_tol") else None,
-    )
+    stop, resolved_stop = build_stopping(view, max_iters=10_000, residual_tol=1e-10)
     trace_path = view.get_str("output.trace")
     checks = [c.strip() for c in view.get_str("output.checks", "none").split(",")
               if c.strip() and c.strip() != "none"]
@@ -504,10 +516,7 @@ def cmd_run(config_path: str, out=sys.stdout) -> int:
     for key, value in steps.items():
         resolved[f"algorithm.{key}"] = _fmt(value)
     resolved.update(resolved_sched)
-    resolved["stopping.max_iters"] = str(stop.max_iters)
-    resolved["stopping.residual_tol"] = _fmt(stop.residual_tol)
-    if stop.stall_tol is not None:
-        resolved["stopping.stall_tol"] = _fmt(stop.stall_tol)
+    resolved.update(resolved_stop)
     resolved["run.p_ref"] = "auto" if p_ref is not None else "none"
     resolved["run.status"] = status
     if op.gamma is not None:
@@ -640,10 +649,7 @@ def cmd_lambda_grid(alpha_steps: int, q_steps: int, out_path: str, out=sys.stdou
 
 def cmd_sweep(config_path: str, out=sys.stdout) -> int:
     view, instance, scheme, steps, op, objective = build_problem(config_path)
-    stop = StoppingRule(
-        max_iters=view.get_int("stopping.max_iters", 100_000),
-        residual_tol=view.get_float("stopping.residual_tol", 1e-6),
-    )
+    stop, resolved_stop = build_stopping(view, max_iters=100_000, residual_tol=1e-6)
     out_path = view.get_str("output.table")
     default_xi = _schedule_param(view, "schedule.xi", 1.0)
 
@@ -700,8 +706,7 @@ def cmd_sweep(config_path: str, out=sys.stdout) -> int:
     resolved = {
         "problem.kind": instance.kind,
         "algorithm.scheme": scheme,
-        "stopping.max_iters": str(stop.max_iters),
-        "stopping.residual_tol": _fmt(stop.residual_tol),
+        **resolved_stop,
     }
     for key, value in steps.items():
         resolved[f"algorithm.{key}"] = _fmt(value)

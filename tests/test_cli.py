@@ -1007,15 +1007,38 @@ output.table = {table}
 """
 
 
-def test_sweep_nan_residual_tol_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("stopping", [
+    "stopping.residual_tol = nan",
+    # the sweep used to ignore stall_tol and exit 0
+    "stopping.stall_tol = -1",
+    "stopping.stall_tol = nan",
+])
+def test_sweep_bad_stopping_tolerance_is_usage_error(tmp_path, capsys, stopping):
     cfg = tmp_path / "sweep.cfg"
     table = tmp_path / "sweep.csv"
-    write(cfg, SWEEP_CFG.format(table=table).replace("stopping.residual_tol = 1e-6",
-                                                     "stopping.residual_tol = nan"))
+    write(cfg, SWEEP_CFG.format(table=table) + stopping + "\n")
     assert cli.main(["sweep", str(cfg)]) == cli.EXIT_USAGE
     out, err = capsys.readouterr()
-    assert out == "" and err == "error: residual_tol must be >= 0\n"
+    name = stopping.split()[0].split(".")[1]
+    assert out == "" and err == f"error: {name} must be >= 0\n"
     assert not table.exists()
+
+
+def test_sweep_rows_stop_on_stall_tol(tmp_path):
+    # every row converges (117-231 steps) without the tolerance
+    cfg = tmp_path / "sweep.cfg"
+    table = tmp_path / "sweep.csv"
+    write(cfg, "problem.kind = quadratic\nproblem.dim = 10\nproblem.mu = 1\n"
+               "problem.L = 10\nproblem.seed = 1\nalgorithm.scheme = gradient\n"
+               "stopping.residual_tol = 1e-10\nstopping.stall_tol = 1e-3\n"
+               "sweep.1.alpha = 0.05\nsweep.1.lambda = 0.9\n"
+               "sweep.2.alpha = 0.1\nsweep.2.lambda = 0.5\n"
+               f"output.table = {table}\n")
+    assert cli.main(["sweep", str(cfg)]) == cli.EXIT_OK
+    lines = table.read_text().splitlines()
+    assert "stopping.stall_tol=0.001" in lines[1].split("; ")
+    body = [line.split(",") for line in lines[3:]]
+    assert len(body) == 4 and {row[4] for row in body} == {"stalled"}
 
 
 def test_sweep_adds_baselines_and_flags_infeasible(tmp_path):

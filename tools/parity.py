@@ -38,8 +38,9 @@ the same small ``three_term`` instance (the Davis-Yin sweep path, which no
 workload runs); four ``ikm check-params`` argument sets; and ``ikm
 lambda-grid`` on a 12 x 7 grid, whose table is compared.  The tool prints
 one line per case and exits 1 when anything differs, 0 otherwise.  A
-differing output is shown by its first differing line and the count of
-differing lines; for a CSV file the tool also prints whether the header,
+differing output is shown by the first block of a line diff (insert, delete
+or replace), its line in each output and the count of lines the two outputs
+share; for a CSV file the tool also prints whether the header,
 the row count and the ``k`` column agree, and the largest relative
 difference in each column whose fields differ.
 """
@@ -47,6 +48,7 @@ difference in each column whose fields differ.
 from __future__ import annotations
 
 import argparse
+import difflib
 import itertools
 import os
 import shutil
@@ -192,14 +194,22 @@ def run_case(src: str, files: Dict[str, str], argvs: List[List[str]],
 
 
 def first_difference(a: bytes, b: bytes) -> str:
-    """The first differing line, and how many of the paired lines differ."""
+    """Where a line diff of two outputs first parts: the kind of the first
+    block that differs (insert, delete or replace), its line in each output,
+    the block's first line on each side and how many lines the outputs share."""
     la, lb = a.splitlines(), b.splitlines()
-    differing = [i for i, (x, y) in enumerate(zip(la, lb)) if x != y]
-    if not differing:
+    matcher = difflib.SequenceMatcher(None, la, lb, autojunk=False)
+    blocks = [op for op in matcher.get_opcodes() if op[0] != "equal"]
+    if not blocks:
         return f"{len(la)} vs {len(lb)} lines"
-    i = differing[0]
-    return (f"line {i + 1}: {la[i][:100]!r} vs {lb[i][:100]!r} "
-            f"({len(differing)} of {min(len(la), len(lb))} lines differ)")
+    kind, i1, i2, j1, j2 = blocks[0]
+    shared = sum(block.size for block in matcher.get_matching_blocks())
+
+    def first(lines, lo, hi):
+        return repr(lines[lo][:100]) if lo < hi else "nothing"
+
+    return (f"{kind} at line {i1 + 1} vs {j1 + 1}: {first(la, i1, i2)} vs {first(lb, j1, j2)} "
+            f"({i2 - i1} vs {j2 - j1} lines; {shared} of {len(la)} vs {len(lb)} lines shared)")
 
 
 def csv_difference(a: bytes, b: bytes) -> str:
