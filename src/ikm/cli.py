@@ -701,7 +701,9 @@ def cmd_sweep(config_path: str, out=sys.stdout) -> int:
             "" if relax.satisfied else "infeasible-relaxation",
         ]
 
-    results = [run_entry(e) for e in entries]
+    # imported here, so that the processes of the other commands do not compile it
+    from .workers import map_rows
+    results = map_rows(run_entry, entries)
 
     resolved = {
         "problem.kind": instance.kind,

@@ -1,7 +1,11 @@
 import io
 import os
 import re
+import signal
+import subprocess
+import sys
 import tempfile
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ikm import certificates as cert
-from ikm import cli, engine, problems
+from ikm import cli, engine, problems, workers
 from ikm.config import (
     ConfigError,
     ConfigView,
@@ -1119,9 +1123,15 @@ def test_sweep_checks_every_entry_before_the_first_run(tmp_path, monkeypatch, ke
 
 @pytest.mark.parametrize("kind, scheme", [("lasso", "fb"), ("three_term", "dy")])
 def test_sweep_runs_no_reference_and_run_runs_one(tmp_path, monkeypatch, kind, scheme):
-    calls = []
+    # a call made in a sweep worker would never reach a list kept here, so
+    # any picard call fails the sweep instead, in whichever process it runs
     picard = problems.picard
-    monkeypatch.setattr(problems, "picard", lambda *args: calls.append(args) or picard(*args))
+
+    def no_picard(*args):
+        raise AssertionError("ikm sweep called problems.picard")
+
+    monkeypatch.setattr(problems, "picard", no_picard)
+    use_cpus(monkeypatch, 3)
     cfg = tmp_path / "ls.cfg"
     write(cfg, f"problem.kind = {kind}\nproblem.m = 20\nproblem.n = 50\nproblem.seed = 2\n"
                f"algorithm.scheme = {scheme}\nstopping.max_iters = 3000\n"
@@ -1131,7 +1141,8 @@ def test_sweep_runs_no_reference_and_run_runs_one(tmp_path, monkeypatch, kind, s
                f"output.table = {tmp_path / 'ls.csv'}\n"
                f"output.trace = {tmp_path / 'ls_trace.csv'}\n")
     assert cli.main(["sweep", str(cfg)]) == cli.EXIT_OK
-    assert calls == []
+    calls = []
+    monkeypatch.setattr(problems, "picard", lambda *args: calls.append(args) or picard(*args))
     assert cli.main(["run", str(cfg)]) == cli.EXIT_OK
     assert len(calls) == 1
 
@@ -1154,6 +1165,222 @@ def test_sweep_reruns_give_identical_tables(tmp_path):
     write(cfg, SWEEP_CFG.format(table=t2))
     cli.cmd_sweep(str(cfg), out=io.StringIO())
     assert t1.read_bytes() == t2.read_bytes()
+
+
+# sweep rows on every usable CPU: ``os.sched_getaffinity`` sets the width
+
+
+def use_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _ppid(pid):
+    """The parent pid of a live process, None for one gone or a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8", errors="replace") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+    except (FileNotFoundError, ProcessLookupError):
+        return None
+    return None if fields[0] in "ZX" else int(fields[1])
+
+
+def _children(pid):
+    return [int(name) for name in os.listdir("/proc") if name.isdigit()
+            and _ppid(int(name)) == pid]
+
+
+LASSO_SWEEP_CFG = """
+problem.kind = lasso
+problem.m = 20
+problem.n = 50
+problem.seed = 3
+algorithm.scheme = fb
+stopping.residual_tol = 1e-9
+sweep.1.alpha = 0.1
+sweep.1.lambda = 0.9
+sweep.2.alpha = 0.3
+sweep.2.lambda = 0.9
+sweep.3.alpha = 0.2
+sweep.3.lambda = 1.2
+sweep.4.alpha = 0
+sweep.4.lambda = 1.5
+output.table = {table}
+"""
+
+
+# rows that run to a budget of 10**8 steps: minutes each
+LONG_ROWS = LASSO_SWEEP_CFG.replace("stopping.residual_tol = 1e-9", "stopping.residual_tol = 0\n"
+                                    "stopping.max_iters = 100000000")
+
+
+def record_row_pids(monkeypatch, path):
+    """Wrap ``cli._run`` so that each row appends its process id to ``path``."""
+    run = cli._run
+
+    def recorded(*args):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return run(*args)
+
+    monkeypatch.setattr(cli, "_run", recorded)
+
+
+@pytest.mark.parametrize("config, rows", [(LASSO_SWEEP_CFG, 6), (SWEEP_CFG, 4)],
+                         ids=["lasso-fb", "tv1d-pd"])
+def test_sweep_table_does_not_depend_on_the_worker_count(tmp_path, monkeypatch, config, rows):
+    cfg = tmp_path / "sweep.cfg"
+    pids = tmp_path / "pids.txt"
+    record_row_pids(monkeypatch, pids)
+    tables = {}
+    for cpus in (1, 2, rows + 3):
+        use_cpus(monkeypatch, cpus)
+        table = tmp_path / f"w{cpus}.csv"
+        write(cfg, config.format(table=table))
+        pids.write_text("")
+        out = io.StringIO()
+        assert cli.cmd_sweep(str(cfg), out=out) == cli.EXIT_OK
+        assert out.getvalue() == f"sweep table ({rows} rows) written to {table}\n"
+        # the caller runs rows 0, W, ... and W - 1 workers the others
+        width = min(cpus, rows)
+        ran = pids.read_text().split()
+        assert len(ran) == rows and len(set(ran)) == width
+        assert ran.count(str(os.getpid())) == len(range(0, rows, width))
+        tables[cpus] = table.read_bytes()
+    assert tables[1] == tables[2] == tables[rows + 3]
+
+
+def failing_rows(monkeypatch, alphas):
+    """Make the sweep rows at these alphas raise a ConfigError naming the alpha."""
+    run = cli._run
+
+    def failing(op, x1, schedule, *args):
+        alpha = schedule.limit[0]
+        if alpha in alphas:
+            raise ConfigError(f"row alpha={alpha} failed")
+        return run(op, x1, schedule, *args)
+
+    monkeypatch.setattr(cli, "_run", failing)
+
+
+# rows in configuration order: alpha 0.1, 0.3, 0.2 and 0, then the alpha-0 baselines at
+# lambda 0.9 and 1.2
+@pytest.mark.parametrize("alphas, message", [
+    ({0.3}, "row alpha=0.3 failed"),
+    ({0.3, 0.2}, "row alpha=0.3 failed"),
+    ({0.2, 0.0}, "row alpha=0.2 failed"),
+    ({0.1, 0.0}, "row alpha=0.1 failed"),
+])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_a_failing_row_gives_the_sequential_error(tmp_path, monkeypatch, capsys, alphas,
+                                                  message, cpus):
+    # with 2 CPUs rows 1, 3 and 5 run in the worker; with 3, rows 1 and 4 in
+    # one worker and rows 2 and 5 in the other: the lowest failing row's
+    # error wins either way
+    cfg = tmp_path / "sweep.cfg"
+    table = tmp_path / "sweep.csv"
+    write(cfg, LASSO_SWEEP_CFG.format(table=table))
+    use_cpus(monkeypatch, cpus)
+    failing_rows(monkeypatch, alphas)
+    assert cli.main(["sweep", str(cfg)]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+    assert not table.exists()
+    assert _children(os.getpid()) == []
+
+
+def test_an_interrupt_in_the_callers_row_kills_the_workers(tmp_path, monkeypatch):
+    cfg = tmp_path / "sweep.cfg"
+    write(cfg, LONG_ROWS.format(table=tmp_path / "sweep.csv"))
+    use_cpus(monkeypatch, 3)
+    run = cli._run
+
+    def interrupted(op, x1, schedule, *args):
+        if schedule.limit[0] == 0.1:
+            time.sleep(0.2)
+            raise KeyboardInterrupt
+        return run(op, x1, schedule, *args)
+
+    monkeypatch.setattr(cli, "_run", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["sweep", str(cfg)])
+    assert time.monotonic() - start < 30
+    assert _children(os.getpid()) == []
+
+
+def test_an_unexpected_error_in_a_worker_carries_its_traceback(tmp_path, monkeypatch):
+    cfg = tmp_path / "sweep.cfg"
+    write(cfg, LASSO_SWEEP_CFG.format(table=tmp_path / "sweep.csv"))
+    use_cpus(monkeypatch, 2)
+    run = cli._run
+
+    def broken(op, x1, schedule, *args):
+        if schedule.limit[0] == 0.3:
+            raise KeyError("no such row")
+        return run(op, x1, schedule, *args)
+
+    monkeypatch.setattr(cli, "_run", broken)
+    with pytest.raises(KeyError, match="no such row") as info:
+        cli.main(["sweep", str(cfg)])
+    cause = info.value.__cause__
+    assert isinstance(cause, workers._WorkerTraceback)
+    assert "in broken" in str(cause) and "KeyError: 'no such row'" in str(cause)
+
+
+def test_a_worker_that_cannot_send_its_rows_fails_the_sweep(tmp_path, monkeypatch):
+    class Local(Exception):  # a class defined in a function does not pickle
+        pass
+
+    cfg = tmp_path / "sweep.cfg"
+    table = tmp_path / "sweep.csv"
+    write(cfg, LASSO_SWEEP_CFG.format(table=table))
+    use_cpus(monkeypatch, 2)
+    run = cli._run
+
+    def unpicklable(op, x1, schedule, *args):
+        if schedule.limit[0] == 0.3:
+            raise Local("row alpha=0.3")
+        return run(op, x1, schedule, *args)
+
+    monkeypatch.setattr(cli, "_run", unpicklable)
+    with pytest.raises(RuntimeError, match="before it sent its rows"):
+        cli.main(["sweep", str(cfg)])
+    assert not table.exists() and _children(os.getpid()) == []
+
+
+KILLED_SWEEP = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1, 2}
+from ikm import cli
+sys.exit(cli.main(["sweep", sys.argv[1]]))
+"""
+
+
+def test_workers_die_with_a_killed_sweep(tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    write(cfg, LONG_ROWS.format(table=tmp_path / "sweep.csv"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.Popen([sys.executable, "-c", KILLED_SWEEP, str(cfg)],
+                            env=dict(os.environ, PYTHONPATH=src))
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and time.monotonic() < deadline and proc.poll() is None:
+            time.sleep(0.05)
+            workers = _children(proc.pid)
+        assert len(workers) == 2, "the sweep did not fork its two workers"
+        proc.kill()
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 1.0
+        while any(_ppid(pid) is not None for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [pid for pid in workers if _ppid(pid) is not None] == []
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+        for pid in workers:
+            if _ppid(pid) is not None:
+                os.kill(pid, signal.SIGKILL)
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """tools/parity.py's report of where two outputs part, loaded by path."""
 
 import importlib.util
+import time
 from pathlib import Path
 
 PARITY = Path(__file__).resolve().parents[1] / "tools" / "parity.py"
@@ -57,3 +58,25 @@ def test_insert_and_delete_name_the_side_that_has_the_lines():
         "(1 vs 0 lines; 6 of 7 vs 6 lines shared)")
     assert parity.first_difference(new, old).startswith(
         "insert at line 2 vs 2: nothing vs b'trace written to ramp-one.csv' (0 vs 1 lines;")
+
+
+def test_interleaved_differences_in_long_outputs_are_reported_in_linear_time():
+    # every other line differs: a whole-file SequenceMatcher took 33 s and found the
+    # same 8501 shared lines
+    old = [b"k,residual"] + [b"%d,%.17g" % (k, 1.0 / k) for k in range(1, 17_000)]
+    new = [line if i % 2 else line + b"1" for i, line in enumerate(old)]
+    new[0] = old[0]
+    start = time.perf_counter()
+    report = parity.first_difference(lines(old), lines(new))
+    assert time.perf_counter() - start < 1.0
+    assert report == (f"replace at line 3 vs 3: {old[2]!r} vs {new[2]!r} (1 vs 1 lines; "
+                      "at least 8501 of 17000 vs 17000 lines shared)")
+
+
+def test_a_long_shift_is_an_insert_not_a_rewrite():
+    # one line inserted near the top of a 17,000-line output: every later line is shared
+    old = [b"%d,%.17g" % (k, 1.0 / k) for k in range(1, 17_001)]
+    new = old[:5] + [b"inserted"] + old[5:]
+    assert parity.first_difference(lines(old), lines(new)) == (
+        "insert at line 6 vs 6: nothing vs b'inserted' (0 vs 1 lines; "
+        "17000 of 17000 vs 17001 lines shared)")

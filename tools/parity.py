@@ -40,9 +40,10 @@ lambda-grid`` on a 12 x 7 grid, whose table is compared.  The tool prints
 one line per case and exits 1 when anything differs, 0 otherwise.  A
 differing output is shown by the first block of a line diff (insert, delete
 or replace), its line in each output and the count of lines the two outputs
-share; for a CSV file the tool also prints whether the header,
-the row count and the ``k`` column agree, and the largest relative
-difference in each column whose fields differ.
+share, in time linear in their length (see ``first_difference``); for a CSV
+file the tool also prints whether the header, the row count and the ``k``
+column agree, and the largest relative difference in each column whose
+fields differ.
 """
 
 from __future__ import annotations
@@ -63,6 +64,10 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import workloads  # noqa: E402
 
 TIMEOUT_S = 600
+# lines of each output's differing middle that first_difference aligns with
+# difflib, whose time grows with their square when matching and differing
+# lines interleave
+DIFF_WINDOW = 500
 
 RUN = """problem.seed = {seed}
 stopping.max_iters = 5000
@@ -196,20 +201,37 @@ def run_case(src: str, files: Dict[str, str], argvs: List[List[str]],
 def first_difference(a: bytes, b: bytes) -> str:
     """Where a line diff of two outputs first parts: the kind of the first
     block that differs (insert, delete or replace), its line in each output,
-    the block's first line on each side and how many lines the outputs share."""
+    the block's first line on each side and how many lines the outputs share.
+
+    The lines the outputs start and end with in common are matched line by
+    line, and ``difflib.SequenceMatcher`` aligns only the middle between
+    them, at most ``DIFF_WINDOW`` lines of each side from its start.  When a
+    middle is longer, the block is the first one within that window, and
+    the shared count is a lower bound: the lines the window aligns or, for
+    middles of equal length, the lines equal at the same place, whichever
+    is more.
+    """
     la, lb = a.splitlines(), b.splitlines()
-    matcher = difflib.SequenceMatcher(None, la, lb, autojunk=False)
-    blocks = [op for op in matcher.get_opcodes() if op[0] != "equal"]
-    if not blocks:
+    n = min(len(la), len(lb))
+    head = next((i for i in range(n) if la[i] != lb[i]), n)
+    if head == len(la) == len(lb):
         return f"{len(la)} vs {len(lb)} lines"
-    kind, i1, i2, j1, j2 = blocks[0]
-    shared = sum(block.size for block in matcher.get_matching_blocks())
+    tail = next((i for i in range(n - head) if la[-1 - i] != lb[-1 - i]), n - head)
+    mid_a, mid_b = la[head:len(la) - tail], lb[head:len(lb) - tail]
+    cut = max(len(mid_a), len(mid_b)) > DIFF_WINDOW
+    matcher = difflib.SequenceMatcher(None, mid_a[:DIFF_WINDOW], mid_b[:DIFF_WINDOW],
+                                      autojunk=False)
+    kind, i1, i2, j1, j2 = next(op for op in matcher.get_opcodes() if op[0] != "equal")
+    shared = head + tail + sum(block.size for block in matcher.get_matching_blocks())
+    if cut and len(mid_a) == len(mid_b):
+        shared = max(shared, head + tail + sum(map(bytes.__eq__, mid_a, mid_b)))
 
     def first(lines, lo, hi):
         return repr(lines[lo][:100]) if lo < hi else "nothing"
 
-    return (f"{kind} at line {i1 + 1} vs {j1 + 1}: {first(la, i1, i2)} vs {first(lb, j1, j2)} "
-            f"({i2 - i1} vs {j2 - j1} lines; {shared} of {len(la)} vs {len(lb)} lines shared)")
+    return (f"{kind} at line {head + i1 + 1} vs {head + j1 + 1}: {first(mid_a, i1, i2)} vs "
+            f"{first(mid_b, j1, j2)} ({i2 - i1} vs {j2 - j1} lines; "
+            f"{'at least ' if cut else ''}{shared} of {len(la)} vs {len(lb)} lines shared)")
 
 
 def csv_difference(a: bytes, b: bytes) -> str:
