@@ -51,11 +51,11 @@ class CheckResult:
 
 
 def contraction_constant(lam: float, q: float, xi: float) -> float:
-    """Contraction constant of one relaxed step against a q-contractive map.
+    """Contraction constant of one relaxed step against a q-contractive map,
+    ``(1 - lam + lam q)^2 + xi lam (1 - lam)(1 - q)^2``.
 
-    Two algebraically identical forms are evaluated and cross-checked:
-    ``xi (1 - lam + lam q^2) + (1 - xi)(1 - lam + lam q)^2`` and
-    ``(1 - lam + lam q)^2 + xi lam (1 - lam)(1 - q)^2``.  Decreasing in
+    It equals ``xi (1 - lam + lam q^2) + (1 - xi)(1 - lam + lam q)^2``, the
+    convex combination of the two bounds it interpolates.  Decreasing in
     ``lam``, increasing in ``q`` and ``xi``.
     """
     if not 0.0 < lam <= 1.0:
@@ -65,11 +65,7 @@ def contraction_constant(lam: float, q: float, xi: float) -> float:
     if not 0.0 <= xi <= 1.0:
         raise ValueError("xi must lie in [0, 1]")
     base = 1.0 - lam + lam * q
-    form1 = xi * (1.0 - lam + lam * q * q) + (1.0 - xi) * base * base
-    form2 = base * base + xi * lam * (1.0 - lam) * (1.0 - q) ** 2
-    if abs(form1 - form2) > 1e-14:
-        raise AssertionError(f"Q forms disagree: {form1!r} vs {form2!r}")
-    return form2
+    return base * base + xi * lam * (1.0 - lam) * (1.0 - q) ** 2
 
 
 def check_relaxation_constant(alpha: float, lambda_eff: float) -> CheckResult:

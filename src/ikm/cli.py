@@ -32,7 +32,7 @@ from . import engine, problems
 from .config import ConfigError, ConfigView, deserialize_config, load_config, serialize_config
 from .engine import (COLUMNS, OPTIONAL_COLUMNS, STORED_COLUMNS, DivergenceError, Schedule,
                      StoppingRule, Trace, monotone_prefix)
-from .operators import OperatorHandle, residual as op_residual
+from .operators import OperatorHandle
 
 # the columns of an ikm-trace-v2 file, those a Trace stores: k, the
 # measured columns and the rate_bound promise
@@ -377,11 +377,11 @@ def read_trace(path: str, consistency: bool = False):
     missing header, a column mixing empty and filled chunks, a ``k`` column
     other than ``1..n`` and a missing config are reported at the end.
 
-    The returned trace stores the file's measured columns and the config's
-    schedule, and ``rate_bound`` from :func:`rate_bound_column`, as ``ikm
-    run`` made it; ``nu_k``, ``delta_k``, ``Delta_k``, ``C_k``,
-    ``k_step_sq`` and ``k_res_sq`` are computed from them on access, as for
-    the run's own trace.  With ``consistency`` set a third value is
+    The returned trace stores the file's measured columns, the config's
+    schedule and ``derived.gamma`` (None without it), and ``rate_bound``
+    from :func:`rate_bound_column`, as ``ikm run`` made it; ``nu_k``,
+    ``delta_k``, ``Delta_k``, ``C_k``, ``k_step_sq`` and ``k_res_sq`` are
+    computed from them on access, as for the run's own trace.  With ``consistency`` set a third value is
     returned: the int64 array of the ks at which the file's ``rate_bound``
     differs from the recomputed one, compared ``engine.ROW_CHUNK`` rows at
     a time, or None when it agrees.  The file's column is dropped on return.
@@ -445,7 +445,8 @@ def read_trace(path: str, consistency: bool = False):
 
     schedule, _, xi = build_schedule(ConfigView(cfg))
     held = columns.pop("rate_bound")
-    trace = Trace(schedule, k=k, **columns)
+    gamma = float(cfg["derived.gamma"]) if "derived.gamma" in cfg else None
+    trace = Trace(schedule, gamma, k=k, **columns)
     trace.rate_bound = rate_bound_column(trace, schedule, _certified_q(cfg), xi)
     if not consistency:
         return trace, cfg
@@ -491,8 +492,9 @@ def cmd_run(config_path: str, out=sys.stdout) -> int:
     p_ref = None
     if p_ref_mode == "auto":
         p_ref = instance.fixed_point(scheme, **steps)
-        if p_ref is not None and op_residual(op, p_ref) > 1e-10:
-            print("warning: reference point residual exceeds 1e-10; dropping it", file=out)
+        if p_ref is not None and not engine.is_reference_point(op, p_ref):
+            print(f"warning: reference point residual exceeds {engine.REF_TOL:g}; dropping it",
+                  file=out)
             p_ref = None
     elif p_ref_mode != "none":
         raise ConfigError("run.p_ref must be 'auto' or 'none'")

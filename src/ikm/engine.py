@@ -22,11 +22,18 @@ columns, its indices and the run's schedule; the rest is computed from them
 on access: ``k ||x_k - x_{k-1}||^2``, ``k ||y_k - T y_k||^2`` and the
 Lyapunov quantities
 
-    nu_k     = 1/lambda_k - 1
+    eta_k    = gamma lambda_k   (lambda_k when the trace's gamma is None)
+    nu_k     = 1/eta_k - 1
     delta_k  = nu_{k-1} (1 - alpha_{k-1}) ||x_k - x_{k-1}||^2
     Delta_k  = ||x_k - p||^2 - ||x_{k-1} - p||^2          (Delta_1 = 0)
     C_k      = ||x_k - p||^2 - alpha_{k-1} ||x_{k-1} - p||^2 + delta_k
                                                            (C_1 = ||x_1 - p||^2)
+
+with ``gamma`` the averagedness constant of the run's operator, ``T = (1 -
+gamma) I + gamma R`` for a nonexpansive ``R``: the step ``(1 - lambda) y +
+lambda T y`` is ``(1 - eta) y + eta R y``, and the Lyapunov function of the
+convergence analysis is that of ``R`` at the relaxation ``eta``, the one the
+feasibility certificates are evaluated at.
 
 For an operator whose handle sets ``exact_zeros``, entries of ``y_k`` and
 ``x_{k+1}`` below the smallest normal float in magnitude are set to zero as
@@ -45,17 +52,18 @@ chunk of rows is computed (:meth:`Trace.column`).
 
 A run keeps only the last two iterates and the last inertial point; the
 trace is its record.  The verify_* functions replay the per-iteration
-inequalities of the convergence analysis as array expressions over the
-trace columns and the trace's schedule alone, whether they come from a
-:class:`RunResult` or from an exported CSV.  They evaluate ``ROW_CHUNK``
-indices at a time (the indices ``[lo, hi)`` read the rows ``lo - 1 .. hi``)
-into the report's preallocated ``lhs`` and ``rhs``, from one read of the
-schedule per chunk, and ``C_k`` is read a chunk at a time too, so a
-replay's memory is one chunk of temporaries plus its report and no
-full-length Lyapunov column is formed; the values are those of the
-whole-column expressions, bit for bit.  Distances to ``p`` and steps are
-columns; the cross terms the inequalities need are reconstructed through
-the identity
+inequalities of the convergence analysis as array expressions over a
+:class:`Trace` alone, its columns, schedule and gamma, whether it is a run's
+or read from an exported CSV.  A run rejects a reference point that is not a
+fixed point of its operator (:func:`is_reference_point`), so a trace's
+distances are to one.  The replays evaluate ``ROW_CHUNK`` indices at a time
+(the indices ``[lo, hi)`` read the rows ``lo - 1 .. hi``) into the report's
+preallocated ``lhs`` and ``rhs``, from one read of the schedule per chunk,
+and ``C_k`` is read a chunk at a time too, so a replay's memory is one chunk
+of temporaries plus its report and no full-length Lyapunov column is formed;
+the values are those of the whole-column expressions, bit for bit.
+Distances to ``p`` and steps are columns; the cross terms the inequalities
+need are reconstructed through the identity
 
     lambda_k^2 ||y_k - T y_k||^2 = ||x_{k+1} - x_k||^2
         + alpha_k^2 ||x_k - x_{k-1}||^2
@@ -66,17 +74,16 @@ Runs are strictly sequential; independent runs share no mutable state.
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from array import array
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .certificates import contraction_constant
 from .linalg import flush_subnormals, is_finite, norm
-from .operators import OperatorHandle, residual as op_residual
 
 __all__ = [
     "DivergenceError",
@@ -86,7 +93,7 @@ __all__ = [
     "StoppingRule",
     "Trace",
     "TraceRow",
-    "as_trace",
+    "is_reference_point",
     "monotone_prefix",
     "picard",
     "run",
@@ -101,8 +108,8 @@ __all__ = [
 # absorb double-precision rounding over ~1e5 iterations
 DEFAULT_TOL = 1e-9
 
-# rows per chunk of every chunked pass over a trace: iteration, CSV write
-# and read, scalar columns and the verify_* replays.  Large enough to
+# rows per chunk of every chunked pass over a trace: CSV write and read,
+# scalar columns and the verify_* replays.  Large enough to
 # amortize a NumPy call or a "%" format over the chunk, small enough that a
 # chunk's temporaries, text or tokens stay in the tens of kilobytes
 ROW_CHUNK = 256
@@ -110,6 +117,9 @@ ROW_CHUNK = 256
 # rows per block of iterate differences (and iterates) that run() measures
 # at once; 32 rows of a 399-vector are 100 KiB
 BLOCK_ROWS = 32
+
+# the largest residual ||p - T p|| of a reference fixed point
+REF_TOL = 1e-10
 
 # a schedule column: int64 indices in, float64 values out
 Column = Callable[[np.ndarray], np.ndarray]
@@ -199,12 +209,6 @@ class Schedule:
             raise ValueError("k must be >= 1")
         return self.alpha_col(ks), self.lambda_col(ks)
 
-    def alpha_at(self, k: int) -> float:
-        return self.columns(np.array([k]))[0].item()
-
-    def lambda_at(self, k: int) -> float:
-        return self.columns(np.array([k]))[1].item()
-
 
 def _lambda_table(lambdas: Sequence[float]) -> List[float]:
     lambdas = [float(l) for l in lambdas]
@@ -280,21 +284,20 @@ LYAPUNOV_COLUMNS = ("nu_k", "delta_k", "Delta_k", "C_k")
 class Trace:
     """The diagnostics of a run as NumPy columns, one entry per iteration.
 
-    A trace stores what its run measured, ``STORED_COLUMNS``, and the run's
-    ``schedule``: ``k`` is an int64 column, every other column float64, and
-    an optional column (see ``OPTIONAL_COLUMNS``) is either filled on every
-    row or None.  ``nu_k``, ``delta_k``, ``Delta_k``, ``C_k``, ``k_step_sq``
-    and ``k_res_sq`` are read-only columns computed on access by
-    :meth:`column`, which also gives any column over a range of rows.
-    Indexing with an int gives a :class:`TraceRow` of Python scalars,
-    slicing with step 1 gives a Trace (whose first row keeps the row before
-    it for its Lyapunov values), and iteration yields rows, converting
-    ``ROW_CHUNK`` rows at a time.
+    A trace stores what its run measured, ``STORED_COLUMNS``, the run's
+    ``schedule`` and its operator's averagedness ``gamma`` (None when
+    unknown): ``k`` is an int64 column, every other column float64, and an
+    optional column (see ``OPTIONAL_COLUMNS``) is either filled on every row
+    or None.  ``nu_k``, ``delta_k``, ``Delta_k``, ``C_k``, ``k_step_sq`` and
+    ``k_res_sq`` are read-only columns computed on access by :meth:`column`,
+    which also gives any column over a range of rows; the Lyapunov ones read
+    ``eta_k = gamma lambda_k`` (see the module docstring).  Indexing with an
+    int gives a :class:`TraceRow` of Python scalars.
     """
 
-    __slots__ = STORED_COLUMNS + ("schedule", "_before")
+    __slots__ = STORED_COLUMNS + ("schedule", "gamma")
 
-    def __init__(self, schedule: Schedule, **columns):
+    def __init__(self, schedule: Schedule, gamma: Optional[float] = None, **columns):
         n = None
         for name in STORED_COLUMNS:
             col = columns.pop(name, None)
@@ -310,9 +313,7 @@ class Trace:
         if columns:
             raise ValueError(f"unknown trace columns {sorted(columns)}")
         self.schedule = schedule
-        # k and dist_to_ref of the row before the first, as one-entry
-        # arrays, on a slice that starts past its run's first row
-        self._before: Optional[Tuple[np.ndarray, Optional[np.ndarray]]] = None
+        self.gamma = gamma
 
     nu_k = property(lambda self: self.column("nu_k"))
     delta_k = property(lambda self: self.column("delta_k"))
@@ -343,6 +344,11 @@ class Trace:
         with np.errstate(over="ignore", invalid="ignore"):
             return self.k[lo:hi] * v * v
 
+    def eta(self, lam: np.ndarray) -> np.ndarray:
+        """The relaxations ``eta = gamma * lambda`` of the Lyapunov columns
+        (``lam`` itself when gamma is unknown)."""
+        return lam if self.gamma is None else self.gamma * lam
+
     def _lyapunov(self, lo: int, hi: int,
                   names=LYAPUNOV_COLUMNS) -> Dict[str, Optional[np.ndarray]]:
         """The Lyapunov columns over the rows ``[lo, hi)`` by name: ``nu_k``,
@@ -350,75 +356,50 @@ class Trace:
         without ``dist_to_ref``).
 
         They are computed from the stored columns of the rows ``lo - 1 ..
-        hi - 1`` and one read of the schedule at their ks; the first row of
-        a run takes ``delta = Delta = 0`` and ``C = dist^2``.
+        hi - 1`` and one read of the schedule at their ks; the first row
+        takes ``delta = Delta = 0`` and ``C = dist^2``.
         """
         k, step, dist = self.k[lo:hi], self.step[lo:hi], self.dist_to_ref
-        # the row before each row; the first row of a run stands in for its
-        # own, and its values are set below
-        before = self._row_before(lo)
-        first = before is None
-        k_head, d_head = before or (k[:1], None if dist is None else dist[:1])
+        # the row before each row; the first row stands in for its own, and
+        # its values are set below
+        head = slice(lo - 1, lo) if lo else slice(0, 1)
         with np.errstate(over="ignore", invalid="ignore"):
             # alpha and lambda at the row before each row, then at the last row
-            a, lam = self.schedule.columns(np.concatenate((k_head, k)))
+            a, lam = self.schedule.columns(np.concatenate((self.k[head], k)))
             a = a[:-1]
-            nu = 1.0 / lam - 1.0
+            nu = 1.0 / self.eta(lam) - 1.0
             delta = nu[:-1] * (1.0 - a) * step * step
-            if first:
+            if not lo:
                 delta[:1] = 0.0
             out = {"nu_k": nu[1:], "delta_k": delta, "Delta_k": None, "C_k": None}
             if dist is None:
                 return out
             d = dist[lo:hi]
-            d_prev = np.concatenate((d_head, d))[:d.size]
+            d_prev = np.concatenate((dist[head], d))[:d.size]
             dsq = d * d
             if "Delta_k" in names:
                 out["Delta_k"] = Delta = dsq - d_prev * d_prev
-                if first:
+                if not lo:
                     Delta[:1] = 0.0
             if "C_k" in names:
                 out["C_k"] = C = dsq - a * d_prev * d_prev + delta
-                if first:
+                if not lo:
                     C[:1] = dsq[:1]
         return out
-
-    def _row_before(self, lo: int) -> Optional[Tuple[np.ndarray, Optional[np.ndarray]]]:
-        """``k`` and ``dist_to_ref`` (None without the column) of the row
-        before row ``lo`` as one-entry arrays; None before a run's first row."""
-        if not lo:
-            return self._before
-        dist = self.dist_to_ref
-        return self.k[lo - 1:lo], None if dist is None else dist[lo - 1:lo]
 
     def __len__(self) -> int:
         return self.k.size
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            lo, hi, stride = index.indices(len(self))
-            if stride != 1:
-                raise ValueError("a trace slice must have step 1")
-            hi = max(lo, hi)
-            part = Trace(self.schedule, **{name: self.column(name, lo, hi)
-                                           for name in STORED_COLUMNS})
-            part._before = self._row_before(lo)
-            return part
-        i = range(len(self))[index]  # an IndexError past either end
-        return next(self._rows(i, i + 1))
+    def __getitem__(self, index) -> TraceRow:
+        i = range(len(self))[operator.index(index)]  # an IndexError past either end
+        lyapunov = self._lyapunov(i, i + 1)
+        return TraceRow(*(None if col is None else col.item() for col in (
+            lyapunov[name] if name in lyapunov else self.column(name, i, i + 1)
+            for name in COLUMNS)))
 
-    def _rows(self, lo: int, hi: int) -> Iterator[TraceRow]:
-        lyapunov = self._lyapunov(lo, hi)
-        chunk = [lyapunov[name] if name in lyapunov else self.column(name, lo, hi)
-                 for name in COLUMNS]
-        return itertools.starmap(TraceRow, zip(*(itertools.repeat(None) if col is None
-                                                 else col.tolist() for col in chunk)))
-
-    def __iter__(self) -> Iterator[TraceRow]:
-        # a chunk of rows at a time, so iteration holds one chunk of Python
-        # scalars and derived values besides the stored columns
-        for lo in range(0, len(self), ROW_CHUNK):
-            yield from self._rows(lo, min(lo + ROW_CHUNK, len(self)))
+    # parts of a trace are read as columns (Trace.column), not row by row;
+    # without this, __getitem__ would make a trace iterable
+    __iter__ = None
 
     def __eq__(self, other) -> bool:
         """Whether every column, stored or derived, has equal values."""
@@ -450,15 +431,14 @@ class RunResult:
     the newest one computed, and ``ys`` the last inertial point (empty when no
     step was taken); :func:`picard` returns ``xs = [x]``.  ``x_last`` is the
     iterate ``x_k`` the last trace row describes, one of ``xs`` (None without
-    rows).  ``rows`` is a :class:`Trace`, which carries the run's schedule.
+    rows).  ``rows`` is a :class:`Trace`, which carries the run's schedule
+    and its operator's gamma.
     """
 
     rows: Trace
     xs: List[np.ndarray]
     ys: List[np.ndarray]
     status: str  # converged | max_iters | stalled | diverged
-    p_ref: Optional[np.ndarray] = None
-    operator: Optional[OperatorHandle] = None
     x_last: Optional[np.ndarray] = None
 
     @property
@@ -474,16 +454,25 @@ class RunResult:
 # stepping
 
 
+def is_reference_point(T, p: np.ndarray) -> bool:
+    """Whether ``p`` may serve as the reference fixed point of the operator
+    handle ``T``: ``||p - T p|| <= REF_TOL`` (a nan residual is not)."""
+    return norm(p - T.apply(p)) <= REF_TOL
+
+
 def run(
-    T: OperatorHandle,
+    T,
     x1: np.ndarray,
     schedule: Schedule,
     stop: StoppingRule,
     p_ref: Optional[np.ndarray] = None,
     objective: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> RunResult:
-    """Drive the inertial KM iteration and return the full diagnostic trace.
+    """Drive the inertial KM iteration of the operator handle ``T`` and
+    return the full diagnostic trace, which carries ``T.gamma``.
 
+    A ``p_ref`` that is not a reference point of ``T``
+    (:func:`is_reference_point`) raises ``ValueError`` before the first step.
     Each step measures only what it decides on: the residual the stopping
     rule reads and, when ``lambda_k != 1``, whether ``x_{k+1}`` is finite
     (a finite ``<x_{k+1}, x_{k+1}>`` proves it, the exact test is the
@@ -517,6 +506,8 @@ def run(
     (intermediate overflow on the way to a detected divergence is silenced,
     since non-finite iterates are handled explicitly).
     """
+    if p_ref is not None and not is_reference_point(T, p_ref):
+        raise ValueError(f"p_ref is not a fixed point (residual > {REF_TOL:g})")
     x_prev = x_curr = x1
     x_last: Optional[np.ndarray] = None
     y_last: Optional[np.ndarray] = None
@@ -552,9 +543,9 @@ def run(
     def result(status: str) -> RunResult:
         flush()
         ys = [] if y_last is None else [y_last]
-        trace = Trace(schedule, k=np.arange(1, len(res_col) + 1, dtype=np.int64),
+        trace = Trace(schedule, T.gamma, k=np.arange(1, len(res_col) + 1, dtype=np.int64),
                       residual=res_col, step=step_col, dist_to_ref=dist_col, objective=obj_col)
-        return RunResult(trace, [x_prev, x_curr], ys, status, p_ref, T, x_last)
+        return RunResult(trace, [x_prev, x_curr], ys, status, x_last)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, stop.max_iters + 1):
@@ -640,7 +631,7 @@ def _schedule_block(schedule: Schedule, k: int, last: int,
     return alphas, lams, k + i, error
 
 
-def picard(T: OperatorHandle, x0: np.ndarray, tol: float, max_iters: int) -> RunResult:
+def picard(T, x0: np.ndarray, tol: float, max_iters: int) -> RunResult:
     """Plain fixed-point iteration ``x <- T x`` (reference runs).
 
     The trace is one row, the last index and its residual (no row after a
@@ -653,17 +644,18 @@ def picard(T: OperatorHandle, x0: np.ndarray, tol: float, max_iters: int) -> Run
         r = norm(x - tx)
         # a finite residual implies a finite T x; the exact test is the fallback
         if not math.isfinite(r) and not is_finite(tx):
-            raise DivergenceError(k, RunResult(_last_row(k, r)[:0], [x], [], "diverged",
-                                               operator=T))
+            raise DivergenceError(k, RunResult(_picard_trace(), [x], [], "diverged"))
         if r <= tol:
-            return RunResult(_last_row(k, r), [x], [], "converged", operator=T)
+            return RunResult(_picard_trace(k, r), [x], [], "converged")
         x = tx
-    return RunResult(_last_row(max_iters, norm(x - T.apply(x))), [x], [], "max_iters",
-                     operator=T)
+    return RunResult(_picard_trace(max_iters, norm(x - T.apply(x))), [x], [], "max_iters")
 
 
-def _last_row(k: int, r: float) -> Trace:
-    return Trace(Schedule.constant(0.0, 1.0), k=[k], residual=[r], step=[0.0])
+def _picard_trace(k: Optional[int] = None, r: float = 0.0) -> Trace:
+    """The trace of :func:`picard`: the row ``(k, r)``, or no row when k is None."""
+    ks = [] if k is None else [k]
+    return Trace(Schedule.constant(0.0, 1.0), k=ks, residual=[r] * len(ks),
+                 step=[0.0] * len(ks))
 
 
 # --------------------------------------------------------------------------
@@ -694,28 +686,9 @@ class InequalityReport:
         return len(self.ks)
 
 
-def as_trace(trace: Union[RunResult, Trace]) -> Trace:
-    """The :class:`Trace` of a RunResult, or the Trace itself."""
-    return trace.rows if isinstance(trace, RunResult) else trace
-
-
-def _unpack(trace) -> Trace:
-    """Trace of a RunResult or Trace, reference validated.
-
-    A RunResult's ``p_ref`` must be a fixed point of its operator (when it
-    carries one), and the trace must have the ``dist_to_ref`` column.
-    """
-    if isinstance(trace, RunResult) and trace.p_ref is not None:
-        _check_ref_fixed(trace.operator, trace.p_ref)
-    trace = as_trace(trace)
+def _needs_dist(trace: Trace, what: str = "dist_to_ref") -> None:
     if trace.dist_to_ref is None:
-        raise ValueError("trace lacks dist_to_ref; rerun with p_ref")
-    return trace
-
-
-def _check_ref_fixed(op, p_ref):
-    if op is not None and op_residual(op, p_ref) > 1e-10:
-        raise ValueError("p_ref is not a fixed point (residual > 1e-10)")
+        raise ValueError(f"trace lacks {what}; rerun with p_ref")
 
 
 def _contraction_column(lam: np.ndarray, q: float, xi: float) -> np.ndarray:
@@ -754,9 +727,9 @@ def _alpha_second_diff_sq(trace: Trace, a: np.ndarray, lam: np.ndarray,
 
 
 def _next_delta(trace: Trace, a: np.ndarray, lam: np.ndarray, lo: int) -> np.ndarray:
-    """``delta_{k+1} = nu_k (1 - alpha_k) ||x_{k+1} - x_k||^2`` for the ``a.size``
-    indices from ``lo``, from their own ``(alpha_k, lambda_k)`` with the
-    products of :meth:`Trace._lyapunov` in its order."""
+    """``delta_{k+1} = nu_k (1 - alpha_k) ||x_{k+1} - x_k||^2``, ``nu_k = 1/lam_k
+    - 1``, for the ``a.size`` indices from ``lo``, from their own ``(alpha_k,
+    lam_k)`` with the products of :meth:`Trace._lyapunov` in its order."""
     step = trace.step[lo + 1:lo + 1 + a.size]
     return (1.0 / lam - 1.0) * (1.0 - a) * step * step
 
@@ -823,7 +796,7 @@ def _replay(name: str, trace: Trace, tol: float,
     return InequalityReport(name, ks, lhs, rhs, violations)
 
 
-def verify_descent(trace, tol: float = DEFAULT_TOL) -> InequalityReport:
+def verify_descent(trace: Trace, tol: float = DEFAULT_TOL) -> InequalityReport:
     """Replay the one-step descent inequality along the trace.
 
     At each k it checks
@@ -833,36 +806,35 @@ def verify_descent(trace, tol: float = DEFAULT_TOL) -> InequalityReport:
                + [alpha_k (1 + alpha_k) + nu_k alpha_k (1 - alpha_k)] ||x_k - x_{k-1}||^2
 
     with slack ``tol * (1 + |rhs|)`` for every pair of consecutive rows,
-    under the trace's schedule.  The trace needs the ``dist_to_ref`` column;
-    a :class:`RunResult` that carries its operator has its ``p_ref``
-    validated as a fixed point first.
+    under the trace's schedule, with ``nu_k = 1/eta_k - 1`` at the trace's
+    ``eta_k = gamma lambda_k`` as in its Lyapunov columns.  The trace needs
+    the ``dist_to_ref`` column.
     """
-    trace = _unpack(trace)
+    _needs_dist(trace)
 
     def chunk(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
         ks = trace.k[lo:hi]
         a, lam = trace.schedule.columns(ks)
+        eta = trace.eta(lam)
         prev, cur, nxt = _dist_sq(trace, lo, hi)
         step = trace.step[lo:hi]
-        nu = 1.0 / lam - 1.0
+        nu = 1.0 / eta - 1.0
         Delta_k = np.where(ks == 1, 0.0, cur - prev)
         second = _alpha_second_diff_sq(trace, a, lam, lo)
-        lhs = (nxt - cur) + _next_delta(trace, a, lam, lo) + nu * second
+        lhs = (nxt - cur) + _next_delta(trace, a, eta, lo) + nu * second
         rhs = a * Delta_k + (a * (1.0 + a) + nu * a * (1.0 - a)) * (step * step)
         return lhs, rhs
 
     return _replay("descent", trace, tol, chunk)
 
 
-def verify_Ck_monotone(trace, tol: float = DEFAULT_TOL) -> Optional[int]:
+def verify_Ck_monotone(trace: Trace, tol: float = DEFAULT_TOL) -> Optional[int]:
     """First k violating ``C_{k+1} <= C_k + tol (1 + C_k)`` / ``C_k >= -tol``, else None.
 
     ``C_k`` is computed ``ROW_CHUNK`` rows at a time, with one row of
     look-ahead.
     """
-    trace = as_trace(trace)
-    if trace.dist_to_ref is None:
-        raise ValueError("trace lacks C_k; rerun with p_ref")
+    _needs_dist(trace, "C_k")
     n = len(trace)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n, ROW_CHUNK):
@@ -875,15 +847,17 @@ def verify_Ck_monotone(trace, tol: float = DEFAULT_TOL) -> Optional[int]:
     return None
 
 
-def verify_contraction(trace, q: float, xi: float, tol: float = DEFAULT_TOL) -> InequalityReport:
+def verify_contraction(trace: Trace, q: float, xi: float,
+                       tol: float = DEFAULT_TOL) -> InequalityReport:
     """Replay the per-step contraction bound for q-quasi-contractive runs:
 
         ||x_{k+1} - p||^2 <= Q(lambda_k, q, xi) ||y_k - p||^2
                              - xi lambda_k (1 - lambda_k) ||y_k - T y_k||^2
 
-    under the trace's schedule.
+    under the trace's schedule; ``Q`` is stated for ``T`` itself, so at
+    ``lambda_k``, not ``eta_k``.
     """
-    trace = _unpack(trace)
+    _needs_dist(trace)
 
     def chunk(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
         a, lam = trace.schedule.columns(trace.k[lo:hi])
@@ -895,17 +869,19 @@ def verify_contraction(trace, q: float, xi: float, tol: float = DEFAULT_TOL) -> 
     return _replay("contraction", trace, tol, chunk)
 
 
-def verify_product_bound(trace, q: float, xi: float, tol: float = DEFAULT_TOL) -> InequalityReport:
+def verify_product_bound(trace: Trace, q: float, xi: float,
+                         tol: float = DEFAULT_TOL) -> InequalityReport:
     """Replay the certificate product bound
 
         ||x_{k+1} - p||^2 - alpha_k ||x_k - p||^2 + xi delta_{k+1}
             <= prod_{j<=k} Q(lambda_j, q, xi) * ||x_1 - p||^2
 
-    under the trace's schedule.  The product runs across chunks as
+    under the trace's schedule, at ``lambda_k`` as for
+    :func:`verify_contraction` (``delta_{k+1}`` too).  The product runs across chunks as
     ``np.cumprod`` of ``[carry, Q_lo, ...]``: the same sequential products,
     bit for bit, as one ``np.cumprod`` over the whole column.
     """
-    trace = _unpack(trace)
+    _needs_dist(trace)
     d1 = trace.dist_to_ref[:1]
     with np.errstate(over="ignore"):
         d1 = d1 * d1

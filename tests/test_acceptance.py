@@ -76,7 +76,7 @@ def test_criterion_1_lyapunov_monotonicity(lasso_run):
     assert h1.lhs == pytest.approx(0.44) and h1.rhs == pytest.approx(0.64)
     assert h1.satisfied
     assert result.iterations == 10_000
-    assert verify_Ck_monotone(result, tol=1e-9) is None
+    assert verify_Ck_monotone(result.rows, tol=1e-9) is None
     assert elapsed < 5.0
     ok(1, f"C_k nonincreasing over 10^4 inertial FB iterations in {elapsed:.2f}s")
 
@@ -84,8 +84,8 @@ def test_criterion_1_lyapunov_monotonicity(lasso_run):
 def test_criterion_2_small_o_residuals(lasso_run):
     _, _, result, _ = lasso_run
     rows = result.rows
-    res_sq = [r.residual ** 2 for r in rows]
-    step_sq = [r.step ** 2 for r in rows[1:]]
+    res_sq = rows.residual ** 2
+    step_sq = rows.step[1:] ** 2
     # the tail of a fully converged trace measures rounding noise, not the
     # iteration: apply the summability diagnostic on the monotone prefix
     n_res = cli.monotone_prefix(res_sq)
@@ -93,17 +93,19 @@ def test_criterion_2_small_o_residuals(lasso_run):
     assert n_res >= 1000 and n_step >= 1000
     assert small_o_check(res_sq[:n_res])
     assert small_o_check(step_sq[:n_step])
-    k_res_below = next((r.k for r in rows if 0 < r.k_res_sq < 1e-10), None)
-    k_step_below = next((r.k for r in rows if r.k > 1 and 0 < r.k_step_sq < 1e-10), None)
-    assert k_res_below is not None and k_res_below < 10_000
-    assert k_step_below is not None and k_step_below < 10_000
-    assert rows[-1].k_res_sq < 1e-10 and rows[-1].k_step_sq < 1e-10
+    k_res_sq, k_step_sq = rows.k_res_sq, rows.k_step_sq
+    res_below = np.flatnonzero((0 < k_res_sq) & (k_res_sq < 1e-10))
+    step_below = np.flatnonzero((rows.k > 1) & (0 < k_step_sq) & (k_step_sq < 1e-10))
+    assert res_below.size and step_below.size
+    k_res_below, k_step_below = int(rows.k[res_below[0]]), int(rows.k[step_below[0]])
+    assert k_res_below < 10_000 and k_step_below < 10_000
+    assert k_res_sq[-1] < 1e-10 and k_step_sq[-1] < 1e-10
     ok(2, f"k*res^2 < 1e-10 from k={k_res_below}, k*step^2 from k={k_step_below}")
 
 
 def test_criterion_3_descent_inequality(lasso_run):
     _, _, result, _ = lasso_run
-    rep = verify_descent(result, tol=1e-9)
+    rep = verify_descent(result.rows, tol=1e-9)
     assert rep.ok, f"violations at {rep.violations[:5]}"
 
     # under-relaxed so the two-set feasibility trace stays nontrivial for
@@ -113,7 +115,7 @@ def test_criterion_3_descent_inequality(lasso_run):
                     Schedule.constant(0.2, 0.1),
                     StoppingRule(max_iters=10_000, residual_tol=0.0),
                     p_ref=feas.fixed_point("dr"))
-    rep_dr = verify_descent(dr_result, tol=1e-9)
+    rep_dr = verify_descent(dr_result.rows, tol=1e-9)
     # the trace has no row for x_{10001}, so the last pair checked is (9999, 10000)
     assert dr_result.iterations == 10_000
     assert rep_dr.checked == dr_result.iterations - 1
@@ -127,14 +129,14 @@ def test_criterion_4_linear_rate_bound(gradient_rate_run):
     assert cert.check_contraction_condition(alpha, lam, q, 1.0).margin >= -1e-10
     Q = cert.contraction_constant(lam, q, 1.0)
     assert alpha < Q < 1.0
-    d1 = result.rows[0].dist_to_ref ** 2
+    d1 = result.rows.dist_to_ref[0].item() ** 2
     assert result.status == "converged"
     worst = -np.inf
-    for row in result.rows:
+    for k, dist in zip(result.rows.k.tolist(), result.rows.dist_to_ref.tolist()):
         # rate_bound(j) bounds the squared distance after j steps; trace row k
         # holds the iterate after k-1 steps
-        bound = cert.rate_bound(row.k - 1, alpha, Q, d1)
-        worst = max(worst, row.dist_to_ref ** 2 - bound)
+        bound = cert.rate_bound(k - 1, alpha, Q, d1)
+        worst = max(worst, dist ** 2 - bound)
     assert worst <= 1e-10, f"bound violated by {worst}"
     ok(4, f"measured distance within rate envelope for {result.iterations} "
           f"iterations (worst margin {worst:.2e})")
@@ -142,9 +144,9 @@ def test_criterion_4_linear_rate_bound(gradient_rate_run):
 
 def test_criterion_5_per_step_contraction_and_product(gradient_rate_run):
     _, T, q, alpha, lam, sched, result = gradient_rate_run
-    repc = verify_contraction(result, q, 1.0, tol=1e-9)
+    repc = verify_contraction(result.rows, q, 1.0, tol=1e-9)
     assert repc.ok, f"contraction violations at {repc.violations[:5]}"
-    repp = verify_product_bound(result, q, 1.0, tol=1e-9)
+    repp = verify_product_bound(result.rows, q, 1.0, tol=1e-9)
     assert repp.ok, f"product bound violations at {repp.violations[:5]}"
     ok(5, f"contraction and certificate product hold at all {repc.checked} steps")
 

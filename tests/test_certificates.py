@@ -116,12 +116,16 @@ def test_relaxation_seq_lambda_to_one_fails():
     assert (rep.values[rep.ks >= 10] > 0.0).all()
 
 
+def at(schedule, k):
+    """``(alpha_k, lambda_k)`` of a schedule as Python floats."""
+    a, lam = schedule.columns(np.array([k]))
+    return a.item(), lam.item()
+
+
 def rows_relaxation_seq(schedule, ks):
     """The sequence check one index at a time: (ks, values)."""
     ks = sorted(k for k in ks if k >= 2)
-    values = [cert.relaxation_seq_term(schedule.alpha_at(k), schedule.lambda_at(k),
-                                       schedule.alpha_at(k - 1), schedule.lambda_at(k - 1))
-              for k in ks]
+    values = [cert.relaxation_seq_term(*at(schedule, k), *at(schedule, k - 1)) for k in ks]
     return ks, values
 
 

@@ -249,8 +249,10 @@ def reference_trace_text(trace, resolved, fields=cli.TRACE_FIELDS, version="v2")
 
     lines = [f"# ikm-trace-{version}", "# config: " + serialize_config(resolved),
              ",".join(fields)]
-    for r in trace:
-        lines.append(",".join([str(r.k)] + [fmt(getattr(r, name)) for name in fields[1:]]))
+    cols = [[None] * len(trace) if col is None else col.tolist()
+            for col in (getattr(trace, name) for name in fields)]
+    for k, *values in zip(*cols):
+        lines.append(",".join([str(k)] + [fmt(v) for v in values]))
     return "\n".join(lines) + "\n"
 
 
@@ -469,9 +471,8 @@ def test_run_quasi_contractive_fills_rate_bound(tmp_path):
     rows, cfg_map = cli.read_trace(str(trace))
     assert "derived.q_factor" in cfg_map
     assert rows[0].rate_bound == pytest.approx(rows[0].dist_to_ref ** 2, rel=1e-12)
-    for r in rows:
-        assert r.rate_bound is not None
-        assert r.dist_to_ref ** 2 <= r.rate_bound + 1e-10
+    assert rows.rate_bound is not None
+    assert (rows.dist_to_ref ** 2 <= rows.rate_bound + 1e-10).all()
     buf = io.StringIO()
     assert cli.cmd_certify(str(trace), out=buf) == cli.EXIT_OK
     assert "contraction: PASS" in buf.getvalue()
@@ -496,8 +497,10 @@ def test_rate_bound_column_has_the_bits_of_rate_bound_per_row(alpha, q, xi):
     assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
     if Q < 0.9:  # the bound ends at (0 - 0) / (alpha - Q) * d1 = -0.0
         assert Q ** n == 0.0 and want[-1] == 0.0 and np.signbit(want[-1])
-    # a slice of the trace starts its bound at its own first row
-    assert cli.rate_bound_column(trace[5:], schedule, q, xi).tobytes() == want[5:].tobytes()
+    # a trace of the rows from k = 6 on starts its bound at its own first row
+    tail = engine.Trace(schedule, **{name: trace.column(name, 5)
+                                     for name in engine.STORED_COLUMNS})
+    assert cli.rate_bound_column(tail, schedule, q, xi).tobytes() == want[5:].tobytes()
 
 
 LASSO_SCHEDULE_RUN = """
@@ -551,6 +554,12 @@ def test_sequence_precheck_fails_infeasible_table(tmp_path):
     assert "warning: schedule fails the feasibility certificates" in out
 
 
+def at(schedule, k):
+    """``(alpha_k, lambda_k)`` of a schedule as Python floats."""
+    a, lam = schedule.columns(np.array([k]))
+    return a.item(), lam.item()
+
+
 @pytest.mark.parametrize("alphas, lambdas", [
     ([0.0, 0.1, 0.2, 0.2, 0.3, 0.3, 0.35], [0.5]),  # the largest, 0.0 at k = N, fails
     ([0.0, 0.1], [0.9, 0.5, 0.9, 0.5, 0.9, 0.5, 0.9]),  # a tie at k = 4 and 6
@@ -561,9 +570,7 @@ def test_sequence_precheck_line_gives_the_first_largest_value(monkeypatch, alpha
                                                               chunk):
     schedule = Schedule.table(alphas, lambdas)
     ks = range(2, schedule.const_from + 1)
-    values = [cert.relaxation_seq_term(schedule.alpha_at(k), schedule.lambda_at(k),
-                                       schedule.alpha_at(k - 1), schedule.lambda_at(k - 1))
-              for k in ks]
+    values = [cert.relaxation_seq_term(*at(schedule, k), *at(schedule, k - 1)) for k in ks]
     nans = [k for k, v in zip(ks, values) if v != v]
     worst_k = nans[0] if nans else ks[values.index(max(values))]
     worst = values[worst_k - 2]
@@ -820,7 +827,8 @@ def test_v2_round_trip_gives_the_runs_trace(kind, end, with_ref, with_objective,
     assert result.status == end
     trace = result.rows
     trace.rate_bound = cli.rate_bound_column(trace, schedule, op.q_factor, xi)
-    resolved.update({"run.status": end, "derived.q_factor": cli._fmt(op.q_factor)})
+    resolved.update({"run.status": end, "derived.gamma": cli._fmt(op.gamma),
+                     "derived.q_factor": cli._fmt(op.q_factor)})
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "t.csv")
         cli.write_trace(path, trace, resolved)
@@ -856,10 +864,13 @@ def test_evaluate_checks_holds_one_report_at_a_time(long_run):
 
 def test_read_and_check_a_long_v2_trace_in_its_stored_columns(tmp_path, long_run):
     # what ikm certify holds: the parsed trace, then one report at a time
-    trace, q = long_run[0][:], long_run[1]
+    run_trace, q = long_run
+    # a copy, whose rate_bound the fixture's trace does not get
+    trace = engine.Trace(run_trace.schedule, run_trace.gamma,
+                         **{name: getattr(run_trace, name) for name in engine.STORED_COLUMNS})
     trace.rate_bound = cli.rate_bound_column(trace, trace.schedule, q, 1.0)
     resolved = {"schedule.alpha": "0.05", "schedule.lambda": "0.9",
-                "derived.q_factor": cli._fmt(q)}
+                "derived.gamma": cli._fmt(trace.gamma), "derived.q_factor": cli._fmt(q)}
     path = tmp_path / "long.csv"
     cli.write_trace(str(path), trace, resolved)
     tracemalloc.start()
@@ -919,14 +930,10 @@ def test_build_schedule_every_kind(tmp_path, a_kind, l_kind):
                                       {"constant": 1, "table": 4}[l_kind])
     assert schedule.limit == (_documented_alpha(a_kind, 10), _documented_lambda(l_kind, 10))
     ks = range(1, 7 + 3)  # past the longest ramp or table
-    alphas = [schedule.alpha_at(k) for k in ks]
-    lambdas = [schedule.lambda_at(k) for k in ks]
-    assert alphas == [_documented_alpha(a_kind, k) for k in ks]
-    assert lambdas == [_documented_lambda(l_kind, k) for k in ks]
-    # the column form the replays read holds the same floats
+    # the column form the replays read holds the documented floats
     a_col, l_col = schedule.columns(np.arange(1, 7 + 3))
-    assert a_col.tobytes() == np.array(alphas).tobytes()
-    assert l_col.tobytes() == np.array(lambdas).tobytes()
+    assert a_col.tobytes() == np.array([_documented_alpha(a_kind, k) for k in ks]).tobytes()
+    assert l_col.tobytes() == np.array([_documented_lambda(l_kind, k) for k in ks]).tobytes()
 
     # the schedule certify rebuilds from the trace's embedded config
     cfg = tmp_path / "run.cfg"
@@ -939,8 +946,8 @@ def test_build_schedule_every_kind(tmp_path, a_kind, l_kind):
     rebuilt, resolved_again, _ = cli.build_schedule(ConfigView(cli.read_trace(str(trace))[1]))
     assert resolved_again == resolved
     assert (rebuilt.const_from, rebuilt.limit) == (schedule.const_from, schedule.limit)
-    assert [rebuilt.alpha_at(k) for k in ks] == alphas
-    assert [rebuilt.lambda_at(k) for k in ks] == lambdas
+    a_again, l_again = rebuilt.columns(np.arange(1, 7 + 3))
+    assert (a_again.tobytes(), l_again.tobytes()) == (a_col.tobytes(), l_col.tobytes())
 
 
 # --------------------------------------------------------------------------

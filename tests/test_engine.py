@@ -33,6 +33,7 @@ from ikm.engine import (
     verify_descent,
     verify_product_bound,
 )
+from ikm.engine import is_reference_point
 from ikm.linalg import (DifferenceMap, GramMap, LinearMap, SpectralMap, dot, flush_subnormals,
                         norm, operator_norm_estimate)
 from ikm.operators import (
@@ -75,11 +76,17 @@ def per_row(f):
     return lambda xs: np.array([f(x) for x in xs])
 
 
+def at(schedule, k):
+    """``(alpha_k, lambda_k)`` of a schedule as Python floats."""
+    a, lam = schedule.columns(np.array([k]))
+    return a.item(), lam.item()
+
+
 def rebuild_iterates(x1, sched, calls):
     """x_1, ..., x_{K+1} from recorded (y_k, T y_k): x_{k+1} = (1-l) y_k + l T y_k."""
     xs = [x1]
     for k, (y, ty) in enumerate(calls, start=1):
-        lam = sched.lambda_at(k)
+        lam = at(sched, k)[1]
         xs.append(ty if lam == 1.0 else (1.0 - lam) * y + lam * ty)
     return xs
 
@@ -97,13 +104,12 @@ def test_schedule_constant_validation():
     with pytest.raises(ValueError, match="lambda must be > 0"):
         Schedule.constant(0.5, np.nan)
     s = Schedule.constant(0.2, 1.5)  # over-relaxation stays expressible
-    assert s.alpha_at(10) == 0.2
-    assert s.lambda_at(10) == 1.5
+    assert at(s, 10) == (0.2, 1.5)
 
 
 def test_schedule_ramp():
     s = Schedule.ramp(0.0, 0.3, 4, [0.5])
-    vals = [s.alpha_at(k) for k in range(1, 7)]
+    vals = [at(s, k)[0] for k in range(1, 7)]
     assert vals == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.3, 0.3])
     assert all(a <= b for a, b in zip(vals, vals[1:]))
     with pytest.raises(ValueError, match="lambda values must be > 0"):
@@ -112,8 +118,7 @@ def test_schedule_ramp():
 
 def test_schedule_table_holds_last_and_validates():
     s = Schedule.table([0.1, 0.2], [0.9, 0.8, 0.7])
-    assert s.alpha_at(5) == 0.2
-    assert s.lambda_at(5) == 0.7
+    assert at(s, 5) == (0.2, 0.7)
     with pytest.raises(ValueError):
         Schedule.table([0.2, 0.1], [1.0])  # decreasing alpha
     with pytest.raises(ValueError):
@@ -203,7 +208,7 @@ def test_km_step_identity_operator_is_stationary():
     x = rand_vec(gen, 7)
     res = run(IDENTITY, x, Schedule.constant(0.3, 0.5), StoppingRule(10, 0.0))
     assert res.status == "converged"
-    assert all(r.residual == 0.0 for r in res.rows)
+    assert (res.rows.residual == 0.0).all()
     np.testing.assert_allclose(res.xs[-1], x, atol=1e-15)
 
 
@@ -212,7 +217,7 @@ def test_km_step_fixed_point_absorption(quad_50):
     p = quad_50.reference_solution
     res = run(T, p, Schedule.constant(0.3, 0.8), StoppingRule(5, 0.0))
     assert norm(res.xs[-1] - p) <= 1e-12
-    assert all(r.residual <= 1e-12 for r in res.rows)
+    assert (res.rows.residual <= 1e-12).all()
 
 
 def full(value):
@@ -250,7 +255,7 @@ def test_run_picard_contracts_by_spectral_factor(quad_50):
     q = T.q_factor
     res = run(T, inst.start_point("gradient"), Schedule.constant(0.0, 1.0),
               StoppingRule(200, 1e-13), p_ref=inst.reference_solution)
-    dists = [r.dist_to_ref for r in res.rows]
+    dists = res.rows.dist_to_ref.tolist()
     for a, b in zip(dists, dists[1:]):
         assert b <= q * a * (1.0 + 1e-9) + 1e-12
 
@@ -350,16 +355,17 @@ def test_run_relaxed_divergence_k_and_partial_rows(factor, lam, x1, with_ref):
         run(T, x1, Schedule.constant(0.0, lam), StoppingRule(10_000, 0.0), p_ref=p_ref)
     err = exc.value
     assert err.k == k_ref > 10
-    assert [r.k for r in err.partial.rows] == list(range(1, n_rows + 1))
+    rows = err.partial.rows
+    assert rows.k.tolist() == list(range(1, n_rows + 1))
     np.testing.assert_array_equal(err.partial.xs[-1], x_k)
     # the last row describes x_{k-1} when T y_k overflows, x_k when x_{k+1} does
     assert err.partial.x_last is err.partial.xs[1 if n_rows == k_ref else 0]
     np.testing.assert_array_equal(err.partial.x_last, x_row)
+    assert (rows.dist_to_ref is not None) == with_ref
     x = x1
     with np.errstate(over="ignore"):
-        for r in err.partial.rows:
-            assert r.residual == norm(x - T.apply(x))
-            assert (r.dist_to_ref is not None) == with_ref
+        for residual in rows.residual.tolist():
+            assert residual == norm(x - T.apply(x))
             x = (1.0 - lam) * x + lam * T.apply(x)
 
 
@@ -378,26 +384,6 @@ def test_run_x_last_is_the_iterate_of_the_last_row(stop, status, index):
     last = res.rows[-1]
     assert last.dist_to_ref == norm(res.x_last - p)
     assert last.objective == float(res.x_last @ res.x_last)
-
-
-def test_trace_iteration_holds_one_chunk_of_rows():
-    n = 100_000
-    ramp = np.linspace(1.0, 2.0, n)
-    trace = Trace(Schedule.constant(0.2, 0.9), k=np.arange(1, n + 1),
-                  **{name: ramp for name in STORED_COLUMNS if name != "k"})
-    tracemalloc.start()
-    try:
-        first = next(iter(trace))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert first == trace[0]
-    # 4.6 MiB of stored columns; converting them all before the first row took 37 MiB
-    assert peak < 1 << 20
-    part = Trace(Schedule.ramp(0.0, 0.5, 100, [0.9]), k=np.arange(1, 2501),
-                 **{name: ramp[:2500] for name in STORED_COLUMNS
-                    if name not in OPTIONAL_COLUMNS + ("k",)})
-    assert list(part) == [part[i] for i in range(len(part))]
 
 
 def test_run_trace_memory_is_its_columns(tv_200):
@@ -421,7 +407,7 @@ def test_run_trace_memory_is_its_columns(tv_200):
 
 
 def reference_trace(T, x1, sched, max_iters, p_ref=None, objective=None, stall_tol=None):
-    """``run``'s trace (at ``residual_tol = 0``) from a per-step loop.
+    """``run``'s trace (at ``residual_tol = 0``, with ``T.gamma``) from a per-step loop.
 
     Norms are ``np.dot`` per step and ``objective`` is called on one point
     at a time.  Returns the trace and the step at which an iterate turned
@@ -433,7 +419,7 @@ def reference_trace(T, x1, sched, max_iters, p_ref=None, objective=None, stall_t
     diverged = None
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, max_iters + 1):
-            a_k, l_k = sched.alpha_at(k), sched.lambda_at(k)
+            a_k, l_k = at(sched, k)
             diff = x_curr - x_prev
             y = x_curr if a_k == 0.0 else flush_subnormals(x_curr + a_k * diff)
             ty = T.apply(y)
@@ -455,7 +441,7 @@ def reference_trace(T, x1, sched, max_iters, p_ref=None, objective=None, stall_t
                 diverged = k
                 break
             x_prev, x_curr = x_curr, x_new
-    trace = Trace(sched, k=np.arange(1, len(res) + 1), residual=res, step=step,
+    trace = Trace(sched, T.gamma, k=np.arange(1, len(res) + 1), residual=res, step=step,
                   dist_to_ref=dist if p_ref is not None else None,
                   objective=obj if objective is not None else None)
     return trace, diverged
@@ -514,7 +500,7 @@ def test_run_divergence_mid_block_keeps_k_and_partial_rows():
     # T y_k turns NaN at the (BLOCK_ROWS + 5)-th call: DivergenceError at that
     # k, with the rows before it, the last partial block included
     bad_call = BLOCK_ROWS + 5
-    calls = 0
+    calls = -1  # run() applies T once to check p_ref before its first step
 
     def apply(y):
         nonlocal calls
@@ -580,7 +566,8 @@ def test_run_keeps_subnormals_out_of_operator_inputs(lasso_default):
 
     res = run(dataclasses.replace(T, apply=apply), x1, Schedule.constant(0.2, 0.9),
               StoppingRule(2000, 1e-10), p_ref=inst.fixed_point("fb"))
-    assert res.status == "converged" and len(outputs) == res.iterations
+    # one apply per step, and one for run()'s check of p_ref
+    assert res.status == "converged" and len(outputs) == res.iterations + 1
     assert inputs_with_subnormals == 0
     np.testing.assert_array_equal(x1, x1_copy)
     for ty, ty_copy in outputs:
@@ -720,14 +707,16 @@ def test_trace_row_definitions(lasso_default):
     res = run(inst.operator("fb"), inst.start_point("fb"), sched,
               StoppingRule(50, 0.0), p_ref=inst.fixed_point("fb"))
     rows = res.rows
+    assert rows.gamma == inst.operator("fb").gamma is not None
     assert rows[0].step == 0.0
     assert rows[0].delta_k == 0.0
     assert rows[0].Delta_k == 0.0
     assert rows[0].C_k == pytest.approx(rows[0].dist_to_ref ** 2, rel=1e-12)
     for i in range(1, len(rows)):
         r, prev = rows[i], rows[i - 1]
-        nu_prev = 1.0 / sched.lambda_at(r.k - 1) - 1.0
-        a_prev = sched.alpha_at(r.k - 1)
+        a_prev, lam_prev = at(sched, r.k - 1)
+        # the relaxation eta = gamma lambda of the averaged map's step
+        nu_prev = 1.0 / (rows.gamma * lam_prev) - 1.0
         assert r.delta_k == pytest.approx(nu_prev * (1 - a_prev) * r.step ** 2, rel=1e-12)
         assert r.C_k == pytest.approx(
             r.dist_to_ref ** 2 - a_prev * prev.dist_to_ref ** 2 + r.delta_k, rel=1e-9, abs=1e-12)
@@ -748,8 +737,7 @@ def test_reconstruction_identity_along_trace(lasso_default):
     xs = rebuild_iterates(x1, sched, calls)
     np.testing.assert_array_equal(xs[-1], res.xs[-1])
     for k in range(1, len(xs) - 1):
-        a = sched.alpha_at(k)
-        lam = sched.lambda_at(k)
+        a, lam = at(sched, k)
         d_next = xs[k] - xs[k - 1]
         d_prev = xs[k - 1] - (xs[k - 2] if k >= 2 else xs[0])
         rhs = norm(d_next) ** 2 + a * a * norm(d_prev) ** 2 - 2 * a * dot(d_next, d_prev)
@@ -798,32 +786,39 @@ def test_trace_rows_slices_and_equality(lasso_default):
     res = run(inst.operator("fb"), inst.start_point("fb"), Schedule.constant(0.2, 0.5),
               StoppingRule(30, 0.0), p_ref=inst.fixed_point("fb"))
     trace = res.rows
-    rows = list(trace)
+    rows = [trace[i] for i in range(len(trace))]
     assert len(rows) == len(trace) == 30
-    assert rows[7] == trace[7] == trace[-23]
+    assert rows[7] == trace[7] == trace[-23] == trace[np.int64(7)]
     assert type(trace[3].k) is int and type(trace[3].residual) is float
     assert trace[0].objective is None and trace[0].rate_bound is None
-    assert list(trace[10:13]) == rows[10:13]
     # the rows hold the columns' values, field by field, and the stored
-    # fields with the schedule rebuild the trace
+    # fields with the schedule and gamma rebuild the trace
     columns = {name: None if getattr(trace, name) is None else [getattr(r, name) for r in rows]
                for name in COLUMNS}
     for name, values in columns.items():
         assert values == (None if values is None else getattr(trace, name).tolist()), name
     stored = {name: columns[name] for name in STORED_COLUMNS}
-    assert Trace(trace.schedule, **stored) == trace
+    assert Trace(trace.schedule, trace.gamma, **stored) == trace
     changed = dict(stored, step=list(columns["step"]))
     changed["step"][4] *= 2
-    assert Trace(trace.schedule, **changed) != trace
-    assert Trace(Schedule.constant(0.2, 0.6), **stored) != trace  # nu_k, delta_k and C_k differ
+    assert Trace(trace.schedule, trace.gamma, **changed) != trace
+    # nu_k, delta_k and C_k differ
+    assert Trace(Schedule.constant(0.2, 0.6), trace.gamma, **stored) != trace
+    assert Trace(trace.schedule, **stored) != trace
     empty = Trace(trace.schedule, **{name: [] for name in STORED_COLUMNS
                                      if name not in OPTIONAL_COLUMNS})
-    assert len(empty) == 0 and list(empty) == [] and empty.dist_to_ref is None
+    assert len(empty) == 0 and empty.dist_to_ref is None
     assert empty.C_k is None and empty.delta_k.size == 0
-    with pytest.raises(ValueError, match="step 1"):
-        trace[::2]
+    # a part of a trace is read by row ranges (Trace.column), not by slices
+    for index in (slice(10, 13), slice(None, None, 2), 7.0):
+        with pytest.raises(TypeError):
+            trace[index]
     with pytest.raises(IndexError):
         trace[30]
+    with pytest.raises(IndexError):
+        empty[0]
+    with pytest.raises(TypeError):
+        iter(trace)
     with pytest.raises(AttributeError):
         trace.C_k = trace.C_k  # computed on access, never stored
 
@@ -837,21 +832,22 @@ def test_trace_rejects_columns_of_unequal_length():
 
 
 def per_step_derivation(trace, sched):
-    """The derived columns as the engine computed them row by row with floats."""
+    """The derived columns as the engine computed them row by row with floats,
+    at ``eta_k = gamma lambda_k`` when the trace has a gamma."""
     out = {name: [] for name in ("nu_k", "delta_k", "Delta_k", "C_k", "k_step_sq", "k_res_sq")}
     a_prev = nu_prev = 0.0
     d_prev = None
-    for r in trace:
-        a_k, l_k = sched.alpha_at(r.k), sched.lambda_at(r.k)
-        nu_k = 1.0 / l_k - 1.0
-        delta = 0.0 if r.k == 1 else nu_prev * (1.0 - a_prev) * r.step * r.step
-        d = r.dist_to_ref
+    for k, step, res, d in zip(*(getattr(trace, name).tolist()
+                                 for name in ("k", "step", "residual", "dist_to_ref"))):
+        a_k, l_k = at(sched, k)
+        nu_k = 1.0 / (l_k if trace.gamma is None else trace.gamma * l_k) - 1.0
+        delta = 0.0 if k == 1 else nu_prev * (1.0 - a_prev) * step * step
         out["nu_k"].append(nu_k)
         out["delta_k"].append(delta)
-        out["Delta_k"].append(0.0 if r.k == 1 else d * d - d_prev * d_prev)
-        out["C_k"].append(d * d if r.k == 1 else d * d - a_prev * d_prev * d_prev + delta)
-        out["k_step_sq"].append(r.k * r.step * r.step)
-        out["k_res_sq"].append(r.k * r.residual * r.residual)
+        out["Delta_k"].append(0.0 if k == 1 else d * d - d_prev * d_prev)
+        out["C_k"].append(d * d if k == 1 else d * d - a_prev * d_prev * d_prev + delta)
+        out["k_step_sq"].append(k * step * step)
+        out["k_res_sq"].append(k * res * res)
         a_prev, nu_prev, d_prev = a_k, nu_k, d
     return out
 
@@ -862,6 +858,7 @@ def test_derived_columns_match_per_step_scalars_bitwise(quad_50, sched):
     inst = quad_50
     res = run(inst.operator("gradient"), inst.start_point("gradient"), sched,
               StoppingRule(400, 0.0), p_ref=inst.reference_solution)
+    assert res.rows.gamma == inst.operator("gradient").gamma < 1.0
     want = per_step_derivation(res.rows, sched)
     for name, values in want.items():
         got = getattr(res.rows, name)
@@ -881,6 +878,11 @@ def test_divergence_partial_trace_has_derived_columns():
             assert np.array_equal(getattr(trace, name), np.array(values), equal_nan=True), name
 
 
+def eta_of(trace, lam):
+    """``gamma * lam`` at the trace's gamma, ``lam`` when it has none."""
+    return lam if trace.gamma is None else trace.gamma * lam
+
+
 def whole_derivation(trace):
     """The derived columns as whole-column expressions over the stored ones,
     as the engine formed them once per run before a trace computed them on
@@ -888,7 +890,7 @@ def whole_derivation(trace):
     res, step, k = trace.residual, trace.step, trace.k
     a, lam = trace.schedule.columns(k)
     with np.errstate(over="ignore", invalid="ignore"):
-        nu = 1.0 / lam - 1.0
+        nu = 1.0 / eta_of(trace, lam) - 1.0
         delta = np.zeros_like(step)
         delta[1:] = nu[:-1] * (1.0 - a[:-1]) * step[1:] * step[1:]
         Delta = C = None
@@ -919,15 +921,17 @@ EDGE_VALUES = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308, 2.225073858507
 
 def derived_cases(quad_50, sched):
     """A run with and without a reference, past two row chunks, and a trace of
-    edge values (signed zeros, infinities, nans, subnormals) under ``sched``."""
+    edge values (signed zeros, infinities, nans, subnormals) under ``sched``,
+    without a gamma and with the run's."""
     T = quad_50.operator("gradient")
     n = 2 * ROW_CHUNK + 5
     for p_ref in (quad_50.reference_solution, None):
         yield run(T, quad_50.start_point("gradient"), sched, StoppingRule(n, 0.0),
                   p_ref=p_ref).rows
     gen = np.random.default_rng(3)
-    yield Trace(sched, k=np.arange(1, n + 1), **{name: gen.choice(EDGE_VALUES, n)
-                                                 for name in ("residual", "step", "dist_to_ref")})
+    edges = {name: gen.choice(EDGE_VALUES, n) for name in ("residual", "step", "dist_to_ref")}
+    for gamma in (None, T.gamma):
+        yield Trace(sched, gamma, k=np.arange(1, n + 1), **edges)
 
 
 @pytest.mark.parametrize("name", sorted(DERIVED_SCHEDULES))
@@ -936,42 +940,31 @@ def test_columns_computed_on_access_have_the_whole_column_bits(quad_50, name):
     for trace in derived_cases(quad_50, DERIVED_SCHEDULES[name]):
         n = len(trace)
         want = whole_derivation(trace)
-        rows = list(trace)
         with np.errstate(over="ignore", invalid="ignore"):
             for col, values in want.items():
                 assert same_bits(getattr(trace, col), values), col
-                # iteration and row access
-                assert same_bits(None if values is None else [getattr(r, col) for r in rows],
-                                 values), col
+                # row access
                 for i in (0, 1, R - 1, R, R + 1, n - 1, -1, -n):
                     assert same_bits(None if values is None else [getattr(trace[i], col)],
                                      None if values is None else values[i:i + 1 or None]), col
-                # any chunk of rows, and any slice, alone or of a slice
-                for lo, hi in ((0, n), (0, 1), (1, 2), (R - 1, R + 1), (R, 2 * R + 3),
-                               (n - 1, n), (5, 5), (n - 3, n + 10), (-R - 2, -1)):
-                    part = trace[lo:hi]
-                    start, stop, _ = slice(lo, hi).indices(n)
-                    sliced = None if values is None else values[lo:hi]
-                    assert same_bits(getattr(part, col), sliced), (col, lo, hi)
-                    assert same_bits(None if values is None else [getattr(r, col) for r in part],
-                                     sliced), (col, lo, hi)
-                    if start <= stop:
-                        assert same_bits(trace.column(col, start, stop), sliced), (col, lo, hi)
-                    inner = trace[3:][lo:hi]
-                    assert same_bits(getattr(inner, col),
-                                     None if values is None else values[3:][lo:hi]), (col, lo, hi)
+                # any chunk of rows, to the end when hi is None
+                for lo, hi in ((0, n), (0, None), (0, 1), (1, 2), (R - 1, R + 1),
+                               (R, 2 * R + 3), (n - 1, n), (5, 5), (0, 0), (n, n),
+                               (n - R - 2, n - 1), (3, None)):
+                    assert same_bits(trace.column(col, lo, hi),
+                                     None if values is None else values[lo:hi]), (col, lo, hi)
 
 
 # row-by-row replays as the engine ran them before the columns, with every
 # square written x * x; the column replays must give the same floats
 
 
-def rows_descent(rows, sched, tol):
+def rows_descent(rows, sched, tol, gamma=None):
     out = ([], [], [], [])
     for i in range(len(rows) - 1):
         k = rows[i].k
-        a, lam = sched.alpha_at(k), sched.lambda_at(k)
-        nu = 1.0 / lam - 1.0
+        a, lam = at(sched, k)
+        nu = 1.0 / (lam if gamma is None else gamma * lam) - 1.0
         sq = lambda v: v * v  # noqa: E731
         d_k, d_next = sq(rows[i].dist_to_ref), sq(rows[i + 1].dist_to_ref)
         d_prev = sq(rows[i - 1].dist_to_ref) if i >= 1 else d_k
@@ -991,12 +984,14 @@ def rows_contraction(rows, sched, q, xi, tol, product=False):
     sq = lambda v: v * v  # noqa: E731
     for i in range(len(rows) - 1):
         k = rows[i].k
-        a, lam = sched.alpha_at(k), sched.lambda_at(k)
+        a, lam = at(sched, k)
         Q = contraction_constant(lam, q, xi)
         d_k = sq(rows[i].dist_to_ref)
         if product:
             prod *= Q
-            lhs = sq(rows[i + 1].dist_to_ref) - a * d_k + xi * rows[i + 1].delta_k
+            # delta_{k+1} at lambda_k, whatever the trace's gamma
+            delta = (1.0 / lam - 1.0) * (1.0 - a) * rows[i + 1].step * rows[i + 1].step
+            lhs = sq(rows[i + 1].dist_to_ref) - a * d_k + xi * delta
             rhs = prod * sq(rows[0].dist_to_ref)
         else:
             d_prev = sq(rows[i - 1].dist_to_ref) if i >= 1 else d_k
@@ -1046,10 +1041,12 @@ def random_traces(draw):
     alphas = sorted(draw(st.lists(st.floats(0.0, 0.99), min_size=1, max_size=4)))
     lambdas = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4))
     sched = Schedule.table(alphas, lambdas)
+    gamma = draw(st.one_of(st.none(), st.floats(0.05, 1.0)))
     # the distances of a C_k that moves by small steps, so that both
     # verdicts occur: ||x_k - p||^2 = C_k + alpha_{k-1} ||x_{k-1} - p||^2 -
     # delta_k, clipped at 0 (where the clip binds, C_k moves further)
     a, lam = sched.columns(np.arange(1, n + 1))
+    lam = lam if gamma is None else gamma * lam
     target = np.cumsum([draw(st.floats(0.0, 5.0))]
                        + draw(st.lists(st.floats(-1.0, 1e-9), min_size=n - 1, max_size=n - 1)))
     dsq = [target[0]]
@@ -1057,7 +1054,7 @@ def random_traces(draw):
         for i in range(1, n):
             delta = (1.0 / lam[i - 1] - 1.0) * (1.0 - a[i - 1]) * step[i] * step[i]
             dsq.append(max(target[i] + a[i - 1] * dsq[-1] - delta, 0.0))
-    trace = Trace(sched, k=list(range(1, n + 1)), residual=residual, step=step,
+    trace = Trace(sched, gamma, k=list(range(1, n + 1)), residual=residual, step=step,
                   dist_to_ref=np.sqrt(dsq))
     return trace, sched
 
@@ -1076,9 +1073,9 @@ def test_random_traces_draw_both_verdicts():
        tol=st.sampled_from([0.0, 1e-9]))
 def test_column_replays_match_row_formulas(case, q, xi, tol):
     trace, sched = case
-    rows = list(trace)
+    rows = [trace[i] for i in range(len(trace))]
     for got, want in (
-        (verify_descent(trace, tol=tol), rows_descent(rows, sched, tol)),
+        (verify_descent(trace, tol=tol), rows_descent(rows, sched, tol, trace.gamma)),
         (verify_contraction(trace, q, xi, tol=tol),
          rows_contraction(rows, sched, q, xi, tol)),
         (verify_product_bound(trace, q, xi, tol=tol),
@@ -1104,12 +1101,12 @@ def test_column_replays_match_row_formulas_on_a_run(quad_50):
     sched = Schedule.ramp(0.0, 0.1, 50, [0.9])
     res = run(T, quad_50.start_point("gradient"), sched, StoppingRule(3000, 1e-12),
               p_ref=quad_50.reference_solution)
-    rows = list(res.rows)
-    got = verify_contraction(res, T.q_factor, 1.0)
+    rows = [res.rows[i] for i in range(len(res.rows))]
+    got = verify_contraction(res.rows, T.q_factor, 1.0)
     want = rows_contraction(rows, sched, T.q_factor, 1.0, 1e-9)
     assert got.ok and got.lhs.tolist() == want[1] and got.rhs.tolist() == want[2]
-    got = verify_descent(res)
-    want = rows_descent(rows, sched, 1e-9)
+    got = verify_descent(res.rows)
+    want = rows_descent(rows, sched, 1e-9, T.gamma)
     assert got.ok and got.lhs.tolist() == want[1] and got.rhs.tolist() == want[2]
 
 
@@ -1118,8 +1115,8 @@ def test_column_replays_match_row_formulas_on_a_run(quad_50):
 
 
 def whole_columns(sched, ks):
-    return (np.array([sched.alpha_at(k) for k in ks.tolist()], dtype=np.float64),
-            np.array([sched.lambda_at(k) for k in ks.tolist()], dtype=np.float64))
+    return (np.array([at(sched, k)[0] for k in ks.tolist()], dtype=np.float64),
+            np.array([at(sched, k)[1] for k in ks.tolist()], dtype=np.float64))
 
 
 def whole_Q(lam, q, xi):
@@ -1141,7 +1138,7 @@ def whole_descent(trace, sched, tol):
     a, lam = whole_columns(sched, ks)
     dsq, prev = whole_dist_sq(trace)
     step, res = trace.step, trace.residual[:-1]
-    nu = 1.0 / lam - 1.0
+    nu = 1.0 / eta_of(trace, lam) - 1.0
     second = np.where(a == 0.0, 0.0, np.maximum(
         (lam * lam) * (res * res) - (1.0 - a) * (step[1:] * step[1:])
         + a * (1.0 - a) * (step[:-1] * step[:-1]), 0.0))
@@ -1165,7 +1162,9 @@ def whole_product(trace, q, xi, sched, tol):
     ks = trace.k[:-1]
     a, lam = whole_columns(sched, ks)
     dsq, _ = whole_dist_sq(trace)
-    lhs = dsq[1:] - a * dsq[:-1] + xi * trace.delta_k[1:]
+    step = trace.step[1:]
+    # delta_{k+1} at lambda_k, whatever the trace's gamma
+    lhs = dsq[1:] - a * dsq[:-1] + xi * ((1.0 / lam - 1.0) * (1.0 - a) * step * step)
     return whole_report(ks, lhs, np.cumprod(whole_Q(lam, q, xi)) * dsq[:1], tol)
 
 
@@ -1231,14 +1230,14 @@ CHUNK_SCHEDULES = {
 
 def corrupted(trace, length, row, schedule=None):
     # C_k, Delta_k and delta_k follow the corrupted distance and step, under
-    # ``schedule`` (the trace's own when None)
+    # ``schedule`` (the trace's own when None) and the trace's gamma
     cols = {name: None if getattr(trace, name) is None else getattr(trace, name)[:length].copy()
             for name in STORED_COLUMNS}
     if row is not None and row < length:
         cols["dist_to_ref"][row] *= 1.5
         cols["step"][row] *= 2.0
         cols["residual"][row] *= 4.0
-    return Trace(schedule or trace.schedule, **cols)
+    return Trace(schedule or trace.schedule, trace.gamma, **cols)
 
 
 @pytest.mark.parametrize("length", [1, 2, R - 1, R, R + 1, 2 * R + 1, 3 * R + 2])
@@ -1301,7 +1300,7 @@ def test_descent_non_inertial_fb(lasso_default):
     inst = lasso_default
     res = run(inst.operator("fb"), inst.start_point("fb"), Schedule.constant(0.0, 0.5),
               StoppingRule(2000, 1e-11), p_ref=inst.fixed_point("fb"))
-    rep = verify_descent(res)
+    rep = verify_descent(res.rows)
     assert rep.ok
     assert rep.checked == res.iterations - 1
 
@@ -1310,18 +1309,19 @@ def test_descent_inertial_dr_feasibility():
     inst = problems.make_feasibility(20, 3)
     res = run(inst.operator("dr"), inst.start_point("dr"), Schedule.constant(0.2, 0.5),
               StoppingRule(10_000, 0.0), p_ref=inst.fixed_point("dr"))
-    rep = verify_descent(res)
+    rep = verify_descent(res.rows)
     assert rep.ok
 
 
-def exact_descent(xs, p, sched):
-    """(lhs, rhs) of the descent inequality at k = 1..len(xs)-1 from iterates."""
+def exact_descent(xs, p, sched, gamma):
+    """(lhs, rhs) of the descent inequality at k = 1..len(xs)-1 from iterates,
+    at ``eta_k = gamma lambda_k``."""
     dists2 = [norm(x - p) ** 2 for x in xs]
     steps2 = [0.0] + [norm(xs[j] - xs[j - 1]) ** 2 for j in range(1, len(xs))]
     out = []
     for k in range(1, len(xs)):
-        a_k = sched.alpha_at(k)
-        nu_k = 1.0 / sched.lambda_at(k) - 1.0
+        a_k, lam_k = at(sched, k)
+        nu_k = 1.0 / (gamma * lam_k) - 1.0
         second = xs[k] - 2.0 * xs[k - 1] + (xs[k - 2] if k >= 2 else xs[0])
         Delta_k = 0.0 if k == 1 else dists2[k - 1] - dists2[k - 2]
         step_k_sq = 0.0 if k == 1 else steps2[k - 1]
@@ -1339,8 +1339,9 @@ def test_descent_rows_path_matches_exact_path(lasso_default):
     T, calls = recording_handle(inst.operator("fb"))
     x1 = inst.start_point("fb")
     res = run(T, x1, sched, StoppingRule(500, 0.0), p_ref=p)
-    exact = exact_descent(rebuild_iterates(x1, sched, calls), p, sched)
-    recon = verify_descent(res)
+    # the first call is run()'s check of p_ref
+    exact = exact_descent(rebuild_iterates(x1, sched, calls[1:]), p, sched, T.gamma)
+    recon = verify_descent(res.rows)
     assert all(lhs <= rhs + 1e-9 * (1.0 + abs(rhs)) for lhs, rhs in exact)
     assert recon.ok
     assert recon.checked == len(exact) - 1  # rows lack the final iterate
@@ -1348,11 +1349,12 @@ def test_descent_rows_path_matches_exact_path(lasso_default):
         assert l1v == pytest.approx(l2v, rel=1e-6, abs=1e-9)
 
 
-def corrupt_dist(res, i, by):
-    rows = res.rows[:]
-    rows.dist_to_ref = rows.dist_to_ref.copy()
-    rows.dist_to_ref[i] += by
-    return dataclasses.replace(res, rows=rows)
+def corrupt_dist(trace, i, by):
+    """A copy of the trace with ``by`` added to ``dist_to_ref`` at row ``i``."""
+    cols = {name: getattr(trace, name) for name in STORED_COLUMNS}
+    cols["dist_to_ref"] = cols["dist_to_ref"].copy()
+    cols["dist_to_ref"][i] += by
+    return Trace(trace.schedule, trace.gamma, **cols)
 
 
 def test_descent_flags_corrupted_state(lasso_default):
@@ -1360,7 +1362,7 @@ def test_descent_flags_corrupted_state(lasso_default):
     res = run(inst.operator("fb"), inst.start_point("fb"), Schedule.constant(0.2, 0.5),
               StoppingRule(200, 0.0), p_ref=inst.fixed_point("fb"))
     j = 100  # corrupt ||x_{101} - p||
-    rep = verify_descent(corrupt_dist(res, j, 1.0))
+    rep = verify_descent(corrupt_dist(res.rows, j, 1.0))
     assert not rep.ok
     assert set(rep.violations.tolist()) <= {j, j + 1, j + 2}
 
@@ -1370,24 +1372,29 @@ def test_contraction_flags_corrupted_state(quad_50):
     T = inst.operator("gradient")
     res = run(T, inst.start_point("gradient"), Schedule.constant(0.05, 0.9),
               StoppingRule(200, 0.0), p_ref=inst.reference_solution)
-    assert verify_contraction(res, T.q_factor, 1.0).ok
+    assert verify_contraction(res.rows, T.q_factor, 1.0).ok
     j = 100  # corrupt ||x_{101} - p||
-    rep = verify_contraction(corrupt_dist(res, j, 1.0), T.q_factor, 1.0)
+    rep = verify_contraction(corrupt_dist(res.rows, j, 1.0), T.q_factor, 1.0)
     assert not rep.ok
     assert set(rep.violations.tolist()) <= {j, j + 1, j + 2}
 
 
 def test_descent_requires_fixed_point_reference(lasso_default):
+    # a reference point is checked where it enters a run, before the first step
     inst = lasso_default
     gen = SplitMix64(4)
-    res = run(inst.operator("fb"), inst.start_point("fb"), Schedule.constant(0.0, 0.5),
-              StoppingRule(50, 0.0), p_ref=rand_vec(gen, 100))
-    with pytest.raises(ValueError, match="not a fixed point"):
-        verify_descent(res)
+    T, calls = recording_handle(inst.operator("fb"))
+    with pytest.raises(ValueError, match=r"^p_ref is not a fixed point \(residual > 1e-10\)$"):
+        run(T, inst.start_point("fb"), Schedule.constant(0.0, 0.5), StoppingRule(50, 0.0),
+            p_ref=rand_vec(gen, 100))
+    assert len(calls) == 1  # the reference check's own apply
+    p = inst.fixed_point("fb")
+    assert is_reference_point(T, p) and not is_reference_point(T, p + 1e-6)
+    assert not is_reference_point(T, np.full(100, np.nan))
     res_no_ref = run(inst.operator("fb"), inst.start_point("fb"),
                      Schedule.constant(0.0, 0.5), StoppingRule(50, 0.0))
     with pytest.raises(ValueError, match="p_ref"):
-        verify_descent(res_no_ref)
+        verify_descent(res_no_ref.rows)
 
 
 def test_Ck_monotone_feasible_and_baseline(quad_50):
@@ -1396,7 +1403,7 @@ def test_Ck_monotone_feasible_and_baseline(quad_50):
         res = run(inst.operator("proximal"), inst.start_point("proximal"),
                   Schedule.constant(alpha, lam), StoppingRule(3000, 1e-13),
                   p_ref=inst.reference_solution)
-        assert verify_Ck_monotone(res) is None
+        assert verify_Ck_monotone(res.rows) is None
 
 
 def test_Ck_monotone_reports_infeasible_schedule():
@@ -1405,14 +1412,14 @@ def test_Ck_monotone_reports_infeasible_schedule():
               Schedule.constant(0.9, 0.99), StoppingRule(3000, 1e-13),
               p_ref=inst.reference_solution)
     assert res.status == "converged"  # run completes despite infeasibility
-    assert verify_Ck_monotone(res) is not None
+    assert verify_Ck_monotone(res.rows) is not None
 
 
 def test_Ck_monotone_requires_reference(lasso_default):
     res = run(lasso_default.operator("fb"), lasso_default.start_point("fb"),
               Schedule.constant(0.0, 0.5), StoppingRule(20, 0.0))
     with pytest.raises(ValueError):
-        verify_Ck_monotone(res)
+        verify_Ck_monotone(res.rows)
 
 
 def test_contraction_and_product_bound_rows_path(quad_50):
@@ -1421,12 +1428,14 @@ def test_contraction_and_product_bound_rows_path(quad_50):
     sched = Schedule.constant(0.05, 0.9)
     res = run(T, inst.start_point("gradient"), sched, StoppingRule(500, 1e-12),
               p_ref=inst.reference_solution)
-    from_result = verify_contraction(res, T.q_factor, 1.0)
-    from_rows = verify_contraction(res.rows, T.q_factor, 1.0)
-    assert from_result.ok and from_rows.ok
-    assert from_result.lhs.tobytes() == from_rows.lhs.tobytes()
-    assert from_result.rhs.tobytes() == from_rows.rhs.tobytes()
-    prod = verify_product_bound(res, T.q_factor, 1.0)
+    # the run's trace, and a trace of its stored columns as a CSV reader builds one
+    stored = Trace(sched, T.gamma, **{name: getattr(res.rows, name) for name in STORED_COLUMNS})
+    from_run = verify_contraction(res.rows, T.q_factor, 1.0)
+    from_rows = verify_contraction(stored, T.q_factor, 1.0)
+    assert from_run.ok and from_rows.ok
+    assert from_run.lhs.tobytes() == from_rows.lhs.tobytes()
+    assert from_run.rhs.tobytes() == from_rows.rhs.tobytes()
+    prod = verify_product_bound(res.rows, T.q_factor, 1.0)
     assert prod.ok
 
 
@@ -1456,8 +1465,8 @@ def test_small_o_on_feasible_inertial_run(lasso_default):
     res = run(inst.operator("fb"), inst.start_point("fb"), Schedule.constant(0.2, 0.5),
               StoppingRule(20_000, 1e-10), p_ref=inst.fixed_point("fb"))
     assert res.status == "converged"
-    assert small_o_check([r.step ** 2 for r in res.rows[1:]])
-    assert small_o_check([r.residual ** 2 for r in res.rows])
+    assert small_o_check(res.rows.step[1:] ** 2)
+    assert small_o_check(res.rows.residual ** 2)
 
 
 # --------------------------------------------------------------------------

@@ -33,7 +33,11 @@ that ``ck`` and ``product`` FAIL with violations past the first two
 small ``three_term`` config (the Davis-Yin
 path, which no workload runs), on a small ``lasso`` config and on a
 ``tv1d`` config with ``n = 30``, ``alpha = 0.2`` and ``lambda = 1`` run by
-``sdr`` (split Douglas-Rachford, which no workload runs); ``ikm sweep`` on
+``sdr`` (split Douglas-Rachford, which no workload runs), on three certified
+schedules whose ``ck`` verdict reads the Lyapunov columns at ``eta = gamma *
+lambda`` (quadratic ``proximal`` at ``alpha = 0.2``, tv1d ``pd`` at ``n =
+60``, ``alpha = 0`` and ``lambda = 1.9``, feasibility ``dr`` at ``alpha =
+0.2``); ``ikm sweep`` on
 the same small ``three_term`` instance (the Davis-Yin sweep path, which no
 workload runs); four ``ikm check-params`` argument sets; and ``ikm
 lambda-grid`` on a 12 x 7 grid, whose table is compared.  The tool prints
@@ -120,6 +124,14 @@ FIXED_CONFIGS = {
     # split Douglas-Rachford on [x; y] points, which no workload runs; converges in 489 steps
     "tv-sdr": RUN + ("problem.kind = tv1d\nproblem.n = 30\n"
                      "algorithm.scheme = sdr\nschedule.alpha = 0.2\nschedule.lambda = 1\n"),
+    # three certified schedules, 0.95 of lambda_alpha_1(alpha) / gamma, whose ck verdict
+    # depends on the Lyapunov columns reading eta = gamma * lambda (FAIL under lambda)
+    "certified-proximal": QUADRATIC + ("algorithm.scheme = proximal\nschedule.alpha = 0.2\n"
+                                       "schedule.lambda = 1.3818181818181818\n"),
+    "certified-tv-pd": RUN + ("problem.kind = tv1d\nproblem.n = 60\nalgorithm.scheme = pd\n"
+                              "schedule.alpha = 0\nschedule.lambda = 1.9\n"),
+    "certified-dr": RUN + ("problem.kind = feasibility\nproblem.dim = 20\nalgorithm.scheme = dr\n"
+                           "schedule.alpha = 0.2\nschedule.lambda = 1.3818181818181818\n"),
 }
 # ikm sweep on the 30x80 three_term; the baseline rows for lambda 1.1 and 0.9 are added
 SWEEP_CONFIGS = {
