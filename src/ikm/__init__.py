@@ -9,6 +9,11 @@ concrete splitting schemes with deterministic benchmark problems.
 Imported before NumPy, in a process that sets none of
 ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``, the
 package sets ``OPENBLAS_NUM_THREADS=1``, so its BLAS calls run on one thread.
+
+``import ikm`` loads :mod:`ikm.certificates`, :mod:`ikm.engine`,
+:mod:`ikm.linalg` and :mod:`ikm.rng`; :mod:`ikm.operators` and
+:mod:`ikm.problems`, and the names the package takes from them, load on
+first access.
 """
 
 import os
@@ -41,6 +46,7 @@ from .certificates import (
 from .engine import (
     DivergenceError,
     InequalityReport,
+    ReferenceNotConverged,
     RunResult,
     Schedule,
     StoppingRule,
@@ -64,34 +70,39 @@ from .linalg import (
     operator_norm_estimate,
     solve_spd,
 )
-from .operators import (
-    OperatorHandle,
-    ProxFunction,
-    box,
-    davis_yin_op,
-    diagonal_quadratic,
-    douglas_rachford_op,
-    forward_backward_op,
-    gradient_step_op,
-    l1,
-    l2_ball,
-    primal_dual_op,
-    prox,
-    proximal_op,
-    quadratic,
-    residual,
-    split_dr_op,
-    zero,
-)
-from .problems import (
-    BenchmarkInstance,
-    ReferenceNotConverged,
-    make_feasibility,
-    make_lasso,
-    make_quadratic,
-    make_three_term,
-    make_tv1d,
-)
 from .rng import SplitMix64
 
 __version__ = "0.1.0"
+
+# names resolved on first access (PEP 562), so that a process which builds
+# no problem (ikm certify, check-params, lambda-grid) never compiles the
+# modules that define them; each is the submodule's own object
+_LAZY = {
+    "operators": (
+        "OperatorHandle", "ProxFunction", "box", "davis_yin_op", "diagonal_quadratic",
+        "douglas_rachford_op", "forward_backward_op", "gradient_step_op", "l1", "l2_ball",
+        "primal_dual_op", "prox", "proximal_op", "quadratic", "residual", "split_dr_op",
+        "zero",
+    ),
+    "problems": (
+        "BenchmarkInstance", "make_feasibility", "make_lasso", "make_quadratic",
+        "make_three_term", "make_tv1d",
+    ),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    module = name if name in _LAZY else _LAZY_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # an import statement's own machinery, so -X importtime reports the module
+    __import__(f"{__name__}.{module}")
+    value = sys.modules[f"{__name__}.{module}"]
+    if name != module:
+        value = globals()[name] = getattr(value, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY) | set(_LAZY_NAMES))

@@ -22,7 +22,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .engine import picard
+from .engine import ReferenceNotConverged, picard
 from .linalg import DifferenceMap, GramMap, SpectralMap, norm, operator_norm_estimate, solve_spd
 from .operators import (
     OperatorHandle,
@@ -54,10 +54,6 @@ __all__ = [
 
 REFERENCE_TOL = 1e-12
 REFERENCE_CAP = 1_000_000
-
-
-class ReferenceNotConverged(RuntimeError):
-    """A Picard reference run missed ``REFERENCE_TOL`` within ``REFERENCE_CAP`` steps."""
 
 
 @dataclass

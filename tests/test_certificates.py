@@ -251,6 +251,18 @@ def test_lambda_alpha_q_boundary_feasibility():
             assert cert.check_contraction_condition(alpha, lam, q, 1.0).margin >= -1e-10
 
 
+@pytest.mark.parametrize("alpha", [1e-17, 1e-16, 1e-300, 5e-324])
+@pytest.mark.parametrize("q", [0.1, 0.5, 0.99])
+def test_lambda_alpha_q_tiny_alpha_returns_the_feasible_end(alpha, q):
+    # feasibility_poly(1) rounds to zero: no sign change on [0, 1], so the
+    # bisection keeps lo, where the polynomial is positive
+    assert cert.feasibility_poly(1.0, alpha, q) >= 0.0
+    lam = cert.lambda_alpha_q(alpha, q)
+    assert lam == 1.0 - 2.0 ** -40
+    assert cert.feasibility_poly(lam, alpha, q) > 0.0
+    assert cert.check_contraction_condition(alpha, lam, q, 1.0).satisfied
+
+
 def test_lambda_alpha_1_values():
     assert cert.lambda_alpha_1(0.0) == 1.0
     assert cert.lambda_alpha_1(0.5) == pytest.approx(0.25)

@@ -1,4 +1,5 @@
 import io
+import math
 import os
 import re
 import signal
@@ -582,6 +583,58 @@ def test_sequence_precheck_line_gives_the_first_largest_value(monkeypatch, alpha
         f"{'PASS' if worst < 0.0 else 'FAIL'}")
 
 
+@st.composite
+def long_ramps(draw):
+    """(schedule, gamma): an alpha ramp that outlasts its lambda table, its
+    alpha_end drawn anywhere above alpha_start or a few ulps above it."""
+    a0 = draw(st.floats(0.0, 0.95))
+    if draw(st.booleans()):
+        a1 = draw(st.floats(a0, 0.99))
+    else:
+        a1 = a0
+        for _ in range(draw(st.integers(0, 40))):
+            a1 = math.nextafter(a1, 1.0)
+    lambdas = draw(st.lists(st.floats(0.05, 2.5), min_size=1, max_size=4))
+    iters = draw(st.integers(len(lambdas) + 2, 30_000))
+    gamma = draw(st.one_of(st.none(), st.floats(0.05, 1.0)))
+    return Schedule.ramp(a0, a1, iters, lambdas), gamma
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=long_ramps())
+def test_pruned_precheck_prints_the_line_of_the_full_evaluation(case):
+    schedule, gamma = case
+    op = OperatorHandle(apply=lambda x: x, gamma=gamma)
+    pruned, full = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cert, "SEQ_PRUNE_MIN", 8)
+        cli.feasibility_summary(schedule, op, 1.0, pruned)
+    schedule.affine = None
+    cli.feasibility_summary(schedule, op, 1.0, full)
+    assert pruned.getvalue() == full.getvalue()
+
+
+def test_precheck_of_a_long_ramp_evaluates_few_indices(monkeypatch):
+    # 10**7 steps: the line the full evaluation of every k = 2..10**7 prints,
+    # from about 2 sqrt(10**7) evaluated indices
+    evaluated = []
+
+    def counted(schedule, ks):
+        rep = check_relaxation_seq(schedule, ks)
+        evaluated.append(rep.ks.size)
+        return rep
+
+    check_relaxation_seq = cert.check_relaxation_seq
+    monkeypatch.setattr(cert, "check_relaxation_seq", counted)
+    buf = io.StringIO()
+    schedule = Schedule.ramp(0.0, 0.6, 10**7, [0.9])
+    assert not cli.feasibility_summary(schedule, OperatorHandle(apply=lambda x: x), 1.0, buf)
+    assert buf.getvalue().splitlines()[0] == (
+        "relaxation_seq(eta_k=lambda_k; k=2..10000000): max=0.94222221555555485 "
+        "at k=10000000 FAIL")
+    assert sum(evaluated) < 10_000
+
+
 def test_precheck_fails_a_ramp_whose_limit_is_infeasible(tmp_path):
     # alpha ramps to 0.6 over 10**6 steps, and the run converges in about
     # 130, long before alpha leaves the feasible region; the certificate
@@ -977,6 +1030,25 @@ def test_check_params_usage_errors():
                      "--q", "0.9"]) == cli.EXIT_USAGE
     # nan fails `lambda > 0` although it also fails `lambda <= 0`
     assert cli.main(["check-params", "--alpha", "0.1", "--lambda", "nan"]) == cli.EXIT_USAGE
+
+
+def test_check_params_tiny_alpha_prints_consistent_lines():
+    # feasibility_poly(1) = -alpha q^2 (1 + alpha) rounds to 0 at alpha = 1e-17,
+    # so lambda_alpha_q is the feasible end of its bisection, not an error
+    args = ["check-params", "--alpha", "1e-17", "--lambda", "0.5", "--q", "0.5"]
+    assert cli.main(args) == cli.EXIT_OK
+    buf = io.StringIO()
+    assert cli.cmd_check_params(1e-17, 0.5, 0.5, None, None, out=buf) == cli.EXIT_OK
+    lines = buf.getvalue().splitlines()
+    assert lines[0].endswith(" PASS") and lines[1].startswith("contraction(")
+    assert lines[1].endswith(" PASS")
+    poly, lam_q, lam_1 = (float(f.split("=")[1]) for f in lines[2].split())
+    assert lam_q == 0.9999999999990905 and lam_1 == 1.0
+    assert cert.feasibility_poly(lam_q, 1e-17, 0.5) > 0.0
+    # lambda = 0.5 lies below lambda_alpha_q, where the polynomial is positive,
+    # and the contraction PASS at xi = 1 needs a threshold of at most 1
+    assert poly > 0.0 and 0.5 < lam_q
+    assert lines[3].startswith("xi_threshold=") and 0.0 < float(lines[3].split("=")[1]) <= 1.0
 
 
 # --------------------------------------------------------------------------

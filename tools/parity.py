@@ -39,7 +39,7 @@ lambda`` (quadratic ``proximal`` at ``alpha = 0.2``, tv1d ``pd`` at ``n =
 60``, ``alpha = 0`` and ``lambda = 1.9``, feasibility ``dr`` at ``alpha =
 0.2``); ``ikm sweep`` on
 the same small ``three_term`` instance (the Davis-Yin sweep path, which no
-workload runs); four ``ikm check-params`` argument sets; and ``ikm
+workload runs); five ``ikm check-params`` argument sets; and ``ikm
 lambda-grid`` on a 12 x 7 grid, whose table is compared.  The tool prints
 one line per case and exits 1 when anything differs, 0 otherwise.  A
 differing output is shown by the first block of a line diff (insert, delete
@@ -145,6 +145,9 @@ CHECK_PARAMS = [
     ["--alpha", "0", "--lambda", "1.4", "--gamma", "0.5"],
     # prints the relaxation line, then fails on lambda > 1 with exit 64
     ["--alpha", "0.2", "--lambda", "1.4", "--q", "0.9"],
+    # feasibility_poly(1) rounds to 0 at this alpha: lambda_alpha_q is the
+    # feasible end of its bisection
+    ["--alpha", "1e-17", "--lambda", "0.5", "--q", "0.5"],
 ]
 # a small grid: every cell is checked against the closed-form bracket as it is written
 LAMBDA_GRID = ["lambda-grid", "--alpha-steps", "12", "--q-steps", "7", "--out", "grid.csv"]
