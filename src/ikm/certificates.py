@@ -24,7 +24,6 @@ __all__ = [
     "contraction_constant",
     "check_relaxation_constant",
     "check_relaxation_seq",
-    "relaxation_seq_ranges",
     "check_contraction_condition",
     "lambda_alpha_1",
     "lambda_alpha_q",
@@ -138,70 +137,6 @@ def check_relaxation_seq(schedule, ks: Iterable[int]) -> RelaxationSeqReport:
     return RelaxationSeqReport(ks=ks, values=values)
 
 
-# an absolute bound on the rounding error of one sequence-form value on an
-# affine stretch, over 1 + |nu_k|: its inputs alpha_k, alpha_{k-1} are each
-# within 3 units u = 2^-53 of their affine values, which moves the value by
-# at most u (9 + 6 |nu|), and its own operations add at most about
-# u (8 + 8 |nu|); 64 u (1 + |nu|) leaves a factor above 3
-SEQ_ROUNDING = 2.0 ** -47
-# the shortest affine stretch that relaxation_seq_ranges prunes
-SEQ_PRUNE_MIN = 4096
-
-
-def relaxation_seq_ranges(schedule, n: int, affine=None) -> list[tuple[int, int]]:
-    """Inclusive, increasing ranges of ``k`` within ``2..n`` (``n >= 2``) that hold the
-    first largest value of the sequence feasibility expression over
-    ``k = 2..n``, and its first nan.
-
-    Without ``affine`` (see :class:`ikm.engine.Schedule`) this is ``[(2,
-    n)]``.  With ``affine = (first, last)``, both ``k`` and ``k - 1`` read a
-    constant ``lambda`` (so ``nu``) and an affine, nondecreasing ``alpha``
-    on the stretch ``k = first + 1..last``.  Before rounding the expression
-    there is ``(1 - nu) x^2 + (1 + 2 nu) x - nu (1 + s)`` in ``x =
-    alpha_k`` (``s`` the ramp's step): convex for ``nu <= 1``, and for ``nu
-    > 1`` concave with its vertex at ``x = (1 + 2 nu) / (2 (nu - 1)) > 1``,
-    so increasing on [0, 1).  Either way its largest value over an interval
-    of ``k`` is at an end.  The stretch is evaluated at a grid about
-    ``sqrt`` of its length apart, and a gap whose ends are both more than
-    twice ``SEQ_ROUNDING (1 + |nu|)`` below the largest grid value cannot
-    hold the largest value and is left out.  The stretch holds no nan, since
-    ``nu`` is finite there, and when ``alpha`` is equal at its two ends
-    every value on it has the bits of its first.  A stretch shorter than
-    ``SEQ_PRUNE_MIN``, or a non-finite ``nu``, keeps the whole range.
-    """
-    whole = [(2, n)]
-    if affine is None:
-        return whole
-    first, last = affine
-    lo, hi = max(first + 1, 2), min(last, n)
-    if hi - lo < SEQ_PRUNE_MIN:
-        return whole
-    alpha, lam = schedule.columns(np.array([first, hi], dtype=np.int64))
-    with np.errstate(divide="ignore", over="ignore"):
-        nu = (1.0 / lam[0] - 1.0).item()
-    if not math.isfinite(nu):
-        return whole
-    if alpha[0] == alpha[1]:
-        kept = [(lo, lo)]
-    else:
-        grid = np.arange(lo, hi + 1, math.isqrt(hi - lo), dtype=np.int64)
-        if grid[-1] != hi:
-            grid = np.append(grid, hi)
-        values = check_relaxation_seq(schedule, grid).values
-        ends = np.maximum(values[:-1], values[1:])
-        keep = ends + 2.0 * SEQ_ROUNDING * (1.0 + abs(nu)) >= values.max()
-        kept = list(zip(grid[:-1][keep].tolist(), grid[1:][keep].tolist()))
-    ranges: list[tuple[int, int]] = []
-    for a, b in [(2, lo - 1)] + kept + [(hi + 1, n)]:
-        if a > b:
-            continue
-        if ranges and ranges[-1][1] >= a - 1:
-            ranges[-1] = (ranges[-1][0], max(ranges[-1][1], b))
-        else:
-            ranges.append((a, b))
-    return ranges
-
-
 def check_contraction_condition(alpha: float, lam: float, q: float, xi: float) -> CheckResult:
     """Constant-parameter quasi-contractive condition (non-strict).
 
@@ -260,12 +195,14 @@ def lambda_alpha_q(alpha: float, q: float, tol: float = 1e-12, max_iter: int = 2
     For ``alpha = 0`` the root degenerates to the boundary and 1 is returned.
     Bisection runs to absolute tolerance ``tol`` on lambda (200 iterations
     cap; 2^-200 is far below any requested tolerance) and returns the
-    midpoint of its last bracket.  Below about ``alpha = 1e-15``,
-    ``feasibility_poly(1) = -alpha q^2 (1 + alpha)`` rounds to zero or
-    above, so ``[0, 1]`` brackets no sign change in floating point; the
-    same bisection then returns the feasible end ``lo`` of its last
-    bracket, at which the polynomial is positive (``1 - 2^-40`` at the
-    default ``tol``).
+    midpoint of its last bracket.  When ``feasibility_poly(1) = -alpha q^2
+    (1 + alpha)`` rounds to zero or above (``alpha q^2`` below about
+    ``1e-16``: any ``q`` at ``alpha = 1e-17``, but also ``alpha = 0.5`` at
+    ``q = 1e-9``), ``[0, 1]`` brackets no sign change in floating point;
+    the same bisection then returns the feasible end ``lo`` of its last
+    bracket, at which the polynomial is positive.  That end is ``1 -
+    2^-40`` at the default ``tol`` for a tiny ``alpha``, and within ``tol``
+    below the root near ``(1 - alpha)^2 / (1 + alpha^2)`` for a tiny ``q``.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")

@@ -256,10 +256,7 @@ def feasibility_summary(schedule: Schedule, op: OperatorHandle, xi: float, out) 
     The schedule is its ``limit`` from ``N = const_from`` on, so past ``N``
     the sequence form is the constant bound at the limit: ``k = 2..N`` are
     evaluated exactly on ``eta_k = gamma * lambda_k``, ``SEQ_CHUNK`` at a
-    time, except the stretches of a long ramp that
-    :func:`certificates.relaxation_seq_ranges` proves cannot hold the
-    first largest value; the limit gets the lines of
-    :func:`constant_feasibility`.
+    time, and the limit gets the lines of :func:`constant_feasibility`.
     """
     gamma = op.gamma
     n = schedule.const_from
@@ -272,14 +269,12 @@ def feasibility_summary(schedule: Schedule, op: OperatorHandle, xi: float, out) 
                                     lambda ks: gamma * schedule.lambda_col(ks))
             eta = f"gamma*lambda_k, gamma={_fmt(gamma)}"
         worst, worst_k = None, None
-        for first, last in cert.relaxation_seq_ranges(eta_schedule, n, schedule.affine):
-            for lo in range(first, last + 1, SEQ_CHUNK):
-                rep = cert.check_relaxation_seq(eta_schedule,
-                                                range(lo, min(lo + SEQ_CHUNK, last + 1)))
-                i = np.argmax(rep.values)
-                # argmax takes the first largest value, and a nan before any number
-                if worst is None or np.argmax((worst, rep.values[i])) == 1:
-                    worst, worst_k = rep.values[i].item(), rep.ks[i].item()
+        for lo in range(2, n + 1, SEQ_CHUNK):
+            rep = cert.check_relaxation_seq(eta_schedule, range(lo, min(lo + SEQ_CHUNK, n + 1)))
+            i = np.argmax(rep.values)
+            # argmax takes the first largest value, and a nan before any number
+            if worst is None or np.argmax((worst, rep.values[i])) == 1:
+                worst, worst_k = rep.values[i].item(), rep.ks[i].item()
         all_pass = worst < 0.0
         print(f"relaxation_seq(eta_k={eta}; k=2..{n}): max={_fmt(worst)} at k={worst_k} "
               f"{'PASS' if all_pass else 'FAIL'}", file=out)
@@ -835,10 +830,11 @@ def console_main() -> int:
     Freezing moves every object alive after the imports (about 22,000
     that the collector tracks, 9,000 of them NumPy's) into a generation
     that no collection walks, neither during the command nor at
-    interpreter exit.  The full collection after it walks no object and
-    empties the interpreter's free lists that the imports filled: without
-    it ``ikm run`` peaked 0.2-0.4 MiB higher.  Only the entry freezes: an
-    in-process caller of :func:`main` keeps its heap as it is.
+    interpreter exit.  The imports leave no unreachable object behind (a
+    collection before the freeze finds none), so none is frozen for good.
+    The full collection after the freeze walks no object and empties the
+    interpreter's free lists that the imports filled.  Only the entry
+    freezes: an in-process caller of :func:`main` keeps its heap as it is.
     """
     gc.freeze()
     gc.collect()

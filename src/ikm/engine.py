@@ -143,11 +143,7 @@ class Schedule:
     They also record where the schedule turns constant: ``(alpha_k,
     lambda_k) == limit`` for every ``k >= const_from``, the length of the
     longest ramp or table (1 for :meth:`constant`).  A schedule built from
-    bare columns has both None.  A :meth:`ramp` also records ``affine =
-    (first, last)`` when its alpha ramp outlasts its lambda table by two or
-    more steps: for ``first <= k <= last``, ``lambda_k`` is constant and
-    ``alpha_k`` is nondecreasing and within three roundings (of values in
-    [0, 1)) of an affine function of ``k``; it is None otherwise.
+    bare columns has both None.
     """
 
     def __init__(self, alpha_col: Column, lambda_col: Column):
@@ -155,7 +151,6 @@ class Schedule:
         self.lambda_col = lambda_col
         self.const_from: Optional[int] = None
         self.limit: Optional[Tuple[float, float]] = None
-        self.affine: Optional[Tuple[int, int]] = None
 
     def _constant_from(self, const_from: int, alpha: float, lam: float) -> "Schedule":
         self.const_from = const_from
@@ -191,13 +186,8 @@ class Schedule:
                                 + (alpha_end - alpha_start) * (ks - 1) / (ramp_iters - 1))
 
         lambdas = _lambda_table(lambdas)
-        schedule = cls(alpha_col, _hold_last(lambdas))._constant_from(
+        return cls(alpha_col, _hold_last(lambdas))._constant_from(
             max(ramp_iters, len(lambdas)), alpha_end, lambdas[-1])
-        # alpha_k = alpha_start + d (k - 1) / (ramp_iters - 1) for k < ramp_iters,
-        # and lambda_k the table's last entry from k = len(lambdas) on
-        if ramp_iters - 1 > len(lambdas):
-            schedule.affine = (len(lambdas), ramp_iters - 1)
-        return schedule
 
     @classmethod
     def table(cls, alphas: Sequence[float], lambdas: Sequence[float]) -> "Schedule":

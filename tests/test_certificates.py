@@ -251,15 +251,19 @@ def test_lambda_alpha_q_boundary_feasibility():
             assert cert.check_contraction_condition(alpha, lam, q, 1.0).margin >= -1e-10
 
 
-@pytest.mark.parametrize("alpha", [1e-17, 1e-16, 1e-300, 5e-324])
-@pytest.mark.parametrize("q", [0.1, 0.5, 0.99])
-def test_lambda_alpha_q_tiny_alpha_returns_the_feasible_end(alpha, q):
-    # feasibility_poly(1) rounds to zero: no sign change on [0, 1], so the
-    # bisection keeps lo, where the polynomial is positive
+@pytest.mark.parametrize("alpha, q", [
+    *((alpha, q) for alpha in (1e-17, 1e-16, 1e-300, 5e-324) for q in (0.1, 0.5, 0.99)),
+    (0.5, 1e-9), (0.3, 1e-10)])
+def test_lambda_alpha_q_returns_the_feasible_end_when_f1_rounds_to_zero(alpha, q):
+    # feasibility_poly(1) = -alpha q^2 (1 + alpha) rounds to zero, at a tiny
+    # alpha or at a tiny q: no sign change on [0, 1], so the bisection keeps
+    # lo, where the polynomial is positive, within tol below the root of the
+    # q = 0 polynomial, (1 - alpha)^2 / (1 + alpha^2) (1.0 at a tiny alpha)
     assert cert.feasibility_poly(1.0, alpha, q) >= 0.0
     lam = cert.lambda_alpha_q(alpha, q)
-    assert lam == 1.0 - 2.0 ** -40
     assert cert.feasibility_poly(lam, alpha, q) > 0.0
+    root = (1.0 - alpha) ** 2 / (1.0 + alpha * alpha)
+    assert root - 1e-12 <= lam < root
     assert cert.check_contraction_condition(alpha, lam, q, 1.0).satisfied
 
 

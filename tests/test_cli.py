@@ -1,5 +1,4 @@
 import io
-import math
 import os
 import re
 import signal
@@ -581,58 +580,6 @@ def test_sequence_precheck_line_gives_the_first_largest_value(monkeypatch, alpha
     assert buf.getvalue().splitlines()[0] == (
         f"relaxation_seq(eta_k=lambda_k; k=2..{ks[-1]}): max={cli._fmt(worst)} at k={worst_k} "
         f"{'PASS' if worst < 0.0 else 'FAIL'}")
-
-
-@st.composite
-def long_ramps(draw):
-    """(schedule, gamma): an alpha ramp that outlasts its lambda table, its
-    alpha_end drawn anywhere above alpha_start or a few ulps above it."""
-    a0 = draw(st.floats(0.0, 0.95))
-    if draw(st.booleans()):
-        a1 = draw(st.floats(a0, 0.99))
-    else:
-        a1 = a0
-        for _ in range(draw(st.integers(0, 40))):
-            a1 = math.nextafter(a1, 1.0)
-    lambdas = draw(st.lists(st.floats(0.05, 2.5), min_size=1, max_size=4))
-    iters = draw(st.integers(len(lambdas) + 2, 30_000))
-    gamma = draw(st.one_of(st.none(), st.floats(0.05, 1.0)))
-    return Schedule.ramp(a0, a1, iters, lambdas), gamma
-
-
-@settings(max_examples=200, deadline=None)
-@given(case=long_ramps())
-def test_pruned_precheck_prints_the_line_of_the_full_evaluation(case):
-    schedule, gamma = case
-    op = OperatorHandle(apply=lambda x: x, gamma=gamma)
-    pruned, full = io.StringIO(), io.StringIO()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cert, "SEQ_PRUNE_MIN", 8)
-        cli.feasibility_summary(schedule, op, 1.0, pruned)
-    schedule.affine = None
-    cli.feasibility_summary(schedule, op, 1.0, full)
-    assert pruned.getvalue() == full.getvalue()
-
-
-def test_precheck_of_a_long_ramp_evaluates_few_indices(monkeypatch):
-    # 10**7 steps: the line the full evaluation of every k = 2..10**7 prints,
-    # from about 2 sqrt(10**7) evaluated indices
-    evaluated = []
-
-    def counted(schedule, ks):
-        rep = check_relaxation_seq(schedule, ks)
-        evaluated.append(rep.ks.size)
-        return rep
-
-    check_relaxation_seq = cert.check_relaxation_seq
-    monkeypatch.setattr(cert, "check_relaxation_seq", counted)
-    buf = io.StringIO()
-    schedule = Schedule.ramp(0.0, 0.6, 10**7, [0.9])
-    assert not cli.feasibility_summary(schedule, OperatorHandle(apply=lambda x: x), 1.0, buf)
-    assert buf.getvalue().splitlines()[0] == (
-        "relaxation_seq(eta_k=lambda_k; k=2..10000000): max=0.94222221555555485 "
-        "at k=10000000 FAIL")
-    assert sum(evaluated) < 10_000
 
 
 def test_precheck_fails_a_ramp_whose_limit_is_infeasible(tmp_path):
