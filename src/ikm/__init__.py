@@ -65,7 +65,6 @@ from .linalg import (
     GramMap,
     LinearMap,
     SpectralMap,
-    dot,
     norm,
     operator_norm_estimate,
     solve_spd,
@@ -81,8 +80,7 @@ _LAZY = {
     "operators": (
         "OperatorHandle", "ProxFunction", "box", "davis_yin_op", "diagonal_quadratic",
         "douglas_rachford_op", "forward_backward_op", "gradient_step_op", "l1", "l2_ball",
-        "primal_dual_op", "prox", "proximal_op", "quadratic", "residual", "split_dr_op",
-        "zero",
+        "primal_dual_op", "prox", "proximal_op", "quadratic", "split_dr_op", "zero",
     ),
     "problems": (
         "BenchmarkInstance", "make_feasibility", "make_lasso", "make_quadratic",

@@ -22,6 +22,7 @@ import dataclasses
 import gc
 import itertools
 import math
+import re
 import sys
 from array import array
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
@@ -31,8 +32,8 @@ import numpy as np
 from . import certificates as cert
 from . import engine
 from .config import ConfigError, ConfigView, deserialize_config, load_config, serialize_config
-from .engine import (COLUMNS, OPTIONAL_COLUMNS, STORED_COLUMNS, DivergenceError, Schedule,
-                     StoppingRule, Trace, monotone_prefix)
+from .engine import (OPTIONAL_COLUMNS, STORED_COLUMNS, DivergenceError, Schedule, StoppingRule,
+                     Trace, monotone_prefix)
 
 if TYPE_CHECKING:
     from .operators import OperatorHandle
@@ -42,9 +43,10 @@ if TYPE_CHECKING:
 # measured columns and the rate_bound promise
 TRACE_FIELDS = STORED_COLUMNS
 TRACE_COLUMNS = ",".join(TRACE_FIELDS)
-# the header of an ikm-trace-v1 file, which held every Trace column; no
+# the header of an ikm-trace-v1 file, which also held derived columns; no
 # writer has made one since v2, and the reader rejects it
-V1_TRACE_COLUMNS = ",".join(COLUMNS)
+V1_TRACE_COLUMNS = ("k,residual,step,nu_k,delta_k,Delta_k,C_k,dist_to_ref,k_step_sq,k_res_sq,"
+                    "objective,rate_bound")
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -294,8 +296,8 @@ def write_trace(path: str, trace: Trace, resolved: Dict[str, str]) -> None:
     """Write ``ikm-trace-v2``: two comment lines, the header, one line per row.
 
     The columns are ``TRACE_FIELDS``, those a :class:`Trace` stores: ``k``,
-    the measured columns and the ``rate_bound`` promise; the rest of a trace
-    is computed from them and the embedded config's schedule when read.
+    the measured columns and the ``rate_bound`` promise; the embedded config
+    gives the schedule and gamma when read.
     Each present float column is printed with ``%.17g`` and an absent one
     as an empty field; rows are formatted ``engine.ROW_CHUNK`` at a time by
     one ``%``.
@@ -370,8 +372,8 @@ def _differs(a: Optional[np.ndarray], b: Optional[np.ndarray], n: int) -> np.nda
     return (a.view(np.int64) != b.view(np.int64)) & ~(np.isnan(a) & np.isnan(b))
 
 
-def read_trace(path: str, consistency: bool = False):
-    """Parse an ``ikm-trace-v2`` file into a :class:`Trace` and its config.
+def read_trace(path: str):
+    """Parse an ``ikm-trace-v2`` file into ``(trace, config, mismatch)``.
 
     The header must name ``TRACE_FIELDS``; an ``ikm-trace-v1`` header is an
     error.  Every row must have one field per column, and a column must be
@@ -383,16 +385,15 @@ def read_trace(path: str, consistency: bool = False):
     the parsed columns.  The last ``# config:`` line gives the config,
     which must be present.  Errors are raised in file order, except that a
     missing header, a column mixing empty and filled chunks, a ``k`` column
-    other than ``1..n`` and a missing config are reported at the end.
+    other than ``1..n``, a missing config and a ``derived.gamma`` outside
+    ``(0, 1]`` are reported at the end.
 
     The returned trace stores the file's measured columns, the config's
     schedule and ``derived.gamma`` (None without it), and ``rate_bound``
-    from :func:`rate_bound_column`, as ``ikm run`` made it; ``nu_k``,
-    ``delta_k``, ``Delta_k``, ``C_k``, ``k_step_sq`` and ``k_res_sq`` are
-    computed from them on access, as for the run's own trace.  With ``consistency`` set a third value is
-    returned: the int64 array of the ks at which the file's ``rate_bound``
-    differs from the recomputed one, compared ``engine.ROW_CHUNK`` rows at
-    a time, or None when it agrees.  The file's column is dropped on return.
+    from :func:`rate_bound_column`, as ``ikm run`` made it.  ``mismatch``
+    is the int64 array of the ks at which the file's ``rate_bound`` differs
+    from the recomputed one, compared ``engine.ROW_CHUNK`` rows at a time,
+    or None when it agrees.  The file's column is dropped on return.
     """
     cfg: Dict[str, str] = {}
     started = False  # whether the first row, which must be the header, was seen
@@ -451,18 +452,21 @@ def read_trace(path: str, consistency: bool = False):
     if not cfg:
         raise ConfigError(f"{path}: missing embedded '# config:' line")
 
-    schedule, _, xi = build_schedule(ConfigView(cfg))
+    view = ConfigView(cfg)
+    schedule, _, xi = build_schedule(view)
+    gamma = view.get_float("derived.gamma") if view.has("derived.gamma") else None
+    # the replays divide by gamma * lambda_k: a gamma outside the range of an
+    # averagedness constant, nan included, would pass or fail them at random
+    if gamma is not None and not 0.0 < gamma <= 1.0:
+        raise ConfigError(f"{path}: derived.gamma must lie in (0, 1]")
     held = columns.pop("rate_bound")
-    gamma = float(cfg["derived.gamma"]) if "derived.gamma" in cfg else None
     trace = Trace(schedule, gamma, k=k, **columns)
     trace.rate_bound = rate_bound_column(trace, schedule, _certified_q(cfg), xi)
-    if not consistency:
-        return trace, cfg
     differ = []
     for lo in range(0, k.size, engine.ROW_CHUNK):
         hi = min(lo + engine.ROW_CHUNK, k.size)
-        bad = _differs(None if held is None else held[lo:hi], trace.column("rate_bound", lo, hi),
-                       hi - lo)
+        bad = _differs(None if held is None else held[lo:hi],
+                       None if trace.rate_bound is None else trace.rate_bound[lo:hi], hi - lo)
         if bad.any():
             differ.append(k[lo:hi][bad])
     return trace, cfg, np.concatenate(differ) if differ else None
@@ -663,11 +667,17 @@ def cmd_sweep(config_path: str, out=sys.stdout) -> int:
     out_path = view.get_str("output.table")
     default_xi = _schedule_param(view, "schedule.xi", 1.0)
 
-    indices = sorted({
-        int(key.split(".")[1])
-        for key in view.data
-        if key.startswith("sweep.") and key.count(".") == 2
-    })
+    indices = set()
+    for key in view.data:
+        if key.startswith("sweep.") and key.count(".") == 2:
+            index = key.split(".")[1]
+            # int() would also take "01", "+1" or " 1" and fold them into the
+            # entry "1", whose keys they would then shadow or join
+            if not re.fullmatch("0|[1-9][0-9]*", index):
+                raise ConfigError(f"{key}: the sweep index must be a decimal integer "
+                                  "without sign or leading zeros")
+            indices.add(int(index))
+    indices = sorted(indices)
     if len(indices) < 2:
         raise ConfigError("sweep needs at least two sweep.<i>.* schedule entries")
     # every entry is checked here, before the first one runs
@@ -737,7 +747,7 @@ def cmd_certify(trace_path: str, out=sys.stdout) -> int:
     """Replay every check on a trace file's re-derived columns.  A file whose
     ``rate_bound`` disagrees with its re-derivation also gets a failing
     ``consistency`` line."""
-    trace, cfg, mismatch = read_trace(trace_path, consistency=True)
+    trace, cfg, mismatch = read_trace(trace_path)
     if not len(trace):
         raise ConfigError(f"{trace_path}: empty trace")
     xi = _schedule_param(ConfigView(cfg), "schedule.xi", 1.0)

@@ -8,19 +8,17 @@ The iteration is
 started from ``x_0 = x_1`` so the first inertial term vanishes.  The
 parameters are sequences held as columns: a :class:`Schedule` maps an int64
 index array to the float64 values of ``alpha_k`` and ``lambda_k``, and the
-run, its derived columns and the replays all read it that way.  A run's
-record is one :class:`Trace` of NumPy columns, one entry per step.  Each step
-measures only what it decides on: the residual ``||y_k - T y_k||`` that the
-stopping rule reads and whether ``x_{k+1}`` is finite.  The speed
-``||x_k - x_{k-1}||``, the distance ``||x_k - p||`` when a reference fixed
-point is supplied and the objective when one is are measured once per block
-of ``BLOCK_ROWS`` steps, from the differences and iterates the steps copied
-into the block: row dots by ``np.vecdot`` and one objective call on the
-``(r, n)`` stack, which give the bits per-step ``np.dot`` norms and
-per-point objective calls would.  A trace stores only those measured
-columns, its indices and the run's schedule; the rest is computed from them
-on access: ``k ||x_k - x_{k-1}||^2``, ``k ||y_k - T y_k||^2`` and the
-Lyapunov quantities
+run and the replays read it that way.  A run's record is one :class:`Trace`
+of NumPy columns, one entry per step.  Each step measures only what it
+decides on: the residual ``||y_k - T y_k||`` that the stopping rule reads
+and whether ``x_{k+1}`` is finite.  The speed ``||x_k - x_{k-1}||``, the
+distance ``||x_k - p||`` when a reference fixed point is supplied and the
+objective when one is are measured once per block of ``BLOCK_ROWS`` steps,
+from the differences and iterates the steps copied into the block: row dots
+by ``np.vecdot`` and one objective call on the ``(r, n)`` stack, which give
+the bits per-step ``np.dot`` norms and per-point objective calls would.
+A trace is those measured columns, its indices, the run's schedule and its
+operator's gamma; the replays form the Lyapunov quantities from them
 
     eta_k    = gamma lambda_k   (lambda_k when the trace's gamma is None)
     nu_k     = 1/eta_k - 1
@@ -45,10 +43,10 @@ on them runs many times slower.  A subnormal entry squares to zero, so the
 norms a trace records do not see it; the traces and sweep tables of the
 benchmark workloads are byte-identical with and without the flush.
 
-The derived columns use the scalar products of the step in the same order
+The replays use the scalar products of the step in the same order
 (``a_{k-1} * d_{k-1} * d_{k-1}``, never ``a * d**2``), so they have the
 bits a per-step computation would give them, whether a whole column or a
-chunk of rows is computed (:meth:`Trace.column`).
+chunk of rows is formed.
 
 A run keeps only the last two iterates and the last inertial point; the
 trace is its record.  The verify_* functions replay the per-iteration
@@ -59,9 +57,9 @@ fixed point of its operator (:func:`is_reference_point`), so a trace's
 distances are to one.  The replays evaluate ``ROW_CHUNK`` indices at a time
 (the indices ``[lo, hi)`` read the rows ``lo - 1 .. hi``) into the report's
 preallocated ``lhs`` and ``rhs``, from one read of the schedule per chunk,
-and ``C_k`` is read a chunk at a time too, so a replay's memory is one chunk
-of temporaries plus its report and no full-length Lyapunov column is formed;
-the values are those of the whole-column expressions, bit for bit.
+and ``C_k`` is formed a chunk at a time too, so a replay's memory is one
+chunk of temporaries plus its report and no full-length Lyapunov column is
+formed; the values are those of the whole-column expressions, bit for bit.
 Distances to ``p`` and steps are columns; the cross terms the inequalities
 need are reconstructed through the identity
 
@@ -78,7 +76,7 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -252,7 +250,7 @@ class StoppingRule:
 
 @dataclass
 class TraceRow:
-    """Diagnostics of one iteration (reference-dependent fields may be None).
+    """The stored columns of one iteration (an absent column's field is None).
 
     The row view of a :class:`Trace`: ``Trace[i]`` returns one.
     """
@@ -260,40 +258,27 @@ class TraceRow:
     k: int
     residual: float
     step: float
-    nu_k: float
-    delta_k: float
-    Delta_k: Optional[float] = None
-    C_k: Optional[float] = None
     dist_to_ref: Optional[float] = None
-    k_step_sq: float = 0.0
-    k_res_sq: float = 0.0
     objective: Optional[float] = None
     rate_bound: Optional[float] = None
 
 
-# the columns of a Trace, in the order of an ikm-trace-v1 CSV; the optional
-# columns are None when absent
-COLUMNS = tuple(f.name for f in fields(TraceRow))
-OPTIONAL_COLUMNS = ("Delta_k", "C_k", "dist_to_ref", "objective", "rate_bound")
 # the columns a Trace stores, in the order of an ikm-trace-v2 CSV; the
-# others are computed from them and the trace's schedule on access
-STORED_COLUMNS = ("k", "residual", "step", "dist_to_ref", "objective", "rate_bound")
-# the derived columns that read the schedule (Trace._lyapunov)
-LYAPUNOV_COLUMNS = ("nu_k", "delta_k", "Delta_k", "C_k")
+# optional ones are None when absent
+STORED_COLUMNS = tuple(f.name for f in fields(TraceRow))
+OPTIONAL_COLUMNS = ("dist_to_ref", "objective", "rate_bound")
 
 
 class Trace:
     """The diagnostics of a run as NumPy columns, one entry per iteration.
 
-    A trace stores what its run measured, ``STORED_COLUMNS``, the run's
+    A trace is what its run measured, ``STORED_COLUMNS``, plus the run's
     ``schedule`` and its operator's averagedness ``gamma`` (None when
     unknown): ``k`` is an int64 column, every other column float64, and an
     optional column (see ``OPTIONAL_COLUMNS``) is either filled on every row
-    or None.  ``nu_k``, ``delta_k``, ``Delta_k``, ``C_k``, ``k_step_sq`` and
-    ``k_res_sq`` are read-only columns computed on access by :meth:`column`,
-    which also gives any column over a range of rows; the Lyapunov ones read
-    ``eta_k = gamma lambda_k`` (see the module docstring).  Indexing with an
-    int gives a :class:`TraceRow` of Python scalars.
+    or None.  The replays form the Lyapunov quantities from these (see the
+    module docstring).  Indexing with an int gives a :class:`TraceRow` of
+    Python scalars.
     """
 
     __slots__ = STORED_COLUMNS + ("schedule", "gamma")
@@ -316,103 +301,22 @@ class Trace:
         self.schedule = schedule
         self.gamma = gamma
 
-    nu_k = property(lambda self: self.column("nu_k"))
-    delta_k = property(lambda self: self.column("delta_k"))
-    Delta_k = property(lambda self: self.column("Delta_k"))
-    C_k = property(lambda self: self.column("C_k"))
-    k_step_sq = property(lambda self: self.column("k_step_sq"))
-    k_res_sq = property(lambda self: self.column("k_res_sq"))
-
-    def column(self, name: str, lo: int = 0, hi: Optional[int] = None) -> Optional[np.ndarray]:
-        """Column ``name`` over the rows ``[lo, hi)`` (to the end when ``hi``
-        is None), for ``0 <= lo <= hi <= len(self)``; None for an absent one.
-
-        A stored column gives a view.  A Lyapunov column comes from
-        :meth:`_lyapunov`, and ``k_step_sq``/``k_res_sq`` from the rows' own
-        ``k`` and ``step``/``residual``; each has the products of the
-        engine's per-step scalars in the same order (see the module
-        docstring), so a chunk of rows has the bits of the whole column.
-        """
-        hi = len(self) if hi is None else hi
-        if name in STORED_COLUMNS:
-            col = getattr(self, name)
-            return None if col is None else col[lo:hi]
-        if name in LYAPUNOV_COLUMNS:
-            return self._lyapunov(lo, hi, (name,))[name]
-        if name not in COLUMNS:
-            raise ValueError(f"unknown trace column {name!r}")
-        v = (self.step if name == "k_step_sq" else self.residual)[lo:hi]
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self.k[lo:hi] * v * v
-
     def eta(self, lam: np.ndarray) -> np.ndarray:
-        """The relaxations ``eta = gamma * lambda`` of the Lyapunov columns
+        """The relaxations ``eta = gamma * lambda`` the replays read
         (``lam`` itself when gamma is unknown)."""
         return lam if self.gamma is None else self.gamma * lam
-
-    def _lyapunov(self, lo: int, hi: int,
-                  names=LYAPUNOV_COLUMNS) -> Dict[str, Optional[np.ndarray]]:
-        """The Lyapunov columns over the rows ``[lo, hi)`` by name: ``nu_k``,
-        ``delta_k``, and ``Delta_k`` and ``C_k`` when in ``names`` (None
-        without ``dist_to_ref``).
-
-        They are computed from the stored columns of the rows ``lo - 1 ..
-        hi - 1`` and one read of the schedule at their ks; the first row
-        takes ``delta = Delta = 0`` and ``C = dist^2``.
-        """
-        k, step, dist = self.k[lo:hi], self.step[lo:hi], self.dist_to_ref
-        # the row before each row; the first row stands in for its own, and
-        # its values are set below
-        head = slice(lo - 1, lo) if lo else slice(0, 1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # alpha and lambda at the row before each row, then at the last row
-            a, lam = self.schedule.columns(np.concatenate((self.k[head], k)))
-            a = a[:-1]
-            nu = 1.0 / self.eta(lam) - 1.0
-            delta = nu[:-1] * (1.0 - a) * step * step
-            if not lo:
-                delta[:1] = 0.0
-            out = {"nu_k": nu[1:], "delta_k": delta, "Delta_k": None, "C_k": None}
-            if dist is None:
-                return out
-            d = dist[lo:hi]
-            d_prev = np.concatenate((dist[head], d))[:d.size]
-            dsq = d * d
-            if "Delta_k" in names:
-                out["Delta_k"] = Delta = dsq - d_prev * d_prev
-                if not lo:
-                    Delta[:1] = 0.0
-            if "C_k" in names:
-                out["C_k"] = C = dsq - a * d_prev * d_prev + delta
-                if not lo:
-                    C[:1] = dsq[:1]
-        return out
 
     def __len__(self) -> int:
         return self.k.size
 
     def __getitem__(self, index) -> TraceRow:
         i = range(len(self))[operator.index(index)]  # an IndexError past either end
-        lyapunov = self._lyapunov(i, i + 1)
-        return TraceRow(*(None if col is None else col.item() for col in (
-            lyapunov[name] if name in lyapunov else self.column(name, i, i + 1)
-            for name in COLUMNS)))
+        return TraceRow(*(None if col is None else col[i].item()
+                          for col in (getattr(self, name) for name in STORED_COLUMNS)))
 
-    # parts of a trace are read as columns (Trace.column), not row by row;
-    # without this, __getitem__ would make a trace iterable
+    # a trace is read as columns, not row by row; without this, __getitem__
+    # would make a trace iterable
     __iter__ = None
-
-    def __eq__(self, other) -> bool:
-        """Whether every column, stored or derived, has equal values."""
-        if not isinstance(other, Trace):
-            return NotImplemented
-        for name in COLUMNS:
-            a, b = getattr(self, name), getattr(other, name)
-            if (a is None) != (b is None) or (a is not None and not np.array_equal(a, b)):
-                return False
-        return True
-
-    __hash__ = None
 
 
 class DivergenceError(RuntimeError):
@@ -507,19 +411,17 @@ def run(
     ``T.apply``.  Only the last two iterates and the last inertial point
     are kept besides the blocks, and the trace costs 8 bytes per stored
     column per row: the measured values go to ``array("d")`` buffers, which
-    become the trace's columns without a copy, and the Lyapunov columns are
-    computed when read.  The run is deterministic; divergence raises
-    :class:`DivergenceError` with the partial trace attached
-    (intermediate overflow on the way to a detected divergence is silenced,
-    since non-finite iterates are handled explicitly).
+    become the trace's columns without a copy.  The run is deterministic;
+    divergence raises :class:`DivergenceError` with the partial trace
+    attached (intermediate overflow on the way to a detected divergence is
+    silenced, since non-finite iterates are handled explicitly).
     """
     if p_ref is not None and not is_reference_point(T, p_ref):
         raise ValueError(f"p_ref is not a fixed point (residual > {REF_TOL:g})")
     x_prev = x_curr = x1
     x_last: Optional[np.ndarray] = None
     y_last: Optional[np.ndarray] = None
-    # measured columns, 8 bytes a value; the rest of the trace is computed
-    # from them when read
+    # measured columns, 8 bytes a value
     res_col, step_col = array("d"), array("d")
     dist_col = None if p_ref is None else array("d")
     obj_col = None if objective is None else array("d")
@@ -736,7 +638,7 @@ def _alpha_second_diff_sq(trace: Trace, a: np.ndarray, lam: np.ndarray,
 def _next_delta(trace: Trace, a: np.ndarray, lam: np.ndarray, lo: int) -> np.ndarray:
     """``delta_{k+1} = nu_k (1 - alpha_k) ||x_{k+1} - x_k||^2``, ``nu_k = 1/lam_k
     - 1``, for the ``a.size`` indices from ``lo``, from their own ``(alpha_k,
-    lam_k)`` with the products of :meth:`Trace._lyapunov` in its order."""
+    lam_k)`` with the products of :func:`_ck_rows` in its order."""
     step = trace.step[lo + 1:lo + 1 + a.size]
     return (1.0 / lam - 1.0) * (1.0 - a) * step * step
 
@@ -814,7 +716,7 @@ def verify_descent(trace: Trace, tol: float = DEFAULT_TOL) -> InequalityReport:
 
     with slack ``tol * (1 + |rhs|)`` for every pair of consecutive rows,
     under the trace's schedule, with ``nu_k = 1/eta_k - 1`` at the trace's
-    ``eta_k = gamma lambda_k`` as in its Lyapunov columns.  The trace needs
+    ``eta_k = gamma lambda_k`` as in ``C_k``.  The trace needs
     the ``dist_to_ref`` column.
     """
     _needs_dist(trace)
@@ -835,18 +737,38 @@ def verify_descent(trace: Trace, tol: float = DEFAULT_TOL) -> InequalityReport:
     return _replay("descent", trace, tol, chunk)
 
 
+def _ck_rows(trace: Trace, lo: int, hi: int) -> np.ndarray:
+    """``C_k`` for the rows ``[lo, hi)``, from the stored columns of the rows
+    ``lo - 1 .. hi - 1`` and one read of the schedule at the ks of the row
+    before each row; the first row of the trace takes ``C_1 = ||x_1 - p||^2``.
+
+    The products are those of the per-step expression in its order,
+    ``d*d - a*d_prev*d_prev + delta`` (see the module docstring), so a chunk
+    of rows has the bits of the whole column.  Callers silence overflow and
+    invalid warnings.
+    """
+    prev = np.arange(lo - 1, hi - 1).clip(0)  # the first row stands in for its own
+    a, lam = trace.schedule.columns(trace.k[prev])
+    step, d, d_prev = trace.step[lo:hi], trace.dist_to_ref[lo:hi], trace.dist_to_ref[prev]
+    delta = (1.0 / trace.eta(lam) - 1.0) * (1.0 - a) * step * step
+    C = d * d - a * d_prev * d_prev + delta
+    if not lo:
+        C[:1] = d[:1] * d[:1]
+    return C
+
+
 def verify_Ck_monotone(trace: Trace, tol: float = DEFAULT_TOL) -> Optional[int]:
     """First k violating ``C_{k+1} <= C_k + tol (1 + C_k)`` / ``C_k >= -tol``, else None.
 
-    ``C_k`` is computed ``ROW_CHUNK`` rows at a time, with one row of
-    look-ahead.
+    ``C_k`` is formed ``ROW_CHUNK`` rows at a time by :func:`_ck_rows`, with
+    one row of look-ahead.
     """
     _needs_dist(trace, "C_k")
     n = len(trace)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n, ROW_CHUNK):
             hi = min(lo + ROW_CHUNK, n)
-            c = trace.column("C_k", lo, min(hi + 1, n))  # one row of look-ahead
+            c = _ck_rows(trace, lo, min(hi + 1, n))  # one row of look-ahead
             bad = c[:hi - lo] < -tol
             bad[:c.size - 1] |= c[1:] > c[:-1] + tol * (1.0 + c[:-1])
             if bad.any():

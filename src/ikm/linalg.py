@@ -37,7 +37,6 @@ __all__ = [
     "GramMap",
     "LinearMap",
     "SpectralMap",
-    "dot",
     "flush_subnormals",
     "norm",
     "operator_norm_estimate",
@@ -46,15 +45,8 @@ __all__ = [
 ]
 
 
-def dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean inner product."""
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.dot(a, b))
-
-
 def norm(a: np.ndarray) -> float:
-    """Euclidean norm, ``dot(a, a) ** 0.5``, without ``dot``'s shape check."""
+    """Euclidean norm, ``np.dot(a, a) ** 0.5`` (no shape check)."""
     return float(np.dot(a, a)) ** 0.5
 
 

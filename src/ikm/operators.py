@@ -10,7 +10,6 @@ concurrent evaluation on distinct inputs is safe.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple, Union
 
@@ -27,7 +26,6 @@ __all__ = [
     "davis_yin_op",
     "diagonal_quadratic",
     "douglas_rachford_op",
-    "evaluate",
     "forward_backward_op",
     "gradient_step_op",
     "l1",
@@ -36,7 +34,6 @@ __all__ = [
     "primal_dual_op",
     "prox",
     "quadratic",
-    "residual",
     "split_dr_op",
     "zero",
 ]
@@ -104,23 +101,6 @@ def l2_ball(radius: float) -> ProxFunction:
 def zero() -> ProxFunction:
     """The identically-zero function (prox = identity)."""
     return ProxFunction("zero")
-
-
-def evaluate(f: ProxFunction, x: np.ndarray) -> float:
-    """Function value at ``x`` (indicators return 0 or +inf)."""
-    if f.kind == "zero":
-        return 0.0
-    if f.kind == "l1":
-        return f.weight * float(np.sum(np.abs(x)))
-    if f.kind == "box":
-        return 0.0 if bool(np.all(x >= f.lo) and np.all(x <= f.hi)) else math.inf
-    if f.kind == "l2_ball":
-        return 0.0 if norm(x) <= f.radius * (1.0 + 1e-12) else math.inf
-    if f.kind == "quadratic":
-        if f.A is None:
-            return 0.5 * float(x @ (f.diag * x)) - float(f.b @ x)
-        return 0.5 * float(x @ f.A.matrix @ x) - float(f.b @ x)
-    raise ValueError(f"unknown kind {f.kind!r}")
 
 
 def _into(out: Optional[np.ndarray], v: np.ndarray) -> np.ndarray:
@@ -257,11 +237,6 @@ def _conjugate_zeroes(g: ProxFunction) -> bool:
     """The same for ``prox_{sigma g*}``: every kind but l1 (a clip) goes
     through Moreau's identity, whose difference can cancel exactly."""
     return g.kind != "l1"
-
-
-def residual(T: OperatorHandle, y: np.ndarray) -> float:
-    """Fixed-point residual ``||y - T y||``."""
-    return norm(y - T.apply(y))
 
 
 def _spectrum_bounds(A: Union[LinearMap, GramMap, SpectralMap]) -> Tuple[float, float]:

@@ -93,7 +93,8 @@ def test_criterion_2_small_o_residuals(lasso_run):
     assert n_res >= 1000 and n_step >= 1000
     assert small_o_check(res_sq[:n_res])
     assert small_o_check(step_sq[:n_step])
-    k_res_sq, k_step_sq = rows.k_res_sq, rows.k_step_sq
+    k_res_sq = rows.k * rows.residual * rows.residual
+    k_step_sq = rows.k * rows.step * rows.step
     res_below = np.flatnonzero((0 < k_res_sq) & (k_res_sq < 1e-10))
     step_below = np.flatnonzero((rows.k > 1) & (0 < k_step_sq) & (k_step_sq < 1e-10))
     assert res_below.size and step_below.size

@@ -97,7 +97,7 @@ def test_certified_schedule_passes_every_check(tmp_path, generator, scheme, sche
     if schedule in ("ramp", "table"):
         assert "warning: schedule fails the feasibility certificates; running anyway" not in lines
     # the run's verdicts, then those ikm certify re-derives from the file
-    trace, cfg = cli.read_trace(str(trace_path))
+    trace, cfg, _ = cli.read_trace(str(trace_path))
     assert trace.gamma == op.gamma
     verdicts = cli.evaluate_checks(trace, cli.CHECKS, op.q_factor, 1.0)
     lam = trace.schedule.columns(trace.k)[1]

@@ -7,6 +7,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from ikm.config import (
     parse_config,
     serialize_config,
 )
-from ikm.engine import COLUMNS, DivergenceError, Schedule, StoppingRule
+from ikm.engine import DivergenceError, Schedule, StoppingRule
 from ikm.operators import OperatorHandle
 
 
@@ -240,24 +241,29 @@ def test_certify_flags_corrupted_trace(tmp_path):
 DIST = cli.TRACE_FIELDS.index("dist_to_ref")
 
 
+# the header of an ikm-trace-v1 file, whose derived columns a Trace no longer has
+V1_HEADER = ("k,residual,step,nu_k,delta_k,Delta_k,C_k,dist_to_ref,k_step_sq,k_res_sq,"
+             "objective,rate_bound")
+
+
 def reference_trace_text(trace, resolved, fields=cli.TRACE_FIELDS, version="v2"):
     """ikm-trace-v2 written field by field, as a row writer would; with
-    ``fields=COLUMNS`` and ``version="v1"``, the ikm-trace-v1 that writers
-    before v2 wrote."""
+    ``fields=V1_HEADER.split(",")`` and ``version="v1"``, an ikm-trace-v1
+    whose derived fields are empty (the reader stops at its header)."""
     def fmt(x):
         return "" if x is None else "%.17g" % x
 
     lines = [f"# ikm-trace-{version}", "# config: " + serialize_config(resolved),
              ",".join(fields)]
     cols = [[None] * len(trace) if col is None else col.tolist()
-            for col in (getattr(trace, name) for name in fields)]
+            for col in (getattr(trace, name, None) for name in fields)]
     for k, *values in zip(*cols):
         lines.append(",".join([str(k)] + [fmt(v) for v in values]))
     return "\n".join(lines) + "\n"
 
 
 def v1_trace_text(trace, resolved):
-    return reference_trace_text(trace, resolved, COLUMNS, "v1")
+    return reference_trace_text(trace, resolved, V1_HEADER.split(","), "v1")
 
 
 def trace_for(cfg, residual, step, dist_to_ref=None, objective=None):
@@ -294,13 +300,10 @@ def test_write_trace_matches_per_field_formatter(tmp_path, n):
     path = tmp_path / "edge.csv"
     cli.write_trace(str(path), trace, resolved)
     assert path.read_text(encoding="utf-8") == reference_trace_text(trace, resolved)
-    back, cfg = cli.read_trace(str(path))
-    assert cfg == resolved and len(back) == n
-    for name in COLUMNS if n else ():  # a header-only file has no columns to compare
-        a, b = getattr(back, name), getattr(trace, name)
-        assert (a is None) == (b is None), name
-        if a is not None:  # bit for bit, the sign of zero and nan included
-            assert a.tobytes() == b.tobytes(), name
+    back, cfg, mismatch = cli.read_trace(str(path))
+    assert cfg == resolved and len(back) == n and mismatch is None
+    if n:  # a header-only file has no columns to compare
+        assert_same_trace(back, trace)  # bit for bit, the sign of zero and nan included
     again = tmp_path / "again.csv"
     cli.write_trace(str(again), back, cfg)
     assert again.read_bytes() == path.read_bytes()
@@ -325,7 +328,7 @@ def test_trace_write_read_write_is_byte_identical_on_a_run(tmp_path):
     text = QUAD_RUN.format(trace=trace).replace("schedule.alpha = 0.0", "schedule.alpha = 0.05")
     write(cfg, text.replace("schedule.lambda = 1.0", "schedule.lambda = 0.9"))
     assert cli.cmd_run(str(cfg), out=io.StringIO()) == cli.EXIT_OK
-    rows, resolved = cli.read_trace(str(trace))
+    rows, resolved, _ = cli.read_trace(str(trace))
     assert len(rows) > 100 and rows.rate_bound is not None and rows.objective is not None
     assert trace.read_text(encoding="utf-8") == reference_trace_text(rows, resolved)
     again = tmp_path / "again.csv"
@@ -367,14 +370,14 @@ def test_read_trace_holds_one_chunk_of_text(tmp_path):
     path = tmp_path / "long.csv"
     trace = full_trace(10 * engine.ROW_CHUNK + 7)
     cli.write_trace(str(path), trace, FULL_CFG)
-    columns = sum(getattr(trace, name).nbytes for name in COLUMNS)
+    columns = sum(getattr(trace, name).nbytes for name in engine.STORED_COLUMNS)
     tracemalloc.start()
     try:
-        back, _ = cli.read_trace(str(path))
+        back, _, _ = cli.read_trace(str(path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert back == trace
+    assert_same_trace(back, trace)
     # the columns as chunks and joined, plus one chunk of lines and tokens
     assert peak < 3 * columns
 
@@ -412,13 +415,14 @@ def test_read_trace_skips_what_the_format_allows(tmp_path, edit):
     cli.write_trace(str(path), trace, FULL_CFG)
     lines = edit(path.read_text().splitlines())
     path.write_bytes(("\n".join(lines) + "\n").encode())
-    back, cfg = cli.read_trace(str(path))
-    assert back == trace and cfg == FULL_CFG
+    back, cfg, _ = cli.read_trace(str(path))
+    assert_same_trace(back, trace)
+    assert cfg == FULL_CFG
 
 
 @pytest.mark.parametrize("text", [
     "# ikm-trace-v1\n# config: a.x=1\n\n# no header follows\n",
-    "# ikm-trace-v1\n1,2,3\n" + ",".join(COLUMNS) + "\n",  # the header must come first
+    "# ikm-trace-v1\n1,2,3\n" + V1_HEADER + "\n",  # the header must come first
     "# ikm-trace-v2\n# config: a.x=1\n\n# no header follows\n",
     "# ikm-trace-v2\n1,2,3\n" + cli.TRACE_COLUMNS + "\n",
     "",
@@ -468,7 +472,7 @@ def test_run_quasi_contractive_fills_rate_bound(tmp_path):
     text = text.replace("schedule.lambda = 1.0", "schedule.lambda = 0.9")
     write(cfg, text)
     assert cli.cmd_run(str(cfg), out=io.StringIO()) == cli.EXIT_OK
-    rows, cfg_map = cli.read_trace(str(trace))
+    rows, cfg_map, _ = cli.read_trace(str(trace))
     assert "derived.q_factor" in cfg_map
     assert rows[0].rate_bound == pytest.approx(rows[0].dist_to_ref ** 2, rel=1e-12)
     assert rows.rate_bound is not None
@@ -498,8 +502,8 @@ def test_rate_bound_column_has_the_bits_of_rate_bound_per_row(alpha, q, xi):
     if Q < 0.9:  # the bound ends at (0 - 0) / (alpha - Q) * d1 = -0.0
         assert Q ** n == 0.0 and want[-1] == 0.0 and np.signbit(want[-1])
     # a trace of the rows from k = 6 on starts its bound at its own first row
-    tail = engine.Trace(schedule, **{name: trace.column(name, 5)
-                                     for name in engine.STORED_COLUMNS})
+    tail = engine.Trace(schedule, **{name: getattr(trace, name)[5:]
+                                     for name in ("k", "residual", "step", "dist_to_ref")})
     assert cli.rate_bound_column(tail, schedule, q, xi).tobytes() == want[5:].tobytes()
 
 
@@ -716,6 +720,26 @@ def test_certify_rejects_a_trace_with_rows_deleted(tmp_path, capsys):
     assert err == f"error: {trace}: column k must be 1, 2, ..., n, one row per step\n"
 
 
+@pytest.mark.parametrize("gamma", ["nan", "0", "-1", "2", "inf"])
+def test_certify_rejects_a_gamma_outside_0_1(tmp_path, capsys, gamma):
+    # the replays divide by gamma * lambda_k, and a gamma outside (0, 1], nan
+    # included, is no averagedness constant: a usage error, not a verdict
+    cfg = tmp_path / "quad.cfg"
+    trace = tmp_path / "quad.csv"
+    write(cfg, CERTIFIED.format(trace=trace).replace("stopping.max_iters = 5000",
+                                                     "stopping.max_iters = 300"))
+    cli.cmd_run(str(cfg), out=io.StringIO())
+    text = trace.read_text()
+    assert re.search("; derived.gamma=[^;]+;", text)
+    trace.write_text(re.sub("; derived.gamma=[^;]+;", f"; derived.gamma={gamma};", text))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["certify", str(trace)]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {trace}: derived.gamma must lie in (0, 1]\n"
+
+
 QUAD_RUN_WORKLOAD = """
 problem.kind = quadratic
 problem.dim = 50
@@ -735,22 +759,23 @@ def test_run_and_certify_form_no_full_length_lyapunov_column(tmp_path, monkeypat
     cfg = tmp_path / "quad.cfg"
     trace = tmp_path / "quad.csv"
     write(cfg, QUAD_RUN_WORKLOAD.format(trace=trace) + ALL_CHECKS)
-    sizes = []  # the rows of each derived column formed
-    column = engine.Trace.column
+    sizes = []  # the rows of C_k each call of the ck replay's helper forms
+    ck_rows = engine._ck_rows
 
-    def recording(self, name, lo=0, hi=None):
-        values = column(self, name, lo, hi)
-        if name not in engine.STORED_COLUMNS and values is not None:
-            sizes.append(values.size)
+    def recording(trace, lo, hi):
+        values = ck_rows(trace, lo, hi)
+        sizes.append(values.size)
         return values
 
-    monkeypatch.setattr(engine.Trace, "column", recording)
+    monkeypatch.setattr(engine, "_ck_rows", recording)
     assert cli.cmd_run(str(cfg), out=io.StringIO()) == cli.EXIT_OK
-    rows, _ = cli.read_trace(str(trace))
+    rows, _, _ = cli.read_trace(str(trace))
     assert len(rows) > 10_000
+    runs = len(sizes)
     assert cli.cmd_certify(str(trace), out=io.StringIO()) == cli.EXIT_OK
-    # every replay reads a chunk at a time
-    assert sizes and max(sizes) <= engine.ROW_CHUNK + 1
+    # the ck replay of each command forms C_k a chunk at a time, with one
+    # row of look-ahead
+    assert 0 < runs < len(sizes) and max(sizes) <= engine.ROW_CHUNK + 1
 
 
 def test_certify_rejects_a_v1_trace(tmp_path, capsys):
@@ -759,7 +784,7 @@ def test_certify_rejects_a_v1_trace(tmp_path, capsys):
     trace = tmp_path / "run.csv"
     write(cfg, CERTIFIED.format(trace=trace))
     cli.cmd_run(str(cfg), out=io.StringIO())
-    rows, resolved = cli.read_trace(str(trace))
+    rows, resolved, _ = cli.read_trace(str(trace))
     v1 = tmp_path / "v1.csv"
     v1.write_text(v1_trace_text(rows, resolved), encoding="utf-8")
     capsys.readouterr()
@@ -770,11 +795,16 @@ def test_certify_rejects_a_v1_trace(tmp_path, capsys):
 
 
 def assert_same_trace(got, want):
-    for name in COLUMNS:
+    """Two traces hold the same stored columns by ``tobytes`` (or both lack
+    one), the same gamma, and schedules with the same bits at their ks."""
+    for name in engine.STORED_COLUMNS:
         a, b = getattr(got, name), getattr(want, name)
         assert (a is None) == (b is None), name
         if a is not None:
             assert a.tobytes() == b.tobytes(), name
+    assert got.gamma == want.gamma
+    for a, b in zip(got.schedule.columns(got.k), want.schedule.columns(want.k)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_certify_flags_a_v2_rate_bound_that_disagrees(tmp_path):
@@ -832,8 +862,8 @@ def test_v2_round_trip_gives_the_runs_trace(kind, end, with_ref, with_objective,
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "t.csv")
         cli.write_trace(path, trace, resolved)
-        back, cfg = cli.read_trace(path)
-    assert cfg == resolved
+        back, cfg, mismatch = cli.read_trace(path)
+    assert cfg == resolved and mismatch is None
     assert (trace.rate_bound is not None) == (with_ref and kind == "constant" and lam == "0.9")
     assert_same_trace(back, trace)
 
@@ -875,7 +905,7 @@ def test_read_and_check_a_long_v2_trace_in_its_stored_columns(tmp_path, long_run
     cli.write_trace(str(path), trace, resolved)
     tracemalloc.start()
     try:
-        back, cfg = cli.read_trace(str(path))
+        back, cfg, _ = cli.read_trace(str(path))
         read_peak = tracemalloc.get_traced_memory()[1]
         xi = cli._schedule_param(ConfigView(cfg), "schedule.xi", 1.0)
         verdicts = cli.evaluate_checks(back, cli.CHECKS, cli._certified_q(cfg), xi)
@@ -883,7 +913,9 @@ def test_read_and_check_a_long_v2_trace_in_its_stored_columns(tmp_path, long_run
     finally:
         tracemalloc.stop()
     assert {status for status, _ in verdicts.values()} == {"PASS"}
-    assert back.C_k.tobytes() == trace.C_k.tobytes()
+    n = len(trace)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert engine._ck_rows(back, 0, n).tobytes() == engine._ck_rows(trace, 0, n).tobytes()
     # in columns of 100,000 float64s, read_trace alone peaks at 6.18: its
     # five stored columns, each one buffer grown in place, and the
     # recomputed rate_bound.  Parsed chunks joined at the end, with the
@@ -1145,6 +1177,23 @@ def test_sweep_checks_every_entry_before_the_first_run(tmp_path, monkeypatch, ke
         cli.cmd_sweep(str(cfg), out=io.StringIO())
     assert cli.main(["sweep", str(cfg)]) == cli.EXIT_USAGE
     assert runs == [] and not table.exists()
+
+
+@pytest.mark.parametrize("index", ["01", "x", "+1", "-1", "1_0", "\uff11"])
+def test_sweep_rejects_an_index_that_is_not_a_plain_integer(tmp_path, capsys, index):
+    # "01" or "+1" would alias entry 1 and drop one of the two rows, and a
+    # non-integer index must name its key
+    cfg = tmp_path / "bad.cfg"
+    table = tmp_path / "bad.csv"
+    write(cfg, SWEEP_CFG.format(table=table) + f"sweep.{index}.alpha = 0.3\n"
+          + f"sweep.{index}.lambda = 1.0\n")
+    assert cli.main(["sweep", str(cfg)]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    key = next(line.split()[0] for line in cfg.read_text().splitlines()
+               if line.startswith(f"sweep.{index}."))
+    assert out == "" and err == (f"error: {key}: the sweep index must be a decimal integer "
+                                 "without sign or leading zeros\n")
+    assert not table.exists()
 
 
 @pytest.mark.parametrize("kind, scheme", [("lasso", "fb"), ("three_term", "dy")])

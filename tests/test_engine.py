@@ -12,7 +12,6 @@ from ikm import problems
 from ikm.engine import (
     BLOCK_ROWS,
     DEFAULT_TOL,
-    COLUMNS,
     DivergenceError,
     OPTIONAL_COLUMNS,
     ROW_CHUNK,
@@ -22,6 +21,7 @@ from ikm.engine import (
     StoppingRule,
     Trace,
     _alpha_second_diff_sq,
+    _ck_rows,
     _y_dist_sq,
     contraction_constant,
     monotone_prefix,
@@ -34,8 +34,8 @@ from ikm.engine import (
     verify_product_bound,
 )
 from ikm.engine import is_reference_point
-from ikm.linalg import (DifferenceMap, GramMap, LinearMap, SpectralMap, dot, flush_subnormals,
-                        norm, operator_norm_estimate)
+from ikm.linalg import (DifferenceMap, GramMap, LinearMap, SpectralMap, flush_subnormals, norm,
+                        operator_norm_estimate)
 from ikm.operators import (
     OperatorHandle,
     box,
@@ -447,13 +447,17 @@ def reference_trace(T, x1, sched, max_iters, p_ref=None, objective=None, stall_t
     return trace, diverged
 
 
-def assert_same_columns(got, want):
-    """Every column of two traces equal by ``tobytes`` (or both absent)."""
-    for name in COLUMNS:
+def same_trace(got, want):
+    """Whether two traces hold the same stored columns by ``tobytes`` (or
+    both lack one), the same gamma, and schedules with the same bits at
+    their ks."""
+    for name in STORED_COLUMNS:
         a, b = getattr(got, name), getattr(want, name)
-        assert (a is None) == (b is None), name
-        if a is not None:
-            assert a.tobytes() == b.tobytes(), name
+        if (a is None) != (b is None) or (a is not None and a.tobytes() != b.tobytes()):
+            return False
+    return got.gamma == want.gamma and all(
+        a.tobytes() == b.tobytes()
+        for a, b in zip(got.schedule.columns(got.k), want.schedule.columns(want.k)))
 
 
 @pytest.mark.parametrize("rows", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
@@ -474,7 +478,7 @@ def test_run_block_columns_match_a_per_step_loop(rows, alpha, lam):
         want, diverged = reference_trace(T, x1, sched, rows, p_ref, objective)
         assert res.status == "max_iters" and diverged is None
         assert len(res.rows) == rows
-        assert_same_columns(res.rows, want)
+        assert same_trace(res.rows, want)
 
 
 def test_run_stall_stop_matches_a_per_step_loop():
@@ -493,7 +497,7 @@ def test_run_stall_stop_matches_a_per_step_loop():
     res = run(T, x1, sched, StoppingRule(200, 0.0, stall_tol=tol),
               p_ref=inst.fixed_point("gradient"), objective=inst.objective)
     assert res.status == "stalled" and len(res.rows) == j + 1
-    assert_same_columns(res.rows, want)
+    assert same_trace(res.rows, want)
 
 
 def test_run_divergence_mid_block_keeps_k_and_partial_rows():
@@ -520,7 +524,7 @@ def test_run_divergence_mid_block_keeps_k_and_partial_rows():
     want, diverged = reference_trace(halve, x1, sched, 1000, p, sq)
     assert err.value.k == diverged == bad_call
     assert len(err.value.partial.rows) == bad_call - 1
-    assert_same_columns(err.value.partial.rows, want)
+    assert same_trace(err.value.partial.rows, want)
 
 
 @pytest.mark.parametrize("with_ref", [False, True])
@@ -539,7 +543,7 @@ def test_run_divergence_on_overflowing_relaxed_step(with_ref):
     assert err.value.k == diverged == 774
     assert len(err.value.partial.rows) == 774
     assert np.isfinite(err.value.partial.xs[1]).all()
-    assert_same_columns(err.value.partial.rows, want)
+    assert same_trace(err.value.partial.rows, want)
 
 
 def test_run_keeps_subnormals_out_of_operator_inputs(lasso_default):
@@ -606,7 +610,7 @@ def test_runs_without_the_flush_give_the_same_bytes(quad_50, tv_200, alpha, lam)
         runs = [run(handle, inst.start_point(scheme), Schedule.constant(alpha, lam),
                     StoppingRule(3000, 1e-10), p_ref=inst.fixed_point(scheme))
                 for handle in (T, dataclasses.replace(T, exact_zeros=True))]
-        assert_same_columns(runs[0].rows, runs[1].rows)
+        assert same_trace(runs[0].rows, runs[1].rows)
         for a, b in zip(runs[0].xs + runs[0].ys, runs[1].xs + runs[1].ys):
             assert a.tobytes() == b.tobytes()
 
@@ -639,7 +643,7 @@ def test_difference_map_runs_match_dense_runs_row_for_row(builder, n):
     for sched in (Schedule.constant(0.2, 1.0), Schedule.constant(0.3, 0.7)):
         got = run(structured, x1, sched, stop, p_ref=p, objective=per_row(objective(D)))
         want = run(dense, x1, sched, stop, p_ref=p, objective=per_row(objective(D_dense)))
-        assert got.rows == want.rows  # 2000 rows, or fewer on an exact fixed point
+        assert same_trace(got.rows, want.rows)  # 2000 rows, or fewer on an exact fixed point
         for a, c in zip(got.xs, want.xs):
             assert np.array_equal(a, c)
 
@@ -701,29 +705,24 @@ def test_run_stall_detection():
     assert res.status == "stalled"
 
 
-def test_trace_row_definitions(lasso_default):
+def test_ck_replay_definition(lasso_default):
     inst = lasso_default
     sched = Schedule.constant(0.2, 0.5)
     res = run(inst.operator("fb"), inst.start_point("fb"), sched,
               StoppingRule(50, 0.0), p_ref=inst.fixed_point("fb"))
     rows = res.rows
+    C = _ck_rows(rows, 0, len(rows))
     assert rows.gamma == inst.operator("fb").gamma is not None
     assert rows[0].step == 0.0
-    assert rows[0].delta_k == 0.0
-    assert rows[0].Delta_k == 0.0
-    assert rows[0].C_k == pytest.approx(rows[0].dist_to_ref ** 2, rel=1e-12)
+    assert C[0] == pytest.approx(rows[0].dist_to_ref ** 2, rel=1e-12)
     for i in range(1, len(rows)):
         r, prev = rows[i], rows[i - 1]
         a_prev, lam_prev = at(sched, r.k - 1)
         # the relaxation eta = gamma lambda of the averaged map's step
         nu_prev = 1.0 / (rows.gamma * lam_prev) - 1.0
-        assert r.delta_k == pytest.approx(nu_prev * (1 - a_prev) * r.step ** 2, rel=1e-12)
-        assert r.C_k == pytest.approx(
-            r.dist_to_ref ** 2 - a_prev * prev.dist_to_ref ** 2 + r.delta_k, rel=1e-9, abs=1e-12)
-        assert r.Delta_k == pytest.approx(
-            r.dist_to_ref ** 2 - prev.dist_to_ref ** 2, rel=1e-9, abs=1e-12)
-        assert r.k_step_sq == pytest.approx(r.k * r.step ** 2, rel=1e-12)
-        assert r.k_res_sq == pytest.approx(r.k * r.residual ** 2, rel=1e-12)
+        delta = nu_prev * (1 - a_prev) * r.step ** 2
+        assert C[i] == pytest.approx(
+            r.dist_to_ref ** 2 - a_prev * prev.dist_to_ref ** 2 + delta, rel=1e-9, abs=1e-12)
 
 
 def test_reconstruction_identity_along_trace(lasso_default):
@@ -740,7 +739,7 @@ def test_reconstruction_identity_along_trace(lasso_default):
         a, lam = at(sched, k)
         d_next = xs[k] - xs[k - 1]
         d_prev = xs[k - 1] - (xs[k - 2] if k >= 2 else xs[0])
-        rhs = norm(d_next) ** 2 + a * a * norm(d_prev) ** 2 - 2 * a * dot(d_next, d_prev)
+        rhs = norm(d_next) ** 2 + a * a * norm(d_prev) ** 2 - 2 * a * np.dot(d_next, d_prev)
         lhs = lam ** 2 * res.rows[k - 1].residual ** 2
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-18)
 
@@ -781,7 +780,7 @@ def test_row_reconstructions_match_direct_computation(vecs, a, lam):
 # columnar trace
 
 
-def test_trace_rows_slices_and_equality(lasso_default):
+def test_trace_rows_and_stored_columns(lasso_default):
     inst = lasso_default
     res = run(inst.operator("fb"), inst.start_point("fb"), Schedule.constant(0.2, 0.5),
               StoppingRule(30, 0.0), p_ref=inst.fixed_point("fb"))
@@ -793,23 +792,21 @@ def test_trace_rows_slices_and_equality(lasso_default):
     assert trace[0].objective is None and trace[0].rate_bound is None
     # the rows hold the columns' values, field by field, and the stored
     # fields with the schedule and gamma rebuild the trace
-    columns = {name: None if getattr(trace, name) is None else [getattr(r, name) for r in rows]
-               for name in COLUMNS}
-    for name, values in columns.items():
+    stored = {name: None if getattr(trace, name) is None else [getattr(r, name) for r in rows]
+              for name in STORED_COLUMNS}
+    for name, values in stored.items():
         assert values == (None if values is None else getattr(trace, name).tolist()), name
-    stored = {name: columns[name] for name in STORED_COLUMNS}
-    assert Trace(trace.schedule, trace.gamma, **stored) == trace
-    changed = dict(stored, step=list(columns["step"]))
+    assert same_trace(Trace(trace.schedule, trace.gamma, **stored), trace)
+    changed = dict(stored, step=list(stored["step"]))
     changed["step"][4] *= 2
-    assert Trace(trace.schedule, trace.gamma, **changed) != trace
-    # nu_k, delta_k and C_k differ
-    assert Trace(Schedule.constant(0.2, 0.6), trace.gamma, **stored) != trace
-    assert Trace(trace.schedule, **stored) != trace
+    assert not same_trace(Trace(trace.schedule, trace.gamma, **changed), trace)
+    # the replays read a trace's schedule and gamma too
+    assert not same_trace(Trace(Schedule.constant(0.2, 0.6), trace.gamma, **stored), trace)
+    assert not same_trace(Trace(trace.schedule, **stored), trace)
     empty = Trace(trace.schedule, **{name: [] for name in STORED_COLUMNS
                                      if name not in OPTIONAL_COLUMNS})
     assert len(empty) == 0 and empty.dist_to_ref is None
-    assert empty.C_k is None and empty.delta_k.size == 0
-    # a part of a trace is read by row ranges (Trace.column), not by slices
+    # a part of a trace is a slice of its columns; a trace has no slices
     for index in (slice(10, 13), slice(None, None, 2), 7.0):
         with pytest.raises(TypeError):
             trace[index]
@@ -819,8 +816,14 @@ def test_trace_rows_slices_and_equality(lasso_default):
         empty[0]
     with pytest.raises(TypeError):
         iter(trace)
-    with pytest.raises(AttributeError):
-        trace.C_k = trace.C_k  # computed on access, never stored
+    # a trace is what its run measured: the replays form the Lyapunov
+    # quantities, and a trace neither computes nor stores them
+    for name in ("nu_k", "delta_k", "Delta_k", "C_k", "k_step_sq", "k_res_sq", "column",
+                 "_lyapunov"):
+        assert not hasattr(trace, name), name
+        with pytest.raises(AttributeError):
+            setattr(trace, name, trace.step)
+    assert "__eq__" not in vars(Trace) and trace != Trace(trace.schedule, trace.gamma, **stored)
 
 
 def test_trace_rejects_columns_of_unequal_length():
@@ -831,51 +834,56 @@ def test_trace_rejects_columns_of_unequal_length():
         Trace(schedule, k=[1], residual=[1.0], step=[0.0], C_k=[0.0])
 
 
-def per_step_derivation(trace, sched):
-    """The derived columns as the engine computed them row by row with floats,
-    at ``eta_k = gamma lambda_k`` when the trace has a gamma."""
-    out = {name: [] for name in ("nu_k", "delta_k", "Delta_k", "C_k", "k_step_sq", "k_res_sq")}
-    a_prev = nu_prev = 0.0
-    d_prev = None
-    for k, step, res, d in zip(*(getattr(trace, name).tolist()
-                                 for name in ("k", "step", "residual", "dist_to_ref"))):
-        a_k, l_k = at(sched, k)
-        nu_k = 1.0 / (l_k if trace.gamma is None else trace.gamma * l_k) - 1.0
-        delta = 0.0 if k == 1 else nu_prev * (1.0 - a_prev) * step * step
-        out["nu_k"].append(nu_k)
-        out["delta_k"].append(delta)
-        out["Delta_k"].append(0.0 if k == 1 else d * d - d_prev * d_prev)
-        out["C_k"].append(d * d if k == 1 else d * d - a_prev * d_prev * d_prev + delta)
-        out["k_step_sq"].append(k * step * step)
-        out["k_res_sq"].append(k * res * res)
-        a_prev, nu_prev, d_prev = a_k, nu_k, d
+def per_step_C(trace):
+    """``C_k`` row by row with Python floats from the trace's stored fields,
+    at ``eta_k = gamma lambda_k`` when the trace has a gamma, in the
+    engine's operation order: ``d*d - a*d_prev*d_prev + delta``."""
+    out = []
+    a_prev = nu_prev = d_prev = None
+    for k, step, d in zip(trace.k.tolist(), trace.step.tolist(), trace.dist_to_ref.tolist()):
+        if d_prev is None:
+            out.append(d * d)
+        else:
+            delta = nu_prev * (1.0 - a_prev) * step * step
+            out.append(d * d - a_prev * d_prev * d_prev + delta)
+        a_prev, l_k = at(trace.schedule, k)
+        nu_prev = 1.0 / (l_k if trace.gamma is None else trace.gamma * l_k) - 1.0
+        d_prev = d
     return out
+
+
+def rows_Ck(trace, tol):
+    """The first k of :func:`verify_Ck_monotone`'s verdict, row by row over
+    :func:`per_step_C`."""
+    C = per_step_C(trace)
+    for i, c in enumerate(C):
+        if c < -tol or (i + 1 < len(C) and C[i + 1] > c + tol * (1.0 + c)):
+            return int(trace.k[i])
+    return None
 
 
 @pytest.mark.parametrize("sched", [Schedule.constant(0.2, 0.7),
                                    Schedule.table([0.0, 0.1, 0.1, 0.3], [0.9, 0.4, 1.3])])
-def test_derived_columns_match_per_step_scalars_bitwise(quad_50, sched):
+def test_ck_rows_match_per_step_scalars_bitwise(quad_50, sched):
     inst = quad_50
     res = run(inst.operator("gradient"), inst.start_point("gradient"), sched,
               StoppingRule(400, 0.0), p_ref=inst.reference_solution)
     assert res.rows.gamma == inst.operator("gradient").gamma < 1.0
-    want = per_step_derivation(res.rows, sched)
-    for name, values in want.items():
-        got = getattr(res.rows, name)
-        assert got.tobytes() == np.array(values).tobytes(), name
+    got = _ck_rows(res.rows, 0, len(res.rows))
+    assert got.tobytes() == np.array(per_step_C(res.rows)).tobytes()
 
 
-def test_divergence_partial_trace_has_derived_columns():
+def test_divergence_partial_trace_replays_C_k():
     blow = OperatorHandle(apply=lambda x: 3.0 * x, name="blow")
     sched = Schedule.constant(0.1, 0.8)
     with pytest.raises(DivergenceError) as exc:
         run(blow, np.ones(4), sched, StoppingRule(10_000, 0.0), p_ref=np.zeros(4))
     trace = exc.value.partial.rows
     assert len(trace) >= 10
-    want = per_step_derivation(trace, sched)
     with np.errstate(over="ignore", invalid="ignore"):
-        for name, values in want.items():
-            assert np.array_equal(getattr(trace, name), np.array(values), equal_nan=True), name
+        got = _ck_rows(trace, 0, len(trace))
+    assert np.array_equal(got, np.array(per_step_C(trace)), equal_nan=True)
+    assert verify_Ck_monotone(trace) == rows_Ck(trace, DEFAULT_TOL)
 
 
 def eta_of(trace, lam):
@@ -883,34 +891,7 @@ def eta_of(trace, lam):
     return lam if trace.gamma is None else trace.gamma * lam
 
 
-def whole_derivation(trace):
-    """The derived columns as whole-column expressions over the stored ones,
-    as the engine formed them once per run before a trace computed them on
-    access (every derived column of a trace must have these bits)."""
-    res, step, k = trace.residual, trace.step, trace.k
-    a, lam = trace.schedule.columns(k)
-    with np.errstate(over="ignore", invalid="ignore"):
-        nu = 1.0 / eta_of(trace, lam) - 1.0
-        delta = np.zeros_like(step)
-        delta[1:] = nu[:-1] * (1.0 - a[:-1]) * step[1:] * step[1:]
-        Delta = C = None
-        if trace.dist_to_ref is not None:
-            d = trace.dist_to_ref
-            dsq = d * d
-            Delta = np.zeros_like(d)
-            Delta[1:] = dsq[1:] - dsq[:-1]
-            C = dsq.copy()
-            C[1:] = dsq[1:] - a[:-1] * d[:-1] * d[:-1] + delta[1:]
-        return {"nu_k": nu, "delta_k": delta, "Delta_k": Delta, "C_k": C,
-                "k_step_sq": k * step * step, "k_res_sq": k * res * res}
-
-
-def same_bits(got, want):
-    return (got is None) == (want is None) and (
-        got is None or np.asarray(got, dtype=np.float64).tobytes() == want.tobytes())
-
-
-DERIVED_SCHEDULES = {
+CK_SCHEDULES = {
     "constant": Schedule.constant(0.2, 0.7),
     "ramp": Schedule.ramp(0.0, 0.3, ROW_CHUNK + 20, [0.5, 0.9, 1.1]),
     "table": Schedule.table([0.0, 0.1, 0.1, 0.3], [0.9, 0.4, 1.3]),
@@ -919,40 +900,39 @@ EDGE_VALUES = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308, 2.225073858507
                1e-160, 0.1, 1.0 / 3.0, 7.0]
 
 
-def derived_cases(quad_50, sched):
-    """A run with and without a reference, past two row chunks, and a trace of
-    edge values (signed zeros, infinities, nans, subnormals) under ``sched``,
-    without a gamma and with the run's."""
+def ck_cases(quad_50, sched, n):
+    """A run of ``n`` rows with a reference, and a trace of edge values
+    (signed zeros, infinities, nans, subnormals) under ``sched``, without a
+    gamma and with the run's."""
     T = quad_50.operator("gradient")
-    n = 2 * ROW_CHUNK + 5
-    for p_ref in (quad_50.reference_solution, None):
-        yield run(T, quad_50.start_point("gradient"), sched, StoppingRule(n, 0.0),
-                  p_ref=p_ref).rows
+    yield run(T, quad_50.start_point("gradient"), sched, StoppingRule(n, 0.0),
+              p_ref=quad_50.reference_solution).rows
     gen = np.random.default_rng(3)
     edges = {name: gen.choice(EDGE_VALUES, n) for name in ("residual", "step", "dist_to_ref")}
     for gamma in (None, T.gamma):
         yield Trace(sched, gamma, k=np.arange(1, n + 1), **edges)
 
 
-@pytest.mark.parametrize("name", sorted(DERIVED_SCHEDULES))
-def test_columns_computed_on_access_have_the_whole_column_bits(quad_50, name):
+@pytest.mark.parametrize("n", [ROW_CHUNK - 1, ROW_CHUNK + 1, 2 * ROW_CHUNK + 5])
+@pytest.mark.parametrize("name", sorted(CK_SCHEDULES))
+def test_ck_replay_gives_the_per_step_first_failing_k(quad_50, name, n):
     R = ROW_CHUNK
-    for trace in derived_cases(quad_50, DERIVED_SCHEDULES[name]):
-        n = len(trace)
-        want = whole_derivation(trace)
+    for trace in ck_cases(quad_50, CK_SCHEDULES[name], n):
+        assert len(trace) == n
+        want = np.array(per_step_C(trace))
         with np.errstate(over="ignore", invalid="ignore"):
-            for col, values in want.items():
-                assert same_bits(getattr(trace, col), values), col
-                # row access
-                for i in (0, 1, R - 1, R, R + 1, n - 1, -1, -n):
-                    assert same_bits(None if values is None else [getattr(trace[i], col)],
-                                     None if values is None else values[i:i + 1 or None]), col
-                # any chunk of rows, to the end when hi is None
-                for lo, hi in ((0, n), (0, None), (0, 1), (1, 2), (R - 1, R + 1),
-                               (R, 2 * R + 3), (n - 1, n), (5, 5), (0, 0), (n, n),
-                               (n - R - 2, n - 1), (3, None)):
-                    assert same_bits(trace.column(col, lo, hi),
-                                     None if values is None else values[lo:hi]), (col, lo, hi)
+            # any chunk of rows has the bits of the per-step values
+            for lo, hi in ((0, n), (0, 1), (1, 2), (R - 1, R + 1), (R, 2 * R + 3),
+                           (n - 1, n), (n - R - 2, n - 1), (3, n)):
+                hi = min(hi, n)
+                if 0 <= lo < hi:
+                    assert _ck_rows(trace, lo, hi).tobytes() == want[lo:hi].tobytes(), (lo, hi)
+        for tol in (0.0, 1e-9):
+            assert verify_Ck_monotone(trace, tol) == rows_Ck(trace, tol)
+    run_without_ref = run(quad_50.operator("gradient"), quad_50.start_point("gradient"),
+                          CK_SCHEDULES[name], StoppingRule(n, 0.0)).rows
+    with pytest.raises(ValueError, match="lacks C_k"):
+        verify_Ck_monotone(run_without_ref)
 
 
 # row-by-row replays as the engine ran them before the columns, with every
@@ -971,7 +951,8 @@ def rows_descent(rows, sched, tol, gamma=None):
         second = 0.0 if a == 0.0 else max(
             lam * lam * sq(rows[i].residual) - (1.0 - a) * sq(rows[i + 1].step)
             + a * (1.0 - a) * sq(rows[i].step), 0.0)
-        lhs = (d_next - d_k) + rows[i + 1].delta_k + nu * second
+        delta_next = nu * (1.0 - a) * rows[i + 1].step * rows[i + 1].step
+        lhs = (d_next - d_k) + delta_next + nu * second
         rhs = a * (0.0 if k == 1 else d_k - d_prev) \
             + (a * (1.0 + a) + nu * a * (1.0 - a)) * sq(rows[i].step)
         _append(out, k, lhs, rhs, tol)
@@ -1008,13 +989,6 @@ def _append(out, k, lhs, rhs, tol):
     out[2].append(rhs)
     if lhs > rhs + tol * (1.0 + abs(rhs)):
         out[3].append(k)
-
-
-def rows_Ck(rows, tol):
-    for i, r in enumerate(rows):
-        if r.C_k < -tol or (i + 1 < len(rows) and rows[i + 1].C_k > r.C_k + tol * (1.0 + r.C_k)):
-            return r.k
-    return None
 
 
 def rows_monotone_prefix(values, slack=1e-12):
@@ -1084,9 +1058,9 @@ def test_column_replays_match_row_formulas(case, q, xi, tol):
         assert got.ks.tolist() == want[0]
         assert same_floats(got.lhs, want[1]) and same_floats(got.rhs, want[2])
         assert got.violations.dtype == np.int64 and got.violations.tolist() == want[3]
-    assert verify_Ck_monotone(trace, tol=tol) == rows_Ck(rows, tol)
+    assert verify_Ck_monotone(trace, tol=tol) == rows_Ck(trace, tol)
     for values in (trace.residual * trace.residual, trace.step[1:] * trace.step[1:],
-                   trace.C_k):
+                   np.array(per_step_C(trace))):
         n = monotone_prefix(values)
         assert n == rows_monotone_prefix(values.tolist())
         if n >= 4:
@@ -1142,7 +1116,7 @@ def whole_descent(trace, sched, tol):
     second = np.where(a == 0.0, 0.0, np.maximum(
         (lam * lam) * (res * res) - (1.0 - a) * (step[1:] * step[1:])
         + a * (1.0 - a) * (step[:-1] * step[:-1]), 0.0))
-    lhs = (dsq[1:] - dsq[:-1]) + trace.delta_k[1:] + nu * second
+    lhs = (dsq[1:] - dsq[:-1]) + nu * (1.0 - a) * step[1:] * step[1:] + nu * second
     rhs = a * np.where(ks == 1, 0.0, dsq[:-1] - prev) \
         + (a * (1.0 + a) + nu * a * (1.0 - a)) * (step[:-1] * step[:-1])
     return whole_report(ks, lhs, rhs, tol)
@@ -1166,13 +1140,6 @@ def whole_product(trace, q, xi, sched, tol):
     # delta_{k+1} at lambda_k, whatever the trace's gamma
     lhs = dsq[1:] - a * dsq[:-1] + xi * ((1.0 / lam - 1.0) * (1.0 - a) * step * step)
     return whole_report(ks, lhs, np.cumprod(whole_Q(lam, q, xi)) * dsq[:1], tol)
-
-
-def whole_Ck(trace, tol):
-    C = trace.C_k
-    bad = C < -tol
-    bad[:-1] |= C[1:] > C[:-1] + tol * (1.0 + C[:-1])
-    return int(trace.k[np.argmax(bad)]) if bad.any() else None
 
 
 def whole_monotone_prefix(v, slack=1e-12):
@@ -1258,7 +1225,7 @@ def test_chunked_replays_match_whole_columns(chunk_run, length, row):
                     assert same_report(outcome(verify_product_bound, run_trace, q, xi, tol),
                                        outcome(whole_product, run_trace, q, xi, sched, tol))
         for tol in (0.0, 1e-9):
-            assert verify_Ck_monotone(trace, tol) == whole_Ck(trace, tol)
+            assert verify_Ck_monotone(trace, tol) == rows_Ck(trace, tol)
         for values in (trace.residual * trace.residual, trace.step[1:] * trace.step[1:]):
             n = monotone_prefix(values)
             assert n == whole_monotone_prefix(values)

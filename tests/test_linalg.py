@@ -15,12 +15,11 @@ from ikm.linalg import (
     GramMap,
     LinearMap,
     SpectralMap,
-    dot,
     norm,
     operator_norm_estimate,
     solve_spd,
 )
-from ikm.operators import make_prox, quadratic, residual
+from ikm.operators import make_prox, quadratic
 from ikm.problems import _orthogonal, make_quadratic
 from ikm.rng import SplitMix64
 
@@ -30,20 +29,20 @@ def rand_vec(gen, n):
 
 
 def test_dot_orthogonal_and_definition():
-    assert dot(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-    assert dot(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
+    assert np.dot(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+    assert np.dot(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
 
 
 def test_dot_positivity_on_random_vectors():
     gen = SplitMix64(1)
     for _ in range(50):
         x = rand_vec(gen, 17)
-        assert dot(x, x) >= 0.0
+        assert np.dot(x, x) >= 0.0
 
 
 def test_dot_dimension_mismatch():
     with pytest.raises(ValueError):
-        dot(np.zeros(3), np.zeros(4))
+        np.dot(np.zeros(3), np.zeros(4))
 
 
 def test_norm_examples_and_homogeneity():
@@ -60,7 +59,7 @@ def test_cauchy_schwarz():
     gen = SplitMix64(4)
     for _ in range(200):
         a, b = rand_vec(gen, 12), rand_vec(gen, 12)
-        assert abs(dot(a, b)) <= norm(a) * norm(b) * (1.0 + 1e-12)
+        assert abs(np.dot(a, b)) <= norm(a) * norm(b) * (1.0 + 1e-12)
 
 
 def test_linear_map_adjoint_consistency():
@@ -68,8 +67,8 @@ def test_linear_map_adjoint_consistency():
     M = LinearMap(np.array([[gen.normal() for _ in range(7)] for _ in range(5)]))
     for _ in range(100):
         x, y = rand_vec(gen, 7), rand_vec(gen, 5)
-        lhs = dot(M.apply(x), y)
-        rhs = dot(x, M.apply_adjoint(y))
+        lhs = np.dot(M.apply(x), y)
+        rhs = np.dot(x, M.apply_adjoint(y))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -223,7 +222,8 @@ def test_spectral_map_closed_forms(dim, seed, log_mu, log_kappa, log_rho_L):
     # the reference Q ((Q^T b) / w) is a fixed point of the gradient map
     inst = make_quadratic(dim, mu, L, seed)
     p = inst.reference_solution
-    assert residual(inst.operator("gradient"), p) <= 1e-13 * (1.0 + norm(p))
+    T = inst.operator("gradient")
+    assert norm(p - T.apply(p)) <= 1e-13 * (1.0 + norm(p))
     # (min w, max w) against eigvalsh of the rounded matrix: Weyl's bound on
     # the rounding of Q diag(w) Q^T plus eigvalsh's backward error.  The
     # largest gap over 150,000 draws of these parameters was 8.9 eps max w

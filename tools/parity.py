@@ -34,8 +34,8 @@ small ``three_term`` config (the Davis-Yin
 path, which no workload runs), on a small ``lasso`` config and on a
 ``tv1d`` config with ``n = 30``, ``alpha = 0.2`` and ``lambda = 1`` run by
 ``sdr`` (split Douglas-Rachford, which no workload runs), on three certified
-schedules whose ``ck`` verdict reads the Lyapunov columns at ``eta = gamma *
-lambda`` (quadratic ``proximal`` at ``alpha = 0.2``, tv1d ``pd`` at ``n =
+schedules whose ``ck`` verdict depends on the ``ck`` replay forming ``C_k`` at
+``eta = gamma * lambda`` (quadratic ``proximal`` at ``alpha = 0.2``, tv1d ``pd`` at ``n =
 60``, ``alpha = 0`` and ``lambda = 1.9``, feasibility ``dr`` at ``alpha =
 0.2``); ``ikm sweep`` on
 the same small ``three_term`` instance (the Davis-Yin sweep path, which no
@@ -125,7 +125,7 @@ FIXED_CONFIGS = {
     "tv-sdr": RUN + ("problem.kind = tv1d\nproblem.n = 30\n"
                      "algorithm.scheme = sdr\nschedule.alpha = 0.2\nschedule.lambda = 1\n"),
     # three certified schedules, 0.95 of lambda_alpha_1(alpha) / gamma, whose ck verdict
-    # depends on the Lyapunov columns reading eta = gamma * lambda (FAIL under lambda)
+    # depends on the ck replay forming C_k at eta = gamma * lambda (FAIL under lambda)
     "certified-proximal": QUADRATIC + ("algorithm.scheme = proximal\nschedule.alpha = 0.2\n"
                                        "schedule.lambda = 1.3818181818181818\n"),
     "certified-tv-pd": RUN + ("problem.kind = tv1d\nproblem.n = 60\nalgorithm.scheme = pd\n"
