@@ -359,8 +359,26 @@ def rate_bound_column(trace: Trace, schedule: Schedule, q: Optional[float],
     return bound
 
 
-def _certified_q(cfg: Dict[str, str]) -> Optional[float]:
-    return float(cfg["derived.q_factor"]) if "derived.q_factor" in cfg else None
+def _derived_constant(source: str, view: ConfigView, key: str) -> Optional[float]:
+    """A trace config's ``derived.gamma`` or ``derived.q_factor``, None when
+    absent.  The replays divide by ``gamma * lambda_k`` and raise ``q`` to
+    powers: a value that is no number, or lies outside ``(0, 1]`` (nan
+    included), would pass or fail them at random, so it is an error that
+    names ``source`` and the key."""
+    if not view.has(key):
+        return None
+    try:
+        value = view.get_float(key)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
+    if not 0.0 < value <= 1.0:
+        raise ConfigError(f"{source}: {key} must lie in (0, 1]")
+    return value
+
+
+def _certified_q(cfg: Dict[str, str], source: str = "config") -> Optional[float]:
+    """The certified ``derived.q_factor`` of a trace config, validated."""
+    return _derived_constant(source, ConfigView(cfg), "derived.q_factor")
 
 
 def _differs(a: Optional[np.ndarray], b: Optional[np.ndarray], n: int) -> np.ndarray:
@@ -385,8 +403,9 @@ def read_trace(path: str):
     the parsed columns.  The last ``# config:`` line gives the config,
     which must be present.  Errors are raised in file order, except that a
     missing header, a column mixing empty and filled chunks, a ``k`` column
-    other than ``1..n``, a missing config and a ``derived.gamma`` outside
-    ``(0, 1]`` are reported at the end.
+    other than ``1..n``, a missing config and a ``derived.gamma`` or
+    ``derived.q_factor`` that is no number in ``(0, 1]`` are reported at the
+    end.
 
     The returned trace stores the file's measured columns, the config's
     schedule and ``derived.gamma`` (None without it), and ``rate_bound``
@@ -454,14 +473,11 @@ def read_trace(path: str):
 
     view = ConfigView(cfg)
     schedule, _, xi = build_schedule(view)
-    gamma = view.get_float("derived.gamma") if view.has("derived.gamma") else None
-    # the replays divide by gamma * lambda_k: a gamma outside the range of an
-    # averagedness constant, nan included, would pass or fail them at random
-    if gamma is not None and not 0.0 < gamma <= 1.0:
-        raise ConfigError(f"{path}: derived.gamma must lie in (0, 1]")
+    gamma = _derived_constant(path, view, "derived.gamma")
+    q = _derived_constant(path, view, "derived.q_factor")
     held = columns.pop("rate_bound")
     trace = Trace(schedule, gamma, k=k, **columns)
-    trace.rate_bound = rate_bound_column(trace, schedule, _certified_q(cfg), xi)
+    trace.rate_bound = rate_bound_column(trace, schedule, q, xi)
     differ = []
     for lo in range(0, k.size, engine.ROW_CHUNK):
         hi = min(lo + engine.ROW_CHUNK, k.size)
@@ -501,15 +517,19 @@ def cmd_run(config_path: str, out=sys.stdout) -> int:
                           f"choose from none, {', '.join(CHECKS)}")
 
     p_ref_mode = view.get_str("run.p_ref", "auto")
+    if p_ref_mode not in ("auto", "none"):
+        raise ConfigError("run.p_ref must be 'auto' or 'none'")
+    # a misspelt or dead key would run another experiment: an error before
+    # the reference is solved and anything is printed
+    view.reject_unread()
+
     p_ref = None
     if p_ref_mode == "auto":
         p_ref = instance.fixed_point(scheme, **steps)
-        if p_ref is not None and not engine.is_reference_point(op, p_ref):
+        if not engine.is_reference_point(op, p_ref):
             print(f"warning: reference point residual exceeds {engine.REF_TOL:g}; dropping it",
                   file=out)
             p_ref = None
-    elif p_ref_mode != "none":
-        raise ConfigError("run.p_ref must be 'auto' or 'none'")
 
     feasible = feasibility_summary(schedule, op, xi, out)
     if not feasible:
@@ -700,6 +720,8 @@ def cmd_sweep(config_path: str, out=sys.stdout) -> int:
                 "label": f"baseline(lambda={_fmt(lam)})",
                 "alpha": 0.0, "lambda": lam, "xi": default_xi,
             })
+    # a key the sweep does not read would change nothing: an error before any row runs
+    view.reject_unread()
 
     def run_entry(entry) -> List[str]:
         schedule = Schedule.constant(entry["alpha"], entry["lambda"])
@@ -751,7 +773,7 @@ def cmd_certify(trace_path: str, out=sys.stdout) -> int:
     if not len(trace):
         raise ConfigError(f"{trace_path}: empty trace")
     xi = _schedule_param(ConfigView(cfg), "schedule.xi", 1.0)
-    verdicts = evaluate_checks(trace, CHECKS, _certified_q(cfg), xi)
+    verdicts = evaluate_checks(trace, CHECKS, _certified_q(cfg, trace_path), xi)
 
     for name, label, reason in (("ck", "Ck monotone", "no C_k column"),
                                 ("descent", "descent", "no dist_to_ref column")):

@@ -10,11 +10,14 @@ tokens (numbers, names, paths) with surrounding whitespace stripped.  There
 are no nested structures, so a resolved configuration can be serialized
 canonically on a single line (sorted ``key=value`` pairs joined by ``"; "``)
 and embedded as a ``#`` comment in every trace for later re-analysis.
+A command reads its keys through :class:`ConfigView`, which records each
+one asked for, so ``ikm run`` and ``ikm sweep`` reject a key they did not
+read.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Set
 
 
 class ConfigError(ValueError):
@@ -64,44 +67,45 @@ def deserialize_config(line: str) -> Dict[str, str]:
 
 
 class ConfigView:
-    """Typed access over the flat mapping with error reporting by key."""
+    """Typed access over the flat mapping with error reporting by key.  Every
+    key asked for, by :meth:`has` or a ``get_*`` method, is recorded."""
 
     def __init__(self, data: Dict[str, str]):
         self.data = dict(data)
+        self.asked: Set[str] = set()
+
+    def reject_unread(self) -> None:
+        """Raise a :class:`ConfigError` naming, sorted, the keys never asked for."""
+        unread = sorted(self.data.keys() - self.asked)
+        if unread:
+            raise ConfigError(f"config keys that this command does not read: {', '.join(unread)}")
 
     def has(self, key: str) -> bool:
+        self.asked.add(key)
         return key in self.data
 
     def get_str(self, key: str, default: Optional[str] = None) -> str:
-        if key in self.data:
+        if self.has(key):
             return self.data[key]
         if default is None:
             raise ConfigError(f"missing required key {key!r}")
         return default
 
-    def get_float(self, key: str, default: Optional[float] = None) -> float:
-        if key not in self.data:
-            if default is None:
-                raise ConfigError(f"missing required key {key!r}")
+    def _parse(self, key: str, default, parse: Callable[[str], Any], what: str):
+        if default is not None and not self.has(key):
             return default
-        try:
-            return float(self.data[key])
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: not a number: {self.data[key]!r}") from exc
-
-    def get_int(self, key: str, default: Optional[int] = None) -> int:
-        if key not in self.data:
-            if default is None:
-                raise ConfigError(f"missing required key {key!r}")
-            return default
-        try:
-            return int(self.data[key])
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: not an integer: {self.data[key]!r}") from exc
-
-    def get_float_list(self, key: str) -> List[float]:
         raw = self.get_str(key)
         try:
-            return [float(tok) for tok in raw.split(",") if tok.strip()]
+            return parse(raw)
         except ValueError as exc:
-            raise ConfigError(f"key {key!r}: not a number list: {raw!r}") from exc
+            raise ConfigError(f"key {key!r}: not {what}: {raw!r}") from exc
+
+    def get_float(self, key: str, default: Optional[float] = None) -> float:
+        return self._parse(key, default, float, "a number")
+
+    def get_int(self, key: str, default: Optional[int] = None) -> int:
+        return self._parse(key, default, int, "an integer")
+
+    def get_float_list(self, key: str) -> List[float]:
+        return self._parse(key, None, lambda raw: [float(tok) for tok in raw.split(",")
+                                                   if tok.strip()], "a number list")

@@ -601,18 +601,13 @@ def _needs_dist(trace: Trace, what: str = "dist_to_ref") -> None:
 
 
 def _contraction_column(lam: np.ndarray, q: float, xi: float) -> np.ndarray:
-    """``Q(lambda_k, q, xi)`` per entry, one call per distinct lambda.
-
-    The calls run in order of first appearance, so an invalid lambda raises
-    the error the first offending index would.
-    """
+    """``Q(lambda_k, q, xi)`` per entry: one call for a constant column, else
+    one call per entry in index order, so an invalid lambda raises the error
+    the first offending index would."""
     if lam.size and (lam == lam[0]).all():
         return np.full(lam.size, contraction_constant(float(lam[0]), q, xi))
-    values, first, inverse = np.unique(lam, return_index=True, return_inverse=True)
-    Q = np.empty(values.size, dtype=np.float64)
-    for j in np.argsort(first, kind="stable").tolist():
-        Q[j] = contraction_constant(float(values[j]), q, xi)
-    return Q[inverse]
+    return np.array([contraction_constant(lam_k, q, xi) for lam_k in lam.tolist()],
+                    dtype=np.float64)
 
 
 def _alpha_second_diff_sq(trace: Trace, a: np.ndarray, lam: np.ndarray,

@@ -7,11 +7,12 @@ quadratic's is a solve through the eigendecomposition it is drawn from
 (:class:`ikm.linalg.SpectralMap`), tv1d's a direct (finite-step) solve of the
 denoising problem with its dual in closed form, and the feasibility one is
 known by construction.  The lasso and three-term references come from a
-non-inertial Picard run to residual 1e-12, which certifies them; that run is
-made on demand, on the first read of the instance's reference, so a caller
-that needs no reference (``ikm sweep``) pays none.  Their step ``1/L`` comes
-from one eigendecomposition of the smaller Gram of the design
-(:meth:`ikm.linalg.GramMap.spectrum`).
+non-inertial Picard run to residual 1e-12, which certifies them, at the step
+``1/L`` from one eigendecomposition of the smaller Gram of the design
+(:meth:`ikm.linalg.GramMap.spectrum`); a run that misses 1e-12 raises
+:class:`ReferenceNotConverged`.  An instance has one start point and one
+reference, solved on its first read, so a caller that needs none (``ikm
+sweep``) pays none; only the Davis-Yin fixed point moves with its step.
 """
 
 from __future__ import annotations
@@ -60,46 +61,36 @@ REFERENCE_CAP = 1_000_000
 class BenchmarkInstance:
     """One benchmark problem with scheme builders and reference data.
 
-    ``builders`` maps a scheme name to a closure over step parameters;
-    ``starts`` holds the iteration-space initial point per scheme, and
-    ``fixed_points`` a reference fixed point per scheme at its default
-    steps.  ``objective`` maps a point to its value, or a stack of points
-    along the last axis to one value per point, with the bits of per-point
-    calls.
-
-    An instance whose reference is expensive leaves ``solution`` None and
-    ``fixed_points`` empty and passes ``solve_reference``, which
-    returns ``(fixed_points, solution)``; it runs on the first read of
-    :attr:`reference_solution` or :meth:`fixed_point` and its result is
-    kept.  Schemes listed in ``step_bound_fixed`` have fixed points that
-    move with the steps: away from the default ones, :meth:`fixed_point`
-    makes a fresh high-accuracy run instead.
+    ``builders`` maps a scheme name to a closure over step parameters, and
+    every scheme starts at ``start``.  ``objective`` maps a point to its
+    value, or a stack of points along the last axis to one value per point,
+    with the bits of per-point calls.  ``solve_reference`` returns
+    ``(fixed_point, solution)``: the fixed point every scheme shares at its
+    default steps and the minimizer it gives.  It runs on the first read of
+    :meth:`fixed_point` or :attr:`reference_solution`, and its result is
+    kept.  ``step_bound_fixed`` marks a fixed point that moves with the steps.
     """
 
-    name: str
     kind: str
     params: Dict[str, float]
     objective: Optional[Callable[[np.ndarray], np.ndarray]]
     default_steps: Dict[str, Dict[str, float]]
     builders: Dict[str, Callable[..., OperatorHandle]] = field(repr=False)
-    starts: Dict[str, np.ndarray] = field(repr=False)
-    fixed_points: Dict[str, Optional[np.ndarray]] = field(repr=False)
-    solution: Optional[np.ndarray] = field(repr=False, default=None)
-    solve_reference: Optional[Callable[[], Tuple[Dict[str, np.ndarray], np.ndarray]]] = field(
-        repr=False, default=None)
-    step_bound_fixed: Dict[str, bool] = field(repr=False, default_factory=dict)
+    start: np.ndarray = field(repr=False)
+    solve_reference: Callable[[], Tuple[np.ndarray, np.ndarray]] = field(repr=False)
+    step_bound_fixed: bool = field(repr=False, default=False)
+    _reference: Optional[Tuple[np.ndarray, np.ndarray]] = field(
+        init=False, repr=False, default=None)
 
-    def _solve_deferred_reference(self) -> None:
-        if self.solve_reference is not None:
-            fixed_points, self.solution = self.solve_reference()
-            self.fixed_points.update(fixed_points)
-            self.solve_reference = None
+    def _solved_reference(self) -> Tuple[np.ndarray, np.ndarray]:
+        if self._reference is None:
+            self._reference = self.solve_reference()
+        return self._reference
 
     @property
-    def reference_solution(self) -> Optional[np.ndarray]:
-        """The reference minimizer, solved on the first read if it was deferred."""
-        self._solve_deferred_reference()
-        return self.solution
+    def reference_solution(self) -> np.ndarray:
+        """The reference minimizer, solved on the first read."""
+        return self._solved_reference()[1]
 
     @property
     def schemes(self) -> Tuple[str, ...]:
@@ -107,7 +98,7 @@ class BenchmarkInstance:
 
     def resolve_steps(self, scheme: str, **steps) -> Dict[str, float]:
         if scheme not in self.builders:
-            raise ValueError(f"{self.name} does not support scheme {scheme!r}")
+            raise ValueError(f"{self.kind} does not support scheme {scheme!r}")
         resolved = dict(self.default_steps[scheme])
         for key, val in steps.items():
             if val is not None:
@@ -121,28 +112,22 @@ class BenchmarkInstance:
         return self.builders[scheme](**resolved)
 
     def start_point(self, scheme: str) -> np.ndarray:
-        if scheme not in self.starts:
-            raise ValueError(f"{self.name} does not support scheme {scheme!r}")
-        return self.starts[scheme]
+        self.resolve_steps(scheme)
+        return self.start
 
-    def fixed_point(self, scheme: str, **steps) -> Optional[np.ndarray]:
+    def fixed_point(self, scheme: str, **steps) -> np.ndarray:
         """Reference fixed point for the scheme at the given steps.
 
-        Stored references are reused when they stay valid for any step
-        choice (gradient/proximal/fb/pd/sdr/dr map fixed points do not move
-        with the step); Davis-Yin fixed points depend on rho, so a fresh
-        high-accuracy run is made when rho differs from the default, without
-        solving for the default one.
+        The solved reference serves every scheme at any steps, except where
+        the fixed point moves with them (Davis-Yin's with rho) and they
+        differ from the defaults: there a Picard run of its own is made,
+        which raises :class:`ReferenceNotConverged` on a miss as the default
+        one does, without solving the default reference.
         """
-        if scheme not in self.builders:
-            raise ValueError(f"{self.name} does not support scheme {scheme!r}")
-        if (self.step_bound_fixed.get(scheme, False)
-                and self.resolve_steps(scheme, **steps) != self.default_steps[scheme]):
-            res = picard(self.operator(scheme, **steps), self.start_point(scheme),
-                         REFERENCE_TOL, REFERENCE_CAP)
-            return res.xs[0] if res.status == "converged" else None
-        self._solve_deferred_reference()
-        return self.fixed_points.get(scheme)
+        resolved = self.resolve_steps(scheme, **steps)
+        if self.step_bound_fixed and resolved != self.default_steps[scheme]:
+            return _picard_reference(self.kind, self.operator(scheme, **resolved), self.start)
+        return self._solved_reference()[0]
 
 
 # --------------------------------------------------------------------------
@@ -290,15 +275,13 @@ def make_quadratic(dim: int, mu: float, L_smooth: float, seed: int) -> Benchmark
         "proximal": lambda rho: proximal_op(f_quad, rho),
     }
     return BenchmarkInstance(
-        name=f"quadratic(dim={dim},mu={mu:g},L={L_smooth:g},seed={seed})",
         kind="quadratic",
         params={"dim": dim, "mu": mu, "L_smooth": L_smooth, "seed": seed},
-        solution=ref,
         objective=objective,
         default_steps={"gradient": {"rho": rho_grad}, "proximal": {"rho": 1.0}},
         builders=builders,
-        starts={"gradient": x0, "proximal": x0},
-        fixed_points={"gradient": ref, "proximal": ref},
+        start=x0,
+        solve_reference=lambda: (ref, ref),
     )
 
 
@@ -334,21 +317,19 @@ def make_lasso(m: int, n: int, sparsity: float, mu_reg: float, seed: int) -> Ben
 
     def solve_reference():
         ref = _picard_reference("lasso", build_fb(rho_default), x0)
-        return {"fb": ref}, ref
+        return ref, ref
 
     def objective(x: np.ndarray):
         r = np.matmul(A, x[..., :, None])[..., 0] - b
         return 0.5 * np.vecdot(r, r) + mu_reg * np.abs(x).sum(axis=-1)
 
     return BenchmarkInstance(
-        name=f"lasso(m={m},n={n},sparsity={sparsity:g},mu={mu_reg:g},seed={seed})",
         kind="lasso",
         params={"m": m, "n": n, "sparsity": sparsity, "mu_reg": mu_reg, "seed": seed},
         objective=objective,
         default_steps={"fb": {"rho": rho_default}},
         builders={"fb": build_fb},
-        starts={"fb": x0},
-        fixed_points={},
+        start=x0,
         solve_reference=solve_reference,
     )
 
@@ -365,7 +346,7 @@ def make_tv1d(n: int, mu_reg: float, seed: int) -> BenchmarkInstance:
     norm.  Both schemes iterate on the flat array
     ``[x; y]`` of length ``2n - 1`` (primal ``x``, then dual ``y``) and
     start at zero.  The primal-dual and the split Douglas-Rachford builders
-    target the same saddle point, so the stored reference fixed point is
+    target the same saddle point, so the one reference fixed point is
     valid for either scheme at any admissible step sizes.  The saddle point
     is exact: the primal by Condat's direct algorithm, the dual from
     ``D^T y = b - x*``, which has one solution because ``D^T`` is
@@ -398,7 +379,6 @@ def make_tv1d(n: int, mu_reg: float, seed: int) -> BenchmarkInstance:
         "pd": lambda tau, sigma: primal_dual_op(f, g, D_map, tau, sigma),
         "sdr": lambda tau, sigma: split_dr_op(f, g, D_map, tau, sigma),
     }
-    start = np.zeros(2 * n - 1)
     defaults = {"pd": {"tau": tau, "sigma": sigma}, "sdr": {"tau": tau, "sigma": sigma}}
 
     saddle = _tv1d_saddle(b, mu_reg)
@@ -408,15 +388,13 @@ def make_tv1d(n: int, mu_reg: float, seed: int) -> BenchmarkInstance:
         return 0.5 * np.vecdot(r, r) + mu_reg * np.abs(D_map.apply(x)).sum(axis=-1)
 
     return BenchmarkInstance(
-        name=f"tv1d(n={n},mu={mu_reg:g},seed={seed})",
         kind="tv1d",
         params={"n": n, "mu_reg": mu_reg, "seed": seed},
-        solution=saddle[:n],
         objective=objective,
         default_steps=defaults,
         builders=builders,
-        starts={"pd": start, "sdr": start},
-        fixed_points={"pd": saddle, "sdr": saddle},
+        start=np.zeros(2 * n - 1),
+        solve_reference=lambda: (saddle, saddle[:n]),
     )
 
 
@@ -430,9 +408,9 @@ def make_three_term(m: int, n: int, mu_reg: float, box_lo: float, box_hi: float,
     design (``A^T (A x)`` per step, no n x n array kept), with the same
     ``L`` from the smaller Gram.  The Davis-Yin fixed point depends on rho:
     the reference is a Picard run at the default ``rho = 1/L``, made on the
-    first read of the reference (:class:`ReferenceNotConverged` if it does
-    not reach 1e-12), and other choices of rho trigger a fresh run of their
-    own.
+    first read of the reference, and another rho gets a Picard run of its
+    own; either raises :class:`ReferenceNotConverged` if it does not reach
+    1e-12.
     """
     if box_lo >= box_hi:
         raise ValueError("need box_lo < box_hi")
@@ -452,7 +430,7 @@ def make_three_term(m: int, n: int, mu_reg: float, box_lo: float, box_hi: float,
 
     def solve_reference():
         z_star = _picard_reference("three_term", build_dy(rho_default), z0)
-        return {"dy": z_star}, prox(fB, rho_default, z_star)
+        return z_star, prox(fB, rho_default, z_star)
 
     def objective(x: np.ndarray):
         # evaluated on the box projection so near-feasible iterates report
@@ -462,17 +440,15 @@ def make_three_term(m: int, n: int, mu_reg: float, box_lo: float, box_hi: float,
         return 0.5 * np.vecdot(r, r) + mu_reg * np.abs(xp).sum(axis=-1)
 
     return BenchmarkInstance(
-        name=f"three_term(m={m},n={n},mu={mu_reg:g},box=[{box_lo:g},{box_hi:g}],seed={seed})",
         kind="three_term",
         params={"m": m, "n": n, "mu_reg": mu_reg, "box_lo": box_lo,
                 "box_hi": box_hi, "seed": seed, "sparsity": sparsity},
         objective=objective,
         default_steps={"dy": {"rho": rho_default}},
         builders={"dy": build_dy},
-        starts={"dy": z0},
-        fixed_points={},
+        start=z0,
         solve_reference=solve_reference,
-        step_bound_fixed={"dy": True},
+        step_bound_fixed=True,
     )
 
 
@@ -497,13 +473,11 @@ def make_feasibility(dim: int, seed: int) -> BenchmarkInstance:
     z0 = 3.0 * gen.normals(dim)
     ref = np.zeros(dim)
     return BenchmarkInstance(
-        name=f"feasibility(dim={dim},seed={seed})",
         kind="feasibility",
         params={"dim": dim, "seed": seed},
-        solution=ref,
         objective=None,
         default_steps={"dr": {"r": 1.0}},
         builders={"dr": build_dr},
-        starts={"dr": z0},
-        fixed_points={"dr": ref},
+        start=z0,
+        solve_reference=lambda: (ref, ref),
     )

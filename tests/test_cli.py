@@ -618,8 +618,13 @@ def test_sequence_precheck_is_the_same_for_a_one_iteration_run(tmp_path, schedul
     for max_iters, code in ((1, cli.EXIT_MAX_ITERS), (5000, cli.EXIT_OK)):
         cfg = tmp_path / f"run{max_iters}.cfg"
         trace = tmp_path / f"run{max_iters}.csv"
-        write(cfg, QUAD_RUN.format(trace=trace).replace(
-            "stopping.max_iters = 5000", f"stopping.max_iters = {max_iters}") + schedule)
+        text = QUAD_RUN.format(trace=trace).replace(
+            "stopping.max_iters = 5000", f"stopping.max_iters = {max_iters}")
+        # a parameter set by its kind reads no constant key: drop the unread one
+        for name in ("alpha", "lambda"):
+            if f"schedule.{name}_kind" in schedule:
+                text = re.sub(f"schedule\\.{name} = .*\n", "", text)
+        write(cfg, text + schedule)
         buf = io.StringIO()
         assert cli.cmd_run(str(cfg), out=buf) == code
         out = buf.getvalue()
@@ -627,6 +632,32 @@ def test_sequence_precheck_is_the_same_for_a_one_iteration_run(tmp_path, schedul
                              cli.read_trace(str(trace))[1]["derived.warning"]))
     assert certificates[0] == certificates[1]
     assert certificates[0][0].startswith("relaxation_seq(")
+
+
+@pytest.mark.parametrize("text, keys", [
+    # a misspelt key: the run would go at lambda 1 and pass its checks
+    (QUAD_RUN + "schedule.lamda = 0.5\n", "schedule.lamda"),
+    # a ramp reads no constant alpha
+    (QUAD_RUN.replace("schedule.alpha = 0.0", "schedule.alpha = 0.3\nschedule.alpha_kind = ramp\n"
+                      "schedule.alpha_end = 0.1\nschedule.alpha_ramp_iters = 5"),
+     "schedule.alpha"),
+    # the primal-dual steps are tau and sigma
+    ("problem.kind = tv1d\nproblem.n = 30\nalgorithm.scheme = pd\nalgorithm.rho = 0.5\n"
+     "output.trace = {trace}\n", "algorithm.rho"),
+    (QUAD_RUN + "zz.last = 1\noutput.check = ck\n", "output.check, zz.last"),
+], ids=["misspelt", "ramp-alpha", "pd-rho", "sorted"])
+def test_run_rejects_keys_it_does_not_read(tmp_path, monkeypatch, capsys, text, keys):
+    cfg = tmp_path / "unread.cfg"
+    trace = tmp_path / "unread.csv"
+    write(cfg, text.format(trace=trace))
+    solved = []
+    monkeypatch.setattr(problems.BenchmarkInstance, "fixed_point",
+                        lambda *args, **steps: solved.append(args))
+    capsys.readouterr()
+    assert cli.main(["run", str(cfg)]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: config keys that this command does not read: {keys}\n"
+    assert solved == [] and not trace.exists()
 
 
 def test_run_rejects_unknown_check_before_running(tmp_path):
@@ -738,6 +769,28 @@ def test_certify_rejects_a_gamma_outside_0_1(tmp_path, capsys, gamma):
         assert cli.main(["certify", str(trace)]) == cli.EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {trace}: derived.gamma must lie in (0, 1]\n"
+
+
+@pytest.mark.parametrize("q", ["nan", "0", "-1", "2", "inf", "x"])
+def test_certify_rejects_a_q_factor_outside_0_1(tmp_path, capsys, q):
+    # the contraction replays raise q to powers; a q outside (0, 1], or no
+    # number, is a usage error that names the file and the key
+    cfg = tmp_path / "quad.cfg"
+    trace = tmp_path / "quad.csv"
+    write(cfg, CERTIFIED.format(trace=trace).replace("stopping.max_iters = 5000",
+                                                     "stopping.max_iters = 300"))
+    cli.cmd_run(str(cfg), out=io.StringIO())
+    text = trace.read_text()
+    assert re.search("; derived.q_factor=[^;]+;", text)
+    trace.write_text(re.sub("; derived.q_factor=[^;]+;", f"; derived.q_factor={q};", text))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["certify", str(trace)]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    why = ("key 'derived.q_factor': not a number: 'x'" if q == "x"
+           else "derived.q_factor must lie in (0, 1]")
+    assert out == "" and err == f"error: {trace}: {why}\n"
 
 
 QUAD_RUN_WORKLOAD = """
@@ -1179,6 +1232,26 @@ def test_sweep_checks_every_entry_before_the_first_run(tmp_path, monkeypatch, ke
     assert runs == [] and not table.exists()
 
 
+@pytest.mark.parametrize("extra, keys", [
+    # a key with three dots is no sweep entry key
+    ("sweep.1.alpha.x = 0.3\n", "sweep.1.alpha.x"),
+    # a sweep replays nothing and runs no configured schedule
+    ("output.checks = ck\nschedule.alpha = 0.1\n", "output.checks, schedule.alpha"),
+    ("algorithm.rho = 0.5\n", "algorithm.rho"),
+], ids=["three-dot", "run-only", "pd-rho"])
+def test_sweep_rejects_keys_it_does_not_read(tmp_path, monkeypatch, capsys, extra, keys):
+    cfg = tmp_path / "unread.cfg"
+    table = tmp_path / "unread.csv"
+    write(cfg, SWEEP_CFG.format(table=table) + extra)
+    forks = []
+    monkeypatch.setattr(workers, "map_rows", lambda *args: forks.append(args))
+    capsys.readouterr()
+    assert cli.main(["sweep", str(cfg)]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: config keys that this command does not read: {keys}\n"
+    assert forks == [] and not table.exists()
+
+
 @pytest.mark.parametrize("index", ["01", "x", "+1", "-1", "1_0", "\uff11"])
 def test_sweep_rejects_an_index_that_is_not_a_plain_integer(tmp_path, capsys, index):
     # "01" or "+1" would alias entry 1 and drop one of the two rows, and a
@@ -1207,18 +1280,19 @@ def test_sweep_runs_no_reference_and_run_runs_one(tmp_path, monkeypatch, kind, s
 
     monkeypatch.setattr(problems, "picard", no_picard)
     use_cpus(monkeypatch, 3)
-    cfg = tmp_path / "ls.cfg"
-    write(cfg, f"problem.kind = {kind}\nproblem.m = 20\nproblem.n = 50\nproblem.seed = 2\n"
-               f"algorithm.scheme = {scheme}\nstopping.max_iters = 3000\n"
-               "schedule.alpha = 0.1\nschedule.lambda = 0.9\n"
-               "sweep.1.alpha = 0.1\nsweep.1.lambda = 0.9\n"
-               "sweep.2.alpha = 0.3\nsweep.2.lambda = 0.9\n"
-               f"output.table = {tmp_path / 'ls.csv'}\n"
-               f"output.trace = {tmp_path / 'ls_trace.csv'}\n")
-    assert cli.main(["sweep", str(cfg)]) == cli.EXIT_OK
+    problem = (f"problem.kind = {kind}\nproblem.m = 20\nproblem.n = 50\nproblem.seed = 2\n"
+               f"algorithm.scheme = {scheme}\nstopping.max_iters = 3000\n")
+    sweep_cfg = tmp_path / "ls_sweep.cfg"
+    run_cfg = tmp_path / "ls.cfg"
+    write(sweep_cfg, problem + "sweep.1.alpha = 0.1\nsweep.1.lambda = 0.9\n"
+                     "sweep.2.alpha = 0.3\nsweep.2.lambda = 0.9\n"
+                     f"output.table = {tmp_path / 'ls.csv'}\n")
+    write(run_cfg, problem + "schedule.alpha = 0.1\nschedule.lambda = 0.9\n"
+                   f"output.trace = {tmp_path / 'ls_trace.csv'}\n")
+    assert cli.main(["sweep", str(sweep_cfg)]) == cli.EXIT_OK
     calls = []
     monkeypatch.setattr(problems, "picard", lambda *args: calls.append(args) or picard(*args))
-    assert cli.main(["run", str(cfg)]) == cli.EXIT_OK
+    assert cli.main(["run", str(run_cfg)]) == cli.EXIT_OK
     assert len(calls) == 1
 
 
@@ -1230,6 +1304,22 @@ def test_run_whose_reference_misses_the_tolerance_exits_2(tmp_path, monkeypatch,
     assert cli.main(["run", str(cfg)]) == cli.EXIT_MAX_ITERS
     err = capsys.readouterr().err
     assert err.splitlines() == ["error: lasso reference run did not reach 1e-12 in 3 steps"]
+
+
+def test_run_whose_other_rho_reference_misses_the_tolerance_exits_2(tmp_path, monkeypatch,
+                                                                    capsys):
+    # the Davis-Yin fixed point moves with rho: its own reference run takes
+    # the default reference's policy, and no run goes on without distances
+    monkeypatch.setattr(problems, "REFERENCE_CAP", 3)
+    cfg = tmp_path / "tt.cfg"
+    trace = tmp_path / "tt.csv"
+    write(cfg, "problem.kind = three_term\nproblem.m = 20\nproblem.n = 50\n"
+               f"algorithm.scheme = dy\nalgorithm.rho = 0.1\noutput.trace = {trace}\n")
+    capsys.readouterr()
+    assert cli.main(["run", str(cfg)]) == cli.EXIT_MAX_ITERS
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: three_term reference run did not reach 1e-12 in 3 steps"]
+    assert not trace.exists()
 
 
 def test_sweep_reruns_give_identical_tables(tmp_path):

@@ -424,7 +424,7 @@ def test_three_term_other_rho_does_not_solve_the_default_reference(monkeypatch):
     inst = problems.make_three_term(20, 50, 0.1, -0.5, 0.5, 3)
     rho_alt = 0.5 * inst.default_steps["dy"]["rho"]
     inst.fixed_point("dy", rho=rho_alt)
-    assert len(calls) == 1 and inst.solve_reference is not None
+    assert len(calls) == 1 and inst._reference is None
     assert inst.fixed_point("dy") is not None
     assert len(calls) == 2
 
@@ -435,6 +435,17 @@ def test_least_squares_reference_that_misses_the_tolerance_raises_on_read(monkey
     with pytest.raises(problems.ReferenceNotConverged,
                        match="lasso reference run did not reach 1e-12"):
         inst.reference_solution
+
+
+def test_three_term_other_rho_reference_that_misses_the_tolerance_raises(monkeypatch):
+    # the reference run at another rho takes the default one's policy: no
+    # missed reference is dropped
+    monkeypatch.setattr(problems, "REFERENCE_CAP", 3)
+    inst = problems.make_three_term(20, 50, 0.1, -0.5, 0.5, 3)
+    rho_alt = 0.5 * inst.default_steps["dy"]["rho"]
+    with pytest.raises(problems.ReferenceNotConverged,
+                       match="three_term reference run did not reach 1e-12 in 3 steps"):
+        inst.fixed_point("dy", rho=rho_alt)
 
 
 def test_quadratic_build_factors_nothing(monkeypatch):

@@ -31,7 +31,8 @@ the failing lines of its limit are compared, on a
 that ``ck`` and ``product`` FAIL with violations past the first two
 ``ROW_CHUNK``s of the replays, on a
 small ``three_term`` config (the Davis-Yin
-path, which no workload runs), on a small ``lasso`` config and on a
+path, which no workload runs), on the same config at ``algorithm.rho = 0.1``
+(a reference run at a step other than the default), on a small ``lasso`` config and on a
 ``tv1d`` config with ``n = 30``, ``alpha = 0.2`` and ``lambda = 1`` run by
 ``sdr`` (split Douglas-Rachford, which no workload runs), on three certified
 schedules whose ``ck`` verdict depends on the ``ck`` replay forming ``C_k`` at
@@ -73,14 +74,16 @@ TIMEOUT_S = 600
 # lines interleave
 DIFF_WINDOW = 500
 
-RUN = """problem.seed = {seed}
+# every key of a config is one its command reads: ikm sweep reads no output.checks
+BUDGET = """problem.seed = {seed}
 stopping.max_iters = 5000
 stopping.residual_tol = 1e-11
-output.checks = ck,descent,contraction,product,small_o
 """
+RUN = BUDGET + "output.checks = ck,descent,contraction,product,small_o\n"
 QUADRATIC = RUN + "problem.kind = quadratic\nproblem.dim = 20\nproblem.mu = 1\nproblem.L = 10\n"
 GRADIENT = QUADRATIC + "algorithm.scheme = gradient\n"
-LEAST_SQUARES = RUN + "problem.m = 30\nproblem.n = 80\n"
+LEAST_SQUARES_SIZE = "problem.m = 30\nproblem.n = 80\n"
+LEAST_SQUARES = RUN + LEAST_SQUARES_SIZE
 FIXED_CONFIGS = {
     "certified": GRADIENT + "schedule.alpha = 0.05\nschedule.lambda = 0.9\n",
     "no-ref": GRADIENT + "schedule.alpha = 0.05\nschedule.lambda = 0.9\nrun.p_ref = none\n",
@@ -101,6 +104,11 @@ FIXED_CONFIGS = {
     # Davis-Yin at rho = 1/L is 2/3-averaged, so lambda = 1.1 is feasible at alpha = 0.1
     "three-term": LEAST_SQUARES + ("problem.kind = three_term\nalgorithm.scheme = dy\n"
                                    "schedule.alpha = 0.1\nschedule.lambda = 1.1\n"),
+    # the Davis-Yin fixed point moves with rho: a reference run of its own at rho = 0.1,
+    # below the default 1/L (0.147-0.170 at seeds 1-5) and so below 2/L
+    "three-term-rho": LEAST_SQUARES + ("problem.kind = three_term\nalgorithm.scheme = dy\n"
+                                       "algorithm.rho = 0.1\n"
+                                       "schedule.alpha = 0.1\nschedule.lambda = 0.9\n"),
     "lasso": LEAST_SQUARES + ("problem.kind = lasso\nalgorithm.scheme = fb\n"
                               "schedule.alpha = 0.2\nschedule.lambda = 0.9\n"),
     # a 50-step ramp under a 100,000-step budget; the run converges long before
@@ -135,9 +143,10 @@ FIXED_CONFIGS = {
 }
 # ikm sweep on the 30x80 three_term; the baseline rows for lambda 1.1 and 0.9 are added
 SWEEP_CONFIGS = {
-    "three-term-sweep": LEAST_SQUARES + ("problem.kind = three_term\nalgorithm.scheme = dy\n"
-                                         "sweep.1.alpha = 0.1\nsweep.1.lambda = 1.1\n"
-                                         "sweep.2.alpha = 0.3\nsweep.2.lambda = 0.9\n"),
+    "three-term-sweep": BUDGET + LEAST_SQUARES_SIZE + (
+        "problem.kind = three_term\nalgorithm.scheme = dy\n"
+        "sweep.1.alpha = 0.1\nsweep.1.lambda = 1.1\n"
+        "sweep.2.alpha = 0.3\nsweep.2.lambda = 0.9\n"),
 }
 CHECK_PARAMS = [
     ["--alpha", "0.2", "--lambda", "0.5"],
