@@ -45,13 +45,13 @@ from .certificates import (
 )
 from .engine import (
     DivergenceError,
-    InequalityReport,
     ReferenceNotConverged,
     RunResult,
     Schedule,
     StoppingRule,
     Trace,
     TraceRow,
+    Verdict,
     picard,
     run,
     small_o_check,

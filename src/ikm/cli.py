@@ -33,7 +33,7 @@ from . import certificates as cert
 from . import engine
 from .config import ConfigError, ConfigView, deserialize_config, load_config, serialize_config
 from .engine import (OPTIONAL_COLUMNS, STORED_COLUMNS, DivergenceError, Schedule, StoppingRule,
-                     Trace, monotone_prefix)
+                     Trace, Verdict, monotone_prefix)
 
 if TYPE_CHECKING:
     from .operators import OperatorHandle
@@ -376,11 +376,6 @@ def _derived_constant(source: str, view: ConfigView, key: str) -> Optional[float
     return value
 
 
-def _certified_q(cfg: Dict[str, str], source: str = "config") -> Optional[float]:
-    """The certified ``derived.q_factor`` of a trace config, validated."""
-    return _derived_constant(source, ConfigView(cfg), "derived.q_factor")
-
-
 def _differs(a: Optional[np.ndarray], b: Optional[np.ndarray], n: int) -> np.ndarray:
     """Per row, whether two float columns differ in their bits (any two nans
     agree, as ``%.17g`` prints every nan alike); an absent column differs
@@ -391,7 +386,7 @@ def _differs(a: Optional[np.ndarray], b: Optional[np.ndarray], n: int) -> np.nda
 
 
 def read_trace(path: str):
-    """Parse an ``ikm-trace-v2`` file into ``(trace, config, mismatch)``.
+    """Parse an ``ikm-trace-v2`` file into ``(trace, config, mismatch, q, xi)``.
 
     The header must name ``TRACE_FIELDS``; an ``ikm-trace-v1`` header is an
     error.  Every row must have one field per column, and a column must be
@@ -412,7 +407,9 @@ def read_trace(path: str):
     from :func:`rate_bound_column`, as ``ikm run`` made it.  ``mismatch``
     is the int64 array of the ks at which the file's ``rate_bound`` differs
     from the recomputed one, compared ``engine.ROW_CHUNK`` rows at a time,
-    or None when it agrees.  The file's column is dropped on return.
+    or None when it agrees.  The file's column is dropped on return.  ``q``
+    and ``xi`` are the config's ``derived.q_factor`` (None without it) and
+    ``schedule.xi``, validated, which the contraction replays read.
     """
     cfg: Dict[str, str] = {}
     started = False  # whether the first row, which must be the header, was seen
@@ -485,7 +482,7 @@ def read_trace(path: str):
                        None if trace.rate_bound is None else trace.rate_bound[lo:hi], hi - lo)
         if bad.any():
             differ.append(k[lo:hi][bad])
-    return trace, cfg, np.concatenate(differ) if differ else None
+    return trace, cfg, np.concatenate(differ) if differ else None, q, xi
 
 
 # --------------------------------------------------------------------------
@@ -494,6 +491,45 @@ def read_trace(path: str):
 
 CHECKS = ("ck", "descent", "contraction", "product", "small_o")
 SMALL_O_PARTS = ("res^2", "step^2")
+REPLAYS = {"ck": "verify_Ck_monotone", "descent": "verify_descent",
+           "contraction": "verify_contraction", "product": "verify_product_bound"}
+
+# the line each command prints for a verdict, by check (small_o by part) and
+# status: {n} is the count checked (the monotone prefix of a small_o part),
+# {k} the first failing k, {ks} the first five and {reason} why it was skipped
+STATUSES = ("PASS", "FAIL", "SKIPPED")
+RUN_LINES = {
+    "ck": ("check ck: PASS", "check ck: FAIL at k={k}", "check ck: SKIPPED ({reason})"),
+    **{name: (f"check {name}: PASS ({{n}} indices)", f"check {name}: FAIL at k={{ks}}",
+              f"check {name}: SKIPPED ({{reason}})")
+       for name in ("descent", "contraction", "product")},
+    **{part: (f"{part}[:{{n}}]: PASS", f"{part}[:{{n}}]: FAIL",
+              f"{part}: SKIPPED (prefix too short)") for part in SMALL_O_PARTS},
+}
+CERTIFY_LINES = {
+    "ck": ("Ck monotone: PASS", "Ck monotone: FAIL at k={k}",
+           "Ck monotone: SKIPPED (no C_k column)"),
+    "descent": ("descent: PASS ({n} indices)", "descent: FAIL at k={ks}",
+                "descent: SKIPPED (no dist_to_ref column)"),
+    "contraction": ("contraction: PASS ({n} indices)", "contraction: FAIL at k={ks}",
+                    "contraction: SKIPPED (needs certified q, dist column, lambda <= 1)"),
+    # printed only when contraction is not SKIPPED, whose line covers both
+    "product": ("product bound: PASS ({n} indices)", "product bound: FAIL at k={ks}",
+                "product bound: SKIPPED ({reason})"),
+    **{part: (f"small-o k*{part} (prefix {{n}}): PASS", f"small-o k*{part} (prefix {{n}}): FAIL",
+              f"small-o k*{part}: SKIPPED (monotone prefix too short)")
+       for part in SMALL_O_PARTS},
+    # printed only when the file's rate_bound differs from the recomputed one
+    "consistency": ("consistency: PASS", "consistency: FAIL at k={ks}",
+                    "consistency: SKIPPED ({reason})"),
+}
+
+
+def _line(lines: Dict[str, Tuple[str, ...]], verdict: Verdict) -> str:
+    """``verdict`` as its line in the table ``lines``."""
+    return lines[verdict.name][STATUSES.index(verdict.status)].format(
+        n=verdict.checked, k=verdict.fails[0] if verdict.fails else None,
+        ks=list(verdict.fails), reason=verdict.reason)
 
 
 def _run(op, x1, schedule, stop, p_ref, objective) -> engine.RunResult:
@@ -568,75 +604,53 @@ def cmd_run(config_path: str, out=sys.stdout) -> int:
 
     verdicts = evaluate_checks(trace, checks, q, xi)
     for name in checks:
-        if name != "small_o":
-            print(f"check {name}: {_verdict(*verdicts[name])}", file=out)
-            continue
-        parts = []
-        for part in SMALL_O_PARTS:
-            verdict, n = verdicts[part]
-            parts.append(f"{part}: SKIPPED (prefix too short)" if verdict == "SKIPPED"
-                         else f"{part}[:{n}]: {verdict}")
-        print("check small_o: " + "; ".join(parts), file=out)
-    failed = any(verdict == "FAIL" for verdict, _ in verdicts.values())
+        if name == "small_o":
+            print("check small_o: " + "; ".join(_line(RUN_LINES, verdicts[part])
+                                                for part in SMALL_O_PARTS), file=out)
+        else:
+            print(_line(RUN_LINES, verdicts[name]), file=out)
+    failed = any(verdict.status == "FAIL" for verdict in verdicts.values())
     if status == "converged":
         return EXIT_CHECK_FAILED if failed else EXIT_OK
     return EXIT_DIVERGED if status == "diverged" else EXIT_MAX_ITERS
 
 
-def evaluate_checks(trace: Trace, names, q: Optional[float],
-                    xi: float) -> Dict[str, Tuple[str, object]]:
-    """``(status, detail)`` of each named check along a trace, under its schedule.
+def evaluate_checks(trace: Trace, names, q: Optional[float], xi: float) -> Dict[str, Verdict]:
+    """The :class:`Verdict` of each named check along a trace, under its
+    schedule, by check name; ``small_o`` gives one per ``SMALL_O_PARTS``.
 
-    A PASS details the indices checked (None for ``ck``), a FAIL the first
-    failing k (``ck``) or up to five, a SKIPPED why the replay cannot run (a
-    missing column, no q, a lambda_k outside (0, 1]).  ``small_o`` gives its
-    two ``SMALL_O_PARTS``, each detailing the monotone prefix it judged.
-    The checks run one after another and each report is dropped once its
-    verdict is taken, so at most one report, or one squared column of
-    ``small_o``, is held at a time.
+    A replay is SKIPPED, with its reason, when it cannot run: a missing
+    column, no q, a lambda_k outside (0, 1].  The replays are called by name
+    (``REPLAYS``) through the ``engine`` module, so that wrappers installed
+    there see every call.  The checks run one after another, so at most one
+    replay's chunk, or one squared column of ``small_o``, is held at a time.
     """
-    verdicts: Dict[str, Tuple[str, object]] = {}
+    verdicts: Dict[str, Verdict] = {}
     for name in names:
         if name == "small_o":
-            for part in SMALL_O_PARTS:
-                col = trace.residual if part == "res^2" else trace.step[1:]
-                with np.errstate(over="ignore"):
-                    vals = col * col
-                n = monotone_prefix(vals)
-                ok = n >= 4 and engine.small_o_check(vals[:n])
-                verdicts[part] = ("SKIPPED" if n < 4 else "PASS" if ok else "FAIL", n)
+            for part, col in zip(SMALL_O_PARTS, (trace.residual, trace.step[1:])):
+                verdicts[part] = _small_o(part, col)
         elif name in ("contraction", "product") and q is None:
-            verdicts[name] = ("SKIPPED", "no certified q")
+            verdicts[name] = Verdict(name, "SKIPPED", reason="no certified q")
         else:
+            args = (trace,) if name in ("ck", "descent") else (trace, q, xi)
             try:
-                verdicts[name] = _replay_verdict(name, trace, q, xi)
+                verdicts[name] = getattr(engine, REPLAYS[name])(*args)
             except ValueError as exc:
-                verdicts[name] = ("SKIPPED", str(exc))
+                verdicts[name] = Verdict(name, "SKIPPED", reason=str(exc))
     return verdicts
 
 
-def _replay_verdict(name: str, trace: Trace, q: Optional[float],
-                    xi: float) -> Tuple[str, object]:
-    """The verdict of one replay check.  The replays are called through the
-    ``engine`` module's attributes, so that wrappers installed there see
-    every call."""
-    if name == "ck":
-        bad = engine.verify_Ck_monotone(trace)
-        return ("PASS", None) if bad is None else ("FAIL", bad)
-    if name == "descent":
-        rep = engine.verify_descent(trace)
-    elif name == "contraction":
-        rep = engine.verify_contraction(trace, q, xi)
-    else:
-        rep = engine.verify_product_bound(trace, q, xi)
-    return ("PASS", rep.checked) if rep.ok else ("FAIL", rep.violations[:5].tolist())
-
-
-def _verdict(status: str, detail) -> str:
-    """``PASS (N indices)`` (a bare PASS without N), ``FAIL at k=...`` or ``SKIPPED (...)``."""
-    if status == "PASS":
-        return "PASS" if detail is None else f"PASS ({detail} indices)"
-    return f"FAIL at k={detail}" if status == "FAIL" else f"SKIPPED ({detail})"
+def _small_o(part: str, col: np.ndarray) -> Verdict:
+    """The verdict of ``small_o_check`` on the monotone prefix of ``col``'s
+    squares, SKIPPED when it is shorter than 4; the squares are dropped on
+    return."""
+    with np.errstate(over="ignore"):
+        vals = col * col
+    n = monotone_prefix(vals)
+    if n < 4:
+        return Verdict(part, "SKIPPED", n, reason="prefix too short")
+    return Verdict(part, "PASS" if engine.small_o_check(vals[:n]) else "FAIL", n)
 
 
 def cmd_check_params(alpha: float, lam: float, q: Optional[float], xi: Optional[float],
@@ -769,31 +783,17 @@ def cmd_certify(trace_path: str, out=sys.stdout) -> int:
     """Replay every check on a trace file's re-derived columns.  A file whose
     ``rate_bound`` disagrees with its re-derivation also gets a failing
     ``consistency`` line."""
-    trace, cfg, mismatch = read_trace(trace_path)
+    trace, _, mismatch, q, xi = read_trace(trace_path)
     if not len(trace):
         raise ConfigError(f"{trace_path}: empty trace")
-    xi = _schedule_param(ConfigView(cfg), "schedule.xi", 1.0)
-    verdicts = evaluate_checks(trace, CHECKS, _certified_q(cfg, trace_path), xi)
-
-    for name, label, reason in (("ck", "Ck monotone", "no C_k column"),
-                                ("descent", "descent", "no dist_to_ref column")):
-        verdict, detail = verdicts[name]
-        print(f"{label}: {_verdict(verdict, reason if verdict == 'SKIPPED' else detail)}",
-              file=out)
-    if verdicts["contraction"][0] == "SKIPPED":
-        print("contraction: SKIPPED (needs certified q, dist column, lambda <= 1)", file=out)
-    else:
-        print(f"contraction: {_verdict(*verdicts['contraction'])}", file=out)
-        print(f"product bound: {_verdict(*verdicts['product'])}", file=out)
-    for part in SMALL_O_PARTS:
-        verdict, n = verdicts[part]
-        print(f"small-o k*{part}: SKIPPED (monotone prefix too short)" if verdict == "SKIPPED"
-              else f"small-o k*{part} (prefix {n}): {verdict}", file=out)
-    failed = any(verdict == "FAIL" for verdict, _ in verdicts.values())
+    verdicts = evaluate_checks(trace, CHECKS, q, xi)
     if mismatch is not None:
-        print(f"consistency: {_verdict('FAIL', mismatch[:5].tolist())}", file=out)
-        failed = True
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+        verdicts["consistency"] = Verdict("consistency", "FAIL", len(trace),
+                                          tuple(mismatch[:5].tolist()))
+    for name, verdict in verdicts.items():
+        if name != "product" or verdicts["contraction"].status != "SKIPPED":
+            print(_line(CERTIFY_LINES, verdict), file=out)
+    return EXIT_CHECK_FAILED if any(v.status == "FAIL" for v in verdicts.values()) else EXIT_OK
 
 
 # --------------------------------------------------------------------------

@@ -54,14 +54,16 @@ inequalities of the convergence analysis as array expressions over a
 :class:`Trace` alone, its columns, schedule and gamma, whether it is a run's
 or read from an exported CSV.  A run rejects a reference point that is not a
 fixed point of its operator (:func:`is_reference_point`), so a trace's
-distances are to one.  The replays evaluate ``ROW_CHUNK`` indices at a time
-(the indices ``[lo, hi)`` read the rows ``lo - 1 .. hi``) into the report's
-preallocated ``lhs`` and ``rhs``, from one read of the schedule per chunk,
-and ``C_k`` is formed a chunk at a time too, so a replay's memory is one
-chunk of temporaries plus its report and no full-length Lyapunov column is
-formed; the values are those of the whole-column expressions, bit for bit.
-Distances to ``p`` and steps are columns; the cross terms the inequalities
-need are reconstructed through the identity
+distances are to one.  Each replay returns one :class:`Verdict`.  It judges
+``ROW_CHUNK`` indices at a time (the indices ``[lo, hi)`` read the rows
+``lo - 1 .. hi``), from one read of the schedule per chunk, and keeps only
+the count checked and the first five failing ks; ``C_k`` is formed a chunk
+at a time too.  So a replay, passing or failing, holds one chunk of
+temporaries and no full-length column, and the values it judges are those
+of the whole-column expressions, bit for bit (the ``*_rows`` functions give
+them for any chunk).  A comparison is written so that a nan on either side
+fails it.  Distances to ``p`` and steps are columns; the cross terms the
+inequalities need are reconstructed through the identity
 
     lambda_k^2 ||y_k - T y_k||^2 = ||x_{k+1} - x_k||^2
         + alpha_k^2 ||x_k - x_{k-1}||^2
@@ -75,7 +77,7 @@ from __future__ import annotations
 import math
 import operator
 from array import array
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -85,16 +87,19 @@ from .linalg import flush_subnormals, is_finite, norm
 
 __all__ = [
     "DivergenceError",
-    "InequalityReport",
     "ReferenceNotConverged",
     "RunResult",
     "Schedule",
     "StoppingRule",
     "Trace",
     "TraceRow",
+    "Verdict",
+    "contraction_rows",
+    "descent_rows",
     "is_reference_point",
     "monotone_prefix",
     "picard",
+    "product_bound_rows",
     "run",
     "small_o_check",
     "verify_Ck_monotone",
@@ -571,28 +576,21 @@ def _picard_trace(k: Optional[int] = None, r: float = 0.0) -> Trace:
 # inequality replays
 
 
-@dataclass
-class InequalityReport:
-    """Per-index lhs/rhs evaluation of one inequality along a trace.
+@dataclass(frozen=True)
+class Verdict:
+    """The outcome of one check along a trace.
 
-    ``ks`` (int64), ``lhs`` and ``rhs`` (float64) are NumPy arrays, one
-    entry per index checked; ``violations`` is the int64 array of the
-    failing indices.
+    ``status`` is ``"PASS"``, ``"FAIL"`` or ``"SKIPPED"``; ``checked`` is
+    the count of indices the check judged, ``fails`` the first five failing
+    ks in order (empty for a check that judges no single index) and
+    ``reason`` why a check was skipped.
     """
 
     name: str
-    ks: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-    violations: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations.size
-
-    @property
-    def checked(self) -> int:
-        return len(self.ks)
+    status: str
+    checked: int = 0
+    fails: Tuple[int, ...] = ()
+    reason: str = ""
 
 
 def _needs_dist(trace: Trace, what: str = "dist_to_ref") -> None:
@@ -662,45 +660,45 @@ def _y_dist_sq(trace: Trace, a: np.ndarray, lo: int = 0) -> np.ndarray:
         return (1.0 + a) * cur - a * prev + a * (1.0 + a) * (step * step)
 
 
-def _replay(name: str, trace: Trace, tol: float,
-            chunk: Callable[[int, int], Tuple[np.ndarray, np.ndarray]]) -> InequalityReport:
-    """Report of the inequality whose ``(lhs, rhs)`` over the indices
-    ``[lo, hi)`` is ``chunk(lo, hi)``, evaluated ``ROW_CHUNK`` indices at a time.
-
-    Index i pairs the rows i and i + 1, so ``ks`` is ``trace.k[:-1]``.  Each
-    chunk is written into the report's arrays and its violations
-    (``lhs > rhs + tol (1 + |rhs|)``) counted before the next is formed:
-    a replay holds one chunk of temporaries besides its report, whose
-    failing indices are then read back from ``lhs`` and ``rhs`` into an
-    int64 array of their count.  ``chunk`` runs with overflow, invalid and
-    divide-by-zero warnings silenced.
-    """
-    ks = trace.k[:-1]
+def _replay(name: str, ks: np.ndarray, failing: Callable[[int, int], np.ndarray]) -> Verdict:
+    """The verdict of a check at ``ks``, a prefix of the trace's ``k``, with
+    ``failing(lo, hi)`` the mask of its failing indices among ``ks[lo:hi]``:
+    every chunk of ``ROW_CHUNK`` indices is judged (so any chunk's error is
+    raised) with overflow, invalid and divide-by-zero warnings silenced, and
+    only the count checked and the first five failing ks are kept."""
     # up front, so that a bad k is reported before any other error
     if ks.size and ks.min() < 1:
         raise ValueError("k must be >= 1")
-    lhs, rhs = np.empty(ks.size), np.empty(ks.size)
-
-    def failing(lo: int, hi: int) -> np.ndarray:
-        l, r = lhs[lo:hi], rhs[lo:hi]
-        return l > r + tol * (1.0 + np.abs(r))
-
-    failed = 0
+    fails: List[int] = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo in range(0, ks.size, ROW_CHUNK):
             hi = min(lo + ROW_CHUNK, ks.size)
-            lhs[lo:hi], rhs[lo:hi] = chunk(lo, hi)
-            failed += int(np.count_nonzero(failing(lo, hi)))
-        violations = np.empty(failed, dtype=np.int64)
-        i = 0
-        for lo in range(0, ks.size if failed else 0, ROW_CHUNK):
-            bad = ks[lo:lo + ROW_CHUNK][failing(lo, lo + ROW_CHUNK)]
-            violations[i:i + bad.size] = bad
-            i += bad.size
-    return InequalityReport(name, ks, lhs, rhs, violations)
+            fails += ks[lo:hi][failing(lo, hi)][:5 - len(fails)].tolist()
+    return Verdict(name, "FAIL" if fails else "PASS", ks.size, tuple(fails))
 
 
-def verify_descent(trace: Trace, tol: float = DEFAULT_TOL) -> InequalityReport:
+def _exceeds(lhs: np.ndarray, rhs: np.ndarray, tol: float) -> np.ndarray:
+    """Where ``lhs <= rhs + tol (1 + |rhs|)`` fails, a nan on either side
+    included; index i of an inequality pairs the rows i and i + 1."""
+    return ~(lhs <= rhs + tol * (1.0 + np.abs(rhs)))
+
+
+def descent_rows(trace: Trace, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(lhs, rhs)`` of :func:`verify_descent` at the indices ``[lo, hi)``."""
+    ks = trace.k[lo:hi]
+    a, lam = trace.schedule.columns(ks)
+    eta = trace.eta(lam)
+    prev, cur, nxt = _dist_sq(trace, lo, hi)
+    step = trace.step[lo:hi]
+    nu = 1.0 / eta - 1.0
+    Delta_k = np.where(ks == 1, 0.0, cur - prev)
+    second = _alpha_second_diff_sq(trace, a, lam, lo)
+    lhs = (nxt - cur) + _next_delta(trace, a, eta, lo) + nu * second
+    rhs = a * Delta_k + (a * (1.0 + a) + nu * a * (1.0 - a)) * (step * step)
+    return lhs, rhs
+
+
+def verify_descent(trace: Trace, tol: float = DEFAULT_TOL) -> Verdict:
     """Replay the one-step descent inequality along the trace.
 
     At each k it checks
@@ -715,21 +713,8 @@ def verify_descent(trace: Trace, tol: float = DEFAULT_TOL) -> InequalityReport:
     the ``dist_to_ref`` column.
     """
     _needs_dist(trace)
-
-    def chunk(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
-        ks = trace.k[lo:hi]
-        a, lam = trace.schedule.columns(ks)
-        eta = trace.eta(lam)
-        prev, cur, nxt = _dist_sq(trace, lo, hi)
-        step = trace.step[lo:hi]
-        nu = 1.0 / eta - 1.0
-        Delta_k = np.where(ks == 1, 0.0, cur - prev)
-        second = _alpha_second_diff_sq(trace, a, lam, lo)
-        lhs = (nxt - cur) + _next_delta(trace, a, eta, lo) + nu * second
-        rhs = a * Delta_k + (a * (1.0 + a) + nu * a * (1.0 - a)) * (step * step)
-        return lhs, rhs
-
-    return _replay("descent", trace, tol, chunk)
+    return _replay("descent", trace.k[:-1],
+                   lambda lo, hi: _exceeds(*descent_rows(trace, lo, hi), tol))
 
 
 def _ck_rows(trace: Trace, lo: int, hi: int) -> np.ndarray:
@@ -752,27 +737,36 @@ def _ck_rows(trace: Trace, lo: int, hi: int) -> np.ndarray:
     return C
 
 
-def verify_Ck_monotone(trace: Trace, tol: float = DEFAULT_TOL) -> Optional[int]:
-    """First k violating ``C_{k+1} <= C_k + tol (1 + C_k)`` / ``C_k >= -tol``, else None.
+def verify_Ck_monotone(trace: Trace, tol: float = DEFAULT_TOL) -> Verdict:
+    """The verdict of ``C_{k+1} <= C_k + tol (1 + C_k)`` and ``C_k >= -tol``
+    at every row k (the last row has no successor), a nan failing both.
 
     ``C_k`` is formed ``ROW_CHUNK`` rows at a time by :func:`_ck_rows`, with
     one row of look-ahead.
     """
     _needs_dist(trace, "C_k")
-    n = len(trace)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n, ROW_CHUNK):
-            hi = min(lo + ROW_CHUNK, n)
-            c = _ck_rows(trace, lo, min(hi + 1, n))  # one row of look-ahead
-            bad = c[:hi - lo] < -tol
-            bad[:c.size - 1] |= c[1:] > c[:-1] + tol * (1.0 + c[:-1])
-            if bad.any():
-                return int(trace.k[lo + np.argmax(bad)])
-    return None
+
+    def failing(lo: int, hi: int) -> np.ndarray:
+        c = _ck_rows(trace, lo, min(hi + 1, len(trace)))  # one row of look-ahead
+        bad = ~(c[:hi - lo] >= -tol)
+        bad[:c.size - 1] |= ~(c[1:] <= c[:-1] + tol * (1.0 + c[:-1]))
+        return bad
+
+    return _replay("ck", trace.k, failing)
+
+
+def contraction_rows(trace: Trace, q: float, xi: float, lo: int,
+                     hi: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(lhs, rhs)`` of :func:`verify_contraction` at the indices ``[lo, hi)``."""
+    a, lam = trace.schedule.columns(trace.k[lo:hi])
+    Q = _contraction_column(lam, q, xi)
+    res = trace.residual[lo:hi]
+    rhs = Q * _y_dist_sq(trace, a, lo) - xi * lam * (1.0 - lam) * (res * res)
+    return _dist_sq(trace, lo, hi)[2], rhs
 
 
 def verify_contraction(trace: Trace, q: float, xi: float,
-                       tol: float = DEFAULT_TOL) -> InequalityReport:
+                       tol: float = DEFAULT_TOL) -> Verdict:
     """Replay the per-step contraction bound for q-quasi-contractive runs:
 
         ||x_{k+1} - p||^2 <= Q(lambda_k, q, xi) ||y_k - p||^2
@@ -782,44 +776,43 @@ def verify_contraction(trace: Trace, q: float, xi: float,
     ``lambda_k``, not ``eta_k``.
     """
     _needs_dist(trace)
+    return _replay("contraction", trace.k[:-1],
+                   lambda lo, hi: _exceeds(*contraction_rows(trace, q, xi, lo, hi), tol))
 
-    def chunk(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
-        a, lam = trace.schedule.columns(trace.k[lo:hi])
-        Q = _contraction_column(lam, q, xi)
-        res = trace.residual[lo:hi]
-        rhs = Q * _y_dist_sq(trace, a, lo) - xi * lam * (1.0 - lam) * (res * res)
-        return _dist_sq(trace, lo, hi)[2], rhs
 
-    return _replay("contraction", trace, tol, chunk)
+def product_bound_rows(trace: Trace, q: float, xi: float, lo: int, hi: int,
+                       carry: float = 1.0) -> Tuple[np.ndarray, np.ndarray, float]:
+    """``(lhs, rhs)`` of :func:`verify_product_bound` at the indices ``[lo,
+    hi)`` and ``prod_{j<hi} Q_j``, the next chunk's ``carry`` (this one's is
+    ``prod_{j<lo} Q_j``): ``np.cumprod`` of ``[carry, Q_lo, ...]`` has the
+    bits of one ``np.cumprod`` over the whole column."""
+    a, lam = trace.schedule.columns(trace.k[lo:hi])
+    prod = np.cumprod(np.concatenate(([carry], _contraction_column(lam, q, xi))))[1:]
+    d1 = trace.dist_to_ref[:1]
+    _, cur, nxt = _dist_sq(trace, lo, hi)
+    return nxt - a * cur + xi * _next_delta(trace, a, lam, lo), prod * (d1 * d1), prod[-1]
 
 
 def verify_product_bound(trace: Trace, q: float, xi: float,
-                         tol: float = DEFAULT_TOL) -> InequalityReport:
+                         tol: float = DEFAULT_TOL) -> Verdict:
     """Replay the certificate product bound
 
         ||x_{k+1} - p||^2 - alpha_k ||x_k - p||^2 + xi delta_{k+1}
             <= prod_{j<=k} Q(lambda_j, q, xi) * ||x_1 - p||^2
 
     under the trace's schedule, at ``lambda_k`` as for
-    :func:`verify_contraction` (``delta_{k+1}`` too).  The product runs across chunks as
-    ``np.cumprod`` of ``[carry, Q_lo, ...]``: the same sequential products,
-    bit for bit, as one ``np.cumprod`` over the whole column.
+    :func:`verify_contraction` (``delta_{k+1}`` too), the product carried
+    from chunk to chunk (:func:`product_bound_rows`).
     """
     _needs_dist(trace)
-    d1 = trace.dist_to_ref[:1]
-    with np.errstate(over="ignore"):
-        d1 = d1 * d1
-    carry = np.ones(1)
+    carry = 1.0
 
-    def chunk(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+    def failing(lo: int, hi: int) -> np.ndarray:
         nonlocal carry
-        a, lam = trace.schedule.columns(trace.k[lo:hi])
-        prod = np.cumprod(np.concatenate((carry, _contraction_column(lam, q, xi))))[1:]
-        carry = prod[-1:]
-        _, cur, nxt = _dist_sq(trace, lo, hi)
-        return nxt - a * cur + xi * _next_delta(trace, a, lam, lo), prod * d1
+        lhs, rhs, carry = product_bound_rows(trace, q, xi, lo, hi, carry)
+        return _exceeds(lhs, rhs, tol)
 
-    return _replay("product_bound", trace, tol, chunk)
+    return _replay("product", trace.k[:-1], failing)
 
 
 def _k_times_max(zs: np.ndarray, lo: int, hi: int) -> np.floating:
@@ -834,16 +827,16 @@ def _k_times_max(zs: np.ndarray, lo: int, hi: int) -> np.floating:
 def small_o_check(zeta: Sequence[float]) -> bool:
     """Finite-sample proxy for ``k * zeta_k -> 0`` on summable inputs.
 
-    ``zeta`` must be positive and nonincreasing (validated; tiny relative
-    upticks at rounding level are tolerated).  Returns True when the maximum
-    of ``k * zeta_k`` over the last quartile is below 10% of its maximum over
-    the first quartile.  A documented heuristic, not a limit statement.  An
-    array is read in place, one chunk at a time.
+    ``zeta`` must be positive, nan excluded, and nonincreasing (validated;
+    tiny relative upticks at rounding level are tolerated).  Returns True
+    when the maximum of ``k * zeta_k`` over the last quartile is below 10%
+    of its maximum over the first quartile.  A documented heuristic, not a
+    limit statement.  An array is read in place, one chunk at a time.
     """
     zs = np.asarray(zeta, dtype=np.float64)
     if zs.size < 4:
         raise ValueError("need at least 4 values")
-    if zs.min() <= 0.0:
+    if not zs.min() > 0.0:
         raise ValueError("values must be positive")
     with np.errstate(over="ignore"):
         for lo in range(0, zs.size - 1, ROW_CHUNK):
@@ -855,7 +848,8 @@ def small_o_check(zeta: Sequence[float]) -> bool:
 
 
 def monotone_prefix(values: Sequence[float], slack: float = 1e-12) -> int:
-    """Length of the maximal nonincreasing positive prefix.
+    """Length of the maximal nonincreasing positive prefix; a value that is
+    not ``> 0``, nan included, ends it.
 
     Trace tails that have reached the floating-point floor jitter at rounding
     level; the small-o diagnostic is applied to the prefix that still
@@ -867,7 +861,7 @@ def monotone_prefix(values: Sequence[float], slack: float = 1e-12) -> int:
         for lo in range(0, v.size, ROW_CHUNK):
             back = 1 if lo else 0  # one row of look-back past the first chunk
             w = v[lo - back:lo + ROW_CHUNK]
-            bad = w[back:] <= 0.0
+            bad = ~(w[back:] > 0.0)
             bad[1 - back:] |= w[1:] > w[:-1] * (1.0 + slack)
             if bad.any():
                 return lo + int(np.argmax(bad))

@@ -76,7 +76,7 @@ def test_criterion_1_lyapunov_monotonicity(lasso_run):
     assert h1.lhs == pytest.approx(0.44) and h1.rhs == pytest.approx(0.64)
     assert h1.satisfied
     assert result.iterations == 10_000
-    assert verify_Ck_monotone(result.rows, tol=1e-9) is None
+    assert verify_Ck_monotone(result.rows, tol=1e-9).status == "PASS"
     assert elapsed < 5.0
     ok(1, f"C_k nonincreasing over 10^4 inertial FB iterations in {elapsed:.2f}s")
 
@@ -107,7 +107,7 @@ def test_criterion_2_small_o_residuals(lasso_run):
 def test_criterion_3_descent_inequality(lasso_run):
     _, _, result, _ = lasso_run
     rep = verify_descent(result.rows, tol=1e-9)
-    assert rep.ok, f"violations at {rep.violations[:5]}"
+    assert rep.status == "PASS", rep
 
     # under-relaxed so the two-set feasibility trace stays nontrivial for
     # the full iteration budget
@@ -120,7 +120,7 @@ def test_criterion_3_descent_inequality(lasso_run):
     # the trace has no row for x_{10001}, so the last pair checked is (9999, 10000)
     assert dr_result.iterations == 10_000
     assert rep_dr.checked == dr_result.iterations - 1
-    assert rep_dr.ok, f"violations at {rep_dr.violations[:5]}"
+    assert rep_dr.status == "PASS", rep_dr
     ok(3, f"zero violations over {rep.checked} FB and {rep_dr.checked} DR indices")
 
 
@@ -146,9 +146,9 @@ def test_criterion_4_linear_rate_bound(gradient_rate_run):
 def test_criterion_5_per_step_contraction_and_product(gradient_rate_run):
     _, T, q, alpha, lam, sched, result = gradient_rate_run
     repc = verify_contraction(result.rows, q, 1.0, tol=1e-9)
-    assert repc.ok, f"contraction violations at {repc.violations[:5]}"
+    assert repc.status == "PASS", repc
     repp = verify_product_bound(result.rows, q, 1.0, tol=1e-9)
-    assert repp.ok, f"product bound violations at {repp.violations[:5]}"
+    assert repp.status == "PASS", repp
     ok(5, f"contraction and certificate product hold at all {repc.checked} steps")
 
 

@@ -97,24 +97,24 @@ def test_certified_schedule_passes_every_check(tmp_path, generator, scheme, sche
     if schedule in ("ramp", "table"):
         assert "warning: schedule fails the feasibility certificates; running anyway" not in lines
     # the run's verdicts, then those ikm certify re-derives from the file
-    trace, cfg, _ = cli.read_trace(str(trace_path))
-    assert trace.gamma == op.gamma
-    verdicts = cli.evaluate_checks(trace, cli.CHECKS, op.q_factor, 1.0)
+    trace, _, _, q, xi = cli.read_trace(str(trace_path))
+    assert (trace.gamma, q, xi) == (op.gamma, op.q_factor, 1.0)
+    verdicts = cli.evaluate_checks(trace, cli.CHECKS, q, xi)
     lam = trace.schedule.columns(trace.k)[1]
     for name in ("ck", "descent", "contraction", "product"):
-        verdict, detail = verdicts[name]
-        if verdict == "SKIPPED":
+        verdict = verdicts[name]
+        if verdict.status == "SKIPPED":
             assert name in ("contraction", "product")
-            assert op.q_factor is None or lam.max() > 1.0, (name, detail)
+            assert op.q_factor is None or lam.max() > 1.0, verdict
         else:
-            assert verdict == "PASS", (name, detail, lines)
-        assert f"check {name}: {cli._verdict(verdict, detail)}" in lines
+            assert verdict.status == "PASS", (verdict, lines)
+        assert cli._line(cli.RUN_LINES, verdict) in lines
     # the same stored columns without gamma, so under lambda
     under_lambda = Trace(trace.schedule,
                          **{name: getattr(trace, name) for name in STORED_COLUMNS})
-    assert ((verify_Ck_monotone(under_lambda) is not None)
+    assert ((verify_Ck_monotone(under_lambda).status == "FAIL")
             == ((generator, scheme, schedule) in FAILED_UNDER_LAMBDA))
-    small_o = {verdicts[part][0] for part in cli.SMALL_O_PARTS}
+    small_o = {verdicts[part].status for part in cli.SMALL_O_PARTS}
     if (generator, scheme, schedule) in SMALL_O_FAILS:
         assert small_o == {"FAIL"} and code == cli.EXIT_CHECK_FAILED
         pytest.xfail("small_o's heuristic FAILs a 4-row prefix")
@@ -189,9 +189,9 @@ def test_admitted_schedules_pass_every_replay_on_fuzzed_maps(case):
     verdicts = cli.evaluate_checks(res.rows, names, op.q_factor, 1.0)
     lam = schedule.columns(res.rows.k)[1]
     for name in names:
-        verdict, detail = verdicts[name]
-        if verdict == "SKIPPED":
+        verdict = verdicts[name]
+        if verdict.status == "SKIPPED":
             assert name in ("contraction", "product")
-            assert op.q_factor is None or lam.max() > 1.0, (name, detail)
+            assert op.q_factor is None or lam.max() > 1.0, verdict
         else:
-            assert verdict == "PASS", (name, detail)
+            assert verdict.status == "PASS", verdict

@@ -273,7 +273,8 @@ def trace_for(cfg, residual, step, dist_to_ref=None, objective=None):
     schedule, _, xi = cli.build_schedule(ConfigView(cfg))
     trace = engine.Trace(schedule, k=np.arange(1, residual.size + 1), residual=residual,
                          step=step, dist_to_ref=dist_to_ref, objective=objective)
-    trace.rate_bound = cli.rate_bound_column(trace, schedule, cli._certified_q(cfg), xi)
+    q = cli._derived_constant("config", ConfigView(cfg), "derived.q_factor")
+    trace.rate_bound = cli.rate_bound_column(trace, schedule, q, xi)
     return trace
 
 
@@ -300,7 +301,7 @@ def test_write_trace_matches_per_field_formatter(tmp_path, n):
     path = tmp_path / "edge.csv"
     cli.write_trace(str(path), trace, resolved)
     assert path.read_text(encoding="utf-8") == reference_trace_text(trace, resolved)
-    back, cfg, mismatch = cli.read_trace(str(path))
+    back, cfg, mismatch, _, _ = cli.read_trace(str(path))
     assert cfg == resolved and len(back) == n and mismatch is None
     if n:  # a header-only file has no columns to compare
         assert_same_trace(back, trace)  # bit for bit, the sign of zero and nan included
@@ -328,7 +329,7 @@ def test_trace_write_read_write_is_byte_identical_on_a_run(tmp_path):
     text = QUAD_RUN.format(trace=trace).replace("schedule.alpha = 0.0", "schedule.alpha = 0.05")
     write(cfg, text.replace("schedule.lambda = 1.0", "schedule.lambda = 0.9"))
     assert cli.cmd_run(str(cfg), out=io.StringIO()) == cli.EXIT_OK
-    rows, resolved, _ = cli.read_trace(str(trace))
+    rows, resolved, _, _, _ = cli.read_trace(str(trace))
     assert len(rows) > 100 and rows.rate_bound is not None and rows.objective is not None
     assert trace.read_text(encoding="utf-8") == reference_trace_text(rows, resolved)
     again = tmp_path / "again.csv"
@@ -373,7 +374,7 @@ def test_read_trace_holds_one_chunk_of_text(tmp_path):
     columns = sum(getattr(trace, name).nbytes for name in engine.STORED_COLUMNS)
     tracemalloc.start()
     try:
-        back, _, _ = cli.read_trace(str(path))
+        back, _, _, _, _ = cli.read_trace(str(path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -415,7 +416,7 @@ def test_read_trace_skips_what_the_format_allows(tmp_path, edit):
     cli.write_trace(str(path), trace, FULL_CFG)
     lines = edit(path.read_text().splitlines())
     path.write_bytes(("\n".join(lines) + "\n").encode())
-    back, cfg, _ = cli.read_trace(str(path))
+    back, cfg, _, _, _ = cli.read_trace(str(path))
     assert_same_trace(back, trace)
     assert cfg == FULL_CFG
 
@@ -472,7 +473,7 @@ def test_run_quasi_contractive_fills_rate_bound(tmp_path):
     text = text.replace("schedule.lambda = 1.0", "schedule.lambda = 0.9")
     write(cfg, text)
     assert cli.cmd_run(str(cfg), out=io.StringIO()) == cli.EXIT_OK
-    rows, cfg_map, _ = cli.read_trace(str(trace))
+    rows, cfg_map, _, _, _ = cli.read_trace(str(trace))
     assert "derived.q_factor" in cfg_map
     assert rows[0].rate_bound == pytest.approx(rows[0].dist_to_ref ** 2, rel=1e-12)
     assert rows.rate_bound is not None
@@ -822,7 +823,7 @@ def test_run_and_certify_form_no_full_length_lyapunov_column(tmp_path, monkeypat
 
     monkeypatch.setattr(engine, "_ck_rows", recording)
     assert cli.cmd_run(str(cfg), out=io.StringIO()) == cli.EXIT_OK
-    rows, _, _ = cli.read_trace(str(trace))
+    rows, _, _, _, _ = cli.read_trace(str(trace))
     assert len(rows) > 10_000
     runs = len(sizes)
     assert cli.cmd_certify(str(trace), out=io.StringIO()) == cli.EXIT_OK
@@ -837,7 +838,7 @@ def test_certify_rejects_a_v1_trace(tmp_path, capsys):
     trace = tmp_path / "run.csv"
     write(cfg, CERTIFIED.format(trace=trace))
     cli.cmd_run(str(cfg), out=io.StringIO())
-    rows, resolved, _ = cli.read_trace(str(trace))
+    rows, resolved, _, _, _ = cli.read_trace(str(trace))
     v1 = tmp_path / "v1.csv"
     v1.write_text(v1_trace_text(rows, resolved), encoding="utf-8")
     capsys.readouterr()
@@ -875,6 +876,61 @@ def test_certify_flags_a_v2_rate_bound_that_disagrees(tmp_path):
     buf = io.StringIO()
     assert cli.cmd_certify(str(trace), out=buf) == cli.EXIT_CHECK_FAILED
     assert buf.getvalue() == clean.getvalue() + "consistency: FAIL at k=[8]\n"
+
+
+TV_RUN_WORKLOAD = """
+problem.kind = tv1d
+problem.n = 200
+problem.mu_reg = 0.5
+problem.seed = 1
+algorithm.scheme = pd
+schedule.alpha = 0.2
+schedule.lambda = 1.0
+stopping.max_iters = 100000
+stopping.residual_tol = 1e-10
+output.trace = {trace}
+output.checks = ck,descent,small_o
+"""
+
+
+def _set_nan(path, k, columns):
+    """Set ``columns`` of the trace row ``k`` of the file at ``path`` to nan."""
+    lines = path.read_text().splitlines()
+    head = next(i for i, line in enumerate(lines) if line.startswith("k,"))
+    names = lines[head].split(",")
+    row = lines[head + k].split(",")
+    assert row[0] == str(k)
+    for name in columns:
+        row[names.index(name)] = "nan"
+    lines[head + k] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("workload, columns, lines", [
+    # every check that reads dist_to_ref fails at the rows that read row
+    # 5001, C_5000 -> C_5001 the first of them; small_o reads no distance
+    (QUAD_RUN_WORKLOAD + ALL_CHECKS, ["dist_to_ref"],
+     ["Ck monotone: FAIL at k=5000", "descent: FAIL at k=[5000, 5001, 5002]",
+      "contraction: FAIL at k=[5000, 5001, 5002]", "product bound: FAIL at k=[5000, 5001]",
+      "small-o k*res^2 (prefix 12775): PASS", "small-o k*step^2 (prefix 12775): PASS"]),
+    # C_5001 and the descent rows that read the step or residual of row 5001
+    # fail, and each small_o prefix ends before the nan
+    (TV_RUN_WORKLOAD, ["residual", "step"],
+     ["Ck monotone: FAIL at k=5000", "descent: FAIL at k=[5000, 5001]",
+      "contraction: SKIPPED (needs certified q, dist column, lambda <= 1)",
+      "small-o k*res^2 (prefix 5000): PASS", "small-o k*step^2 (prefix 4999): PASS"]),
+], ids=["quad-run-dist", "tv-residual-step"])
+def test_certify_fails_a_workload_trace_with_a_nan_row(tmp_path, workload, columns, lines):
+    # a nan compares false both ways: written as "lhs > rhs" a failing
+    # predicate passed it, and every line printed PASS with exit 0
+    cfg = tmp_path / "run.cfg"
+    trace = tmp_path / "run.csv"
+    write(cfg, workload.format(trace=trace))
+    assert cli.cmd_run(str(cfg), out=io.StringIO()) == cli.EXIT_OK
+    _set_nan(trace, 5001, columns)
+    buf = io.StringIO()
+    assert cli.cmd_certify(str(trace), out=buf) == cli.EXIT_CHECK_FAILED
+    assert buf.getvalue().splitlines() == lines
 
 
 ROUND_TRIP_SCHEDULES = {
@@ -915,7 +971,7 @@ def test_v2_round_trip_gives_the_runs_trace(kind, end, with_ref, with_objective,
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "t.csv")
         cli.write_trace(path, trace, resolved)
-        back, cfg, mismatch = cli.read_trace(path)
+        back, cfg, mismatch, _, _ = cli.read_trace(path)
     assert cfg == resolved and mismatch is None
     assert (trace.rate_bound is not None) == (with_ref and kind == "constant" and lam == "0.9")
     assert_same_trace(back, trace)
@@ -940,13 +996,14 @@ def test_evaluate_checks_holds_one_report_at_a_time(long_run):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert {status for status, _ in verdicts.values()} == {"PASS"}
-    # one report's lhs and rhs, and chunks; whole-column replays took 12 columns
-    assert peak <= 2.5 * trace.k.nbytes
+    assert {verdict.status for verdict in verdicts.values()} == {"PASS"}
+    # one squared column of small_o at a time, and chunks: 1.02 columns;
+    # whole-column replays took 12, and replays that kept lhs and rhs 2.04
+    assert peak <= 1.5 * trace.k.nbytes
 
 
 def test_read_and_check_a_long_v2_trace_in_its_stored_columns(tmp_path, long_run):
-    # what ikm certify holds: the parsed trace, then one report at a time
+    # what ikm certify holds: the parsed trace, then one check at a time
     run_trace, q = long_run
     # a copy, whose rate_bound the fixture's trace does not get
     trace = engine.Trace(run_trace.schedule, run_trace.gamma,
@@ -958,14 +1015,14 @@ def test_read_and_check_a_long_v2_trace_in_its_stored_columns(tmp_path, long_run
     cli.write_trace(str(path), trace, resolved)
     tracemalloc.start()
     try:
-        back, cfg, _ = cli.read_trace(str(path))
+        back, _, _, q_back, xi = cli.read_trace(str(path))
         read_peak = tracemalloc.get_traced_memory()[1]
-        xi = cli._schedule_param(ConfigView(cfg), "schedule.xi", 1.0)
-        verdicts = cli.evaluate_checks(back, cli.CHECKS, cli._certified_q(cfg), xi)
+        verdicts = cli.evaluate_checks(back, cli.CHECKS, q_back, xi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert {status for status, _ in verdicts.values()} == {"PASS"}
+    assert (q_back, xi) == (q, 1.0)
+    assert {verdict.status for verdict in verdicts.values()} == {"PASS"}
     n = len(trace)
     with np.errstate(over="ignore", invalid="ignore"):
         assert engine._ck_rows(back, 0, n).tobytes() == engine._ck_rows(trace, 0, n).tobytes()
@@ -974,9 +1031,10 @@ def test_read_and_check_a_long_v2_trace_in_its_stored_columns(tmp_path, long_run
     # recomputed rate_bound.  Parsed chunks joined at the end, with the
     # file's rate_bound kept beside the recomputed one, took 8.09
     assert read_peak < 7 * trace.k.nbytes
-    # then one report at a time: 7.17; deriving the six Lyapunov columns at
-    # read took 15.2
-    assert peak < 8 * trace.k.nbytes
+    # then the checks stay under the read's own peak; replays that kept
+    # their lhs and rhs reached 7.17, and deriving the six Lyapunov columns
+    # at read took 15.2
+    assert peak < 7 * trace.k.nbytes
 
 
 SCHEDULE_KEYS = {

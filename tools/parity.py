@@ -38,7 +38,9 @@ path, which no workload runs), on the same config at ``algorithm.rho = 0.1``
 schedules whose ``ck`` verdict depends on the ``ck`` replay forming ``C_k`` at
 ``eta = gamma * lambda`` (quadratic ``proximal`` at ``alpha = 0.2``, tv1d ``pd`` at ``n =
 60``, ``alpha = 0`` and ``lambda = 1.9``, feasibility ``dr`` at ``alpha =
-0.2``); ``ikm sweep`` on
+0.2``), on a tv1d ``pd`` run at a small ``tau`` whose ``descent`` line FAILs
+on more than five indices and whose ``small_o`` parts are both SKIPPED, in
+``ikm run`` and ``ikm certify``; ``ikm sweep`` on
 the same small ``three_term`` instance (the Davis-Yin sweep path, which no
 workload runs); five ``ikm check-params`` argument sets; and ``ikm
 lambda-grid`` on a 12 x 7 grid, whose table is compared.  The tool prints
@@ -140,6 +142,12 @@ FIXED_CONFIGS = {
                               "schedule.alpha = 0\nschedule.lambda = 1.9\n"),
     "certified-dr": RUN + ("problem.kind = feasibility\nproblem.dim = 20\nalgorithm.scheme = dr\n"
                            "schedule.alpha = 0.2\nschedule.lambda = 1.3818181818181818\n"),
+    # pd at tau * sigma * 4 = 0.98 with tau small: the Euclidean descent inequality fails on
+    # 250-320 rows of a converged run that the certificates admit (eta = 0.95), so the
+    # FAIL line lists the first five of them; both small_o parts print SKIPPED
+    "tv-pd-small-tau": RUN + ("problem.kind = tv1d\nproblem.n = 60\nalgorithm.scheme = pd\n"
+                              "algorithm.tau = 0.0125\nalgorithm.sigma = 19.6\n"
+                              "schedule.alpha = 0\nschedule.lambda = 1.9\n"),
 }
 # ikm sweep on the 30x80 three_term; the baseline rows for lambda 1.1 and 0.9 are added
 SWEEP_CONFIGS = {
