@@ -11,8 +11,10 @@ Subcommands::
 Exit codes: 0 success/convergence, 1 failed checks, 2 iteration budget
 exhausted (the run's, or a reference run's), 3 divergence, 64 usage or
 configuration errors.  Trace CSVs are byte-stable across runs: floats are
-printed with 17 significant digits and the fully resolved configuration is
-embedded as a '# config:' comment.
+printed with 17 significant digits.  A trace or sweep table embeds the
+run's inputs, defaults resolved, as a '# config:' comment, which reruns the
+command once an output path is added; a trace embeds the run's outcome as a
+'# derived:' comment.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ import numpy as np
 
 from . import certificates as cert
 from . import engine
-from .config import ConfigError, ConfigView, deserialize_config, load_config, serialize_config
+from .config import (ConfigError, ConfigView, deserialize_config, format_value, load_config,
+                     serialize_config)
 from .engine import (OPTIONAL_COLUMNS, STORED_COLUMNS, DivergenceError, Schedule, StoppingRule,
                      Trace, Verdict, monotone_prefix)
 
@@ -63,11 +66,26 @@ class UsageError(Exception):
 
 
 def _fmt(x) -> str:
-    return "" if x is None else "%.17g" % x
+    return "" if x is None else format_value(x)
 
 
 # --------------------------------------------------------------------------
 # config -> objects
+
+
+# problem.kind -> the parameters of its generator ``problems.make_<kind>``
+# besides problem.seed, under their config names, with their defaults; an
+# int default reads an integer
+PROBLEMS = {
+    "quadratic": {"dim": 50, "mu": 1.0, "L": 10.0},
+    "lasso": {"m": 40, "n": 100, "sparsity": 0.1, "mu_reg": 0.1},
+    "tv1d": {"n": 200, "mu_reg": 0.5},
+    "three_term": {"m": 40, "n": 100, "mu_reg": 0.1, "box_lo": -1.0, "box_hi": 1.0,
+                   "sparsity": 0.1},
+    "feasibility": {"dim": 20},
+}
+# the keys that name an output file, which no header holds
+OUTPUT_PATHS = ("output.trace", "output.table")
 
 
 def build_instance(view: ConfigView) -> BenchmarkInstance:
@@ -77,43 +95,13 @@ def build_instance(view: ConfigView) -> BenchmarkInstance:
 
     kind = view.get_str("problem.kind")
     seed = view.get_int("problem.seed", 1)
-    if kind == "quadratic":
-        return problems.make_quadratic(
-            dim=view.get_int("problem.dim", 50),
-            mu=view.get_float("problem.mu", 1.0),
-            L_smooth=view.get_float("problem.L", 10.0),
-            seed=seed,
-        )
-    if kind == "lasso":
-        return problems.make_lasso(
-            m=view.get_int("problem.m", 40),
-            n=view.get_int("problem.n", 100),
-            sparsity=view.get_float("problem.sparsity", 0.1),
-            mu_reg=view.get_float("problem.mu_reg", 0.1),
-            seed=seed,
-        )
-    if kind == "tv1d":
-        return problems.make_tv1d(
-            n=view.get_int("problem.n", 200),
-            mu_reg=view.get_float("problem.mu_reg", 0.5),
-            seed=seed,
-        )
-    if kind == "three_term":
-        return problems.make_three_term(
-            m=view.get_int("problem.m", 40),
-            n=view.get_int("problem.n", 100),
-            mu_reg=view.get_float("problem.mu_reg", 0.1),
-            box_lo=view.get_float("problem.box_lo", -1.0),
-            box_hi=view.get_float("problem.box_hi", 1.0),
-            seed=seed,
-            sparsity=view.get_float("problem.sparsity", 0.1),
-        )
-    if kind == "feasibility":
-        return problems.make_feasibility(
-            dim=view.get_int("problem.dim", 20),
-            seed=seed,
-        )
-    raise ConfigError(f"unknown problem.kind {kind!r}")
+    if kind not in PROBLEMS:
+        raise ConfigError(f"unknown problem.kind {kind!r}")
+    params = {}
+    for name, default in PROBLEMS[kind].items():
+        get = view.get_int if isinstance(default, int) else view.get_float
+        params[name] = get(f"problem.{name}", default)
+    return getattr(problems, f"make_{kind}")(seed=seed, **params)
 
 
 def _schedule_param(view: ConfigView, key: str, default: Optional[float] = None) -> float:
@@ -130,87 +118,108 @@ def _schedule_param(view: ConfigView, key: str, default: Optional[float] = None)
     return value
 
 
-def build_schedule(view: ConfigView) -> Tuple[Schedule, Dict[str, str], float]:
-    """(schedule, resolved keys describing it, xi); a constant/constant
-    schedule is a :meth:`Schedule.constant`."""
-    resolved: Dict[str, str] = {}
+def read_schedule(view: ConfigView) -> Tuple[Schedule, float]:
+    """The ``schedule.*`` keys of a run config or a trace header -> (schedule,
+    xi); a constant/constant schedule is a :meth:`Schedule.constant`."""
     a_kind = view.get_str("schedule.alpha_kind", "constant")
-    resolved["schedule.alpha_kind"] = a_kind
     if a_kind == "constant":
-        alpha = _schedule_param(view, "schedule.alpha", 0.0)
-        alphas = [alpha]
-        resolved["schedule.alpha"] = _fmt(alpha)
+        alphas = [_schedule_param(view, "schedule.alpha", 0.0)]
     elif a_kind == "ramp":
-        a0 = view.get_float("schedule.alpha_start", 0.0)
-        a1 = view.get_float("schedule.alpha_end")
-        iters = view.get_int("schedule.alpha_ramp_iters")
-        resolved.update({
-            "schedule.alpha_start": _fmt(a0),
-            "schedule.alpha_end": _fmt(a1),
-            "schedule.alpha_ramp_iters": str(iters),
-        })
+        ramp = (view.get_float("schedule.alpha_start", 0.0), view.get_float("schedule.alpha_end"),
+                view.get_int("schedule.alpha_ramp_iters"))
     elif a_kind == "table":
         alphas = view.get_float_list("schedule.alpha_table")
-        resolved["schedule.alpha_table"] = ",".join(_fmt(a) for a in alphas)
     else:
         raise ConfigError(f"unknown schedule.alpha_kind {a_kind!r}")
-
     l_kind = view.get_str("schedule.lambda_kind", "constant")
-    resolved["schedule.lambda_kind"] = l_kind
     if l_kind == "constant":
-        lam = _schedule_param(view, "schedule.lambda", 1.0)
-        lambdas = [lam]
-        resolved["schedule.lambda"] = _fmt(lam)
+        lambdas = [_schedule_param(view, "schedule.lambda", 1.0)]
     elif l_kind == "table":
         lambdas = view.get_float_list("schedule.lambda_table")
-        resolved["schedule.lambda_table"] = ",".join(_fmt(l) for l in lambdas)
     else:
         raise ConfigError(f"unknown schedule.lambda_kind {l_kind!r}")
-
     xi = _schedule_param(view, "schedule.xi", 1.0)
-    resolved["schedule.xi"] = _fmt(xi)
     if a_kind == "ramp":
-        return Schedule.ramp(a0, a1, iters, lambdas), resolved, xi
+        return Schedule.ramp(*ramp, lambdas), xi
     if a_kind == l_kind == "constant":
-        return Schedule.constant(alpha, lam), resolved, xi
-    return Schedule.table(alphas, lambdas), resolved, xi
+        return Schedule.constant(alphas[0], lambdas[0]), xi
+    return Schedule.table(alphas, lambdas), xi
 
 
-def build_stopping(view: ConfigView, max_iters: int,
-                   residual_tol: float) -> Tuple[StoppingRule, Dict[str, str]]:
-    """The ``stopping.*`` keys -> (rule, resolved keys), with the command's own
-    defaults for ``max_iters`` and ``residual_tol``; ``stall_tol`` is off unless set."""
-    stop = StoppingRule(
-        max_iters=view.get_int("stopping.max_iters", max_iters),
-        residual_tol=view.get_float("stopping.residual_tol", residual_tol),
-        stall_tol=view.get_float("stopping.stall_tol") if view.has("stopping.stall_tol") else None,
-    )
-    resolved = {"stopping.max_iters": str(stop.max_iters),
-                "stopping.residual_tol": _fmt(stop.residual_tol)}
-    if stop.stall_tol is not None:
-        resolved["stopping.stall_tol"] = _fmt(stop.stall_tol)
-    return stop, resolved
+def _sweep_entries(view: ConfigView, xi: float) -> Tuple[Tuple[str, float, float, float], ...]:
+    """The ``sweep.<i>.*`` entries, ``(label, alpha, lambda, xi)`` in index
+    order, then a non-inertial baseline for every relaxation in play that
+    has none; ``xi`` is each entry's default ``xi``."""
+    indices = set()
+    for key in view.data:
+        if key.startswith("sweep.") and key.count(".") == 2:
+            index = key.split(".")[1]
+            # int() would also take "01", "+1" or " 1" and fold them into the
+            # entry "1", whose keys they would then shadow or join
+            if not re.fullmatch("0|[1-9][0-9]*", index):
+                raise ConfigError(f"{key}: the sweep index must be a decimal integer "
+                                  "without sign or leading zeros")
+            indices.add(int(index))
+    if len(indices) < 2:
+        raise ConfigError("sweep needs at least two sweep.<i>.* schedule entries")
+    entries = []
+    for i in sorted(indices):
+        label = view.get_str(f"sweep.{i}.label", f"s{i}")
+        if "," in label:
+            raise ConfigError(f"sweep.{i}.label must not contain ','")
+        entries.append((label, _schedule_param(view, f"sweep.{i}.alpha"),
+                        _schedule_param(view, f"sweep.{i}.lambda"),
+                        _schedule_param(view, f"sweep.{i}.xi", xi)))
+    for lam in sorted({e[2] for e in entries} - {e[2] for e in entries if e[1] == 0.0}):
+        entries.append((f"baseline(lambda={_fmt(lam)})", 0.0, lam, xi))
+    return tuple(entries)
 
 
-def _collect_steps(view: ConfigView, keys) -> Dict[str, Optional[float]]:
-    """Configured ``algorithm.<key>`` for each step key, None when unset."""
-    steps: Dict[str, Optional[float]] = {}
-    for key in keys:
-        cfg_key = f"algorithm.{key}"
-        steps[key] = view.get_float(cfg_key) if view.has(cfg_key) else None
-    return steps
+@dataclasses.dataclass(frozen=True)
+class Spec:
+    """What ``ikm run`` (:class:`RunSpec`) and ``ikm sweep``
+    (:class:`SweepSpec`) read of a config.  ``read`` maps each key read to
+    its value as config text (``ConfigView.read``), defaults and the
+    instance's default steps included; ``steps`` are the resolved steps of
+    ``scheme``, ``output`` the trace or table path and ``xi`` the run's xi,
+    or a sweep entry's default."""
+
+    read: Dict[str, str]
+    scheme: str
+    steps: Dict[str, float]
+    stop: StoppingRule
+    output: str
+    xi: float
+
+    def inputs(self) -> Dict[str, str]:
+        """The keys read, sorted, without ``OUTPUT_PATHS``: the ``# config:``
+        line of the trace or table, which reruns the command once an output
+        path is added."""
+        return {key: self.read[key] for key in sorted(self.read) if key not in OUTPUT_PATHS}
 
 
-def build_problem(config_path: str) -> Tuple[
-        ConfigView, BenchmarkInstance, str, Dict[str, float], OperatorHandle,
-        Optional[Callable]]:
-    """Config file -> (view, instance, scheme, resolved steps, operator, objective).
+@dataclasses.dataclass(frozen=True)
+class RunSpec(Spec):
+    """An ``ikm run`` config: its ``schedule``, ``checks`` and ``p_ref``
+    (whether to solve the reference)."""
 
-    The objective closure maps an iterate, or a stack of iterates along the
-    last axis as ``engine.run`` passes them, to the instance objective at
-    its extracted solution; it is None when the instance or scheme lacks one.
-    """
-    view = ConfigView(load_config(config_path))
+    schedule: Schedule
+    checks: Tuple[str, ...]
+    p_ref: bool
+
+
+@dataclasses.dataclass(frozen=True)
+class SweepSpec(Spec):
+    """An ``ikm sweep`` config: its ``entries``, ``(label, alpha, lambda,
+    xi)`` per row in table order."""
+
+    entries: Tuple[Tuple[str, float, float, float], ...]
+
+
+def _read_problem(view: ConfigView, output: str, max_iters: int, residual_tol: float):
+    """The instance, and the scheme, its resolved steps (recorded as read:
+    those a config leaves unset are the instance's), the stopping rule under
+    these defaults and the value of the key ``output``."""
     instance = build_instance(view)
     scheme = view.get_str("algorithm.scheme")
     if scheme not in instance.schemes:
@@ -218,15 +227,74 @@ def build_problem(config_path: str) -> Tuple[
             f"problem kind {instance.kind!r} supports schemes {instance.schemes}, "
             f"not {scheme!r}"
         )
-    steps = instance.resolve_steps(
-        scheme, **_collect_steps(view, instance.default_steps[scheme]))
-    op = instance.operator(scheme, **steps)
+    steps = instance.resolve_steps(scheme, **{
+        key: view.get_float(f"algorithm.{key}") if view.has(f"algorithm.{key}") else None
+        for key in instance.default_steps[scheme]})
+    for key, value in steps.items():
+        view.record(f"algorithm.{key}", value)
+    stop = StoppingRule(
+        max_iters=view.get_int("stopping.max_iters", max_iters),
+        residual_tol=view.get_float("stopping.residual_tol", residual_tol),
+        stall_tol=view.get_float("stopping.stall_tol") if view.has("stopping.stall_tol") else None,
+    )
+    return instance, (scheme, steps, stop, view.get_str(output))
+
+
+def _checked(view: ConfigView, spec: Spec) -> Spec:
+    """``spec`` once ``view.reject_unread()`` passes and every input fits a
+    header: a misspelt or dead key, or an input holding ``"; "``, which ends
+    a header entry, is an error before the reference is solved, any row
+    runs or anything is printed."""
+    view.reject_unread()
+    for key, value in spec.inputs().items():
+        if "; " in value:
+            raise ConfigError(f"{key} must not contain '; ', which ends a header entry")
+    return spec
+
+
+def read_run(view: ConfigView) -> Tuple[RunSpec, BenchmarkInstance]:
+    """The :class:`RunSpec` of an ``ikm run`` config and its instance."""
+    instance, common = _read_problem(view, "output.trace", 10_000, 1e-10)
+    schedule, xi = read_schedule(view)
+    checks = tuple(c.strip() for c in view.get_str("output.checks", "none").split(",")
+                   if c.strip() and c.strip() != "none")
+    unknown = [c for c in checks if c not in CHECKS]
+    if unknown:
+        raise ConfigError(f"unknown output.checks {', '.join(unknown)}; "
+                          f"choose from none, {', '.join(CHECKS)}")
+    view.record("output.checks", ",".join(checks) or "none")  # one spelling per list
+    p_ref = view.get_str("run.p_ref", "auto")
+    if p_ref not in ("auto", "none"):
+        raise ConfigError("run.p_ref must be 'auto' or 'none'")
+    return _checked(view, RunSpec(dict(view.read), *common, xi, schedule, checks,
+                                  p_ref == "auto")), instance
+
+
+def read_sweep(view: ConfigView) -> Tuple[SweepSpec, BenchmarkInstance]:
+    """The :class:`SweepSpec` of an ``ikm sweep`` config and its instance."""
+    instance, common = _read_problem(view, "output.table", 100_000, 1e-6)
+    xi = _schedule_param(view, "schedule.xi", 1.0)
+    entries = _sweep_entries(view, xi)
+    return _checked(view, SweepSpec(dict(view.read), *common, xi, entries)), instance
+
+
+def build_problem(config_path: str, read) -> Tuple[
+        Spec, BenchmarkInstance, OperatorHandle, Optional[Callable]]:
+    """Config file -> (spec, instance, operator, objective), by ``read``,
+    :func:`read_run` or :func:`read_sweep`.
+
+    The objective closure maps an iterate, or a stack of iterates along the
+    last axis as ``engine.run`` passes them, to the instance objective at
+    its extracted solution; it is None when the instance or scheme lacks one.
+    """
+    spec, instance = read(ConfigView(load_config(config_path)))
+    op = instance.operator(spec.scheme, **spec.steps)
     objective = None
     if instance.objective is not None and op.extract_solution is not None:
         extract = op.extract_solution
         inst_obj = instance.objective
         objective = lambda x: inst_obj(extract(x))  # noqa: E731
-    return view, instance, scheme, steps, op, objective
+    return spec, instance, op, objective
 
 
 # --------------------------------------------------------------------------
@@ -292,12 +360,15 @@ def feasibility_summary(schedule: Schedule, op: OperatorHandle, xi: float, out) 
 # trace I/O
 
 
-def write_trace(path: str, trace: Trace, resolved: Dict[str, str]) -> None:
-    """Write ``ikm-trace-v2``: two comment lines, the header, one line per row.
+def write_trace(path: str, trace: Trace, config: Dict[str, str],
+                derived: Optional[Dict[str, str]] = None) -> None:
+    """Write ``ikm-trace-v2``: the comment lines, the column header, one line per row.
 
-    The columns are ``TRACE_FIELDS``, those a :class:`Trace` stores: ``k``,
-    the measured columns and the ``rate_bound`` promise; the embedded config
-    gives the schedule and gamma when read.
+    The run's inputs, ``config``, go on the ``# config:`` line and its
+    outcome, ``derived``, when given, on a ``# derived:`` line, each
+    sorted.  The columns are ``TRACE_FIELDS``,
+    those a :class:`Trace` stores: ``k``, the measured columns and the
+    ``rate_bound`` promise; the header gives the schedule and gamma when read.
     Each present float column is printed with ``%.17g`` and an absent one
     as an empty field; rows are formatted ``engine.ROW_CHUNK`` at a time by
     one ``%``.
@@ -308,7 +379,9 @@ def write_trace(path: str, trace: Trace, resolved: Dict[str, str]) -> None:
                        for name, col in zip(TRACE_FIELDS, cols)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# ikm-trace-v2\n")
-        fh.write("# config: " + serialize_config(resolved) + "\n")
+        fh.write("# config: " + serialize_config(config) + "\n")
+        if derived:
+            fh.write("# derived: " + serialize_config(derived) + "\n")
         fh.write(TRACE_COLUMNS + "\n")
         for lo in range(0, len(trace), engine.ROW_CHUNK):
             chunk = [col[lo:lo + engine.ROW_CHUNK].tolist() for col in present]
@@ -360,7 +433,7 @@ def rate_bound_column(trace: Trace, schedule: Schedule, q: Optional[float],
 
 
 def _derived_constant(source: str, view: ConfigView, key: str) -> Optional[float]:
-    """A trace config's ``derived.gamma`` or ``derived.q_factor``, None when
+    """A trace header's ``derived.gamma`` or ``derived.q_factor``, None when
     absent.  The replays divide by ``gamma * lambda_k`` and raise ``q`` to
     powers: a value that is no number, or lies outside ``(0, 1]`` (nan
     included), would pass or fail them at random, so it is an error that
@@ -386,7 +459,7 @@ def _differs(a: Optional[np.ndarray], b: Optional[np.ndarray], n: int) -> np.nda
 
 
 def read_trace(path: str):
-    """Parse an ``ikm-trace-v2`` file into ``(trace, config, mismatch, q, xi)``.
+    """Parse an ``ikm-trace-v2`` file into ``(trace, config, derived, consistency, q, xi)``.
 
     The header must name ``TRACE_FIELDS``; an ``ikm-trace-v1`` header is an
     error.  Every row must have one field per column, and a column must be
@@ -395,23 +468,29 @@ def read_trace(path: str):
     a time, column by column, into one buffer per column grown in place
     (``array("d")``, and int64 for ``k``), which becomes the trace's column
     without a copy; so the parse holds one chunk of text and tokens besides
-    the parsed columns.  The last ``# config:`` line gives the config,
-    which must be present.  Errors are raised in file order, except that a
-    missing header, a column mixing empty and filled chunks, a ``k`` column
-    other than ``1..n``, a missing config and a ``derived.gamma`` or
-    ``derived.q_factor`` that is no number in ``(0, 1]`` are reported at the
-    end.
+    the parsed columns.  ``config`` and ``derived`` are the last
+    ``# config:`` line, which must be present, and the last ``# derived:``
+    line (empty without one); the header is read from both, ``derived``
+    winning.  A file written before the run's outcome had a line of its own
+    holds ``derived.*`` and ``run.status`` in its ``# config:`` line, and
+    reads alike.  Errors are raised in file order, except that a missing column
+    header, a column mixing empty and filled chunks, a ``k`` column other
+    than ``1..n``, a missing config and a ``derived.gamma`` or
+    ``derived.q_factor`` that is no number in ``(0, 1]`` are reported at
+    the end.
 
-    The returned trace stores the file's measured columns, the config's
-    schedule and ``derived.gamma`` (None without it), and ``rate_bound``
-    from :func:`rate_bound_column`, as ``ikm run`` made it.  ``mismatch``
-    is the int64 array of the ks at which the file's ``rate_bound`` differs
-    from the recomputed one, compared ``engine.ROW_CHUNK`` rows at a time,
-    or None when it agrees.  The file's column is dropped on return.  ``q``
-    and ``xi`` are the config's ``derived.q_factor`` (None without it) and
+    The returned trace stores the file's measured columns, the header's
+    schedule (:func:`read_schedule`) and ``derived.gamma`` (None without
+    it), and ``rate_bound`` from :func:`rate_bound_column`, as ``ikm run``
+    made it.  ``consistency`` is the :class:`Verdict` of the file's
+    ``rate_bound`` against the recomputed one, judged as the replays are
+    (``engine.replay``): FAIL at the first five ks where their bits
+    differ.  The file's column is dropped on return.  ``q`` and ``xi`` are
+    the header's ``derived.q_factor`` (None without it) and
     ``schedule.xi``, validated, which the contraction replays read.
     """
-    cfg: Dict[str, str] = {}
+    config: Dict[str, str] = {}
+    derived: Dict[str, str] = {}
     started = False  # whether the first row, which must be the header, was seen
     header = False  # whether that row is the v2 header
     rows: List[str] = []
@@ -432,7 +511,9 @@ def read_trace(path: str):
         # splitlines breaks a line where str.splitlines breaks the whole text
         for line in itertools.chain.from_iterable(map(str.splitlines, fh)):
             if line.startswith("# config: "):
-                cfg = deserialize_config(line[len("# config: "):])
+                config = deserialize_config(line[len("# config: "):])
+            elif line.startswith("# derived: "):
+                derived = deserialize_config(line[len("# derived: "):])
             if not line.strip() or line.startswith("#"):
                 continue
             if not started:
@@ -465,24 +546,19 @@ def read_trace(path: str):
     # so a missing, repeated or reordered k is a corrupt trace
     if not np.array_equal(k, np.arange(1, k.size + 1)):
         raise ConfigError(f"{path}: column k must be 1, 2, ..., n, one row per step")
-    if not cfg:
+    if not config:
         raise ConfigError(f"{path}: missing embedded '# config:' line")
 
-    view = ConfigView(cfg)
-    schedule, _, xi = build_schedule(view)
+    view = ConfigView({**config, **derived})
+    schedule, xi = read_schedule(view)
     gamma = _derived_constant(path, view, "derived.gamma")
     q = _derived_constant(path, view, "derived.q_factor")
     held = columns.pop("rate_bound")
     trace = Trace(schedule, gamma, k=k, **columns)
-    trace.rate_bound = rate_bound_column(trace, schedule, q, xi)
-    differ = []
-    for lo in range(0, k.size, engine.ROW_CHUNK):
-        hi = min(lo + engine.ROW_CHUNK, k.size)
-        bad = _differs(None if held is None else held[lo:hi],
-                       None if trace.rate_bound is None else trace.rate_bound[lo:hi], hi - lo)
-        if bad.any():
-            differ.append(k[lo:hi][bad])
-    return trace, cfg, np.concatenate(differ) if differ else None, q, xi
+    bound = trace.rate_bound = rate_bound_column(trace, schedule, q, xi)
+    consistency = engine.replay("consistency", k, lambda lo, hi: _differs(
+        None if held is None else held[lo:hi], None if bound is None else bound[lo:hi], hi - lo))
+    return trace, config, derived, consistency, q, xi
 
 
 # --------------------------------------------------------------------------
@@ -541,69 +617,35 @@ def _run(op, x1, schedule, stop, p_ref, objective) -> engine.RunResult:
 
 
 def cmd_run(config_path: str, out=sys.stdout) -> int:
-    view, instance, scheme, steps, op, objective = build_problem(config_path)
-    schedule, resolved_sched, xi = build_schedule(view)
-    stop, resolved_stop = build_stopping(view, max_iters=10_000, residual_tol=1e-10)
-    trace_path = view.get_str("output.trace")
-    checks = [c.strip() for c in view.get_str("output.checks", "none").split(",")
-              if c.strip() and c.strip() != "none"]
-    unknown = [c for c in checks if c not in CHECKS]
-    if unknown:
-        raise ConfigError(f"unknown output.checks {', '.join(unknown)}; "
-                          f"choose from none, {', '.join(CHECKS)}")
-
-    p_ref_mode = view.get_str("run.p_ref", "auto")
-    if p_ref_mode not in ("auto", "none"):
-        raise ConfigError("run.p_ref must be 'auto' or 'none'")
-    # a misspelt or dead key would run another experiment: an error before
-    # the reference is solved and anything is printed
-    view.reject_unread()
-
+    spec, instance, op, objective = build_problem(config_path, read_run)
     p_ref = None
-    if p_ref_mode == "auto":
-        p_ref = instance.fixed_point(scheme, **steps)
+    if spec.p_ref:
+        p_ref = instance.fixed_point(spec.scheme, **spec.steps)
         if not engine.is_reference_point(op, p_ref):
             print(f"warning: reference point residual exceeds {engine.REF_TOL:g}; dropping it",
                   file=out)
             p_ref = None
 
-    feasible = feasibility_summary(schedule, op, xi, out)
+    feasible = feasibility_summary(spec.schedule, op, spec.xi, out)
     if not feasible:
         print("warning: schedule fails the feasibility certificates; running anyway", file=out)
 
-    result = _run(op, instance.start_point(scheme), schedule, stop, p_ref, objective)
+    result = _run(op, instance.start_point(spec.scheme), spec.schedule, spec.stop, p_ref,
+                  objective)
     status = result.status
     trace = result.rows
-
-    q = op.q_factor
-    trace.rate_bound = rate_bound_column(trace, schedule, q, xi)
-
-    resolved: Dict[str, str] = {}
-    for key, value in instance.params.items():
-        resolved[f"problem.{key}"] = _fmt(value) if isinstance(value, float) else str(value)
-    resolved["problem.kind"] = instance.kind
-    resolved["algorithm.scheme"] = scheme
-    for key, value in steps.items():
-        resolved[f"algorithm.{key}"] = _fmt(value)
-    resolved.update(resolved_sched)
-    resolved.update(resolved_stop)
-    resolved["run.p_ref"] = "auto" if p_ref is not None else "none"
-    resolved["run.status"] = status
-    if op.gamma is not None:
-        resolved["derived.gamma"] = _fmt(op.gamma)
-    if op.q_factor is not None:
-        resolved["derived.q_factor"] = _fmt(op.q_factor)
-    if op.beta is not None:
-        resolved["derived.beta"] = _fmt(op.beta)
-    resolved["derived.warning"] = "0" if feasible else "1"
-
-    write_trace(trace_path, trace, resolved)
+    trace.rate_bound = rate_bound_column(trace, spec.schedule, op.q_factor, spec.xi)
+    derived = {f"derived.{name}": _fmt(value) for name, value in
+               (("gamma", op.gamma), ("q_factor", op.q_factor), ("beta", op.beta))
+               if value is not None}
+    write_trace(spec.output, trace, spec.inputs(), {**derived, "run.status": status,
+                                                    "derived.warning": "0" if feasible else "1"})
     print(f"status={status} iterations={len(trace)} "
           f"final_residual={_fmt(result.final_residual if len(trace) else None)}", file=out)
-    print(f"trace written to {trace_path}", file=out)
+    print(f"trace written to {spec.output}", file=out)
 
-    verdicts = evaluate_checks(trace, checks, q, xi)
-    for name in checks:
+    verdicts = evaluate_checks(trace, spec.checks, op.q_factor, spec.xi)
+    for name in spec.checks:
         if name == "small_o":
             print("check small_o: " + "; ".join(_line(RUN_LINES, verdicts[part])
                                                 for part in SMALL_O_PARTS), file=out)
@@ -623,7 +665,7 @@ def evaluate_checks(trace: Trace, names, q: Optional[float], xi: float) -> Dict[
     column, no q, a lambda_k outside (0, 1].  The replays are called by name
     (``REPLAYS``) through the ``engine`` module, so that wrappers installed
     there see every call.  The checks run one after another, so at most one
-    replay's chunk, or one squared column of ``small_o``, is held at a time.
+    replay's or ``small_o`` part's chunk is held at a time.
     """
     verdicts: Dict[str, Verdict] = {}
     for name in names:
@@ -643,14 +685,12 @@ def evaluate_checks(trace: Trace, names, q: Optional[float], xi: float) -> Dict[
 
 def _small_o(part: str, col: np.ndarray) -> Verdict:
     """The verdict of ``small_o_check`` on the monotone prefix of ``col``'s
-    squares, SKIPPED when it is shorter than 4; the squares are dropped on
-    return."""
-    with np.errstate(over="ignore"):
-        vals = col * col
-    n = monotone_prefix(vals)
+    squares, SKIPPED when it is shorter than 4; both square ``col`` one
+    chunk at a time."""
+    n = monotone_prefix(col)
     if n < 4:
         return Verdict(part, "SKIPPED", n, reason="prefix too short")
-    return Verdict(part, "PASS" if engine.small_o_check(vals[:n]) else "FAIL", n)
+    return Verdict(part, "PASS" if engine.small_o_check(col[:n]) else "FAIL", n)
 
 
 def cmd_check_params(alpha: float, lam: float, q: Optional[float], xi: Optional[float],
@@ -696,61 +736,22 @@ def cmd_lambda_grid(alpha_steps: int, q_steps: int, out_path: str, out=sys.stdou
 
 
 def cmd_sweep(config_path: str, out=sys.stdout) -> int:
-    view, instance, scheme, steps, op, objective = build_problem(config_path)
-    stop, resolved_stop = build_stopping(view, max_iters=100_000, residual_tol=1e-6)
-    out_path = view.get_str("output.table")
-    default_xi = _schedule_param(view, "schedule.xi", 1.0)
-
-    indices = set()
-    for key in view.data:
-        if key.startswith("sweep.") and key.count(".") == 2:
-            index = key.split(".")[1]
-            # int() would also take "01", "+1" or " 1" and fold them into the
-            # entry "1", whose keys they would then shadow or join
-            if not re.fullmatch("0|[1-9][0-9]*", index):
-                raise ConfigError(f"{key}: the sweep index must be a decimal integer "
-                                  "without sign or leading zeros")
-            indices.add(int(index))
-    indices = sorted(indices)
-    if len(indices) < 2:
-        raise ConfigError("sweep needs at least two sweep.<i>.* schedule entries")
-    # every entry is checked here, before the first one runs
-    entries = []
-    for i in indices:
-        label = view.get_str(f"sweep.{i}.label", f"s{i}")
-        if "," in label:
-            raise ConfigError(f"sweep.{i}.label must not contain ','")
-        entries.append({
-            "label": label,
-            "alpha": _schedule_param(view, f"sweep.{i}.alpha"),
-            "lambda": _schedule_param(view, f"sweep.{i}.lambda"),
-            "xi": _schedule_param(view, f"sweep.{i}.xi", default_xi),
-        })
-    # a non-inertial baseline is always reported for every relaxation in play
-    lambdas_with_baseline = {e["lambda"] for e in entries if e["alpha"] == 0.0}
-    for lam in sorted({e["lambda"] for e in entries}):
-        if lam not in lambdas_with_baseline:
-            entries.append({
-                "label": f"baseline(lambda={_fmt(lam)})",
-                "alpha": 0.0, "lambda": lam, "xi": default_xi,
-            })
-    # a key the sweep does not read would change nothing: an error before any row runs
-    view.reject_unread()
+    spec, instance, op, objective = build_problem(config_path, read_sweep)
 
     def run_entry(entry) -> List[str]:
-        schedule = Schedule.constant(entry["alpha"], entry["lambda"])
-        relax, *contraction = constant_feasibility(entry["alpha"], entry["lambda"], op.gamma,
-                                                   op.q_factor, entry["xi"])
+        label, alpha, lam, xi = entry
+        relax, *contraction = constant_feasibility(alpha, lam, op.gamma, op.q_factor, xi)
         # the table reads no distance column, so no reference point, and
         # only the last row's objective: it is evaluated once
-        result = _run(op, instance.start_point(scheme), schedule, stop, None, None)
+        result = _run(op, instance.start_point(spec.scheme), Schedule.constant(alpha, lam),
+                      spec.stop, None, None)
         residual = result.rows.residual
         final_obj = None
         if residual.size and objective is not None:
             with np.errstate(over="ignore", invalid="ignore"):
                 final_obj = objective(result.x_last)
         return [
-            entry["label"], _fmt(entry["alpha"]), _fmt(entry["lambda"]), _fmt(entry["xi"]),
+            label, _fmt(alpha), _fmt(lam), _fmt(xi),
             result.status, str(residual.size), _fmt(residual[-1] if residual.size else None),
             _fmt(final_obj), _fmt(relax.margin),
             _fmt(contraction[0].margin if contraction else None),
@@ -759,23 +760,16 @@ def cmd_sweep(config_path: str, out=sys.stdout) -> int:
 
     # imported here, so that the processes of the other commands do not compile it
     from .workers import map_rows
-    results = map_rows(run_entry, entries)
+    results = map_rows(run_entry, spec.entries)
 
-    resolved = {
-        "problem.kind": instance.kind,
-        "algorithm.scheme": scheme,
-        **resolved_stop,
-    }
-    for key, value in steps.items():
-        resolved[f"algorithm.{key}"] = _fmt(value)
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(spec.output, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# ikm-sweep-v1\n")
-        fh.write("# config: " + serialize_config(resolved) + "\n")
+        fh.write("# config: " + serialize_config(spec.inputs()) + "\n")
         fh.write("label,alpha,lambda,xi,status,iterations,final_residual,"
                  "final_objective,relax_margin,contraction_margin,warning\n")
         for row in results:
             fh.write(",".join(row) + "\n")
-    print(f"sweep table ({len(results)} rows) written to {out_path}", file=out)
+    print(f"sweep table ({len(results)} rows) written to {spec.output}", file=out)
     return EXIT_OK
 
 
@@ -783,13 +777,12 @@ def cmd_certify(trace_path: str, out=sys.stdout) -> int:
     """Replay every check on a trace file's re-derived columns.  A file whose
     ``rate_bound`` disagrees with its re-derivation also gets a failing
     ``consistency`` line."""
-    trace, _, mismatch, q, xi = read_trace(trace_path)
+    trace, _, _, consistency, q, xi = read_trace(trace_path)
     if not len(trace):
         raise ConfigError(f"{trace_path}: empty trace")
     verdicts = evaluate_checks(trace, CHECKS, q, xi)
-    if mismatch is not None:
-        verdicts["consistency"] = Verdict("consistency", "FAIL", len(trace),
-                                          tuple(mismatch[:5].tolist()))
+    if consistency.status == "FAIL":
+        verdicts["consistency"] = consistency
     for name, verdict in verdicts.items():
         if name != "product" or verdicts["contraction"].status != "SKIPPED":
             print(_line(CERTIFY_LINES, verdict), file=out)

@@ -12,12 +12,22 @@ canonically on a single line (sorted ``key=value`` pairs joined by ``"; "``)
 and embedded as a ``#`` comment in every trace for later re-analysis.
 A command reads its keys through :class:`ConfigView`, which records each
 one asked for, so ``ikm run`` and ``ikm sweep`` reject a key they did not
-read.
+read, and the value each one read, so their output headers hold every
+input of the run and rerun as a config.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Set
+
+
+def format_value(value) -> str:
+    """A value as config text that parses back to it: a string or an int as
+    it is, a list entry by entry, any other number with 17 significant
+    digits."""
+    if isinstance(value, list):
+        return ",".join(map(format_value, value))
+    return str(value) if isinstance(value, (str, int)) else "%.17g" % value
 
 
 class ConfigError(ValueError):
@@ -68,11 +78,15 @@ def deserialize_config(line: str) -> Dict[str, str]:
 
 class ConfigView:
     """Typed access over the flat mapping with error reporting by key.  Every
-    key asked for, by :meth:`has` or a ``get_*`` method, is recorded."""
+    key asked for, by :meth:`has` or a ``get_*`` method, is recorded in
+    :attr:`asked`; every key a ``get_*`` method returned a value for, its
+    default included, is recorded in :attr:`read` with that value as text
+    that parses back to it (:meth:`record`)."""
 
     def __init__(self, data: Dict[str, str]):
         self.data = dict(data)
         self.asked: Set[str] = set()
+        self.read: Dict[str, str] = {}
 
     def reject_unread(self) -> None:
         """Raise a :class:`ConfigError` naming, sorted, the keys never asked for."""
@@ -80,25 +94,31 @@ class ConfigView:
         if unread:
             raise ConfigError(f"config keys that this command does not read: {', '.join(unread)}")
 
+    def record(self, key: str, value) -> None:
+        """Record ``value`` as the one read for ``key``, by :func:`format_value`."""
+        self.read[key] = format_value(value)
+
     def has(self, key: str) -> bool:
         self.asked.add(key)
         return key in self.data
 
     def get_str(self, key: str, default: Optional[str] = None) -> str:
-        if self.has(key):
-            return self.data[key]
-        if default is None:
+        if not self.has(key) and default is None:
             raise ConfigError(f"missing required key {key!r}")
-        return default
+        value = self.data.get(key, default)
+        self.record(key, value)
+        return value
 
     def _parse(self, key: str, default, parse: Callable[[str], Any], what: str):
-        if default is not None and not self.has(key):
-            return default
-        raw = self.get_str(key)
-        try:
-            return parse(raw)
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: not {what}: {raw!r}") from exc
+        value = default
+        if default is None or self.has(key):
+            raw = self.get_str(key)
+            try:
+                value = parse(raw)
+            except ValueError as exc:
+                raise ConfigError(f"key {key!r}: not {what}: {raw!r}") from exc
+        self.record(key, value)
+        return value
 
     def get_float(self, key: str, default: Optional[float] = None) -> float:
         return self._parse(key, default, float, "a number")

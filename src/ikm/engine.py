@@ -100,6 +100,7 @@ __all__ = [
     "monotone_prefix",
     "picard",
     "product_bound_rows",
+    "replay",
     "run",
     "small_o_check",
     "verify_Ck_monotone",
@@ -660,7 +661,7 @@ def _y_dist_sq(trace: Trace, a: np.ndarray, lo: int = 0) -> np.ndarray:
         return (1.0 + a) * cur - a * prev + a * (1.0 + a) * (step * step)
 
 
-def _replay(name: str, ks: np.ndarray, failing: Callable[[int, int], np.ndarray]) -> Verdict:
+def replay(name: str, ks: np.ndarray, failing: Callable[[int, int], np.ndarray]) -> Verdict:
     """The verdict of a check at ``ks``, a prefix of the trace's ``k``, with
     ``failing(lo, hi)`` the mask of its failing indices among ``ks[lo:hi]``:
     every chunk of ``ROW_CHUNK`` indices is judged (so any chunk's error is
@@ -713,8 +714,8 @@ def verify_descent(trace: Trace, tol: float = DEFAULT_TOL) -> Verdict:
     the ``dist_to_ref`` column.
     """
     _needs_dist(trace)
-    return _replay("descent", trace.k[:-1],
-                   lambda lo, hi: _exceeds(*descent_rows(trace, lo, hi), tol))
+    return replay("descent", trace.k[:-1],
+                  lambda lo, hi: _exceeds(*descent_rows(trace, lo, hi), tol))
 
 
 def _ck_rows(trace: Trace, lo: int, hi: int) -> np.ndarray:
@@ -752,7 +753,7 @@ def verify_Ck_monotone(trace: Trace, tol: float = DEFAULT_TOL) -> Verdict:
         bad[:c.size - 1] |= ~(c[1:] <= c[:-1] + tol * (1.0 + c[:-1]))
         return bad
 
-    return _replay("ck", trace.k, failing)
+    return replay("ck", trace.k, failing)
 
 
 def contraction_rows(trace: Trace, q: float, xi: float, lo: int,
@@ -776,8 +777,8 @@ def verify_contraction(trace: Trace, q: float, xi: float,
     ``lambda_k``, not ``eta_k``.
     """
     _needs_dist(trace)
-    return _replay("contraction", trace.k[:-1],
-                   lambda lo, hi: _exceeds(*contraction_rows(trace, q, xi, lo, hi), tol))
+    return replay("contraction", trace.k[:-1],
+                  lambda lo, hi: _exceeds(*contraction_rows(trace, q, xi, lo, hi), tol))
 
 
 def product_bound_rows(trace: Trace, q: float, xi: float, lo: int, hi: int,
@@ -812,55 +813,65 @@ def verify_product_bound(trace: Trace, q: float, xi: float,
         lhs, rhs, carry = product_bound_rows(trace, q, xi, lo, hi, carry)
         return _exceeds(lhs, rhs, tol)
 
-    return _replay("product", trace.k[:-1], failing)
+    return replay("product", trace.k[:-1], failing)
+
+
+def _squares(roots: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The squares of ``roots[lo:hi]``."""
+    part = roots[lo:hi]
+    return part * part
 
 
 def _k_times_max(zs: np.ndarray, lo: int, hi: int) -> np.floating:
-    """``max(k * zs[k - 1])`` over ``k = lo + 1 .. hi``, one chunk at a time
-    (nan when a product is nan, as ``np.max`` over the whole range)."""
-    with np.errstate(over="ignore"):
-        return np.max([np.max(np.arange(i + 1, min(i + ROW_CHUNK, hi) + 1, dtype=np.float64)
-                              * zs[i:min(i + ROW_CHUNK, hi)])
-                       for i in range(lo, hi, ROW_CHUNK)])
+    """``max(k * zs[k - 1]**2)`` over ``k = lo + 1 .. hi``, one chunk at a
+    time (nan when a product is nan, as ``np.max`` over the whole range)."""
+    return np.max([np.max(np.arange(i + 1, min(i + ROW_CHUNK, hi) + 1, dtype=np.float64)
+                          * _squares(zs, i, min(i + ROW_CHUNK, hi)))
+                   for i in range(lo, hi, ROW_CHUNK)])
 
 
-def small_o_check(zeta: Sequence[float]) -> bool:
-    """Finite-sample proxy for ``k * zeta_k -> 0`` on summable inputs.
+def small_o_check(roots: Sequence[float]) -> bool:
+    """Finite-sample proxy for ``k * zeta_k -> 0`` on summable inputs, where
+    ``zeta_k = roots[k - 1]**2`` (a trace's residual or step column).
 
     ``zeta`` must be positive, nan excluded, and nonincreasing (validated;
     tiny relative upticks at rounding level are tolerated).  Returns True
     when the maximum of ``k * zeta_k`` over the last quartile is below 10%
     of its maximum over the first quartile.  A documented heuristic, not a
-    limit statement.  An array is read in place, one chunk at a time.
+    limit statement.  An array is read in place, one chunk at a time, each
+    chunk squared as it is read.
     """
-    zs = np.asarray(zeta, dtype=np.float64)
+    zs = np.asarray(roots, dtype=np.float64)
     if zs.size < 4:
         raise ValueError("need at least 4 values")
-    if not zs.min() > 0.0:
-        raise ValueError("values must be positive")
     with np.errstate(over="ignore"):
+        # a nan minimum fails, so a chunk holding a nan does
+        if not all(_squares(zs, lo, lo + ROW_CHUNK).min() > 0.0
+                   for lo in range(0, zs.size, ROW_CHUNK)):
+            raise ValueError("values must be positive")
         for lo in range(0, zs.size - 1, ROW_CHUNK):
-            z = zs[lo:lo + ROW_CHUNK + 1]
+            z = _squares(zs, lo, lo + ROW_CHUNK + 1)
             if (z[1:] > z[:-1] * (1.0 + 1e-12)).any():
                 raise ValueError("sequence is not nonincreasing")
-    quart = max(1, zs.size // 4)
-    return bool(_k_times_max(zs, zs.size - quart, zs.size) < 0.1 * _k_times_max(zs, 0, quart))
+        quart = max(1, zs.size // 4)
+        return bool(_k_times_max(zs, zs.size - quart, zs.size)
+                    < 0.1 * _k_times_max(zs, 0, quart))
 
 
-def monotone_prefix(values: Sequence[float], slack: float = 1e-12) -> int:
-    """Length of the maximal nonincreasing positive prefix; a value that is
-    not ``> 0``, nan included, ends it.
+def monotone_prefix(roots: Sequence[float], slack: float = 1e-12) -> int:
+    """Length of the maximal nonincreasing positive prefix of the squares
+    of ``roots``; a square that is not ``> 0``, nan included, ends it.
 
     Trace tails that have reached the floating-point floor jitter at rounding
     level; the small-o diagnostic is applied to the prefix that still
     measures the iteration rather than the noise.  An array is scanned in
-    place, one chunk at a time.
+    place, one chunk at a time, each chunk squared as it is scanned.
     """
-    v = np.asarray(values, dtype=np.float64)
+    v = np.asarray(roots, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, v.size, ROW_CHUNK):
             back = 1 if lo else 0  # one row of look-back past the first chunk
-            w = v[lo - back:lo + ROW_CHUNK]
+            w = _squares(v, lo - back, lo + ROW_CHUNK)
             bad = ~(w[back:] > 0.0)
             bad[1 - back:] |= w[1:] > w[:-1] * (1.0 + slack)
             if bad.any():

@@ -240,7 +240,7 @@ def _tv1d_saddle(b: np.ndarray, mu: float) -> np.ndarray:
 # generators
 
 
-def make_quadratic(dim: int, mu: float, L_smooth: float, seed: int) -> BenchmarkInstance:
+def make_quadratic(dim: int, mu: float, L: float, seed: int) -> BenchmarkInstance:
     """Strongly convex quadratic ``0.5 x^T A x - b^T x`` with known spectrum.
 
     Eigenvalues ``w`` are drawn uniformly in [mu, L] with both extremes
@@ -251,10 +251,10 @@ def make_quadratic(dim: int, mu: float, L_smooth: float, seed: int) -> Benchmark
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    if not 0.0 < mu <= L_smooth:
-        raise ValueError("need 0 < mu <= L_smooth")
+    if not 0.0 < mu <= L:
+        raise ValueError("need 0 < mu <= L")
     gen = SplitMix64(seed)
-    eigs = [mu, L_smooth] + [gen.uniform_in(mu, L_smooth) for _ in range(dim - 2)]
+    eigs = [mu, L] + [gen.uniform_in(mu, L) for _ in range(dim - 2)]
     Q = _orthogonal(gen, dim)
     A_map = SpectralMap(Q, eigs)
     A = A_map.matrix
@@ -268,7 +268,7 @@ def make_quadratic(dim: int, mu: float, L_smooth: float, seed: int) -> Benchmark
         xA = np.matmul(x[..., None, :], A)[..., 0, :]
         return 0.5 * np.vecdot(xA, x) - np.vecdot(x, b)
 
-    rho_grad = 2.0 / (mu + L_smooth)
+    rho_grad = 2.0 / (mu + L)
     f_quad = quadratic(A_map, b)
     builders = {
         "gradient": lambda rho: gradient_step_op(A_map, b, rho),
@@ -276,7 +276,7 @@ def make_quadratic(dim: int, mu: float, L_smooth: float, seed: int) -> Benchmark
     }
     return BenchmarkInstance(
         kind="quadratic",
-        params={"dim": dim, "mu": mu, "L_smooth": L_smooth, "seed": seed},
+        params={"dim": dim, "mu": mu, "L": L, "seed": seed},
         objective=objective,
         default_steps={"gradient": {"rho": rho_grad}, "proximal": {"rho": 1.0}},
         builders=builders,

@@ -84,15 +84,14 @@ def test_criterion_1_lyapunov_monotonicity(lasso_run):
 def test_criterion_2_small_o_residuals(lasso_run):
     _, _, result, _ = lasso_run
     rows = result.rows
-    res_sq = rows.residual ** 2
-    step_sq = rows.step[1:] ** 2
     # the tail of a fully converged trace measures rounding noise, not the
-    # iteration: apply the summability diagnostic on the monotone prefix
-    n_res = cli.monotone_prefix(res_sq)
-    n_step = cli.monotone_prefix(step_sq)
+    # iteration: apply the summability diagnostic, which squares the
+    # columns, on the monotone prefix
+    n_res = cli.monotone_prefix(rows.residual)
+    n_step = cli.monotone_prefix(rows.step[1:])
     assert n_res >= 1000 and n_step >= 1000
-    assert small_o_check(res_sq[:n_res])
-    assert small_o_check(step_sq[:n_step])
+    assert small_o_check(rows.residual[:n_res])
+    assert small_o_check(rows.step[1:n_step + 1])
     k_res_sq = rows.k * rows.residual * rows.residual
     k_step_sq = rows.k * rows.step * rows.step
     res_below = np.flatnonzero((0 < k_res_sq) & (k_res_sq < 1e-10))

@@ -97,7 +97,7 @@ def test_certified_schedule_passes_every_check(tmp_path, generator, scheme, sche
     if schedule in ("ramp", "table"):
         assert "warning: schedule fails the feasibility certificates; running anyway" not in lines
     # the run's verdicts, then those ikm certify re-derives from the file
-    trace, _, _, q, xi = cli.read_trace(str(trace_path))
+    trace, _, _, _, q, xi = cli.read_trace(str(trace_path))
     assert (trace.gamma, q, xi) == (op.gamma, op.q_factor, 1.0)
     verdicts = cli.evaluate_checks(trace, cli.CHECKS, q, xi)
     lam = trace.schedule.columns(trace.k)[1]

@@ -59,6 +59,27 @@ def test_serialize_roundtrip():
     assert deserialize_config(line) == cfg
 
 
+# a key or value that parse_config accepts: no '#', no line break, no '=' in a key
+HEADER_TEXT = st.text(st.one_of(st.sampled_from(list("; =.,\t")),
+                                st.characters(blacklist_categories=("Cs",),
+                                              blacklist_characters="#")),
+                      min_size=1, max_size=12).filter(lambda t: len((t + ".").splitlines()) == 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(HEADER_TEXT.filter(lambda t: "=" not in t), HEADER_TEXT), max_size=8))
+def test_a_header_line_carries_every_config_it_can(items):
+    cfg = parse_config("".join(f"{section}.{name} = {value}\n" for (section, value), name
+                               in zip(items, map(str, range(len(items))))
+                               if section.strip() and value.strip()))
+    # the one thing a header line cannot carry, which ikm run and ikm sweep reject
+    if any("; " in key + "=" + value for key, value in cfg.items()):
+        return
+    line = serialize_config(cfg)
+    assert len(("# config: " + line).splitlines()) == 1
+    assert deserialize_config(line) == cfg
+
+
 def test_config_view_typed_getters():
     v = ConfigView({"a.f": "2.5", "a.i": "7", "a.list": "1,2,3"})
     assert v.get_float("a.f") == 2.5
@@ -105,7 +126,8 @@ def test_run_quadratic_picard_converges(tmp_path):
     lines = trace.read_text().splitlines()
     assert lines[0] == "# ikm-trace-v2"
     assert lines[1].startswith("# config: ")
-    assert lines[2] == cli.TRACE_COLUMNS
+    assert lines[2].startswith("# derived: ")
+    assert lines[3] == cli.TRACE_COLUMNS
     last = lines[-1].split(",")
     assert float(last[1]) <= 1e-11
 
@@ -246,15 +268,17 @@ V1_HEADER = ("k,residual,step,nu_k,delta_k,Delta_k,C_k,dist_to_ref,k_step_sq,k_r
              "objective,rate_bound")
 
 
-def reference_trace_text(trace, resolved, fields=cli.TRACE_FIELDS, version="v2"):
-    """ikm-trace-v2 written field by field, as a row writer would; with
+def reference_trace_text(trace, config, derived=None, fields=cli.TRACE_FIELDS, version="v2"):
+    """ikm-trace-v2 written field by field, as a row writer would, with a
+    ``# derived:`` line when ``derived`` is given; with
     ``fields=V1_HEADER.split(",")`` and ``version="v1"``, an ikm-trace-v1
     whose derived fields are empty (the reader stops at its header)."""
     def fmt(x):
         return "" if x is None else "%.17g" % x
 
-    lines = [f"# ikm-trace-{version}", "# config: " + serialize_config(resolved),
-             ",".join(fields)]
+    lines = [f"# ikm-trace-{version}", "# config: " + serialize_config(config)]
+    lines += ["# derived: " + serialize_config(derived)] if derived else []
+    lines.append(",".join(fields))
     cols = [[None] * len(trace) if col is None else col.tolist()
             for col in (getattr(trace, name, None) for name in fields)]
     for k, *values in zip(*cols):
@@ -262,15 +286,15 @@ def reference_trace_text(trace, resolved, fields=cli.TRACE_FIELDS, version="v2")
     return "\n".join(lines) + "\n"
 
 
-def v1_trace_text(trace, resolved):
-    return reference_trace_text(trace, resolved, V1_HEADER.split(","), "v1")
+def v1_trace_text(trace, config):
+    return reference_trace_text(trace, config, None, V1_HEADER.split(","), "v1")
 
 
 def trace_for(cfg, residual, step, dist_to_ref=None, objective=None):
     """The trace of these measured columns under ``cfg``'s schedule, with
     its rate bound from ``cfg``'s q and xi, as a run under that config
     records it."""
-    schedule, _, xi = cli.build_schedule(ConfigView(cfg))
+    schedule, xi = cli.read_schedule(ConfigView(cfg))
     trace = engine.Trace(schedule, k=np.arange(1, residual.size + 1), residual=residual,
                          step=step, dist_to_ref=dist_to_ref, objective=objective)
     q = cli._derived_constant("config", ConfigView(cfg), "derived.q_factor")
@@ -297,16 +321,17 @@ def edge_trace(n):
 @pytest.mark.parametrize("n", [0, 1, 5, 2500])
 def test_write_trace_matches_per_field_formatter(tmp_path, n):
     trace = edge_trace(n)
-    resolved = dict(IO_CFG, **{"run.status": "max_iters"})
+    outcome = {"run.status": "max_iters"}
     path = tmp_path / "edge.csv"
-    cli.write_trace(str(path), trace, resolved)
-    assert path.read_text(encoding="utf-8") == reference_trace_text(trace, resolved)
-    back, cfg, mismatch, _, _ = cli.read_trace(str(path))
-    assert cfg == resolved and len(back) == n and mismatch is None
+    cli.write_trace(str(path), trace, IO_CFG, outcome)
+    assert path.read_text(encoding="utf-8") == reference_trace_text(trace, IO_CFG, outcome)
+    back, cfg, derived, consistency, _, _ = cli.read_trace(str(path))
+    assert cfg == IO_CFG and derived == outcome and len(back) == n
+    assert consistency == engine.Verdict("consistency", "PASS", n)
     if n:  # a header-only file has no columns to compare
         assert_same_trace(back, trace)  # bit for bit, the sign of zero and nan included
     again = tmp_path / "again.csv"
-    cli.write_trace(str(again), back, cfg)
+    cli.write_trace(str(again), back, cfg, derived)
     assert again.read_bytes() == path.read_bytes()
 
 
@@ -329,11 +354,11 @@ def test_trace_write_read_write_is_byte_identical_on_a_run(tmp_path):
     text = QUAD_RUN.format(trace=trace).replace("schedule.alpha = 0.0", "schedule.alpha = 0.05")
     write(cfg, text.replace("schedule.lambda = 1.0", "schedule.lambda = 0.9"))
     assert cli.cmd_run(str(cfg), out=io.StringIO()) == cli.EXIT_OK
-    rows, resolved, _, _, _ = cli.read_trace(str(trace))
+    rows, config, derived, _, _, _ = cli.read_trace(str(trace))
     assert len(rows) > 100 and rows.rate_bound is not None and rows.objective is not None
-    assert trace.read_text(encoding="utf-8") == reference_trace_text(rows, resolved)
+    assert trace.read_text(encoding="utf-8") == reference_trace_text(rows, config, derived)
     again = tmp_path / "again.csv"
-    cli.write_trace(str(again), rows, resolved)
+    cli.write_trace(str(again), rows, config, derived)
     assert again.read_bytes() == trace.read_bytes()
 
 
@@ -374,7 +399,7 @@ def test_read_trace_holds_one_chunk_of_text(tmp_path):
     columns = sum(getattr(trace, name).nbytes for name in engine.STORED_COLUMNS)
     tracemalloc.start()
     try:
-        back, _, _, _, _ = cli.read_trace(str(path))
+        back, *_ = cli.read_trace(str(path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -416,7 +441,7 @@ def test_read_trace_skips_what_the_format_allows(tmp_path, edit):
     cli.write_trace(str(path), trace, FULL_CFG)
     lines = edit(path.read_text().splitlines())
     path.write_bytes(("\n".join(lines) + "\n").encode())
-    back, cfg, _, _, _ = cli.read_trace(str(path))
+    back, cfg, _, _, _, _ = cli.read_trace(str(path))
     assert_same_trace(back, trace)
     assert cfg == FULL_CFG
 
@@ -473,8 +498,8 @@ def test_run_quasi_contractive_fills_rate_bound(tmp_path):
     text = text.replace("schedule.lambda = 1.0", "schedule.lambda = 0.9")
     write(cfg, text)
     assert cli.cmd_run(str(cfg), out=io.StringIO()) == cli.EXIT_OK
-    rows, cfg_map, _, _, _ = cli.read_trace(str(trace))
-    assert "derived.q_factor" in cfg_map
+    rows, _, derived, _, _, _ = cli.read_trace(str(trace))
+    assert "derived.q_factor" in derived
     assert rows[0].rate_bound == pytest.approx(rows[0].dist_to_ref ** 2, rel=1e-12)
     assert rows.rate_bound is not None
     assert (rows.dist_to_ref ** 2 <= rows.rate_bound + 1e-10).all()
@@ -605,7 +630,7 @@ def test_precheck_fails_a_ramp_whose_limit_is_infeasible(tmp_path):
     assert "; k=2..1000000): max=" in lines[0] and lines[0].endswith(" FAIL")
     assert lines[1].startswith("relaxation(eta=") and lines[1].endswith(" FAIL")
     assert "warning: schedule fails the feasibility certificates; running anyway" in lines
-    assert cli.read_trace(str(trace))[1]["derived.warning"] == "1"
+    assert cli.read_trace(str(trace))[2]["derived.warning"] == "1"
 
 
 @pytest.mark.parametrize("schedule", [
@@ -630,7 +655,7 @@ def test_sequence_precheck_is_the_same_for_a_one_iteration_run(tmp_path, schedul
         assert cli.cmd_run(str(cfg), out=buf) == code
         out = buf.getvalue()
         certificates.append((out[:out.index("status=")],
-                             cli.read_trace(str(trace))[1]["derived.warning"]))
+                             cli.read_trace(str(trace))[2]["derived.warning"]))
     assert certificates[0] == certificates[1]
     assert certificates[0][0].startswith("relaxation_seq(")
 
@@ -742,7 +767,7 @@ def test_certify_rejects_a_trace_with_rows_deleted(tmp_path, capsys):
     write(cfg, CERTIFIED.format(trace=trace).replace("problem.seed = 2", "problem.seed = 1"))
     assert cli.cmd_run(str(cfg), out=io.StringIO()) == cli.EXIT_OK
     lines = trace.read_text().splitlines()
-    head = 3  # two comment lines and the column header
+    head = 4  # three comment lines and the column header
     assert len(lines) > head + 60 and lines[head + 49].startswith("50,")
     del lines[head + 49:head + 59]
     trace.write_text("\n".join(lines) + "\n")
@@ -823,7 +848,7 @@ def test_run_and_certify_form_no_full_length_lyapunov_column(tmp_path, monkeypat
 
     monkeypatch.setattr(engine, "_ck_rows", recording)
     assert cli.cmd_run(str(cfg), out=io.StringIO()) == cli.EXIT_OK
-    rows, _, _, _, _ = cli.read_trace(str(trace))
+    rows, *_ = cli.read_trace(str(trace))
     assert len(rows) > 10_000
     runs = len(sizes)
     assert cli.cmd_certify(str(trace), out=io.StringIO()) == cli.EXIT_OK
@@ -838,9 +863,9 @@ def test_certify_rejects_a_v1_trace(tmp_path, capsys):
     trace = tmp_path / "run.csv"
     write(cfg, CERTIFIED.format(trace=trace))
     cli.cmd_run(str(cfg), out=io.StringIO())
-    rows, resolved, _, _, _ = cli.read_trace(str(trace))
+    rows, config, *_ = cli.read_trace(str(trace))
     v1 = tmp_path / "v1.csv"
-    v1.write_text(v1_trace_text(rows, resolved), encoding="utf-8")
+    v1.write_text(v1_trace_text(rows, config), encoding="utf-8")
     capsys.readouterr()
     assert cli.main(["certify", str(v1)]) == cli.EXIT_USAGE
     out, err = capsys.readouterr()
@@ -869,14 +894,134 @@ def test_certify_flags_a_v2_rate_bound_that_disagrees(tmp_path):
     clean = io.StringIO()
     assert cli.cmd_certify(str(trace), out=clean) == cli.EXIT_OK
     lines = trace.read_text().splitlines()
-    row = lines[10].split(",")  # k = 8
+    row = lines[11].split(",")  # k = 8
     row[-1] = "%.17g" % (2.0 * float(row[-1]))
-    lines[10] = ",".join(row)
+    lines[11] = ",".join(row)
     trace.write_text("\n".join(lines) + "\n")
     buf = io.StringIO()
     assert cli.cmd_certify(str(trace), out=buf) == cli.EXIT_CHECK_FAILED
     assert buf.getvalue() == clean.getvalue() + "consistency: FAIL at k=[8]\n"
 
+
+
+# one small run per generator, leaving some keys to their defaults, on each
+# schedule kind; (config, exit code)
+RERUN_CONFIGS = {
+    "quadratic": ("problem.kind = quadratic\nproblem.dim = 8\nalgorithm.scheme = proximal\n"
+                  "schedule.alpha = 0.1\nschedule.lambda = 0.9\n"
+                  "output.checks = ck, descent,contraction,product,small_o\n", cli.EXIT_OK),
+    "lasso": ("problem.kind = lasso\nproblem.m = 12\nproblem.n = 30\nproblem.seed = 4\n"
+              "algorithm.scheme = fb\nschedule.alpha_kind = ramp\nschedule.alpha_end = 0.2\n"
+              "schedule.alpha_ramp_iters = 20\nstopping.max_iters = 2000\n", cli.EXIT_OK),
+    "tv1d": ("problem.kind = tv1d\nproblem.n = 30\nalgorithm.scheme = pd\n"
+             "schedule.alpha_kind = table\nschedule.alpha_table = 0,0.1,0.2\n"
+             "schedule.lambda_kind = table\nschedule.lambda_table = 1.2, 1.5\n"
+             "output.checks = ck\n", cli.EXIT_OK),
+    "three_term": ("problem.kind = three_term\nproblem.m = 12\nproblem.n = 30\n"
+                   "algorithm.scheme = dy\nalgorithm.rho = 0.1\nschedule.lambda = 0.9\n"
+                   "schedule.xi = 0.5\nstopping.stall_tol = 1e-9\n", cli.EXIT_MAX_ITERS),
+    "feasibility": ("problem.kind = feasibility\nproblem.dim = 10\nalgorithm.scheme = dr\n"
+                    "schedule.alpha = 0.2\nschedule.lambda = 1.38\nrun.p_ref = none\n"
+                    "stopping.max_iters = 2\n", cli.EXIT_MAX_ITERS),
+}
+
+# the output.checks a trace's config line holds, when not none
+RERUN_CHECKS = {"quadratic": "ck,descent,contraction,product,small_o", "tv1d": "ck"}
+
+
+def config_line(path):
+    """The ``# config:`` line of an output file, as config text."""
+    line = next(line for line in path.read_text().splitlines() if line.startswith("# config: "))
+    return "".join(item + "\n" for item in line[len("# config: "):].split("; "))
+
+
+@pytest.mark.parametrize("kind", sorted(RERUN_CONFIGS))
+def test_a_trace_config_line_reruns_the_run(tmp_path, capsys, kind):
+    # the line used to mix the run's outcome (derived.*, run.status) with its
+    # inputs and to name problem.L problem.L_smooth: a rerun exited 64
+    text, code = RERUN_CONFIGS[kind]
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    write(tmp_path / "first.cfg", text + f"output.trace = {first}\n")
+    assert cli.main(["run", str(tmp_path / "first.cfg")]) == code
+    out = capsys.readouterr().out
+    inputs = config_line(first)
+    assert f"output.checks={RERUN_CHECKS.get(kind, 'none')}\n" in inputs
+    write(tmp_path / "again.cfg", inputs + f"output.trace = {again}\n")
+    assert cli.main(["run", str(tmp_path / "again.cfg")]) == code
+    assert capsys.readouterr().out == out.replace(str(first), str(again))
+    assert again.read_bytes() == first.read_bytes()
+    assert all(f"problem.{name}=" in inputs for name in cli.PROBLEMS[kind])
+
+
+def test_a_sweep_table_config_line_reruns_the_sweep(tmp_path, capsys):
+    # the line named no problem parameter but the kind, and no entry
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    write(tmp_path / "first.cfg", "problem.kind = quadratic\nproblem.dim = 10\nproblem.seed = 3\n"
+          "algorithm.scheme = gradient\nschedule.xi = 0.8\nstopping.residual_tol = 1e-9\n"
+          "sweep.1.alpha = 0.05\nsweep.1.lambda = 0.9\nsweep.1.label = inertial = 0.05\n"
+          "sweep.2.alpha = 0.1\nsweep.2.lambda = 0.5\nsweep.2.xi = 1\n"
+          "sweep.10.alpha = 0\nsweep.10.lambda = 0.9\n" + f"output.table = {first}\n")
+    assert cli.main(["sweep", str(tmp_path / "first.cfg")]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    inputs = config_line(first)
+    assert "sweep.1.label=inertial = 0.05\n" in inputs and "problem.mu=1\n" in inputs
+    write(tmp_path / "again.cfg", inputs + f"output.table = {again}\n")
+    assert cli.main(["sweep", str(tmp_path / "again.cfg")]) == cli.EXIT_OK
+    assert capsys.readouterr().out == out.replace(str(first), str(again))
+    assert again.read_bytes() == first.read_bytes()
+    # the two configured rows and the lambda = 0.9 baseline, then the added one
+    assert [row.split(",")[0] for row in again.read_text().splitlines()[3:]] == [
+        "inertial = 0.05", "s2", "s10", "baseline(lambda=0.5)"]
+
+
+@pytest.mark.parametrize("kind", sorted(RERUN_CONFIGS))
+def test_certify_reads_a_trace_whose_outcome_sits_in_its_config_line(tmp_path, kind):
+    # the layout written before the outcome had a line of its own: one
+    # '# config:' line holding derived.*, run.status and problem.L_smooth
+    text, _ = RERUN_CONFIGS[kind]
+    trace = tmp_path / "run.csv"
+    write(tmp_path / "run.cfg", text + f"output.trace = {trace}\n")
+    cli.main(["run", str(tmp_path / "run.cfg")])
+    lines = trace.read_text().splitlines()
+    assert lines[1].startswith("# config: ") and lines[2].startswith("# derived: ")
+    config = deserialize_config(lines[1][len("# config: "):])
+    header = {("problem.L_smooth" if key == "problem.L" else key): value
+              for key, value in config.items() if key not in ("output.checks", "run.p_ref")}
+    header.update(deserialize_config(lines[2][len("# derived: "):]))
+    old = tmp_path / "old.csv"
+    old.write_text("\n".join([lines[0], "# config: " + serialize_config(header)] + lines[3:])
+                   + "\n")
+    outs = []
+    for path in (trace, old):
+        buf = io.StringIO()
+        outs.append((cli.cmd_certify(str(path), out=buf), buf.getvalue()))
+    assert outs[1] == outs[0] and "derived.gamma" in cli.read_trace(str(old))[1]
+
+
+def test_a_disagreeing_rate_bound_is_read_in_the_memory_of_an_agreeing_one(tmp_path, long_run):
+    # the reader kept every k at which the file's rate_bound differs: with
+    # derived.q_factor edited by one part in 10^12, 99,999 ks and a peak of
+    # 8.22 columns of float64s, against 6.28 for the file that agrees
+    run_trace, q = long_run
+    trace = engine.Trace(run_trace.schedule, run_trace.gamma,
+                         **{name: getattr(run_trace, name) for name in engine.STORED_COLUMNS})
+    trace.rate_bound = cli.rate_bound_column(trace, trace.schedule, q, 1.0)
+    peaks, verdicts = {}, {}
+    for name, q_file in (("clean", q), ("edited", q * (1.0 + 1e-12))):
+        path = tmp_path / f"{name}.csv"
+        cli.write_trace(str(path), trace, {"schedule.alpha": "0.05", "schedule.lambda": "0.9"},
+                        {"derived.gamma": cli._fmt(trace.gamma),
+                         "derived.q_factor": cli._fmt(q_file)})
+        tracemalloc.start()
+        try:
+            verdicts[name] = cli.read_trace(str(path))[3]
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    n = len(trace)
+    assert verdicts["clean"] == engine.Verdict("consistency", "PASS", n)
+    assert verdicts["edited"] == engine.Verdict("consistency", "FAIL", n, (2, 3, 4, 5, 6))
+    assert peaks["edited"] <= peaks["clean"] + 0.1 * trace.k.nbytes
 
 TV_RUN_WORKLOAD = """
 problem.kind = tv1d
@@ -957,7 +1102,8 @@ ROUND_TRIP_ENDS = {
 def test_v2_round_trip_gives_the_runs_trace(kind, end, with_ref, with_objective, dim, seed):
     lam, stop_args = ROUND_TRIP_ENDS[end]
     keys = {key: value.format(lam=lam) for key, value in ROUND_TRIP_SCHEDULES[kind].items()}
-    schedule, resolved, xi = cli.build_schedule(ConfigView(keys))
+    view = ConfigView(keys)
+    schedule, xi = cli.read_schedule(view)
     inst = problems.make_quadratic(dim, 1.0, 10.0, seed)
     op = inst.operator("gradient")
     objective = (lambda x: inst.objective(op.extract_solution(x))) if with_objective else None
@@ -966,13 +1112,13 @@ def test_v2_round_trip_gives_the_runs_trace(kind, end, with_ref, with_objective,
     assert result.status == end
     trace = result.rows
     trace.rate_bound = cli.rate_bound_column(trace, schedule, op.q_factor, xi)
-    resolved.update({"run.status": end, "derived.gamma": cli._fmt(op.gamma),
-                     "derived.q_factor": cli._fmt(op.q_factor)})
+    outcome = {"run.status": end, "derived.gamma": cli._fmt(op.gamma),
+               "derived.q_factor": cli._fmt(op.q_factor)}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "t.csv")
-        cli.write_trace(path, trace, resolved)
-        back, cfg, mismatch, _, _ = cli.read_trace(path)
-    assert cfg == resolved and mismatch is None
+        cli.write_trace(path, trace, view.read, outcome)
+        back, cfg, derived, consistency, _, _ = cli.read_trace(path)
+    assert cfg == view.read and derived == outcome and consistency.status == "PASS"
     assert (trace.rate_bound is not None) == (with_ref and kind == "constant" and lam == "0.9")
     assert_same_trace(back, trace)
 
@@ -997,9 +1143,9 @@ def test_evaluate_checks_holds_one_report_at_a_time(long_run):
     finally:
         tracemalloc.stop()
     assert {verdict.status for verdict in verdicts.values()} == {"PASS"}
-    # one squared column of small_o at a time, and chunks: 1.02 columns;
-    # whole-column replays took 12, and replays that kept lhs and rhs 2.04
-    assert peak <= 1.5 * trace.k.nbytes
+    # chunks only: 0.042 columns; one squared column of small_o at a time
+    # took 1.02, whole-column replays 12, and replays that kept lhs and rhs 2.04
+    assert peak <= 0.05 * trace.k.nbytes
 
 
 def test_read_and_check_a_long_v2_trace_in_its_stored_columns(tmp_path, long_run):
@@ -1009,13 +1155,12 @@ def test_read_and_check_a_long_v2_trace_in_its_stored_columns(tmp_path, long_run
     trace = engine.Trace(run_trace.schedule, run_trace.gamma,
                          **{name: getattr(run_trace, name) for name in engine.STORED_COLUMNS})
     trace.rate_bound = cli.rate_bound_column(trace, trace.schedule, q, 1.0)
-    resolved = {"schedule.alpha": "0.05", "schedule.lambda": "0.9",
-                "derived.gamma": cli._fmt(trace.gamma), "derived.q_factor": cli._fmt(q)}
     path = tmp_path / "long.csv"
-    cli.write_trace(str(path), trace, resolved)
+    cli.write_trace(str(path), trace, {"schedule.alpha": "0.05", "schedule.lambda": "0.9"},
+                    {"derived.gamma": cli._fmt(trace.gamma), "derived.q_factor": cli._fmt(q)})
     tracemalloc.start()
     try:
-        back, _, _, q_back, xi = cli.read_trace(str(path))
+        back, _, _, _, q_back, xi = cli.read_trace(str(path))
         read_peak = tracemalloc.get_traced_memory()[1]
         verdicts = cli.evaluate_checks(back, cli.CHECKS, q_back, xi)
         peak = tracemalloc.get_traced_memory()[1]
@@ -1063,10 +1208,12 @@ def _documented_lambda(kind, k):
 
 @pytest.mark.parametrize("l_kind", ["constant", "table"])
 @pytest.mark.parametrize("a_kind", ["constant", "ramp", "table"])
-def test_build_schedule_every_kind(tmp_path, a_kind, l_kind):
+def test_read_schedule_every_kind(tmp_path, a_kind, l_kind):
     keys = {"schedule.alpha_kind": a_kind, "schedule.lambda_kind": l_kind,
             **SCHEDULE_KEYS[a_kind], **LAMBDA_KEYS[l_kind]}
-    schedule, resolved, xi = cli.build_schedule(ConfigView(keys))
+    view = ConfigView(keys)
+    schedule, xi = cli.read_schedule(view)
+    resolved = view.read
     assert set(resolved) == set(keys) | {"schedule.xi"} and xi == 1.0
     # the longest ramp or table, and the values past it
     assert schedule.const_from == max({"constant": 1, "ramp": 7, "table": 3}[a_kind],
@@ -1086,8 +1233,9 @@ def test_build_schedule_every_kind(tmp_path, a_kind, l_kind):
     lines = [line for line in text.splitlines() if not line.startswith("schedule.")]
     write(cfg, "\n".join(lines + [f"{key} = {value}" for key, value in keys.items()]) + "\n")
     assert cli.cmd_run(str(cfg), out=io.StringIO()) == cli.EXIT_MAX_ITERS
-    rebuilt, resolved_again, _ = cli.build_schedule(ConfigView(cli.read_trace(str(trace))[1]))
-    assert resolved_again == resolved
+    view_again = ConfigView(cli.read_trace(str(trace))[1])
+    rebuilt, _ = cli.read_schedule(view_again)
+    assert view_again.read == resolved
     assert (rebuilt.const_from, rebuilt.limit) == (schedule.const_from, schedule.limit)
     a_again, l_again = rebuilt.columns(np.arange(1, 7 + 3))
     assert (a_again.tobytes(), l_again.tobytes()) == (a_col.tobytes(), l_col.tobytes())
@@ -1247,8 +1395,10 @@ def test_sweep_final_objective_is_last_row_objective(tmp_path, max_iters, status
     body = [l.split(",") for l in table.read_text().splitlines()[3:]]
     assert {row[4] for row in body} == statuses
 
-    _, instance, scheme, steps, op, objective = cli.build_problem(str(cfg))
-    stop = StoppingRule(max_iters, 1e-6)
+    spec, instance, op, objective = cli.build_problem(str(cfg), cli.read_sweep)
+    scheme, steps = spec.scheme, spec.steps
+    assert spec.stop == StoppingRule(max_iters, 1e-6)
+    stop = spec.stop
     for row in body:
         schedule = Schedule.constant(float(row[1]), float(row[2]))
         try:
@@ -1275,6 +1425,8 @@ def test_sweep_requires_two_entries(tmp_path):
     ("schedule.xi", "-0.5", "schedule.xi must lie in [0, 1]"),
     # a comma would add a field to the table row
     ("sweep.2.label", "a,b", "sweep.2.label must not contain ','"),
+    # "; " would end the label's entry of the table's config line
+    ("sweep.2.label", "a; b", "sweep.2.label must not contain '; '"),
 ])
 def test_sweep_checks_every_entry_before_the_first_run(tmp_path, monkeypatch, key, value,
                                                        message):

@@ -80,3 +80,20 @@ def test_a_long_shift_is_an_insert_not_a_rewrite():
     assert parity.first_difference(lines(old), lines(new)) == (
         "insert at line 6 vs 6: nothing vs b'inserted' (0 vs 1 lines; "
         "17000 of 17000 vs 17001 lines shared)")
+
+
+def test_a_difference_in_comment_lines_only_is_marked_and_not_diffed_by_column():
+    # a trace whose outcome moved from its '# config:' line to a '# derived:' line
+    old = lines([b"# ikm-trace-v2", b"# config: a.x=1; run.status=converged", b"k,residual",
+                 b"1,0.5"])
+    new = lines([b"# ikm-trace-v2", b"# config: a.x=1", b"# derived: run.status=converged",
+                 b"k,residual", b"1,0.5"])
+    assert parity.compare(([], {"t.csv": old}), ([], {"t.csv": new})) == [
+        "t.csv: replace at line 2 vs 2: b'# config: a.x=1; run.status=converged' vs "
+        "b'# config: a.x=1' (1 vs 2 lines; 3 of 4 vs 5 lines shared); comment lines only"]
+    # a differing row is no comment line: the columns are compared
+    edited = new.replace(b"1,0.5", b"1,0.25")
+    assert parity.compare(([], {"t.csv": old}), ([], {"t.csv": edited})) == [
+        "t.csv: replace at line 2 vs 2: b'# config: a.x=1; run.status=converged' vs "
+        "b'# config: a.x=1' (1 vs 2 lines; 2 of 4 vs 5 lines shared)",
+        "t.csv: header agrees; rows 1 vs 1; k column agrees; residual 0.5"]

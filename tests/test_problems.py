@@ -35,7 +35,7 @@ def test_quadratic_equal_extremes_is_scaled_identity():
 
 def _quad_b(inst):
     # recover b from the gradient operator: T(0) = rho * b
-    L_smooth = inst.params["L_smooth"]
+    L_smooth = inst.params["L"]
     T = inst.operator("gradient", rho=1.0 / L_smooth)
     return T.apply(np.zeros(int(inst.params["dim"]))) * L_smooth
 
@@ -62,7 +62,7 @@ def test_quadratic_reference_residual(quad_50):
 def test_quadratic_spectral_consistency(quad_50):
     inst = quad_50
     gen = SplitMix64(2)
-    A_mu, A_L = inst.params["mu"], inst.params["L_smooth"]
+    A_mu, A_L = inst.params["mu"], inst.params["L"]
     T = inst.operator("gradient", rho=1e-9)
     for _ in range(100):
         x = np.array([gen.normal() for _ in range(50)])
@@ -377,8 +377,8 @@ def test_least_squares_build_problem_runs_one_eigendecomposition(tmp_path, monke
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     cfg = tmp_path / "ls.cfg"
     cfg.write_text(f"problem.kind = {kind}\nproblem.m = 40\nproblem.n = 100\n"
-                   f"algorithm.scheme = {scheme}\n", encoding="utf-8")
-    _, instance, *_ = cli.build_problem(str(cfg))
+                   f"algorithm.scheme = {scheme}\noutput.trace = ls.csv\n", encoding="utf-8")
+    _, instance, *_ = cli.build_problem(str(cfg), cli.read_run)
     assert instance.fixed_point(scheme) is not None
     assert shapes == [(40, 40)]
 

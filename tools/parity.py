@@ -50,7 +50,9 @@ or replace), its line in each output and the count of lines the two outputs
 share, in time linear in their length (see ``first_difference``); for a CSV
 file the tool also prints whether the header, the row count and the ``k``
 column agree, and the largest relative difference in each column whose
-fields differ.
+fields differ.  A differing output whose every differing line is a ``#``
+comment line (a trace's or table's header lines) is marked ``comment lines
+only``, and the last line counts the differing cases that differ only so.
 """
 
 from __future__ import annotations
@@ -298,6 +300,19 @@ def csv_difference(a: bytes, b: bytes) -> str:
     return "; ".join(parts)
 
 
+def comment_lines_only(a: bytes, b: bytes) -> bool:
+    """Whether two outputs agree once their ``#`` comment lines are dropped,
+    that is, whether every line in which they differ is a comment line."""
+    def body(text):
+        return [line for line in text.splitlines() if not line.startswith(b"#")]
+    return body(a) == body(b)
+
+
+def difference(a: bytes, b: bytes) -> str:
+    """:func:`first_difference`, marked when only comment lines differ."""
+    return first_difference(a, b) + ("; comment lines only" if comment_lines_only(a, b) else "")
+
+
 def compare(old, new) -> List[str]:
     """The differences between two trees' results of one case."""
     (old_cmds, old_files), (new_cmds, new_files) = old, new
@@ -307,13 +322,14 @@ def compare(old, new) -> List[str]:
             diffs.append(f"`{args}`: exit code {rc_a} vs {rc_b}")
         for label, a, b in (("stdout", out_a, out_b), ("stderr", err_a, err_b)):
             if a != b:
-                diffs.append(f"`{args}` {label}: {first_difference(a, b)}")
+                diffs.append(f"`{args}` {label}: {difference(a, b)}")
     for name in sorted(set(old_files) | set(new_files)):
         if name not in old_files or name not in new_files:
             diffs.append(f"{name}: written by one tree only")
         elif old_files[name] != new_files[name]:
-            diffs.append(f"{name}: {first_difference(old_files[name], new_files[name])}")
-            if name.endswith(".csv"):
+            diffs.append(f"{name}: {difference(old_files[name], new_files[name])}")
+            # a CSV whose rows agree has no column to report
+            if name.endswith(".csv") and not diffs[-1].endswith("comment lines only"):
                 diffs.append(f"{name}: {csv_difference(old_files[name], new_files[name])}")
     return diffs
 
@@ -327,7 +343,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     trees = (src_dir(args.old), src_dir(args.new))
 
-    differing = 0
+    differing = comments = 0
     # the two trees of one case run side by side, cases one after another
     with tempfile.TemporaryDirectory(prefix="ikm-parity-") as scratch, \
             ThreadPoolExecutor(max_workers=2) as pool:
@@ -340,11 +356,12 @@ def main(argv=None) -> int:
                 shutil.rmtree(d)
             diffs = compare(old, new)
             differing += bool(diffs)
+            comments += bool(diffs) and all(line.endswith("comment lines only") for line in diffs)
             print(f"{label}: {'DIFFERENT' if diffs else 'identical'} "
                   f"({', '.join(sorted(new[1]))})", flush=True)
             for line in diffs:
                 print(f"    {line}", flush=True)
-    print(f"{differing} differing case(s)")
+    print(f"{differing} differing case(s), {comments} in comment lines only")
     return 1 if differing else 0
 
 
