@@ -44,7 +44,6 @@ from .certificates import (
     xi_threshold,
 )
 from .engine import (
-    DivergenceError,
     ReferenceNotConverged,
     RunResult,
     Schedule,

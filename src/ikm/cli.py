@@ -35,8 +35,8 @@ from . import certificates as cert
 from . import engine
 from .config import (ConfigError, ConfigView, deserialize_config, format_value, load_config,
                      serialize_config)
-from .engine import (OPTIONAL_COLUMNS, STORED_COLUMNS, DivergenceError, Schedule, StoppingRule,
-                     Trace, Verdict, monotone_prefix)
+from .engine import (OPTIONAL_COLUMNS, STORED_COLUMNS, Schedule, StoppingRule, Trace, Verdict,
+                     monotone_prefix)
 
 if TYPE_CHECKING:
     from .operators import OperatorHandle
@@ -608,14 +608,6 @@ def _line(lines: Dict[str, Tuple[str, ...]], verdict: Verdict) -> str:
         ks=list(verdict.fails), reason=verdict.reason)
 
 
-def _run(op, x1, schedule, stop, p_ref, objective) -> engine.RunResult:
-    """``engine.run``, or the partial result (status ``diverged``) of a divergence."""
-    try:
-        return engine.run(op, x1, schedule, stop, p_ref=p_ref, objective=objective)
-    except DivergenceError as exc:
-        return exc.partial
-
-
 def cmd_run(config_path: str, out=sys.stdout) -> int:
     spec, instance, op, objective = build_problem(config_path, read_run)
     p_ref = None
@@ -630,8 +622,8 @@ def cmd_run(config_path: str, out=sys.stdout) -> int:
     if not feasible:
         print("warning: schedule fails the feasibility certificates; running anyway", file=out)
 
-    result = _run(op, instance.start_point(spec.scheme), spec.schedule, spec.stop, p_ref,
-                  objective)
+    result = engine.run(op, instance.start_point(spec.scheme), spec.schedule, spec.stop,
+                        p_ref=p_ref, objective=objective)
     status = result.status
     trace = result.rows
     trace.rate_bound = rate_bound_column(trace, spec.schedule, op.q_factor, spec.xi)
@@ -743,8 +735,8 @@ def cmd_sweep(config_path: str, out=sys.stdout) -> int:
         relax, *contraction = constant_feasibility(alpha, lam, op.gamma, op.q_factor, xi)
         # the table reads no distance column, so no reference point, and
         # only the last row's objective: it is evaluated once
-        result = _run(op, instance.start_point(spec.scheme), Schedule.constant(alpha, lam),
-                      spec.stop, None, None)
+        result = engine.run(op, instance.start_point(spec.scheme),
+                            Schedule.constant(alpha, lam), spec.stop)
         residual = result.rows.residual
         final_obj = None
         if residual.size and objective is not None:

@@ -86,7 +86,6 @@ from .certificates import contraction_constant
 from .linalg import flush_subnormals, is_finite, norm
 
 __all__ = [
-    "DivergenceError",
     "ReferenceNotConverged",
     "RunResult",
     "Schedule",
@@ -325,19 +324,10 @@ class Trace:
     __iter__ = None
 
 
-class DivergenceError(RuntimeError):
-    """Raised when an iterate turns non-finite; carries the partial trace."""
-
-    def __init__(self, k: int, partial: "RunResult"):
-        super().__init__(f"divergence detected at iteration k={k}")
-        self.k = k
-        self.partial = partial
-
-
 class ReferenceNotConverged(RuntimeError):
     """A Picard reference run of :mod:`ikm.problems` missed its tolerance
-    within its step cap; ``ikm`` maps it to exit 2 without importing that
-    module."""
+    within its step cap or diverged; ``ikm`` maps it to exit 2 without
+    importing that module."""
 
 
 @dataclass
@@ -418,9 +408,8 @@ def run(
     are kept besides the blocks, and the trace costs 8 bytes per stored
     column per row: the measured values go to ``array("d")`` buffers, which
     become the trace's columns without a copy.  The run is deterministic;
-    divergence raises :class:`DivergenceError` with the partial trace
-    attached (intermediate overflow on the way to a detected divergence is
-    silenced, since non-finite iterates are handled explicitly).
+    a divergence ends it with status ``diverged`` and the rows before it
+    (overflow on the way there is silenced).
     """
     if p_ref is not None and not is_reference_point(T, p_ref):
         raise ValueError(f"p_ref is not a fixed point (residual > {REF_TOL:g})")
@@ -486,7 +475,7 @@ def run(
             # a finite residual implies finite y and T y; a merely overflowing
             # norm gets the exact test
             if not math.isfinite(res) and not (is_finite(y) and is_finite(ty)):
-                raise DivergenceError(k, result("diverged"))
+                return result("diverged")
 
             res_col.append(res)
             j += 1
@@ -512,7 +501,7 @@ def run(
                     flush_subnormals(x_new)
                 if (not math.isfinite(float(np.dot(x_new, x_new)))
                         and not is_finite(x_new)):
-                    raise DivergenceError(k, result("diverged"))
+                    return result("diverged")
             x_prev, x_curr = x_curr, x_new
 
         return result(status)
@@ -549,20 +538,22 @@ def _schedule_block(schedule: Schedule, k: int, last: int,
 def picard(T, x0: np.ndarray, tol: float, max_iters: int) -> RunResult:
     """Plain fixed-point iteration ``x <- T x`` (reference runs).
 
-    The trace is one row, the last index and its residual (no row after a
-    divergence), under the schedule ``alpha = 0``, ``lambda = 1`` that makes
-    the inertial KM step this iteration.
+    The trace is one row, the last index and its residual (none when the
+    status is ``diverged``, whose overflow is silenced as in :func:`run`),
+    under the schedule ``alpha = 0``, ``lambda = 1`` that makes the
+    inertial KM step this iteration.
     """
     x = x0
-    for k in range(1, max_iters + 1):
-        tx = T.apply(x)
-        r = norm(x - tx)
-        # a finite residual implies a finite T x; the exact test is the fallback
-        if not math.isfinite(r) and not is_finite(tx):
-            raise DivergenceError(k, RunResult(_picard_trace(), [x], [], "diverged"))
-        if r <= tol:
-            return RunResult(_picard_trace(k, r), [x], [], "converged")
-        x = tx
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, max_iters + 1):
+            tx = T.apply(x)
+            r = norm(x - tx)
+            # a finite residual implies a finite T x; the exact test is the fallback
+            if not math.isfinite(r) and not is_finite(tx):
+                return RunResult(_picard_trace(), [x], [], "diverged")
+            if r <= tol:
+                return RunResult(_picard_trace(k, r), [x], [], "converged")
+            x = tx
     return RunResult(_picard_trace(max_iters, norm(x - T.apply(x))), [x], [], "max_iters")
 
 

@@ -223,7 +223,6 @@ class OperatorHandle:
     q_factor: Optional[float] = None
     beta: Optional[float] = None
     extract_solution: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    name: str = ""
     notes: Tuple[str, ...] = field(default_factory=tuple)
     exact_zeros: bool = True
 
@@ -277,7 +276,6 @@ def gradient_step_op(A_spd: Union[LinearMap, SpectralMap], b: np.ndarray,
         q_factor=q if q < 1.0 else None,
         beta=1.0 / L,
         extract_solution=lambda x: x,
-        name="gradient",
         exact_zeros=False,
     )
 
@@ -295,7 +293,6 @@ def proximal_op(f: ProxFunction, rho: float) -> OperatorHandle:
         gamma=0.5,
         q_factor=q,
         extract_solution=lambda x: x,
-        name="proximal",
         exact_zeros=_zeroes(f),
     )
 
@@ -333,7 +330,6 @@ def forward_backward_op(
         gamma=gamma,
         beta=beta,
         extract_solution=lambda x: x,
-        name="forward-backward",
         exact_zeros=_zeroes(f_nonsmooth),
     )
 
@@ -356,7 +352,6 @@ def douglas_rachford_op(fA: ProxFunction, fB: ProxFunction, r: float) -> Operato
         apply=apply,
         gamma=0.5,
         extract_solution=pb,
-        name="douglas-rachford",
         exact_zeros=_zeroes(fA) or _zeroes(fB),
     )
 
@@ -417,7 +412,6 @@ def primal_dual_op(
         apply=apply,
         gamma=0.5,
         extract_solution=lambda p: p[..., :n],
-        name="primal-dual",
         notes=("averagedness 1/2 holds in the step-induced product metric",),
         exact_zeros=_zeroes(f) or _conjugate_zeroes(g),
     )
@@ -473,7 +467,6 @@ def split_dr_op(
         apply=apply,
         gamma=0.5,
         extract_solution=lambda p: p[..., :n],
-        name="split-douglas-rachford",
         notes=("averagedness 1/2 assumed in the scalar-preconditioned metric",),
         exact_zeros=_zeroes(f) or _conjugate_zeroes(g),
     )
@@ -513,6 +506,5 @@ def davis_yin_op(
         gamma=2.0 / (4.0 - rho * L_sm),
         beta=beta,
         extract_solution=pb_,
-        name="davis-yin",
         exact_zeros=_zeroes(fA) or _zeroes(fB),
     )

@@ -12,7 +12,8 @@ non-inertial Picard run to residual 1e-12, which certifies them, at the step
 (:meth:`ikm.linalg.GramMap.spectrum`); a run that misses 1e-12 raises
 :class:`ReferenceNotConverged`.  An instance has one start point and one
 reference, solved on its first read, so a caller that needs none (``ikm
-sweep``) pays none; only the Davis-Yin fixed point moves with its step.
+sweep``) pays none; the Davis-Yin fixed point at another step comes from it
+in closed form.
 """
 
 from __future__ import annotations
@@ -68,17 +69,17 @@ class BenchmarkInstance:
     ``(fixed_point, solution)``: the fixed point every scheme shares at its
     default steps and the minimizer it gives.  It runs on the first read of
     :meth:`fixed_point` or :attr:`reference_solution`, and its result is
-    kept.  ``step_bound_fixed`` marks a fixed point that moves with the steps.
+    kept.  Where the fixed point moves with the steps, ``fixed_at(z, x,
+    **steps)`` maps that pair to the fixed point at the given steps.
     """
 
     kind: str
-    params: Dict[str, float]
     objective: Optional[Callable[[np.ndarray], np.ndarray]]
     default_steps: Dict[str, Dict[str, float]]
     builders: Dict[str, Callable[..., OperatorHandle]] = field(repr=False)
     start: np.ndarray = field(repr=False)
     solve_reference: Callable[[], Tuple[np.ndarray, np.ndarray]] = field(repr=False)
-    step_bound_fixed: bool = field(repr=False, default=False)
+    fixed_at: Optional[Callable[..., np.ndarray]] = field(repr=False, default=None)
     _reference: Optional[Tuple[np.ndarray, np.ndarray]] = field(
         init=False, repr=False, default=None)
 
@@ -116,18 +117,11 @@ class BenchmarkInstance:
         return self.start
 
     def fixed_point(self, scheme: str, **steps) -> np.ndarray:
-        """Reference fixed point for the scheme at the given steps.
-
-        The solved reference serves every scheme at any steps, except where
-        the fixed point moves with them (Davis-Yin's with rho) and they
-        differ from the defaults: there a Picard run of its own is made,
-        which raises :class:`ReferenceNotConverged` on a miss as the default
-        one does, without solving the default reference.
-        """
+        """Reference fixed point for the scheme at the given steps, from the
+        one solved reference."""
         resolved = self.resolve_steps(scheme, **steps)
-        if self.step_bound_fixed and resolved != self.default_steps[scheme]:
-            return _picard_reference(self.kind, self.operator(scheme, **resolved), self.start)
-        return self._solved_reference()[0]
+        z, x = self._solved_reference()
+        return z if self.fixed_at is None else self.fixed_at(z, x, **resolved)
 
 
 # --------------------------------------------------------------------------
@@ -141,6 +135,8 @@ def _picard_reference(kind: str, T: OperatorHandle, x0: np.ndarray) -> np.ndarra
     wrapper installed on ``problems.picard`` sees every reference run.
     """
     run = picard(T, x0, REFERENCE_TOL, REFERENCE_CAP)
+    if run.status == "diverged":
+        raise ReferenceNotConverged(f"{kind} reference run diverged")
     if run.status != "converged":
         raise ReferenceNotConverged(f"{kind} reference run did not reach {REFERENCE_TOL:g} "
                                     f"in {REFERENCE_CAP} steps")
@@ -155,6 +151,10 @@ def _orthogonal(gen: SplitMix64, n: int) -> np.ndarray:
 
 def _sensing_data(m: int, n: int, sparsity: float, seed: int):
     """Design matrix, planted sparse truth and noisy observations."""
+    if m < 2 or n < 2:
+        raise ValueError("m and n must be >= 2")
+    if not 0.0 < sparsity < 1.0:
+        raise ValueError("sparsity must lie in (0, 1)")
     gen = SplitMix64(seed)
     A = gen.normals(m * n).reshape(m, n)
     A /= math.sqrt(m)
@@ -276,7 +276,6 @@ def make_quadratic(dim: int, mu: float, L: float, seed: int) -> BenchmarkInstanc
     }
     return BenchmarkInstance(
         kind="quadratic",
-        params={"dim": dim, "mu": mu, "L": L, "seed": seed},
         objective=objective,
         default_steps={"gradient": {"rho": rho_grad}, "proximal": {"rho": 1.0}},
         builders=builders,
@@ -298,10 +297,6 @@ def make_lasso(m: int, n: int, sparsity: float, mu_reg: float, seed: int) -> Ben
     on the first read of the reference; its fixed-point residual certifies
     optimality for any admissible step size.
     """
-    if m < 2 or n < 2:
-        raise ValueError("m and n must be >= 2")
-    if not 0.0 < sparsity < 1.0:
-        raise ValueError("sparsity must lie in (0, 1)")
     if mu_reg <= 0.0:
         raise ValueError("mu_reg must be > 0")
     A, b, _ = _sensing_data(m, n, sparsity, seed)
@@ -325,7 +320,6 @@ def make_lasso(m: int, n: int, sparsity: float, mu_reg: float, seed: int) -> Ben
 
     return BenchmarkInstance(
         kind="lasso",
-        params={"m": m, "n": n, "sparsity": sparsity, "mu_reg": mu_reg, "seed": seed},
         objective=objective,
         default_steps={"fb": {"rho": rho_default}},
         builders={"fb": build_fb},
@@ -389,7 +383,6 @@ def make_tv1d(n: int, mu_reg: float, seed: int) -> BenchmarkInstance:
 
     return BenchmarkInstance(
         kind="tv1d",
-        params={"n": n, "mu_reg": mu_reg, "seed": seed},
         objective=objective,
         default_steps=defaults,
         builders=builders,
@@ -406,11 +399,12 @@ def make_three_term(m: int, n: int, mu_reg: float, box_lo: float, box_hi: float,
     so equal (m, n, sparsity, seed) yield the identical design and
     observations, and the smooth term is the same :class:`GramMap` of the
     design (``A^T (A x)`` per step, no n x n array kept), with the same
-    ``L`` from the smaller Gram.  The Davis-Yin fixed point depends on rho:
-    the reference is a Picard run at the default ``rho = 1/L``, made on the
-    first read of the reference, and another rho gets a Picard run of its
-    own; either raises :class:`ReferenceNotConverged` if it does not reach
-    1e-12.
+    ``L`` from the smaller Gram.  The reference ``z0`` is a Picard run at
+    the default ``rho0 = 1/L``, made on the first read of the reference
+    (:class:`ReferenceNotConverged` if it does not reach 1e-12), and gives
+    ``x* = prox(z0)``.  The fixed point at any rho is ``x* + rho v*`` with
+    ``v* = (z0 - x*) / rho0`` the l1 subgradient at ``x*`` (Davis and Yin,
+    Set-Valued Var. Anal. 25, 2017), and ``z0`` itself at ``rho0``.
     """
     if box_lo >= box_hi:
         raise ValueError("need box_lo < box_hi")
@@ -432,6 +426,9 @@ def make_three_term(m: int, n: int, mu_reg: float, box_lo: float, box_hi: float,
         z_star = _picard_reference("three_term", build_dy(rho_default), z0)
         return z_star, prox(fB, rho_default, z_star)
 
+    def fixed_at(z_star, x_star, rho):
+        return z_star if rho == rho_default else x_star + rho * (z_star - x_star) / rho_default
+
     def objective(x: np.ndarray):
         # evaluated on the box projection so near-feasible iterates report
         # a finite value
@@ -441,14 +438,12 @@ def make_three_term(m: int, n: int, mu_reg: float, box_lo: float, box_hi: float,
 
     return BenchmarkInstance(
         kind="three_term",
-        params={"m": m, "n": n, "mu_reg": mu_reg, "box_lo": box_lo,
-                "box_hi": box_hi, "seed": seed, "sparsity": sparsity},
         objective=objective,
         default_steps={"dy": {"rho": rho_default}},
         builders={"dy": build_dy},
         start=z0,
         solve_reference=solve_reference,
-        step_bound_fixed=True,
+        fixed_at=fixed_at,
     )
 
 
@@ -474,7 +469,6 @@ def make_feasibility(dim: int, seed: int) -> BenchmarkInstance:
     ref = np.zeros(dim)
     return BenchmarkInstance(
         kind="feasibility",
-        params={"dim": dim, "seed": seed},
         objective=None,
         default_steps={"dr": {"r": 1.0}},
         builders={"dr": build_dr},

@@ -130,14 +130,14 @@ def averaged_map(p, R, theta):
     """``T x = p + (1 - theta)(x - p) + theta R (x - p)``: ``theta``-averaged
     for an orthogonal ``R``, with fixed point ``p``."""
     M = (1.0 - theta) * np.eye(p.size) + theta * R
-    return OperatorHandle(apply=lambda x: p + M @ (x - p), gamma=theta, name="averaged")
+    return OperatorHandle(apply=lambda x: p + M @ (x - p), gamma=theta)
 
 
 def contractive_map(p, R, q):
     """``T x = p + q R (x - p)``: a q-contraction onto ``p``, which is
     ``(1 + q)/2``-averaged."""
     return OperatorHandle(apply=lambda x: p + (q * R) @ (x - p), gamma=(1.0 + q) / 2.0,
-                          q_factor=q, name="contractive")
+                          q_factor=q)
 
 
 @st.composite

@@ -23,7 +23,7 @@ from ikm.config import (
     parse_config,
     serialize_config,
 )
-from ikm.engine import DivergenceError, Schedule, StoppingRule
+from ikm.engine import Schedule, StoppingRule
 from ikm.operators import OperatorHandle
 
 
@@ -1107,8 +1107,9 @@ def test_v2_round_trip_gives_the_runs_trace(kind, end, with_ref, with_objective,
     inst = problems.make_quadratic(dim, 1.0, 10.0, seed)
     op = inst.operator("gradient")
     objective = (lambda x: inst.objective(op.extract_solution(x))) if with_objective else None
-    result = cli._run(op, inst.start_point("gradient"), schedule, StoppingRule(*stop_args),
-                      inst.reference_solution if with_ref else None, objective)
+    result = engine.run(op, inst.start_point("gradient"), schedule, StoppingRule(*stop_args),
+                        p_ref=inst.reference_solution if with_ref else None,
+                        objective=objective)
     assert result.status == end
     trace = result.rows
     trace.rate_bound = cli.rate_bound_column(trace, schedule, op.q_factor, xi)
@@ -1401,12 +1402,8 @@ def test_sweep_final_objective_is_last_row_objective(tmp_path, max_iters, status
     stop = spec.stop
     for row in body:
         schedule = Schedule.constant(float(row[1]), float(row[2]))
-        try:
-            rows = engine.run(op, instance.start_point(scheme), schedule, stop,
-                              p_ref=instance.fixed_point(scheme, **steps),
-                              objective=objective).rows
-        except DivergenceError as exc:
-            rows = exc.partial.rows
+        rows = engine.run(op, instance.start_point(scheme), schedule, stop,
+                          p_ref=instance.fixed_point(scheme, **steps), objective=objective).rows
         assert row[7] == cli._fmt(rows[-1].objective)
 
 
@@ -1435,7 +1432,7 @@ def test_sweep_checks_every_entry_before_the_first_run(tmp_path, monkeypatch, ke
     write(cfg, SWEEP_CFG.format(table=table) + "sweep.3.alpha = 0.1\nsweep.3.lambda = 1.0\n"
           + f"{key} = {value}\n")
     runs = []
-    monkeypatch.setattr(cli, "_run", lambda *args: runs.append(args))
+    monkeypatch.setattr(engine, "run", lambda *args: runs.append(args))
     with pytest.raises(ConfigError, match=re.escape(message)):
         cli.cmd_sweep(str(cfg), out=io.StringIO())
     assert cli.main(["sweep", str(cfg)]) == cli.EXIT_USAGE
@@ -1506,6 +1503,48 @@ def test_sweep_runs_no_reference_and_run_runs_one(tmp_path, monkeypatch, kind, s
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("kind, scheme", [("lasso", "fb"), ("three_term", "dy")])
+@pytest.mark.parametrize("key, value, message", [
+    ("sparsity", "1.5", "sparsity must lie in (0, 1)"),
+    ("sparsity", "0", "sparsity must lie in (0, 1)"),
+    ("m", "0", "m and n must be >= 2"),
+    ("n", "1", "m and n must be >= 2"),
+])
+def test_least_squares_data_parameters_are_checked(tmp_path, capsys, kind, scheme, key, value,
+                                                   message):
+    cfg = tmp_path / "ls.cfg"
+    trace = tmp_path / "ls.csv"
+    problem = "".join(f"problem.{name} = {val}\n"
+                      for name, val in {"m": 20, "n": 50, key: value}.items())
+    write(cfg, f"problem.kind = {kind}\n{problem}algorithm.scheme = {scheme}\n"
+               f"run.p_ref = none\noutput.trace = {trace}\n")
+    capsys.readouterr()
+    assert cli.main(["run", str(cfg)]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize("ratio", [0.5, 1.5])
+def test_three_term_run_at_another_rho_solves_the_default_reference_once(tmp_path, monkeypatch,
+                                                                          ratio):
+    calls = []
+    picard = problems.picard
+    monkeypatch.setattr(problems, "picard", lambda *args: calls.append(args) or picard(*args))
+    rho0 = problems.make_three_term(20, 50, 0.1, -1.0, 1.0, 2).default_steps["dy"]["rho"]
+    cfg = tmp_path / "tt.cfg"
+    trace = tmp_path / "tt.csv"
+    write(cfg, "problem.kind = three_term\nproblem.m = 20\nproblem.n = 50\nproblem.seed = 2\n"
+               f"algorithm.scheme = dy\nalgorithm.rho = {cli._fmt(ratio * rho0)}\n"
+               "schedule.alpha = 0.1\nschedule.lambda = 0.9\nstopping.max_iters = 20000\n"
+               f"output.trace = {trace}\n")
+    assert cli.main(["run", str(cfg)]) == cli.EXIT_OK
+    # the one Picard run is made at the default steps, whose gamma is 2/3
+    assert len(calls) == 1 and calls[0][0].gamma == pytest.approx(2.0 / 3.0)
+    rows = cli.read_trace(str(trace))[0]
+    assert rows.dist_to_ref is not None and rows.dist_to_ref[-1] < 1e-6
+
+
 def test_run_whose_reference_misses_the_tolerance_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(problems, "REFERENCE_CAP", 3)
     cfg = tmp_path / "ls.cfg"
@@ -1518,8 +1557,8 @@ def test_run_whose_reference_misses_the_tolerance_exits_2(tmp_path, monkeypatch,
 
 def test_run_whose_other_rho_reference_misses_the_tolerance_exits_2(tmp_path, monkeypatch,
                                                                     capsys):
-    # the Davis-Yin fixed point moves with rho: its own reference run takes
-    # the default reference's policy, and no run goes on without distances
+    # the Davis-Yin fixed point at another rho maps the default reference,
+    # whose miss exits 2: no run goes on without distances
     monkeypatch.setattr(problems, "REFERENCE_CAP", 3)
     cfg = tmp_path / "tt.cfg"
     trace = tmp_path / "tt.csv"
@@ -1589,15 +1628,15 @@ LONG_ROWS = LASSO_SWEEP_CFG.replace("stopping.residual_tol = 1e-9", "stopping.re
 
 
 def record_row_pids(monkeypatch, path):
-    """Wrap ``cli._run`` so that each row appends its process id to ``path``."""
-    run = cli._run
+    """Wrap ``engine.run`` so that each row appends its process id to ``path``."""
+    run = engine.run
 
     def recorded(*args):
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()}\n")
         return run(*args)
 
-    monkeypatch.setattr(cli, "_run", recorded)
+    monkeypatch.setattr(engine, "run", recorded)
 
 
 @pytest.mark.parametrize("config, rows", [(LASSO_SWEEP_CFG, 6), (SWEEP_CFG, 4)],
@@ -1626,7 +1665,7 @@ def test_sweep_table_does_not_depend_on_the_worker_count(tmp_path, monkeypatch, 
 
 def failing_rows(monkeypatch, alphas):
     """Make the sweep rows at these alphas raise a ConfigError naming the alpha."""
-    run = cli._run
+    run = engine.run
 
     def failing(op, x1, schedule, *args):
         alpha = schedule.limit[0]
@@ -1634,7 +1673,7 @@ def failing_rows(monkeypatch, alphas):
             raise ConfigError(f"row alpha={alpha} failed")
         return run(op, x1, schedule, *args)
 
-    monkeypatch.setattr(cli, "_run", failing)
+    monkeypatch.setattr(engine, "run", failing)
 
 
 # rows in configuration order: alpha 0.1, 0.3, 0.2 and 0, then the alpha-0 baselines at
@@ -1667,7 +1706,7 @@ def test_an_interrupt_in_the_callers_row_kills_the_workers(tmp_path, monkeypatch
     cfg = tmp_path / "sweep.cfg"
     write(cfg, LONG_ROWS.format(table=tmp_path / "sweep.csv"))
     use_cpus(monkeypatch, 3)
-    run = cli._run
+    run = engine.run
 
     def interrupted(op, x1, schedule, *args):
         if schedule.limit[0] == 0.1:
@@ -1675,7 +1714,7 @@ def test_an_interrupt_in_the_callers_row_kills_the_workers(tmp_path, monkeypatch
             raise KeyboardInterrupt
         return run(op, x1, schedule, *args)
 
-    monkeypatch.setattr(cli, "_run", interrupted)
+    monkeypatch.setattr(engine, "run", interrupted)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         cli.main(["sweep", str(cfg)])
@@ -1687,14 +1726,14 @@ def test_an_unexpected_error_in_a_worker_carries_its_traceback(tmp_path, monkeyp
     cfg = tmp_path / "sweep.cfg"
     write(cfg, LASSO_SWEEP_CFG.format(table=tmp_path / "sweep.csv"))
     use_cpus(monkeypatch, 2)
-    run = cli._run
+    run = engine.run
 
     def broken(op, x1, schedule, *args):
         if schedule.limit[0] == 0.3:
             raise KeyError("no such row")
         return run(op, x1, schedule, *args)
 
-    monkeypatch.setattr(cli, "_run", broken)
+    monkeypatch.setattr(engine, "run", broken)
     with pytest.raises(KeyError, match="no such row") as info:
         cli.main(["sweep", str(cfg)])
     cause = info.value.__cause__
@@ -1710,14 +1749,14 @@ def test_a_worker_that_cannot_send_its_rows_fails_the_sweep(tmp_path, monkeypatc
     table = tmp_path / "sweep.csv"
     write(cfg, LASSO_SWEEP_CFG.format(table=table))
     use_cpus(monkeypatch, 2)
-    run = cli._run
+    run = engine.run
 
     def unpicklable(op, x1, schedule, *args):
         if schedule.limit[0] == 0.3:
             raise Local("row alpha=0.3")
         return run(op, x1, schedule, *args)
 
-    monkeypatch.setattr(cli, "_run", unpicklable)
+    monkeypatch.setattr(engine, "run", unpicklable)
     with pytest.raises(RuntimeError, match="before it sent its rows"):
         cli.main(["sweep", str(cfg)])
     assert not table.exists() and _children(os.getpid()) == []

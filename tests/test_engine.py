@@ -12,7 +12,6 @@ from ikm import problems
 from ikm.engine import (
     BLOCK_ROWS,
     DEFAULT_TOL,
-    DivergenceError,
     OPTIONAL_COLUMNS,
     ROW_CHUNK,
     RunResult,
@@ -265,7 +264,7 @@ def test_run_picard_contracts_by_spectral_factor(quad_50):
 
 def test_run_rejects_decreasing_alpha():
     sched = Schedule(lambda ks: np.where(ks == 1, 0.3, 0.2), full(0.5))
-    halve = OperatorHandle(apply=lambda x: 0.5 * x, name="halve")
+    halve = OperatorHandle(apply=lambda x: 0.5 * x)
     with pytest.raises(ValueError, match="decreases"):
         run(halve, np.ones(3), sched, StoppingRule(10, 0.0))
 
@@ -275,7 +274,7 @@ def test_run_rejects_decreasing_alpha_at_the_first_step_of_a_block():
     # before it run
     assert BLOCK_ROWS == 32
     sched = Schedule(lambda ks: np.where(ks < 33, 0.3, 0.2), full(0.5))
-    halve, calls = recording_handle(OperatorHandle(apply=lambda x: 0.5 * x, name="halve"))
+    halve, calls = recording_handle(OperatorHandle(apply=lambda x: 0.5 * x))
     with pytest.raises(ValueError, match="^alpha sequence decreases at k=33$"):
         run(halve, np.ones(3), sched, StoppingRule(100, 0.0))
     assert len(calls) == 32
@@ -285,7 +284,7 @@ def test_run_rejects_a_nan_lambda_when_its_step_is_reached():
     # nan fails `lambda > 0` although it also fails `lambda <= 0`; the four
     # steps before k = 5 run
     sched = Schedule(full(0.1), lambda ks: np.where(ks == 5, np.nan, 0.9))
-    halve, calls = recording_handle(OperatorHandle(apply=lambda x: 0.5 * x, name="halve"))
+    halve, calls = recording_handle(OperatorHandle(apply=lambda x: 0.5 * x))
     with pytest.raises(ValueError, match="^lambda_5 = nan must be > 0$"):
         run(halve, np.ones(3), sched, StoppingRule(10, 0.0))
     assert len(calls) == 4
@@ -307,22 +306,20 @@ def test_run_ignores_invalid_entries_past_max_iters():
         return np.where(ks == 12, 0.0, 0.5)
 
     sched = Schedule(full(0.2), lambda_col)
-    halve = OperatorHandle(apply=lambda x: 0.5 * x, name="halve")
+    halve = OperatorHandle(apply=lambda x: 0.5 * x)
     res = run(halve, np.ones(3), sched, StoppingRule(10, 0.0))
     assert res.status == "max_iters" and res.iterations == 10
     assert max(asked) == 10
 
 
-def test_run_divergence_carries_partial_trace():
-    # x <- 3x diverges geometrically
-    blow = OperatorHandle(apply=lambda x: 3.0 * x, name="blow")
-    with pytest.raises(DivergenceError) as exc:
-        run(blow, np.ones(4), Schedule.constant(0.0, 1.0), StoppingRule(10_000, 0.0))
-    err = exc.value
-    assert err.k > 10
-    assert isinstance(err.partial, RunResult)
-    assert err.partial.status == "diverged"
-    assert len(err.partial.rows) >= err.k - 1
+def test_run_divergence_returns_the_partial_trace():
+    # x <- 3x diverges geometrically: 3^k overflows at k = 647, whose T y_k
+    # is the first non-finite point, so rows 1 .. 646 are kept
+    blow = OperatorHandle(apply=lambda x: 3.0 * x)
+    res = run(blow, np.ones(4), Schedule.constant(0.0, 1.0), StoppingRule(10_000, 0.0))
+    assert isinstance(res, RunResult)
+    assert res.status == "diverged"
+    assert res.rows.k.tolist() == list(range(1, 647))
 
 
 def _reference_divergence(T, x1, lam):
@@ -351,19 +348,17 @@ def _reference_divergence(T, x1, lam):
 ])
 @pytest.mark.parametrize("with_ref", [False, True])
 def test_run_relaxed_divergence_k_and_partial_rows(factor, lam, x1, with_ref):
-    T = OperatorHandle(apply=lambda x: factor * x, name="scale")
+    T = OperatorHandle(apply=lambda x: factor * x)
     k_ref, n_rows, x_k, x_row = _reference_divergence(T, x1, lam)
     p_ref = np.zeros(4) if with_ref else None
-    with pytest.raises(DivergenceError) as exc:
-        run(T, x1, Schedule.constant(0.0, lam), StoppingRule(10_000, 0.0), p_ref=p_ref)
-    err = exc.value
-    assert err.k == k_ref > 10
-    rows = err.partial.rows
+    res = run(T, x1, Schedule.constant(0.0, lam), StoppingRule(10_000, 0.0), p_ref=p_ref)
+    assert res.status == "diverged" and k_ref > 10
+    rows = res.rows
     assert rows.k.tolist() == list(range(1, n_rows + 1))
-    np.testing.assert_array_equal(err.partial.xs[-1], x_k)
+    np.testing.assert_array_equal(res.xs[-1], x_k)
     # the last row describes x_{k-1} when T y_k overflows, x_k when x_{k+1} does
-    assert err.partial.x_last is err.partial.xs[1 if n_rows == k_ref else 0]
-    np.testing.assert_array_equal(err.partial.x_last, x_row)
+    assert res.x_last is res.xs[1 if n_rows == k_ref else 0]
+    np.testing.assert_array_equal(res.x_last, x_row)
     assert (rows.dist_to_ref is not None) == with_ref
     x = x1
     with np.errstate(over="ignore"):
@@ -378,7 +373,7 @@ def test_run_relaxed_divergence_k_and_partial_rows(factor, lam, x1, with_ref):
     (StoppingRule(25, 0.0), "max_iters", 0),
 ])
 def test_run_x_last_is_the_iterate_of_the_last_row(stop, status, index):
-    halve = OperatorHandle(apply=lambda x: 0.5 * x, name="halve")
+    halve = OperatorHandle(apply=lambda x: 0.5 * x)
     p = np.zeros(3)
     res = run(halve, np.arange(1.0, 4.0), Schedule.constant(0.2, 0.9), stop, p_ref=p,
               objective=per_row(lambda x: float(x @ x)))
@@ -504,8 +499,8 @@ def test_run_stall_stop_matches_a_per_step_loop():
 
 
 def test_run_divergence_mid_block_keeps_k_and_partial_rows():
-    # T y_k turns NaN at the (BLOCK_ROWS + 5)-th call: DivergenceError at that
-    # k, with the rows before it, the last partial block included
+    # T y_k turns NaN at the (BLOCK_ROWS + 5)-th call: the run ends diverged
+    # at that k, with the rows before it, the last partial block included
     bad_call = BLOCK_ROWS + 5
     calls = -1  # run() applies T once to check p_ref before its first step
 
@@ -517,17 +512,16 @@ def test_run_divergence_mid_block_keeps_k_and_partial_rows():
             ty[1] = np.nan
         return ty
 
-    halve = OperatorHandle(apply=apply, name="halve")
+    halve = OperatorHandle(apply=apply)
     x1, p = np.arange(1.0, 5.0), np.zeros(4)
     sched = Schedule.constant(0.2, 0.9)
     sq = lambda x: float(x @ x)  # noqa: E731
-    with pytest.raises(DivergenceError) as err:
-        run(halve, x1, sched, StoppingRule(1000, 0.0), p_ref=p, objective=per_row(sq))
+    res = run(halve, x1, sched, StoppingRule(1000, 0.0), p_ref=p, objective=per_row(sq))
     calls = 0
     want, diverged = reference_trace(halve, x1, sched, 1000, p, sq)
-    assert err.value.k == diverged == bad_call
-    assert len(err.value.partial.rows) == bad_call - 1
-    assert same_trace(err.value.partial.rows, want)
+    assert res.status == "diverged" and diverged == bad_call
+    assert len(res.rows) == bad_call - 1
+    assert same_trace(res.rows, want)
 
 
 @pytest.mark.parametrize("with_ref", [False, True])
@@ -537,16 +531,15 @@ def test_run_divergence_on_overflowing_relaxed_step(with_ref):
     # long before, which alone is no divergence) while 1.5 T y_k overflows,
     # so x_{k+1} is the first non-finite iterate and row k is kept; the
     # per-step engine before row blocks gave the same k and rows
-    double = OperatorHandle(apply=lambda y: 2.0 * y, name="double")
+    double = OperatorHandle(apply=lambda y: 2.0 * y)
     x1, p = np.full(3, 1.8), np.zeros(3) if with_ref else None
     sched = Schedule.constant(0.0, 1.5)
-    with pytest.raises(DivergenceError) as err:
-        run(double, x1, sched, StoppingRule(10_000, 0.0), p_ref=p)
+    res = run(double, x1, sched, StoppingRule(10_000, 0.0), p_ref=p)
     want, diverged = reference_trace(double, x1, sched, 10_000, p)
-    assert err.value.k == diverged == 774
-    assert len(err.value.partial.rows) == 774
-    assert np.isfinite(err.value.partial.xs[1]).all()
-    assert same_trace(err.value.partial.rows, want)
+    assert res.status == "diverged" and diverged == 774
+    assert len(res.rows) == 774
+    assert np.isfinite(res.xs[1]).all()
+    assert same_trace(res.rows, want)
 
 
 def test_run_keeps_subnormals_out_of_operator_inputs(lasso_default):
@@ -702,7 +695,7 @@ def test_gram_map_sweeps_match_dense_gram_sweeps(scheme, lasso_default, three_te
 
 
 def test_run_stall_detection():
-    halve = OperatorHandle(apply=lambda x: 0.5 * x, name="halve")
+    halve = OperatorHandle(apply=lambda x: 0.5 * x)
     res = run(halve, np.ones(3), Schedule.constant(0.0, 0.5),
               StoppingRule(500, 0.0, stall_tol=1e-8), )
     assert res.status == "stalled"
@@ -882,11 +875,11 @@ def test_ck_rows_match_per_step_scalars_bitwise(quad_50, sched):
 
 
 def test_divergence_partial_trace_replays_C_k():
-    blow = OperatorHandle(apply=lambda x: 3.0 * x, name="blow")
+    blow = OperatorHandle(apply=lambda x: 3.0 * x)
     sched = Schedule.constant(0.1, 0.8)
-    with pytest.raises(DivergenceError) as exc:
-        run(blow, np.ones(4), sched, StoppingRule(10_000, 0.0), p_ref=np.zeros(4))
-    trace = exc.value.partial.rows
+    res = run(blow, np.ones(4), sched, StoppingRule(10_000, 0.0), p_ref=np.zeros(4))
+    assert res.status == "diverged"
+    trace = res.rows
     assert len(trace) >= 10
     with np.errstate(over="ignore", invalid="ignore"):
         got = _ck_rows(trace, 0, len(trace))
@@ -1513,6 +1506,17 @@ def test_picard_reaches_fixed_point(quad_50):
     res = picard(inst.operator("gradient"), inst.start_point("gradient"), 1e-11, 10_000)
     assert res.status == "converged"
     assert norm(res.xs[0] - inst.reference_solution) <= 1e-9
+
+
+def test_picard_divergence_returns_the_last_finite_iterate():
+    # 3^647 overflows: x = 3^646, by 646 products, is the last finite iterate,
+    # and no row is kept
+    res = picard(OperatorHandle(apply=lambda x: 3.0 * x), np.ones(2), 1e-11, 10_000)
+    assert res.status == "diverged" and len(res.rows) == 0
+    x = np.ones(2)
+    for _ in range(646):
+        x = 3.0 * x
+    np.testing.assert_array_equal(res.xs[0], x)
 
 
 def test_a_failing_replay_holds_no_more_than_a_passing_one():

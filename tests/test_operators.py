@@ -25,6 +25,7 @@ from ikm.operators import (
     split_dr_op,
     zero,
 )
+from ikm.problems import _sensing_data
 from ikm.rng import SplitMix64
 
 
@@ -233,7 +234,7 @@ def test_forward_backward_gamma_formula():
 def test_forward_backward_lasso_fixed_point_subgradient_oracle(lasso_default):
     inst = lasso_default
     x = inst.reference_solution
-    mu = inst.params["mu_reg"]
+    mu = 0.1  # the lasso_default fixture's mu_reg
     # rebuild the data from the operator action: grad = Gram x - A^T b
     T = inst.operator("fb")
     rho = inst.default_steps["fb"]["rho"]
@@ -464,11 +465,11 @@ def test_davis_yin_rejects_large_rho():
 def test_davis_yin_three_term_optimality(three_term_default):
     inst = three_term_default
     x = inst.reference_solution
-    lo, hi = inst.params["box_lo"], inst.params["box_hi"]
-    mu = inst.params["mu_reg"]
+    # the three_term_default fixture's parameters and data
+    lo, hi, mu = -1.0, 1.0, 0.1
     # independent optimality oracle: for each coordinate the gradient must be
     # cancelled by an l1 subgradient plus a normal-cone element of the box
-    A, b, _ = _sensing(inst)
+    A, b, _ = _sensing_data(40, 100, 0.1, 1)
     g = A.T @ (A @ x - b)
     worst = 0.0
     for i in range(x.size):
@@ -487,13 +488,6 @@ def test_davis_yin_three_term_optimality(three_term_default):
         miss = max(lo_i - target, target - hi_i, 0.0)
         worst = max(worst, miss)
     assert worst <= 1e-6
-
-
-def _sensing(inst):
-    from ikm.problems import _sensing_data
-
-    p = inst.params
-    return _sensing_data(int(p["m"]), int(p["n"]), p["sparsity"], int(p["seed"]))
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from ikm import cli, linalg, problems
 from ikm.engine import Schedule, StoppingRule, is_reference_point, picard, run
 from ikm.linalg import norm
-from ikm.operators import proximal_op, quadratic
+from ikm.operators import OperatorHandle, proximal_op, quadratic
 from ikm.problems import _sensing_data, _tv1d_saddle
 from ikm.rng import SplitMix64
 
@@ -28,16 +28,15 @@ def test_quadratic_equal_extremes_is_scaled_identity():
     gen = SplitMix64(1)
     x = np.array([gen.normal() for _ in range(6)])
     # T x = x - rho(Ax - b) with A = 2I
-    expected = x - 0.4 * (2.0 * x - _quad_b(inst))
+    expected = x - 0.4 * (2.0 * x - _quad_b(inst, 6, 2.0))
     np.testing.assert_allclose(T.apply(x), expected, atol=1e-12)
-    np.testing.assert_allclose(inst.reference_solution, _quad_b(inst) / 2.0, atol=1e-12)
+    np.testing.assert_allclose(inst.reference_solution, _quad_b(inst, 6, 2.0) / 2.0, atol=1e-12)
 
 
-def _quad_b(inst):
+def _quad_b(inst, dim, L_smooth):
     # recover b from the gradient operator: T(0) = rho * b
-    L_smooth = inst.params["L"]
     T = inst.operator("gradient", rho=1.0 / L_smooth)
-    return T.apply(np.zeros(int(inst.params["dim"]))) * L_smooth
+    return T.apply(np.zeros(dim)) * L_smooth
 
 
 def test_quadratic_two_point_spectrum_contracts_exactly():
@@ -62,12 +61,12 @@ def test_quadratic_reference_residual(quad_50):
 def test_quadratic_spectral_consistency(quad_50):
     inst = quad_50
     gen = SplitMix64(2)
-    A_mu, A_L = inst.params["mu"], inst.params["L"]
+    A_mu, A_L = 1.0, 10.0
     T = inst.operator("gradient", rho=1e-9)
     for _ in range(100):
         x = np.array([gen.normal() for _ in range(50)])
         # Rayleigh quotient of A recovered from the gradient step at tiny rho
-        Ax = (x - T.apply(x)) / 1e-9 + _quad_b(inst)
+        Ax = (x - T.apply(x)) / 1e-9 + _quad_b(inst, 50, A_L)
         ray = float(x @ Ax) / float(x @ x)
         assert A_mu - 1e-4 <= ray <= A_L + 1e-4
 
@@ -97,7 +96,7 @@ def test_lasso_reference_certificates(lasso_default):
 def test_lasso_subgradient_oracle(lasso_default):
     inst = lasso_default
     x = inst.reference_solution
-    mu = inst.params["mu_reg"]
+    mu = 0.1
     A, b, _ = _sensing_data(40, 100, 0.1, 1)
     g = A.T @ (A @ x - b)
     for i in range(x.size):
@@ -272,14 +271,25 @@ def test_three_term_reference_residual(three_term_default):
         T.extract_solution(inst.fixed_point("dy")), inst.reference_solution, atol=1e-14)
 
 
-def test_three_term_fixed_point_recomputed_for_other_rho(three_term_default):
-    inst = three_term_default
-    rho_alt = 0.5 * inst.default_steps["dy"]["rho"]
-    z_alt = inst.fixed_point("dy", rho=rho_alt)
-    assert is_reference_point(inst.operator("dy", rho=rho_alt), z_alt)
-    # the z-space fixed point moves with rho, the extracted solution does not
-    T_alt = inst.operator("dy", rho=rho_alt)
-    assert norm(T_alt.extract_solution(z_alt) - inst.reference_solution) <= 1e-6
+@settings(max_examples=30, deadline=None)
+@given(size=st.sampled_from([(12, 30), (20, 50), (40, 100)]), seed=st.integers(1, 5),
+       ratio=st.floats(0.01, 1.99))
+@example(size=(40, 100), seed=1, ratio=0.5)
+@example(size=(40, 100), seed=1, ratio=1.9)
+def test_three_term_fixed_point_at_any_rho_comes_from_the_one_reference(size, seed, ratio):
+    # the Davis-Yin fixed point moves with rho, the extracted solution does
+    # not: rho = ratio * rho0 covers (0, 2/L) on both sides of rho0 = 1/L, and
+    # the box [-0.5, 0.5] binds some coordinates
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_picard(mp)
+        inst = problems.make_three_term(*size, 0.1, -0.5, 0.5, seed)
+        rho = ratio * inst.default_steps["dy"]["rho"]
+        T = inst.operator("dy", rho=rho)
+        z = inst.fixed_point("dy", rho=rho)
+        assert is_reference_point(T, z)
+        np.testing.assert_allclose(T.extract_solution(z), inst.reference_solution,
+                                   rtol=0, atol=1e-12)
+        assert len(calls) == 1
 
 
 def test_three_term_objective_projects_to_box(three_term_default):
@@ -324,13 +334,12 @@ def test_feasibility_dr_converges_into_both_sets():
     sol = inst.operator("dr").extract_solution(res.xs[0])
     assert norm(sol) <= 0.8 * (1 + 1e-9)  # inside the ball
     # inside the box as well: projecting onto it changes nothing
-    np.testing.assert_allclose(prox_box_of(inst, sol), sol, atol=1e-9)
+    np.testing.assert_allclose(prox_box_of(12, 7, sol), sol, atol=1e-9)
 
 
-def prox_box_of(inst, x):
+def prox_box_of(dim, seed, x):
     # rebuild the box from the generator's documented stream
-    gen = SplitMix64(int(inst.params["seed"]))
-    dim = int(inst.params["dim"])
+    gen = SplitMix64(seed)
     c = np.array([gen.normal() for _ in range(dim)])
     c *= 0.5 / max(norm(c), 1e-12)
     return np.clip(x, c - 1.0, c + 1.0)
@@ -419,14 +428,18 @@ def test_least_squares_reference_is_solved_once_on_first_read(monkeypatch, make,
                            else T.extract_solution(want.xs[0])).tobytes()
 
 
-def test_three_term_other_rho_does_not_solve_the_default_reference(monkeypatch):
+def test_three_term_solves_one_reference_at_any_rho(monkeypatch):
+    # one Picard run at the default steps serves every rho, and the default
+    # rho gets its fixed point itself
     calls = _count_picard(monkeypatch)
     inst = problems.make_three_term(20, 50, 0.1, -0.5, 0.5, 3)
-    rho_alt = 0.5 * inst.default_steps["dy"]["rho"]
-    inst.fixed_point("dy", rho=rho_alt)
-    assert len(calls) == 1 and inst._reference is None
-    assert inst.fixed_point("dy") is not None
-    assert len(calls) == 2
+    rho0 = inst.default_steps["dy"]["rho"]
+    inst.fixed_point("dy", rho=0.5 * rho0)
+    assert len(calls) == 1 and calls[0][0].gamma == inst.operator("dy").gamma
+    z = inst.fixed_point("dy")
+    assert inst.fixed_point("dy", rho=rho0) is z
+    inst.fixed_point("dy", rho=1.5 * rho0)
+    assert len(calls) == 1
 
 
 def test_least_squares_reference_that_misses_the_tolerance_raises_on_read(monkeypatch):
@@ -438,14 +451,20 @@ def test_least_squares_reference_that_misses_the_tolerance_raises_on_read(monkey
 
 
 def test_three_term_other_rho_reference_that_misses_the_tolerance_raises(monkeypatch):
-    # the reference run at another rho takes the default one's policy: no
-    # missed reference is dropped
+    # another rho maps the default reference, so its miss raises there too:
+    # no missed reference is dropped
     monkeypatch.setattr(problems, "REFERENCE_CAP", 3)
     inst = problems.make_three_term(20, 50, 0.1, -0.5, 0.5, 3)
     rho_alt = 0.5 * inst.default_steps["dy"]["rho"]
     with pytest.raises(problems.ReferenceNotConverged,
                        match="three_term reference run did not reach 1e-12 in 3 steps"):
         inst.fixed_point("dy", rho=rho_alt)
+
+
+def test_a_diverging_reference_run_raises_not_converged():
+    blow = OperatorHandle(apply=lambda x: 3.0 * x)
+    with pytest.raises(problems.ReferenceNotConverged, match="^lasso reference run diverged$"):
+        problems._picard_reference("lasso", blow, np.ones(2))
 
 
 def test_quadratic_build_factors_nothing(monkeypatch):

@@ -32,7 +32,8 @@ that ``ck`` and ``product`` FAIL with violations past the first two
 ``ROW_CHUNK``s of the replays, on a
 small ``three_term`` config (the Davis-Yin
 path, which no workload runs), on the same config at ``algorithm.rho = 0.1``
-(a reference run at a step other than the default), on a small ``lasso`` config and on a
+and at ``0.28`` (the fixed point at a step below and above the default, in
+closed form from the default reference), on a small ``lasso`` config and on a
 ``tv1d`` config with ``n = 30``, ``alpha = 0.2`` and ``lambda = 1`` run by
 ``sdr`` (split Douglas-Rachford, which no workload runs), on three certified
 schedules whose ``ck`` verdict depends on the ``ck`` replay forming ``C_k`` at
@@ -108,11 +109,15 @@ FIXED_CONFIGS = {
     # Davis-Yin at rho = 1/L is 2/3-averaged, so lambda = 1.1 is feasible at alpha = 0.1
     "three-term": LEAST_SQUARES + ("problem.kind = three_term\nalgorithm.scheme = dy\n"
                                    "schedule.alpha = 0.1\nschedule.lambda = 1.1\n"),
-    # the Davis-Yin fixed point moves with rho: a reference run of its own at rho = 0.1,
-    # below the default 1/L (0.147-0.170 at seeds 1-5) and so below 2/L
+    # the Davis-Yin fixed point moves with rho: at rho = 0.1, below the default
+    # rho0 = 1/L (0.147-0.170 at seeds 1-5), it is the closed form x* + rho v* of the
+    # default reference; at 0.28, above rho0 and below 2/L, the same form on the other side
     "three-term-rho": LEAST_SQUARES + ("problem.kind = three_term\nalgorithm.scheme = dy\n"
                                        "algorithm.rho = 0.1\n"
                                        "schedule.alpha = 0.1\nschedule.lambda = 0.9\n"),
+    "three-term-rho-high": LEAST_SQUARES + ("problem.kind = three_term\nalgorithm.scheme = dy\n"
+                                            "algorithm.rho = 0.28\n"
+                                            "schedule.alpha = 0.1\nschedule.lambda = 0.9\n"),
     "lasso": LEAST_SQUARES + ("problem.kind = lasso\nalgorithm.scheme = fb\n"
                               "schedule.alpha = 0.2\nschedule.lambda = 0.9\n"),
     # a 50-step ramp under a 100,000-step budget; the run converges long before
