@@ -35,6 +35,9 @@ __all__ = [
     "xi_threshold",
 ]
 
+#: width at which ``lambda_alpha_q`` stops bisecting
+LAMBDA_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -189,20 +192,20 @@ def lambda_alpha_1(alpha: float) -> float:
     return num / (alpha * (1.0 + alpha) + num)
 
 
-def lambda_alpha_q(alpha: float, q: float, tol: float = 1e-12, max_iter: int = 200) -> float:
+def lambda_alpha_q(alpha: float, q: float) -> float:
     """Unique root of ``feasibility_poly`` in (0, 1) by bisection.
 
     For ``alpha = 0`` the root degenerates to the boundary and 1 is returned.
-    Bisection runs to absolute tolerance ``tol`` on lambda (200 iterations
-    cap; 2^-200 is far below any requested tolerance) and returns the
-    midpoint of its last bracket.  When ``feasibility_poly(1) = -alpha q^2
+    Bisection halves ``[0, 1]`` until its bracket is at most ``LAMBDA_TOL``
+    wide, which takes 40 steps, and returns the midpoint of its last
+    bracket.  When ``feasibility_poly(1) = -alpha q^2
     (1 + alpha)`` rounds to zero or above (``alpha q^2`` below about
     ``1e-16``: any ``q`` at ``alpha = 1e-17``, but also ``alpha = 0.5`` at
     ``q = 1e-9``), ``[0, 1]`` brackets no sign change in floating point;
     the same bisection then returns the feasible end ``lo`` of its last
     bracket, at which the polynomial is positive.  That end is ``1 -
-    2^-40`` at the default ``tol`` for a tiny ``alpha``, and within ``tol``
-    below the root near ``(1 - alpha)^2 / (1 + alpha^2)`` for a tiny ``q``.
+    2^-40`` for a tiny ``alpha``, and within ``LAMBDA_TOL`` below the root
+    near ``(1 - alpha)^2 / (1 + alpha^2)`` for a tiny ``q``.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
@@ -211,18 +214,13 @@ def lambda_alpha_q(alpha: float, q: float, tol: float = 1e-12, max_iter: int = 2
     if alpha == 0.0:
         return 1.0
     lo, hi = 0.0, 1.0
-    f_lo = feasibility_poly(lo, alpha, q)
     f_hi = feasibility_poly(hi, alpha, q)
-    if not f_lo > 0.0:  # cannot happen: f(0) = (1 - alpha)^2
-        raise ValueError("feasibility_poly is not positive at 0")
-    for _ in range(max_iter):
+    while hi - lo > LAMBDA_TOL:
         mid = 0.5 * (lo + hi)
         if feasibility_poly(mid, alpha, q) > 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol:
-            break
     return 0.5 * (lo + hi) if f_hi < 0.0 else lo
 
 

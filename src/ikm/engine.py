@@ -849,7 +849,7 @@ def small_o_check(roots: Sequence[float]) -> bool:
                     < 0.1 * _k_times_max(zs, 0, quart))
 
 
-def monotone_prefix(roots: Sequence[float], slack: float = 1e-12) -> int:
+def monotone_prefix(roots: Sequence[float]) -> int:
     """Length of the maximal nonincreasing positive prefix of the squares
     of ``roots``; a square that is not ``> 0``, nan included, ends it.
 
@@ -864,7 +864,7 @@ def monotone_prefix(roots: Sequence[float], slack: float = 1e-12) -> int:
             back = 1 if lo else 0  # one row of look-back past the first chunk
             w = _squares(v, lo - back, lo + ROW_CHUNK)
             bad = ~(w[back:] > 0.0)
-            bad[1 - back:] |= w[1:] > w[:-1] * (1.0 + slack)
+            bad[1 - back:] |= w[1:] > w[:-1] * (1.0 + 1e-12)
             if bad.any():
                 return lo + int(np.argmax(bad))
     return int(v.size)

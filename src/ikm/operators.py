@@ -30,9 +30,11 @@ __all__ = [
     "gradient_step_op",
     "l1",
     "l2_ball",
+    "make_prox",
     "make_prox_conjugate",
     "primal_dual_op",
     "prox",
+    "proximal_op",
     "quadratic",
     "split_dr_op",
     "zero",
@@ -42,65 +44,8 @@ __all__ = [
 # --------------------------------------------------------------------------
 # prox-friendly functions
 
-
-@dataclass(frozen=True)
-class ProxFunction:
-    """Convex function with a closed-form (or one-solve) proximal map.
-
-    ``kind`` is one of ``l1``, ``box``, ``quadratic``, ``l2_ball``, ``zero``;
-    the remaining fields are per-kind parameters.  A quadratic holds either a
-    map ``A`` (a dense :class:`LinearMap` or a :class:`SpectralMap`) or, when
-    diagonal, only its diagonal ``diag``.
-    """
-
-    kind: str
-    weight: float = 0.0
-    lo: np.ndarray | float = 0.0
-    hi: np.ndarray | float = 0.0
-    A: Optional[Union[LinearMap, SpectralMap]] = None
-    b: Optional[np.ndarray] = None
-    radius: float = 0.0
-    diag: Optional[np.ndarray] = None
-
-
-def l1(weight: float) -> ProxFunction:
-    """``weight * ||x||_1``."""
-    if weight < 0:
-        raise ValueError("l1 weight must be >= 0")
-    return ProxFunction("l1", weight=float(weight))
-
-
-def box(lo, hi) -> ProxFunction:
-    """Indicator of the box [lo, hi] (infinite bounds allowed as markers)."""
-    lo_a, hi_a = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    if np.any(lo_a > hi_a):
-        raise ValueError("box requires lo <= hi")
-    return ProxFunction("box", lo=lo_a, hi=hi_a)
-
-
-def quadratic(A: Union[LinearMap, SpectralMap], b: np.ndarray) -> ProxFunction:
-    """``0.5 x^T A x - b^T x`` with A symmetric positive semidefinite."""
-    return ProxFunction("quadratic", A=A, b=np.asarray(b, dtype=float))
-
-
-def diagonal_quadratic(diag: np.ndarray, b: np.ndarray) -> ProxFunction:
-    """``0.5 x^T diag(d) x - b^T x`` with ``d >= 0``, held by ``d`` alone (no n x n matrix)."""
-    d = np.asarray(diag, dtype=float)
-    if np.any(d < 0.0):
-        raise ValueError("diagonal entries must be >= 0")
-    return ProxFunction("quadratic", diag=d, b=np.asarray(b, dtype=float))
-
-
-def l2_ball(radius: float) -> ProxFunction:
-    """Indicator of the origin-centered Euclidean ball of given radius."""
-    if radius <= 0:
-        raise ValueError("radius must be > 0")
-    return ProxFunction("l2_ball", radius=float(radius))
-
-
-def zero() -> ProxFunction:
-    """The identically-zero function (prox = identity)."""
-    return ProxFunction("zero")
+#: ``v -> prox(v)``, writing the same bits to an optional ``out=`` (``v`` allowed)
+Prox = Callable[..., np.ndarray]
 
 
 def _into(out: Optional[np.ndarray], v: np.ndarray) -> np.ndarray:
@@ -111,23 +56,38 @@ def _into(out: Optional[np.ndarray], v: np.ndarray) -> np.ndarray:
     return out
 
 
-def make_prox(f: ProxFunction, rho: float) -> Callable[..., np.ndarray]:
-    """Specialized closure for ``v -> prox_{rho f}(v)``.
+@dataclass(frozen=True)
+class ProxFunction:
+    """Convex function with a closed-form (or one-solve) proximal map.
 
-    The quadratic kind prepares ``(I + rho A)^{-1}`` once, which is what makes
-    long resolvent iterations cheap: a :class:`SpectralMap` forms the dense
-    ``Q diag(1 / (1 + rho w)) Q^T``, so each apply is one GEMV; a dense
-    ``LinearMap`` is Cholesky-factored; a diagonal quadratic is solved
-    directly.
-    The closure takes an optional ``out=`` array, which may be ``v`` itself,
-    and writes the result there with the same operations.
+    ``prox_map(rho)`` returns the closure ``v -> prox_{rho f}(v)``, prepared
+    once per ``rho``.  ``conjugate_map(sigma)``, when set, returns the closure
+    ``v -> prox_{sigma f*}(v)`` in closed form; without it the conjugate prox
+    goes through Moreau's identity (:func:`make_prox_conjugate`).
+    ``exact_zeros`` says whether ``prox_{rho f}`` can map a nonzero entry to an
+    exact zero, and ``modulus`` is the strong-convexity modulus of ``f`` (0
+    when it is not strongly convex).  The constructors below build each.
     """
-    if rho <= 0:
-        raise ValueError("rho must be > 0")
-    if f.kind == "zero":
-        return lambda v, out=None: _into(out, v)
-    if f.kind == "l1":
-        t = rho * f.weight
+
+    prox_map: Callable[[float], Prox]
+    conjugate_map: Optional[Callable[[float], Prox]] = None
+    exact_zeros: bool = False
+    modulus: float = 0.0
+
+
+def l1(weight: float) -> ProxFunction:
+    """``weight * ||x||_1``.
+
+    Its conjugate is the indicator of ``[-weight, weight]^n``, so the prox of
+    ``sigma f*`` is the clip ``min(max(v, -weight), weight)`` for every
+    ``sigma`` (Chambolle and Pock, JMIV 40, 2011).
+    """
+    if weight < 0:
+        raise ValueError("l1 weight must be >= 0")
+    w = float(weight)
+
+    def prox_map(rho: float) -> Prox:
+        t = rho * w
 
         def soft_threshold(v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
             # two passes: v minus its clip to [-t, t]
@@ -135,33 +95,100 @@ def make_prox(f: ProxFunction, rho: float) -> Callable[..., np.ndarray]:
             return np.subtract(v, np.minimum(clip, t, out=clip), out=out)
 
         return soft_threshold
-    if f.kind == "box":
-        lo, hi = f.lo, f.hi
-        return lambda v, out=None: np.clip(v, lo, hi, out=out)
-    if f.kind == "l2_ball":
-        r = f.radius
 
-        def project(v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-            nv = norm(v)
-            return _into(out, v) if nv <= r else np.multiply(v, r / nv, out=out)
+    def clip(v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        low = np.maximum(v, -w, out=out)
+        return np.minimum(low, w, out=low)
 
-        return project
-    if f.kind == "quadratic":
-        rho_b = rho * f.b
-        if f.A is None:
-            scale = 1.0 + rho * f.diag
+    return ProxFunction(prox_map, conjugate_map=lambda sigma: clip, exact_zeros=True)
 
-            def solve_diagonal(v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-                w = np.add(v, rho_b, out=out)
-                return np.divide(w, scale, out=w)
 
-            return solve_diagonal
-        if isinstance(f.A, SpectralMap):
-            R = f.A.resolvent(rho)
+def box(lo, hi) -> ProxFunction:
+    """Indicator of the box [lo, hi] (infinite bounds allowed as markers)."""
+    lo_a, hi_a = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if np.any(lo_a > hi_a):
+        raise ValueError("box requires lo <= hi")
+    return ProxFunction(lambda rho: lambda v, out=None: np.clip(v, lo_a, hi_a, out=out),
+                        exact_zeros=True)
+
+
+def _spectrum_bounds(A: Union[LinearMap, GramMap, SpectralMap]) -> Tuple[float, float]:
+    """Smallest and largest eigenvalue of a symmetric map (read off a Gram or spectral map)."""
+    if isinstance(A, (GramMap, SpectralMap)):
+        return A.spectrum()
+    M = A.matrix
+    if M.shape[0] != M.shape[1]:
+        raise ValueError("expected a square matrix")
+    if not np.allclose(M, M.T, rtol=0.0, atol=1e-10 * (1.0 + np.abs(M).max())):
+        raise ValueError("expected a symmetric matrix")
+    eigs = np.linalg.eigvalsh(M)
+    return float(eigs[0]), float(eigs[-1])
+
+
+def quadratic(A: Union[LinearMap, SpectralMap], b: np.ndarray) -> ProxFunction:
+    """``0.5 x^T A x - b^T x`` with A symmetric positive semidefinite.
+
+    The prox solves with ``I + rho A``, prepared once per ``rho``, which is
+    what makes long resolvent iterations cheap: a :class:`SpectralMap` forms
+    the dense ``Q diag(1 / (1 + rho w)) Q^T``, so each apply is one GEMV; a
+    dense ``LinearMap`` is Cholesky-factored.  The modulus is the smallest
+    eigenvalue of ``A``.
+    """
+    bb = np.asarray(b, dtype=float)
+
+    def prox_map(rho: float) -> Prox:
+        rho_b = rho * bb
+        if isinstance(A, SpectralMap):
+            R = A.resolvent(rho)
             return lambda v, out=None: np.matmul(R, v + rho_b, out=out)
-        solve = spd_solver(LinearMap(np.eye(f.A.rows) + rho * f.A.matrix))
+        solve = spd_solver(LinearMap(np.eye(A.rows) + rho * A.matrix))
         return lambda v, out=None: _into(out, solve(v + rho_b))
-    raise ValueError(f"unknown kind {f.kind!r}")
+
+    return ProxFunction(prox_map, modulus=max(_spectrum_bounds(A)[0], 0.0))
+
+
+def diagonal_quadratic(diag: np.ndarray, b: np.ndarray) -> ProxFunction:
+    """``0.5 x^T diag(d) x - b^T x`` with ``d >= 0``, held by ``d`` alone (no n x n matrix)."""
+    d = np.asarray(diag, dtype=float)
+    if np.any(d < 0.0):
+        raise ValueError("diagonal entries must be >= 0")
+    bb = np.asarray(b, dtype=float)
+
+    def prox_map(rho: float) -> Prox:
+        rho_b, scale = rho * bb, 1.0 + rho * d
+
+        def solve_diagonal(v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+            w = np.add(v, rho_b, out=out)
+            return np.divide(w, scale, out=w)
+
+        return solve_diagonal
+
+    return ProxFunction(prox_map, modulus=float(np.min(d)))
+
+
+def l2_ball(radius: float) -> ProxFunction:
+    """Indicator of the origin-centered Euclidean ball of given radius."""
+    if radius <= 0:
+        raise ValueError("radius must be > 0")
+    r = float(radius)
+
+    def project(v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        nv = norm(v)
+        return _into(out, v) if nv <= r else np.multiply(v, r / nv, out=out)
+
+    return ProxFunction(lambda rho: project)
+
+
+def zero() -> ProxFunction:
+    """The identically-zero function (prox = identity)."""
+    return ProxFunction(lambda rho: lambda v, out=None: _into(out, v))
+
+
+def make_prox(f: ProxFunction, rho: float) -> Prox:
+    """Specialized closure for ``v -> prox_{rho f}(v)``, built by ``f.prox_map``."""
+    if rho <= 0:
+        raise ValueError("rho must be > 0")
+    return f.prox_map(rho)
 
 
 def prox(f: ProxFunction, rho: float, v: np.ndarray) -> np.ndarray:
@@ -169,26 +196,19 @@ def prox(f: ProxFunction, rho: float, v: np.ndarray) -> np.ndarray:
     return make_prox(f, rho)(v)
 
 
-def make_prox_conjugate(f: ProxFunction, sigma: float) -> Callable[..., np.ndarray]:
+def make_prox_conjugate(f: ProxFunction, sigma: float) -> Prox:
     """Specialized closure for ``v -> prox_{sigma f*}(v)``.
 
-    For ``f = w ||.||_1`` the conjugate is the indicator of ``[-w, w]^n``,
-    so the prox is the clip ``min(max(v, -w), w)`` for every ``sigma``
-    (Chambolle and Pock, JMIV 40, 2011).  Every other kind goes through
-    Moreau's identity, ``v - sigma * prox_{f/sigma}(v / sigma)``.  As with
-    :func:`make_prox`, an optional ``out=`` array (``v`` allowed) receives
-    the result.
+    ``f.conjugate_map`` builds it where ``f`` has one (the clip of
+    :func:`l1`); every function without a closed-form conjugate prox goes
+    through Moreau's identity, ``v - sigma * prox_{f/sigma}(v / sigma)``.
+    As with :func:`make_prox`, an optional ``out=`` array (``v`` allowed)
+    receives the result.
     """
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
-    if f.kind == "l1":
-        w = f.weight
-
-        def clip(v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-            low = np.maximum(v, -w, out=out)
-            return np.minimum(low, w, out=low)
-
-        return clip
+    if f.conjugate_map is not None:
+        return f.conjugate_map(sigma)
     pf = make_prox(f, 1.0 / sigma)
 
     def moreau(v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -227,28 +247,25 @@ class OperatorHandle:
     exact_zeros: bool = True
 
 
-def _zeroes(f: ProxFunction) -> bool:
-    """Whether ``prox_{rho f}`` can map a nonzero entry to an exact zero."""
-    return f.kind in ("l1", "box")
+def _forward_step(A: Union[LinearMap, GramMap, SpectralMap],
+                  rho: float) -> Tuple[float, float, Optional[float]]:
+    """``(mu, L, beta)`` of a smooth quadratic with Hessian ``A``, once ``rho``
+    is checked as a forward step on it.
 
-
-def _conjugate_zeroes(g: ProxFunction) -> bool:
-    """The same for ``prox_{sigma g*}``: every kind but l1 (a clip) goes
-    through Moreau's identity, whose difference can cancel exactly."""
-    return g.kind != "l1"
-
-
-def _spectrum_bounds(A: Union[LinearMap, GramMap, SpectralMap]) -> Tuple[float, float]:
-    """Smallest and largest eigenvalue of a symmetric map (read off a Gram or spectral map)."""
-    if isinstance(A, (GramMap, SpectralMap)):
-        return A.spectrum()
-    M = A.matrix
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("expected a square matrix")
-    if not np.allclose(M, M.T, rtol=0.0, atol=1e-10 * (1.0 + np.abs(M).max())):
-        raise ValueError("expected a symmetric matrix")
-    eigs = np.linalg.eigvalsh(M)
-    return float(eigs[0]), float(eigs[-1])
+    With ``L`` the largest eigenvalue of ``A`` the gradient ``x -> A x - b``
+    is ``beta = 1/L``-cocoercive and ``rho`` must lie in ``(0, 2 beta)``; at
+    ``L = 0`` it is a translation, any ``rho > 0`` is admitted and ``beta``
+    is None.  ``mu`` is the smallest eigenvalue.
+    """
+    mu, L = _spectrum_bounds(A)
+    if L > 0:
+        beta = 1.0 / L
+        if not 0.0 < rho < 2.0 * beta:
+            raise ValueError(f"rho must lie in (0, {2.0 * beta:.6g})")
+        return mu, L, beta
+    if rho <= 0:
+        raise ValueError("rho must be > 0")
+    return mu, L, None
 
 
 def gradient_step_op(A_spd: Union[LinearMap, SpectralMap], b: np.ndarray,
@@ -259,11 +276,9 @@ def gradient_step_op(A_spd: Union[LinearMap, SpectralMap], b: np.ndarray,
     quasi-contraction factor is the spectral value ``max |1 - rho * eig|``,
     attached only when it is strictly below one.
     """
-    mu, L = _spectrum_bounds(A_spd)
-    if L <= 0:
+    mu, L, beta = _forward_step(A_spd, rho)
+    if beta is None:
         raise ValueError("A must have a positive largest eigenvalue")
-    if not 0.0 < rho < 2.0 / L:
-        raise ValueError(f"rho must lie in (0, {2.0 / L:.6g})")
     q = max(abs(1.0 - rho * mu), abs(1.0 - rho * L))
     M, bb = A_spd.matrix, np.asarray(b, dtype=float)
 
@@ -274,26 +289,24 @@ def gradient_step_op(A_spd: Union[LinearMap, SpectralMap], b: np.ndarray,
         apply=apply,
         gamma=rho * L / 2.0,
         q_factor=q if q < 1.0 else None,
-        beta=1.0 / L,
+        beta=beta,
         extract_solution=lambda x: x,
         exact_zeros=False,
     )
 
 
 def proximal_op(f: ProxFunction, rho: float) -> OperatorHandle:
-    """Resolvent iteration map ``x -> prox_{rho f}(x)`` (1/2-averaged)."""
-    p = make_prox(f, rho)
-    q = None
-    if f.kind == "quadratic":
-        mu = float(np.min(f.diag)) if f.A is None else _spectrum_bounds(f.A)[0]
-        if mu > 0:
-            q = 1.0 / (1.0 + rho * mu)
+    """Resolvent iteration map ``x -> prox_{rho f}(x)`` (1/2-averaged).
+
+    For a ``mu``-strongly convex ``f`` the prox is a ``1/(1 + rho mu)``
+    contraction, attached as ``q_factor``.
+    """
     return OperatorHandle(
-        apply=p,
+        apply=make_prox(f, rho),
         gamma=0.5,
-        q_factor=q,
+        q_factor=1.0 / (1.0 + rho * f.modulus) if f.modulus > 0 else None,
         extract_solution=lambda x: x,
-        exact_zeros=_zeroes(f),
+        exact_zeros=f.exact_zeros,
     )
 
 
@@ -304,33 +317,22 @@ def forward_backward_op(
 
     With ``L`` the largest eigenvalue of ``A`` the forward term is
     ``1/L``-cocoercive and the composition is ``2/(4 - rho L)``-averaged; a
-    vanishing forward term (A = 0, b = 0) degenerates to the plain resolvent,
-    which is 1/2-averaged.
+    vanishing smooth term (A = 0) leaves a prox after a translation, which is
+    firmly nonexpansive, and the formula gives its 1/2.
     """
-    mu, L = _spectrum_bounds(A_spd)
-    bb = np.asarray(b, dtype=float)
-    if L > 0:
-        beta = 1.0 / L
-        if not 0.0 < rho < 2.0 * beta:
-            raise ValueError(f"rho must lie in (0, {2.0 * beta:.6g})")
-        gamma = 2.0 / (4.0 - rho * L)
-    else:
-        if rho <= 0:
-            raise ValueError("rho must be > 0")
-        beta = None
-        gamma = 0.5 if norm(bb) == 0.0 else None
+    _, L, beta = _forward_step(A_spd, rho)
     p = make_prox(f_nonsmooth, rho)
-    A_apply = A_spd.apply
+    A_apply, bb = A_spd.apply, np.asarray(b, dtype=float)
 
     def apply(x: np.ndarray) -> np.ndarray:
         return p(x - rho * (A_apply(x) - bb))
 
     return OperatorHandle(
         apply=apply,
-        gamma=gamma,
+        gamma=2.0 / (4.0 - rho * L),
         beta=beta,
         extract_solution=lambda x: x,
-        exact_zeros=_zeroes(f_nonsmooth),
+        exact_zeros=f_nonsmooth.exact_zeros,
     )
 
 
@@ -352,15 +354,21 @@ def douglas_rachford_op(fA: ProxFunction, fB: ProxFunction, r: float) -> Operato
         apply=apply,
         gamma=0.5,
         extract_solution=pb,
-        exact_zeros=_zeroes(fA) or _zeroes(fB),
+        exact_zeros=fA.exact_zeros or fB.exact_zeros,
     )
 
 
-def _check_steps(L: Union[LinearMap, DifferenceMap], tau: float, sigma: float) -> None:
-    """Require ``tau * sigma * ||L||^2 <= 1`` against a certified upper bound on ``||L||``.
+def _coupled_parts(f: ProxFunction, g: ProxFunction, L: Union[LinearMap, DifferenceMap],
+                   tau: float, sigma: float) -> Tuple[Prox, Prox, int, dict]:
+    """``prox_{tau f}``, ``prox_{sigma g*}``, ``n = L.cols`` and the handle
+    fields ``primal_dual_op`` and ``split_dr_op`` share.
 
-    A power-iteration estimate approaches ``||L||`` from below, so steps set
-    from it can pass a check against it while violating the true bound.
+    Requires ``tau * sigma * ||L||^2 <= 1`` against the certified upper bound
+    ``L.norm_upper()``; a power-iteration estimate approaches ``||L||`` from
+    below, so steps set from it could violate the true bound.  Both maps are
+    declared 1/2-averaged in a step-induced metric, and the primal block
+    ``p[..., :n]`` of a fixed point (or of a stack of points) is the solution.
+    A Moreau-form conjugate prox can cancel to an exact zero; the clip cannot.
     """
     if tau <= 0 or sigma <= 0:
         raise ValueError("tau and sigma must be > 0")
@@ -368,6 +376,10 @@ def _check_steps(L: Union[LinearMap, DifferenceMap], tau: float, sigma: float) -
     if tau * sigma * upper * upper > 1.0 + 1e-12:
         raise ValueError(f"step bound violated: tau*sigma*||L||^2 may reach "
                          f"{tau * sigma * upper * upper:.6g} > 1 (||L|| <= {upper:.6g})")
+    n = L.cols
+    fields = dict(gamma=0.5, extract_solution=lambda p: p[..., :n],
+                  exact_zeros=f.exact_zeros or g.conjugate_map is None)
+    return make_prox(f, tau), make_prox_conjugate(g, sigma), n, fields
 
 
 def primal_dual_op(
@@ -380,17 +392,11 @@ def primal_dual_op(
     Updates ``x+ = prox_{tau f}(x - tau L^T y)`` then ``y+ =
     prox_{sigma g*}(y + sigma L (2 x+ - x))`` and returns ``[x+; y+]`` as a
     new array, both blocks written in place with ``out=`` ufuncs and one
-    scratch vector; ``p`` is never written.  The dual prox comes from
-    :func:`make_prox_conjugate`: a clip to ``[-w, w]`` for ``g = w ||.||_1``,
-    Moreau's identity otherwise.  Requires ``tau * sigma * ||L||^2 <= 1``,
-    checked against ``L.norm_upper()``.  The map is 1/2-averaged on the
-    product space and the primal block ``p[..., :n]`` of a fixed point
-    solves the problem (``extract_solution`` also takes a stack of points).
+    scratch vector; ``p`` is never written.  Requires ``tau * sigma *
+    ||L||^2 <= 1``, and is 1/2-averaged on the product space in the
+    step-induced metric (see :func:`_coupled_parts`).
     """
-    _check_steps(L, tau, sigma)
-    pf = make_prox(f, tau)
-    pg_conj = make_prox_conjugate(g, sigma)
-    n = L.cols
+    pf, pg_conj, n, fields = _coupled_parts(f, g, L, tau, sigma)
 
     def apply(p: np.ndarray) -> np.ndarray:
         # x+ and y+ are formed in the two blocks of one fresh array, in the
@@ -410,10 +416,8 @@ def primal_dual_op(
 
     return OperatorHandle(
         apply=apply,
-        gamma=0.5,
-        extract_solution=lambda p: p[..., :n],
         notes=("averagedness 1/2 holds in the step-induced product metric",),
-        exact_zeros=_zeroes(f) or _conjugate_zeroes(g),
+        **fields,
     )
 
 
@@ -432,17 +436,11 @@ def split_dr_op(
 
     and ``[x+; y+]`` is returned as a new array, both blocks written in place
     with ``out=`` ufuncs and one scratch array; ``p`` is never written.
-    The dual prox comes from :func:`make_prox_conjugate`: a clip to
-    ``[-w, w]`` for ``g = w ||.||_1``, Moreau's identity otherwise.
-    Averagedness 1/2 is assumed in the preconditioned metric (flagged in
-    ``notes``); requires ``tau * sigma * ||L||^2 <= 1``, checked against
-    ``L.norm_upper()``.  The primal block ``p[..., :n]`` of a fixed point
-    solves the problem (``extract_solution`` also takes a stack of points).
+    Requires ``tau * sigma * ||L||^2 <= 1``; averagedness 1/2 is assumed in
+    the preconditioned metric, flagged in ``notes`` (see
+    :func:`_coupled_parts`).
     """
-    _check_steps(L, tau, sigma)
-    pf = make_prox(f, tau)
-    pg_conj = make_prox_conjugate(g, sigma)
-    n = L.cols
+    pf, pg_conj, n, fields = _coupled_parts(f, g, L, tau, sigma)
 
     def apply(p: np.ndarray) -> np.ndarray:
         # v, then x+, then y+ = sigma L (x+ - x) + v are formed in the blocks
@@ -465,10 +463,8 @@ def split_dr_op(
 
     return OperatorHandle(
         apply=apply,
-        gamma=0.5,
-        extract_solution=lambda p: p[..., :n],
         notes=("averagedness 1/2 assumed in the scalar-preconditioned metric",),
-        exact_zeros=_zeroes(f) or _conjugate_zeroes(g),
+        **fields,
     )
 
 
@@ -483,15 +479,7 @@ def davis_yin_op(
     ``beta = 1 / L(A_spd)``.  Collapses to forward-backward when ``fB = 0``
     and to Douglas-Rachford when the smooth term vanishes.
     """
-    mu, L_sm = _spectrum_bounds(A_spd)
-    if L_sm > 0:
-        beta = 1.0 / L_sm
-        if not 0.0 < rho < 2.0 * beta:
-            raise ValueError(f"rho must lie in (0, {2.0 * beta:.6g})")
-    else:
-        if rho <= 0:
-            raise ValueError("rho must be > 0")
-        beta = None
+    _, L_sm, beta = _forward_step(A_spd, rho)
     pb_ = make_prox(fB, rho)
     pa_ = make_prox(fA, rho)
     A_apply, bb = A_spd.apply, np.asarray(b, dtype=float)
@@ -506,5 +494,5 @@ def davis_yin_op(
         gamma=2.0 / (4.0 - rho * L_sm),
         beta=beta,
         extract_solution=pb_,
-        exact_zeros=_zeroes(fA) or _zeroes(fB),
+        exact_zeros=fA.exact_zeros or fB.exact_zeros,
     )

@@ -513,6 +513,13 @@ def test_averagedness_probe_gradient_and_fb():
                         lambda g: rand_vec(g, 5))
     _averagedness_probe(forward_backward_op(l1(0.2), LinearMap(A), b, 1.2 / L),
                         lambda g: rand_vec(g, 5))
+    # a zero smooth term leaves a prox after the translation by rho b, firmly
+    # nonexpansive; Davis-Yin collapses to the same map and declares the same 1/2
+    zero_A = LinearMap(np.zeros((5, 5)))
+    for f in (l1(0.2), box(-1.0, 1.0)):
+        fb = forward_backward_op(f, zero_A, b, 1.2 / L)
+        assert fb.gamma == davis_yin_op(zero(), f, zero_A, b, 1.2 / L).gamma == 0.5
+        _averagedness_probe(fb, lambda g: rand_vec(g, 5))
 
 
 def test_averagedness_probe_dr_and_dy():

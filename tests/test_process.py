@@ -8,6 +8,7 @@ before ``cli.main`` dispatches; ``main`` itself never does.
 """
 
 import gc
+import importlib
 import os
 import re
 import subprocess
@@ -99,6 +100,12 @@ def test_lazy_names_are_the_submodules_objects():
     assert ikm.OperatorHandle is operators.OperatorHandle
     with pytest.raises(AttributeError, match="no attribute 'make_nothing'"):
         ikm.make_nothing  # noqa: B018
+
+
+def test_lazy_names_are_in_their_modules_all():
+    for module, names in ikm._LAZY.items():
+        exported = importlib.import_module(f"ikm.{module}").__all__
+        assert [name for name in names if name not in exported] == [], module
 
 
 def test_reference_not_converged_is_one_class():
