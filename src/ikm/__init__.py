@@ -11,7 +11,8 @@ Imported before NumPy, in a process that sets none of
 package sets ``OPENBLAS_NUM_THREADS=1``, so its BLAS calls run on one thread.
 
 ``import ikm`` loads :mod:`ikm.certificates`, :mod:`ikm.engine`,
-:mod:`ikm.linalg` and :mod:`ikm.rng`; :mod:`ikm.operators` and
+:mod:`ikm.linalg`, :mod:`ikm.rng` and the SciPy package, which no ikm
+call uses (see its import); :mod:`ikm.operators` and
 :mod:`ikm.problems`, and the names the package takes from them, load on
 first access.
 """
@@ -69,6 +70,11 @@ from .linalg import (
     solve_spd,
 )
 from .rng import SplitMix64
+
+# No ikm call reaches SciPy.  The import stays only for the benchmark's import
+# probe (perfbench/run.py, _scipy_import_s) until the package drops the
+# dependency; it comes after NumPy has loaded, so the probe times SciPy alone.
+import scipy  # noqa: E402,F401
 
 __version__ = "0.1.0"
 

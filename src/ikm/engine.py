@@ -538,10 +538,10 @@ def _schedule_block(schedule: Schedule, k: int, last: int,
 def picard(T, x0: np.ndarray, tol: float, max_iters: int) -> RunResult:
     """Plain fixed-point iteration ``x <- T x`` (reference runs).
 
-    The trace is one row, the last index and its residual (none when the
-    status is ``diverged``, whose overflow is silenced as in :func:`run`),
-    under the schedule ``alpha = 0``, ``lambda = 1`` that makes the
-    inertial KM step this iteration.
+    The trace is one row, the last index and its residual, and ``x_last`` the
+    point it describes (neither when the status is ``diverged``, whose
+    overflow is silenced as in :func:`run`), under the schedule ``alpha = 0``,
+    ``lambda = 1`` that makes the inertial KM step this iteration.
     """
     x = x0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -552,9 +552,9 @@ def picard(T, x0: np.ndarray, tol: float, max_iters: int) -> RunResult:
             if not math.isfinite(r) and not is_finite(tx):
                 return RunResult(_picard_trace(), [x], [], "diverged")
             if r <= tol:
-                return RunResult(_picard_trace(k, r), [x], [], "converged")
+                return RunResult(_picard_trace(k, r), [x], [], "converged", x)
             x = tx
-    return RunResult(_picard_trace(max_iters, norm(x - T.apply(x))), [x], [], "max_iters")
+    return RunResult(_picard_trace(max_iters, norm(x - T.apply(x))), [x], [], "max_iters", x)
 
 
 def _picard_trace(k: Optional[int] = None, r: float = 0.0) -> Trace:

@@ -13,12 +13,11 @@ spectrum comes from one eigendecomposition of the smaller of ``K K^T`` and
 ``K^T K``, formed for it and dropped, cached on the map.  A symmetric map
 whose eigendecomposition is known is a :class:`SpectralMap` of ``(Q, w)``:
 its spectrum, solves and resolvents come from ``Q`` and ``w`` with no
-factorization.  Cholesky (SciPy) serves only :func:`spd_solver` on a
-dense :class:`LinearMap`: ``scipy.linalg`` loads on the first such
-solve, so a process that makes none never loads it.  Everything here
-is a pure function of its inputs: reductions go through a single NumPy
-build in a fixed order, so repeated calls are bit-reproducible within one
-installation.
+factorization; a dense symmetric :class:`LinearMap` is held the same way,
+by one ``np.linalg.eigh`` (:meth:`SpectralMap.of`), wherever it is solved
+or its spectrum is read.  Everything here is a pure function of its
+inputs: reductions go through a single NumPy build in a fixed order, so
+repeated calls are bit-reproducible within one installation.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
-import scipy
 
 from .rng import SplitMix64
 
@@ -203,10 +201,11 @@ class SpectralMap:
     """The symmetric map ``Q diag(w) Q^T`` (n x n) held by its eigendecomposition.
 
     ``Q`` is orthogonal and ``w`` holds the eigenvalues.  ``matrix`` is the
-    dense symmetrized ``0.5 (A + A^T)`` of ``A = Q diag(w) Q^T``: ``apply``
-    is one GEMV on it, which beats the two of ``Q (w * (Q^T x))``.  The
-    spectrum, solves and resolvents read ``(Q, w)`` and factor nothing
-    (Golub & Van Loan, *Matrix Computations*, 8.1).
+    dense symmetrized ``0.5 (A + A^T)`` of ``A = Q diag(w) Q^T`` (the given
+    matrix, for a map made by :meth:`of`): ``apply`` is one GEMV on it,
+    which beats the two of ``Q (w * (Q^T x))``.  The spectrum, solves and
+    resolvents read ``(Q, w)`` and factor nothing (Golub & Van Loan,
+    *Matrix Computations*, 8.1).
     """
 
     __slots__ = ("Q", "w", "matrix")
@@ -217,6 +216,24 @@ class SpectralMap:
             raise ValueError("SpectralMap expects an n x n Q and n eigenvalues")
         A = Q @ np.diag(w) @ Q.T
         self.Q, self.w, self.matrix = Q, w, 0.5 * (A + A.T)
+
+    @classmethod
+    def of(cls, A: np.ndarray) -> "SpectralMap":
+        """The map of a dense symmetric matrix ``A`` by one ``np.linalg.eigh``.
+
+        ``A`` must be square and symmetric to ``1e-12 (1 + max |A_ij|)``
+        (``eigh`` reads its lower triangle); ``matrix`` is ``A`` itself, so
+        ``apply`` keeps its bits.
+        """
+        A = np.asarray(A, dtype=float)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValueError("matrix is not square")
+        if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(A).max())):
+            raise ValueError("matrix is not symmetric")
+        S = cls.__new__(cls)
+        S.w, S.Q = np.linalg.eigh(A)
+        S.matrix = A
+        return S
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
@@ -271,25 +288,10 @@ def solve_spd(M: Union[LinearMap, SpectralMap], b: np.ndarray) -> np.ndarray:
 def spd_solver(M: Union[LinearMap, SpectralMap]) -> Callable[[np.ndarray], np.ndarray]:
     """Prefactored SPD solver; raises ``ValueError`` if ``M`` is not SPD.
 
-    A :class:`SpectralMap` solves from its eigendecomposition; a dense
-    :class:`LinearMap` is Cholesky-factored once by ``scipy.linalg``, which
-    SciPy's lazy submodule loading imports on the first such call.
+    Both map types solve from an eigendecomposition, a dense
+    :class:`LinearMap` from the one :meth:`SpectralMap.of` makes.
     """
-    if isinstance(M, SpectralMap):
-        if M.spectrum()[0] <= 0.0:
-            raise ValueError("matrix is not positive definite")
-        return M.solve
-    A = M.matrix
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("matrix is not square")
-    if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(A).max())):
-        raise ValueError("matrix is not symmetric")
-    try:
-        factor = scipy.linalg.cho_factor(A, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("matrix is not positive definite") from exc
-
-    def solve(b: np.ndarray) -> np.ndarray:
-        return scipy.linalg.cho_solve(factor, b)
-
-    return solve
+    S = M if isinstance(M, SpectralMap) else SpectralMap.of(M.matrix)
+    if S.spectrum()[0] <= 0.0:
+        raise ValueError("matrix is not positive definite")
+    return S.solve

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .linalg import DifferenceMap, GramMap, LinearMap, SpectralMap, norm, spd_solver
+from .linalg import DifferenceMap, GramMap, LinearMap, SpectralMap, norm
 # re-exported: the benchmark harness wraps ``operators.operator_norm_estimate``
 from .linalg import operator_norm_estimate  # noqa: F401
 
@@ -112,39 +112,27 @@ def box(lo, hi) -> ProxFunction:
                         exact_zeros=True)
 
 
-def _spectrum_bounds(A: Union[LinearMap, GramMap, SpectralMap]) -> Tuple[float, float]:
-    """Smallest and largest eigenvalue of a symmetric map (read off a Gram or spectral map)."""
-    if isinstance(A, (GramMap, SpectralMap)):
-        return A.spectrum()
-    M = A.matrix
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("expected a square matrix")
-    if not np.allclose(M, M.T, rtol=0.0, atol=1e-10 * (1.0 + np.abs(M).max())):
-        raise ValueError("expected a symmetric matrix")
-    eigs = np.linalg.eigvalsh(M)
-    return float(eigs[0]), float(eigs[-1])
-
-
 def quadratic(A: Union[LinearMap, SpectralMap], b: np.ndarray) -> ProxFunction:
     """``0.5 x^T A x - b^T x`` with A symmetric positive semidefinite.
 
-    The prox solves with ``I + rho A``, prepared once per ``rho``, which is
-    what makes long resolvent iterations cheap: a :class:`SpectralMap` forms
-    the dense ``Q diag(1 / (1 + rho w)) Q^T``, so each apply is one GEMV; a
-    dense ``LinearMap`` is Cholesky-factored.  The modulus is the smallest
-    eigenvalue of ``A``.
+    ``A`` is held by its eigendecomposition ``(Q, w)``: a dense
+    ``LinearMap`` goes through :meth:`SpectralMap.of` once, when the
+    function is built.  The prox for each ``rho`` forms the dense resolvent
+    ``(I + rho A)^{-1} = Q diag(1 / (1 + rho w)) Q^T``, which is what makes
+    long resolvent iterations cheap: each apply is one GEMV.  It needs
+    ``1 + rho min(w) > 0``, else "matrix is not positive definite".  The
+    modulus is the smallest eigenvalue of ``A``, clipped at 0.
     """
-    bb = np.asarray(b, dtype=float)
+    S = A if isinstance(A, SpectralMap) else SpectralMap.of(A.matrix)
+    mu, bb = S.spectrum()[0], np.asarray(b, dtype=float)
 
     def prox_map(rho: float) -> Prox:
-        rho_b = rho * bb
-        if isinstance(A, SpectralMap):
-            R = A.resolvent(rho)
-            return lambda v, out=None: np.matmul(R, v + rho_b, out=out)
-        solve = spd_solver(LinearMap(np.eye(A.rows) + rho * A.matrix))
-        return lambda v, out=None: _into(out, solve(v + rho_b))
+        if 1.0 + rho * mu <= 0.0:
+            raise ValueError("matrix is not positive definite")
+        R, rho_b = S.resolvent(rho), rho * bb
+        return lambda v, out=None: np.matmul(R, v + rho_b, out=out)
 
-    return ProxFunction(prox_map, modulus=max(_spectrum_bounds(A)[0], 0.0))
+    return ProxFunction(prox_map, modulus=max(mu, 0.0))
 
 
 def diagonal_quadratic(diag: np.ndarray, b: np.ndarray) -> ProxFunction:
@@ -255,9 +243,10 @@ def _forward_step(A: Union[LinearMap, GramMap, SpectralMap],
     With ``L`` the largest eigenvalue of ``A`` the gradient ``x -> A x - b``
     is ``beta = 1/L``-cocoercive and ``rho`` must lie in ``(0, 2 beta)``; at
     ``L = 0`` it is a translation, any ``rho > 0`` is admitted and ``beta``
-    is None.  ``mu`` is the smallest eigenvalue.
+    is None.  ``mu`` is the smallest eigenvalue; a dense ``LinearMap`` is read
+    through :meth:`SpectralMap.of`.
     """
-    mu, L = _spectrum_bounds(A)
+    mu, L = (SpectralMap.of(A.matrix) if isinstance(A, LinearMap) else A).spectrum()
     if L > 0:
         beta = 1.0 / L
         if not 0.0 < rho < 2.0 * beta:

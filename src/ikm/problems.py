@@ -140,7 +140,7 @@ def _picard_reference(kind: str, T: OperatorHandle, x0: np.ndarray) -> np.ndarra
     if run.status != "converged":
         raise ReferenceNotConverged(f"{kind} reference run did not reach {REFERENCE_TOL:g} "
                                     f"in {REFERENCE_CAP} steps")
-    return run.xs[0]
+    return run.x_last
 
 
 def _orthogonal(gen: SplitMix64, n: int) -> np.ndarray:

@@ -1505,14 +1505,19 @@ def test_picard_reaches_fixed_point(quad_50):
     inst = quad_50
     res = picard(inst.operator("gradient"), inst.start_point("gradient"), 1e-11, 10_000)
     assert res.status == "converged"
-    assert norm(res.xs[0] - inst.reference_solution) <= 1e-9
+    assert res.x_last is res.xs[0]
+    assert norm(res.x_last - inst.reference_solution) <= 1e-9
+    # the point the max_iters row describes
+    res = picard(inst.operator("gradient"), inst.start_point("gradient"), 0.0, 5)
+    assert res.status == "max_iters" and res.rows.k.tolist() == [5]
+    assert res.x_last is res.xs[0]
 
 
 def test_picard_divergence_returns_the_last_finite_iterate():
     # 3^647 overflows: x = 3^646, by 646 products, is the last finite iterate,
     # and no row is kept
     res = picard(OperatorHandle(apply=lambda x: 3.0 * x), np.ones(2), 1e-11, 10_000)
-    assert res.status == "diverged" and len(res.rows) == 0
+    assert res.status == "diverged" and len(res.rows) == 0 and res.x_last is None
     x = np.ones(2)
     for _ in range(646):
         x = 3.0 * x

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -131,56 +132,36 @@ def test_solve_spd_rejects_non_spd():
         solve_spd(LinearMap(np.array([[1.0, 2.0], [0.0, 1.0]])), np.ones(2))
 
 
-# ikm configs on the quadratic, tv1d and lasso generators
-LAZY_QUAD = ("problem.kind = quadratic\nproblem.dim = 20\nproblem.mu = 1\nproblem.L = 10\n"
-             "problem.seed = 2\nalgorithm.scheme = {0}\noutput.trace = {0}.csv\n")
-LAZY_CONFIGS = {
-    "gradient.cfg": LAZY_QUAD.format("gradient"),
-    "proximal.cfg": LAZY_QUAD.format("proximal"),
-    "tv.cfg": "problem.kind = tv1d\nproblem.n = 30\nproblem.mu_reg = 0.5\nproblem.seed = 1\n"
-              "algorithm.scheme = pd\nstopping.max_iters = 20000\n"
-              "stopping.residual_tol = 1e-8\noutput.trace = tv.csv\n",
-    "lasso.cfg": "problem.kind = lasso\nproblem.m = 20\nproblem.n = 50\nproblem.sparsity = 0.1\n"
-                 "problem.mu_reg = 0.1\nproblem.seed = 1\nalgorithm.scheme = fb\n"
-                 "stopping.max_iters = 5000\nstopping.residual_tol = 1e-9\n"
-                 "sweep.1.alpha = 0.2\nsweep.1.lambda = 0.9\n"
-                 "sweep.2.alpha = 0.0\nsweep.2.lambda = 1.0\noutput.table = lasso.csv\n",
-}
-LAZY_SCIPY = """
-import sys
+DENSE_SPD = """
+import json, sys
 import numpy as np
-import scipy
-from ikm import cli
-from ikm.linalg import LinearMap
+from ikm.linalg import LinearMap, solve_spd
 from ikm.operators import proximal_op, quadratic
 
-codes = [cli.main(["run", "gradient.cfg"]), cli.main(["run", "proximal.cfg"]),
-         cli.main(["run", "tv.cfg"]), cli.main(["certify", "tv.csv"]),
-         cli.main(["sweep", "lasso.cfg"])]
-print("cli", codes, "scipy.linalg" in sys.modules, file=sys.stderr)
 A = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
 b, v, rho = np.array([1.0, -2.0, 0.5]), np.array([0.3, 0.1, -0.7]), 0.7
-out = proximal_op(quadratic(LinearMap(A), b), rho).apply(v)
-loaded = "scipy.linalg" in sys.modules
-want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(np.eye(3) + rho * A, lower=True),
-                              v + rho * b)
-print("dense", loaded, out.tobytes() == want.tobytes(), file=sys.stderr)
+prox = proximal_op(quadratic(LinearMap(A), b), rho).apply(v)
+x = solve_spd(LinearMap(A), b)
+want_prox = np.linalg.solve(np.eye(3) + rho * A, v + rho * b)
+want_x = np.linalg.solve(A, b)
+print(json.dumps({"scipy.linalg": "scipy.linalg" in sys.modules,
+                  "prox": float(np.linalg.norm(prox - want_prox) / np.linalg.norm(want_prox)),
+                  "solve": float(np.linalg.norm(x - want_x) / np.linalg.norm(want_x))}))
 """
 
 
-def test_cli_processes_load_scipy_linalg_only_for_a_dense_cholesky(tmp_path):
-    # a fresh interpreter, since the pytest process has loaded scipy.linalg:
-    # ikm run, certify and sweep on the quadratic, tv1d and lasso generators
-    # leave it unloaded, and the one generic dense Cholesky prox loads it
-    for name, text in LAZY_CONFIGS.items():
-        (tmp_path / name).write_text(text)
+def test_a_dense_prox_and_solve_load_no_scipy_linalg(tmp_path):
+    # a fresh interpreter, since the pytest process may have loaded
+    # scipy.linalg: a dense quadratic's prox and a dense solve_spd go through
+    # one eigh and agree with NumPy's LU solves
     src = os.path.dirname(os.path.dirname(os.path.abspath(ikm.__file__)))
-    proc = subprocess.run([sys.executable, "-c", LAZY_SCIPY], cwd=tmp_path,
+    proc = subprocess.run([sys.executable, "-c", DENSE_SPD], cwd=tmp_path,
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines() == ["cli [0, 0, 0, 0, 0] False", "dense True True"], \
-        proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["scipy.linalg"] is False
+    assert got["prox"] <= 1e-13 and got["solve"] <= 1e-13, got
 
 
 # --------------------------------------------------------------------------
@@ -210,6 +191,37 @@ def test_spectral_map_rejects_bad_input():
         SpectralMap(np.ones((2, 3)), [1.0, 2.0])
     with pytest.raises(ValueError, match="not positive definite"):
         solve_spd(SpectralMap(np.eye(2), [1.0, 0.0]), np.ones(2))
+    with pytest.raises(ValueError, match="^matrix is not square$"):
+        SpectralMap.of(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="^matrix is not symmetric$"):
+        SpectralMap.of(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    # asymmetry at the 1e-12 relative tolerance: admitted below it, not above
+    SpectralMap.of(np.array([[1.0, 1e-13], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="^matrix is not symmetric$"):
+        SpectralMap.of(np.array([[1.0, 1e-11], [0.0, 1.0]]))
+
+
+def test_spectral_map_of_a_dense_matrix_keeps_it():
+    gen = SplitMix64(3)
+    M = gen.normals(36).reshape(6, 6)
+    A = M @ M.T + np.eye(6)
+    S = SpectralMap.of(A)
+    assert S.matrix is A
+    x = gen.normals(6)
+    assert S.apply(x).tobytes() == (A @ x).tobytes()
+    assert np.allclose(S.Q @ np.diag(S.w) @ S.Q.T, A, rtol=0.0, atol=1e-13 * np.abs(A).max())
+    assert S.spectrum() == (S.w[0], S.w[-1])
+
+
+def test_dense_quadratic_with_an_indefinite_resolvent_is_rejected_at_make_prox():
+    # eigenvalues 1 and -2: I + rho A is definite for rho < 1/2 only
+    f = quadratic(LinearMap(np.diag([1.0, -2.0])), np.zeros(2))
+    assert f.modulus == 0.0
+    make_prox(f, 0.4)
+    with pytest.raises(ValueError, match="^matrix is not positive definite$"):
+        make_prox(f, 0.5)
+    with pytest.raises(ValueError, match="^matrix is not positive definite$"):
+        make_prox(f, 1.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -231,12 +243,12 @@ def test_spectral_map_closed_forms(dim, seed, log_mu, log_kappa, log_rho_L):
     eigs = np.linalg.eigvalsh(S.matrix)
     lo, hi = S.spectrum()
     assert max(abs(lo - eigs[0]), abs(hi - eigs[-1])) <= 16 * eps * hi
-    # the one-GEMV prox against the Cholesky prox of I + rho A, where
+    # the one-GEMV prox against an LU solve with I + rho A, where
     # cond(I + rho A) <= 1 + rho L <= 101
     rho = 10.0 ** log_rho_L / L
     v = np.random.default_rng(seed).standard_normal(dim)
     got = make_prox(quadratic(S, b), rho)(v)
-    want = make_prox(quadratic(LinearMap(S.matrix), b), rho)(v)
+    want = np.linalg.solve(np.eye(dim) + rho * S.matrix, v + rho * b)
     assert norm(got - want) <= 1e-12 * norm(want)
 
 

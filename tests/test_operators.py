@@ -204,6 +204,20 @@ def test_gradient_step_rejects_bad_rho():
         gradient_step_op(A, np.zeros(2), 0.21)  # above 2/L = 0.2
 
 
+@pytest.mark.parametrize("build", [
+    lambda A: gradient_step_op(A, np.zeros(2), 0.1),
+    lambda A: forward_backward_op(zero(), A, np.zeros(2), 0.1),
+    lambda A: davis_yin_op(zero(), zero(), A, np.zeros(2), 0.1),
+])
+def test_forward_steps_read_a_dense_map_through_one_symmetric_check(build):
+    # SpectralMap.of's check: 1e-12 relative to 1 + max |A_ij| (2e-12 here)
+    build(LinearMap(np.array([[1.0, 1e-12], [0.0, 1.0]])))
+    with pytest.raises(ValueError, match="^matrix is not symmetric$"):
+        build(LinearMap(np.array([[1.0, 1e-11], [0.0, 1.0]])))
+    with pytest.raises(ValueError, match="^matrix is not square$"):
+        build(LinearMap(np.ones((2, 3))))
+
+
 def test_forward_backward_with_zero_prox_matches_gradient_step():
     gen = SplitMix64(6)
     A = rand_spd(gen, 7)

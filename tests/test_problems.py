@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -469,7 +468,7 @@ def test_a_diverging_reference_run_raises_not_converged():
 
 def test_quadratic_build_factors_nothing(monkeypatch):
     # the reference, (mu, L) and the prox all come from the drawn
-    # eigendecomposition: no Cholesky and no eigvalsh
+    # eigendecomposition: no eigh and no eigvalsh
     calls = []
 
     def count(module, name):
@@ -481,9 +480,7 @@ def test_quadratic_build_factors_nothing(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    # linalg reaches Cholesky through the scipy.linalg module's attributes
-    count(scipy.linalg, "cho_factor")
-    count(scipy.linalg, "cho_solve")
+    count(np.linalg, "eigh")
     count(np.linalg, "eigvalsh")
     for seed in (1, 2, 3):
         inst = problems.make_quadratic(50, 0.01, 10.0, seed)
@@ -492,7 +489,9 @@ def test_quadratic_build_factors_nothing(monkeypatch):
             T.apply(inst.start_point(scheme))
             assert inst.fixed_point(scheme) is not None
     assert calls == []
-    # a generic dense quadratic still takes the counted Cholesky path: its
-    # modulus is read off one eigvalsh when it is built, then the prox factors
-    proximal_op(quadratic(linalg.LinearMap(np.eye(3)), np.zeros(3)), 1.0).apply(np.ones(3))
-    assert calls == ["eigvalsh", "cho_factor", "cho_solve"]
+    # a generic dense quadratic is decomposed once, when it is built: its
+    # modulus and every prox come from that one eigh
+    f = quadratic(linalg.LinearMap(np.eye(3)), np.zeros(3))
+    for rho in (0.5, 1.0):
+        proximal_op(f, rho).apply(np.ones(3))
+    assert calls == ["eigh"]

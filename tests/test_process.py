@@ -79,6 +79,7 @@ def test_each_command_imports_operators_and_problems_only_to_build_a_problem(
     assert {"ikm", "ikm.engine", "ikm.certificates"} <= modules
     assert {m: m in modules for m in LAZY_MODULES} == dict.fromkeys(LAZY_MODULES,
                                                                      loads_problems)
+    assert "scipy.linalg" not in modules
 
 
 def test_import_ikm_still_imports_scipy(tmp_path):
