@@ -71,6 +71,17 @@ def contraction_constant(lam: float, q: float, xi: float) -> float:
     return base * base + xi * lam * (1.0 - lam) * (1.0 - q) ** 2
 
 
+def effective_relaxation(lam, gamma: Optional[float]):
+    """The relaxation ``eta = gamma * lambda`` at which the relaxation
+    certificates and the Lyapunov replays are evaluated, for a scalar or an
+    array ``lam``; ``lam`` itself when gamma is None (unknown).
+
+    Kept out of ``__all__``: ``perfbench/traced.py`` times every callable
+    listed there as a certificate, and this one is a per-chunk helper.
+    """
+    return lam if gamma is None else gamma * lam
+
+
 def check_relaxation_constant(alpha: float, lambda_eff: float) -> CheckResult:
     """Constant-parameter relaxation bound ``lam (1 - a + 2 a^2) < (1 - a)^2``.
 
@@ -109,8 +120,10 @@ class RelaxationSeqReport:
     values: np.ndarray
 
 
-def check_relaxation_seq(schedule, ks: Iterable[int]) -> RelaxationSeqReport:
-    """Evaluate the sequence feasibility expression over ``ks``.
+def check_relaxation_seq(schedule, ks: Iterable[int],
+                         gamma: Optional[float] = None) -> RelaxationSeqReport:
+    """Evaluate the sequence feasibility expression over ``ks`` at ``eta_k =
+    effective_relaxation(lambda_k, gamma)``.
 
     ``schedule`` is anything exposing ``columns(ks)``, which maps an int64
     index array to the float64 arrays ``(alpha_k, lambda_k)``, as a
@@ -128,14 +141,14 @@ def check_relaxation_seq(schedule, ks: Iterable[int]) -> RelaxationSeqReport:
         raise ValueError("need at least one index k >= 2")
     alpha, lam = schedule.columns(ks)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        nu = 1.0 / lam - 1.0
+        nu = 1.0 / effective_relaxation(lam, gamma) - 1.0
         # the k - 1 term is the previous entry's when that index is k - 1;
         # the other indices evaluate it on their own
         back = np.empty_like(nu)
         back[1:] = nu[:-1] * (1.0 - alpha[:-1])
         own = np.diff(ks, prepend=0) != 1
         alpha_prev, lam_prev = schedule.columns(ks[own] - 1)
-        back[own] = (1.0 / lam_prev - 1.0) * (1.0 - alpha_prev)
+        back[own] = (1.0 / effective_relaxation(lam_prev, gamma) - 1.0) * (1.0 - alpha_prev)
         values = alpha * (1.0 + alpha) + nu * alpha * (1.0 - alpha) - back
     return RelaxationSeqReport(ks=ks, values=values)
 

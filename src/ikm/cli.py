@@ -120,7 +120,8 @@ def _schedule_param(view: ConfigView, key: str, default: Optional[float] = None)
 
 def read_schedule(view: ConfigView) -> Tuple[Schedule, float]:
     """The ``schedule.*`` keys of a run config or a trace header -> (schedule,
-    xi); a constant/constant schedule is a :meth:`Schedule.constant`."""
+    xi): a :meth:`Schedule.ramp` for ramp alpha, else a :meth:`Schedule.table`
+    (one entry per constant)."""
     a_kind = view.get_str("schedule.alpha_kind", "constant")
     if a_kind == "constant":
         alphas = [_schedule_param(view, "schedule.alpha", 0.0)]
@@ -141,8 +142,6 @@ def read_schedule(view: ConfigView) -> Tuple[Schedule, float]:
     xi = _schedule_param(view, "schedule.xi", 1.0)
     if a_kind == "ramp":
         return Schedule.ramp(*ramp, lambdas), xi
-    if a_kind == l_kind == "constant":
-        return Schedule.constant(alphas[0], lambdas[0]), xi
     return Schedule.table(alphas, lambdas), xi
 
 
@@ -227,11 +226,8 @@ def _read_problem(view: ConfigView, output: str, max_iters: int, residual_tol: f
             f"problem kind {instance.kind!r} supports schemes {instance.schemes}, "
             f"not {scheme!r}"
         )
-    steps = instance.resolve_steps(scheme, **{
-        key: view.get_float(f"algorithm.{key}") if view.has(f"algorithm.{key}") else None
-        for key in instance.default_steps[scheme]})
-    for key, value in steps.items():
-        view.record(f"algorithm.{key}", value)
+    steps = {key: view.get_float(f"algorithm.{key}", default)
+             for key, default in instance.default_steps[scheme].items()}
     stop = StoppingRule(
         max_iters=view.get_int("stopping.max_iters", max_iters),
         residual_tol=view.get_float("stopping.residual_tol", residual_tol),
@@ -306,7 +302,7 @@ def constant_feasibility(alpha: float, lam: float, gamma: Optional[float], q: Op
     """Relaxation certificate at ``eta = gamma * lambda`` (``lambda`` without gamma),
     plus the contraction condition when ``q`` is known and ``0 < lambda <= 1``;
     each result is named by the label its printed line starts with."""
-    eta = gamma * lam if gamma is not None else lam
+    eta = cert.effective_relaxation(lam, gamma)
     checks = [dataclasses.replace(cert.check_relaxation_constant(alpha, eta),
                                   name=f"relaxation(eta={_fmt(eta)})")]
     if q is not None and 0.0 < lam <= 1.0:
@@ -332,15 +328,10 @@ def feasibility_summary(schedule: Schedule, op: OperatorHandle, xi: float, out) 
     n = schedule.const_from
     all_pass = True
     if n >= 2:
-        if gamma is None:
-            eta_schedule, eta = schedule, "lambda_k"
-        else:
-            eta_schedule = Schedule(schedule.alpha_col,
-                                    lambda ks: gamma * schedule.lambda_col(ks))
-            eta = f"gamma*lambda_k, gamma={_fmt(gamma)}"
+        eta = "lambda_k" if gamma is None else f"gamma*lambda_k, gamma={_fmt(gamma)}"
         worst, worst_k = None, None
         for lo in range(2, n + 1, SEQ_CHUNK):
-            rep = cert.check_relaxation_seq(eta_schedule, range(lo, min(lo + SEQ_CHUNK, n + 1)))
+            rep = cert.check_relaxation_seq(schedule, range(lo, min(lo + SEQ_CHUNK, n + 1)), gamma)
             i = np.argmax(rep.values)
             # argmax takes the first largest value, and a nan before any number
             if worst is None or np.argmax((worst, rep.values[i])) == 1:
@@ -687,6 +678,7 @@ def _small_o(part: str, col: np.ndarray) -> Verdict:
 
 def cmd_check_params(alpha: float, lam: float, q: Optional[float], xi: Optional[float],
                      gamma: Optional[float], out=sys.stdout) -> int:
+    # every argument is checked before the first line is printed
     if not 0.0 <= alpha < 1.0:
         raise UsageError("alpha must lie in [0, 1)")
     if not lam > 0.0:
@@ -698,13 +690,13 @@ def cmd_check_params(alpha: float, lam: float, q: Optional[float], xi: Optional[
     xi_val = 1.0 if xi is None else xi
     if not 0.0 <= xi_val <= 1.0:
         raise UsageError("xi must lie in [0, 1]")
+    if q is not None and lam > 1.0:
+        raise UsageError("the quasi-contractive condition needs lambda <= 1")
 
     checks = constant_feasibility(alpha, lam, gamma, q, xi_val)
     for check in checks:
         print(_feasibility_line(check), file=out)
     if q is not None:
-        if lam > 1.0:
-            raise UsageError("the quasi-contractive condition needs lambda <= 1")
         if q < 1.0:
             print(f"feasibility_poly(lambda)={_fmt(cert.feasibility_poly(lam, alpha, q))} "
                   f"lambda_alpha_q={_fmt(cert.lambda_alpha_q(alpha, q))} "

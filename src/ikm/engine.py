@@ -7,8 +7,9 @@ The iteration is
 
 started from ``x_0 = x_1`` so the first inertial term vanishes.  The
 parameters are sequences held as columns: a :class:`Schedule` maps an int64
-index array to the float64 values of ``alpha_k`` and ``lambda_k``, and the
-run and the replays read it that way.  A run's record is one :class:`Trace`
+index array to the float64 values of ``alpha_k`` and ``lambda_k``.  Its
+constructors check every entry, and the run and the replays read it that
+way without checking it again.  A run's record is one :class:`Trace`
 of NumPy columns, one entry per step.  Each step measures only what it
 decides on: the residual ``||y_k - T y_k||`` that the stopping rule reads
 and whether ``x_{k+1}`` is finite.  The speed ``||x_k - x_{k-1}||``, the
@@ -82,7 +83,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .certificates import contraction_constant
+from .certificates import contraction_constant, effective_relaxation
 from .linalg import flush_subnormals, is_finite, norm
 
 __all__ = [
@@ -136,45 +137,40 @@ Column = Callable[[np.ndarray], np.ndarray]
 class Schedule:
     """Parameter sequences ``(alpha_k, lambda_k)`` for ``k >= 1``, held as columns.
 
-    ``alpha_col`` and ``lambda_col`` map an int64 index array ``ks`` to the
-    float64 array of ``alpha_k`` and ``lambda_k`` at those indices; they are
-    the schedule's only definition.  ``alpha_k`` must be nondecreasing in
-    [0, 1); ``lambda_k`` positive (values above 1 are legal so over-relaxed
-    and deliberately infeasible runs stay expressible).  :func:`run`
-    validates a custom schedule as it reads it; the ``constant``, ``ramp``
-    and ``table`` constructors validate up front and give closed forms.
-    They also record where the schedule turns constant: ``(alpha_k,
-    lambda_k) == limit`` for every ``k >= const_from``, the length of the
-    longest ramp or table (1 for :meth:`constant`).  A schedule built from
-    bare columns has both None.
+    A schedule is built by :meth:`constant`, :meth:`ramp` or :meth:`table`,
+    which check every entry where they build it: ``alpha_k`` nondecreasing
+    in [0, 1), ``lambda_k`` positive (values above 1 are legal so
+    over-relaxed and deliberately infeasible runs stay expressible).  Its
+    readers take the entries as checked.  ``alpha_col`` and ``lambda_col``
+    map an int64 index array ``ks`` to the float64 array of ``alpha_k`` and
+    ``lambda_k`` at those indices, in closed form; they are the schedule's
+    only definition.  ``(alpha_k, lambda_k) == limit`` for every ``k >=
+    const_from``, the length of the longest ramp or table (1 for
+    :meth:`constant`).
     """
 
-    def __init__(self, alpha_col: Column, lambda_col: Column):
+    def __init__(self, alpha_col: Column, lambda_col: Column, const_from: int,
+                 limit: Tuple[float, float]):
+        # called by the constructors below, which have checked every entry
         self.alpha_col = alpha_col
         self.lambda_col = lambda_col
-        self.const_from: Optional[int] = None
-        self.limit: Optional[Tuple[float, float]] = None
-
-    def _constant_from(self, const_from: int, alpha: float, lam: float) -> "Schedule":
         self.const_from = const_from
-        self.limit = (alpha, lam)
-        return self
+        self.limit = limit
 
     @classmethod
     def constant(cls, alpha: float, lam: float) -> "Schedule":
-        if not 0.0 <= alpha < 1.0:
-            raise ValueError("alpha must lie in [0, 1)")
-        if not lam > 0.0:
-            raise ValueError("lambda must be > 0")
-        schedule = cls(lambda ks: np.full(ks.size, alpha, dtype=np.float64),
-                       lambda ks: np.full(ks.size, lam, dtype=np.float64))
-        return schedule._constant_from(1, alpha, lam)
+        return cls.table([alpha], [lam])
 
     @classmethod
     def ramp(cls, alpha_start: float, alpha_end: float, ramp_iters: int,
              lambdas: Sequence[float]) -> "Schedule":
         """Alpha climbs linearly over ``ramp_iters`` steps, then holds;
-        ``lambdas`` is a table that holds its last entry, as in :meth:`table`."""
+        ``lambdas`` is a table that holds its last entry, as in :meth:`table`.
+
+        The climb is nondecreasing below ``ramp_iters``, since rounding is
+        monotone; a ramp whose ``alpha_{ramp_iters - 1}`` rounds above
+        ``alpha_end`` is rejected, as ``ramp(0.3, np.nextafter(1.0, 0.0),
+        2**53, [0.5])`` is, whose climb reads 1.0 there."""
         if not (0.0 <= alpha_start <= alpha_end < 1.0):
             raise ValueError("need 0 <= alpha_start <= alpha_end < 1")
         if ramp_iters < 1:
@@ -188,9 +184,11 @@ class Schedule:
                 return np.where(ks >= ramp_iters, alpha_end, alpha_start
                                 + (alpha_end - alpha_start) * (ks - 1) / (ramp_iters - 1))
 
+        if ramp_iters > 1 and alpha_col(np.array([ramp_iters - 1]))[0] > alpha_end:
+            raise ValueError("the ramp's alpha rounds above alpha_end at k = ramp_iters - 1")
         lambdas = _lambda_table(lambdas)
-        return cls(alpha_col, _hold_last(lambdas))._constant_from(
-            max(ramp_iters, len(lambdas)), alpha_end, lambdas[-1])
+        return cls(alpha_col, _hold_last(lambdas), max(ramp_iters, len(lambdas)),
+                   (alpha_end, lambdas[-1]))
 
     @classmethod
     def table(cls, alphas: Sequence[float], lambdas: Sequence[float]) -> "Schedule":
@@ -204,8 +202,8 @@ class Schedule:
         if any(a2 < a1 for a1, a2 in zip(alphas, alphas[1:])):
             raise ValueError("alpha table must be nondecreasing")
         lambdas = _lambda_table(lambdas)
-        return cls(_hold_last(alphas), _hold_last(lambdas))._constant_from(
-            max(len(alphas), len(lambdas)), alphas[-1], lambdas[-1])
+        return cls(_hold_last(alphas), _hold_last(lambdas), max(len(alphas), len(lambdas)),
+                   (alphas[-1], lambdas[-1]))
 
     def columns(self, ks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(alpha_k, lambda_k)`` as float64 arrays over the int64 indices ``ks``."""
@@ -307,9 +305,9 @@ class Trace:
         self.gamma = gamma
 
     def eta(self, lam: np.ndarray) -> np.ndarray:
-        """The relaxations ``eta = gamma * lambda`` the replays read
-        (``lam`` itself when gamma is unknown)."""
-        return lam if self.gamma is None else self.gamma * lam
+        """The relaxations the replays read, :func:`effective_relaxation` at
+        the trace's gamma."""
+        return effective_relaxation(lam, self.gamma)
 
     def __len__(self) -> int:
         return self.k.size
@@ -394,10 +392,8 @@ def run(
 
     The schedule is read through :meth:`Schedule.columns` one block at a
     time, at the block's first step, over its indices up to
-    ``stop.max_iters``, and validated as a whole: ``alpha_k`` in [0, 1) and
-    nondecreasing, ``lambda_k > 0``.  An invalid entry raises ``ValueError``
-    when the step that uses it is reached, so a run that stops first does
-    not raise.
+    ``stop.max_iters``, and not checked again: its constructor has checked
+    every entry.
 
     When ``T.exact_zeros`` is set, entries of magnitude below
     ``np.finfo(float).tiny`` are zeroed in ``y_k`` when ``alpha_k != 0`` and
@@ -427,7 +423,6 @@ def run(
     j = 0
     status = "max_iters"
     flush_zeros = T.exact_zeros
-    a_prev = 0.0
 
     def flush() -> None:
         nonlocal j
@@ -454,11 +449,8 @@ def run(
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, stop.max_iters + 1):
             if j == 0:
-                alphas, lams, bad_k, bad = _schedule_block(
-                    schedule, k, min(k + BLOCK_ROWS - 1, stop.max_iters), a_prev)
-                a_prev = alphas[-1]
-            if k == bad_k:
-                raise ValueError(bad)
+                ks = np.arange(k, min(k + BLOCK_ROWS, stop.max_iters + 1), dtype=np.int64)
+                alphas, lams = (col.tolist() for col in schedule.columns(ks))
             a_k, l_k = alphas[j], lams[j]
 
             diff = np.subtract(x_curr, x_prev, out=diffs[j])
@@ -505,34 +497,6 @@ def run(
             x_prev, x_curr = x_curr, x_new
 
         return result(status)
-
-
-def _schedule_block(schedule: Schedule, k: int, last: int,
-                    a_prev: float) -> Tuple[list, list, int, Optional[str]]:
-    """``alpha`` and ``lambda`` over the indices ``k .. last`` as lists of floats,
-    the first of those indices whose entries are invalid and its error message
-    (0 and None when all are valid).
-
-    An index is invalid when ``alpha`` lies outside [0, 1), falls below the
-    previous index's (``a_prev`` before ``k``) or ``lambda`` is not positive
-    (``lambda <= 0`` or nan); the message names the first of the three that
-    fails.
-    """
-    a, lam = schedule.columns(np.arange(k, last + 1, dtype=np.int64))
-    alphas, lams = a.tolist(), lam.tolist()
-    # an alpha below 0 is below its valid predecessor (a_prev >= 0), so the
-    # first index flagged is the first invalid one
-    bad = (a < np.concatenate(([a_prev], a[:-1]))) | ~(a < 1.0) | ~(lam > 0.0)
-    if not bad.any():
-        return alphas, lams, 0, None
-    i = int(bad.argmax())
-    if not 0.0 <= alphas[i] < 1.0:
-        error = f"alpha_{k + i} = {alphas[i]} outside [0, 1)"
-    elif alphas[i] < (alphas[i - 1] if i else a_prev):
-        error = f"alpha sequence decreases at k={k + i}"
-    else:
-        error = f"lambda_{k + i} = {lams[i]} must be > 0"
-    return alphas, lams, k + i, error
 
 
 def picard(T, x0: np.ndarray, tol: float, max_iters: int) -> RunResult:

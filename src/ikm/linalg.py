@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "norm",
     "operator_norm_estimate",
     "solve_spd",
-    "spd_solver",
 ]
 
 
@@ -281,12 +280,8 @@ def operator_norm_estimate(L: Union[LinearMap, DifferenceMap], iters: int = 200,
 
 
 def solve_spd(M: Union[LinearMap, SpectralMap], b: np.ndarray) -> np.ndarray:
-    """Solve ``M x = b`` for symmetric positive definite ``M`` (see :func:`spd_solver`)."""
-    return spd_solver(M)(b)
-
-
-def spd_solver(M: Union[LinearMap, SpectralMap]) -> Callable[[np.ndarray], np.ndarray]:
-    """Prefactored SPD solver; raises ``ValueError`` if ``M`` is not SPD.
+    """Solve ``M x = b``; raises ``ValueError`` if ``M`` is not symmetric
+    positive definite.
 
     Both map types solve from an eigendecomposition, a dense
     :class:`LinearMap` from the one :meth:`SpectralMap.of` makes.
@@ -294,4 +289,4 @@ def spd_solver(M: Union[LinearMap, SpectralMap]) -> Callable[[np.ndarray], np.nd
     S = M if isinstance(M, SpectralMap) else SpectralMap.of(M.matrix)
     if S.spectrum()[0] <= 0.0:
         raise ValueError("matrix is not positive definite")
-    return S.solve
+    return S.solve(b)

@@ -122,10 +122,16 @@ def at(schedule, k):
     return a.item(), lam.item()
 
 
-def rows_relaxation_seq(schedule, ks):
-    """The sequence check one index at a time: (ks, values)."""
+def rows_relaxation_seq(schedule, ks, gamma=None):
+    """The sequence check one index at a time at ``eta = gamma * lambda``
+    (``lambda`` when gamma is None): (ks, values)."""
     ks = sorted(k for k in ks if k >= 2)
-    values = [cert.relaxation_seq_term(*at(schedule, k), *at(schedule, k - 1)) for k in ks]
+
+    def at_eta(k):
+        a, lam = at(schedule, k)
+        return a, lam if gamma is None else gamma * lam
+
+    values = [cert.relaxation_seq_term(*at_eta(k), *at_eta(k - 1)) for k in ks]
     return ks, values
 
 
@@ -144,16 +150,21 @@ def seq_schedules(draw):
 @settings(max_examples=300, deadline=None)
 @given(schedule=seq_schedules(),
        ks=st.one_of(st.integers(2, 80).map(lambda n: range(2, n)),
-                    st.lists(st.integers(0, 40), max_size=30)))
+                    st.lists(st.integers(0, 40), max_size=30)),
+       # above 1/2, so gamma * 5e-324 does not round to 0
+       gamma=st.one_of(st.none(), st.floats(0.5, 1.0, exclude_min=True)))
 # nan values, duplicates and a gap
-@example(schedule=Schedule.table([0.0], [1e-310, 0.5, 1e-310]), ks=[5, 2, 3, 3, 9, 1])
-def test_relaxation_seq_matches_scalar_formula(schedule, ks):
-    want_ks, want_values = rows_relaxation_seq(schedule, ks)
+@example(schedule=Schedule.table([0.0], [1e-310, 0.5, 1e-310]), ks=[5, 2, 3, 3, 9, 1],
+         gamma=None)
+# gamma * lambda_2 is subnormal, so nu_2 overflows to inf
+@example(schedule=Schedule.table([0.1], [0.9, 1e-310]), ks=[2, 3], gamma=0.5)
+def test_relaxation_seq_matches_scalar_formula(schedule, ks, gamma):
+    want_ks, want_values = rows_relaxation_seq(schedule, ks, gamma)
     if not want_ks:
         with pytest.raises(ValueError, match="k >= 2"):
-            cert.check_relaxation_seq(schedule, ks)
+            cert.check_relaxation_seq(schedule, ks, gamma)
         return
-    rep = cert.check_relaxation_seq(schedule, ks)
+    rep = cert.check_relaxation_seq(schedule, ks, gamma)
     assert rep.ks.tolist() == want_ks
     # bit for bit: nan and the sign of zero included
     assert rep.values.tobytes() == np.array(want_values).tobytes()

@@ -1269,6 +1269,11 @@ def test_check_params_usage_errors():
                      "--q", "0.9"]) == cli.EXIT_USAGE
     # nan fails `lambda > 0` although it also fails `lambda <= 0`
     assert cli.main(["check-params", "--alpha", "0.1", "--lambda", "nan"]) == cli.EXIT_USAGE
+    # every argument is checked before any line is printed
+    buf = io.StringIO()
+    with pytest.raises(cli.UsageError, match="needs lambda <= 1"):
+        cli.cmd_check_params(0.2, 1.5, 0.9, None, None, out=buf)
+    assert buf.getvalue() == ""
 
 
 def test_check_params_tiny_alpha_prints_consistent_lines():

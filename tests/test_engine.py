@@ -98,12 +98,13 @@ def rebuild_iterates(x1, sched, calls):
 
 
 def test_schedule_constant_validation():
-    with pytest.raises(ValueError):
+    # a constant schedule is a table of one entry each, checked as a table
+    with pytest.raises(ValueError, match=r"alpha values must lie in \[0, 1\)"):
         Schedule.constant(1.0, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lambda values must be > 0"):
         Schedule.constant(0.5, 0.0)
     # nan fails `lambda > 0` although it also fails `lambda <= 0`
-    with pytest.raises(ValueError, match="lambda must be > 0"):
+    with pytest.raises(ValueError, match="lambda values must be > 0"):
         Schedule.constant(0.5, np.nan)
     s = Schedule.constant(0.2, 1.5)  # over-relaxation stays expressible
     assert at(s, 10) == (0.2, 1.5)
@@ -116,6 +117,12 @@ def test_schedule_ramp():
     assert all(a <= b for a, b in zip(vals, vals[1:]))
     with pytest.raises(ValueError, match="lambda values must be > 0"):
         Schedule.ramp(0.0, 0.3, 4, [0.5, np.nan])
+    # 0.3 + (end - 0.3) * (2**53 - 2) / (2**53 - 1) rounds to 1.0 > end at
+    # k = 2**53 - 1, the index before the ramp holds end
+    end = np.nextafter(1.0, 0.0)
+    with pytest.raises(ValueError, match="rounds above alpha_end"):
+        Schedule.ramp(0.3, end, 2 ** 53, [0.5])
+    assert at(Schedule.ramp(0.3, end, 2 ** 52, [0.5]), 2 ** 52 - 1)[0] <= end
 
 
 def test_schedule_table_holds_last_and_validates():
@@ -167,6 +174,59 @@ def test_ramp_and_table_columns_match_the_scalar_formulas(case):
     want = np.array(alpha_table), np.array(lambda_table)
     assert [c.tobytes() for c in table_cols] == [c.tobytes() for c in want]
     assert all(c.dtype == np.float64 for c in ramp_cols + table_cols)
+
+
+ALPHAS = st.floats(0.0, 1.0, exclude_max=True)
+# subnormal lambdas included: positive is all a schedule asks of them
+LAMBDAS = st.lists(st.one_of(st.floats(1e-3, 2.0), st.floats(5e-324, 1e-300)),
+                   min_size=1, max_size=6)
+
+
+@st.composite
+def built_schedule_cases(draw):
+    """(constructor, arguments, ends): the arguments of one ``Schedule``
+    constructor, ramps up to ``2**52`` steps included, and the indices at
+    which a ramp or a table ends."""
+    lambdas = draw(LAMBDAS)
+    kind = draw(st.sampled_from(["constant", "ramp", "table"]))
+    if kind == "constant":
+        return kind, (draw(ALPHAS), lambdas[0]), [1]
+    if kind == "table":
+        alphas = sorted(draw(st.lists(ALPHAS, min_size=1, max_size=6)))
+        return kind, (alphas, lambdas), [len(alphas), len(lambdas)]
+    start = draw(ALPHAS)
+    end = draw(st.floats(start, 1.0, exclude_max=True))
+    ramp_iters = draw(st.one_of(st.integers(1, 5), st.integers(1, 2 ** 52),
+                                st.integers(2 ** 52 - 4, 2 ** 52)))
+    return kind, (start, end, ramp_iters, lambdas), [ramp_iters, len(lambdas)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=built_schedule_cases())
+# refused: alpha_{2**53 - 1} rounds to 1.0
+@example(case=("ramp", (0.3, np.nextafter(1.0, 0.0), 2 ** 53, [0.5]), [2 ** 53, 1]))
+@example(case=("ramp", (0.1, 0.7, 2 ** 52, [0.5, 1e-310]), [2 ** 52, 2]))
+def test_built_schedules_hold_what_a_run_reads(case):
+    # a run reads a schedule without checking it, so every constructor must
+    # give alpha_k nondecreasing in [0, 1) and lambda_k > 0; indices near 1,
+    # near the end of each ramp and table and past const_from
+    kind, args, ends = case
+    try:
+        schedule = getattr(Schedule, kind)(*args)
+    except ValueError:
+        # only a ramp whose climb rounds above alpha_end is refused
+        start, end, ramp_iters, _ = args
+        assert kind == "ramp" and start + (end - start) * (ramp_iters - 2) / (ramp_iters - 1) > end
+        return
+    n = schedule.const_from
+    ks = {1, 2, 3, n, n + 1, n + 2, n + 10 ** 6}
+    for end in ends:
+        ks.update(range(max(1, end - 3), end + 4))
+    alpha, lam = schedule.columns(np.array(sorted(ks), dtype=np.int64))
+    assert ((0.0 <= alpha) & (alpha < 1.0)).all()
+    assert (np.diff(alpha) >= 0.0).all()
+    assert (lam > 0.0).all()
+    assert (alpha[-3:] == schedule.limit[0]).all() and (lam[-3:] == schedule.limit[1]).all()
 
 
 def test_stopping_rule_validation():
@@ -222,22 +282,6 @@ def test_km_step_fixed_point_absorption(quad_50):
     assert (res.rows.residual <= 1e-12).all()
 
 
-def full(value):
-    """A schedule column holding ``value`` at every index."""
-    return lambda ks: np.full(ks.size, value, dtype=np.float64)
-
-
-def test_km_step_parameter_validation():
-    x = np.zeros(3)
-    with pytest.raises(ValueError, match=r"alpha_1 = 1.0 outside \[0, 1\)"):
-        run(IDENTITY, x, Schedule(full(1.0), full(0.5)), StoppingRule(1, 0.0))
-    with pytest.raises(ValueError, match="lambda_1 = 0.0 must be > 0"):
-        run(IDENTITY, x, Schedule(full(0.0), full(0.0)), StoppingRule(1, 0.0))
-    # an alpha out of range is reported before a lambda at the same index
-    with pytest.raises(ValueError, match="alpha_1 = nan outside"):
-        run(IDENTITY, x, Schedule(full(np.nan), full(-1.0)), StoppingRule(1, 0.0))
-
-
 # --------------------------------------------------------------------------
 # run
 
@@ -262,50 +306,16 @@ def test_run_picard_contracts_by_spectral_factor(quad_50):
         assert b <= q * a * (1.0 + 1e-9) + 1e-12
 
 
-def test_run_rejects_decreasing_alpha():
-    sched = Schedule(lambda ks: np.where(ks == 1, 0.3, 0.2), full(0.5))
-    halve = OperatorHandle(apply=lambda x: 0.5 * x)
-    with pytest.raises(ValueError, match="decreases"):
-        run(halve, np.ones(3), sched, StoppingRule(10, 0.0))
-
-
-def test_run_rejects_decreasing_alpha_at_the_first_step_of_a_block():
-    # k = 33 is the first index of the second BLOCK_ROWS block; the 32 steps
-    # before it run
-    assert BLOCK_ROWS == 32
-    sched = Schedule(lambda ks: np.where(ks < 33, 0.3, 0.2), full(0.5))
-    halve, calls = recording_handle(OperatorHandle(apply=lambda x: 0.5 * x))
-    with pytest.raises(ValueError, match="^alpha sequence decreases at k=33$"):
-        run(halve, np.ones(3), sched, StoppingRule(100, 0.0))
-    assert len(calls) == 32
-
-
-def test_run_rejects_a_nan_lambda_when_its_step_is_reached():
-    # nan fails `lambda > 0` although it also fails `lambda <= 0`; the four
-    # steps before k = 5 run
-    sched = Schedule(full(0.1), lambda ks: np.where(ks == 5, np.nan, 0.9))
-    halve, calls = recording_handle(OperatorHandle(apply=lambda x: 0.5 * x))
-    with pytest.raises(ValueError, match="^lambda_5 = nan must be > 0$"):
-        run(halve, np.ones(3), sched, StoppingRule(10, 0.0))
-    assert len(calls) == 4
-
-
-def test_run_that_stops_before_an_invalid_entry_does_not_raise():
-    # alpha leaves [0, 1) at k = 10; the identity converges at k = 1
-    sched = Schedule(lambda ks: np.where(ks == 10, 1.5, 0.2), full(0.5))
-    res = run(IDENTITY, np.ones(3), sched, StoppingRule(100, 0.0))
-    assert res.status == "converged" and res.iterations == 1
-
-
 def test_run_ignores_invalid_entries_past_max_iters():
-    # lambda_12 = 0 lies past max_iters = 10, so the run never reads it
-    asked = []
+    # the run reads the schedule at no index past max_iters = 10
+    sched = Schedule.table([0.2], [0.5])
+    columns, asked = sched.columns, []
 
-    def lambda_col(ks):
+    def recording_columns(ks):
         asked.append(ks.max())
-        return np.where(ks == 12, 0.0, 0.5)
+        return columns(ks)
 
-    sched = Schedule(full(0.2), lambda_col)
+    sched.columns = recording_columns
     halve = OperatorHandle(apply=lambda x: 0.5 * x)
     res = run(halve, np.ones(3), sched, StoppingRule(10, 0.0))
     assert res.status == "max_iters" and res.iterations == 10

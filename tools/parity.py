@@ -167,7 +167,7 @@ CHECK_PARAMS = [
     ["--alpha", "0.2", "--lambda", "0.5"],
     ["--alpha", "0.5", "--lambda", "0.9", "--q", "0.9", "--xi", "1"],
     ["--alpha", "0", "--lambda", "1.4", "--gamma", "0.5"],
-    # prints the relaxation line, then fails on lambda > 1 with exit 64
+    # lambda > 1 under --q: a usage error (exit 64) before any line is printed
     ["--alpha", "0.2", "--lambda", "1.4", "--q", "0.9"],
     # feasibility_poly(1) rounds to 0 at this alpha: lambda_alpha_q is the
     # feasible end of its bisection
