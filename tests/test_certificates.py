@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ikm import certificates as cert
-from ikm.engine import Schedule
+from ikm.engine import Schedule, Trace
 
 
 # --------------------------------------------------------------------------
@@ -168,6 +168,23 @@ def test_relaxation_seq_matches_scalar_formula(schedule, ks, gamma):
     assert rep.ks.tolist() == want_ks
     # bit for bit: nan and the sign of zero included
     assert rep.values.tobytes() == np.array(want_values).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(lams=st.lists(st.floats(5e-324, 2.0), min_size=1, max_size=8),
+       gamma=st.one_of(st.none(), st.floats(0.0, 1.0, exclude_min=True)))
+def test_effective_relaxation_is_gamma_times_lambda(lams, gamma):
+    # the one definition of eta, for a scalar and an array, and the trace's
+    # replays read the same products
+    lam = np.array(lams)
+    want = lam if gamma is None else np.array([gamma * l for l in lams])
+    assert cert.effective_relaxation(lam, gamma).tobytes() == want.tobytes()
+    assert cert.effective_relaxation(lams[0], gamma) == want[0]
+    if gamma is None:
+        assert cert.effective_relaxation(lam, None) is lam
+    trace = Trace(Schedule.constant(0.1, 0.5), gamma, k=[1], residual=[0.0], step=[0.0])
+    assert trace.eta(lam).tobytes() == want.tobytes()
+    assert "effective_relaxation" not in cert.__all__
 
 
 @settings(max_examples=300, deadline=None)

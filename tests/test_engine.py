@@ -136,6 +136,44 @@ def test_schedule_table_holds_last_and_validates():
         Schedule.table([0.1], [np.nan, 0.9])
 
 
+def test_schedule_ramp_validation():
+    # alpha is checked before ramp_iters, and both before the lambdas
+    for start, end in [(0.5, 1.0), (0.3, 0.2), (-0.1, 0.2), (np.nan, 0.2), (0.1, np.nan)]:
+        with pytest.raises(ValueError, match=r"need 0 <= alpha_start <= alpha_end < 1"):
+            Schedule.ramp(start, end, 4, [0.0])
+    with pytest.raises(ValueError, match="ramp_iters must be >= 1"):
+        Schedule.ramp(0.1, 0.2, 0, [0.0])
+    with pytest.raises(ValueError, match="tables must be non-empty"):
+        Schedule.ramp(0.1, 0.2, 4, [])
+    s = Schedule.ramp(0.2, 0.2, 1, [0.5])  # a one-step ramp is a constant
+    assert s.const_from == 1 and s.limit == (0.2, 0.5) and at(s, 7) == (0.2, 0.5)
+
+
+@pytest.mark.parametrize("k", [2, 32, 33, 40])
+def test_schedule_table_rejects_a_decrease_at_any_index(k):
+    # k = 33 is the first index of a run's second BLOCK_ROWS block, where the
+    # run used to check it
+    alphas = [0.3] * 40
+    alphas[k - 1:] = [0.2] * (41 - k)
+    with pytest.raises(ValueError, match="alpha table must be nondecreasing"):
+        Schedule.table(alphas, [0.5])
+    Schedule.table(alphas[:k - 1], [0.5])  # the entries before it are fine
+
+
+def test_schedule_checks_entries_no_run_would_reach():
+    # the constructors check every entry, so an invalid one deep in a table
+    # is refused although the identity converges at k = 1
+    with pytest.raises(ValueError, match=r"alpha values must lie in \[0, 1\)"):
+        Schedule.table([0.2] * 9 + [1.5], [0.5])
+    with pytest.raises(ValueError, match="lambda values must be > 0"):
+        Schedule.table([0.1], [0.9] * 4 + [np.nan])
+    # an alpha out of range is reported before a lambda in the same table
+    with pytest.raises(ValueError, match=r"alpha values must lie in \[0, 1\)"):
+        Schedule.table([np.nan], [-1.0])
+    res = run(IDENTITY, np.ones(3), Schedule.table([0.2] * 10, [0.5]), StoppingRule(100, 0.0))
+    assert res.status == "converged" and res.iterations == 1
+
+
 @st.composite
 def ramp_and_table_cases(draw):
     """(alpha_start, alpha_end, ramp_iters, alphas, lambdas, ks): ks reach past
@@ -320,6 +358,32 @@ def test_run_ignores_invalid_entries_past_max_iters():
     res = run(halve, np.ones(3), sched, StoppingRule(10, 0.0))
     assert res.status == "max_iters" and res.iterations == 10
     assert max(asked) == 10
+
+
+def test_run_reads_a_table_one_block_at_a_time():
+    # alpha and lambda change at every index up to 40, across the first
+    # BLOCK_ROWS block; each block is read once, at its first step, up to
+    # max_iters
+    assert BLOCK_ROWS == 32
+    alphas = np.linspace(0.0, 0.6, 40).tolist()
+    sched = Schedule.table(alphas, np.linspace(0.5, 1.2, 37).tolist())
+    columns, asked = sched.columns, []
+
+    def recording_columns(ks):
+        asked.append(ks.tolist())
+        return columns(ks)
+
+    sched.columns = recording_columns
+    halve, calls = recording_handle(OperatorHandle(apply=lambda x: 0.5 * x))
+    x1 = np.ones(3)
+    res = run(halve, x1, sched, StoppingRule(70, 0.0))
+    assert res.status == "max_iters" and res.iterations == 70
+    assert asked == [list(range(1, 33)), list(range(33, 65)), list(range(65, 71))]
+    # each y_k is x_k + alpha_k (x_k - x_{k-1}) at the table's alpha_k, bit for bit
+    xs = [x1] + rebuild_iterates(x1, sched, calls)
+    for k, (y, _) in enumerate(calls, start=1):
+        want = xs[k] + at(sched, k)[0] * (xs[k] - xs[k - 1]) if k > 1 else x1
+        assert y.tobytes() == want.tobytes()
 
 
 def test_run_divergence_returns_the_partial_trace():
